@@ -294,6 +294,26 @@ def load_checkpoint(
 # --- run orchestration ----------------------------------------------------------
 
 
+def _truncate_metrics(path: Path, step: int) -> None:
+    """Keep the header and the rows up to ``step``, atomically.
+
+    A run resumed from the checkpoint of ``step`` then appends exactly the
+    rows an uninterrupted run writes after it, even when the interrupted run
+    got further than its last checkpoint or tore its last line.
+    """
+    keep = []
+    with open(path, encoding="utf-8", newline="\n") as fh:
+        for line in fh:
+            lead = line.split(",", 1)[0]
+            if not line.endswith("\n") or (lead.isdigit() and int(lead) > step):
+                break
+            keep.append(line)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(keep)
+    os.replace(tmp, path)
+
+
 def run_train(cfg: RunConfig, resume_from: str | Path | None = None) -> TrainResult:
     """Full training run with metrics CSV, checkpoints, and config echo."""
     out = Path(cfg.out_dir)
@@ -313,9 +333,12 @@ def run_train(cfg: RunConfig, resume_from: str | Path | None = None) -> TrainRes
         params = init_mlp(cfg.net_widths(), cfg.activation, cfg.seed, cfg.act_scale, cfg.bias)
         save_checkpoint(out / "ckpt_initial.sdze", params, 0, cfg.seed)
 
-    mode = "w" if start_step == 0 else "a"
-    with open(out / "metrics.csv", mode, encoding="utf-8", newline="\n") as fh:
-        if start_step == 0:
+    metrics = out / "metrics.csv"
+    fresh = start_step == 0 or not metrics.exists()
+    if not fresh:
+        _truncate_metrics(metrics, start_step)
+    with open(metrics, "w" if fresh else "a", encoding="utf-8", newline="\n") as fh:
+        if fresh:
             fh.write(csv_header(cfg.seed, cfg.config_hash()) + "\n")
             fh.write(METRIC_COLUMNS + "\n")
 

@@ -9,13 +9,18 @@ output with (1 - ||x||^2), so no boundary loss term is needed.
 Forward modes:
 
 * plain values (``sign=0``),
-* implicitly perturbed values — each layer computes
-  ``sigma(H W +/- eps * contract(H, U, Z, V))`` where ``contract`` is the
-  segmented low-rank product of :mod:`sdze.subspace`; the full-size
-  perturbation matrix is never formed,
-* implicitly perturbed order-2 jets along coordinate directions, where the
-  same contraction is applied to every Taylor plane and the first layer seeds
-  directions by row extraction instead of one-hot tangents.
+* perturbed values.  Only the input layer (d x width) is d-sized; its
+  perturbation stays implicit, ``sigma(H W_0 +/- eps * contract(H, U, Z, V))``
+  with ``contract`` the segmented low-rank product of :mod:`sdze.subspace`,
+  so the d-sized perturbation matrix is never formed.  Every later layer is
+  perturbed explicitly: each sweep builds W_l +/- eps T^-1(U Z V^T) once
+  (bounded streaming update on an f64 copy, cast once to the step dtype),
+* jets along coordinate directions for the loss: one first-order plane per
+  direction and one *summed* second-order plane per index set, which is all
+  the sampled operator reads.  The input layer seeds directions by row
+  extraction (``delta_rows`` for the implicit perturbation) instead of
+  one-hot tangents.  Per-direction second derivatives are the same sweep
+  with singleton sets.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from . import alloc
 from . import jets as jets_mod
 from .jets import Jet2, activation_triple
 from .rng import Role, StreamKey, derive_stream
-from .subspace import LayerSubspace, delta_rows, perturb_product
+from .subspace import LayerSubspace, apply_rank_r_update, delta_rows, perturb_product
 
 
 @dataclass
@@ -116,45 +121,84 @@ class PerturbView:
         if self.sign != 0 and (self.subspaces is None or self.cores is None):
             raise ValueError("perturbed view needs subspaces and cores")
 
-    def _weight(self, l: int) -> np.ndarray:
-        W = self.params.weights[l]
-        return W if W.dtype == self.dtype else W.astype(self.dtype)
-
     # Loss-pipeline surface shared with the exact-solution stand-in.
     def values(self, X: np.ndarray) -> np.ndarray:
         return ansatz(self, X)[:, 0]
 
-    def jet_eval(self, X: np.ndarray, dims: np.ndarray):
-        J = jet_forward(self, X, dims)
-        return J.value, J.d1, J.d2
+    def jet_eval(self, X: np.ndarray, dims: np.ndarray, sizes) -> tuple[np.ndarray, np.ndarray]:
+        return jet_sums(self, X, dims, sizes)
 
 
 def plain_view(params: MlpParams) -> PerturbView:
     return PerturbView(params)
 
 
-def forward(view: PerturbView, X: np.ndarray) -> np.ndarray:
-    """Raw network values, shape (B, 1)."""
+def _sweep_weights(view: PerturbView) -> list[np.ndarray]:
+    """Layer weights in the view's dtype, as one sweep multiplies them.
+
+    Layer 0 (d x width) comes back unperturbed; its perturbation stays
+    implicit, so nothing d-sized is formed.  Every later layer is
+    d-independent and is perturbed explicitly: W + sign*eps*T^-1(U Z V^T) is
+    streamed into an f64 copy by the bounded rank-r update and cast once.
+    """
+    out = []
+    for l, W in enumerate(view.params.weights):
+        if l > 0 and view.sign != 0:
+            W = np.array(W, dtype=np.float64)
+            alloc.record(W.size)
+            apply_rank_r_update(W, view.subspaces[l], view.cores[l], view.sign * view.eps)
+        if W.dtype != view.dtype:
+            W = W.astype(view.dtype)
+            alloc.record(W.size)
+        out.append(W)
+    return out
+
+
+def _input_core(view: PerturbView) -> np.ndarray:
+    """The input layer's core with the perturbation sign and scale folded in."""
+    return np.asarray(view.sign * view.eps * view.cores[0], dtype=view.dtype)
+
+
+def _primal(view: PerturbView, X: np.ndarray, weights: list[np.ndarray], derivs: bool):
+    """Values of the raw network, shape (B, 1).
+
+    With ``derivs`` also returns the activation-derivative planes
+    sigma'(G_l), sigma''(G_l) of every hidden layer, which the tangent
+    transport of a jet sweep reuses for all directions.
+    """
     params = view.params
     if X.ndim != 2 or X.shape[1] != params.dim:
         raise ValueError(f"input shape {X.shape} does not match dim {params.dim}")
     bias = params.bias
+    f, f1, f2 = activation_triple(params.activation, params.act_scale)
+    s1s: list[np.ndarray] = []
+    s2s: list[np.ndarray] = []
+    H = X.astype(view.dtype, copy=False)
+    for l, W in enumerate(weights):
+        G = (H @ W[:-1] + W[-1]) if bias else (H @ W)
+        alloc.record(G.size)
+        if l == 0 and view.sign != 0:
+            G += perturb_product(
+                H, view.subspaces[0], _input_core(view), tail="one" if bias else None
+            )
+        if l < params.depth - 1:
+            if derivs:
+                s1s.append(f1(G))
+                s2s.append(f2(G))
+                alloc.record(2 * G.size)
+            H = f(G)
+            alloc.record(H.size)
+        else:
+            H = G
+        if derivs:
+            jets_mod.note_primal_eval()
+    return H, s1s, s2s
+
+
+def forward(view: PerturbView, X: np.ndarray) -> np.ndarray:
+    """Raw network values, shape (B, 1)."""
     with alloc.phase("forward"):
-        H = X.astype(view.dtype, copy=False)
-        for l in range(params.depth):
-            W = view._weight(l)
-            G = (H @ W[:-1] + W[-1]) if bias else (H @ W)
-            alloc.record(G.size)
-            if view.sign != 0:
-                G += (view.sign * view.eps) * perturb_product(
-                    H, view.subspaces[l], view.cores[l], tail="one" if bias else None
-                )
-            if l < params.depth - 1:
-                f = activation_triple(params.activation, params.act_scale)[0]
-                H = f(G)
-            else:
-                H = G
-        return H
+        return _primal(view, X, _sweep_weights(view), derivs=False)[0]
 
 
 def boundary_factor(X: np.ndarray) -> np.ndarray:
@@ -166,127 +210,124 @@ def ansatz(view: PerturbView, X: np.ndarray) -> np.ndarray:
     return boundary_factor(X)[:, None] * forward(view, X)
 
 
+def set_starts(sizes, n_dims: int) -> np.ndarray:
+    """Offsets of consecutive index sets of ``sizes`` within ``n_dims`` directions."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    if sizes.ndim != 1 or sizes.size == 0 or sizes.min() < 1 or sizes.sum() != n_dims:
+        raise ValueError(f"set sizes {sizes.tolist()} must be >= 1 and sum to {n_dims}")
+    return np.cumsum(sizes) - sizes
+
+
 # directions transported per cache-sized block during jet sweeps
-JET_CHUNK = 8
+JET_CHUNK = 16
 
 
-def _raw_jets(view: PerturbView, X: np.ndarray, dims: np.ndarray) -> Jet2:
-    """Jets of the raw network along coordinate directions ``dims``.
+def _raw_jets(view: PerturbView, X: np.ndarray, dims: np.ndarray, sizes):
+    """Raw-network jets along coordinate directions, second order summed per set.
 
-    The primal trajectory (values plus the activation-derivative planes) is
-    computed once and shared by every direction; tangents are then
-    transported through the layers in cache-sized direction chunks.  The
-    first layer maps one-hot seeds to weight rows directly, so no (b, B, d)
-    tangent block is ever materialized.  The perturbation sign and scale are
-    folded into the core; with the bias extension the perturbation's
-    constant-feature row only touches the value plane.
+    ``dims`` is split into consecutive index sets of the given ``sizes``; a
+    repeated index counts with multiplicity.  The primal trajectory is
+    computed once and shared by every direction.  Tangents then travel in
+    blocks of at most ``JET_CHUNK`` directions of one set: one first-order
+    plane per direction plus one plane holding the block's summed second
+    order, which a layer maps as
 
-    Returns planes value (B, 1), d1/d2 (b, B, 1).
+        sum d2' = s' * (sum d2) W + s'' * sum (d1 W)^2,
+
+    so each block costs one GEMM per layer.  The input layer maps one-hot
+    seeds to (implicitly perturbed) weight rows, so no (b, B, d) tangent
+    block is ever formed; later layers multiply explicitly perturbed weights.
+
+    Returns g (B,), the first derivatives g1 (b, B) and the per-set sums of
+    second derivatives g2 (len(sizes), B).
     """
     params = view.params
     dims = np.asarray(dims, dtype=np.int64)
     if dims.size and (dims.min() < 0 or dims.max() >= params.dim):
         raise ValueError("direction index out of range")
-    sign_eps = view.sign * view.eps
-    bias = params.bias
-    perturbed = view.sign != 0
+    starts = set_starts(sizes, dims.size)
+    ends = np.append(starts[1:], dims.size)
     depth = params.depth
-    b = dims.size
-    tail_one = "one" if bias else None
-    tail_zero = "zero" if bias else None
-    if perturbed:
-        zcores = [np.asarray(sign_eps * Z, dtype=view.dtype) for Z in view.cores]
+    bias = params.bias
 
     with alloc.phase("jets"):
-        f, f1, f2 = activation_triple(params.activation, params.act_scale)
-
-        # shared primal sweep
-        H = X.astype(view.dtype, copy=False)
-        s1s: list[np.ndarray] = []
-        s2s: list[np.ndarray] = []
-        for l in range(depth):
-            W = view._weight(l)
-            G = (H @ W[:-1] + W[-1]) if bias else (H @ W)
-            alloc.record(G.size)
-            if perturbed:
-                G += perturb_product(H, view.subspaces[l], zcores[l], tail_one)
-            if l < depth - 1:
-                s1s.append(f1(G))
-                s2s.append(f2(G))
-                H = f(G)
-                for arr in (s1s[-1], s2s[-1], H):
-                    alloc.record(arr.size)
-            else:
-                H = G
-            jets_mod.note_primal_eval()
-        value = H
-
+        weights = _sweep_weights(view)
+        value, s1s, s2s = _primal(view, X, weights, derivs=True)
         B = X.shape[0]
-        W0 = view._weight(0)
-        seed_rows = W0[dims]  # e_i @ W0; a constant feature has zero tangent
-        if perturbed:
-            seed_rows = seed_rows + delta_rows(view.subspaces[0], zcores[0], dims)
+        # e_i @ W0; a constant feature has zero tangent
+        seed_rows = weights[0][dims]
+        if view.sign != 0:
+            seed_rows = seed_rows + delta_rows(view.subspaces[0], _input_core(view), dims)
         alloc.record(seed_rows.size)
 
+        g1 = np.empty((dims.size, B), dtype=view.dtype)
+        g2 = np.zeros((starts.size, B), dtype=view.dtype)
+        alloc.record(g1.size + g2.size)
         if depth == 1:
-            d1 = np.broadcast_to(seed_rows[:, None, :], (b, B, value.shape[1]))
-            return Jet2(value, d1.copy(), np.zeros_like(d1))
+            g1[:] = seed_rows[:, :1]
+            return value[:, 0], g1, g2
 
-        d1_out = np.empty((b, B, 1), dtype=view.dtype)
-        d2_out = np.empty((b, B, 1), dtype=view.dtype)
-        alloc.record(d1_out.size)
-        alloc.record(d2_out.size)
-        # a chunk's stacked d1/d2 block holds 2*chunk planes; capping the
-        # chunk at (b+1)/2 keeps any single buffer within B*(1+b)*width
-        chunk = max(1, min(JET_CHUNK, (b + 1) // 2))
-        for c0 in range(0, b, chunk):
-            c1 = min(c0 + chunk, b)
-            nc = c1 - c0
-            rows = seed_rows[c0:c1]
-            # first activation: d1 = s1 * rows, d2 = s2 * rows^2 (seed d2 = 0)
-            tg = np.empty((2 * nc, B, W0.shape[1]), dtype=view.dtype)
-            np.multiply(rows[:, None, :], s1s[0], out=tg[:nc])
-            np.multiply((rows * rows)[:, None, :], s2s[0], out=tg[nc:])
-            alloc.record(tg.size)
-            for l in range(1, depth):
-                W = view._weight(l)
-                n_out = W.shape[1]
-                flat = tg.reshape(-1, tg.shape[-1])
-                Ww = W[:-1] if bias else W
-                new = (flat @ Ww).reshape(2 * nc, B, n_out)
-                alloc.record(new.size)
-                if perturbed:
-                    new += perturb_product(
-                        flat, view.subspaces[l], zcores[l], tail_zero
-                    ).reshape(2 * nc, B, n_out)
-                tg = new
-                if l < depth - 1:
-                    d1, d2 = tg[:nc], tg[nc:]
-                    d2 *= s1s[l]
-                    tmp = d1 * d1
-                    tmp *= s2s[l]
-                    d2 += tmp
-                    d1 *= s1s[l]
-                    alloc.record(tmp.size)
-            d1_out[c0:c1] = tg[:nc]
-            d2_out[c0:c1] = tg[nc:]
-        return Jet2(value, d1_out, d2_out)
+        for s, (e0, e1) in enumerate(zip(starts, ends)):
+            for c0 in range(e0, e1, JET_CHUNK):
+                c1 = min(c0 + JET_CHUNK, e1)
+                nc = c1 - c0
+                rows = seed_rows[c0:c1]
+                # first activation: d1 = s' * rows, sum d2 = s'' * sum rows^2
+                tg = np.empty((nc + 1, B, rows.shape[1]), dtype=view.dtype)
+                np.multiply(rows[:, None, :], s1s[0], out=tg[:nc])
+                np.multiply(np.einsum("kh,kh->h", rows, rows), s2s[0], out=tg[nc])
+                alloc.record(tg.size)
+                for l in range(1, depth):
+                    W = weights[l]
+                    flat = tg.reshape(-1, tg.shape[-1])
+                    tg = (flat @ (W[:-1] if bias else W)).reshape(nc + 1, B, W.shape[1])
+                    alloc.record(tg.size)
+                    if l < depth - 1:
+                        d1, d2 = tg[:nc], tg[nc]
+                        sq = np.einsum("kbh,kbh->bh", d1, d1)
+                        sq *= s2s[l]
+                        d2 *= s1s[l]
+                        d2 += sq
+                        d1 *= s1s[l]
+                        alloc.record(sq.size)
+                g1[c0:c1] = tg[:nc, :, 0]
+                g2[s] += tg[nc, :, 0]
+        return value[:, 0], g1, g2
+
+
+def _ansatz_terms(view: PerturbView, X: np.ndarray, dims, sizes):
+    X = np.atleast_2d(np.asarray(X))
+    dims = np.asarray(dims, dtype=np.int64)
+    g, g1, g2 = _raw_jets(view, X, dims, sizes)
+    return boundary_factor(X), X[:, dims].T, g, g1, g2
+
+
+def jet_sums(view: PerturbView, X: np.ndarray, dims, sizes) -> tuple[np.ndarray, np.ndarray]:
+    """Ansatz values and, per index set, the sum of pure second derivatives.
+
+    With g the raw network and phi = 1 - ||x||^2, over a set I (repeated
+    indices counted with multiplicity):
+    sum_{i in I} d2u/dx_i^2 = phi sum g''_i - 4 sum x_i g'_i - 2 |I| g.
+    Returns u (B,) and the sums (len(sizes), B).
+    """
+    phi, xi, g, g1, g2 = _ansatz_terms(view, X, dims, sizes)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    xg1 = np.add.reduceat(xi * g1, set_starts(sizes, xi.shape[0]), axis=0)
+    sums = phi * g2 - 4.0 * xg1 - 2.0 * sizes[:, None] * g
+    u = phi * g
+    alloc.record(u.size + sums.size)
+    return u, sums
 
 
 def jet_forward(view: PerturbView, X: np.ndarray, dims: np.ndarray) -> Jet2:
-    """Order-2 jets of the *ansatz* along coordinate directions.
+    """Order-2 jets of the *ansatz* along each coordinate direction.
 
-    With g the raw network and phi = 1 - ||x||^2:
+    The same sweep as :func:`jet_sums` with one singleton set per direction:
     u = phi g,  du_i = phi g'_i - 2 x_i g,  d2u_i = phi g''_i - 4 x_i g'_i - 2 g.
     Returns planes value (B,), d1/d2 (b, B).
     """
-    X = np.atleast_2d(np.asarray(X))
-    J = _raw_jets(view, X, dims)
-    g = J.value[:, 0]
-    g1 = J.d1[:, :, 0]
-    g2 = J.d2[:, :, 0]
-    phi = boundary_factor(X)
-    xi = X[:, np.asarray(dims, dtype=np.int64)].T  # (b, B)
+    n = np.asarray(dims).size
+    phi, xi, g, g1, g2 = _ansatz_terms(view, X, dims, np.ones(n, dtype=np.int64))
     u = phi * g
     du = phi * g1 - 2.0 * xi * g
     d2u = phi * g2 - 4.0 * xi * g1 - 2.0 * g
@@ -314,8 +355,8 @@ def derivative_bound_monitor(
         raise ValueError("tanh scale must be <= 1 for the bound to apply")
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     d = params.dim
-    J = _raw_jets(plain_view(params), x, np.arange(d))
-    coeffs = (J.d1 if order == 1 else J.d2)[:, 0, 0]
+    _, g1, g2 = _raw_jets(plain_view(params), x, np.arange(d), np.ones(d, dtype=np.int64))
+    coeffs = (g1 if order == 1 else g2)[:, 0]
     observed = float(np.linalg.norm(coeffs))
     L = params.depth
     M = [max(np.linalg.norm(W, 2), 1.0) for W in params.weights]

@@ -246,36 +246,38 @@ def fullspace_zo_step(
 ) -> StepRecord:
     """Classic full-space simultaneous-perturbation step.
 
-    The per-layer Gaussian direction is regenerated from its key three times
-    (+eps pass, -eps pass, update) so no parameter-sized perturbation is ever
-    stored; the spatial sample stays locked across the two passes.
+    The per-layer Gaussian direction is regenerated from its key for each
+    use (+eps pass, -eps pass, update), so it is never stored.  Each pass
+    evaluates a perturbed copy of the weights, one parameter-sized buffer
+    freed after the pass; ``params`` changes only by the update, so with a
+    zero update it stays bitwise unchanged.  The spatial sample stays locked
+    across the two passes.
     """
 
-    def walk(scale: float) -> None:
-        for l, W in enumerate(params.weights):
-            z = derive_stream(StreamKey(cfg.seed, Role.FULLSPACE_Z, t, l)).normals(
-                W.size
-            )
-            W += scale * z.reshape(W.shape)
+    def direction(l: int, W: np.ndarray) -> np.ndarray:
+        z = derive_stream(StreamKey(cfg.seed, Role.FULLSPACE_Z, t, l)).normals(W.size)
+        return z.reshape(W.shape)
 
     sample = SpatialSample(cfg.seed, t, cfg.batch_B, cfg.batch_b, params.dim)
 
-    def evaluate() -> float:
+    def evaluate(scale: float) -> float:
+        shifted = replace(
+            params, weights=[W + scale * direction(l, W) for l, W in enumerate(params.weights)]
+        )
         if loss_fn is not None:
-            return float(loss_fn(params))
-        return stochastic_loss(plain_view(params), problem, sample)
+            return float(loss_fn(shifted))
+        return stochastic_loss(plain_view(shifted), problem, sample)
 
     t0 = time.perf_counter()
-    walk(+cfg.eps)
-    lp = evaluate()
-    walk(-2.0 * cfg.eps)
-    lm = evaluate()
-    walk(+cfg.eps)
+    lp = evaluate(+cfg.eps)
+    lm = evaluate(-cfg.eps)
     delta = (lp - lm) / (2.0 * cfg.eps)
     if not np.isfinite(delta):
         raise SdzeDivergenceError(t, lp, lm, sample)
     alpha = lr_schedule(cfg, t, q=params.n_params)
-    walk(-alpha * delta)
+    if alpha * delta != 0.0:
+        for l, W in enumerate(params.weights):
+            W -= (alpha * delta) * direction(l, W)
     wall_ms = (time.perf_counter() - t0) * 1e3
     return StepRecord(t, delta, lp, lm, alpha, wall_ms, 0)
 

@@ -154,19 +154,20 @@ class ExactSolutionView:
     def values(self, X: np.ndarray) -> np.ndarray:
         return exact_solution(self.problem, X)
 
-    def jet_eval(self, X: np.ndarray, dims) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def jet_eval(self, X: np.ndarray, dims, sizes) -> tuple[np.ndarray, np.ndarray]:
+        """Values and, per consecutive index set of ``sizes``, sum_i d2u/dx_i^2."""
+        from .net import set_starts
+
         X = np.atleast_2d(X)
         dims = np.asarray(dims, dtype=np.int64)
+        starts = set_starts(sizes, dims.size)
         phi = 1.0 - np.sum(X * X, axis=1)
         S = _interaction_terms(self.problem, X) @ self.problem.coeffs
-        d1 = np.empty((dims.size, X.shape[0]))
-        d2 = np.empty_like(d1)
+        d2 = np.empty((dims.size, X.shape[0]))
         for j, i in enumerate(dims):
             s1, s2 = _core_jets_at_dim(self.problem, X, int(i))
-            xi = X[:, i]
-            d1[j] = phi * s1 - 2.0 * xi * S
-            d2[j] = phi * s2 - 4.0 * xi * s1 - 2.0 * S
-        return phi * S, d1, d2
+            d2[j] = phi * s2 - 4.0 * X[:, i] * s1 - 2.0 * S
+        return phi * S, np.add.reduceat(d2, starts, axis=0)
 
 
 def rhs_eval(problem: PdeProblem, X: np.ndarray) -> np.ndarray:
@@ -215,7 +216,6 @@ class SpatialSample:
     b: int
     d: int
     set_replicate: int = 0
-    b_J: int | None = None
     collocation_step: int | None = None  # defaults to step; lets studies pin the batch
 
     def points(self) -> np.ndarray:
@@ -237,11 +237,6 @@ class SpatialSample:
     def set2(self) -> np.ndarray:
         return self._set(Role.DIM_SET_2, self.b)
 
-    def set_J(self) -> np.ndarray:
-        if self.b_J is None:
-            raise ValueError("sample has no secondary set size b_J")
-        return self._set(Role.DIM_SET_2, self.b_J)
-
 
 def sampled_operator(view, problem: PdeProblem, X: np.ndarray, I) -> np.ndarray:
     """(N_L/|I|) * sum_{i in I} d2u/dx_i^2 + nonlinearity(u), per point.
@@ -254,8 +249,8 @@ def sampled_operator(view, problem: PdeProblem, X: np.ndarray, I) -> np.ndarray:
         raise ValueError("index set must be non-empty")
     if problem.alias_terms:
         I = np.zeros_like(I)
-    u, _, d2 = view.jet_eval(np.atleast_2d(X), I)
-    return (problem.n_terms / I.size) * d2.sum(axis=0) + problem.nonlinearity(u)
+    u, sums = view.jet_eval(np.atleast_2d(X), I, [I.size])
+    return (problem.n_terms / I.size) * sums[0] + problem.nonlinearity(u)
 
 
 def stochastic_loss(view, problem: PdeProblem, sample: SpatialSample) -> float:
@@ -263,19 +258,20 @@ def stochastic_loss(view, problem: PdeProblem, sample: SpatialSample) -> float:
 
     (1 / (2 B kappa)) * sum_n (op_{I1}(x_n) - f(x_n)) (op_{I2}(x_n) - f(x_n)),
     with f evaluated in full closed form.  The two operator evaluations share
-    one jet sweep (one primal pass) over the concatenated direction sets.
+    one jet sweep (one primal pass) over the concatenated direction sets,
+    which returns each set's summed second derivatives.
     """
     with alloc.phase("forward"):
         X = sample.points()
         I1, I2 = sample.set1(), sample.set2()
         if problem.alias_terms:
             I1, I2 = np.zeros_like(I1), np.zeros_like(I2)
-        u, _, d2 = view.jet_eval(X, np.concatenate([I1, I2]))
+        u, sums = view.jet_eval(X, np.concatenate([I1, I2]), [I1.size, I2.size])
         nl = problem.nonlinearity(u)
         f = rhs_eval(problem, X)
         scale = problem.n_terms
-        r1 = (scale / I1.size) * d2[: I1.size].sum(axis=0) + nl - f
-        r2 = (scale / I2.size) * d2[I1.size :].sum(axis=0) + nl - f
+        r1 = (scale / I1.size) * sums[0] + nl - f
+        r2 = (scale / I2.size) * sums[1] + nl - f
         return float(np.dot(r1, r2) / (2.0 * sample.B * problem.kappa))
 
 
@@ -299,43 +295,3 @@ def relative_l2(view_or_params, problem: PdeProblem, test_key: StreamKey, n_test
     diff = u_hat - u_ex
     return float(np.sqrt(np.dot(diff, diff) / denom))
 
-
-class RunningMoments:
-    """Mergeable mean/variance accumulator (Welford / Chan update)."""
-
-    def __init__(self):
-        self.n = 0
-        self.mean = 0.0
-        self.m2 = 0.0
-
-    def push(self, x: float) -> None:
-        self.n += 1
-        delta = x - self.mean
-        self.mean += delta / self.n
-        self.m2 += delta * (x - self.mean)
-
-    def merge(self, other: "RunningMoments") -> "RunningMoments":
-        out = RunningMoments()
-        out.n = self.n + other.n
-        if out.n == 0:
-            return out
-        delta = other.mean - self.mean
-        out.mean = self.mean + delta * other.n / out.n
-        out.m2 = self.m2 + other.m2 + delta * delta * self.n * other.n / out.n
-        return out
-
-    @property
-    def variance(self) -> float:
-        return self.m2 / (self.n - 1) if self.n > 1 else 0.0
-
-
-@dataclass
-class NoiseDiagnostics:
-    """Sample-variance estimates of the stochastic loss and of the estimator."""
-
-    loss_moments: RunningMoments
-    delta_moments: RunningMoments
-
-    @staticmethod
-    def empty() -> "NoiseDiagnostics":
-        return NoiseDiagnostics(RunningMoments(), RunningMoments())

@@ -13,7 +13,9 @@ H @ T^-1(U Z V^T) directly from the factors via a segmented contraction (see
 the per-case comments), ``delta_rows`` extracts single rows of the implied
 perturbation (used to seed coordinate jets through the first layer without
 building one-hot tangents), and ``apply_rank_r_update`` streams the rank-r
-parameter update into W through the re-layout map in bounded blocks.
+parameter update into W through the re-layout map in bounded blocks (the
+network also uses it to build explicitly perturbed copies of its
+d-independent layers).
 """
 
 from __future__ import annotations
@@ -174,13 +176,17 @@ def sample_core(stream: RngStream, r: int) -> np.ndarray:
 def perturb_product(
     H: np.ndarray, state: LayerSubspace, Z: np.ndarray, tail: str | None = None
 ) -> np.ndarray:
-    """``[H, tail] @ T^-1(U Z V^T)`` without forming the perturbation matrix.
+    """``H @ T^-1(U Z V^T)`` without forming the perturbation matrix.
 
-    ``H`` has shape (..., m) and the result (..., n).  ``tail`` appends one
-    virtual constant column — ``"one"`` for value planes through a bias row,
-    ``"zero"`` for their tangent planes — without materializing it; in that
-    case the plan's row count is m + 1.
+    ``H`` has shape (..., m) and the result (..., n).  ``tail="one"`` appends
+    one virtual constant-1 column, the bias feature of a value plane, without
+    materializing it; the plan's row count is then m + 1.  The network uses
+    it on the input layer's primal only: that layer is d-sized, so its
+    perturbation stays implicit, while later layers multiply explicitly
+    perturbed weights.
     """
+    if tail not in (None, "one"):
+        raise ValueError(f"unknown tail {tail!r}; expected None or 'one'")
     plan = state.plan
     m, n = plan.orig
     expected = m - (1 if tail else 0)
@@ -192,7 +198,7 @@ def perturb_product(
     r = state.rank
     if plan.split_side == "none":
         HU = H @ (U[:-1] if tail else U)
-        if tail == "one":
+        if tail:
             HU = HU + U[-1]
         G = HU @ Z
         out = G @ V.T
@@ -208,9 +214,7 @@ def perturb_product(
             P = np.empty((*lead, k, r), dtype=H.dtype)
             head = H[..., : (k - 1) * mp].reshape(*lead, k - 1, mp)
             P[..., : k - 1, :] = head @ U
-            P[..., k - 1, :] = H[..., (k - 1) * mp :] @ U[:-1]
-            if tail == "one":
-                P[..., k - 1, :] += U[-1]
+            P[..., k - 1, :] = H[..., (k - 1) * mp :] @ U[:-1] + U[-1]
         P = P @ Z  # (..., k, r)
         Vr = V.reshape(n, k, r)
         out = np.einsum("...tr,jtr->...j", P, Vr)
@@ -222,9 +226,7 @@ def perturb_product(
     if tail is None:
         G = np.einsum("...m,smr->...sr", H, Us)
     else:
-        G = np.einsum("...m,smr->...sr", H, Us[:, :-1, :])
-        if tail == "one":
-            G = G + Us[:, -1, :]
+        G = np.einsum("...m,smr->...sr", H, Us[:, :-1, :]) + Us[:, -1, :]
     G = G @ Z  # (..., k, r)
     out = np.einsum("...sr,qr->...qs", G, V).reshape(*lead, n)
     alloc.record(G.size)

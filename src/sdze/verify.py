@@ -85,7 +85,9 @@ def explicit_jet_forward(
 ):
     """Dense order-2 jets of the hardened ansatz with one-hot seeds.
 
-    Returns (u, d1, d2) with d1/d2 of shape (len(dims), B).
+    With the bias extension every layer input gets a constant-1 column (zero
+    in the tangent planes).  Returns (u, d1, d2) with d1/d2 of shape
+    (len(dims), B).
     """
     from .jets import activation_triple
 
@@ -103,6 +105,10 @@ def explicit_jet_forward(
         d2 = np.zeros_like(X)
         for l, W in enumerate(params.weights):
             Wp = W if sign == 0 else W + sign * eps * deltas[l]
+            if params.bias:
+                val = np.hstack([val, np.ones((B, 1))])
+                d1 = np.hstack([d1, np.zeros((B, 1))])
+                d2 = np.hstack([d2, np.zeros((B, 1))])
             val, d1, d2 = val @ Wp, d1 @ Wp, d2 @ Wp
             if l < params.depth - 1:
                 s1, s2 = f1(val), f2(val)
@@ -328,8 +334,8 @@ def _tiny_setup(master: int, term_dims: list[int], n_points: int = 3):
 
     def term_value(theta: np.ndarray, point: int, term: int) -> float:
         p = unflatten_params(theta, params)
-        _, _, d2 = plain_view(p).jet_eval(X[point : point + 1], [term_dims[term]])
-        return float(d2[0, 0])
+        _, sums = plain_view(p).jet_eval(X[point : point + 1], [term_dims[term]], [1])
+        return float(sums[0, 0])
 
     # residuals use the constructed operator Lu = sum_j L_j u
     term_vals = np.array(
@@ -591,10 +597,11 @@ def implicit_suite(master: int = 0, n_cases: int = 20) -> list[IdentityReport]:
     """Implicit perturbed forward and jets vs the dense explicit oracle.
 
     Random layer shapes (k > 1 splits on both sides included), random ranks,
-    random cores; the relative difference on both the values and every jet
-    plane must stay within 1e-10.
+    random cores; the relative difference on the values, every jet plane and
+    the summed second-order planes of two index sets (one with a repeated
+    index, overlapping the other) must stay within 1e-10.
     """
-    from .net import init_mlp, jet_forward
+    from .net import init_mlp, jet_forward, jet_sums
 
     fixed = [(6, 5), (40, 8), (8, 40), (128, 1), (7, 3), (12, 12)]
     stream = derive_stream(StreamKey(master, Role.CORE_Z, 0, 99))
@@ -632,7 +639,12 @@ def implicit_suite(master: int = 0, n_cases: int = 20) -> list[IdentityReport]:
             worst = max(worst, float(np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300)))
             J = jet_forward(view, X, dims)
             u_o, d1_o, d2_o = explicit_jet_forward(params, X, dims, deltas, sign, 0.31)
-            for got_p, want_p in ((J.value, u_o), (J.d1, d1_o), (J.d2, d2_o)):
+            # sets (dims, dims[0]) and dims: a repeat, and overlap between sets
+            set_dims = np.concatenate([dims, dims[:1], dims])
+            _, sums = jet_sums(view, X, set_dims, [dims.size + 1, dims.size])
+            sums_o = np.stack([d2_o.sum(axis=0) + d2_o[0], d2_o.sum(axis=0)])
+            pairs = ((J.value, u_o), (J.d1, d1_o), (J.d2, d2_o), (sums, sums_o))
+            for got_p, want_p in pairs:
                 denom = max(float(np.max(np.abs(want_p))), 1e-300)
                 worst = max(worst, float(np.max(np.abs(got_p - want_p))) / denom)
         k = subs[0].plan.split_factor

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from sdze import cli
+from sdze import cli, harness
 from sdze.harness import (
     ConfigError,
     RunConfig,
@@ -150,6 +150,33 @@ def test_resume_equals_uninterrupted(tmp_path):
     assert (tmp_path / "full/ckpt_final.sdze").read_bytes() == (
         tmp_path / "resumed/ckpt_final.sdze"
     ).read_bytes()
+
+
+class _Crash(Exception):
+    pass
+
+
+def test_crash_resume_writes_no_duplicate_rows(tmp_path, monkeypatch):
+    # a run that dies after writing step 10 resumes from its step-8 checkpoint
+    raw = tiny_config(tmp_path, steps=12, eval_every=4)
+    run_train(RunConfig.from_dict({**raw, "out_dir": str(tmp_path / "full")}))
+    crashed = RunConfig.from_dict({**raw, "out_dir": str(tmp_path / "crashed")})
+    real_row = harness.metric_row
+
+    def row_then_crash(rec, rel, timing):
+        if rec.step == 11:
+            raise _Crash
+        return real_row(rec, rel, timing)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "metric_row", row_then_crash)
+        with pytest.raises(_Crash):
+            run_train(crashed)
+    out = tmp_path / "crashed"
+    assert out.joinpath("metrics.csv").read_text().splitlines()[-1].startswith("10,")
+    run_train(crashed, resume_from=out / "ckpt_00000008.sdze")
+    for name in ("metrics.csv", "ckpt_final.sdze"):
+        assert (out / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
 
 
 def test_rank_freq_sweep_grid(tmp_path):

@@ -10,6 +10,7 @@ from sdze.net import (
     forward,
     init_mlp,
     jet_forward,
+    jet_sums,
     plain_view,
 )
 from sdze.rng import Role, StreamKey, derive_stream
@@ -130,6 +131,34 @@ def test_perturbed_jets_match_explicit_oracle(sign):
     u_o, d1_o, d2_o = explicit_jet_forward(params, X, dims, deltas, sign, 0.21)
     for got, want in ((J.value, u_o), (J.d1, d1_o), (J.d2, d2_o)):
         assert np.abs(got - want).max() / np.abs(want).max() <= 1e-10
+
+
+@pytest.mark.parametrize("bias", [False, True])
+@pytest.mark.parametrize("sign", [-1, 0, +1])
+def test_set_sums_match_explicit_oracle(bias, sign):
+    # three sets over 7 inputs: {1, 4, 4} repeats an index, {4, 0, 6}
+    # overlaps it, and {2} is a singleton; the long set spans two chunks
+    params, subs, cores = build([7, 9, 8, 1], rank=2, bias=bias)
+    deltas = [explicit_delta_w(s, Z) for s, Z in zip(subs, cores)]
+    X = np.random.default_rng(9).standard_normal((6, 7)) * 0.3
+    sets = [[1, 4, 4], [4, 0, 6] * 7, [2]]
+    dims = np.concatenate(sets)
+    view = PerturbView(params, subs, cores, sign, 0.23)
+    u, sums = jet_sums(view, X, dims, [len(I) for I in sets])
+    u_o, _, d2_o = explicit_jet_forward(params, X, dims, deltas, sign, 0.23)
+    ends = np.cumsum([len(I) for I in sets])
+    want = np.stack([d2_o[e - len(I) : e].sum(axis=0) for I, e in zip(sets, ends)])
+    assert sums.shape == (3, 6)
+    assert np.abs(u - u_o).max() / np.abs(u_o).max() <= 1e-10
+    assert np.abs(sums - want).max() / np.abs(want).max() <= 1e-10
+
+
+def test_set_sizes_must_cover_the_directions():
+    params, _, _ = build([4, 5, 1])
+    X = np.zeros((2, 4))
+    for sizes in ([2], [3, 1, 1], [4, 0], []):
+        with pytest.raises(ValueError):
+            jet_sums(plain_view(params), X, np.arange(4), sizes)
 
 
 def test_jet_forward_rejects_bad_dims():

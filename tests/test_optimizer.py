@@ -273,6 +273,17 @@ def test_fullspace_identical_seeds_identical_trajectory():
     assert all(np.array_equal(a, b) for a, b in zip(*runs))
 
 
+def test_fullspace_zero_step_size_leaves_weights_bitwise():
+    prob = make_problem("none", 5, "two_body", 4)
+    cfg = small_cfg(widths=[5, 6, 1], seed=4, lr_mode="constant", alpha=0.0)
+    params = init_mlp(cfg.widths, "sin", 4)
+    before = [W.copy() for W in params.weights]
+    for t in range(1, 21):
+        rec = fullspace_zo_step(params, prob, cfg, t)
+        assert rec.delta_hat != 0.0
+    assert all(np.array_equal(a, b) for a, b in zip(before, params.weights))
+
+
 def test_train_zero_steps_and_initial_eval():
     cfg = small_cfg(steps=0)
     prob = make_problem("none", 6, "two_body", cfg.seed)

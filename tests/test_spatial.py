@@ -93,8 +93,8 @@ def test_sampled_operator_scaling_single_dim():
     net = init_mlp([4, 5, 1], "sin", 9)
     view = plain_view(net)
     X = sample_unit_ball(derive_stream(TEST_KEY), 6, 4)
-    u, _, d2 = view.jet_eval(X, np.array([2]))
-    want = 4.0 * d2[0] + (u - u**3)
+    u, sums = view.jet_eval(X, np.array([2]), [1])
+    want = 4.0 * sums[0] + (u - u**3)
     got = sampled_operator(view, prob, X, [2])
     assert np.allclose(got, want, rtol=1e-14)
     with pytest.raises(ValueError):
