@@ -15,7 +15,6 @@ from .optimizer import (
     fullspace_zo_step,
     lr_schedule,
     sdze_step,
-    sdze_step_naive,
     train,
 )
 from .rng import Role, RngStream, StreamKey, derive_stream, gaussian_matrix, sample_index_set
@@ -77,7 +76,6 @@ __all__ = [
     "sample_unit_ball",
     "sampled_operator",
     "sdze_step",
-    "sdze_step_naive",
     "stochastic_loss",
     "train",
 ]

@@ -17,8 +17,16 @@ from pathlib import Path
 import numpy as np
 
 from . import verify as V
-from .harness import RunConfig, run_sweep_batch, run_sweep_rank_freq, run_train, write_csv
+from .harness import (
+    config_from_json,
+    config_hash,
+    run_sweep_batch,
+    run_sweep_rank_freq,
+    run_train,
+    write_csv,
+)
 from .net import init_mlp
+from .optimizer import SdzeConfig
 from .spatial import make_problem
 
 VERIFY_SUITES = (
@@ -50,8 +58,8 @@ def _parse_pairs(text: str) -> list[tuple[int, int]]:
     return pairs
 
 
-def _load_config(args) -> RunConfig:
-    cfg = RunConfig.from_json(args.config)
+def _load_config(args) -> SdzeConfig:
+    cfg = config_from_json(args.config)
     if getattr(args, "seed", None) is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     if getattr(args, "out", None) is not None:
@@ -209,30 +217,28 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     if args.command == "sweep-rank-freq":
         rows = run_sweep_rank_freq(cfg, args.ranks, args.freqs)
-        write_csv(out / "rank_freq.csv", rows, cfg.seed, cfg.config_hash())
+        write_csv(out / "rank_freq.csv", rows, cfg.seed, config_hash(cfg))
         for row in rows:
             print(row)
         return 0
     if args.command == "sweep-batch":
         rows = run_sweep_batch(cfg, args.pairs)
-        write_csv(out / "batch_tradeoff.csv", rows, cfg.seed, cfg.config_hash())
+        write_csv(out / "batch_tradeoff.csv", rows, cfg.seed, config_hash(cfg))
         for row in rows:
             print(row)
         return 0
     if args.command == "ablate-crns":
-        problem = cfg.make_problem()
-        params = init_mlp(cfg.net_widths(), cfg.activation, cfg.seed, cfg.act_scale)
         rows, slope_crns, slope_naive = V.crns_variance_sweep(
-            problem,
-            params,
+            cfg.make_problem(),
+            cfg.init_params(),
             rank=cfg.rank,
             eps_list=args.eps,
             replicates=args.reps,
-            B=cfg.batch_points_B,
-            b=cfg.batch_dims_b,
+            B=cfg.batch_B,
+            b=cfg.batch_b,
             master=cfg.seed,
         )
-        write_csv(out / "crns_ablation.csv", rows, cfg.seed, cfg.config_hash())
+        write_csv(out / "crns_ablation.csv", rows, cfg.seed, config_hash(cfg))
         print(f"slope crns={slope_crns:.3f} naive={slope_naive:.3f}")
         return 0
     raise AssertionError("unreachable")

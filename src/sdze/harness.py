@@ -1,11 +1,14 @@
-"""Run configuration, metrics/checkpoint I/O, and experiment orchestration.
+"""JSON run configs, metrics/checkpoint I/O, and experiment orchestration.
 
-Configs are JSON documents validated strictly on load: unknown keys are
-rejected and every offending key is reported at once.  Each run writes a
-config echo, a metrics CSV (header line ``# sdze-version, seed,
-config-hash``), and periodic + final checkpoints into its output directory.
-Runs are byte-reproducible given the seed; wall-clock timing can be switched
-off so the CSV itself is reproducible too.
+A run is described by one :class:`~sdze.optimizer.SdzeConfig`.  Its JSON
+form is one table, ``_JSON_FIELDS``, from dotted JSON path to config field:
+loading, dumping and the unknown-key report all derive from it, and a key
+the JSON omits takes the field's default.  Loading is strict: every unknown
+key is reported at once.  Each run writes a config echo, a metrics CSV
+(header line ``# sdze-version, seed, config-hash``), and periodic + final
+checkpoints into its output directory.  Runs are byte-reproducible given the
+seed; wall-clock timing can be switched off so the CSV itself is
+reproducible too.
 """
 
 from __future__ import annotations
@@ -16,14 +19,12 @@ import json
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .alloc import AllocationLedger
-from .net import MlpParams, init_mlp
+from .net import MlpParams
 from .optimizer import (
     SdzeConfig,
     StepRecord,
@@ -33,197 +34,111 @@ from .optimizer import (
     train,
 )
 from .rng import Role, StreamKey, derive_stream
-from .spatial import PdeProblem, SpatialSample, make_problem
+from .spatial import PdeProblem, SpatialSample
 from .subspace import sample_core
 
-PDE_KINDS = {"poisson": "none", "allen_cahn": "allen_cahn", "sine_gordon": "sine_gordon"}
-
-_SCHEMA = {
-    "pde": {"kind", "dim", "solution", "normalization"},
-    "net": {"widths", "activation", "act_scale", "bias", "dtype"},
-    "sdze": {
-        "rank",
-        "rank_per_layer",
-        "freq_F",
-        "eps",
-        "lr",
-        "batch_points_B",
-        "batch_dims_b",
-        "crns",
-    },
-    "lr": {"mode", "alpha", "gamma", "m", "p", "c"},
+# Dotted JSON path -> SdzeConfig field.  pde.dim has no field of its own: it
+# is widths[0], and an absent net.widths loads as [pde.dim, 128, 128, 1].
+_JSON_FIELDS = {
+    "pde.kind": "pde_kind",
+    "pde.dim": None,
+    "pde.solution": "pde_solution",
+    "pde.normalization": "normalization",
+    "net.widths": "widths",
+    "net.activation": "activation",
+    "net.act_scale": "act_scale",
+    "net.bias": "bias",
+    "net.dtype": "dtype",
+    "sdze.rank": "rank",
+    "sdze.rank_per_layer": "rank_per_layer",
+    "sdze.freq_F": "freq_F",
+    "sdze.eps": "eps",
+    "sdze.lr.mode": "lr_mode",
+    "sdze.lr.alpha": "alpha",
+    "sdze.lr.gamma": "gamma",
+    "sdze.lr.m": "m",
+    "sdze.lr.p": "p",
+    "sdze.lr.c": "c",
+    "sdze.batch_points_B": "batch_B",
+    "sdze.batch_dims_b": "batch_b",
+    "sdze.crns": "crns",
+    "steps": "steps",
+    "eval_every": "eval_every",
+    "test_points": "test_points",
+    "seed": "seed",
+    "out_dir": "out_dir",
+    "timing": "timing",
 }
-_TOP_KEYS = {"pde", "net", "sdze", "steps", "eval_every", "test_points", "seed", "out_dir", "timing"}
+_BLOCKS = {path.rsplit(".", 1)[0] for path in _JSON_FIELDS if "." in path}
+# scalar fields are coerced to their declared type, so 200 and 200.0 agree
+_CASTS = {"int": int, "float": float, "bool": bool, "str": str}
+_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(SdzeConfig)}
+assert set(_JSON_FIELDS.values()) - {None} == set(_FIELD_TYPES)
 
 
 class ConfigError(ValueError):
     """Validation failure; the message lists every offending key."""
 
 
-@dataclass
-class RunConfig:
-    """JSON-facing run recipe; flattens into problem + optimizer config."""
+def _flatten(raw: dict, prefix: str, leaves: dict, errors: list[str]) -> None:
+    for key, value in raw.items():
+        path = prefix + key
+        if path in _BLOCKS and isinstance(value, dict):
+            _flatten(value, path + ".", leaves, errors)
+        elif path in _JSON_FIELDS:
+            leaves[path] = value
+        elif path in _BLOCKS:
+            errors.append(f"{path} must be an object")
+        else:
+            errors.append(f"unknown key: {path}")
 
-    pde_kind: str = "poisson"
-    pde_dim: int = 0
-    pde_solution: str = "two_body"
-    pde_normalization: str = "dim_normalized"
-    widths: list[int] | None = None
-    activation: str = "sin"
-    act_scale: float = 1.0
-    bias: bool = False
-    dtype: str = "f64"
-    rank: int = 16
-    rank_per_layer: list[int] | None = None
-    freq_F: int = 1000
-    eps: float = 1e-3
-    lr: dict = field(default_factory=lambda: {"mode": "annealed", "gamma": 3.0, "m": 200.0, "p": 0.6})
-    batch_points_B: int = 100
-    batch_dims_b: int = 16
-    crns: bool = True
-    steps: int = 20000
-    eval_every: int = 500
-    test_points: int = 2000
-    seed: int = 0
-    out_dir: str = "runs/default"
-    timing: bool = True
 
-    @staticmethod
-    def from_dict(raw: dict) -> "RunConfig":
-        errors = []
-        for key in raw:
-            if key not in _TOP_KEYS:
-                errors.append(f"unknown key: {key}")
-        for block in ("pde", "net", "sdze"):
-            for key in raw.get(block, {}):
-                if key not in _SCHEMA[block]:
-                    errors.append(f"unknown key: {block}.{key}")
-        for key in raw.get("sdze", {}).get("lr", {}):
-            if key not in _SCHEMA["lr"]:
-                errors.append(f"unknown key: sdze.lr.{key}")
-        pde = raw.get("pde", {})
-        if "dim" not in pde:
-            errors.append("missing key: pde.dim")
-        if pde.get("kind", "poisson") not in PDE_KINDS:
-            errors.append(f"pde.kind must be one of {sorted(PDE_KINDS)}")
-        if errors:
-            raise ConfigError("; ".join(errors))
+def config_from_dict(raw: dict) -> SdzeConfig:
+    """Validate a JSON config and resolve it; raises :class:`ConfigError`."""
+    leaves: dict = {}
+    errors: list[str] = []
+    _flatten(raw, "", leaves, errors)
+    if "pde.dim" not in leaves:
+        errors.append("missing key: pde.dim")
+    else:
+        dim = int(leaves["pde.dim"])
+        leaves.setdefault("net.widths", [dim, 128, 128, 1])
+        if leaves["net.widths"][:1] != [dim]:
+            errors.append(f"net.widths must start with pde.dim = {dim}")
+    if errors:
+        raise ConfigError("; ".join(errors))
+    values = {}
+    for path, value in leaves.items():
+        name = _JSON_FIELDS[path]
+        if name is not None:
+            cast = _CASTS.get(_FIELD_TYPES[name])
+            values[name] = cast(value) if cast else value
+    return SdzeConfig(**values)
 
-        net = raw.get("net", {})
-        sdze = raw.get("sdze", {})
-        cfg = RunConfig(
-            pde_kind=pde.get("kind", "poisson"),
-            pde_dim=int(pde["dim"]),
-            pde_solution=pde.get("solution", "two_body"),
-            pde_normalization=pde.get("normalization", "dim_normalized"),
-            widths=net.get("widths"),
-            activation=net.get("activation", "sin"),
-            act_scale=float(net.get("act_scale", 1.0)),
-            bias=bool(net.get("bias", False)),
-            dtype=net.get("dtype", "f64"),
-            rank=int(sdze.get("rank", 16)),
-            rank_per_layer=sdze.get("rank_per_layer"),
-            freq_F=int(sdze.get("freq_F", 1000)),
-            eps=float(sdze.get("eps", 1e-3)),
-            lr=dict(sdze.get("lr", {"mode": "annealed", "gamma": 3.0, "m": 200.0, "p": 0.6})),
-            batch_points_B=int(sdze.get("batch_points_B", 100)),
-            batch_dims_b=int(sdze.get("batch_dims_b", 16)),
-            crns=bool(sdze.get("crns", True)),
-            steps=int(raw.get("steps", 20000)),
-            eval_every=int(raw.get("eval_every", 500)),
-            test_points=int(raw.get("test_points", 2000)),
-            seed=int(raw.get("seed", 0)),
-            out_dir=str(raw.get("out_dir", "runs/default")),
-            timing=bool(raw.get("timing", True)),
-        )
-        cfg.to_sdze()  # surfaces optimizer-level validation errors now
-        return cfg
 
-    @staticmethod
-    def from_json(path: str | Path) -> "RunConfig":
-        with open(path, encoding="utf-8") as fh:
-            return RunConfig.from_dict(json.load(fh))
+def config_from_json(path: str | Path) -> SdzeConfig:
+    with open(path, encoding="utf-8") as fh:
+        return config_from_dict(json.load(fh))
 
-    def to_dict(self) -> dict:
-        return {
-            "pde": {
-                "kind": self.pde_kind,
-                "dim": self.pde_dim,
-                "solution": self.pde_solution,
-                "normalization": self.pde_normalization,
-            },
-            "net": {
-                "widths": self.net_widths(),
-                "activation": self.activation,
-                "act_scale": self.act_scale,
-                "bias": self.bias,
-                "dtype": self.dtype,
-            },
-            "sdze": {
-                "rank": self.rank,
-                "rank_per_layer": self.rank_per_layer,
-                "freq_F": self.freq_F,
-                "eps": self.eps,
-                "lr": self.lr,
-                "batch_points_B": self.batch_points_B,
-                "batch_dims_b": self.batch_dims_b,
-                "crns": self.crns,
-            },
-            "steps": self.steps,
-            "eval_every": self.eval_every,
-            "test_points": self.test_points,
-            "seed": self.seed,
-            "out_dir": self.out_dir,
-            "timing": self.timing,
-        }
 
-    def net_widths(self) -> list[int]:
-        return self.widths if self.widths else [self.pde_dim, 128, 128, 1]
+def config_to_dict(cfg: SdzeConfig) -> dict:
+    """The nested JSON form of ``cfg``, every key written."""
+    out: dict = {}
+    for path, name in _JSON_FIELDS.items():
+        *blocks, key = path.split(".")
+        node = out
+        for block in blocks:
+            node = node.setdefault(block, {})
+        node[key] = cfg.widths[0] if name is None else getattr(cfg, name)
+    return out
 
-    def config_hash(self) -> str:
-        # identifies the experiment: output location and timing switch excluded
-        material = self.to_dict()
-        material.pop("out_dir")
-        material.pop("timing")
-        canon = json.dumps(material, sort_keys=True).encode()
-        return hashlib.sha256(canon).hexdigest()[:12]
 
-    def make_problem(self) -> PdeProblem:
-        return make_problem(
-            PDE_KINDS[self.pde_kind],
-            self.pde_dim,
-            self.pde_solution,
-            self.seed,
-            self.pde_normalization,
-        )
-
-    def to_sdze(self) -> SdzeConfig:
-        lr = self.lr
-        return SdzeConfig(
-            seed=self.seed,
-            widths=self.net_widths(),
-            activation=self.activation,
-            act_scale=self.act_scale,
-            bias=self.bias,
-            dtype=self.dtype,
-            eps=self.eps,
-            lr_mode=lr.get("mode", "annealed"),
-            alpha=float(lr.get("alpha", 1e-3)),
-            gamma=float(lr.get("gamma", 1.0)),
-            m=float(lr.get("m", 0.0)),
-            p=float(lr.get("p", 1.0)),
-            c=float(lr.get("c", 1.0)),
-            steps=self.steps,
-            rank=self.rank,
-            rank_per_layer=self.rank_per_layer,
-            freq_F=self.freq_F,
-            batch_B=self.batch_points_B,
-            batch_b=self.batch_dims_b,
-            crns=self.crns,
-            normalization=self.pde_normalization,
-            eval_every=self.eval_every,
-            test_points=self.test_points,
-        )
+def config_hash(cfg: SdzeConfig) -> str:
+    # identifies the experiment: output location and timing switch excluded
+    material = config_to_dict(cfg)
+    del material["out_dir"], material["timing"]
+    canon = json.dumps(material, sort_keys=True).encode()
+    return hashlib.sha256(canon).hexdigest()[:12]
 
 
 # --- metrics CSV --------------------------------------------------------------
@@ -267,13 +182,8 @@ def save_checkpoint(path: str | Path, params: MlpParams, step: int, seed: int) -
             fh.write(np.ascontiguousarray(W, dtype="<f8").tobytes())
 
 
-def load_checkpoint(
-    path: str | Path,
-    activation: str = "sin",
-    act_scale: float = 1.0,
-    bias: bool = False,
-) -> tuple[MlpParams, int, int]:
-    """Returns (params, step, seed); raises on bad magic/version/truncation."""
+def _read_checkpoint(path: str | Path) -> tuple[list[np.ndarray], int, int]:
+    """Returns (weights, step, seed); raises on bad magic/version/truncation."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
@@ -288,7 +198,35 @@ def load_checkpoint(
             if len(buf) != rows * cols * 8:
                 raise ValueError("truncated checkpoint")
             weights.append(np.frombuffer(buf, dtype="<f8").reshape(rows, cols).copy())
+    return weights, step, seed
+
+
+def load_checkpoint(
+    path: str | Path,
+    activation: str = "sin",
+    act_scale: float = 1.0,
+    bias: bool = False,
+) -> tuple[MlpParams, int, int]:
+    """Returns (params, step, seed); raises on bad magic/version/truncation."""
+    weights, step, seed = _read_checkpoint(path)
     return MlpParams(weights, activation, act_scale, bias), step, seed
+
+
+def _layer_shapes(widths: list[int], bias: bool) -> list[tuple[int, int]]:
+    return [(m + int(bias), n) for m, n in zip(widths, widths[1:])]
+
+
+def _resume_params(cfg: SdzeConfig, path: str | Path) -> tuple[MlpParams, int]:
+    """The checkpoint's network and step, refused unless it fits ``cfg``."""
+    weights, step, seed = _read_checkpoint(path)
+    if seed != cfg.seed:
+        raise ValueError(f"checkpoint seed {seed} != config seed {cfg.seed}")
+    shapes = [W.shape for W in weights]
+    want = _layer_shapes(cfg.widths, cfg.bias)
+    if shapes != want:
+        key = "net.bias" if shapes == _layer_shapes(cfg.widths, not cfg.bias) else "net.widths"
+        raise ConfigError(f"{key}: checkpoint layer shapes {shapes}, config implies {want}")
+    return MlpParams(weights, cfg.activation, cfg.act_scale, cfg.bias), step
 
 
 # --- run orchestration ----------------------------------------------------------
@@ -314,23 +252,22 @@ def _truncate_metrics(path: Path, step: int) -> None:
     os.replace(tmp, path)
 
 
-def run_train(cfg: RunConfig, resume_from: str | Path | None = None) -> TrainResult:
-    """Full training run with metrics CSV, checkpoints, and config echo."""
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "config.json").write_text(json.dumps(cfg.to_dict(), indent=2) + "\n")
-    problem = cfg.make_problem()
-    sdze_cfg = cfg.to_sdze()
+def run_train(cfg: SdzeConfig, resume_from: str | Path | None = None) -> TrainResult:
+    """Full training run with metrics CSV, checkpoints, and config echo.
 
+    A checkpoint to resume from must match the config's seed and layer
+    shapes; it is checked before anything is written.
+    """
+    problem = cfg.make_problem()
     start_step = 0
     if resume_from is not None:
-        params, start_step, ckpt_seed = load_checkpoint(
-            resume_from, cfg.activation, cfg.act_scale, cfg.bias
-        )
-        if ckpt_seed != cfg.seed:
-            raise ValueError(f"checkpoint seed {ckpt_seed} != config seed {cfg.seed}")
+        params, start_step = _resume_params(cfg, resume_from)
     else:
-        params = init_mlp(cfg.net_widths(), cfg.activation, cfg.seed, cfg.act_scale, cfg.bias)
+        params = cfg.init_params()
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "config.json").write_text(json.dumps(config_to_dict(cfg), indent=2) + "\n")
+    if resume_from is None:
         save_checkpoint(out / "ckpt_initial.sdze", params, 0, cfg.seed)
 
     metrics = out / "metrics.csv"
@@ -339,7 +276,7 @@ def run_train(cfg: RunConfig, resume_from: str | Path | None = None) -> TrainRes
         _truncate_metrics(metrics, start_step)
     with open(metrics, "w" if fresh else "a", encoding="utf-8", newline="\n") as fh:
         if fresh:
-            fh.write(csv_header(cfg.seed, cfg.config_hash()) + "\n")
+            fh.write(csv_header(cfg.seed, config_hash(cfg)) + "\n")
             fh.write(METRIC_COLUMNS + "\n")
 
         def on_record(rec: StepRecord, rel: float | None) -> None:
@@ -350,7 +287,7 @@ def run_train(cfg: RunConfig, resume_from: str | Path | None = None) -> TrainRes
                 )
 
         result = train(
-            sdze_cfg,
+            cfg,
             problem,
             init_params=params,
             start_step=start_step,
@@ -372,7 +309,7 @@ def _final_rel_l2(result: TrainResult) -> float:
 
 
 def run_sweep_rank_freq(
-    cfg: RunConfig, ranks: list[int], freqs: list[int]
+    cfg: SdzeConfig, ranks: list[int], freqs: list[int]
 ) -> list[dict]:
     """One short run per (rank, refresh frequency) cell; final relative L2 per row."""
     if not ranks or not freqs:
@@ -380,7 +317,7 @@ def run_sweep_rank_freq(
     problem = cfg.make_problem()
 
     def cell(r: int, F: int) -> dict:
-        scfg = dataclasses.replace(cfg.to_sdze(), rank=r, freq_F=F)
+        scfg = dataclasses.replace(cfg, rank=r, freq_F=F)
         result = train(scfg, problem)
         return {"rank": r, "freq_F": F, "final_rel_l2": _final_rel_l2(result)}
 
@@ -395,12 +332,12 @@ def run_sweep_rank_freq(
 
 
 def delta_variance(
-    cfg: RunConfig, problem: PdeProblem, B: int, b: int, replicates: int = 200
+    cfg: SdzeConfig, problem: PdeProblem, B: int, b: int, replicates: int = 200
 ) -> float:
     """Variance of the step estimate over replicated spatial samples at the
     frozen initial parameters (perturbation direction held fixed)."""
-    params = init_mlp(cfg.net_widths(), cfg.activation, cfg.seed, cfg.act_scale, cfg.bias)
-    scfg = dataclasses.replace(cfg.to_sdze(), batch_B=B, batch_b=b)
+    params = cfg.init_params()
+    scfg = dataclasses.replace(cfg, batch_B=B, batch_b=b)
     subspaces = make_subspaces(params, scfg)
     cores = [
         sample_core(derive_stream(StreamKey(cfg.seed, Role.CORE_Z, 0, l)), s.rank)
@@ -417,7 +354,7 @@ def delta_variance(
 
 
 def run_sweep_batch(
-    cfg: RunConfig, pairs: list[tuple[int, int]], replicates: int = 200
+    cfg: SdzeConfig, pairs: list[tuple[int, int]], replicates: int = 200
 ) -> list[dict]:
     """Fixed-budget (B, b) tradeoff: estimator variance + short-run final L2."""
     products = {B * b for B, b in pairs}
@@ -427,8 +364,7 @@ def run_sweep_batch(
     rows = []
     for B, b in pairs:
         var = delta_variance(cfg, problem, B, b, replicates)
-        scfg = dataclasses.replace(cfg.to_sdze(), batch_B=B, batch_b=b)
-        result = train(scfg, problem)
+        result = train(dataclasses.replace(cfg, batch_B=B, batch_b=b), problem)
         rows.append(
             {"B": B, "b": b, "delta_variance": var, "final_rel_l2": _final_rel_l2(result)}
         )

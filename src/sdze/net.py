@@ -21,6 +21,10 @@ Forward modes:
   extraction (``delta_rows`` for the implicit perturbation) instead of
   one-hot tangents.  Per-direction second derivatives are the same sweep
   with singleton sets.
+
+All jet code lives here: the activation derivatives, the :class:`Jet2`
+planes that :func:`jet_forward` returns, and the counter of shared primal
+evaluations.  The maximum order is 2, the order of every supported operator.
 """
 
 from __future__ import annotations
@@ -31,10 +35,51 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import alloc
-from . import jets as jets_mod
-from .jets import Jet2, activation_triple
 from .rng import Role, StreamKey, derive_stream
 from .subspace import LayerSubspace, apply_rank_r_update, delta_rows, perturb_product
+
+
+# Incremented once per layer whose primal plane a jet sweep evaluates; every
+# direction of the sweep shares it, so tests can assert the sharing property.
+_primal_evals = 0
+
+
+def primal_eval_count() -> int:
+    return _primal_evals
+
+
+def activation_triple(act: str, scale: float = 1.0):
+    """(sigma, sigma', sigma'') for the supported activation tags."""
+    if act == "sin":
+        return np.sin, np.cos, lambda u: -np.sin(u)
+    if act == "tanh_scaled":
+        # scale * tanh; scale <= 1 keeps |sigma^(k)| <= 1 for k <= 2
+        def f(u):
+            return scale * np.tanh(u)
+
+        def f1(u):
+            t = np.tanh(u)
+            return scale * (1.0 - t * t)
+
+        def f2(u):
+            t = np.tanh(u)
+            return scale * (-2.0 * t * (1.0 - t * t))
+
+        return f, f1, f2
+    raise ValueError(f"unknown activation tag: {act!r}")
+
+
+@dataclass
+class Jet2:
+    """Truncated second-order directional Taylor coefficients.
+
+    ``value`` has shape ``(B,)``; ``d1`` and ``d2`` carry a leading direction
+    axis, shape ``(k, B)`` for ``k`` directions.
+    """
+
+    value: np.ndarray
+    d1: np.ndarray
+    d2: np.ndarray
 
 
 @dataclass
@@ -166,6 +211,7 @@ def _primal(view: PerturbView, X: np.ndarray, weights: list[np.ndarray], derivs:
     sigma'(G_l), sigma''(G_l) of every hidden layer, which the tangent
     transport of a jet sweep reuses for all directions.
     """
+    global _primal_evals
     params = view.params
     if X.ndim != 2 or X.shape[1] != params.dim:
         raise ValueError(f"input shape {X.shape} does not match dim {params.dim}")
@@ -191,7 +237,7 @@ def _primal(view: PerturbView, X: np.ndarray, weights: list[np.ndarray], derivs:
         else:
             H = G
         if derivs:
-            jets_mod.note_primal_eval()
+            _primal_evals += 1
     return H, s1s, s2s
 
 

@@ -8,6 +8,7 @@ stochastic loss at +eps and -eps with the *same* regenerated spatial sample,
 locking makes the spatial sampling noise cancel algebraically inside the
 difference; the unlocked variant (independent index sets per sign) exists
 only for the ablation study and is expected to blow up as eps shrinks.
+:func:`sdze_step` runs both; ``SdzeConfig.crns`` picks the mode.
 
 A full-space baseline perturbs every weight with a regenerated Gaussian
 (never stored), bracketing the subspace method from the classic
@@ -24,7 +25,7 @@ import numpy as np
 from .alloc import AllocationLedger, ledger_active, phase
 from .net import MlpParams, PerturbView, init_mlp, plain_view
 from .rng import Role, StreamKey, derive_stream
-from .spatial import PdeProblem, SpatialSample, relative_l2, stochastic_loss
+from .spatial import PdeProblem, SpatialSample, make_problem, relative_l2, stochastic_loss
 from .subspace import (
     LayerSubspace,
     apply_rank_r_update,
@@ -35,11 +36,17 @@ from .subspace import (
 
 LR_MODES = ("constant", "annealed", "sqrt_tq")
 DTYPES = {"f64": np.float64, "f32": np.float32}
+# JSON pde.kind -> the nonlinearity tag of spatial.make_problem
+PDE_KINDS = {"poisson": "none", "allen_cahn": "allen_cahn", "sine_gordon": "sine_gordon"}
 
 
 @dataclass
 class SdzeConfig:
-    """Full recipe for a run; validated on construction."""
+    """Full recipe for a run; validated on construction.
+
+    ``widths[0]`` is the PDE dimension.  :mod:`sdze.harness` maps every field
+    to its JSON key; a key the JSON omits takes the default here.
+    """
 
     seed: int = 0
     widths: list[int] = field(default_factory=lambda: [100, 128, 128, 1])
@@ -50,20 +57,24 @@ class SdzeConfig:
     eps: float = 1e-3
     lr_mode: str = "annealed"
     alpha: float = 1e-3  # constant mode
-    gamma: float = 1.0  # annealed: gamma / (t + m)^p
-    m: float = 0.0
-    p: float = 1.0
+    gamma: float = 3.0  # annealed: gamma / (t + m)^p
+    m: float = 200.0
+    p: float = 0.6
     c: float = 1.0  # sqrt_tq: c / sqrt(t q)
-    steps: int = 1000
+    steps: int = 20000
     rank: int = 16
     rank_per_layer: list[int] | None = None
     freq_F: int = 1000
     batch_B: int = 100
     batch_b: int = 16
     crns: bool = True
+    pde_kind: str = "poisson"
+    pde_solution: str = "two_body"
     normalization: str = "dim_normalized"
     eval_every: int = 500
     test_points: int = 2000
+    out_dir: str = "runs/default"
+    timing: bool = True  # False writes wall_ms as 0, for reproducible CSVs
 
     def __post_init__(self):
         problems = []
@@ -81,8 +92,24 @@ class SdzeConfig:
             problems.append("rank_per_layer must list one rank per layer")
         if self.steps < 0:
             problems.append("steps must be >= 0")
+        if self.pde_kind not in PDE_KINDS:
+            problems.append(f"pde.kind must be one of {sorted(PDE_KINDS)}")
         if problems:
             raise ValueError("; ".join(problems))
+
+    def make_problem(self) -> PdeProblem:
+        """The configured PDE in ``widths[0]`` dimensions, keyed by the seed."""
+        return make_problem(
+            PDE_KINDS[self.pde_kind],
+            self.widths[0],
+            self.pde_solution,
+            self.seed,
+            self.normalization,
+        )
+
+    def init_params(self) -> MlpParams:
+        """The initial network; every run, sweep and ablation starts from it."""
+        return init_mlp(self.widths, self.activation, self.seed, self.act_scale, self.bias)
 
 
 def lr_schedule(cfg: SdzeConfig, t: int, q: int | None = None) -> float:
@@ -155,17 +182,23 @@ def directional_delta(
     return (float(lp) - float(lm)) / (2.0 * eps), float(lp), float(lm)
 
 
-def _step(
+def sdze_step(
     params: MlpParams,
     subspaces: list[LayerSubspace],
     problem: PdeProblem,
     cfg: SdzeConfig,
     t: int,
     *,
-    locked: bool,
     loss_fn=None,
     ledger: AllocationLedger | None = None,
 ) -> StepRecord:
+    """One step; mutates ``params`` and refreshes ``subspaces``.
+
+    ``cfg.crns`` locks the two passes to one spatial sample, and a non-finite
+    estimate raises :class:`SdzeDivergenceError`.  Unlocked (the ablation),
+    the minus pass draws independent index sets and a non-finite estimate is
+    returned in the record without an update.
+    """
     led = ledger if ledger is not None else AllocationLedger()
     led.reset()
     t0 = time.perf_counter()
@@ -186,14 +219,14 @@ def _step(
             problem,
             sample,
             cfg.eps,
-            locked=locked,
+            locked=cfg.crns,
             dtype=cfg.dtype,
             loss_fn=loss_fn,
         )
         q = sum(s.rank**2 for s in subspaces)
         alpha = lr_schedule(cfg, t, q)
         if not np.isfinite(delta):
-            if locked:
+            if cfg.crns:
                 raise SdzeDivergenceError(t, lp, lm, sample)
             # unlocked divergence is the ablation's data point, not a crash
             return StepRecord(t, delta, lp, lm, alpha, 0.0, led.step_total)
@@ -202,38 +235,6 @@ def _step(
                 apply_rank_r_update(W, s, Z, -alpha * delta)
     wall_ms = (time.perf_counter() - t0) * 1e3
     return StepRecord(t, delta, lp, lm, alpha, wall_ms, led.step_total)
-
-
-def sdze_step(
-    params: MlpParams,
-    subspaces: list[LayerSubspace],
-    problem: PdeProblem,
-    cfg: SdzeConfig,
-    t: int,
-    *,
-    loss_fn=None,
-    ledger: AllocationLedger | None = None,
-) -> StepRecord:
-    """One seed-locked step; mutates ``params`` and refreshes ``subspaces``."""
-    if not cfg.crns:
-        raise ValueError("sdze_step requires cfg.crns; use sdze_step_naive")
-    return _step(params, subspaces, problem, cfg, t, locked=True, loss_fn=loss_fn, ledger=ledger)
-
-
-def sdze_step_naive(
-    params: MlpParams,
-    subspaces: list[LayerSubspace],
-    problem: PdeProblem,
-    cfg: SdzeConfig,
-    t: int,
-    *,
-    loss_fn=None,
-    ledger: AllocationLedger | None = None,
-) -> StepRecord:
-    """Unlocked ablation step: the two passes draw independent index sets."""
-    if cfg.crns:
-        raise ValueError("sdze_step_naive requires cfg.crns = False")
-    return _step(params, subspaces, problem, cfg, t, locked=False, loss_fn=loss_fn, ledger=ledger)
 
 
 def fullspace_zo_step(
@@ -322,14 +323,11 @@ def train(
     Resuming from a checkpoint (``init_params`` + ``start_step``) follows the
     identical trajectory because every draw is keyed by (seed, role, step).
     """
-    params = init_params if init_params is not None else init_mlp(
-        cfg.widths, cfg.activation, cfg.seed, cfg.act_scale, cfg.bias
-    )
+    params = init_params if init_params is not None else cfg.init_params()
     if params.dim != problem.dim:
         raise ValueError("network input width must equal the problem dimension")
     subspaces = make_subspaces(params, cfg, start_step)
     test_key = StreamKey(cfg.seed, Role.TEST_POINTS, 0, 0)
-    step_fn = sdze_step if cfg.crns else sdze_step_naive
     led = ledger if ledger is not None else AllocationLedger()
 
     records: list[StepRecord] = []
@@ -338,7 +336,7 @@ def train(
         evals.append((0, relative_l2(params, problem, test_key, cfg.test_points)))
     for t in range(start_step + 1, cfg.steps + 1):
         try:
-            rec = step_fn(params, subspaces, problem, cfg, t, ledger=led)
+            rec = sdze_step(params, subspaces, problem, cfg, t, ledger=led)
         except SdzeDivergenceError as err:
             err.args = (f"step {t}/{cfg.steps}: {err.args[0]}",)
             raise

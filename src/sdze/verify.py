@@ -18,7 +18,7 @@ from itertools import product
 
 import numpy as np
 
-from .net import MlpParams, PerturbView, plain_view
+from .net import MlpParams, PerturbView, activation_triple, plain_view
 from .optimizer import directional_delta
 from .rng import Role, StreamKey, derive_stream
 from .spatial import PdeProblem, SpatialSample, rhs_eval, sample_unit_ball
@@ -63,8 +63,6 @@ def explicit_forward(
     eps: float = 0.0,
 ) -> np.ndarray:
     """Dense forward with explicitly perturbed weights."""
-    from .jets import activation_triple
-
     f = activation_triple(params.activation, params.act_scale)[0]
     H = X
     for l, W in enumerate(params.weights):
@@ -89,8 +87,6 @@ def explicit_jet_forward(
     in the tangent planes).  Returns (u, d1, d2) with d1/d2 of shape
     (len(dims), B).
     """
-    from .jets import activation_triple
-
     f, f1, f2 = activation_triple(params.activation, params.act_scale)
     X = np.atleast_2d(X)
     B = X.shape[0]

@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from sdze.alloc import AllocationLedger
-from sdze.harness import RunConfig, run_train
+from sdze.harness import config_from_dict, run_train
 from sdze.net import init_mlp, plain_view
 from sdze.optimizer import SdzeConfig, make_subspaces, sdze_step, train
 from sdze.rng import Role, StreamKey, derive_stream
@@ -310,7 +310,7 @@ def test_criterion_9_determinism_and_resume(tmp_path):
         "timing": False,
     }
     cfgs = [
-        RunConfig.from_dict({**raw, "out_dir": str(tmp_path / name)})
+        config_from_dict({**raw, "out_dir": str(tmp_path / name)})
         for name in ("a", "b", "part", "resumed")
     ]
     run_train(cfgs[0])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -7,7 +8,9 @@ import pytest
 from sdze import cli, harness
 from sdze.harness import (
     ConfigError,
-    RunConfig,
+    config_from_dict,
+    config_hash,
+    config_to_dict,
     load_checkpoint,
     run_sweep_batch,
     run_sweep_rank_freq,
@@ -45,7 +48,7 @@ def test_missing_dim_names_the_key(tmp_path):
     raw = tiny_config(tmp_path)
     del raw["pde"]["dim"]
     with pytest.raises(ConfigError) as err:
-        RunConfig.from_dict(raw)
+        config_from_dict(raw)
     assert "pde.dim" in str(err.value)
 
 
@@ -55,17 +58,61 @@ def test_unknown_keys_all_reported(tmp_path):
     raw["sdze"]["momentum"] = 0.9
     raw["bogus"] = True
     with pytest.raises(ConfigError) as err:
-        RunConfig.from_dict(raw)
+        config_from_dict(raw)
     msg = str(err.value)
     assert "pde.flux" in msg and "sdze.momentum" in msg and "bogus" in msg
+    raw = tiny_config(tmp_path, pde=3)
+    raw["sdze"]["lr"] = "constant"
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(raw)
+    msg = str(err.value)
+    assert "pde must be an object" in msg and "sdze.lr must be an object" in msg
 
 
 def test_config_roundtrips_and_hash_is_stable(tmp_path):
-    cfg = RunConfig.from_dict(tiny_config(tmp_path))
-    again = RunConfig.from_dict(cfg.to_dict())
+    cfg = config_from_dict(tiny_config(tmp_path))
+    again = config_from_dict(config_to_dict(cfg))
     assert again == cfg
-    assert cfg.config_hash() == again.config_hash()
-    assert len(cfg.config_hash()) == 12
+    assert config_hash(cfg) == config_hash(again)
+    assert len(config_hash(cfg)) == 12
+    # configs that describe the same run hash equal, however they spell it
+    minimal = config_from_dict({"pde": {"dim": 3}})
+    spelled_out = config_from_dict(
+        {
+            "pde": {"dim": 3, "kind": "poisson"},
+            "net": {"widths": [3, 128, 128, 1]},
+            "sdze": {"lr": {"mode": "annealed", "gamma": 3, "m": 200, "p": 0.6}},
+            "out_dir": str(tmp_path / "elsewhere"),
+            "timing": False,
+        }
+    )
+    assert config_hash(minimal) == config_hash(spelled_out)
+    assert config_hash(config_from_dict(config_to_dict(minimal))) == config_hash(minimal)
+    assert config_hash(dataclasses.replace(minimal, seed=1)) != config_hash(minimal)
+
+
+def test_omitted_widths_and_lr_take_the_pinned_defaults():
+    cfg = config_from_dict({"pde": {"dim": 7}})
+    assert cfg.widths == [7, 128, 128, 1]
+    assert (cfg.lr_mode, cfg.gamma, cfg.m, cfg.p) == ("annealed", 3.0, 200.0, 0.6)
+    assert (cfg.alpha, cfg.c, cfg.steps) == (1e-3, 1.0, 20000)
+    assert config_to_dict(cfg)["pde"]["dim"] == 7
+
+
+def test_partial_lr_block_fills_from_the_same_defaults():
+    cfg = config_from_dict({"pde": {"dim": 3}, "sdze": {"lr": {"gamma": 0.5}}})
+    assert (cfg.lr_mode, cfg.gamma, cfg.m, cfg.p) == ("annealed", 0.5, 200.0, 0.6)
+    cfg = config_from_dict({"pde": {"dim": 3}, "sdze": {"lr": {"mode": "constant"}}})
+    assert (cfg.lr_mode, cfg.alpha, cfg.gamma, cfg.m, cfg.p) == (
+        "constant", 1e-3, 3.0, 200.0, 0.6
+    )
+
+
+def test_widths_must_start_with_pde_dim(tmp_path):
+    raw = tiny_config(tmp_path, net={"widths": [4, 6, 1]})
+    with pytest.raises(ConfigError, match="net.widths"):
+        config_from_dict(raw)
+    assert not (tmp_path / "run").exists()
 
 
 def test_checkpoint_roundtrip_bitwise(tmp_path):
@@ -95,13 +142,13 @@ def test_checkpoint_bad_magic_and_truncation(tmp_path):
 
 
 def test_run_train_outputs(tmp_path):
-    cfg = RunConfig.from_dict(tiny_config(tmp_path))
+    cfg = config_from_dict(tiny_config(tmp_path))
     result = run_train(cfg)
     out = tmp_path / "run"
     metrics = (out / "metrics.csv").read_text().splitlines()
     assert metrics[0].startswith("# sdze-version=")
     assert f"seed={cfg.seed}" in metrics[0]
-    assert f"config-hash={cfg.config_hash()}" in metrics[0]
+    assert f"config-hash={config_hash(cfg)}" in metrics[0]
     assert metrics[1].startswith("step,alpha,delta_hat,loss_plus,loss_minus,rel_l2,")
     assert len(metrics) == 2 + cfg.steps
     # rel_l2 blank off-cadence, present on cadence
@@ -118,7 +165,7 @@ def test_run_train_outputs(tmp_path):
 
 
 def test_zero_step_run_writes_initial_checkpoint_only(tmp_path):
-    cfg = RunConfig.from_dict(tiny_config(tmp_path, steps=0))
+    cfg = config_from_dict(tiny_config(tmp_path, steps=0))
     result = run_train(cfg)
     out = tmp_path / "run"
     assert result.records == []
@@ -128,8 +175,8 @@ def test_zero_step_run_writes_initial_checkpoint_only(tmp_path):
 
 
 def test_identical_runs_are_byte_identical(tmp_path):
-    a = RunConfig.from_dict(tiny_config(tmp_path, out_dir=str(tmp_path / "a")))
-    b = RunConfig.from_dict(tiny_config(tmp_path, out_dir=str(tmp_path / "b")))
+    a = config_from_dict(tiny_config(tmp_path, out_dir=str(tmp_path / "a")))
+    b = config_from_dict(tiny_config(tmp_path, out_dir=str(tmp_path / "b")))
     run_train(a)
     run_train(b)
     assert (tmp_path / "a/metrics.csv").read_bytes() == (tmp_path / "b/metrics.csv").read_bytes()
@@ -139,17 +186,28 @@ def test_identical_runs_are_byte_identical(tmp_path):
 
 
 def test_resume_equals_uninterrupted(tmp_path):
-    full = RunConfig.from_dict(tiny_config(tmp_path, out_dir=str(tmp_path / "full")))
+    full = config_from_dict(tiny_config(tmp_path, out_dir=str(tmp_path / "full")))
     run_train(full)
-    part = RunConfig.from_dict(
+    part = config_from_dict(
         tiny_config(tmp_path, steps=3, out_dir=str(tmp_path / "part"))
     )
     run_train(part)
-    resumed = RunConfig.from_dict(tiny_config(tmp_path, out_dir=str(tmp_path / "resumed")))
+    resumed = config_from_dict(tiny_config(tmp_path, out_dir=str(tmp_path / "resumed")))
     run_train(resumed, resume_from=tmp_path / "part/ckpt_final.sdze")
     assert (tmp_path / "full/ckpt_final.sdze").read_bytes() == (
         tmp_path / "resumed/ckpt_final.sdze"
     ).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "net, key", [({"widths": [5, 9, 9, 1]}, "net.widths"), ({"widths": [5, 6, 1], "bias": True}, "net.bias")]
+)
+def test_resume_rejects_checkpoint_that_does_not_fit_the_config(tmp_path, net, key):
+    run_train(config_from_dict(tiny_config(tmp_path, steps=3, out_dir=str(tmp_path / "part"))))
+    other = config_from_dict(tiny_config(tmp_path, net=net, out_dir=str(tmp_path / "other")))
+    with pytest.raises(ConfigError, match=key):
+        run_train(other, resume_from=tmp_path / "part/ckpt_final.sdze")
+    assert not (tmp_path / "other").exists()
 
 
 class _Crash(Exception):
@@ -159,8 +217,8 @@ class _Crash(Exception):
 def test_crash_resume_writes_no_duplicate_rows(tmp_path, monkeypatch):
     # a run that dies after writing step 10 resumes from its step-8 checkpoint
     raw = tiny_config(tmp_path, steps=12, eval_every=4)
-    run_train(RunConfig.from_dict({**raw, "out_dir": str(tmp_path / "full")}))
-    crashed = RunConfig.from_dict({**raw, "out_dir": str(tmp_path / "crashed")})
+    run_train(config_from_dict({**raw, "out_dir": str(tmp_path / "full")}))
+    crashed = config_from_dict({**raw, "out_dir": str(tmp_path / "crashed")})
     real_row = harness.metric_row
 
     def row_then_crash(rec, rel, timing):
@@ -180,7 +238,7 @@ def test_crash_resume_writes_no_duplicate_rows(tmp_path, monkeypatch):
 
 
 def test_rank_freq_sweep_grid(tmp_path):
-    cfg = RunConfig.from_dict(tiny_config(tmp_path, steps=2))
+    cfg = config_from_dict(tiny_config(tmp_path, steps=2))
     rows = run_sweep_rank_freq(cfg, [2, 3], [2, 4])
     assert len(rows) == 4
     assert [(r["rank"], r["freq_F"]) for r in rows] == [(2, 2), (2, 4), (3, 2), (3, 4)]
@@ -193,7 +251,7 @@ def test_rank_freq_sweep_grid(tmp_path):
 
 
 def test_rank_freq_sweep_parallel_matches_serial(tmp_path, monkeypatch):
-    cfg = RunConfig.from_dict(tiny_config(tmp_path, steps=2))
+    cfg = config_from_dict(tiny_config(tmp_path, steps=2))
     serial = run_sweep_rank_freq(cfg, [2, 3], [2])
     monkeypatch.setenv("SDZE_THREADS", "2")
     parallel = run_sweep_rank_freq(cfg, [2, 3], [2])
@@ -201,7 +259,7 @@ def test_rank_freq_sweep_parallel_matches_serial(tmp_path, monkeypatch):
 
 
 def test_batch_sweep_requires_constant_product(tmp_path):
-    cfg = RunConfig.from_dict(tiny_config(tmp_path, steps=2))
+    cfg = config_from_dict(tiny_config(tmp_path, steps=2))
     with pytest.raises(ValueError):
         run_sweep_batch(cfg, [(4, 2), (2, 3)])
     rows = run_sweep_batch(cfg, [(4, 1), (2, 2), (1, 4)], replicates=20)
@@ -213,7 +271,7 @@ def test_batch_sweep_zero_term_variance_prefers_points(tmp_path):
     # all operator terms aliased: the point-heavy split has minimal variance
     import dataclasses
 
-    cfg = RunConfig.from_dict(tiny_config(tmp_path, steps=2))
+    cfg = config_from_dict(tiny_config(tmp_path, steps=2))
     problem = dataclasses.replace(cfg.make_problem(), alias_terms=True)
     from sdze.harness import delta_variance
 
@@ -263,3 +321,20 @@ def test_cli_sweep_batch(tmp_path):
     assert rc == 0
     lines = (tmp_path / "sw/batch_tradeoff.csv").read_text().splitlines()
     assert len(lines) == 2 + 3
+
+
+def test_cli_ablate_crns_sweeps_the_configured_net(tmp_path, monkeypatch):
+    seen = {}
+
+    def sweep(problem, params, **kwargs):
+        seen["params"] = params
+        return [{"eps": 1e-3, "var_crns": 1.0, "var_naive": 2.0}], 0.0, -2.0
+
+    monkeypatch.setattr(cli.V, "crns_variance_sweep", sweep)
+    raw = tiny_config(tmp_path, out_dir=str(tmp_path / "ab"))
+    raw["net"]["bias"] = True
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert cli.main(["ablate-crns", "--config", str(cfg_path), "--eps", "1e-3"]) == 0
+    assert seen["params"].bias is True
+    assert seen["params"].widths == [5, 6, 1]

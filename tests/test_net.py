@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sdze import net
 from sdze.alloc import AllocationLedger, ledger_active
 from sdze.net import (
     MlpParams,
     PerturbView,
+    activation_triple,
     ansatz,
     derivative_bound_monitor,
     forward,
@@ -222,3 +226,63 @@ def test_jet_temporaries_respect_single_buffer_bound():
         r_max = max(s.rank for s in subs)
         limit = max(B * (1 + b) * h_max, B * k_max * r_max)
         assert led.phases["jets"].largest <= limit
+
+
+def test_sin_jet_at_zero():
+    f, f1, f2 = activation_triple("sin")
+    assert np.allclose([f(0.0), f1(0.0), f2(0.0)], [0.0, 1.0, 0.0])
+
+
+def test_sin_jet_at_half_pi():
+    f, f1, f2 = activation_triple("sin")
+    assert np.allclose(f(np.pi / 2), 1.0)
+    assert np.allclose(f1(np.pi / 2), 0.0, atol=1e-15)
+    assert np.allclose(f2(np.pi / 2), -1.0)
+
+
+def test_tanh_scaled_d2_matches_fd_of_first_derivative():
+    # sigma'' against central differences of sigma' with h = 1e-5
+    _, f1, f2 = activation_triple("tanh_scaled", 0.8)
+    h = 1e-5
+    rng = np.random.default_rng(3)
+    for u in rng.standard_normal(20):
+        fd = (f1(u + h) - f1(u - h)) / (2 * h)
+        assert abs(f2(u) - fd) <= 1e-6 * max(abs(fd), 1e-3)
+
+
+def test_unknown_activation_rejected():
+    with pytest.raises(ValueError):
+        activation_triple("relu")
+
+
+def test_shared_primal_one_evaluation_per_layer():
+    params = init_mlp([6, 8, 8, 1], "sin", 0)
+    x = np.random.default_rng(5).standard_normal((3, 6)) * 0.2
+    for n_dirs in (1, 4, 6):
+        before = net.primal_eval_count()
+        jet_forward(plain_view(params), x, np.arange(n_dirs))
+        assert net.primal_eval_count() - before == params.depth
+
+
+@given(
+    alpha=st.floats(-3, 3, allow_nan=False),
+    beta=st.floats(-3, 3, allow_nan=False),
+    seed=st.integers(0, 1000),
+)
+@settings(max_examples=40, deadline=None)
+def test_jet_linearity_in_the_function(alpha, beta, seed):
+    # the ansatz jets are linear in the output layer: jets of the network
+    # with output weights alpha*Wa + beta*Wb combine those of Wa and Wb
+    rng = np.random.default_rng(seed)
+    W1 = rng.standard_normal((4, 6))
+    Wa, Wb = rng.standard_normal((6, 1)), rng.standard_normal((6, 1))
+    x = rng.standard_normal((3, 4)) * 0.3
+
+    def jets(W2):
+        return jet_forward(plain_view(MlpParams([W1, W2])), x, np.array([2]))
+
+    Ja, Jb, Jc = jets(Wa), jets(Wb), jets(alpha * Wa + beta * Wb)
+    for plane in ("value", "d1", "d2"):
+        got = getattr(Jc, plane)
+        want = alpha * getattr(Ja, plane) + beta * getattr(Jb, plane)
+        assert np.allclose(got, want, atol=1e-10)

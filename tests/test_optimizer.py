@@ -12,7 +12,6 @@ from sdze.optimizer import (
     lr_schedule,
     make_subspaces,
     sdze_step,
-    sdze_step_naive,
     train,
 )
 from sdze.rng import Role, StreamKey, derive_stream
@@ -162,20 +161,9 @@ def test_naive_equals_locked_under_full_spatial_sampling():
     pb = init_mlp(cfg.widths, "sin", cfg.seed)
     sa, sb = make_subspaces(pa, cfg), make_subspaces(pb, cfg)
     ra = sdze_step(pa, sa, prob, cfg, 1)
-    rb = sdze_step_naive(pb, sb, prob, dataclasses.replace(cfg, crns=False), 1)
+    rb = sdze_step(pb, sb, prob, dataclasses.replace(cfg, crns=False), 1)
     assert ra.delta_hat == rb.delta_hat
     assert all(np.array_equal(a, b) for a, b in zip(pa.weights, pb.weights))
-
-
-def test_step_mode_flags_enforced():
-    cfg = small_cfg()
-    prob = make_problem("none", 6, "two_body", cfg.seed)
-    params = init_mlp(cfg.widths, "sin", cfg.seed)
-    subs = make_subspaces(params, cfg)
-    with pytest.raises(ValueError):
-        sdze_step_naive(params, subs, prob, cfg, 1)
-    with pytest.raises(ValueError):
-        sdze_step(params, subs, prob, dataclasses.replace(cfg, crns=False), 1)
 
 
 def test_richardson_eps_squared_truncation():
@@ -209,7 +197,7 @@ def test_divergence_handling_locked_vs_naive():
         sdze_step(params, subs, prob, cfg, 3, loss_fn=bad_loss)
     assert err.value.step == 3 and err.value.sample.step == 3
 
-    rec = sdze_step_naive(
+    rec = sdze_step(
         params, subs, prob, dataclasses.replace(cfg, crns=False), 3, loss_fn=bad_loss
     )
     assert not np.isfinite(rec.delta_hat)  # recorded, not raised
