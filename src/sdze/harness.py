@@ -26,6 +26,7 @@ import numpy as np
 from . import __version__
 from .net import MlpParams
 from .optimizer import (
+    PDE_KINDS,
     SdzeConfig,
     StepRecord,
     TrainResult,
@@ -102,9 +103,12 @@ def config_from_dict(raw: dict) -> SdzeConfig:
         errors.append("missing key: pde.dim")
     else:
         dim = int(leaves["pde.dim"])
-        leaves.setdefault("net.widths", [dim, 128, 128, 1])
+        if leaves.get("net.widths") is None:  # null loads like an absent key
+            leaves["net.widths"] = [dim, 128, 128, 1]
         if leaves["net.widths"][:1] != [dim]:
             errors.append(f"net.widths must start with pde.dim = {dim}")
+    if leaves.get("pde.kind", SdzeConfig.pde_kind) not in PDE_KINDS:
+        errors.append(f"pde.kind must be one of {sorted(PDE_KINDS)}")
     if errors:
         raise ConfigError("; ".join(errors))
     values = {}
@@ -182,7 +186,7 @@ def save_checkpoint(path: str | Path, params: MlpParams, step: int, seed: int) -
             fh.write(np.ascontiguousarray(W, dtype="<f8").tobytes())
 
 
-def _read_checkpoint(path: str | Path) -> tuple[list[np.ndarray], int, int]:
+def load_checkpoint(path: str | Path) -> tuple[list[np.ndarray], int, int]:
     """Returns (weights, step, seed); raises on bad magic/version/truncation."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -201,24 +205,13 @@ def _read_checkpoint(path: str | Path) -> tuple[list[np.ndarray], int, int]:
     return weights, step, seed
 
 
-def load_checkpoint(
-    path: str | Path,
-    activation: str = "sin",
-    act_scale: float = 1.0,
-    bias: bool = False,
-) -> tuple[MlpParams, int, int]:
-    """Returns (params, step, seed); raises on bad magic/version/truncation."""
-    weights, step, seed = _read_checkpoint(path)
-    return MlpParams(weights, activation, act_scale, bias), step, seed
-
-
 def _layer_shapes(widths: list[int], bias: bool) -> list[tuple[int, int]]:
     return [(m + int(bias), n) for m, n in zip(widths, widths[1:])]
 
 
 def _resume_params(cfg: SdzeConfig, path: str | Path) -> tuple[MlpParams, int]:
     """The checkpoint's network and step, refused unless it fits ``cfg``."""
-    weights, step, seed = _read_checkpoint(path)
+    weights, step, seed = load_checkpoint(path)
     if seed != cfg.seed:
         raise ValueError(f"checkpoint seed {seed} != config seed {cfg.seed}")
     shapes = [W.shape for W in weights]

@@ -92,8 +92,6 @@ class SdzeConfig:
             problems.append("rank_per_layer must list one rank per layer")
         if self.steps < 0:
             problems.append("steps must be >= 0")
-        if self.pde_kind not in PDE_KINDS:
-            problems.append(f"pde.kind must be one of {sorted(PDE_KINDS)}")
         if problems:
             raise ValueError("; ".join(problems))
 
@@ -235,6 +233,25 @@ def sdze_step(
                 apply_rank_r_update(W, s, Z, -alpha * delta)
     wall_ms = (time.perf_counter() - t0) * 1e3
     return StepRecord(t, delta, lp, lm, alpha, wall_ms, led.step_total)
+
+
+def sdze_step_naive(
+    params: MlpParams,
+    subspaces: list[LayerSubspace],
+    problem: PdeProblem,
+    cfg: SdzeConfig,
+    t: int,
+    *,
+    loss_fn=None,
+    ledger: AllocationLedger | None = None,
+) -> StepRecord:
+    """:func:`sdze_step` unlocked, whatever ``cfg.crns`` says.
+
+    Not a second step: the name stays because ``perfbench``'s tracer wraps
+    it, and goes when the benchmark drops that target.
+    """
+    unlocked = replace(cfg, crns=False)
+    return sdze_step(params, subspaces, problem, unlocked, t, loss_fn=loss_fn, ledger=ledger)
 
 
 def fullspace_zo_step(

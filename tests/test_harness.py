@@ -57,10 +57,12 @@ def test_unknown_keys_all_reported(tmp_path):
     raw["pde"]["flux"] = 1
     raw["sdze"]["momentum"] = 0.9
     raw["bogus"] = True
+    raw["pde"]["kind"] = "heat"
     with pytest.raises(ConfigError) as err:
         config_from_dict(raw)
     msg = str(err.value)
     assert "pde.flux" in msg and "sdze.momentum" in msg and "bogus" in msg
+    assert "pde.kind" in msg
     raw = tiny_config(tmp_path, pde=3)
     raw["sdze"]["lr"] = "constant"
     with pytest.raises(ConfigError) as err:
@@ -94,6 +96,7 @@ def test_config_roundtrips_and_hash_is_stable(tmp_path):
 def test_omitted_widths_and_lr_take_the_pinned_defaults():
     cfg = config_from_dict({"pde": {"dim": 7}})
     assert cfg.widths == [7, 128, 128, 1]
+    assert config_from_dict({"pde": {"dim": 7}, "net": {"widths": None}}) == cfg
     assert (cfg.lr_mode, cfg.gamma, cfg.m, cfg.p) == ("annealed", 3.0, 200.0, 0.6)
     assert (cfg.alpha, cfg.c, cfg.steps) == (1e-3, 1.0, 20000)
     assert config_to_dict(cfg)["pde"]["dim"] == 7
@@ -119,9 +122,10 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     params = init_mlp([5, 6, 1], "sin", 3)
     path = tmp_path / "w.sdze"
     save_checkpoint(path, params, step=7, seed=42)
-    loaded, step, seed = load_checkpoint(path)
+    weights, step, seed = load_checkpoint(path)
     assert step == 7 and seed == 42
-    assert all(np.array_equal(a, b) for a, b in zip(params.weights, loaded.weights))
+    assert len(weights) == len(params.weights)
+    assert all(np.array_equal(a, b) for a, b in zip(params.weights, weights))
 
 
 def test_checkpoint_bad_magic_and_truncation(tmp_path):

@@ -12,6 +12,7 @@ from sdze.optimizer import (
     lr_schedule,
     make_subspaces,
     sdze_step,
+    sdze_step_naive,
     train,
 )
 from sdze.rng import Role, StreamKey, derive_stream
@@ -164,6 +165,21 @@ def test_naive_equals_locked_under_full_spatial_sampling():
     rb = sdze_step(pb, sb, prob, dataclasses.replace(cfg, crns=False), 1)
     assert ra.delta_hat == rb.delta_hat
     assert all(np.array_equal(a, b) for a, b in zip(pa.weights, pb.weights))
+
+
+def test_sdze_step_naive_is_the_unlocked_step():
+    cfg = small_cfg(batch_b=2, alpha=0.01)
+    prob = make_problem("none", 6, "two_body", cfg.seed)
+    pa = init_mlp(cfg.widths, "sin", cfg.seed)
+    pb = init_mlp(cfg.widths, "sin", cfg.seed)
+    sa, sb = make_subspaces(pa, cfg), make_subspaces(pb, cfg)
+    ra = sdze_step_naive(pa, sa, prob, cfg, 1)
+    rb = sdze_step(pb, sb, prob, dataclasses.replace(cfg, crns=False), 1)
+    assert (ra.delta_hat, ra.loss_minus) == (rb.delta_hat, rb.loss_minus)
+    assert all(np.array_equal(a, b) for a, b in zip(pa.weights, pb.weights))
+    pc = init_mlp(cfg.widths, "sin", cfg.seed)
+    locked = sdze_step(pc, make_subspaces(pc, cfg), prob, cfg, 1)
+    assert locked.loss_minus != ra.loss_minus
 
 
 def test_richardson_eps_squared_truncation():
