@@ -3,7 +3,6 @@
 Subcommands: ``train`` runs a config; ``verify`` runs a theory-check suite
 and writes one CSV + one JSON report; ``sweep-rank-freq`` and ``sweep-batch``
 drive the ablation grids; ``ablate-crns`` runs the variance sweep over eps.
-``SDZE_THREADS`` caps sweep worker count.
 """
 
 from __future__ import annotations

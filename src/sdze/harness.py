@@ -4,11 +4,12 @@ A run is described by one :class:`~sdze.optimizer.SdzeConfig`.  Its JSON
 form is one table, ``_JSON_FIELDS``, from dotted JSON path to config field:
 loading, dumping and the unknown-key report all derive from it, and a key
 the JSON omits takes the field's default.  Loading is strict: every unknown
-key is reported at once.  Each run writes a config echo, a metrics CSV
-(header line ``# sdze-version, seed, config-hash``), and periodic + final
-checkpoints into its output directory.  Runs are byte-reproducible given the
-seed; wall-clock timing can be switched off so the CSV itself is
-reproducible too.
+key is reported at once, and a scalar of the wrong JSON type is an
+offending key.  Each run writes a config echo, a metrics CSV (header line
+``# sdze-version, seed, config-hash``, then the ``METRIC_COLUMNS`` line and
+one row per step), and periodic + final checkpoints into its output
+directory.  Runs are byte-reproducible given the seed; wall-clock timing can
+be switched off so the CSV itself is reproducible too.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import hashlib
 import json
 import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -71,8 +71,8 @@ _JSON_FIELDS = {
     "timing": "timing",
 }
 _BLOCKS = {path.rsplit(".", 1)[0] for path in _JSON_FIELDS if "." in path}
-# scalar fields are coerced to their declared type, so 200 and 200.0 agree
-_CASTS = {"int": int, "float": float, "bool": bool, "str": str}
+# JSON type each scalar field accepts; pde.dim, which has no field, is an int
+_SCALARS = {"int": "an integer", "float": "a number", "bool": "true or false", "str": "a string"}
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(SdzeConfig)}
 assert set(_JSON_FIELDS.values()) - {None} == set(_FIELD_TYPES)
 
@@ -94,30 +94,49 @@ def _flatten(raw: dict, prefix: str, leaves: dict, errors: list[str]) -> None:
             errors.append(f"unknown key: {path}")
 
 
+def _typed(kind: str, value):
+    """``value`` as a scalar of type ``kind``, or None if JSON gave another type.
+
+    Ints take integral floats (200.0 is 200), floats take ints; a boolean is
+    never a number and a string is never a boolean.
+    """
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind == "bool" and isinstance(value, bool) or kind == "str" and isinstance(value, str):
+        return value
+    if kind == "float" and number:
+        return float(value)
+    if kind == "int" and number and (isinstance(value, int) or value.is_integer()):
+        return int(value)
+    return None
+
+
 def config_from_dict(raw: dict) -> SdzeConfig:
     """Validate a JSON config and resolve it; raises :class:`ConfigError`."""
     leaves: dict = {}
     errors: list[str] = []
     _flatten(raw, "", leaves, errors)
+    for path, value in leaves.items():
+        name = _JSON_FIELDS[path]
+        kind = "int" if name is None else _FIELD_TYPES[name]
+        if kind in _SCALARS:
+            leaves[path] = _typed(kind, value)  # None marks a reported key
+            if leaves[path] is None:
+                errors.append(f"{path} must be {_SCALARS[kind]}, got {value!r}")
     if "pde.dim" not in leaves:
         errors.append("missing key: pde.dim")
-    else:
-        dim = int(leaves["pde.dim"])
+    elif leaves["pde.dim"] is not None:
+        dim = leaves["pde.dim"]
         if leaves.get("net.widths") is None:  # null loads like an absent key
             leaves["net.widths"] = [dim, 128, 128, 1]
         if leaves["net.widths"][:1] != [dim]:
             errors.append(f"net.widths must start with pde.dim = {dim}")
-    if leaves.get("pde.kind", SdzeConfig.pde_kind) not in PDE_KINDS:
+    if leaves.get("pde.kind", SdzeConfig.pde_kind) not in (*PDE_KINDS, None):
         errors.append(f"pde.kind must be one of {sorted(PDE_KINDS)}")
     if errors:
         raise ConfigError("; ".join(errors))
-    values = {}
-    for path, value in leaves.items():
-        name = _JSON_FIELDS[path]
-        if name is not None:
-            cast = _CASTS.get(_FIELD_TYPES[name])
-            values[name] = cast(value) if cast else value
-    return SdzeConfig(**values)
+    return SdzeConfig(
+        **{_JSON_FIELDS[path]: value for path, value in leaves.items() if _JSON_FIELDS[path]}
+    )
 
 
 def config_from_json(path: str | Path) -> SdzeConfig:
@@ -147,9 +166,7 @@ def config_hash(cfg: SdzeConfig) -> str:
 
 # --- metrics CSV --------------------------------------------------------------
 
-METRIC_COLUMNS = (
-    "step,alpha,delta_hat,loss_plus,loss_minus,rel_l2,wall_ms,peak_tmp_elems"
-)
+METRIC_COLUMNS = "step,alpha,delta_hat,loss_plus,loss_minus,rel_l2,wall_ms"
 
 
 def csv_header(seed: int, config_hash: str) -> str:
@@ -165,7 +182,7 @@ def metric_row(rec: StepRecord, rel: float | None, timing: bool) -> str:
     rel_s = "" if rel is None else _fmt(rel)
     return (
         f"{rec.step},{_fmt(rec.alpha)},{_fmt(rec.delta_hat)},{_fmt(rec.loss_plus)},"
-        f"{_fmt(rec.loss_minus)},{rel_s},{_fmt(wall)},{rec.peak_tmp_elems}"
+        f"{_fmt(rec.loss_minus)},{rel_s},{_fmt(wall)}"
     )
 
 
@@ -177,31 +194,46 @@ _VERSION = 1
 
 def save_checkpoint(path: str | Path, params: MlpParams, step: int, seed: int) -> None:
     """Little-endian: magic, version u32, seed u64, step u64, layer count u32,
-    then per layer rows u32, cols u32 and row-major f64 values."""
-    with open(path, "wb") as fh:
+    then per layer rows u32, cols u32 and row-major f64 values.
+
+    Written to a temp file and moved into place, so ``path`` always holds a
+    whole checkpoint.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<IQQI", _VERSION, seed, step, len(params.weights)))
         for W in params.weights:
             fh.write(struct.pack("<II", W.shape[0], W.shape[1]))
             fh.write(np.ascontiguousarray(W, dtype="<f8").tobytes())
+    os.replace(tmp, path)
+
+
+def _read_exact(fh, n: int) -> bytes:
+    buf = fh.read(n)
+    if len(buf) != n:
+        raise ValueError("truncated checkpoint")
+    return buf
 
 
 def load_checkpoint(path: str | Path) -> tuple[list[np.ndarray], int, int]:
-    """Returns (weights, step, seed); raises on bad magic/version/truncation."""
+    """Returns (weights, step, seed); raises ``ValueError`` on bad magic or
+    version, truncation, or bytes after the last layer."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
             raise ValueError(f"bad checkpoint magic {magic!r}")
-        version, seed, step, n_layers = struct.unpack("<IQQI", fh.read(24))
+        version, seed, step, n_layers = struct.unpack("<IQQI", _read_exact(fh, 24))
         if version != _VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
         weights = []
         for _ in range(n_layers):
-            rows, cols = struct.unpack("<II", fh.read(8))
-            buf = fh.read(rows * cols * 8)
-            if len(buf) != rows * cols * 8:
-                raise ValueError("truncated checkpoint")
+            rows, cols = struct.unpack("<II", _read_exact(fh, 8))
+            buf = _read_exact(fh, rows * cols * 8)
             weights.append(np.frombuffer(buf, dtype="<f8").reshape(rows, cols).copy())
+        if fh.read(1):
+            raise ValueError("trailing bytes after the last checkpoint layer")
     return weights, step, seed
 
 
@@ -245,11 +277,23 @@ def _truncate_metrics(path: Path, step: int) -> None:
     os.replace(tmp, path)
 
 
+def _check_columns(path: Path) -> None:
+    """Refuse to append rows to a metrics file with another column line."""
+    with open(path, encoding="utf-8", newline="\n") as fh:
+        columns = next((line.rstrip("\n") for line in fh if not line.startswith("#")), None)
+    if columns != METRIC_COLUMNS:
+        raise ValueError(
+            f"{path}: columns {columns!r} differ from {METRIC_COLUMNS!r}; "
+            "resume into a new out_dir"
+        )
+
+
 def run_train(cfg: SdzeConfig, resume_from: str | Path | None = None) -> TrainResult:
     """Full training run with metrics CSV, checkpoints, and config echo.
 
     A checkpoint to resume from must match the config's seed and layer
-    shapes; it is checked before anything is written.
+    shapes, and an existing ``metrics.csv`` must have this version's
+    columns; both are checked before anything is written.
     """
     problem = cfg.make_problem()
     start_step = 0
@@ -258,13 +302,15 @@ def run_train(cfg: SdzeConfig, resume_from: str | Path | None = None) -> TrainRe
     else:
         params = cfg.init_params()
     out = Path(cfg.out_dir)
+    metrics = out / "metrics.csv"
+    fresh = start_step == 0 or not metrics.exists()
+    if not fresh:
+        _check_columns(metrics)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(json.dumps(config_to_dict(cfg), indent=2) + "\n")
     if resume_from is None:
         save_checkpoint(out / "ckpt_initial.sdze", params, 0, cfg.seed)
 
-    metrics = out / "metrics.csv"
-    fresh = start_step == 0 or not metrics.exists()
     if not fresh:
         _truncate_metrics(metrics, start_step)
     with open(metrics, "w" if fresh else "a", encoding="utf-8", newline="\n") as fh:
@@ -290,13 +336,6 @@ def run_train(cfg: SdzeConfig, resume_from: str | Path | None = None) -> TrainRe
     return result
 
 
-def _worker_count() -> int:
-    env = os.environ.get("SDZE_THREADS", "")
-    if env.strip():
-        return max(1, int(env))
-    return 1
-
-
 def _final_rel_l2(result: TrainResult) -> float:
     return result.evals[-1][1]
 
@@ -308,19 +347,11 @@ def run_sweep_rank_freq(
     if not ranks or not freqs:
         raise ValueError("rank and frequency grids must be non-empty")
     problem = cfg.make_problem()
-
-    def cell(r: int, F: int) -> dict:
-        scfg = dataclasses.replace(cfg, rank=r, freq_F=F)
-        result = train(scfg, problem)
-        return {"rank": r, "freq_F": F, "final_rel_l2": _final_rel_l2(result)}
-
-    jobs = [(r, F) for r in ranks for F in freqs]
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda rf: cell(*rf), jobs))
-    else:
-        rows = [cell(r, F) for r, F in jobs]
+    rows = []
+    for r in ranks:
+        for F in freqs:
+            result = train(dataclasses.replace(cfg, rank=r, freq_F=F), problem)
+            rows.append({"rank": r, "freq_F": F, "final_rel_l2": _final_rel_l2(result)})
     return sorted(rows, key=lambda row: (row["rank"], row["freq_F"]))
 
 

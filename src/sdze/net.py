@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import alloc
 from .rng import Role, StreamKey, derive_stream
 from .subspace import LayerSubspace, apply_rank_r_update, delta_rows, perturb_product
 
@@ -190,11 +189,9 @@ def _sweep_weights(view: PerturbView) -> list[np.ndarray]:
     for l, W in enumerate(view.params.weights):
         if l > 0 and view.sign != 0:
             W = np.array(W, dtype=np.float64)
-            alloc.record(W.size)
             apply_rank_r_update(W, view.subspaces[l], view.cores[l], view.sign * view.eps)
         if W.dtype != view.dtype:
             W = W.astype(view.dtype)
-            alloc.record(W.size)
         out.append(W)
     return out
 
@@ -222,7 +219,6 @@ def _primal(view: PerturbView, X: np.ndarray, weights: list[np.ndarray], derivs:
     H = X.astype(view.dtype, copy=False)
     for l, W in enumerate(weights):
         G = (H @ W[:-1] + W[-1]) if bias else (H @ W)
-        alloc.record(G.size)
         if l == 0 and view.sign != 0:
             G += perturb_product(
                 H, view.subspaces[0], _input_core(view), tail="one" if bias else None
@@ -231,9 +227,7 @@ def _primal(view: PerturbView, X: np.ndarray, weights: list[np.ndarray], derivs:
             if derivs:
                 s1s.append(f1(G))
                 s2s.append(f2(G))
-                alloc.record(2 * G.size)
             H = f(G)
-            alloc.record(H.size)
         else:
             H = G
         if derivs:
@@ -243,8 +237,7 @@ def _primal(view: PerturbView, X: np.ndarray, weights: list[np.ndarray], derivs:
 
 def forward(view: PerturbView, X: np.ndarray) -> np.ndarray:
     """Raw network values, shape (B, 1)."""
-    with alloc.phase("forward"):
-        return _primal(view, X, _sweep_weights(view), derivs=False)[0]
+    return _primal(view, X, _sweep_weights(view), derivs=False)[0]
 
 
 def boundary_factor(X: np.ndarray) -> np.ndarray:
@@ -296,49 +289,43 @@ def _raw_jets(view: PerturbView, X: np.ndarray, dims: np.ndarray, sizes):
     depth = params.depth
     bias = params.bias
 
-    with alloc.phase("jets"):
-        weights = _sweep_weights(view)
-        value, s1s, s2s = _primal(view, X, weights, derivs=True)
-        B = X.shape[0]
-        # e_i @ W0; a constant feature has zero tangent
-        seed_rows = weights[0][dims]
-        if view.sign != 0:
-            seed_rows = seed_rows + delta_rows(view.subspaces[0], _input_core(view), dims)
-        alloc.record(seed_rows.size)
+    weights = _sweep_weights(view)
+    value, s1s, s2s = _primal(view, X, weights, derivs=True)
+    B = X.shape[0]
+    # e_i @ W0; a constant feature has zero tangent
+    seed_rows = weights[0][dims]
+    if view.sign != 0:
+        seed_rows = seed_rows + delta_rows(view.subspaces[0], _input_core(view), dims)
 
-        g1 = np.empty((dims.size, B), dtype=view.dtype)
-        g2 = np.zeros((starts.size, B), dtype=view.dtype)
-        alloc.record(g1.size + g2.size)
-        if depth == 1:
-            g1[:] = seed_rows[:, :1]
-            return value[:, 0], g1, g2
-
-        for s, (e0, e1) in enumerate(zip(starts, ends)):
-            for c0 in range(e0, e1, JET_CHUNK):
-                c1 = min(c0 + JET_CHUNK, e1)
-                nc = c1 - c0
-                rows = seed_rows[c0:c1]
-                # first activation: d1 = s' * rows, sum d2 = s'' * sum rows^2
-                tg = np.empty((nc + 1, B, rows.shape[1]), dtype=view.dtype)
-                np.multiply(rows[:, None, :], s1s[0], out=tg[:nc])
-                np.multiply(np.einsum("kh,kh->h", rows, rows), s2s[0], out=tg[nc])
-                alloc.record(tg.size)
-                for l in range(1, depth):
-                    W = weights[l]
-                    flat = tg.reshape(-1, tg.shape[-1])
-                    tg = (flat @ (W[:-1] if bias else W)).reshape(nc + 1, B, W.shape[1])
-                    alloc.record(tg.size)
-                    if l < depth - 1:
-                        d1, d2 = tg[:nc], tg[nc]
-                        sq = np.einsum("kbh,kbh->bh", d1, d1)
-                        sq *= s2s[l]
-                        d2 *= s1s[l]
-                        d2 += sq
-                        d1 *= s1s[l]
-                        alloc.record(sq.size)
-                g1[c0:c1] = tg[:nc, :, 0]
-                g2[s] += tg[nc, :, 0]
+    g1 = np.empty((dims.size, B), dtype=view.dtype)
+    g2 = np.zeros((starts.size, B), dtype=view.dtype)
+    if depth == 1:
+        g1[:] = seed_rows[:, :1]
         return value[:, 0], g1, g2
+
+    for s, (e0, e1) in enumerate(zip(starts, ends)):
+        for c0 in range(e0, e1, JET_CHUNK):
+            c1 = min(c0 + JET_CHUNK, e1)
+            nc = c1 - c0
+            rows = seed_rows[c0:c1]
+            # first activation: d1 = s' * rows, sum d2 = s'' * sum rows^2
+            tg = np.empty((nc + 1, B, rows.shape[1]), dtype=view.dtype)
+            np.multiply(rows[:, None, :], s1s[0], out=tg[:nc])
+            np.multiply(np.einsum("kh,kh->h", rows, rows), s2s[0], out=tg[nc])
+            for l in range(1, depth):
+                W = weights[l]
+                flat = tg.reshape(-1, tg.shape[-1])
+                tg = (flat @ (W[:-1] if bias else W)).reshape(nc + 1, B, W.shape[1])
+                if l < depth - 1:
+                    d1, d2 = tg[:nc], tg[nc]
+                    sq = np.einsum("kbh,kbh->bh", d1, d1)
+                    sq *= s2s[l]
+                    d2 *= s1s[l]
+                    d2 += sq
+                    d1 *= s1s[l]
+            g1[c0:c1] = tg[:nc, :, 0]
+            g2[s] += tg[nc, :, 0]
+    return value[:, 0], g1, g2
 
 
 def _ansatz_terms(view: PerturbView, X: np.ndarray, dims, sizes):
@@ -361,7 +348,6 @@ def jet_sums(view: PerturbView, X: np.ndarray, dims, sizes) -> tuple[np.ndarray,
     xg1 = np.add.reduceat(xi * g1, set_starts(sizes, xi.shape[0]), axis=0)
     sums = phi * g2 - 4.0 * xg1 - 2.0 * sizes[:, None] * g
     u = phi * g
-    alloc.record(u.size + sums.size)
     return u, sums
 
 
@@ -377,8 +363,6 @@ def jet_forward(view: PerturbView, X: np.ndarray, dims: np.ndarray) -> Jet2:
     u = phi * g
     du = phi * g1 - 2.0 * xi * g
     d2u = phi * g2 - 4.0 * xi * g1 - 2.0 * g
-    for arr in (u, du, d2u):
-        alloc.record(arr.size)
     return Jet2(u, du, d2u)
 
 

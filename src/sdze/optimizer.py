@@ -22,7 +22,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .alloc import AllocationLedger, ledger_active, phase
 from .net import MlpParams, PerturbView, init_mlp, plain_view
 from .rng import Role, StreamKey, derive_stream
 from .spatial import PdeProblem, SpatialSample, make_problem, relative_l2, stochastic_loss
@@ -125,13 +124,18 @@ def lr_schedule(cfg: SdzeConfig, t: int, q: int | None = None) -> float:
 
 @dataclass
 class StepRecord:
+    """What one step computed; ``harness.metric_row`` writes it as a CSV row.
+
+    Memory is not counted per step: criterion 8 measures the step's
+    allocations with ``tracemalloc``.
+    """
+
     step: int
     delta_hat: float
     loss_plus: float
     loss_minus: float
     alpha: float
     wall_ms: float = 0.0
-    peak_tmp_elems: int = 0
 
 
 class SdzeDivergenceError(RuntimeError):
@@ -188,7 +192,6 @@ def sdze_step(
     t: int,
     *,
     loss_fn=None,
-    ledger: AllocationLedger | None = None,
 ) -> StepRecord:
     """One step; mutates ``params`` and refreshes ``subspaces``.
 
@@ -197,42 +200,38 @@ def sdze_step(
     the minus pass draws independent index sets and a non-finite estimate is
     returned in the record without an update.
     """
-    led = ledger if ledger is not None else AllocationLedger()
-    led.reset()
     t0 = time.perf_counter()
-    with ledger_active(led):
-        for l in range(len(subspaces)):
-            subspaces[l] = maybe_refresh(t, cfg.freq_F, subspaces[l])
-        sample = SpatialSample(cfg.seed, t, cfg.batch_B, cfg.batch_b, problem.dim)
-        cores = [
-            sample_core(
-                derive_stream(StreamKey(cfg.seed, Role.CORE_Z, t, l)), s.rank
-            )
-            for l, s in enumerate(subspaces)
-        ]
-        delta, lp, lm = directional_delta(
-            params,
-            subspaces,
-            cores,
-            problem,
-            sample,
-            cfg.eps,
-            locked=cfg.crns,
-            dtype=cfg.dtype,
-            loss_fn=loss_fn,
+    for l in range(len(subspaces)):
+        subspaces[l] = maybe_refresh(t, cfg.freq_F, subspaces[l])
+    sample = SpatialSample(cfg.seed, t, cfg.batch_B, cfg.batch_b, problem.dim)
+    cores = [
+        sample_core(
+            derive_stream(StreamKey(cfg.seed, Role.CORE_Z, t, l)), s.rank
         )
-        q = sum(s.rank**2 for s in subspaces)
-        alpha = lr_schedule(cfg, t, q)
-        if not np.isfinite(delta):
-            if cfg.crns:
-                raise SdzeDivergenceError(t, lp, lm, sample)
-            # unlocked divergence is the ablation's data point, not a crash
-            return StepRecord(t, delta, lp, lm, alpha, 0.0, led.step_total)
-        with phase("update"):
-            for W, s, Z in zip(params.weights, subspaces, cores):
-                apply_rank_r_update(W, s, Z, -alpha * delta)
+        for l, s in enumerate(subspaces)
+    ]
+    delta, lp, lm = directional_delta(
+        params,
+        subspaces,
+        cores,
+        problem,
+        sample,
+        cfg.eps,
+        locked=cfg.crns,
+        dtype=cfg.dtype,
+        loss_fn=loss_fn,
+    )
+    q = sum(s.rank**2 for s in subspaces)
+    alpha = lr_schedule(cfg, t, q)
+    if not np.isfinite(delta):
+        if cfg.crns:
+            raise SdzeDivergenceError(t, lp, lm, sample)
+        # unlocked divergence is the ablation's data point, not a crash
+        return StepRecord(t, delta, lp, lm, alpha)
+    for W, s, Z in zip(params.weights, subspaces, cores):
+        apply_rank_r_update(W, s, Z, -alpha * delta)
     wall_ms = (time.perf_counter() - t0) * 1e3
-    return StepRecord(t, delta, lp, lm, alpha, wall_ms, led.step_total)
+    return StepRecord(t, delta, lp, lm, alpha, wall_ms)
 
 
 def sdze_step_naive(
@@ -243,7 +242,6 @@ def sdze_step_naive(
     t: int,
     *,
     loss_fn=None,
-    ledger: AllocationLedger | None = None,
 ) -> StepRecord:
     """:func:`sdze_step` unlocked, whatever ``cfg.crns`` says.
 
@@ -251,7 +249,7 @@ def sdze_step_naive(
     it, and goes when the benchmark drops that target.
     """
     unlocked = replace(cfg, crns=False)
-    return sdze_step(params, subspaces, problem, unlocked, t, loss_fn=loss_fn, ledger=ledger)
+    return sdze_step(params, subspaces, problem, unlocked, t, loss_fn=loss_fn)
 
 
 def fullspace_zo_step(
@@ -297,7 +295,7 @@ def fullspace_zo_step(
         for l, W in enumerate(params.weights):
             W -= (alpha * delta) * direction(l, W)
     wall_ms = (time.perf_counter() - t0) * 1e3
-    return StepRecord(t, delta, lp, lm, alpha, wall_ms, 0)
+    return StepRecord(t, delta, lp, lm, alpha, wall_ms)
 
 
 @dataclass
@@ -331,7 +329,6 @@ def train(
     init_params: MlpParams | None = None,
     start_step: int = 0,
     on_record=None,
-    ledger: AllocationLedger | None = None,
 ) -> TrainResult:
     """Run steps start_step+1 .. cfg.steps; deterministic given cfg.seed.
 
@@ -345,7 +342,6 @@ def train(
         raise ValueError("network input width must equal the problem dimension")
     subspaces = make_subspaces(params, cfg, start_step)
     test_key = StreamKey(cfg.seed, Role.TEST_POINTS, 0, 0)
-    led = ledger if ledger is not None else AllocationLedger()
 
     records: list[StepRecord] = []
     evals: list[tuple[int, float]] = []
@@ -353,7 +349,7 @@ def train(
         evals.append((0, relative_l2(params, problem, test_key, cfg.test_points)))
     for t in range(start_step + 1, cfg.steps + 1):
         try:
-            rec = sdze_step(params, subspaces, problem, cfg, t, ledger=led)
+            rec = sdze_step(params, subspaces, problem, cfg, t)
         except SdzeDivergenceError as err:
             err.args = (f"step {t}/{cfg.steps}: {err.args[0]}",)
             raise

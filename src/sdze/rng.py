@@ -145,9 +145,6 @@ def sample_index_set(
         raise ValueError(f"cannot draw {k} of {n_total} without replacement")
     u = stream.uniforms(k)
     pool = np.arange(n_total, dtype=np.int64)
-    from . import alloc
-
-    alloc.record(n_total, d_scaled=True)
     for j in range(k):
         r = j + int(u[j] * (n_total - j))
         pool[j], pool[r] = pool[r], pool[j]

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import alloc
 from .rng import Role, RngStream, StreamKey, derive_stream, sample_index_set
 
 NONLINEARITIES = ("none", "allen_cahn", "sine_gordon")
@@ -89,10 +88,8 @@ def sample_unit_ball(stream: RngStream, B: int, d: int) -> np.ndarray:
     if B < 1 or d < 1:
         raise ValueError("B and d must be >= 1")
     g = stream.normals(B * d).reshape(B, d)
-    alloc.record(g.size, d_scaled=True)
     rho = stream.uniforms(B) ** (1.0 / d)
     X = g * (rho / np.linalg.norm(g, axis=1))[:, None]
-    alloc.record(X.size, d_scaled=True)
     return X
 
 
@@ -105,7 +102,6 @@ def _interaction_terms(problem: PdeProblem, X: np.ndarray) -> np.ndarray:
         E = np.exp(X[:, :-1] * X[:, 1:])
     else:
         E = np.exp(X[:, :-2] * X[:, 1:-1] * X[:, 2:])
-    alloc.record(E.size, d_scaled=True)
     return E
 
 
@@ -185,12 +181,10 @@ def rhs_eval(problem: PdeProblem, X: np.ndarray) -> np.ndarray:
         x1, x2 = X[:, :-1], X[:, 1:]
         lap_S = ((x1 * x1 + x2 * x2) * E) @ c
         x_grad_S = 2.0 * ((x1 * x2) * E) @ c
-        alloc.record(3 * E.size, d_scaled=True)
     else:
         x1, x2, x3 = X[:, :-2], X[:, 1:-1], X[:, 2:]
         lap_S = (((x2 * x3) ** 2 + (x1 * x3) ** 2 + (x1 * x2) ** 2) * E) @ c
         x_grad_S = 3.0 * ((x1 * x2 * x3) * E) @ c
-        alloc.record(4 * E.size, d_scaled=True)
     S = E @ c
     lap_u = phi * lap_S - 4.0 * x_grad_S - 2.0 * d * S
     return lap_u + problem.nonlinearity(phi * S)
@@ -261,18 +255,17 @@ def stochastic_loss(view, problem: PdeProblem, sample: SpatialSample) -> float:
     one jet sweep (one primal pass) over the concatenated direction sets,
     which returns each set's summed second derivatives.
     """
-    with alloc.phase("forward"):
-        X = sample.points()
-        I1, I2 = sample.set1(), sample.set2()
-        if problem.alias_terms:
-            I1, I2 = np.zeros_like(I1), np.zeros_like(I2)
-        u, sums = view.jet_eval(X, np.concatenate([I1, I2]), [I1.size, I2.size])
-        nl = problem.nonlinearity(u)
-        f = rhs_eval(problem, X)
-        scale = problem.n_terms
-        r1 = (scale / I1.size) * sums[0] + nl - f
-        r2 = (scale / I2.size) * sums[1] + nl - f
-        return float(np.dot(r1, r2) / (2.0 * sample.B * problem.kappa))
+    X = sample.points()
+    I1, I2 = sample.set1(), sample.set2()
+    if problem.alias_terms:
+        I1, I2 = np.zeros_like(I1), np.zeros_like(I2)
+    u, sums = view.jet_eval(X, np.concatenate([I1, I2]), [I1.size, I2.size])
+    nl = problem.nonlinearity(u)
+    f = rhs_eval(problem, X)
+    scale = problem.n_terms
+    r1 = (scale / I1.size) * sums[0] + nl - f
+    r2 = (scale / I2.size) * sums[1] + nl - f
+    return float(np.dot(r1, r2) / (2.0 * sample.B * problem.kappa))
 
 
 def relative_l2(view_or_params, problem: PdeProblem, test_key: StreamKey, n_test: int) -> float:

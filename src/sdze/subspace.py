@@ -24,7 +24,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import alloc
 from .rng import Role, RngStream, StreamKey, derive_stream, gaussian_matrix
 
 # Scatter blocks are capped in rows and in elements so update temporaries
@@ -106,12 +105,8 @@ def refresh_bases(
         raise ValueError(f"rank {r} exceeds min square dim {min(mp, np_)}")
     GU = gaussian_matrix(stream_U, mp, r)
     GV = gaussian_matrix(stream_V, np_, r)
-    alloc.record(GU.size)
-    alloc.record(GV.size)
     U = _qr_orthonormal(GU)
     V = _qr_orthonormal(GV)
-    alloc.record(U.size)
-    alloc.record(V.size)
     return U, V
 
 
@@ -161,7 +156,6 @@ def sample_core(stream: RngStream, r: int) -> np.ndarray:
     if r < 1:
         raise ValueError("rank must be >= 1")
     Z = gaussian_matrix(stream, r, r)
-    alloc.record(Z.size)
     return Z
 
 
@@ -200,11 +194,7 @@ def perturb_product(
         HU = H @ (U[:-1] if tail else U)
         if tail:
             HU = HU + U[-1]
-        G = HU @ Z
-        out = G @ V.T
-        for arr in (HU, G, out):
-            alloc.record(arr.size)
-        return out
+        return (HU @ Z) @ V.T
     if plan.split_side == "rows":
         mp = plan.square[0]
         if tail is None:
@@ -218,8 +208,6 @@ def perturb_product(
         P = P @ Z  # (..., k, r)
         Vr = V.reshape(n, k, r)
         out = np.einsum("...tr,jtr->...j", P, Vr)
-        alloc.record(P.size)
-        alloc.record(out.size)
         return out
     # cols split
     Us = U.reshape(k, m, r)
@@ -229,8 +217,6 @@ def perturb_product(
         G = np.einsum("...m,smr->...sr", H, Us[:, :-1, :]) + Us[:, -1, :]
     G = G @ Z  # (..., k, r)
     out = np.einsum("...sr,qr->...qs", G, V).reshape(*lead, n)
-    alloc.record(G.size)
-    alloc.record(out.size)
     return out
 
 
@@ -249,23 +235,17 @@ def delta_rows(state: LayerSubspace, Z: np.ndarray, rows: np.ndarray) -> np.ndar
     k = plan.split_factor
     r = state.rank
     if plan.split_side == "none":
-        out = (U[rows] @ Z) @ V.T
-        alloc.record(out.size)
-        return out
+        return (U[rows] @ Z) @ V.T
     if plan.split_side == "rows":
         mp = plan.square[0]
         G = U[rows % mp] @ Z  # (S, r)
         Vr = V.reshape(n, k, r)
         out = np.einsum("sr,jsr->sj", G, Vr[:, rows // mp, :])
-        alloc.record(G.size)
-        alloc.record(out.size)
         return out
     # cols split
     Usel = U[rows[:, None] + m * np.arange(k)[None, :]]  # (S, k, r)
     G = Usel @ Z
     out = np.einsum("xsr,qr->xqs", G, V).reshape(rows.size, n)
-    alloc.record(G.size)
-    alloc.record(out.size)
     return out
 
 
@@ -274,8 +254,11 @@ def apply_rank_r_update(
 ) -> None:
     """In-place ``W += scale * T^-1(U Z V^T)``, streamed in bounded blocks.
 
-    Blocks of square-view rows are formed as (U_block Z) V^T and scatter-added
-    into W through the re-layout map; no full m x n temporary is created.
+    Blocks of R square-view rows are formed as (U_block Z) V^T, scaled in
+    place, scatter-added into W through the re-layout map and freed, so the
+    live temporaries are one R x n' block and its R x r factor; no full
+    m x n temporary is created.  R is capped by ``BLOCK_ROWS`` and by
+    ``BLOCK_ELEMS`` / n'.
     """
     plan = state.plan
     m, n = plan.orig
@@ -288,18 +271,16 @@ def apply_rank_r_update(
     rows_per_block = max(1, min(BLOCK_ROWS, mp, BLOCK_ELEMS // max(1, np_)))
     for start in range(0, mp, rows_per_block):
         stop = min(start + rows_per_block, mp)
-        block = scale * ((U[start:stop] @ Z) @ V.T)  # (R, n')
-        alloc.record(block.size)
+        block = (U[start:stop] @ Z) @ V.T  # (R, n')
+        block *= scale
         if plan.split_side == "none":
             W[start:stop, :] += block
         elif plan.split_side == "rows":
             # cell (a, c=t+k*j) -> W[a + m'*t, j]; one strided slice per t
-            R = stop - start
-            cube = block.reshape(R, n, k)
             for t in range(k):
-                W[start + mp * t : stop + mp * t, :] += cube[:, :, t]
+                W[start + mp * t : stop + mp * t, :] += block[:, t::k]
         else:
             # cell (a=i+m*s, c) -> W[i, c*k + s]
             for a in range(start, stop):
                 W[a % m, (a // m) :: k] += block[a - start]
-        alloc.release(block.size)
+        del block  # freed before the next block is formed: one block live

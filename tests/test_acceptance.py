@@ -10,13 +10,19 @@ import time
 
 import numpy as np
 
-from sdze.alloc import AllocationLedger
+from sdze import net, optimizer
 from sdze.harness import config_from_dict, run_train
 from sdze.net import init_mlp, plain_view
 from sdze.optimizer import SdzeConfig, make_subspaces, sdze_step, train
 from sdze.rng import Role, StreamKey, derive_stream
 from sdze.spatial import SpatialSample, make_problem, stochastic_loss
-from sdze.subspace import BLOCK_ELEMS, refresh_bases, plan_reshape, subspace_for_layer
+from sdze.subspace import (
+    BLOCK_ELEMS,
+    BLOCK_ROWS,
+    refresh_bases,
+    plan_reshape,
+    subspace_for_layer,
+)
 from sdze.verify import (
     crns_variance_sweep,
     implicit_suite,
@@ -230,16 +236,34 @@ def test_criterion_7_end_to_end_training():
     )
 
 
-def test_criterion_8_memory_independence():
-    # Per-phase residuals (ledger elements not tagged d-proportional) of one
-    # step that includes a base refresh.  The loss phases (forward + jets)
-    # must stay flat in d.  Two phases may grow with d, each up to an
-    # explicit allowance: the streamed update's blocks grow until they reach
-    # the BLOCK_ELEMS cap, and a refresh draws Gaussian bases of m' + n'
-    # rows (m' ~ sqrt(d) after the re-layout) before taking their Q factors,
-    # next to the r x r cores.  The ratio of whole-step residuals is info.
+def _draw_peak(spans, n: int) -> int:
+    """Measured peak bytes of drawing ``n`` normals from a keyed stream."""
+    spans.measure(lambda: derive_stream(StreamKey(3, Role.BASE_U, 0, 0)).normals(n), "draw")()
+    return spans.calls["draw"][-1][1]
+
+
+def test_criterion_8_memory_independence(peak_spans):
+    # Measured bytes (tracemalloc sees numpy buffers) of one step that
+    # includes a base refresh, at d = 100, 1 000 and 10 000:
+    # * the jet sweep (net._raw_jets) must stay flat in d, growth <= 1.2x;
+    # * each rank-r update may hold one streamed block of R square-view rows
+    #   and its R x r factor, 8 (R n' + R r) bytes;
+    # * each refresh may hold its Gaussian draws: GU, then GV with GU held,
+    #   P(n) being the measured peak of drawing n normals;
+    # * the whole loss call may exceed the sweep only by its d-proportional
+    #   allowance: the collocation draw and rhs of the B x d batch, at most
+    #   5 B x d f64 words (the draw's normals temporaries reach ~4.5).
+    # Each bound has 4 KiB for Python objects and small arrays.  The
+    # whole-step peak is info.
     t0 = time.time()
-    loss, update, other, other_bound, totals, residuals = {}, {}, {}, {}, {}, {}
+    slack = 4096
+    peak_spans.wrap(net, "_raw_jets")
+    peak_spans.wrap(optimizer, "stochastic_loss")
+    peak_spans.wrap(optimizer, "apply_rank_r_update", key=lambda W, state, Z, scale: state)
+    peak_spans.wrap(optimizer, "maybe_refresh", key=lambda t, F, state: state)
+    step = peak_spans.measure(sdze_step, "step")
+    jets, loss, loss_bound, update, refresh, whole = {}, {}, {}, {}, {}, {}
+    ok = True
     for d in (100, 1000, 10_000):
         cfg = SdzeConfig(
             seed=3,
@@ -259,34 +283,40 @@ def test_criterion_8_memory_independence():
         problem = make_problem("none", d, "two_body", 3)
         params = init_mlp(cfg.widths, "sin", 3)
         subspaces = make_subspaces(params, cfg)
-        led = AllocationLedger()
-        sdze_step(params, subspaces, problem, cfg, 1, ledger=led)
-        led.reset()
+        peak_spans.calls.clear()
+        step(params, subspaces, problem, cfg, 1)
         # step 2 includes a base refresh (freq_F = 2)
-        sdze_step(params, subspaces, problem, cfg, 2, ledger=led)
-        res = {name: st.total - st.d_scaled for name, st in led.phases.items()}
-        loss[d] = res["forward"] + res["jets"]
-        update[d] = res["update"]
-        other[d] = res["other"]
-        other_bound[d] = sum(
-            2 * s.rank * (s.plan.square[0] + s.plan.square[1]) + s.rank**2
-            for s in subspaces
-        )
-        totals[d] = led.step_total
-        residuals[d] = led.step_residual
-    growth = max(loss.values()) / min(loss.values())
-    ok = growth <= 1.2
-    ok &= all(update[d] <= BLOCK_ELEMS for d in update)
-    ok &= all(other[d] <= other_bound[d] for d in other)
+        step(params, subspaces, problem, cfg, 2)
+        jets[d] = max(peak_spans.peaks("_raw_jets"))
+        loss[d] = max(peak_spans.peaks("stochastic_loss"))
+        loss_bound[d] = jets[d] + 8 * 5 * cfg.batch_B * d
+        whole[d] = max(peak_spans.peaks("step"))
+        update[d], refresh[d] = [], []
+        for s, peak in peak_spans.calls["apply_rank_r_update"]:
+            mp, npr = s.plan.square
+            R = max(1, min(BLOCK_ROWS, mp, BLOCK_ELEMS // npr))
+            update[d].append((peak, 8 * (R * npr + R * s.rank) + slack))
+        for s, peak in peak_spans.calls["maybe_refresh"]:
+            mp, npr = s.plan.square
+            r = s.rank
+            draws = max(
+                _draw_peak(peak_spans, mp * r), 8 * mp * r + _draw_peak(peak_spans, npr * r)
+            )
+            refresh[d].append((peak, draws + slack))
+        # both steps update and may refresh every layer
+        ok &= len(update[d]) == len(refresh[d]) == 2 * len(subspaces)
+    growth = max(jets.values()) / min(jets.values())
+    ok &= growth <= 1.2
+    ok &= all(loss[d] <= loss_bound[d] for d in loss)
+    ok &= all(peak <= bound for d in update for peak, bound in update[d] + refresh[d])
     assert report(
         "criterion-8 memory independence",
         ok,
-        f"forward+jets residual {loss} elements, growth {growth:.3f}x (<= 1.2x); "
-        f"update {update} (<= {BLOCK_ELEMS}); refresh+cores {other} "
-        f"(<= {other_bound}); totals span {min(totals.values())}.."
-        f"{max(totals.values())}; whole-step residual growth "
-        f"{max(residuals.values()) / min(residuals.values()):.3f}x (info), "
-        f"{time.time() - t0:.1f}s",
+        f"jet sweep peak {jets} B, growth {growth:.4f}x (<= 1.2x); "
+        f"largest update {{d: (peak, bound)}} { {d: max(update[d]) for d in update} }; "
+        f"largest refresh { {d: max(refresh[d]) for d in refresh} }; "
+        f"loss call {loss} B (<= sweep + 8 * 5 B d: {loss_bound}); "
+        f"whole step {whole} B (info), {time.time() - t0:.1f}s",
     )
 
 

@@ -71,6 +71,27 @@ def test_unknown_keys_all_reported(tmp_path):
     assert "pde must be an object" in msg and "sdze.lr must be an object" in msg
 
 
+def test_wrong_typed_scalars_are_reported_with_the_other_errors(tmp_path):
+    raw = tiny_config(tmp_path, steps=2.7, seed=True, bogus=1)
+    raw["pde"]["dim"] = "5"
+    raw["net"]["bias"] = "false"
+    raw["sdze"]["crns"] = "no"
+    raw["sdze"]["eps"] = False
+    raw["sdze"]["lr"]["mode"] = 1
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(raw)
+    msg = str(err.value)
+    for key in ("steps", "seed", "pde.dim", "net.bias", "sdze.crns", "sdze.eps", "sdze.lr.mode"):
+        assert f"{key} must be" in msg
+    assert "unknown key: bogus" in msg and "missing key" not in msg
+    # integral floats are integers, and integers are numbers
+    raw = tiny_config(tmp_path, steps=2.0)
+    raw["sdze"]["eps"] = 1
+    cfg = config_from_dict(raw)
+    assert cfg.steps == 2 and isinstance(cfg.steps, int)
+    assert cfg.eps == 1.0 and isinstance(cfg.eps, float)
+
+
 def test_config_roundtrips_and_hash_is_stable(tmp_path):
     cfg = config_from_dict(tiny_config(tmp_path))
     again = config_from_dict(config_to_dict(cfg))
@@ -145,6 +166,27 @@ def test_checkpoint_bad_magic_and_truncation(tmp_path):
         load_checkpoint(tmp_path / "vers.sdze")
 
 
+def test_checkpoint_io_is_atomic_and_rejects_extra_or_missing_bytes(tmp_path):
+    params = init_mlp([4, 3, 1], "sin", 0)
+    path = tmp_path / "w.sdze"
+    save_checkpoint(path, params, 1, 2)
+    data = path.read_bytes()
+    # a write that fails part-way leaves the previous checkpoint whole
+    broken = dataclasses.replace(params)
+    broken.weights = [params.weights[0], None]
+    with pytest.raises(AttributeError):
+        save_checkpoint(path, broken, 5, 2)
+    assert path.read_bytes() == data
+    (tmp_path / "junk.sdze").write_bytes(data + b"junk")
+    with pytest.raises(ValueError, match="trailing bytes"):
+        load_checkpoint(tmp_path / "junk.sdze")
+    # cut inside the header, before a layer's shape, inside a layer's shape
+    for cut in (10, 28, 30):
+        (tmp_path / "short.sdze").write_bytes(data[:cut])
+        with pytest.raises(ValueError, match="truncated checkpoint"):
+            load_checkpoint(tmp_path / "short.sdze")
+
+
 def test_run_train_outputs(tmp_path):
     cfg = config_from_dict(tiny_config(tmp_path))
     result = run_train(cfg)
@@ -214,6 +256,20 @@ def test_resume_rejects_checkpoint_that_does_not_fit_the_config(tmp_path, net, k
     assert not (tmp_path / "other").exists()
 
 
+def test_resume_refuses_metrics_with_other_columns(tmp_path):
+    run_train(config_from_dict(tiny_config(tmp_path, steps=3)))
+    out = tmp_path / "run"
+    metrics = out / "metrics.csv"
+    lines = metrics.read_text().splitlines(keepends=True)
+    lines[1] = lines[1].rstrip("\n") + ",extra\n"  # another version's column line
+    metrics.write_text("".join(lines))
+    (out / "config.json").unlink()
+    with pytest.raises(ValueError, match="metrics.csv"):
+        run_train(config_from_dict(tiny_config(tmp_path)), resume_from=out / "ckpt_final.sdze")
+    assert not (out / "config.json").exists()
+    assert metrics.read_text() == "".join(lines)
+
+
 class _Crash(Exception):
     pass
 
@@ -252,14 +308,6 @@ def test_rank_freq_sweep_grid(tmp_path):
     assert rows == again  # deterministic per seed
     with pytest.raises(ValueError):
         run_sweep_rank_freq(cfg, [], [2])
-
-
-def test_rank_freq_sweep_parallel_matches_serial(tmp_path, monkeypatch):
-    cfg = config_from_dict(tiny_config(tmp_path, steps=2))
-    serial = run_sweep_rank_freq(cfg, [2, 3], [2])
-    monkeypatch.setenv("SDZE_THREADS", "2")
-    parallel = run_sweep_rank_freq(cfg, [2, 3], [2])
-    assert serial == parallel
 
 
 def test_batch_sweep_requires_constant_product(tmp_path):

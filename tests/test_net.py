@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdze import net
-from sdze.alloc import AllocationLedger, ledger_active
 from sdze.net import (
+    JET_CHUNK,
     MlpParams,
     PerturbView,
     activation_triple,
@@ -18,7 +18,7 @@ from sdze.net import (
     plain_view,
 )
 from sdze.rng import Role, StreamKey, derive_stream
-from sdze.subspace import sample_core, subspace_for_layer
+from sdze.subspace import BLOCK_ELEMS, sample_core, subspace_for_layer
 from sdze.verify import explicit_delta_w, explicit_forward, explicit_jet_forward
 
 
@@ -209,23 +209,43 @@ def test_derivative_bound_scales_with_weight_norms():
         assert np.isclose(b2 / b1, predicted, rtol=1e-12)
 
 
-def test_jet_temporaries_respect_single_buffer_bound():
-    # during a perturbed jet sweep no single temporary exceeds
-    # max(B*(1+b)*h_max, B*k_max*r_max)
-    for widths, b in [([12, 16, 16, 1], 4), ([30, 8, 1], 12), ([10, 128, 1], 2)]:
-        params, subs, cores = build(widths, rank=3)
-        B = 9
+def test_jet_temporaries_respect_single_buffer_bound(peak_spans):
+    # Measured peak bytes of a perturbed jet sweep (f64) stay within a bound
+    # that does not grow with d: JET_CHUNK-wide tangent blocks of B x h
+    # planes (the block, its GEMM product and as much reduction scratch),
+    # sigma' and sigma'' of every hidden layer, two B x h transients, the
+    # explicitly perturbed later layers plus one update block building them,
+    # the seed rows and the outputs, plus 16 KiB of small objects.  With
+    # d >> h, a (b, B, d) one-hot tangent block alone would exceed it.
+    peak_spans.wrap(net, "_raw_jets")
+    B = 9
+    cases = [
+        ([12, 16, 16, 1], 4, False),
+        ([30, 8, 1], 12, False),
+        ([10, 128, 1], 2, False),
+        ([2000, 16, 16, 1], 8, False),
+        ([2000, 16, 16, 1], 8, True),
+    ]
+    for widths, b, bias in cases:
+        params, subs, cores = build(widths, rank=3, bias=bias)
         X = np.random.default_rng(8).standard_normal((B, widths[0])) * 0.2
-        led = AllocationLedger()
-        with ledger_active(led):
-            jet_forward(
-                PerturbView(params, subs, cores, +1, 1e-3), X, np.arange(b)
-            )
-        h_max = max(params.widths)
-        k_max = max(s.plan.split_factor for s in subs)
-        r_max = max(s.rank for s in subs)
-        limit = max(B * (1 + b) * h_max, B * k_max * r_max)
-        assert led.phases["jets"].largest <= limit
+        jet_sums(PerturbView(params, subs, cores, +1, 1e-3), X, np.arange(b), [b])
+        h = max(widths[1:])
+        c = min(JET_CHUNK, b)
+        later = [(m + bias) * n for m, n in zip(widths[1:], widths[2:])]
+        words = (
+            3 * (c + 1) * B * h
+            + 2 * B * sum(widths[1:-1])
+            + 2 * B * h
+            + sum(later)
+            + 2 * min(BLOCK_ELEMS, max(later, default=0))
+            + b * h
+            + 2 * b * B
+        )
+        limit = 8 * words + 16384
+        assert peak_spans.peaks("_raw_jets")[-1] <= limit, (widths, b, bias)
+        if widths[0] > 100 * h:
+            assert 8 * b * B * widths[0] > limit
 
 
 def test_sin_jet_at_zero():

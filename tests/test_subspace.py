@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdze.alloc import AllocationLedger, ledger_active
 from sdze.rng import Role, StreamKey, derive_stream
 from sdze.subspace import (
     BLOCK_ELEMS,
+    BLOCK_ROWS,
     LayerSubspace,
     apply_rank_r_update,
     delta_rows,
@@ -192,16 +192,22 @@ def test_kronecker_identity_and_global_orthogonality():
     assert np.abs(K.T @ K - np.eye(9)).max() <= 1e-10
 
 
-def test_streaming_update_memory_bound():
-    led = AllocationLedger()
-    state = subspace_for_layer(12, 0, 2000, 30, 4)
-    W = np.zeros((2000, 30))
-    Z = np.ones((state.rank, state.rank))
-    with ledger_active(led), led.phase("update"):
-        apply_rank_r_update(W, state, Z, 1.0)
-    mp, npp = state.plan.square
-    assert led.phases["update"].largest <= max(npp, BLOCK_ELEMS)
-    assert led.phases["update"].largest <= 4096 * npp + mp * state.rank
+def test_streaming_update_memory_bound(peak_spans):
+    # Measured peak bytes: one block of R square-view rows and its R x r
+    # factor are live at a time, R capped by BLOCK_ROWS and BLOCK_ELEMS / n',
+    # plus 4 KiB of small objects; a block never exceeds max(n', BLOCK_ELEMS)
+    # elements, however tall the layer.  Rows split, rows split at the
+    # (500, 256) view of a d = 1000 input layer, cols split, no split.
+    update = peak_spans.measure(apply_rank_r_update, "update")
+    for m, n, rank in [(2000, 30, 4), (1000, 128, 16), (30, 2000, 4), (128, 128, 16)]:
+        state = subspace_for_layer(12, 0, m, n, rank)
+        W = np.zeros((m, n))
+        Z = np.ones((state.rank, state.rank))
+        update(W, state, Z, 1.0)
+        mp, npp = state.plan.square
+        R = max(1, min(BLOCK_ROWS, mp, BLOCK_ELEMS // npp))
+        assert R * npp <= max(npp, BLOCK_ELEMS)
+        assert peak_spans.peaks("update")[-1] <= 8 * (R * npp + R * state.rank) + 4096, (m, n)
 
 
 @given(m=st.integers(1, 40), n=st.integers(1, 40), seed=st.integers(0, 10**6))
