@@ -19,9 +19,11 @@ from .optimizer import (
 )
 from .rng import Role, RngStream, StreamKey, derive_stream, gaussian_matrix, sample_index_set
 from .spatial import (
+    DrawnSample,
     ExactSolutionView,
     PdeProblem,
     SpatialSample,
+    draw_sample,
     exact_solution,
     make_problem,
     relative_l2,
@@ -51,12 +53,14 @@ __all__ = [
     "StreamKey",
     "LayerSubspace",
     "ReshapePlan",
+    "DrawnSample",
     "ExactSolutionView",
     "PdeProblem",
     "SpatialSample",
     "ansatz",
     "apply_rank_r_update",
     "derive_stream",
+    "draw_sample",
     "exact_solution",
     "forward",
     "fullspace_zo_step",

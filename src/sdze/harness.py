@@ -19,6 +19,7 @@ import hashlib
 import json
 import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,7 @@ from .optimizer import (
     train,
 )
 from .rng import Role, StreamKey, derive_stream
-from .spatial import PdeProblem, SpatialSample
+from .spatial import PdeProblem, SpatialSample, draw_sample
 from .subspace import sample_core
 
 # Dotted JSON path -> SdzeConfig field.  pde.dim has no field of its own: it
@@ -188,6 +189,23 @@ def metric_row(rec: StepRecord, rel: float | None, timing: bool) -> str:
 
 # --- checkpoints ---------------------------------------------------------------
 
+
+@contextmanager
+def _replacing(path: Path, mode: str, **open_kw):
+    """Write ``<path>.tmp`` and move it over ``path``; a failed write removes it.
+
+    ``path`` therefore always holds either its old or its new whole content.
+    """
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, mode, **open_kw) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 _MAGIC = b"SDZE"
 _VERSION = 1
 
@@ -197,17 +215,14 @@ def save_checkpoint(path: str | Path, params: MlpParams, step: int, seed: int) -
     then per layer rows u32, cols u32 and row-major f64 values.
 
     Written to a temp file and moved into place, so ``path`` always holds a
-    whole checkpoint.
+    whole checkpoint and a failed write leaves no temp file behind.
     """
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
+    with _replacing(Path(path), "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<IQQI", _VERSION, seed, step, len(params.weights)))
         for W in params.weights:
             fh.write(struct.pack("<II", W.shape[0], W.shape[1]))
             fh.write(np.ascontiguousarray(W, dtype="<f8").tobytes())
-    os.replace(tmp, path)
 
 
 def _read_exact(fh, n: int) -> bytes:
@@ -271,10 +286,8 @@ def _truncate_metrics(path: Path, step: int) -> None:
             if not line.endswith("\n") or (lead.isdigit() and int(lead) > step):
                 break
             keep.append(line)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+    with _replacing(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(keep)
-    os.replace(tmp, path)
 
 
 def _check_columns(path: Path) -> None:
@@ -369,9 +382,9 @@ def delta_variance(
     ]
     deltas = []
     for k in range(1, replicates + 1):
-        sample = SpatialSample(cfg.seed, k, B, b, problem.dim)
+        drawn = draw_sample(problem, SpatialSample(cfg.seed, k, B, b, problem.dim))
         delta, _, _ = directional_delta(
-            params, subspaces, cores, problem, sample, scfg.eps
+            params, subspaces, cores, problem, drawn, scfg.eps
         )
         deltas.append(delta)
     return float(np.var(np.asarray(deltas), ddof=1))

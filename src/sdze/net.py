@@ -22,9 +22,9 @@ Forward modes:
   one-hot tangents.  Per-direction second derivatives are the same sweep
   with singleton sets.
 
-All jet code lives here: the activation derivatives, the :class:`Jet2`
-planes that :func:`jet_forward` returns, and the counter of shared primal
-evaluations.  The maximum order is 2, the order of every supported operator.
+All jet code lives here: the activation derivatives and the :class:`Jet2`
+planes that :func:`jet_forward` returns.  The maximum order is 2, the order
+of every supported operator.
 """
 
 from __future__ import annotations
@@ -36,15 +36,6 @@ import numpy as np
 
 from .rng import Role, StreamKey, derive_stream
 from .subspace import LayerSubspace, apply_rank_r_update, delta_rows, perturb_product
-
-
-# Incremented once per layer whose primal plane a jet sweep evaluates; every
-# direction of the sweep shares it, so tests can assert the sharing property.
-_primal_evals = 0
-
-
-def primal_eval_count() -> int:
-    return _primal_evals
 
 
 def activation_triple(act: str, scale: float = 1.0):
@@ -208,7 +199,6 @@ def _primal(view: PerturbView, X: np.ndarray, weights: list[np.ndarray], derivs:
     sigma'(G_l), sigma''(G_l) of every hidden layer, which the tangent
     transport of a jet sweep reuses for all directions.
     """
-    global _primal_evals
     params = view.params
     if X.ndim != 2 or X.shape[1] != params.dim:
         raise ValueError(f"input shape {X.shape} does not match dim {params.dim}")
@@ -230,8 +220,6 @@ def _primal(view: PerturbView, X: np.ndarray, weights: list[np.ndarray], derivs:
             H = f(G)
         else:
             H = G
-        if derivs:
-            _primal_evals += 1
     return H, s1s, s2s
 
 

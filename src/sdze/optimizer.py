@@ -2,13 +2,15 @@
 
 One step: (1) lazily refresh the per-layer bases, (2) draw one spatial
 sample keyed by the step, (3) draw per-layer cores, (4) evaluate the
-stochastic loss at +eps and -eps with the *same* regenerated spatial sample,
-(5) form the scalar directional estimate from the symmetric difference, and
-(6) apply the rank-r update scaled by -lr * estimate to every layer.  Seed
-locking makes the spatial sampling noise cancel algebraically inside the
-difference; the unlocked variant (independent index sets per sign) exists
-only for the ablation study and is expected to blow up as eps shrinks.
-:func:`sdze_step` runs both; ``SdzeConfig.crns`` picks the mode.
+stochastic loss at +eps and -eps on the *same* drawn spatial sample (the
+batch, its rhs and the index sets are drawn once; both passes only read
+them), (5) form the scalar directional estimate from the symmetric
+difference, and (6) apply the rank-r update scaled by -lr * estimate to
+every layer.  Seed locking makes the spatial sampling noise cancel
+algebraically inside the difference; the unlocked variant (independent
+index sets per sign) exists only for the ablation study and is expected to
+blow up as eps shrinks.  :func:`sdze_step` runs both; ``SdzeConfig.crns``
+picks the mode.
 
 A full-space baseline perturbs every weight with a regenerated Gaussian
 (never stored), bracketing the subspace method from the classic
@@ -24,7 +26,15 @@ import numpy as np
 
 from .net import MlpParams, PerturbView, init_mlp, plain_view
 from .rng import Role, StreamKey, derive_stream
-from .spatial import PdeProblem, SpatialSample, make_problem, relative_l2, stochastic_loss
+from .spatial import (
+    DrawnSample,
+    PdeProblem,
+    SpatialSample,
+    draw_sample,
+    make_problem,
+    relative_l2,
+    stochastic_loss,
+)
 from .subspace import (
     LayerSubspace,
     apply_rank_r_update,
@@ -158,7 +168,7 @@ def directional_delta(
     subspaces: list[LayerSubspace],
     cores: list[np.ndarray],
     problem: PdeProblem,
-    sample: SpatialSample,
+    drawn: DrawnSample,
     eps: float,
     *,
     locked: bool = True,
@@ -167,18 +177,23 @@ def directional_delta(
 ) -> tuple[float, float, float]:
     """Symmetric-difference estimate (delta, loss+, loss-).
 
-    ``locked=True`` reuses the identical sample for both signs; otherwise the
-    minus pass regenerates its index sets from replicate 1 (collocation stays
-    shared so full spatial sampling makes the two modes coincide exactly).
+    ``locked=True`` evaluates both signs on the one ``drawn`` sample;
+    otherwise the minus pass draws its index sets from replicate 1 and reads
+    the same batch and rhs (the collocation stays shared so full spatial
+    sampling makes the two modes coincide exactly).
     """
     eval_loss = loss_fn if loss_fn is not None else stochastic_loss
     np_dtype = np.dtype(DTYPES[dtype])
-    sample_minus = sample if locked else replace(sample, set_replicate=1)
+    drawn_minus = (
+        drawn
+        if locked
+        else draw_sample(problem, replace(drawn.sample, set_replicate=1), batch=drawn)
+    )
     lp = eval_loss(
-        PerturbView(params, subspaces, cores, +1, eps, np_dtype), problem, sample
+        PerturbView(params, subspaces, cores, +1, eps, np_dtype), problem, drawn
     )
     lm = eval_loss(
-        PerturbView(params, subspaces, cores, -1, eps, np_dtype), problem, sample_minus
+        PerturbView(params, subspaces, cores, -1, eps, np_dtype), problem, drawn_minus
     )
     # the difference cancels leading digits; keep it in f64
     return (float(lp) - float(lm)) / (2.0 * eps), float(lp), float(lm)
@@ -204,6 +219,7 @@ def sdze_step(
     for l in range(len(subspaces)):
         subspaces[l] = maybe_refresh(t, cfg.freq_F, subspaces[l])
     sample = SpatialSample(cfg.seed, t, cfg.batch_B, cfg.batch_b, problem.dim)
+    drawn = draw_sample(problem, sample)
     cores = [
         sample_core(
             derive_stream(StreamKey(cfg.seed, Role.CORE_Z, t, l)), s.rank
@@ -215,7 +231,7 @@ def sdze_step(
         subspaces,
         cores,
         problem,
-        sample,
+        drawn,
         cfg.eps,
         locked=cfg.crns,
         dtype=cfg.dtype,
@@ -266,25 +282,28 @@ def fullspace_zo_step(
     use (+eps pass, -eps pass, update), so it is never stored.  Each pass
     evaluates a perturbed copy of the weights, one parameter-sized buffer
     freed after the pass; ``params`` changes only by the update, so with a
-    zero update it stays bitwise unchanged.  The spatial sample stays locked
-    across the two passes.
+    zero update it stays bitwise unchanged.  The spatial sample is drawn
+    once and both passes read it.  ``loss_fn(params)`` replaces the PDE loss.
     """
 
     def direction(l: int, W: np.ndarray) -> np.ndarray:
         z = derive_stream(StreamKey(cfg.seed, Role.FULLSPACE_Z, t, l)).normals(W.size)
         return z.reshape(W.shape)
 
+    t0 = time.perf_counter()
     sample = SpatialSample(cfg.seed, t, cfg.batch_B, cfg.batch_b, params.dim)
+    if loss_fn is None:
+        drawn = draw_sample(problem, sample)
+
+        def loss_fn(shifted: MlpParams) -> float:
+            return stochastic_loss(plain_view(shifted), problem, drawn)
 
     def evaluate(scale: float) -> float:
         shifted = replace(
             params, weights=[W + scale * direction(l, W) for l, W in enumerate(params.weights)]
         )
-        if loss_fn is not None:
-            return float(loss_fn(shifted))
-        return stochastic_loss(plain_view(shifted), problem, sample)
+        return float(loss_fn(shifted))
 
-    t0 = time.perf_counter()
     lp = evaluate(+cfg.eps)
     lm = evaluate(-cfg.eps)
     delta = (lp - lm) / (2.0 * cfg.eps)

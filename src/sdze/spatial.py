@@ -195,13 +195,14 @@ def rhs_eval(problem: PdeProblem, X: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpatialSample:
-    """A seed-locked spatial sample: collocation batch + two dim-index sets.
+    """Keys of a seed-locked spatial sample: collocation batch + two dim-index sets.
 
-    Everything regenerates bit-identically from the stored key fields, which
-    is what locks the random measure across the +eps and -eps evaluations.
-    ``set_replicate`` only enters the index-set keys (the unlocked ablation
-    draws its second pair of sets from replicate 1); the collocation batch is
-    shared regardless.
+    Everything regenerates bit-identically from the stored key fields.
+    :func:`draw_sample` draws it once, and every loss evaluation of a step
+    reads that one draw, which is what locks the random measure across the
+    +eps and -eps evaluations.  ``set_replicate`` only enters the index-set
+    keys (the unlocked ablation draws its second pair of sets from replicate
+    1); the collocation batch is shared regardless.
     """
 
     master: int
@@ -212,10 +213,16 @@ class SpatialSample:
     set_replicate: int = 0
     collocation_step: int | None = None  # defaults to step; lets studies pin the batch
 
-    def points(self) -> np.ndarray:
+    @property
+    def batch_key(self) -> tuple[int, int, int, int]:
+        """(master, step, B, d) of the collocation batch; equal keys, equal batch."""
         at = self.step if self.collocation_step is None else self.collocation_step
-        stream = derive_stream(StreamKey(self.master, Role.COLLOCATION, at, 0))
-        return sample_unit_ball(stream, self.B, self.d)
+        return self.master, at, self.B, self.d
+
+    def points(self) -> np.ndarray:
+        master, at, B, d = self.batch_key
+        stream = derive_stream(StreamKey(master, Role.COLLOCATION, at, 0))
+        return sample_unit_ball(stream, B, d)
 
     def _set(self, role: Role, size: int) -> np.ndarray:
         stream = derive_stream(
@@ -230,6 +237,51 @@ class SpatialSample:
 
     def set2(self) -> np.ndarray:
         return self._set(Role.DIM_SET_2, self.b)
+
+
+@dataclass(frozen=True)
+class DrawnSample:
+    """A :class:`SpatialSample` drawn: the batch X, f(X) and both index sets.
+
+    Made by :func:`draw_sample`.  The arrays are read-only, so every loss
+    evaluation that shares the draw reads the same bits.
+    """
+
+    sample: SpatialSample
+    X: np.ndarray
+    f: np.ndarray
+    I1: np.ndarray
+    I2: np.ndarray
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def draw_sample(
+    problem: PdeProblem, sample: SpatialSample, batch: DrawnSample | None = None
+) -> DrawnSample:
+    """Draw ``sample`` once: its batch, the closed-form rhs on it, and its index sets.
+
+    ``batch``, a draw with the same :attr:`SpatialSample.batch_key`, lends its
+    X and f, so only the index sets are drawn: the unlocked minus pass and
+    the replicates of a pinned batch share one batch this way.  An
+    ``alias_terms`` problem has every index replaced by 0.
+    """
+    if batch is None:
+        X = _read_only(sample.points())
+        f = _read_only(rhs_eval(problem, X))
+    elif batch.sample.batch_key != sample.batch_key:
+        raise ValueError(
+            f"batch {batch.sample.batch_key} is not the batch {sample.batch_key} of the sample"
+        )
+    else:
+        X, f = batch.X, batch.f
+    I1, I2 = sample.set1(), sample.set2()
+    if problem.alias_terms:
+        I1, I2 = np.zeros_like(I1), np.zeros_like(I2)
+    return DrawnSample(sample, X, f, _read_only(I1), _read_only(I2))
 
 
 def sampled_operator(view, problem: PdeProblem, X: np.ndarray, I) -> np.ndarray:
@@ -247,25 +299,22 @@ def sampled_operator(view, problem: PdeProblem, X: np.ndarray, I) -> np.ndarray:
     return (problem.n_terms / I.size) * sums[0] + problem.nonlinearity(u)
 
 
-def stochastic_loss(view, problem: PdeProblem, sample: SpatialSample) -> float:
-    """Doubly-sampled scalar residual loss over the regenerated batch.
+def stochastic_loss(view, problem: PdeProblem, drawn: DrawnSample) -> float:
+    """Doubly-sampled scalar residual loss over a drawn batch; only reads ``drawn``.
 
     (1 / (2 B kappa)) * sum_n (op_{I1}(x_n) - f(x_n)) (op_{I2}(x_n) - f(x_n)),
-    with f evaluated in full closed form.  The two operator evaluations share
-    one jet sweep (one primal pass) over the concatenated direction sets,
-    which returns each set's summed second derivatives.
+    with f evaluated in full closed form when the sample was drawn.  The two
+    operator evaluations share one jet sweep (one primal pass) over the
+    concatenated direction sets, which returns each set's summed second
+    derivatives.
     """
-    X = sample.points()
-    I1, I2 = sample.set1(), sample.set2()
-    if problem.alias_terms:
-        I1, I2 = np.zeros_like(I1), np.zeros_like(I2)
-    u, sums = view.jet_eval(X, np.concatenate([I1, I2]), [I1.size, I2.size])
+    I1, I2 = drawn.I1, drawn.I2
+    u, sums = view.jet_eval(drawn.X, np.concatenate([I1, I2]), [I1.size, I2.size])
     nl = problem.nonlinearity(u)
-    f = rhs_eval(problem, X)
     scale = problem.n_terms
-    r1 = (scale / I1.size) * sums[0] + nl - f
-    r2 = (scale / I2.size) * sums[1] + nl - f
-    return float(np.dot(r1, r2) / (2.0 * sample.B * problem.kappa))
+    r1 = (scale / I1.size) * sums[0] + nl - drawn.f
+    r2 = (scale / I2.size) * sums[1] + nl - drawn.f
+    return float(np.dot(r1, r2) / (2.0 * drawn.sample.B * problem.kappa))
 
 
 def relative_l2(view_or_params, problem: PdeProblem, test_key: StreamKey, n_test: int) -> float:

@@ -21,7 +21,7 @@ import numpy as np
 from .net import MlpParams, PerturbView, activation_triple, plain_view
 from .optimizer import directional_delta
 from .rng import Role, StreamKey, derive_stream
-from .spatial import PdeProblem, SpatialSample, rhs_eval, sample_unit_ball
+from .spatial import PdeProblem, SpatialSample, draw_sample, rhs_eval, sample_unit_ball
 from .subspace import LayerSubspace, sample_core, subspace_for_layer
 
 FD_STEP = 1e-5  # oracle step for coordinate-wise central differences
@@ -482,10 +482,12 @@ def crns_variance_sweep(
     Replicate k (1..replicates) is ``SpatialSample(master, k, B, b, d,
     collocation_step=0)``: step k keys the index sets, the batch is pinned at
     step 0, and the unlocked minus pass draws its sets from
-    ``set_replicate=1`` of the same step.  The same k-th sample therefore
-    serves every eps, and ``stochastic_loss`` over these samples gives the
-    unperturbed loss variance Var_S L of this measure.  Unlocked, the two
-    passes see independent sets, so
+    ``set_replicate=1`` of the same step.  The pinned batch and its rhs are
+    drawn once per call; each replicate draws only its index sets and reads
+    that batch.  The same k-th sample therefore serves every eps, and
+    ``stochastic_loss`` over these samples gives the unperturbed loss
+    variance Var_S L of this measure.  Unlocked, the two passes see
+    independent sets, so
 
         Var_naive = Var_S L / (2 eps^2) + Var_crns / 2 + O(1),
         naive / locked ~ 1/2 + Var_S L / (2 eps^2 Var_S d_v L).
@@ -504,15 +506,20 @@ def crns_variance_sweep(
         sample_core(derive_stream(StreamKey(master, Role.CORE_Z, 0, l)), s.rank)
         for l, s in enumerate(subs)
     ]
+
+    def replicate(k: int) -> SpatialSample:
+        return SpatialSample(master, k, B, b, problem.dim, collocation_step=0)
+
+    pinned = draw_sample(problem, replicate(1))
     variances: dict[tuple[str, float], float] = {}
     rows = []
     for eps in eps_list:
         acc = {"crns": [], "naive": []}
         for k in range(1, replicates + 1):
-            sample = SpatialSample(master, k, B, b, problem.dim, collocation_step=0)
+            drawn = draw_sample(problem, replicate(k), batch=pinned)
             for mode, locked in (("crns", True), ("naive", False)):
                 delta, _, _ = directional_delta(
-                    params, subs, cores, problem, sample, eps, locked=locked
+                    params, subs, cores, problem, drawn, eps, locked=locked
                 )
                 acc[mode].append(delta)
         for mode in ("crns", "naive"):

@@ -15,7 +15,7 @@ from sdze.harness import config_from_dict, run_train
 from sdze.net import init_mlp, plain_view
 from sdze.optimizer import SdzeConfig, make_subspaces, sdze_step, train
 from sdze.rng import Role, StreamKey, derive_stream
-from sdze.spatial import SpatialSample, make_problem, stochastic_loss
+from sdze.spatial import SpatialSample, draw_sample, make_problem, stochastic_loss
 from sdze.subspace import (
     BLOCK_ELEMS,
     BLOCK_ROWS,
@@ -147,7 +147,9 @@ def test_criterion_5_crns_ablation():
         SpatialSample(MASTER, k, B, b, problem.dim, collocation_step=0)
         for k in range(1, replicates + 1)
     ]
-    var_loss = float(np.var([stochastic_loss(view, problem, s) for s in samples], ddof=1))
+    var_loss = float(
+        np.var([stochastic_loss(view, problem, draw_sample(problem, s)) for s in samples], ddof=1)
+    )
     # Unlocked, Var_naive = Var_S L / (2 eps^2) + Var_crns / 2 + O(1) (see
     # crns_variance_sweep): the 1/eps^2 coefficient that locking cancels is 1
     # on any problem, while the naive/locked ratio depends on the problem.
@@ -252,17 +254,23 @@ def test_criterion_8_memory_independence(peak_spans):
     #   P(n) being the measured peak of drawing n normals;
     # * the whole loss call may exceed the sweep only by its d-proportional
     #   allowance: the collocation draw and rhs of the B x d batch, at most
-    #   5 B x d f64 words (the draw's normals temporaries reach ~4.5).
+    #   5 B x d f64 words (the draw's normals temporaries reach ~4.5);
+    # * the step draws that batch and its rhs before the loss calls, in
+    #   draw_sample, which gets the same 5 B x d word allowance plus the two
+    #   iterator buffers numpy may fill for a product of strided views (the
+    #   rhs's X[:, :-1] * X[:, 1:]), min(B d, np.getbufsize()) words each.
     # Each bound has 4 KiB for Python objects and small arrays.  The
     # whole-step peak is info.
     t0 = time.time()
     slack = 4096
     peak_spans.wrap(net, "_raw_jets")
     peak_spans.wrap(optimizer, "stochastic_loss")
+    peak_spans.wrap(optimizer, "draw_sample")
     peak_spans.wrap(optimizer, "apply_rank_r_update", key=lambda W, state, Z, scale: state)
     peak_spans.wrap(optimizer, "maybe_refresh", key=lambda t, F, state: state)
     step = peak_spans.measure(sdze_step, "step")
-    jets, loss, loss_bound, update, refresh, whole = {}, {}, {}, {}, {}, {}
+    jets, loss, loss_bound, draw, draw_bound = {}, {}, {}, {}, {}
+    update, refresh, whole = {}, {}, {}
     ok = True
     for d in (100, 1000, 10_000):
         cfg = SdzeConfig(
@@ -290,6 +298,9 @@ def test_criterion_8_memory_independence(peak_spans):
         jets[d] = max(peak_spans.peaks("_raw_jets"))
         loss[d] = max(peak_spans.peaks("stochastic_loss"))
         loss_bound[d] = jets[d] + 8 * 5 * cfg.batch_B * d
+        draw[d] = max(peak_spans.peaks("draw_sample"))
+        bufs = 2 * 8 * min(cfg.batch_B * d, np.getbufsize())
+        draw_bound[d] = 8 * 5 * cfg.batch_B * d + bufs + slack
         whole[d] = max(peak_spans.peaks("step"))
         update[d], refresh[d] = [], []
         for s, peak in peak_spans.calls["apply_rank_r_update"]:
@@ -303,11 +314,13 @@ def test_criterion_8_memory_independence(peak_spans):
                 _draw_peak(peak_spans, mp * r), 8 * mp * r + _draw_peak(peak_spans, npr * r)
             )
             refresh[d].append((peak, draws + slack))
-        # both steps update and may refresh every layer
+        # both steps update and may refresh every layer, and draw once
         ok &= len(update[d]) == len(refresh[d]) == 2 * len(subspaces)
+        ok &= len(peak_spans.calls["draw_sample"]) == 2
     growth = max(jets.values()) / min(jets.values())
     ok &= growth <= 1.2
     ok &= all(loss[d] <= loss_bound[d] for d in loss)
+    ok &= all(draw[d] <= draw_bound[d] for d in draw)
     ok &= all(peak <= bound for d in update for peak, bound in update[d] + refresh[d])
     assert report(
         "criterion-8 memory independence",
@@ -316,6 +329,7 @@ def test_criterion_8_memory_independence(peak_spans):
         f"largest update {{d: (peak, bound)}} { {d: max(update[d]) for d in update} }; "
         f"largest refresh { {d: max(refresh[d]) for d in refresh} }; "
         f"loss call {loss} B (<= sweep + 8 * 5 B d: {loss_bound}); "
+        f"sample draw {draw} B (<= 8 * 5 B d + buffers + 4 KiB: {draw_bound}); "
         f"whole step {whole} B (info), {time.time() - t0:.1f}s",
     )
 

@@ -177,6 +177,7 @@ def test_checkpoint_io_is_atomic_and_rejects_extra_or_missing_bytes(tmp_path):
     with pytest.raises(AttributeError):
         save_checkpoint(path, broken, 5, 2)
     assert path.read_bytes() == data
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["w.sdze"]  # no stray .tmp
     (tmp_path / "junk.sdze").write_bytes(data + b"junk")
     with pytest.raises(ValueError, match="trailing bytes"):
         load_checkpoint(tmp_path / "junk.sdze")

@@ -1,10 +1,13 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from sdze.net import MlpParams, init_mlp
+from sdze import spatial
+from sdze.net import MlpParams, PerturbView, init_mlp
 from sdze.optimizer import (
+    DTYPES,
     SdzeConfig,
     SdzeDivergenceError,
     directional_delta,
@@ -16,8 +19,8 @@ from sdze.optimizer import (
     train,
 )
 from sdze.rng import Role, StreamKey, derive_stream
-from sdze.spatial import SpatialSample, make_problem
-from sdze.subspace import sample_core
+from sdze.spatial import PdeProblem, SpatialSample, draw_sample, make_problem, rhs_eval
+from sdze.subspace import sample_core, subspace_for_layer
 from sdze.verify import crns_variance_sweep, explicit_delta_w, flatten_params
 
 
@@ -109,8 +112,8 @@ def test_zero_core_gives_zero_delta_and_no_update():
     params = init_mlp(cfg.widths, "sin", cfg.seed)
     subs = make_subspaces(params, cfg)
     zero = [np.zeros((s.rank, s.rank)) for s in subs]
-    sample = SpatialSample(cfg.seed, 1, cfg.batch_B, cfg.batch_b, 6)
-    delta, lp, lm = directional_delta(params, subs, zero, prob, sample, cfg.eps)
+    drawn = draw_sample(prob, SpatialSample(cfg.seed, 1, cfg.batch_B, cfg.batch_b, 6))
+    delta, lp, lm = directional_delta(params, subs, zero, prob, drawn, cfg.eps)
     assert delta == 0.0 and lp == lm
 
 
@@ -190,10 +193,10 @@ def test_richardson_eps_squared_truncation():
     params = init_mlp(cfg.widths, "sin", cfg.seed)
     subs = make_subspaces(params, cfg)
     cores = cores_at(cfg, subs, 1)
-    sample = SpatialSample(cfg.seed, 1, 3, 2, 5)
+    drawn = draw_sample(prob, SpatialSample(cfg.seed, 1, 3, 2, 5))
     deltas = {}
     for eps in (0.08, 0.04, 0.02):
-        deltas[eps], _, _ = directional_delta(params, subs, cores, prob, sample, eps)
+        deltas[eps], _, _ = directional_delta(params, subs, cores, prob, drawn, eps)
     top = deltas[0.08] - deltas[0.04]
     bot = deltas[0.04] - deltas[0.02]
     assert abs(bot) > 1e-8 * abs(deltas[0.02])
@@ -206,7 +209,7 @@ def test_divergence_handling_locked_vs_naive():
     params = init_mlp(cfg.widths, "sin", cfg.seed)
     subs = make_subspaces(params, cfg)
 
-    def bad_loss(view, problem, sample):
+    def bad_loss(view, problem, drawn):
         return np.inf if view.sign > 0 else 1.0
 
     with pytest.raises(SdzeDivergenceError) as err:
@@ -318,3 +321,116 @@ def test_train_resume_matches_uninterrupted():
     assert [r.delta_hat for r in full.records[4:]] == [
         r.delta_hat for r in resumed.records
     ]
+
+
+def per_sign_loss(view, problem, sample):
+    """The loss as each pass once computed it, from its own fresh draw of ``sample``."""
+    X = sample.points()
+    I1, I2 = sample.set1(), sample.set2()
+    if problem.alias_terms:
+        I1, I2 = np.zeros_like(I1), np.zeros_like(I2)
+    u, sums = view.jet_eval(X, np.concatenate([I1, I2]), [I1.size, I2.size])
+    nl = problem.nonlinearity(u)
+    f = rhs_eval(problem, X)
+    r1 = (problem.n_terms / I1.size) * sums[0] + nl - f
+    r2 = (problem.n_terms / I2.size) * sums[1] + nl - f
+    return float(np.dot(r1, r2) / (2.0 * sample.B * problem.kappa))
+
+
+def per_sign_delta(params, subs, cores, problem, sample, eps, locked, dtype="f64"):
+    """Reference estimate: every pass draws the whole sample itself."""
+    np_dtype = np.dtype(DTYPES[dtype])
+    minus = sample if locked else dataclasses.replace(sample, set_replicate=1)
+    lp = per_sign_loss(PerturbView(params, subs, cores, +1, eps, np_dtype), problem, sample)
+    lm = per_sign_loss(PerturbView(params, subs, cores, -1, eps, np_dtype), problem, minus)
+    return (lp - lm) / (2.0 * eps), lp, lm
+
+
+@pytest.mark.parametrize("locked", [True, False])
+@pytest.mark.parametrize("dtype", ["f64", "f32"])
+@pytest.mark.parametrize("kind", ["allen_cahn", "alias_terms"])
+def test_directional_delta_equals_per_sign_draws_bitwise(locked, dtype, kind):
+    cfg = small_cfg(widths=[6, 8, 8, 1], bias=True, batch_B=5, batch_b=3, dtype=dtype)
+    if kind == "alias_terms":
+        prob = PdeProblem(6, "none", "two_body", np.linspace(-1.0, 1.0, 5), alias_terms=True)
+    else:
+        prob = make_problem(kind, 6, "two_body", cfg.seed)
+    params = cfg.init_params()
+    subs = make_subspaces(params, cfg)
+    for t in (1, 2):
+        sample = SpatialSample(cfg.seed, t, cfg.batch_B, cfg.batch_b, 6)
+        cores = cores_at(cfg, subs, t)
+        got = directional_delta(
+            params, subs, cores, prob, draw_sample(prob, sample), cfg.eps,
+            locked=locked, dtype=dtype,
+        )
+        assert got == per_sign_delta(params, subs, cores, prob, sample, cfg.eps, locked, dtype)
+        assert got[1] != got[2]
+
+
+def test_crns_variance_sweep_equals_a_full_draw_per_replicate():
+    master, d, rank, B, b, reps, eps_list = 5, 8, 2, 3, 2, 4, [1e-2, 1e-3]
+    prob = make_problem("none", d, "two_body", master)
+    params = init_mlp([d, 6, 1], "sin", master)
+    rows, _, _ = crns_variance_sweep(
+        prob, params, rank=rank, eps_list=eps_list, replicates=reps, B=B, b=b, master=master
+    )
+    subs = [
+        subspace_for_layer(master, l, W.shape[0], W.shape[1], rank)
+        for l, W in enumerate(params.weights)
+    ]
+    cores = [
+        sample_core(derive_stream(StreamKey(master, Role.CORE_Z, 0, l)), s.rank)
+        for l, s in enumerate(subs)
+    ]
+    want = []
+    for eps in eps_list:
+        for mode, locked in (("crns", True), ("naive", False)):
+            deltas = [
+                per_sign_delta(
+                    params, subs, cores, prob,
+                    SpatialSample(master, k, B, b, d, collocation_step=0), eps, locked,
+                )[0]
+                for k in range(1, reps + 1)
+            ]
+            want.append({"mode": mode, "eps": eps, "variance": float(np.var(deltas, ddof=1))})
+    assert rows == want
+
+
+def count_draws(monkeypatch) -> Counter:
+    """Calls of the batch draw, the rhs and the index-set draws, by name."""
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for name in ("points", "set1", "set2"):
+        monkeypatch.setattr(SpatialSample, name, counting(name, getattr(SpatialSample, name)))
+    monkeypatch.setattr(spatial, "rhs_eval", counting("rhs_eval", spatial.rhs_eval))
+    return calls
+
+
+@pytest.mark.parametrize("crns, sets", [(True, 2), (False, 4)])
+def test_step_draws_its_batch_and_rhs_once(monkeypatch, crns, sets):
+    cfg = small_cfg(crns=crns)
+    prob = make_problem("none", 6, "two_body", cfg.seed)
+    params = cfg.init_params()
+    subs = make_subspaces(params, cfg)
+    calls = count_draws(monkeypatch)
+    sdze_step(params, subs, prob, cfg, 1)
+    assert calls["points"] == calls["rhs_eval"] == 1
+    assert calls["set1"] + calls["set2"] == sets
+
+
+def test_sweep_draws_its_pinned_batch_once(monkeypatch):
+    prob = make_problem("none", 8, "two_body", 5)
+    params = init_mlp([8, 6, 1], "sin", 5)
+    calls = count_draws(monkeypatch)
+    crns_variance_sweep(
+        prob, params, rank=2, eps_list=[1e-2, 1e-3], replicates=4, B=3, b=2, master=5
+    )
+    assert calls["points"] == calls["rhs_eval"] == 1

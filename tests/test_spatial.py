@@ -1,3 +1,4 @@
+import dataclasses
 from itertools import product
 
 import numpy as np
@@ -10,6 +11,7 @@ from sdze.spatial import (
     ExactSolutionView,
     PdeProblem,
     SpatialSample,
+    draw_sample,
     exact_solution,
     make_problem,
     relative_l2,
@@ -117,7 +119,7 @@ def test_loss_full_sampling_identity():
     prob = PdeProblem(3, "allen_cahn", "two_body", np.array([0.5, -1.0]), "raw")
     net = init_mlp([3, 4, 1], "sin", 2)
     sample = SpatialSample(master=8, step=1, B=5, b=3, d=3)
-    got = stochastic_loss(plain_view(net), prob, sample)
+    got = stochastic_loss(plain_view(net), prob, draw_sample(prob, sample))
     X = sample.points()
     r = sampled_operator(plain_view(net), prob, X, np.arange(3)) - rhs_eval(prob, X)
     assert np.isclose(got, float(r @ r) / (2 * 5), rtol=1e-12)
@@ -128,15 +130,15 @@ def test_loss_dim_normalization():
     prob_norm = PdeProblem(3, "none", "two_body", np.array([0.5, -1.0]), "dim_normalized")
     net = init_mlp([3, 4, 1], "sin", 2)
     sample = SpatialSample(master=8, step=1, B=5, b=3, d=3)
-    a = stochastic_loss(plain_view(net), prob_raw, sample)
-    b = stochastic_loss(plain_view(net), prob_norm, sample)
+    a = stochastic_loss(plain_view(net), prob_raw, draw_sample(prob_raw, sample))
+    b = stochastic_loss(plain_view(net), prob_norm, draw_sample(prob_norm, sample))
     assert np.isclose(a, b * 9.0, rtol=1e-12)
 
 
 def test_loss_vanishes_on_exact_solution():
     prob = make_problem("allen_cahn", 4, "two_body", 5)
     sample = SpatialSample(master=3, step=1, B=6, b=4, d=4)
-    assert abs(stochastic_loss(ExactSolutionView(prob), prob, sample)) <= 1e-10
+    assert abs(stochastic_loss(ExactSolutionView(prob), prob, draw_sample(prob, sample))) <= 1e-10
 
 
 def test_loss_unbiasedness_enumeration_d3():
@@ -164,6 +166,25 @@ def test_crns_sample_regeneration_is_bitwise():
     # replicate index reroutes only the index sets, not the batch
     s2 = SpatialSample(master=3, step=5, B=4, b=2, d=6, set_replicate=1)
     assert np.array_equal(s.points(), s2.points())
+
+
+def test_drawn_sample_is_read_only_and_lends_only_its_own_batch():
+    prob = make_problem("none", 6, "two_body", 3)
+    s = SpatialSample(master=3, step=5, B=4, b=2, d=6)
+    drawn = draw_sample(prob, s)
+    assert np.array_equal(drawn.X, s.points())
+    assert np.array_equal(drawn.f, rhs_eval(prob, s.points()))
+    for a in (drawn.X, drawn.f, drawn.I1, drawn.I2):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        drawn.X = np.zeros((4, 6))
+    # the unlocked minus pass reads the same batch with its own sets
+    other = draw_sample(prob, dataclasses.replace(s, set_replicate=1), batch=drawn)
+    assert other.X is drawn.X and other.f is drawn.f
+    assert np.array_equal(other.I1, SpatialSample(3, 5, 4, 2, 6, set_replicate=1).set1())
+    with pytest.raises(ValueError, match="batch"):
+        draw_sample(prob, dataclasses.replace(s, step=6), batch=drawn)
 
 
 def test_independent_dim_set_streams():
