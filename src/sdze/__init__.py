@@ -12,7 +12,6 @@ from .optimizer import (
     SdzeConfig,
     StepRecord,
     TrainResult,
-    fullspace_zo_step,
     lr_schedule,
     sdze_step,
     train,
@@ -63,7 +62,6 @@ __all__ = [
     "draw_sample",
     "exact_solution",
     "forward",
-    "fullspace_zo_step",
     "gaussian_matrix",
     "init_mlp",
     "jet_forward",

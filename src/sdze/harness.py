@@ -33,11 +33,10 @@ from .optimizer import (
     TrainResult,
     directional_delta,
     make_subspaces,
+    step_cores,
     train,
 )
-from .rng import Role, StreamKey, derive_stream
 from .spatial import PdeProblem, SpatialSample, draw_sample
-from .subspace import sample_core
 
 # Dotted JSON path -> SdzeConfig field.  pde.dim has no field of its own: it
 # is widths[0], and an absent net.widths loads as [pde.dim, 128, 128, 1].
@@ -376,10 +375,7 @@ def delta_variance(
     params = cfg.init_params()
     scfg = dataclasses.replace(cfg, batch_B=B, batch_b=b)
     subspaces = make_subspaces(params, scfg)
-    cores = [
-        sample_core(derive_stream(StreamKey(cfg.seed, Role.CORE_Z, 0, l)), s.rank)
-        for l, s in enumerate(subspaces)
-    ]
+    cores = step_cores(cfg.seed, subspaces, 0)
     deltas = []
     for k in range(1, replicates + 1):
         drawn = draw_sample(problem, SpatialSample(cfg.seed, k, B, b, problem.dim))

@@ -29,7 +29,6 @@ of every supported operator.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -352,40 +351,3 @@ def jet_forward(view: PerturbView, X: np.ndarray, dims: np.ndarray) -> Jet2:
     du = phi * g1 - 2.0 * xi * g
     d2u = phi * g2 - 4.0 * xi * g1 - 2.0 * g
     return Jet2(u, du, d2u)
-
-
-def derivative_bound_monitor(
-    params: MlpParams, x: np.ndarray, order: int
-) -> tuple[float, float]:
-    """Observed derivative norm vs the analytic weight-norm bound.
-
-    Observed: l2 norm of the per-dimension order-``order`` jet coefficients of
-    the raw network over all d coordinate directions (for order 2 this is the
-    Hessian diagonal, a lower bound on the full tensor norm the bound covers).
-    Bound: (n-1)! d^(n-1) (L-1)^(n-1) M(L) prod_{l<L} M(l)^n with
-    M(l) = max(||W_l||_2, 1).
-    """
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-    if params.bias:
-        raise ValueError("the derivative bound covers weight-only composition")
-    if params.activation == "tanh_scaled" and params.act_scale > 1.0:
-        raise ValueError("tanh scale must be <= 1 for the bound to apply")
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    d = params.dim
-    _, g1, g2 = _raw_jets(plain_view(params), x, np.arange(d), np.ones(d, dtype=np.int64))
-    coeffs = (g1 if order == 1 else g2)[:, 0]
-    observed = float(np.linalg.norm(coeffs))
-    L = params.depth
-    M = [max(np.linalg.norm(W, 2), 1.0) for W in params.weights]
-    n = order
-    bound = (
-        float(math.factorial(n - 1))
-        * d ** (n - 1)
-        * (L - 1) ** (n - 1)
-        * M[-1]
-        * float(np.prod([m**n for m in M[:-1]]))
-    )
-    if observed > bound * (1.0 + 1e-12):
-        raise AssertionError(f"derivative norm {observed} exceeds bound {bound}")
-    return observed, bound

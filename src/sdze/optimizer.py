@@ -11,10 +11,6 @@ algebraically inside the difference; the unlocked variant (independent
 index sets per sign) exists only for the ablation study and is expected to
 blow up as eps shrinks.  :func:`sdze_step` runs both; ``SdzeConfig.crns``
 picks the mode.
-
-A full-space baseline perturbs every weight with a regenerated Gaussian
-(never stored), bracketing the subspace method from the classic
-simultaneous-perturbation side.
 """
 
 from __future__ import annotations
@@ -24,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .net import MlpParams, PerturbView, init_mlp, plain_view
+from .net import MlpParams, PerturbView, init_mlp
 from .rng import Role, StreamKey, derive_stream
 from .spatial import (
     DrawnSample,
@@ -101,6 +97,10 @@ class SdzeConfig:
             problems.append("rank_per_layer must list one rank per layer")
         if self.steps < 0:
             problems.append("steps must be >= 0")
+        if self.eval_every < 1:
+            problems.append("eval_every must be >= 1")
+        if self.test_points < 1:
+            problems.append("test_points must be >= 1")
         if problems:
             raise ValueError("; ".join(problems))
 
@@ -163,6 +163,14 @@ class SdzeDivergenceError(RuntimeError):
         )
 
 
+def step_cores(master: int, subspaces: list[LayerSubspace], t: int) -> list[np.ndarray]:
+    """The per-layer cores of step ``t``, each keyed ``(master, CORE_Z, t, layer)``."""
+    return [
+        sample_core(derive_stream(StreamKey(master, Role.CORE_Z, t, l)), s.rank)
+        for l, s in enumerate(subspaces)
+    ]
+
+
 def directional_delta(
     params: MlpParams,
     subspaces: list[LayerSubspace],
@@ -220,12 +228,7 @@ def sdze_step(
         subspaces[l] = maybe_refresh(t, cfg.freq_F, subspaces[l])
     sample = SpatialSample(cfg.seed, t, cfg.batch_B, cfg.batch_b, problem.dim)
     drawn = draw_sample(problem, sample)
-    cores = [
-        sample_core(
-            derive_stream(StreamKey(cfg.seed, Role.CORE_Z, t, l)), s.rank
-        )
-        for l, s in enumerate(subspaces)
-    ]
+    cores = step_cores(cfg.seed, subspaces, t)
     delta, lp, lm = directional_delta(
         params,
         subspaces,
@@ -266,55 +269,6 @@ def sdze_step_naive(
     """
     unlocked = replace(cfg, crns=False)
     return sdze_step(params, subspaces, problem, unlocked, t, loss_fn=loss_fn)
-
-
-def fullspace_zo_step(
-    params: MlpParams,
-    problem: PdeProblem | None,
-    cfg: SdzeConfig,
-    t: int,
-    *,
-    loss_fn=None,
-) -> StepRecord:
-    """Classic full-space simultaneous-perturbation step.
-
-    The per-layer Gaussian direction is regenerated from its key for each
-    use (+eps pass, -eps pass, update), so it is never stored.  Each pass
-    evaluates a perturbed copy of the weights, one parameter-sized buffer
-    freed after the pass; ``params`` changes only by the update, so with a
-    zero update it stays bitwise unchanged.  The spatial sample is drawn
-    once and both passes read it.  ``loss_fn(params)`` replaces the PDE loss.
-    """
-
-    def direction(l: int, W: np.ndarray) -> np.ndarray:
-        z = derive_stream(StreamKey(cfg.seed, Role.FULLSPACE_Z, t, l)).normals(W.size)
-        return z.reshape(W.shape)
-
-    t0 = time.perf_counter()
-    sample = SpatialSample(cfg.seed, t, cfg.batch_B, cfg.batch_b, params.dim)
-    if loss_fn is None:
-        drawn = draw_sample(problem, sample)
-
-        def loss_fn(shifted: MlpParams) -> float:
-            return stochastic_loss(plain_view(shifted), problem, drawn)
-
-    def evaluate(scale: float) -> float:
-        shifted = replace(
-            params, weights=[W + scale * direction(l, W) for l, W in enumerate(params.weights)]
-        )
-        return float(loss_fn(shifted))
-
-    lp = evaluate(+cfg.eps)
-    lm = evaluate(-cfg.eps)
-    delta = (lp - lm) / (2.0 * cfg.eps)
-    if not np.isfinite(delta):
-        raise SdzeDivergenceError(t, lp, lm, sample)
-    alpha = lr_schedule(cfg, t, q=params.n_params)
-    if alpha * delta != 0.0:
-        for l, W in enumerate(params.weights):
-            W -= (alpha * delta) * direction(l, W)
-    wall_ms = (time.perf_counter() - t0) * 1e3
-    return StepRecord(t, delta, lp, lm, alpha, wall_ms)
 
 
 @dataclass

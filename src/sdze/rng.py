@@ -41,7 +41,6 @@ class Role(IntEnum):
     BASE_V = 4
     CORE_Z = 5
     SOLUTION_COEFFS = 6
-    FULLSPACE_Z = 7
     TEST_POINTS = 8
     WEIGHT_INIT = 9
 

@@ -12,14 +12,13 @@ finite-difference oracle; the artifact has no reverse mode by design.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from .net import MlpParams, PerturbView, activation_triple, plain_view
-from .optimizer import directional_delta
+from .optimizer import directional_delta, step_cores
 from .rng import Role, StreamKey, derive_stream
 from .spatial import PdeProblem, SpatialSample, draw_sample, rhs_eval, sample_unit_ball
 from .subspace import LayerSubspace, sample_core, subspace_for_layer
@@ -129,7 +128,7 @@ def unflatten_params(theta: np.ndarray, like: MlpParams) -> MlpParams:
     for W in like.weights:
         weights.append(theta[at : at + W.size].reshape(W.shape, order="F").copy())
         at += W.size
-    return MlpParams(weights, like.activation, like.act_scale)
+    return MlpParams(weights, like.activation, like.act_scale, like.bias)
 
 
 def build_projection(subspaces: list[LayerSubspace]) -> np.ndarray:
@@ -483,11 +482,10 @@ def crns_variance_sweep(
     collocation_step=0)``: step k keys the index sets, the batch is pinned at
     step 0, and the unlocked minus pass draws its sets from
     ``set_replicate=1`` of the same step.  The pinned batch and its rhs are
-    drawn once per call; each replicate draws only its index sets and reads
-    that batch.  The same k-th sample therefore serves every eps, and
-    ``stochastic_loss`` over these samples gives the unperturbed loss
-    variance Var_S L of this measure.  Unlocked, the two passes see
-    independent sets, so
+    drawn once per call; each replicate draws its index sets once, reads
+    that batch and serves every eps.  ``stochastic_loss`` over these samples
+    gives the unperturbed loss variance Var_S L of this measure.  Unlocked,
+    the two passes see independent sets, so
 
         Var_naive = Var_S L / (2 eps^2) + Var_crns / 2 + O(1),
         naive / locked ~ 1/2 + Var_S L / (2 eps^2 Var_S d_v L).
@@ -502,36 +500,34 @@ def crns_variance_sweep(
         subspace_for_layer(master, l, W.shape[0], W.shape[1], rank)
         for l, W in enumerate(params.weights)
     ]
-    cores = [
-        sample_core(derive_stream(StreamKey(master, Role.CORE_Z, 0, l)), s.rank)
-        for l, s in enumerate(subs)
-    ]
+    cores = step_cores(master, subs, 0)
 
     def replicate(k: int) -> SpatialSample:
         return SpatialSample(master, k, B, b, problem.dim, collocation_step=0)
 
     pinned = draw_sample(problem, replicate(1))
-    variances: dict[tuple[str, float], float] = {}
-    rows = []
-    for eps in eps_list:
-        acc = {"crns": [], "naive": []}
-        for k in range(1, replicates + 1):
-            drawn = draw_sample(problem, replicate(k), batch=pinned)
-            for mode, locked in (("crns", True), ("naive", False)):
-                delta, _, _ = directional_delta(
-                    params, subs, cores, problem, drawn, eps, locked=locked
-                )
-                acc[mode].append(delta)
-        for mode in ("crns", "naive"):
-            var = float(np.var(np.asarray(acc[mode]), ddof=1))
-            variances[(mode, eps)] = var
-            rows.append({"mode": mode, "eps": eps, "variance": var})
+    modes = ("crns", "naive")
+    # one list per (mode, eps), filled in replicate order
+    acc: dict[tuple[str, float], list[float]] = {
+        (mode, eps): [] for eps in eps_list for mode in modes
+    }
+    for k in range(1, replicates + 1):
+        drawn = draw_sample(problem, replicate(k), batch=pinned)
+        for (mode, eps), deltas in acc.items():
+            delta, _, _ = directional_delta(
+                params, subs, cores, problem, drawn, eps, locked=mode == "crns"
+            )
+            deltas.append(delta)
+    variances = {key: float(np.var(np.asarray(d), ddof=1)) for key, d in acc.items()}
+    rows = [
+        {"mode": mode, "eps": eps, "variance": variances[(mode, eps)]}
+        for eps in eps_list
+        for mode in modes
+    ]
     log_eps = np.log(np.asarray(eps_list))
-    slope_crns = float(
-        np.polyfit(log_eps, np.log([variances[("crns", e)] for e in eps_list]), 1)[0]
-    )
-    slope_naive = float(
-        np.polyfit(log_eps, np.log([variances[("naive", e)] for e in eps_list]), 1)[0]
+    slope_crns, slope_naive = (
+        float(np.polyfit(log_eps, np.log([variances[(mode, e)] for e in eps_list]), 1)[0])
+        for mode in modes
     )
     return rows, slope_crns, slope_naive
 

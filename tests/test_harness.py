@@ -132,6 +132,17 @@ def test_partial_lr_block_fills_from_the_same_defaults():
     )
 
 
+def test_eval_cadence_and_test_set_size_must_be_positive(tmp_path):
+    # rejected on load, before a run writes anything to its output directory
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(tiny_config(tmp_path, eval_every=0, test_points=0)))
+    with pytest.raises(ValueError) as err:
+        cli.main(["train", "--config", str(cfg_path)])
+    msg = str(err.value)
+    assert "eval_every must be >= 1" in msg and "test_points must be >= 1" in msg
+    assert not (tmp_path / "run").exists()
+
+
 def test_widths_must_start_with_pde_dim(tmp_path):
     raw = tiny_config(tmp_path, net={"widths": [4, 6, 1]})
     with pytest.raises(ConfigError, match="net.widths"):

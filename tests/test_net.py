@@ -10,7 +10,6 @@ from sdze.net import (
     PerturbView,
     activation_triple,
     ansatz,
-    derivative_bound_monitor,
     forward,
     init_mlp,
     jet_forward,
@@ -175,38 +174,6 @@ def test_forward_rejects_bad_width():
     params, _, _ = build([4, 5, 1])
     with pytest.raises(ValueError):
         forward(plain_view(params), np.zeros((2, 5)))
-
-
-def test_derivative_bound_single_linear_layer():
-    w = np.array([[0.4], [-1.2], [2.0]])
-    params = MlpParams([w], "sin")
-    obs, bound = derivative_bound_monitor(params, np.zeros(3), 1)
-    assert obs <= bound
-    assert np.isclose(obs, np.linalg.norm(w))
-    assert np.isclose(bound, max(np.linalg.norm(w, 2), 1.0))
-
-
-def test_derivative_bound_random_net():
-    params = init_mlp([8, 6, 6, 1], "sin", 5)
-    x = np.random.default_rng(6).standard_normal(8) * 0.2
-    for order in (1, 2):
-        obs, bound = derivative_bound_monitor(params, x, order)
-        assert obs <= bound
-
-
-def test_derivative_bound_scales_with_weight_norms():
-    params = init_mlp([5, 6, 6, 1], "sin", 7)
-    # inflate so every layer norm exceeds 1 before and after the x10 scaling
-    for W in params.weights:
-        W *= 3.0 / max(np.linalg.norm(W, 2), 1e-9)
-    scaled = MlpParams([10.0 * W for W in params.weights], "sin")
-    x = np.zeros(5)
-    for order in (1, 2):
-        _, b1 = derivative_bound_monitor(params, x, order)
-        _, b2 = derivative_bound_monitor(scaled, x, order)
-        L = params.depth
-        predicted = 10.0 ** (1 + order * (L - 1))
-        assert np.isclose(b2 / b1, predicted, rtol=1e-12)
 
 
 def test_jet_temporaries_respect_single_buffer_bound(peak_spans):

@@ -11,7 +11,6 @@ from sdze.optimizer import (
     SdzeConfig,
     SdzeDivergenceError,
     directional_delta,
-    fullspace_zo_step,
     lr_schedule,
     make_subspaces,
     sdze_step,
@@ -67,9 +66,10 @@ def test_invalid_annealing_exponent_rejected():
 
 def test_config_collects_all_errors():
     with pytest.raises(ValueError) as err:
-        SdzeConfig(eps=-1.0, lr_mode="bogus", steps=-3)
+        SdzeConfig(eps=-1.0, lr_mode="bogus", steps=-3, eval_every=0, test_points=-1)
     msg = str(err.value)
     assert "eps" in msg and "lr_mode" in msg and "steps" in msg
+    assert "eval_every must be >= 1" in msg and "test_points must be >= 1" in msg
 
 
 def test_quadratic_surrogate_delta_is_exact_for_any_eps():
@@ -235,62 +235,6 @@ def test_small_scale_variance_blowup_of_unlocked_mode():
     assert slope_naive < -1.5
 
 
-def test_fullspace_quadratic_statistics():
-    # E[g_hat] ~ grad within 2% and E||g_hat||^2 ~ (P+2)||grad||^2 within 5%
-    P = 10
-    Hq = np.diag(np.linspace(1.0, 3.0, P))
-    rng = np.random.default_rng(7)
-    theta0 = rng.standard_normal(P)
-    grad = 2 * Hq @ theta0
-    cfg = small_cfg(
-        widths=[P, 1], eps=1e-4, lr_mode="constant", alpha=0.0, batch_B=1, batch_b=1, seed=31
-    )
-
-    def qloss(params):
-        th = params.weights[0][:, 0]
-        return float(th @ Hq @ th)
-
-    n = 100_000
-    acc = np.zeros(P)
-    acc2 = 0.0
-    params = MlpParams([theta0.copy().reshape(P, 1)], "sin")
-    for t in range(1, n + 1):
-        rec = fullspace_zo_step(params, None, cfg, t, loss_fn=qloss)
-        z = derive_stream(StreamKey(cfg.seed, Role.FULLSPACE_Z, t, 0)).normals(P)
-        gh = rec.delta_hat * z
-        acc += gh
-        acc2 += gh @ gh
-    mean_err = np.linalg.norm(acc / n - grad) / np.linalg.norm(grad)
-    second = (acc2 / n) / ((P + 2) * (grad @ grad))
-    assert mean_err <= 0.02
-    assert abs(second - 1.0) <= 0.05
-    # alpha = 0 and the in-place walk restores parameters up to rounding
-    assert np.abs(params.weights[0][:, 0] - theta0).max() <= 1e-9
-
-
-def test_fullspace_identical_seeds_identical_trajectory():
-    prob = make_problem("none", 5, "two_body", 4)
-    runs = []
-    for _ in range(2):
-        cfg = small_cfg(widths=[5, 6, 1], seed=4, lr_mode="constant", alpha=1e-3)
-        params = init_mlp(cfg.widths, "sin", 4)
-        for t in range(1, 6):
-            fullspace_zo_step(params, prob, cfg, t)
-        runs.append([W.copy() for W in params.weights])
-    assert all(np.array_equal(a, b) for a, b in zip(*runs))
-
-
-def test_fullspace_zero_step_size_leaves_weights_bitwise():
-    prob = make_problem("none", 5, "two_body", 4)
-    cfg = small_cfg(widths=[5, 6, 1], seed=4, lr_mode="constant", alpha=0.0)
-    params = init_mlp(cfg.widths, "sin", 4)
-    before = [W.copy() for W in params.weights]
-    for t in range(1, 21):
-        rec = fullspace_zo_step(params, prob, cfg, t)
-        assert rec.delta_hat != 0.0
-    assert all(np.array_equal(a, b) for a, b in zip(before, params.weights))
-
-
 def test_train_zero_steps_and_initial_eval():
     cfg = small_cfg(steps=0)
     prob = make_problem("none", 6, "two_body", cfg.seed)
@@ -434,3 +378,6 @@ def test_sweep_draws_its_pinned_batch_once(monkeypatch):
         prob, params, rank=2, eps_list=[1e-2, 1e-3], replicates=4, B=3, b=2, master=5
     )
     assert calls["points"] == calls["rhs_eval"] == 1
+    # the pinned draw, each replicate's sets once, and the unlocked minus
+    # pass's sets once per (eps, replicate): 1 + R + E R
+    assert calls["set1"] == calls["set2"] == 1 + 4 + 2 * 4

@@ -17,6 +17,30 @@ def test_same_key_same_draws():
     assert np.array_equal(a, b)
 
 
+# Role values take part in the key hash, so renumbering a role moves its
+# stream.  The words below are the first two raw() words of
+# StreamKey(7, role, 3, 1); exact integers, the same on every platform.
+STREAM_KNOWN_ANSWERS = {
+    Role.COLLOCATION: (0, 16389634606863074608, 12166049583748414733),
+    Role.DIM_SET_1: (1, 14843060639791306571, 16910295446321810756),
+    Role.DIM_SET_2: (2, 8246031458366995592, 13602123053462948580),
+    Role.BASE_U: (3, 6172435850575104473, 2562944218998572288),
+    Role.BASE_V: (4, 8725063116979910533, 13530714395709628564),
+    Role.CORE_Z: (5, 7722269650874239571, 13010722130658137473),
+    Role.SOLUTION_COEFFS: (6, 8683198332912570659, 14813471480544590334),
+    Role.TEST_POINTS: (8, 7372760996455910761, 4970669016660795536),
+    Role.WEIGHT_INIT: (9, 12501405681483352660, 11606095288760312779),
+}
+
+
+def test_stream_keys_match_known_answers():
+    assert set(STREAM_KNOWN_ANSWERS) == set(Role)
+    for role, (value, w0, w1) in STREAM_KNOWN_ANSWERS.items():
+        assert int(role) == value
+        words = derive_stream(StreamKey(7, role, 3, 1)).raw(2)
+        assert [int(w) for w in words] == [w0, w1], role.name
+
+
 def test_step_change_decorrelates():
     a = derive_stream(key(step=3)).raw(100)
     b = derive_stream(key(step=4)).raw(100)

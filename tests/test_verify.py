@@ -41,6 +41,14 @@ def test_brute_force_gradient_self_consistency_on_tiny_loss():
     assert np.isclose(g[4], (loss(theta0 + e0) - loss(theta0 - e0)) / (2 * h))
 
 
+def test_flatten_roundtrip_keeps_the_bias_layout():
+    params = init_mlp([3, 4, 4, 1], "tanh_scaled", 2, act_scale=0.5, bias=True)
+    back = unflatten_params(flatten_params(params), params)
+    assert (back.activation, back.act_scale, back.bias) == ("tanh_scaled", 0.5, True)
+    assert all(np.array_equal(a, b) for a, b in zip(back.weights, params.weights))
+    assert all(a is not b for a, b in zip(back.weights, params.weights))
+
+
 def test_brute_force_gradient_reports_bad_coordinate():
     def loss(th):
         return float("nan") if th[1] > 0.15 else float(th @ th)
