@@ -303,10 +303,16 @@ def _check_columns(path: Path) -> None:
 def run_train(cfg: SdzeConfig, resume_from: str | Path | None = None) -> TrainResult:
     """Full training run with metrics CSV, checkpoints, and config echo.
 
-    A checkpoint to resume from must match the config's seed and layer
-    shapes, and an existing ``metrics.csv`` must have this version's
-    columns; both are checked before anything is written.
+    The index sets must fit the dimension, a checkpoint to resume from must
+    match the config's seed and layer shapes, and an existing
+    ``metrics.csv`` must have this version's columns; all are checked before
+    anything is written.
     """
+    if cfg.batch_b > cfg.widths[0]:
+        raise ConfigError(
+            f"sdze.batch_dims_b = {cfg.batch_b} exceeds pde.dim = {cfg.widths[0]}; "
+            "index sets are drawn without replacement"
+        )
     problem = cfg.make_problem()
     start_step = 0
     if resume_from is not None:
@@ -373,14 +379,13 @@ def delta_variance(
     """Variance of the step estimate over replicated spatial samples at the
     frozen initial parameters (perturbation direction held fixed)."""
     params = cfg.init_params()
-    scfg = dataclasses.replace(cfg, batch_B=B, batch_b=b)
-    subspaces = make_subspaces(params, scfg)
+    subspaces = make_subspaces(params, cfg)
     cores = step_cores(cfg.seed, subspaces, 0)
     deltas = []
     for k in range(1, replicates + 1):
         drawn = draw_sample(problem, SpatialSample(cfg.seed, k, B, b, problem.dim))
         delta, _, _ = directional_delta(
-            params, subspaces, cores, problem, drawn, scfg.eps
+            params, subspaces, cores, problem, drawn, drawn, cfg.eps
         )
         deltas.append(delta)
     return float(np.var(np.asarray(deltas), ddof=1))

@@ -36,7 +36,7 @@ from .subspace import (
     apply_rank_r_update,
     maybe_refresh,
     sample_core,
-    subspace_at_step,
+    subspace_for_layer,
 )
 
 LR_MODES = ("constant", "annealed", "sqrt_tq")
@@ -176,32 +176,26 @@ def directional_delta(
     subspaces: list[LayerSubspace],
     cores: list[np.ndarray],
     problem: PdeProblem,
-    drawn: DrawnSample,
+    plus: DrawnSample,
+    minus: DrawnSample,
     eps: float,
     *,
-    locked: bool = True,
     dtype: str = "f64",
     loss_fn=None,
 ) -> tuple[float, float, float]:
     """Symmetric-difference estimate (delta, loss+, loss-).
 
-    ``locked=True`` evaluates both signs on the one ``drawn`` sample;
-    otherwise the minus pass draws its index sets from replicate 1 and reads
-    the same batch and rhs (the collocation stays shared so full spatial
-    sampling makes the two modes coincide exactly).
+    The +eps pass reads ``plus`` and the -eps pass ``minus``; seed locking is
+    ``minus is plus``.  The unlocked ablation passes the draw of
+    :meth:`SpatialSample.unlocked` on the same batch.
     """
     eval_loss = loss_fn if loss_fn is not None else stochastic_loss
     np_dtype = np.dtype(DTYPES[dtype])
-    drawn_minus = (
-        drawn
-        if locked
-        else draw_sample(problem, replace(drawn.sample, set_replicate=1), batch=drawn)
-    )
     lp = eval_loss(
-        PerturbView(params, subspaces, cores, +1, eps, np_dtype), problem, drawn
+        PerturbView(params, subspaces, cores, +1, eps, np_dtype), problem, plus
     )
     lm = eval_loss(
-        PerturbView(params, subspaces, cores, -1, eps, np_dtype), problem, drawn_minus
+        PerturbView(params, subspaces, cores, -1, eps, np_dtype), problem, minus
     )
     # the difference cancels leading digits; keep it in f64
     return (float(lp) - float(lm)) / (2.0 * eps), float(lp), float(lm)
@@ -228,6 +222,7 @@ def sdze_step(
         subspaces[l] = maybe_refresh(t, cfg.freq_F, subspaces[l])
     sample = SpatialSample(cfg.seed, t, cfg.batch_B, cfg.batch_b, problem.dim)
     drawn = draw_sample(problem, sample)
+    minus = drawn if cfg.crns else draw_sample(problem, sample.unlocked(), batch=drawn)
     cores = step_cores(cfg.seed, subspaces, t)
     delta, lp, lm = directional_delta(
         params,
@@ -235,20 +230,19 @@ def sdze_step(
         cores,
         problem,
         drawn,
+        minus,
         cfg.eps,
-        locked=cfg.crns,
         dtype=cfg.dtype,
         loss_fn=loss_fn,
     )
     q = sum(s.rank**2 for s in subspaces)
     alpha = lr_schedule(cfg, t, q)
-    if not np.isfinite(delta):
-        if cfg.crns:
-            raise SdzeDivergenceError(t, lp, lm, sample)
-        # unlocked divergence is the ablation's data point, not a crash
-        return StepRecord(t, delta, lp, lm, alpha)
-    for W, s, Z in zip(params.weights, subspaces, cores):
-        apply_rank_r_update(W, s, Z, -alpha * delta)
+    if np.isfinite(delta):
+        for W, s, Z in zip(params.weights, subspaces, cores):
+            apply_rank_r_update(W, s, Z, -alpha * delta)
+    elif cfg.crns:
+        raise SdzeDivergenceError(t, lp, lm, sample)
+    # else unlocked divergence: the ablation's data point, recorded without an update
     wall_ms = (time.perf_counter() - t0) * 1e3
     return StepRecord(t, delta, lp, lm, alpha, wall_ms)
 
@@ -282,16 +276,12 @@ class TrainResult:
 def make_subspaces(
     params: MlpParams, cfg: SdzeConfig, start_step: int = 0
 ) -> list[LayerSubspace]:
-    def rank_of(l: int) -> int:
-        if cfg.rank_per_layer is not None:
-            return cfg.rank_per_layer[l]
-        return cfg.rank
-
+    """Each layer's subspace at ``start_step``: bases from the last refresh boundary."""
+    ranks = cfg.rank_per_layer or [cfg.rank] * len(params.weights)
+    at = (start_step // cfg.freq_F) * cfg.freq_F
     return [
-        subspace_at_step(
-            cfg.seed, l, W.shape[0], W.shape[1], rank_of(l), start_step, cfg.freq_F
-        )
-        for l, W in enumerate(params.weights)
+        subspace_for_layer(cfg.seed, l, *W.shape, r, at)
+        for l, (W, r) in enumerate(zip(params.weights, ranks))
     ]
 
 

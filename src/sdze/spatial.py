@@ -14,10 +14,11 @@ network), so solution error is measurable exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .net import MlpParams, plain_view, set_starts
 from .rng import Role, RngStream, StreamKey, derive_stream, sample_index_set
 
 NONLINEARITIES = ("none", "allen_cahn", "sine_gordon")
@@ -152,8 +153,6 @@ class ExactSolutionView:
 
     def jet_eval(self, X: np.ndarray, dims, sizes) -> tuple[np.ndarray, np.ndarray]:
         """Values and, per consecutive index set of ``sizes``, sum_i d2u/dx_i^2."""
-        from .net import set_starts
-
         X = np.atleast_2d(X)
         dims = np.asarray(dims, dtype=np.int64)
         starts = set_starts(sizes, dims.size)
@@ -201,8 +200,8 @@ class SpatialSample:
     :func:`draw_sample` draws it once, and every loss evaluation of a step
     reads that one draw, which is what locks the random measure across the
     +eps and -eps evaluations.  ``set_replicate`` only enters the index-set
-    keys (the unlocked ablation draws its second pair of sets from replicate
-    1); the collocation batch is shared regardless.
+    keys: the unlocked ablation's minus pass reads :meth:`unlocked`, whose
+    sets come from replicate 1, and shares the collocation batch.
     """
 
     master: int
@@ -218,6 +217,10 @@ class SpatialSample:
         """(master, step, B, d) of the collocation batch; equal keys, equal batch."""
         at = self.step if self.collocation_step is None else self.collocation_step
         return self.master, at, self.B, self.d
+
+    def unlocked(self) -> SpatialSample:
+        """The unlocked minus pass's sample: this batch, index sets of replicate 1."""
+        return replace(self, set_replicate=1)
 
     def points(self) -> np.ndarray:
         master, at, B, d = self.batch_key
@@ -319,8 +322,6 @@ def stochastic_loss(view, problem: PdeProblem, drawn: DrawnSample) -> float:
 
 def relative_l2(view_or_params, problem: PdeProblem, test_key: StreamKey, n_test: int) -> float:
     """Relative L2 error against the exact solution on regenerated test points."""
-    from .net import MlpParams, plain_view
-
     if n_test < 1:
         raise ValueError("n_test must be >= 1")
     view = (

@@ -20,7 +20,7 @@ d-independent layers).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -135,20 +135,9 @@ def maybe_refresh(t: int, F: int, state: LayerSubspace) -> LayerSubspace:
         raise ValueError("refresh frequency must be >= 1")
     if t % F != 0:
         return state
-    U, V = refresh_bases(
-        derive_stream(StreamKey(state.master, Role.BASE_U, t, state.layer)),
-        derive_stream(StreamKey(state.master, Role.BASE_V, t, state.layer)),
-        state.plan,
-        state.rank,
+    return subspace_for_layer(
+        state.master, state.layer, *state.plan.orig, state.rank, t
     )
-    return replace(state, U=U, V=V, last_refresh_step=t)
-
-
-def subspace_at_step(
-    master: int, layer: int, m: int, n: int, rank: int, t: int, F: int
-) -> LayerSubspace:
-    """State as it stands at step ``t`` (bases from the last refresh boundary)."""
-    return subspace_for_layer(master, layer, m, n, rank, (t // F) * F)
 
 
 def sample_core(stream: RngStream, r: int) -> np.ndarray:

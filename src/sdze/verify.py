@@ -12,15 +12,33 @@ finite-difference oracle; the artifact has no reverse mode by design.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import product
 
 import numpy as np
 
-from .net import MlpParams, PerturbView, activation_triple, plain_view
+from .net import (
+    MlpParams,
+    PerturbView,
+    activation_triple,
+    ansatz,
+    init_mlp,
+    jet_forward,
+    jet_sums,
+    plain_view,
+)
 from .optimizer import directional_delta, step_cores
 from .rng import Role, StreamKey, derive_stream
-from .spatial import PdeProblem, SpatialSample, draw_sample, rhs_eval, sample_unit_ball
+from .spatial import (
+    ExactSolutionView,
+    PdeProblem,
+    SpatialSample,
+    draw_sample,
+    make_problem,
+    rhs_eval,
+    sample_unit_ball,
+    sampled_operator,
+)
 from .subspace import LayerSubspace, sample_core, subspace_for_layer
 
 FD_STEP = 1e-5  # oracle step for coordinate-wise central differences
@@ -36,14 +54,7 @@ class IdentityReport:
     passed: bool
 
     def row(self) -> dict:
-        return {
-            "name": self.name,
-            "theoretical": self.theoretical,
-            "empirical": self.empirical,
-            "n_samples": self.n_samples,
-            "rel_deviation": self.rel_deviation,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 # --- explicit oracles -------------------------------------------------------
@@ -316,8 +327,6 @@ def _tiny_setup(master: int, term_dims: list[int], n_points: int = 3):
     to construct aliased operators).  Gradients w.r.t. the flattened
     parameters come from the coordinate-wise finite-difference oracle.
     """
-    from .net import init_mlp
-
     d = 4
     problem = PdeProblem(d, "none", "two_body", np.array([0.7, -1.1, 0.4]))
     params = init_mlp([d, 3, 1], "sin", master)
@@ -480,10 +489,10 @@ def crns_variance_sweep(
 
     Replicate k (1..replicates) is ``SpatialSample(master, k, B, b, d,
     collocation_step=0)``: step k keys the index sets, the batch is pinned at
-    step 0, and the unlocked minus pass draws its sets from
-    ``set_replicate=1`` of the same step.  The pinned batch and its rhs are
-    drawn once per call; each replicate draws its index sets once, reads
-    that batch and serves every eps.  ``stochastic_loss`` over these samples
+    step 0, and the unlocked minus pass reads its ``.unlocked()`` sample.
+    The pinned batch and its rhs are drawn once per call; each replicate
+    draws its sets and its unlocked sets once, reads that batch and serves
+    every eps.  ``stochastic_loss`` over these samples
     gives the unperturbed loss variance Var_S L of this measure.  Unlocked,
     the two passes see independent sets, so
 
@@ -496,10 +505,7 @@ def crns_variance_sweep(
     """
     if replicates < 2:
         raise ValueError("need at least 2 replicates")
-    subs = [
-        subspace_for_layer(master, l, W.shape[0], W.shape[1], rank)
-        for l, W in enumerate(params.weights)
-    ]
+    subs = _subspaces_for_shapes([W.shape for W in params.weights], rank, master)
     cores = step_cores(master, subs, 0)
 
     def replicate(k: int) -> SpatialSample:
@@ -512,10 +518,12 @@ def crns_variance_sweep(
         (mode, eps): [] for eps in eps_list for mode in modes
     }
     for k in range(1, replicates + 1):
-        drawn = draw_sample(problem, replicate(k), batch=pinned)
+        plus = draw_sample(problem, replicate(k), batch=pinned)
+        naive = draw_sample(problem, replicate(k).unlocked(), batch=pinned)
         for (mode, eps), deltas in acc.items():
+            minus = plus if mode == "crns" else naive
             delta, _, _ = directional_delta(
-                params, subs, cores, problem, drawn, eps, locked=mode == "crns"
+                params, subs, cores, problem, plus, minus, eps
             )
             deltas.append(delta)
     variances = {key: float(np.var(np.asarray(d), ddof=1)) for key, d in acc.items()}
@@ -537,15 +545,10 @@ def crns_variance_sweep(
 
 def jets_suite(master: int = 0) -> list[IdentityReport]:
     """Jet coefficients vs central differences; manufactured-solution residual."""
-    from .net import init_mlp, jet_forward
-    from .spatial import ExactSolutionView, make_problem, sampled_operator
-
     reports = []
     rng_key = StreamKey(master, Role.TEST_POINTS, 0, 0)
     for widths, act in [([5, 8, 1], "sin"), ([7, 6, 6, 1], "tanh_scaled"), ([3, 10, 1], "sin")]:
-        params = MlpParams(
-            init_mlp(widths, act, master).weights, act, 1.0
-        )
+        params = init_mlp(widths, act, master)
         d = widths[0]
         X = sample_unit_ball(derive_stream(rng_key), 6, d) * 0.9
         dims = np.arange(d)
@@ -555,8 +558,6 @@ def jets_suite(master: int = 0) -> list[IdentityReport]:
         for j, i in enumerate(dims):
             e = np.zeros(d)
             e[i] = h
-            from .net import ansatz
-
             up = ansatz(plain_view(params), X + e)[:, 0]
             um = ansatz(plain_view(params), X - e)[:, 0]
             u0 = ansatz(plain_view(params), X)[:, 0]
@@ -600,8 +601,6 @@ def implicit_suite(master: int = 0, n_cases: int = 20) -> list[IdentityReport]:
     the summed second-order planes of two index sets (one with a repeated
     index, overlapping the other) must stay within 1e-10.
     """
-    from .net import init_mlp, jet_forward, jet_sums
-
     fixed = [(6, 5), (40, 8), (8, 40), (128, 1), (7, 3), (12, 12)]
     stream = derive_stream(StreamKey(master, Role.CORE_Z, 0, 99))
     cases = list(fixed)
@@ -614,10 +613,7 @@ def implicit_suite(master: int = 0, n_cases: int = 20) -> list[IdentityReport]:
     for idx, (m, n) in enumerate(cases):
         widths = [m, n] if n == 1 else [m, n, 1]
         params = init_mlp(widths, "sin", master + idx)
-        subs = [
-            subspace_for_layer(master + idx, l, W.shape[0], W.shape[1], 4)
-            for l, W in enumerate(params.weights)
-        ]
+        subs = _subspaces_for_shapes([W.shape for W in params.weights], 4, master + idx)
         cores = [
             sample_core(derive_stream(StreamKey(master + idx, Role.CORE_Z, 1, l)), s.rank)
             for l, s in enumerate(subs)

@@ -143,6 +143,16 @@ def test_eval_cadence_and_test_set_size_must_be_positive(tmp_path):
     assert not (tmp_path / "run").exists()
 
 
+def test_index_sets_larger_than_the_dimension_are_refused_before_writing(tmp_path):
+    # the default batch_dims_b = 16 cannot be drawn from 3 dimensions
+    raw = {"pde": {"dim": 3}, "net": {"widths": [3, 8, 1]}, "steps": 2}
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({**raw, "out_dir": str(tmp_path / "run")}))
+    with pytest.raises(ConfigError, match="sdze.batch_dims_b"):
+        cli.main(["train", "--config", str(cfg_path)])
+    assert not (tmp_path / "run").exists()
+
+
 def test_widths_must_start_with_pde_dim(tmp_path):
     raw = tiny_config(tmp_path, net={"widths": [4, 6, 1]})
     with pytest.raises(ConfigError, match="net.widths"):

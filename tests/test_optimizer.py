@@ -113,7 +113,7 @@ def test_zero_core_gives_zero_delta_and_no_update():
     subs = make_subspaces(params, cfg)
     zero = [np.zeros((s.rank, s.rank)) for s in subs]
     drawn = draw_sample(prob, SpatialSample(cfg.seed, 1, cfg.batch_B, cfg.batch_b, 6))
-    delta, lp, lm = directional_delta(params, subs, zero, prob, drawn, cfg.eps)
+    delta, lp, lm = directional_delta(params, subs, zero, prob, drawn, drawn, cfg.eps)
     assert delta == 0.0 and lp == lm
 
 
@@ -196,7 +196,7 @@ def test_richardson_eps_squared_truncation():
     drawn = draw_sample(prob, SpatialSample(cfg.seed, 1, 3, 2, 5))
     deltas = {}
     for eps in (0.08, 0.04, 0.02):
-        deltas[eps], _, _ = directional_delta(params, subs, cores, prob, drawn, eps)
+        deltas[eps], _, _ = directional_delta(params, subs, cores, prob, drawn, drawn, eps)
     top = deltas[0.08] - deltas[0.04]
     bot = deltas[0.04] - deltas[0.02]
     assert abs(bot) > 1e-8 * abs(deltas[0.02])
@@ -220,6 +220,7 @@ def test_divergence_handling_locked_vs_naive():
         params, subs, prob, dataclasses.replace(cfg, crns=False), 3, loss_fn=bad_loss
     )
     assert not np.isfinite(rec.delta_hat)  # recorded, not raised
+    assert rec.wall_ms > 0  # and timed like any other step
 
 
 def test_small_scale_variance_blowup_of_unlocked_mode():
@@ -304,9 +305,10 @@ def test_directional_delta_equals_per_sign_draws_bitwise(locked, dtype, kind):
     for t in (1, 2):
         sample = SpatialSample(cfg.seed, t, cfg.batch_B, cfg.batch_b, 6)
         cores = cores_at(cfg, subs, t)
+        plus = draw_sample(prob, sample)
+        minus = plus if locked else draw_sample(prob, sample.unlocked(), batch=plus)
         got = directional_delta(
-            params, subs, cores, prob, draw_sample(prob, sample), cfg.eps,
-            locked=locked, dtype=dtype,
+            params, subs, cores, prob, plus, minus, cfg.eps, dtype=dtype
         )
         assert got == per_sign_delta(params, subs, cores, prob, sample, cfg.eps, locked, dtype)
         assert got[1] != got[2]
@@ -378,6 +380,6 @@ def test_sweep_draws_its_pinned_batch_once(monkeypatch):
         prob, params, rank=2, eps_list=[1e-2, 1e-3], replicates=4, B=3, b=2, master=5
     )
     assert calls["points"] == calls["rhs_eval"] == 1
-    # the pinned draw, each replicate's sets once, and the unlocked minus
-    # pass's sets once per (eps, replicate): 1 + R + E R
-    assert calls["set1"] == calls["set2"] == 1 + 4 + 2 * 4
+    # the pinned draw, then each replicate's sets and its unlocked sets once,
+    # whatever the number of eps: 1 + 2 R
+    assert calls["set1"] == calls["set2"] == 1 + 2 * 4

@@ -180,7 +180,9 @@ def test_drawn_sample_is_read_only_and_lends_only_its_own_batch():
     with pytest.raises(dataclasses.FrozenInstanceError):
         drawn.X = np.zeros((4, 6))
     # the unlocked minus pass reads the same batch with its own sets
-    other = draw_sample(prob, dataclasses.replace(s, set_replicate=1), batch=drawn)
+    assert s.unlocked().batch_key == s.batch_key
+    assert not np.array_equal(s.unlocked().set1(), s.set1())
+    other = draw_sample(prob, s.unlocked(), batch=drawn)
     assert other.X is drawn.X and other.f is drawn.f
     assert np.array_equal(other.I1, SpatialSample(3, 5, 4, 2, 6, set_replicate=1).set1())
     with pytest.raises(ValueError, match="batch"):

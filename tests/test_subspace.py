@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sdze.optimizer import SdzeConfig, make_subspaces
 from sdze.rng import Role, StreamKey, derive_stream
 from sdze.subspace import (
     BLOCK_ELEMS,
@@ -95,6 +96,33 @@ def test_lazy_update_state_machine():
     for t in range(1, 2 * F + 1):
         changed = not np.array_equal(seen[t], seen[t - 1])
         assert changed == (t % F == 0)
+
+
+def assert_same_subspace(a, b):
+    assert (a.plan, a.rank, a.last_refresh_step, a.master, a.layer) == (
+        b.plan, b.rank, b.last_refresh_step, b.master, b.layer
+    )
+    assert np.array_equal(a.U, b.U) and np.array_equal(a.V, b.V)
+
+
+@pytest.mark.parametrize("m, n, rank", [(12, 10, 3), (40, 8, 4), (128, 1, 16)])
+def test_refresh_rebuilds_the_layer_keyed_at_the_step(m, n, rank):
+    F = 4
+    state = subspace_for_layer(5, 1, m, n, rank)
+    for t in (F, 3 * F):
+        assert_same_subspace(maybe_refresh(t, F, state), subspace_for_layer(5, 1, m, n, rank, step=t))
+
+
+def test_subspaces_at_a_start_step_equal_stepping_the_refreshes():
+    F = 4
+    cfg = SdzeConfig(seed=4, widths=[12, 10, 6, 1], bias=True, rank_per_layer=[3, 2, 2], freq_F=F)
+    params = cfg.init_params()
+    stepped = make_subspaces(params, cfg)
+    for t in range(1, 2 * F + 2):
+        stepped = [maybe_refresh(t, F, s) for s in stepped]
+        if t in (F - 1, F, 2 * F + 1):
+            for a, b in zip(make_subspaces(params, cfg, start_step=t), stepped, strict=True):
+                assert_same_subspace(a, b)
 
 
 def test_sample_core_deterministic_and_scalar():
