@@ -394,10 +394,21 @@ def delta_variance(
 def run_sweep_batch(
     cfg: SdzeConfig, pairs: list[tuple[int, int]], replicates: int = 200
 ) -> list[dict]:
-    """Fixed-budget (B, b) tradeoff: estimator variance + short-run final L2."""
+    """Fixed-budget (B, b) tradeoff: estimator variance + short-run final L2.
+
+    Every pair's b must fit the dimension (index sets are drawn without
+    replacement); that is checked before any work.
+    """
     products = {B * b for B, b in pairs}
     if len(products) != 1:
         raise ValueError(f"all (B, b) pairs must share the same product, got {products}")
+    dim = cfg.widths[0]
+    too_wide = [f"{B}x{b}" for B, b in pairs if b > dim]
+    if too_wide:
+        raise ConfigError(
+            f"pair {', '.join(too_wide)}: b exceeds pde.dim = {dim}; "
+            "index sets are drawn without replacement"
+        )
     problem = cfg.make_problem()
     rows = []
     for B, b in pairs:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .net import MlpParams, PerturbView, init_mlp
+from .net import MlpParams, init_mlp, sign_views
 from .rng import Role, StreamKey, derive_stream
 from .spatial import (
     DrawnSample,
@@ -187,16 +187,15 @@ def directional_delta(
 
     The +eps pass reads ``plus`` and the -eps pass ``minus``; seed locking is
     ``minus is plus``.  The unlocked ablation passes the draw of
-    :meth:`SpatialSample.unlocked` on the same batch.
+    :meth:`SpatialSample.unlocked` on the same batch.  Both passes read one
+    :class:`~sdze.net.SignPair`, so the terms that do not depend on the sign
+    are formed once: those of the batch whenever ``minus.X is plus.X``, and
+    those of the index sets too when ``minus is plus``.
     """
     eval_loss = loss_fn if loss_fn is not None else stochastic_loss
-    np_dtype = np.dtype(DTYPES[dtype])
-    lp = eval_loss(
-        PerturbView(params, subspaces, cores, +1, eps, np_dtype), problem, plus
-    )
-    lm = eval_loss(
-        PerturbView(params, subspaces, cores, -1, eps, np_dtype), problem, minus
-    )
+    plus_view, minus_view = sign_views(params, subspaces, cores, eps, DTYPES[dtype])
+    lp = eval_loss(plus_view, problem, plus)
+    lm = eval_loss(minus_view, problem, minus)
     # the difference cancels leading digits; keep it in f64
     return (float(lp) - float(lm)) / (2.0 * eps), float(lp), float(lm)
 

@@ -24,10 +24,12 @@ from enum import IntEnum
 
 import numpy as np
 
-_M64 = np.uint64(0xFFFFFFFFFFFFFFFF)
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
+_M64 = 0xFFFFFFFFFFFFFFFF
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+# the same constants as uint64 scalars, for array arithmetic
+_GAMMA_U64, _MIX1_U64, _MIX2_U64 = (np.uint64(c) for c in (_GAMMA, _MIX1, _MIX2))
 _TO_UNIT = float(2.0**-53)
 
 
@@ -57,25 +59,25 @@ class StreamKey:
             raise ValueError("step and index must be non-negative")
 
 
-def _mix64(z: np.ndarray | np.uint64) -> np.ndarray | np.uint64:
-    # uint64 arithmetic wraps mod 2^64 by design
-    with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-        return z ^ (z >> np.uint64(31))
+def _mix64(z: np.ndarray) -> np.ndarray:
+    # uint64 array arithmetic wraps mod 2^64, without a warning
+    z = (z ^ (z >> np.uint64(30))) * _MIX1_U64
+    z = (z ^ (z >> np.uint64(27))) * _MIX2_U64
+    return z ^ (z >> np.uint64(31))
 
 
-def _absorb(h: np.uint64, field_value: int) -> np.uint64:
-    with np.errstate(over="ignore"):
-        h = h + _GAMMA * (np.uint64(field_value & 0xFFFFFFFFFFFFFFFF) + np.uint64(1))
-    return _mix64(h)
+def _mix64_int(z: int) -> int:
+    """:func:`_mix64` of one Python int, kept to 64 bits by masking."""
+    z = ((z ^ (z >> 30)) * _MIX1) & _M64
+    z = ((z ^ (z >> 27)) * _MIX2) & _M64
+    return z ^ (z >> 31)
 
 
-def _key_state(key: StreamKey) -> np.uint64:
-    h = _mix64(np.uint64(key.master & 0xFFFFFFFFFFFFFFFF) ^ _GAMMA)
-    h = _absorb(h, int(key.role))
-    h = _absorb(h, key.step)
-    h = _absorb(h, key.index)
+def _key_state(key: StreamKey) -> int:
+    # Python ints: a key costs a few microseconds, not numpy scalar arithmetic
+    h = _mix64_int((key.master & _M64) ^ _GAMMA)
+    for field_value in (int(key.role), key.step, key.index):
+        h = _mix64_int((h + _GAMMA * ((field_value & _M64) + 1)) & _M64)
     return h
 
 
@@ -84,7 +86,7 @@ class RngStream:
 
     __slots__ = ("state", "offset")
 
-    def __init__(self, state: np.uint64, offset: int = 0):
+    def __init__(self, state: int, offset: int = 0):
         self.state = np.uint64(state)
         self.offset = offset
 
@@ -92,9 +94,7 @@ class RngStream:
         """Next ``n`` raw uint64 words."""
         idx = np.arange(self.offset + 1, self.offset + n + 1, dtype=np.uint64)
         self.offset += n
-        with np.errstate(over="ignore"):
-            z = self.state + idx * _GAMMA
-        return _mix64(z)
+        return _mix64(self.state + idx * _GAMMA_U64)
 
     def uniforms(self, n: int) -> np.ndarray:
         """i.i.d. uniform float64 in [0, 1)."""

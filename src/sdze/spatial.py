@@ -247,14 +247,23 @@ class DrawnSample:
     """A :class:`SpatialSample` drawn: the batch X, f(X) and both index sets.
 
     Made by :func:`draw_sample`.  The arrays are read-only, so every loss
-    evaluation that shares the draw reads the same bits.
+    evaluation that shares the draw reads the same bits, and a network pass
+    may reuse what it formed from them.  ``dims`` holds I1 then I2, the
+    direction list of the loss's one jet sweep.
     """
 
     sample: SpatialSample
     X: np.ndarray
     f: np.ndarray
-    I1: np.ndarray
-    I2: np.ndarray
+    dims: np.ndarray
+
+    @property
+    def I1(self) -> np.ndarray:
+        return self.dims[: self.sample.b]
+
+    @property
+    def I2(self) -> np.ndarray:
+        return self.dims[self.sample.b :]
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -281,10 +290,10 @@ def draw_sample(
         )
     else:
         X, f = batch.X, batch.f
-    I1, I2 = sample.set1(), sample.set2()
+    dims = np.concatenate([sample.set1(), sample.set2()])
     if problem.alias_terms:
-        I1, I2 = np.zeros_like(I1), np.zeros_like(I2)
-    return DrawnSample(sample, X, f, _read_only(I1), _read_only(I2))
+        dims[:] = 0
+    return DrawnSample(sample, X, f, _read_only(dims))
 
 
 def sampled_operator(view, problem: PdeProblem, X: np.ndarray, I) -> np.ndarray:
@@ -312,7 +321,7 @@ def stochastic_loss(view, problem: PdeProblem, drawn: DrawnSample) -> float:
     derivatives.
     """
     I1, I2 = drawn.I1, drawn.I2
-    u, sums = view.jet_eval(drawn.X, np.concatenate([I1, I2]), [I1.size, I2.size])
+    u, sums = view.jet_eval(drawn.X, drawn.dims, [I1.size, I2.size])
     nl = problem.nonlinearity(u)
     scale = problem.n_terms
     r1 = (scale / I1.size) * sums[0] + nl - drawn.f

@@ -13,9 +13,10 @@ H @ T^-1(U Z V^T) directly from the factors via a segmented contraction (see
 the per-case comments), ``delta_rows`` extracts single rows of the implied
 perturbation (used to seed coordinate jets through the first layer without
 building one-hot tangents), and ``apply_rank_r_update`` streams the rank-r
-parameter update into W through the re-layout map in bounded blocks (the
-network also uses it to build explicitly perturbed copies of its
-d-independent layers).
+parameter update into W through the re-layout map in bounded blocks, and
+``rank_r_delta`` assigns the same blocks into a fresh array (the network's
+explicit perturbation of its d-independent layers, built once per ±eps
+pair).
 """
 
 from __future__ import annotations
@@ -249,12 +250,37 @@ def apply_rank_r_update(
     m x n temporary is created.  R is capped by ``BLOCK_ROWS`` and by
     ``BLOCK_ELEMS`` / n'.
     """
-    plan = state.plan
-    m, n = plan.orig
-    if W.shape != (m, n):
-        raise ValueError(f"W shape {W.shape} does not match plan {plan.orig}")
+    if W.shape != state.plan.orig:
+        raise ValueError(f"W shape {W.shape} does not match plan {state.plan.orig}")
     if scale == 0.0:
         return
+    _stream_blocks(W, state, Z, scale, _add_into)
+
+
+def rank_r_delta(state: LayerSubspace, Z: np.ndarray, scale: float) -> np.ndarray:
+    """``scale * T^-1(U Z V^T)`` as an m x n array, from the blocks of
+    :func:`apply_rank_r_update`.
+
+    Each cell is assigned the value that the update would add, so
+    ``W + rank_r_delta(s, Z, c)`` equals ``W`` updated in place by ``c``
+    bitwise, and ``W - rank_r_delta(s, Z, c)`` equals it updated by ``-c``.
+    """
+    out = np.empty(state.plan.orig)
+    _stream_blocks(out, state, Z, scale, np.copyto)
+    return out
+
+
+def _add_into(dst: np.ndarray, src: np.ndarray) -> None:
+    np.add(dst, src, out=dst)
+
+
+def _stream_blocks(W: np.ndarray, state: LayerSubspace, Z: np.ndarray, scale: float, put):
+    """``put(W cells, block cells)`` for every bounded block of ``scale * U Z V^T``.
+
+    Every cell of W receives exactly one block cell: T is a bijection.
+    """
+    plan = state.plan
+    m, _ = plan.orig
     U, V, k = state.U, state.V, plan.split_factor
     mp, np_ = plan.square
     rows_per_block = max(1, min(BLOCK_ROWS, mp, BLOCK_ELEMS // max(1, np_)))
@@ -263,13 +289,13 @@ def apply_rank_r_update(
         block = (U[start:stop] @ Z) @ V.T  # (R, n')
         block *= scale
         if plan.split_side == "none":
-            W[start:stop, :] += block
+            put(W[start:stop, :], block)
         elif plan.split_side == "rows":
             # cell (a, c=t+k*j) -> W[a + m'*t, j]; one strided slice per t
             for t in range(k):
-                W[start + mp * t : stop + mp * t, :] += block[:, t::k]
+                put(W[start + mp * t : stop + mp * t, :], block[:, t::k])
         else:
             # cell (a=i+m*s, c) -> W[i, c*k + s]
             for a in range(start, stop):
-                W[a % m, (a // m) :: k] += block[a - start]
+                put(W[a % m, (a // m) :: k], block[a - start])
         del block  # freed before the next block is formed: one block live

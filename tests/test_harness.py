@@ -397,6 +397,17 @@ def test_cli_sweep_batch(tmp_path):
     assert len(lines) == 2 + 3
 
 
+def test_cli_sweep_batch_rejects_b_above_dim_before_any_work(tmp_path):
+    raw = tiny_config(tmp_path, steps=2, out_dir=str(tmp_path / "sw"))
+    raw["pde"]["dim"] = 3
+    raw["net"]["widths"] = [3, 6, 1]
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(raw))
+    with pytest.raises(ConfigError, match=r"pair 2x4: b exceeds pde.dim = 3"):
+        cli.main(["sweep-batch", "--config", str(cfg_path), "--pairs", "2x4,4x2"])
+    assert not (tmp_path / "sw").exists()
+
+
 def test_cli_ablate_crns_sweeps_the_configured_net(tmp_path, monkeypatch):
     seen = {}
 

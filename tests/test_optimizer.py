@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from sdze import spatial
+from sdze import net, spatial
 from sdze.net import MlpParams, PerturbView, init_mlp
 from sdze.optimizer import (
     DTYPES,
@@ -295,23 +295,46 @@ def per_sign_delta(params, subs, cores, problem, sample, eps, locked, dtype="f64
 @pytest.mark.parametrize("dtype", ["f64", "f32"])
 @pytest.mark.parametrize("kind", ["allen_cahn", "alias_terms"])
 def test_directional_delta_equals_per_sign_draws_bitwise(locked, dtype, kind):
-    cfg = small_cfg(widths=[6, 8, 8, 1], bias=True, batch_B=5, batch_b=3, dtype=dtype)
-    if kind == "alias_terms":
-        prob = PdeProblem(6, "none", "two_body", np.linspace(-1.0, 1.0, 5), alias_terms=True)
-    else:
-        prob = make_problem(kind, 6, "two_body", cfg.seed)
+    # a bias network with unsplit / rows-split layers, and a no-bias one whose
+    # 4 x 12 hidden layer splits by columns
+    for widths, bias in (([6, 8, 8, 1], True), ([6, 4, 12, 1], False)):
+        cfg = small_cfg(widths=widths, bias=bias, batch_B=5, batch_b=3, dtype=dtype)
+        if kind == "alias_terms":
+            prob = PdeProblem(6, "none", "two_body", np.linspace(-1.0, 1.0, 5), alias_terms=True)
+        else:
+            prob = make_problem(kind, 6, "two_body", cfg.seed)
+        params = cfg.init_params()
+        subs = make_subspaces(params, cfg)
+        for t in (1, 2):
+            sample = SpatialSample(cfg.seed, t, cfg.batch_B, cfg.batch_b, 6)
+            cores = cores_at(cfg, subs, t)
+            plus = draw_sample(prob, sample)
+            minus = plus if locked else draw_sample(prob, sample.unlocked(), batch=plus)
+            got = directional_delta(
+                params, subs, cores, prob, plus, minus, cfg.eps, dtype=dtype
+            )
+            want = per_sign_delta(params, subs, cores, prob, sample, cfg.eps, locked, dtype)
+            assert got == want, widths
+            assert got[1] != got[2]
+
+
+@pytest.mark.parametrize("locked, delta_rows", [(True, 1), (False, 2)])
+def test_estimate_forms_its_sign_independent_terms_once(monkeypatch, locked, delta_rows):
+    # the input layer's implicit product is formed once per batch, its seed
+    # rows once per index-set array: both passes read one locked sample, and
+    # the unlocked minus pass shares only the batch
+    cfg = small_cfg(widths=[6, 8, 8, 1], bias=True)
+    prob = make_problem("none", 6, "two_body", cfg.seed)
     params = cfg.init_params()
     subs = make_subspaces(params, cfg)
-    for t in (1, 2):
-        sample = SpatialSample(cfg.seed, t, cfg.batch_B, cfg.batch_b, 6)
-        cores = cores_at(cfg, subs, t)
-        plus = draw_sample(prob, sample)
-        minus = plus if locked else draw_sample(prob, sample.unlocked(), batch=plus)
-        got = directional_delta(
-            params, subs, cores, prob, plus, minus, cfg.eps, dtype=dtype
-        )
-        assert got == per_sign_delta(params, subs, cores, prob, sample, cfg.eps, locked, dtype)
-        assert got[1] != got[2]
+    sample = SpatialSample(cfg.seed, 1, cfg.batch_B, cfg.batch_b, 6)
+    plus = draw_sample(prob, sample)
+    minus = plus if locked else draw_sample(prob, sample.unlocked(), batch=plus)
+    calls = Counter()
+    for name in ("perturb_product", "delta_rows"):
+        monkeypatch.setattr(net, name, counting(calls, name, getattr(net, name)))
+    directional_delta(params, subs, cores_at(cfg, subs, 1), prob, plus, minus, cfg.eps)
+    assert calls == {"perturb_product": 1, "delta_rows": delta_rows}
 
 
 def test_crns_variance_sweep_equals_a_full_draw_per_replicate():
@@ -343,20 +366,22 @@ def test_crns_variance_sweep_equals_a_full_draw_per_replicate():
     assert rows == want
 
 
+def counting(calls: Counter, name: str, fn):
+    """``fn``, counting its calls under ``name``."""
+
+    def wrapped(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return wrapped
+
+
 def count_draws(monkeypatch) -> Counter:
     """Calls of the batch draw, the rhs and the index-set draws, by name."""
     calls = Counter()
-
-    def counting(name, fn):
-        def wrapped(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapped
-
     for name in ("points", "set1", "set2"):
-        monkeypatch.setattr(SpatialSample, name, counting(name, getattr(SpatialSample, name)))
-    monkeypatch.setattr(spatial, "rhs_eval", counting("rhs_eval", spatial.rhs_eval))
+        monkeypatch.setattr(SpatialSample, name, counting(calls, name, getattr(SpatialSample, name)))
+    monkeypatch.setattr(spatial, "rhs_eval", counting(calls, "rhs_eval", spatial.rhs_eval))
     return calls
 
 

@@ -33,12 +33,30 @@ STREAM_KNOWN_ANSWERS = {
 }
 
 
+# normals(7) after raw(3), then uniforms(3), of StreamKey(7, CORE_Z, 3, 1):
+# the Box-Muller pairs start at an odd word and leave one normal unused
+NORMALS_KNOWN_ANSWER = [
+    "0x1.4dfd6e3bc0c7ap+0",
+    "0x1.d7efbf5f77f45p-1",
+    "0x1.c390b4b27dd1dp-1",
+    "-0x1.6e02fd8a0c375p+0",
+    "-0x1.8523e7167d364p-1",
+    "-0x1.df87cdd44e91dp-2",
+    "-0x1.ba0a217fbc4b9p-1",
+]
+UNIFORMS_KNOWN_ANSWER = ["0x1.1f4eb1b5ccbb8p-4", "0x1.ee90fcb79f513p-1", "0x1.81e81443578c4p-1"]
+
+
 def test_stream_keys_match_known_answers():
     assert set(STREAM_KNOWN_ANSWERS) == set(Role)
     for role, (value, w0, w1) in STREAM_KNOWN_ANSWERS.items():
         assert int(role) == value
         words = derive_stream(StreamKey(7, role, 3, 1)).raw(2)
         assert [int(w) for w in words] == [w0, w1], role.name
+    stream = derive_stream(StreamKey(7, Role.CORE_Z, 3, 1))
+    stream.raw(3)
+    assert [float(x).hex() for x in stream.normals(7)] == NORMALS_KNOWN_ANSWER
+    assert [float(x).hex() for x in stream.uniforms(3)] == UNIFORMS_KNOWN_ANSWER
 
 
 def test_step_change_decorrelates():
