@@ -7,7 +7,7 @@ theory-verification harness.
 
 __version__ = "0.1.0"
 
-from .net import MlpParams, PerturbView, ansatz, forward, init_mlp, jet_forward, plain_view
+from .net import MlpParams, PerturbView, ansatz, forward, init_mlp, jet_sums, plain_view
 from .optimizer import (
     SdzeConfig,
     StepRecord,
@@ -64,7 +64,7 @@ __all__ = [
     "forward",
     "gaussian_matrix",
     "init_mlp",
-    "jet_forward",
+    "jet_sums",
     "lr_schedule",
     "make_problem",
     "maybe_refresh",

@@ -16,12 +16,12 @@ Forward modes:
   perturbed explicitly: E_l = eps T^-1(U Z V^T) is built once by the bounded
   streaming blocks of the update, and each sign multiplies W_l +/- E_l,
   cast once to the step dtype,
-* jets along coordinate directions for the loss: one first-order plane per
-  direction and one *summed* second-order plane per index set, which is all
-  the sampled operator reads.  The input layer seeds directions by row
-  extraction (``delta_rows`` for the implicit perturbation) instead of
-  one-hot tangents.  Per-direction second derivatives are the same sweep
-  with singleton sets.
+* jets along coordinate directions for the loss (:func:`jet_sums`): one
+  first-order plane per direction and one *summed* second-order plane per
+  index set, which is all the sampled operator reads.  The input layer
+  seeds directions by row extraction (``delta_rows`` for the implicit
+  perturbation) instead of one-hot tangents.  Per-direction second
+  derivatives are the same sweep with singleton sets.
 
 The +eps and -eps views of one estimate (:func:`sign_views`) read one
 :class:`SignPair`, which forms everything that does not depend on the sign
@@ -36,9 +36,8 @@ W + (-E) = W - E.  Batch terms are reused when the -eps pass reads the same
 read-only X, index-set terms when it also reads the same read-only index
 array (a seed-locked sample).  A view built on its own reads a pair of one.
 
-All jet code lives here: the activation derivatives and the :class:`Jet2`
-planes that :func:`jet_forward` returns.  The maximum order is 2, the order
-of every supported operator.
+All jet code lives here, and :func:`jet_sums` is its one entry point.  The
+maximum order is 2, the order of every supported operator.
 """
 
 from __future__ import annotations
@@ -71,19 +70,6 @@ def activation_triple(act: str, scale: float = 1.0):
 
         return f, f1, f2
     raise ValueError(f"unknown activation tag: {act!r}")
-
-
-@dataclass
-class Jet2:
-    """Truncated second-order directional Taylor coefficients.
-
-    ``value`` has shape ``(B,)``; ``d1`` and ``d2`` carry a leading direction
-    axis, shape ``(k, B)`` for ``k`` directions.
-    """
-
-    value: np.ndarray
-    d1: np.ndarray
-    d2: np.ndarray
 
 
 @dataclass
@@ -430,42 +416,21 @@ def _raw_jets(view: PerturbView, pair: SignPair, batch: _Batch, rows: _Rows, sta
     return value[:, 0], g1, g2
 
 
-def _ansatz_terms(view: PerturbView, X: np.ndarray, dims, sizes):
-    """phi, X[:, dims].T, the raw jets and the set starts of one sweep."""
+def jet_sums(view: PerturbView, X: np.ndarray, dims, sizes) -> tuple[np.ndarray, np.ndarray]:
+    """Ansatz values and, per index set, the sum of pure second derivatives.
+
+    ``dims`` is split into consecutive index sets of ``sizes``.  With g the
+    raw network and phi = 1 - ||x||^2, over a set I (repeated indices
+    counted with multiplicity):
+    sum_{i in I} d2u/dx_i^2 = phi sum g''_i - 4 sum x_i g'_i - 2 |I| g.
+    Returns u (B,) and the sums (len(sizes), B).
+    """
     pair = view.shared()
     batch = pair.batch(np.atleast_2d(np.asarray(X)))
     rows = pair.rows(batch, np.asarray(dims, dtype=np.int64))
     starts = set_starts(sizes, rows.dims.size)
     g, g1, g2 = _raw_jets(view, pair, batch, rows, starts)
-    return batch.phi, rows.xi, g, g1, g2, starts
-
-
-def jet_sums(view: PerturbView, X: np.ndarray, dims, sizes) -> tuple[np.ndarray, np.ndarray]:
-    """Ansatz values and, per index set, the sum of pure second derivatives.
-
-    With g the raw network and phi = 1 - ||x||^2, over a set I (repeated
-    indices counted with multiplicity):
-    sum_{i in I} d2u/dx_i^2 = phi sum g''_i - 4 sum x_i g'_i - 2 |I| g.
-    Returns u (B,) and the sums (len(sizes), B).
-    """
-    phi, xi, g, g1, g2, starts = _ansatz_terms(view, X, dims, sizes)
     sizes = np.asarray(sizes, dtype=np.int64)
-    xg1 = np.add.reduceat(xi * g1, starts, axis=0)
-    sums = phi * g2 - 4.0 * xg1 - 2.0 * sizes[:, None] * g
-    u = phi * g
-    return u, sums
-
-
-def jet_forward(view: PerturbView, X: np.ndarray, dims: np.ndarray) -> Jet2:
-    """Order-2 jets of the *ansatz* along each coordinate direction.
-
-    The same sweep as :func:`jet_sums` with one singleton set per direction:
-    u = phi g,  du_i = phi g'_i - 2 x_i g,  d2u_i = phi g''_i - 4 x_i g'_i - 2 g.
-    Returns planes value (B,), d1/d2 (b, B).
-    """
-    n = np.asarray(dims).size
-    phi, xi, g, g1, g2, _ = _ansatz_terms(view, X, dims, np.ones(n, dtype=np.int64))
-    u = phi * g
-    du = phi * g1 - 2.0 * xi * g
-    d2u = phi * g2 - 4.0 * xi * g1 - 2.0 * g
-    return Jet2(u, du, d2u)
+    xg1 = np.add.reduceat(rows.xi * g1, starts, axis=0)
+    sums = batch.phi * g2 - 4.0 * xg1 - 2.0 * sizes[:, None] * g
+    return batch.phi * g, sums

@@ -126,20 +126,14 @@ def gaussian_matrix(stream: RngStream, rows: int, cols: int) -> np.ndarray:
     return stream.normals(rows * cols).reshape(rows, cols)
 
 
-def sample_index_set(
-    stream: RngStream, n_total: int, k: int, with_replacement: bool = False
-) -> np.ndarray:
-    """Ordered list of ``k`` indices from ``{0..n_total-1}``.
+def sample_index_set(stream: RngStream, n_total: int, k: int) -> np.ndarray:
+    """Ordered list of ``k`` distinct indices from ``{0..n_total-1}``.
 
-    Without replacement: partial Fisher-Yates shuffle driven by ``k`` uniform
-    draws, every k-subset equiprobable.  With replacement: ``k`` i.i.d.
-    uniform indices (the convention of the variance-law enumeration).
+    Partial Fisher-Yates shuffle driven by ``k`` uniform draws, every
+    k-subset equiprobable.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if with_replacement:
-        u = stream.uniforms(k)
-        return np.minimum((u * n_total).astype(np.int64), n_total - 1)
     if k > n_total:
         raise ValueError(f"cannot draw {k} of {n_total} without replacement")
     u = stream.uniforms(k)

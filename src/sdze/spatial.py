@@ -38,9 +38,6 @@ class PdeProblem:
     solution: str
     coeffs: np.ndarray
     normalization: str = "dim_normalized"
-    # degenerate construction for variance studies: every term aliases the
-    # first coordinate's second derivative (zero term-to-term variance)
-    alias_terms: bool = False
 
     def __post_init__(self):
         if self.kind not in NONLINEARITIES:
@@ -278,8 +275,7 @@ def draw_sample(
 
     ``batch``, a draw with the same :attr:`SpatialSample.batch_key`, lends its
     X and f, so only the index sets are drawn: the unlocked minus pass and
-    the replicates of a pinned batch share one batch this way.  An
-    ``alias_terms`` problem has every index replaced by 0.
+    the replicates of a pinned batch share one batch this way.
     """
     if batch is None:
         X = _read_only(sample.points())
@@ -291,41 +287,34 @@ def draw_sample(
     else:
         X, f = batch.X, batch.f
     dims = np.concatenate([sample.set1(), sample.set2()])
-    if problem.alias_terms:
-        dims[:] = 0
     return DrawnSample(sample, X, f, _read_only(dims))
 
 
-def sampled_operator(view, problem: PdeProblem, X: np.ndarray, I) -> np.ndarray:
-    """(N_L/|I|) * sum_{i in I} d2u/dx_i^2 + nonlinearity(u), per point.
+def sampled_operator(view, problem: PdeProblem, X: np.ndarray, dims, sizes) -> np.ndarray:
+    """(N_L/|I|) * sum_{i in I} d2u/dx_i^2 + nonlinearity(u), one row per index set.
 
-    Only the differential part is subsampled; repeated indices (allowed by
-    with-replacement draws in the theory checks) count with multiplicity.
+    ``dims`` is split into consecutive index sets of ``sizes``, and every set
+    is read off one jet sweep (one primal pass).  Only the differential part
+    is subsampled; a repeated index counts with multiplicity.  Returns shape
+    (len(sizes), B).  Each set's scale N_L/|I| is rounded to the dtype of the
+    view's sums, as a Python float would be, so it never widens them.
     """
-    I = np.asarray(I, dtype=np.int64)
-    if I.size == 0:
-        raise ValueError("index set must be non-empty")
-    if problem.alias_terms:
-        I = np.zeros_like(I)
-    u, sums = view.jet_eval(np.atleast_2d(X), I, [I.size])
-    return (problem.n_terms / I.size) * sums[0] + problem.nonlinearity(u)
+    u, sums = view.jet_eval(X, dims, sizes)
+    scale = np.array([problem.n_terms / k for k in sizes], dtype=sums.dtype)
+    return scale[:, None] * sums + problem.nonlinearity(u)
 
 
 def stochastic_loss(view, problem: PdeProblem, drawn: DrawnSample) -> float:
     """Doubly-sampled scalar residual loss over a drawn batch; only reads ``drawn``.
 
     (1 / (2 B kappa)) * sum_n (op_{I1}(x_n) - f(x_n)) (op_{I2}(x_n) - f(x_n)),
-    with f evaluated in full closed form when the sample was drawn.  The two
-    operator evaluations share one jet sweep (one primal pass) over the
-    concatenated direction sets, which returns each set's summed second
-    derivatives.
+    with f evaluated in full closed form when the sample was drawn.  Both
+    operators come from one :func:`sampled_operator` sweep over
+    ``drawn.dims``, passed as is so a pass may reuse what another formed
+    from the same read-only array.
     """
-    I1, I2 = drawn.I1, drawn.I2
-    u, sums = view.jet_eval(drawn.X, drawn.dims, [I1.size, I2.size])
-    nl = problem.nonlinearity(u)
-    scale = problem.n_terms
-    r1 = (scale / I1.size) * sums[0] + nl - drawn.f
-    r2 = (scale / I2.size) * sums[1] + nl - drawn.f
+    sizes = [drawn.I1.size, drawn.I2.size]
+    r1, r2 = sampled_operator(view, problem, drawn.X, drawn.dims, sizes) - drawn.f
     return float(np.dot(r1, r2) / (2.0 * drawn.sample.B * problem.kappa))
 
 

@@ -18,12 +18,12 @@ from itertools import product
 import numpy as np
 
 from .net import (
+    JET_CHUNK,
     MlpParams,
     PerturbView,
     activation_triple,
     ansatz,
     init_mlp,
-    jet_forward,
     jet_sums,
     plain_view,
 )
@@ -72,18 +72,23 @@ def explicit_forward(
     sign: int = 0,
     eps: float = 0.0,
 ) -> np.ndarray:
-    """Dense forward with explicitly perturbed weights."""
+    """Dense forward with explicitly perturbed weights.
+
+    With the bias extension every layer input gets a constant-1 column.
+    """
     f = activation_triple(params.activation, params.act_scale)[0]
     H = X
     for l, W in enumerate(params.weights):
         Wp = W if sign == 0 else W + sign * eps * deltas[l]
+        if params.bias:
+            H = np.hstack([H, np.ones((len(H), 1))])
         H = H @ Wp
         if l < params.depth - 1:
             H = f(H)
     return H
 
 
-def explicit_jet_forward(
+def explicit_jets(
     params: MlpParams,
     X: np.ndarray,
     dims,
@@ -94,14 +99,13 @@ def explicit_jet_forward(
     """Dense order-2 jets of the hardened ansatz with one-hot seeds.
 
     With the bias extension every layer input gets a constant-1 column (zero
-    in the tangent planes).  Returns (u, d1, d2) with d1/d2 of shape
-    (len(dims), B).
+    in the tangent planes).  Returns u (B,) and the pure second derivatives
+    d2u/dx_i^2, shape (len(dims), B).
     """
     f, f1, f2 = activation_triple(params.activation, params.act_scale)
     X = np.atleast_2d(X)
     B = X.shape[0]
     dims = np.asarray(dims, dtype=np.int64)
-    d1_out = np.empty((dims.size, B))
     d2_out = np.empty((dims.size, B))
     u_out = None
     for j, i in enumerate(dims):
@@ -123,9 +127,8 @@ def explicit_jet_forward(
         phi = 1.0 - (X * X).sum(axis=1)
         xi = X[:, i]
         u_out = phi * g
-        d1_out[j] = phi * g1 - 2.0 * xi * g
         d2_out[j] = phi * g2 - 4.0 * xi * g1 - 2.0 * g
-    return u_out, d1_out, d2_out
+    return u_out, d2_out
 
 
 def flatten_params(params: MlpParams) -> np.ndarray:
@@ -544,36 +547,39 @@ def crns_variance_sweep(
 
 
 def jets_suite(master: int = 0) -> list[IdentityReport]:
-    """Jet coefficients vs central differences; manufactured-solution residual."""
+    """Summed second derivatives vs central differences; manufactured residual.
+
+    The jet sweep runs on the loss's set structure: one set longer than
+    ``JET_CHUNK`` with repeated indices, so it spans two blocks, and one
+    singleton.  Each set's sum must match the summed central second
+    differences, repeats counted with multiplicity.
+    """
     reports = []
     rng_key = StreamKey(master, Role.TEST_POINTS, 0, 0)
+    h = 1e-4
     for widths, act in [([5, 8, 1], "sin"), ([7, 6, 6, 1], "tanh_scaled"), ([3, 10, 1], "sin")]:
-        params = init_mlp(widths, act, master)
+        view = plain_view(init_mlp(widths, act, master))
         d = widths[0]
         X = sample_unit_ball(derive_stream(rng_key), 6, d) * 0.9
-        dims = np.arange(d)
-        J = jet_forward(plain_view(params), X, dims)
-        worst = 0.0
-        h = 1e-4
-        for j, i in enumerate(dims):
+        long_set = np.arange(JET_CHUNK + 4) % d
+        dims = np.concatenate([long_set, [d // 2]])
+        _, sums = jet_sums(view, X, dims, [long_set.size, 1])
+        u0 = ansatz(view, X)[:, 0]
+        fd2 = np.empty((d, X.shape[0]))
+        for i in range(d):
             e = np.zeros(d)
             e[i] = h
-            up = ansatz(plain_view(params), X + e)[:, 0]
-            um = ansatz(plain_view(params), X - e)[:, 0]
-            u0 = ansatz(plain_view(params), X)[:, 0]
-            fd1 = (up - um) / (2 * h)
-            fd2 = (up - 2 * u0 + um) / h**2
-            worst = max(
-                worst,
-                float(np.max(np.abs(J.d1[j] - fd1)) / np.max(np.abs(fd1))),
-                float(np.max(np.abs(J.d2[j] - fd2)) / np.max(np.abs(fd2))),
-            )
+            fd2[i] = (ansatz(view, X + e)[:, 0] - 2 * u0 + ansatz(view, X - e)[:, 0]) / h**2
+        worst = max(
+            float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+            for got, want in ((sums[0], fd2[long_set].sum(axis=0)), (sums[1], fd2[d // 2]))
+        )
         reports.append(
             IdentityReport(
                 f"jet_vs_fd_{'x'.join(map(str, widths))}_{act}",
                 0.0,
                 worst,
-                6 * d,
+                X.shape[0] * dims.size,
                 worst,
                 worst <= 1e-6,
             )
@@ -583,7 +589,7 @@ def jets_suite(master: int = 0) -> list[IdentityReport]:
         problem = make_problem(kind, d, sol, master)
         ev = ExactSolutionView(problem)
         X = sample_unit_ball(derive_stream(StreamKey(master, Role.TEST_POINTS, 1, 0)), 200, d)
-        resid = sampled_operator(ev, problem, X, np.arange(d)) - rhs_eval(problem, X)
+        resid = sampled_operator(ev, problem, X, np.arange(d), [d])[0] - rhs_eval(problem, X)
         dev = float(np.max(np.abs(resid)))
         reports.append(
             IdentityReport(
@@ -594,12 +600,13 @@ def jets_suite(master: int = 0) -> list[IdentityReport]:
 
 
 def implicit_suite(master: int = 0, n_cases: int = 20) -> list[IdentityReport]:
-    """Implicit perturbed forward and jets vs the dense explicit oracle.
+    """Implicit perturbed forward and jet sums vs the dense explicit oracle.
 
     Random layer shapes (k > 1 splits on both sides included), random ranks,
-    random cores; the relative difference on the values, every jet plane and
-    the summed second-order planes of two index sets (one with a repeated
-    index, overlapping the other) must stay within 1e-10.
+    random cores.  One jet sweep reads a singleton set per direction, a set
+    with a repeated index and a set overlapping it.  The relative difference
+    on the forward values, the jet values, the per-direction second
+    derivatives and the two set sums must stay within 1e-10.
     """
     fixed = [(6, 5), (40, 8), (8, 40), (128, 1), (7, 3), (12, 12)]
     stream = derive_stream(StreamKey(master, Role.CORE_Z, 0, 99))
@@ -632,13 +639,13 @@ def implicit_suite(master: int = 0, n_cases: int = 20) -> list[IdentityReport]:
             phi = 1.0 - (X * X).sum(axis=1)
             want = phi * explicit_forward(params, X, deltas, sign, 0.31)[:, 0]
             worst = max(worst, float(np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300)))
-            J = jet_forward(view, X, dims)
-            u_o, d1_o, d2_o = explicit_jet_forward(params, X, dims, deltas, sign, 0.31)
-            # sets (dims, dims[0]) and dims: a repeat, and overlap between sets
-            set_dims = np.concatenate([dims, dims[:1], dims])
-            _, sums = jet_sums(view, X, set_dims, [dims.size + 1, dims.size])
+            u_o, d2_o = explicit_jets(params, X, dims, deltas, sign, 0.31)
+            # singletons, then (dims, dims[0]) and dims: a repeat, and overlap
+            n = dims.size
+            set_dims = np.concatenate([dims, dims, dims[:1], dims])
+            u, sums = jet_sums(view, X, set_dims, [1] * n + [n + 1, n])
             sums_o = np.stack([d2_o.sum(axis=0) + d2_o[0], d2_o.sum(axis=0)])
-            pairs = ((J.value, u_o), (J.d1, d1_o), (J.d2, d2_o), (sums, sums_o))
+            pairs = ((u, u_o), (sums[:n], d2_o), (sums[n:], sums_o))
             for got_p, want_p in pairs:
                 denom = max(float(np.max(np.abs(want_p))), 1e-300)
                 worst = max(worst, float(np.max(np.abs(got_p - want_p))) / denom)

@@ -341,19 +341,6 @@ def test_batch_sweep_requires_constant_product(tmp_path):
     assert all(r["delta_variance"] >= 0 for r in rows)
 
 
-def test_batch_sweep_zero_term_variance_prefers_points(tmp_path):
-    # all operator terms aliased: the point-heavy split has minimal variance
-    import dataclasses
-
-    cfg = config_from_dict(tiny_config(tmp_path, steps=2))
-    problem = dataclasses.replace(cfg.make_problem(), alias_terms=True)
-    from sdze.harness import delta_variance
-
-    pairs = [(4, 1), (2, 2), (1, 4)]
-    variances = {(B, b): delta_variance(cfg, problem, B, b, replicates=150) for B, b in pairs}
-    assert variances[(4, 1)] == min(variances.values())
-
-
 def test_write_csv_header(tmp_path):
     path = tmp_path / "out.csv"
     write_csv(path, [{"a": 1, "b": 2.5}], seed=7, config_hash="deadbeef0123")
@@ -372,6 +359,20 @@ def test_cli_train_and_verify(tmp_path):
     assert rc == 0
     assert (tmp_path / "v/unbiasedness.csv").exists()
     assert (tmp_path / "v/unbiasedness.json").exists()
+
+
+@pytest.mark.parametrize("suite", ["jets", "implicit"])
+def test_cli_verify_jet_suites(tmp_path, suite):
+    rc = cli.main(["verify", "--suite", suite, "--out", str(tmp_path / "v")])
+    assert rc == 0
+    assert (tmp_path / f"v/{suite}.csv").exists()
+    assert json.loads((tmp_path / f"v/{suite}.json").read_text())["suite"] == suite
+
+
+def test_every_public_name_resolves():
+    import sdze
+
+    assert [name for name in sdze.__all__ if not hasattr(sdze, name)] == []
 
 
 def test_cli_seed_override(tmp_path):

@@ -18,7 +18,7 @@ from sdze.optimizer import (
     train,
 )
 from sdze.rng import Role, StreamKey, derive_stream
-from sdze.spatial import PdeProblem, SpatialSample, draw_sample, make_problem, rhs_eval
+from sdze.spatial import SpatialSample, draw_sample, make_problem, rhs_eval
 from sdze.subspace import sample_core, subspace_for_layer
 from sdze.verify import crns_variance_sweep, explicit_delta_w, flatten_params
 
@@ -135,8 +135,9 @@ def test_pinn_delta_matches_explicit_materialization():
         view = plain_view(MlpParams(weights, "sin"))
         X = sample.points()
         f = rhs_eval(prob, X)
-        r1 = sampled_operator(view, prob, X, sample.set1()) - f
-        r2 = sampled_operator(view, prob, X, sample.set2()) - f
+        I1, I2 = sample.set1(), sample.set2()
+        ops = sampled_operator(view, prob, X, np.concatenate([I1, I2]), [I1.size, I2.size])
+        r1, r2 = ops - f
         return float(r1 @ r2 / (2 * sample.B * prob.kappa))
 
     lp = explicit_loss([W + cfg.eps * D for W, D in zip(params.weights, deltas)])
@@ -272,8 +273,6 @@ def per_sign_loss(view, problem, sample):
     """The loss as each pass once computed it, from its own fresh draw of ``sample``."""
     X = sample.points()
     I1, I2 = sample.set1(), sample.set2()
-    if problem.alias_terms:
-        I1, I2 = np.zeros_like(I1), np.zeros_like(I2)
     u, sums = view.jet_eval(X, np.concatenate([I1, I2]), [I1.size, I2.size])
     nl = problem.nonlinearity(u)
     f = rhs_eval(problem, X)
@@ -293,16 +292,13 @@ def per_sign_delta(params, subs, cores, problem, sample, eps, locked, dtype="f64
 
 @pytest.mark.parametrize("locked", [True, False])
 @pytest.mark.parametrize("dtype", ["f64", "f32"])
-@pytest.mark.parametrize("kind", ["allen_cahn", "alias_terms"])
+@pytest.mark.parametrize("kind", ["allen_cahn"])
 def test_directional_delta_equals_per_sign_draws_bitwise(locked, dtype, kind):
     # a bias network with unsplit / rows-split layers, and a no-bias one whose
     # 4 x 12 hidden layer splits by columns
     for widths, bias in (([6, 8, 8, 1], True), ([6, 4, 12, 1], False)):
         cfg = small_cfg(widths=widths, bias=bias, batch_B=5, batch_b=3, dtype=dtype)
-        if kind == "alias_terms":
-            prob = PdeProblem(6, "none", "two_body", np.linspace(-1.0, 1.0, 5), alias_terms=True)
-        else:
-            prob = make_problem(kind, 6, "two_body", cfg.seed)
+        prob = make_problem(kind, 6, "two_body", cfg.seed)
         params = cfg.init_params()
         subs = make_subspaces(params, cfg)
         for t in (1, 2):

@@ -143,11 +143,6 @@ def test_index_set_too_large_without_replacement():
         sample_index_set(derive_stream(key()), 3, 4)
 
 
-def test_index_set_with_replacement_range():
-    s = sample_index_set(derive_stream(key(step=2)), 5, 40, with_replacement=True)
-    assert s.min() >= 0 and s.max() < 5 and len(s) == 40
-
-
 def test_negative_key_fields_rejected():
     with pytest.raises(ValueError):
         StreamKey(1, Role.CORE_Z, -1, 0)

@@ -86,7 +86,7 @@ def test_manufactured_solution_consistency(kind, solution, d):
     prob = make_problem(kind, d, solution, 77)
     ev = ExactSolutionView(prob)
     X = sample_unit_ball(derive_stream(TEST_KEY), 200, d)
-    resid = sampled_operator(ev, prob, X, np.arange(d)) - rhs_eval(prob, X)
+    resid = sampled_operator(ev, prob, X, np.arange(d), [d])[0] - rhs_eval(prob, X)
     assert np.abs(resid).max() <= 1e-10
 
 
@@ -97,10 +97,24 @@ def test_sampled_operator_scaling_single_dim():
     X = sample_unit_ball(derive_stream(TEST_KEY), 6, 4)
     u, sums = view.jet_eval(X, np.array([2]), [1])
     want = 4.0 * sums[0] + (u - u**3)
-    got = sampled_operator(view, prob, X, [2])
-    assert np.allclose(got, want, rtol=1e-14)
+    got = sampled_operator(view, prob, X, [2], [1])
+    assert got.shape == (1, 6)
+    assert np.allclose(got[0], want, rtol=1e-14)
     with pytest.raises(ValueError):
-        sampled_operator(view, prob, X, [])
+        sampled_operator(view, prob, X, [], [0])
+
+
+def test_sampled_operator_keeps_the_view_dtype():
+    # numpy set sizes must not widen an f32 operator through the scale
+    class F32View:
+        def jet_eval(self, X, dims, sizes):
+            return np.ones(len(X), np.float32), np.ones((len(sizes), len(X)), np.float32)
+
+    prob = make_problem("none", 4, "two_body", 5)
+    X = np.zeros((3, 4))
+    got = sampled_operator(F32View(), prob, X, [0, 1, 3], np.array([2, 1]))
+    assert got.dtype == np.float32
+    assert np.array_equal(got, np.array([[2.0] * 3, [4.0] * 3], np.float32))
 
 
 def test_operator_unbiasedness_by_enumeration():
@@ -108,10 +122,9 @@ def test_operator_unbiasedness_by_enumeration():
     net = init_mlp([3, 4, 1], "sin", 9)
     view = plain_view(net)
     X = sample_unit_ball(derive_stream(TEST_KEY), 10, 3)
-    full = sampled_operator(view, prob, X, np.arange(3))
-    mean_single = np.mean(
-        [sampled_operator(view, prob, X, [i]) for i in range(3)], axis=0
-    )
+    # the full set and the three singletons, one row each from one sweep
+    ops = sampled_operator(view, prob, X, [0, 1, 2, 0, 1, 2], [3, 1, 1, 1])
+    full, mean_single = ops[0], ops[1:].mean(axis=0)
     assert np.abs(full - mean_single).max() <= 1e-12 * max(1, np.abs(full).max())
 
 
@@ -121,7 +134,7 @@ def test_loss_full_sampling_identity():
     sample = SpatialSample(master=8, step=1, B=5, b=3, d=3)
     got = stochastic_loss(plain_view(net), prob, draw_sample(prob, sample))
     X = sample.points()
-    r = sampled_operator(plain_view(net), prob, X, np.arange(3)) - rhs_eval(prob, X)
+    r = sampled_operator(plain_view(net), prob, X, np.arange(3), [3])[0] - rhs_eval(prob, X)
     assert np.isclose(got, float(r @ r) / (2 * 5), rtol=1e-12)
 
 
@@ -148,13 +161,11 @@ def test_loss_unbiasedness_enumeration_d3():
     view = plain_view(net)
     X = sample_unit_ball(derive_stream(TEST_KEY), 1, 3)
     f = rhs_eval(prob, X)
-    res_full = sampled_operator(view, prob, X, np.arange(3)) - f
-    exact = float(res_full @ res_full) / 2.0
+    res = sampled_operator(view, prob, X, [0, 1, 2, 0, 1, 2], [3, 1, 1, 1]) - f
+    exact = float(res[0] @ res[0]) / 2.0
     acc = 0.0
     for i, j in product(range(3), repeat=2):
-        r1 = sampled_operator(view, prob, X, [i]) - f
-        r2 = sampled_operator(view, prob, X, [j]) - f
-        acc += float(r1 @ r2) / 2.0
+        acc += float(res[1 + i] @ res[1 + j]) / 2.0
     assert abs(acc / 9.0 - exact) <= 1e-12 * max(1.0, abs(exact))
 
 
@@ -231,13 +242,3 @@ def test_relative_l2_trivials_and_hand_value():
     finally:
         sp.exact_solution = orig
     assert np.isclose(got, np.sqrt(0.5), rtol=1e-15)
-
-
-def test_aliased_terms_construction():
-    prob = PdeProblem(4, "none", "two_body", np.array([1.0, 1.0, 1.0]), alias_terms=True)
-    net = init_mlp([4, 5, 1], "sin", 9)
-    view = plain_view(net)
-    X = sample_unit_ball(derive_stream(TEST_KEY), 4, 4)
-    a = sampled_operator(view, prob, X, [2])
-    b = sampled_operator(view, prob, X, [0])
-    assert np.array_equal(a, b)
