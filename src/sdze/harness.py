@@ -110,6 +110,14 @@ def _typed(kind: str, value):
     return None
 
 
+def _int_list(value) -> list[int] | None:
+    """``value`` as a list of integers >= 1, or None if it is not one."""
+    if not isinstance(value, list):
+        return None
+    items = [_typed("int", v) for v in value]
+    return items if all(v is not None and v >= 1 for v in items) else None
+
+
 def config_from_dict(raw: dict) -> SdzeConfig:
     """Validate a JSON config and resolve it; raises :class:`ConfigError`."""
     leaves: dict = {}
@@ -122,6 +130,10 @@ def config_from_dict(raw: dict) -> SdzeConfig:
             leaves[path] = _typed(kind, value)  # None marks a reported key
             if leaves[path] is None:
                 errors.append(f"{path} must be {_SCALARS[kind]}, got {value!r}")
+        elif value is not None:  # a list field; null takes the default
+            leaves[path] = _int_list(value)
+            if leaves[path] is None:
+                errors.append(f"{path} must be a list of integers >= 1, got {value!r}")
     if "pde.dim" not in leaves:
         errors.append("missing key: pde.dim")
     elif leaves["pde.dim"] is not None:
@@ -385,7 +397,7 @@ def delta_variance(
     for k in range(1, replicates + 1):
         drawn = draw_sample(problem, SpatialSample(cfg.seed, k, B, b, problem.dim))
         delta, _, _ = directional_delta(
-            params, subspaces, cores, problem, drawn, drawn, cfg.eps
+            params, subspaces, cores, problem, drawn, drawn, cfg.eps, dtype=cfg.dtype
         )
         deltas.append(delta)
     return float(np.var(np.asarray(deltas), ddof=1))

@@ -38,6 +38,15 @@ array (a seed-locked sample).  A view built on its own reads a pair of one.
 
 All jet code lives here, and :func:`jet_sums` is its one entry point.  The
 maximum order is 2, the order of every supported operator.
+
+Precision contract.  A view's ``dtype`` (the step dtype, f32 or f64) is the
+dtype of the raw network: the input-layer products, the weights each sweep
+multiplies, every activation and tangent plane of :func:`_raw_jets` and the
+values of :func:`forward`.  The ansatz is assembled in f64: phi is formed
+from the f64 batch and promotes what it multiplies, so the values and set
+sums of :func:`jet_sums`, and with them the sampled operator and the loss,
+are f64 computed from step-dtype planes.  That costs B values per set and
+keeps the residual op - f, whose f is f64, out of f32 arithmetic.
 """
 
 from __future__ import annotations

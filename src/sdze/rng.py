@@ -130,15 +130,17 @@ def sample_index_set(stream: RngStream, n_total: int, k: int) -> np.ndarray:
     """Ordered list of ``k`` distinct indices from ``{0..n_total-1}``.
 
     Partial Fisher-Yates shuffle driven by ``k`` uniform draws, every
-    k-subset equiprobable.
+    k-subset equiprobable.  The pool is virtual: only the cells a swap moved
+    are recorded, so memory is O(k) however large ``n_total`` is.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > n_total:
         raise ValueError(f"cannot draw {k} of {n_total} without replacement")
-    u = stream.uniforms(k)
-    pool = np.arange(n_total, dtype=np.int64)
-    for j in range(k):
-        r = j + int(u[j] * (n_total - j))
-        pool[j], pool[r] = pool[r], pool[j]
-    return pool[:k].copy()
+    moved: dict[int, int] = {}  # pool cell -> its value, where it is not the cell
+    out = []
+    for j, u in enumerate(stream.uniforms(k).tolist()):
+        r = j + int(u * (n_total - j))
+        out.append(moved.get(r, r))
+        moved[r] = moved.get(j, j)
+    return np.array(out, dtype=np.int64)

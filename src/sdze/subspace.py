@@ -8,20 +8,28 @@ of the global block-diagonal picture.  U and V are orthonormal Q-factors of
 Gaussian matrices, refreshed lazily every F steps from step-keyed streams;
 the r x r core Z is drawn fresh every step.
 
-The perturbation matrix is never materialized.  ``perturb_product`` computes
-H @ T^-1(U Z V^T) directly from the factors via a segmented contraction (see
-the per-case comments), ``delta_rows`` extracts single rows of the implied
-perturbation (used to seed coordinate jets through the first layer without
-building one-hot tangents), and ``apply_rank_r_update`` streams the rank-r
-parameter update into W through the re-layout map in bounded blocks, and
-``rank_r_delta`` assigns the same blocks into a fresh array (the network's
-explicit perturbation of its d-independent layers, built once per ±eps
-pair).
+The perturbation matrix is never materialized.  T^-1 is written once, as a
+factor identity: with k the split factor, (kr, kc) = ``ReshapePlan.splits``
+is (k, 1) for a rows split, (1, k) for a cols split and (1, 1) for none;
+mu = m/kr, nv = n/kc, U3 = U.reshape(kc, mu, r), V3 = V.reshape(nv, kr, r):
+
+    DW[t*mu + a, q*kc + s] = U3[s, a] Z V3[q, t]^T
+
+(equate the flat indices i + m*j of W and i' + m'*j' of W'), and every
+kernel reads it.  ``perturb_product`` computes H @ T^-1(U Z V^T)
+directly from the factors, ``delta_rows`` extracts single rows of the
+implied perturbation (used to seed coordinate jets through the first layer
+without building one-hot tangents), ``apply_rank_r_update`` streams the
+rank-r parameter update into W in bounded blocks, and ``rank_r_delta``
+assigns the same blocks into a fresh array (the network's explicit
+perturbation of its d-independent layers, built once per ±eps pair).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,6 +55,11 @@ class ReshapePlan:
             raise ValueError("reshape plan must preserve element count")
         if (self.split_factor == 1) != (self.split_side == "none"):
             raise ValueError("split_factor is 1 iff split_side is none")
+
+    @property
+    def splits(self) -> tuple[int, int]:
+        """(kr, kc): how many segments the rows and the columns split into."""
+        return max(1, self.orig[0] // self.square[0]), max(1, self.orig[1] // self.square[1])
 
 
 def plan_reshape(m: int, n: int) -> ReshapePlan:
@@ -87,6 +100,22 @@ class LayerSubspace:
     last_refresh_step: int
     master: int
     layer: int
+
+    def factors(self, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """U3 and V3 of the module docstring's factor identity, and V3 flattened
+        to (nv, kr*r) and transposed; built and cast to ``dtype`` once per subspace.
+        """
+        views = self._factor_views.get(dtype)
+        if views is None:
+            (m, n), (kr, kc) = self.plan.orig, self.plan.splits
+            U3 = self.U.reshape(kc, m // kr, self.rank).astype(dtype, copy=False)
+            V3 = self.V.reshape(n // kc, kr, self.rank).astype(dtype, copy=False)
+            views = self._factor_views[dtype] = U3, V3, V3.reshape(n // kc, -1).T
+        return views
+
+    @cached_property
+    def _factor_views(self) -> dict:
+        return {}
 
 
 def _qr_orthonormal(A: np.ndarray) -> np.ndarray:
@@ -150,11 +179,6 @@ def sample_core(stream: RngStream, r: int) -> np.ndarray:
 
 
 # --- implicit contraction -------------------------------------------------
-#
-# Cell map of T^-1 (column-major vec on both sides), with k the split factor:
-#   rows split (m = m'*k, n' = n*k):  DW[a + m'*t, j] = DW'[a, t + k*j]
-#   cols split (m' = m*k, n  = n'*k): DW[i, q*k + s]  = DW'[i + m*s, q]
-# Both follow from equating flat indices i + m*j = a + m'*c.
 
 
 def perturb_product(
@@ -167,47 +191,32 @@ def perturb_product(
     materializing it; the plan's row count is then m + 1.  The network uses
     it on the input layer's primal only: that layer is d-sized, so its
     perturbation stays implicit, while later layers multiply explicitly
-    perturbed weights.
+    perturbed weights.  One GEMM over (t, r) forms every column segment s:
+    the rows of (H's row segments @ U3[s]) @ Z against V3 as (nv, kr*r).
     """
     if tail not in (None, "one"):
         raise ValueError(f"unknown tail {tail!r}; expected None or 'one'")
-    plan = state.plan
-    m, n = plan.orig
+    m, n = state.plan.orig
     expected = m - (1 if tail else 0)
     if H.shape[-1] != expected:
         raise ValueError(f"H width {H.shape[-1]} does not match layer rows {expected}")
-    U, V, Z = (np.asarray(A, dtype=H.dtype) for A in (state.U, state.V, Z))
-    k = plan.split_factor
+    U3, V3, Vt = state.factors(H.dtype)
+    Z = np.asarray(Z, dtype=H.dtype)
+    kc, mu, r = U3.shape
+    nv, kr, _ = V3.shape
     lead = H.shape[:-1]
-    r = state.rank
-    if plan.split_side == "none":
-        HU = H @ (U[:-1] if tail else U)
-        if tail:
-            HU = HU + U[-1]
-        return (HU @ Z) @ V.T
-    if plan.split_side == "rows":
-        mp = plan.square[0]
-        if tail is None:
-            P = H.reshape(*lead, k, mp) @ U
-        else:
-            # the virtual column lives in the last segment
-            P = np.empty((*lead, k, r), dtype=H.dtype)
-            head = H[..., : (k - 1) * mp].reshape(*lead, k - 1, mp)
-            P[..., : k - 1, :] = head @ U
-            P[..., k - 1, :] = H[..., (k - 1) * mp :] @ U[:-1] + U[-1]
-        P = P @ Z  # (..., k, r)
-        Vr = V.reshape(n, k, r)
-        out = np.einsum("...tr,jtr->...j", P, Vr)
-        return out
-    # cols split
-    Us = U.reshape(k, m, r)
+    B = math.prod(lead)
     if tail is None:
-        G = np.einsum("...m,smr->...sr", H, Us)
-    else:
-        G = np.einsum("...m,smr->...sr", H, Us[:, :-1, :]) + Us[:, -1, :]
-    G = G @ Z  # (..., k, r)
-    out = np.einsum("...sr,qr->...qs", G, V).reshape(*lead, n)
-    return out
+        P = H.reshape(B * kr, mu) @ U3
+    else:  # the virtual constant 1 closes the last row segment: it adds U3[s, -1]
+        H = H.reshape(B, expected)
+        P = H[:, (kr - 1) * mu :] @ U3[:, :-1] + U3[:, -1:]
+        if kr > 1:
+            head = H[:, : (kr - 1) * mu].reshape(B, kr - 1, mu) @ U3[:, None]
+            P = np.concatenate([head, P[:, :, None]], axis=2).reshape(kc, B * kr, r)
+    out = (P.reshape(-1, r) @ Z).reshape(kc * B, kr * r) @ Vt
+    # row s*B + b, column q of out is row b, column q*kc + s of the result
+    return out.reshape(kc, B * nv).T.reshape(*lead, n)
 
 
 def delta_rows(state: LayerSubspace, Z: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -216,27 +225,19 @@ def delta_rows(state: LayerSubspace, Z: np.ndarray, rows: np.ndarray) -> np.ndar
     Returns an array of shape (len(rows), n); equivalent to one-hot inputs
     through ``perturb_product`` but without materializing them.
     """
-    plan = state.plan
-    m, n = plan.orig
+    m, n = state.plan.orig
     rows = np.asarray(rows, dtype=np.int64)
     if rows.size and (rows.min() < 0 or rows.max() >= m):
         raise ValueError("row index out of range")
-    U, V = (np.asarray(A, dtype=Z.dtype) for A in (state.U, state.V))
-    k = plan.split_factor
-    r = state.rank
-    if plan.split_side == "none":
-        return (U[rows] @ Z) @ V.T
-    if plan.split_side == "rows":
-        mp = plan.square[0]
-        G = U[rows % mp] @ Z  # (S, r)
-        Vr = V.reshape(n, k, r)
-        out = np.einsum("sr,jsr->sj", G, Vr[:, rows // mp, :])
-        return out
-    # cols split
-    Usel = U[rows[:, None] + m * np.arange(k)[None, :]]  # (S, k, r)
-    G = Usel @ Z
-    out = np.einsum("xsr,qr->xqs", G, V).reshape(rows.size, n)
-    return out
+    U3, V3, Vt = state.factors(Z.dtype)
+    kc, mu, r = U3.shape
+    nv, kr, _ = V3.shape
+    if kr == 1:  # every row lies in the one row segment: a plain GEMM
+        out = (U3[:, rows].reshape(-1, r) @ Z) @ Vt
+    else:  # row t*mu + a meets the rows t of V3
+        t, a = np.divmod(rows, mu)
+        out = np.einsum("sxr,qxr->sxq", U3[:, a] @ Z, V3[:, t])
+    return out.reshape(kc, rows.size * nv).T.reshape(rows.size, n)
 
 
 def apply_rank_r_update(
@@ -245,10 +246,10 @@ def apply_rank_r_update(
     """In-place ``W += scale * T^-1(U Z V^T)``, streamed in bounded blocks.
 
     Blocks of R square-view rows are formed as (U_block Z) V^T, scaled in
-    place, scatter-added into W through the re-layout map and freed, so the
-    live temporaries are one R x n' block and its R x r factor; no full
-    m x n temporary is created.  R is capped by ``BLOCK_ROWS`` and by
-    ``BLOCK_ELEMS`` / n'.
+    place, added into W through the re-layout map and freed, so the live
+    temporaries are one R x n' block and its R x r factor; no full m x n
+    temporary is created.  R is capped by ``BLOCK_ROWS``, by
+    ``BLOCK_ELEMS`` / n' and by the row segment length mu.
     """
     if W.shape != state.plan.orig:
         raise ValueError(f"W shape {W.shape} does not match plan {state.plan.orig}")
@@ -277,25 +278,19 @@ def _add_into(dst: np.ndarray, src: np.ndarray) -> None:
 def _stream_blocks(W: np.ndarray, state: LayerSubspace, Z: np.ndarray, scale: float, put):
     """``put(W cells, block cells)`` for every bounded block of ``scale * U Z V^T``.
 
-    Every cell of W receives exactly one block cell: T is a bijection.
+    A block holds rows [a0, a1) of one column segment U3[s]; its columns are
+    the square view's, (q, t) in C order.  Every cell of W receives exactly
+    one block cell: T is a bijection.
     """
-    plan = state.plan
-    m, _ = plan.orig
-    U, V, k = state.U, state.V, plan.split_factor
-    mp, np_ = plan.square
-    rows_per_block = max(1, min(BLOCK_ROWS, mp, BLOCK_ELEMS // max(1, np_)))
-    for start in range(0, mp, rows_per_block):
-        stop = min(start + rows_per_block, mp)
-        block = (U[start:stop] @ Z) @ V.T  # (R, n')
-        block *= scale
-        if plan.split_side == "none":
-            put(W[start:stop, :], block)
-        elif plan.split_side == "rows":
-            # cell (a, c=t+k*j) -> W[a + m'*t, j]; one strided slice per t
-            for t in range(k):
-                put(W[start + mp * t : stop + mp * t, :], block[:, t::k])
-        else:
-            # cell (a=i+m*s, c) -> W[i, c*k + s]
-            for a in range(start, stop):
-                put(W[a % m, (a // m) :: k], block[a - start])
-        del block  # freed before the next block is formed: one block live
+    U3, V3, _ = state.factors(state.V.dtype)
+    kc, mu, _ = U3.shape
+    nv, kr, _ = V3.shape
+    rows_per_block = max(1, min(BLOCK_ROWS, mu, BLOCK_ELEMS // (nv * kr)))
+    for s in range(kc):
+        Ws = W[:, s::kc].reshape(kr, mu, nv)  # Ws[t, a, q] = W[t*mu + a, q*kc + s]
+        for a0 in range(0, mu, rows_per_block):
+            a1 = min(a0 + rows_per_block, mu)
+            block = (U3[s, a0:a1] @ Z) @ state.V.T  # (R, n')
+            block *= scale
+            put(Ws[:, a0:a1], block.reshape(a1 - a0, nv, kr).transpose(2, 0, 1))
+            del block  # freed before the next block is formed: one block live

@@ -2,13 +2,14 @@
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the lines live; the
 full-scale training criterion dominates the runtime (about 11 minutes on a
-2-core box).
+2-core box).  It is marked ``slow``: ``pytest -m "not slow"`` runs the rest.
 """
 
 import dataclasses
 import time
 
 import numpy as np
+import pytest
 
 from sdze import net, optimizer
 from sdze.harness import config_from_dict, run_train
@@ -190,6 +191,7 @@ def test_criterion_6_jet_correctness():
     )
 
 
+@pytest.mark.slow
 def test_criterion_7_end_to_end_training():
     t0 = time.time()
     cfg = SdzeConfig(

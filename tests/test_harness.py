@@ -19,6 +19,8 @@ from sdze.harness import (
     write_csv,
 )
 from sdze.net import init_mlp
+from sdze.optimizer import directional_delta, make_subspaces, step_cores
+from sdze.spatial import SpatialSample, draw_sample
 
 
 def tiny_config(tmp_path, **over):
@@ -158,6 +160,43 @@ def test_widths_must_start_with_pde_dim(tmp_path):
     with pytest.raises(ConfigError, match="net.widths"):
         config_from_dict(raw)
     assert not (tmp_path / "run").exists()
+
+
+def test_list_keys_must_be_lists_of_positive_integers(tmp_path):
+    for block, key, value in [
+        ("net", "widths", 7),
+        ("sdze", "rank_per_layer", 3),
+        ("net", "widths", [5, "a", 1]),
+        ("net", "widths", [5, 0, 1]),
+    ]:
+        raw = tiny_config(tmp_path)
+        raw[block][key] = value
+        with pytest.raises(ConfigError, match=rf"{block}\.{key} must be a list of integers >= 1"):
+            config_from_dict(raw)
+    raw = tiny_config(tmp_path, net={"widths": [5, 6.0, 1]})
+    raw["sdze"]["rank_per_layer"] = [2, 1]
+    cfg = config_from_dict(raw)
+    assert cfg.widths == [5, 6, 1] and all(isinstance(w, int) for w in cfg.widths)
+    assert cfg.rank_per_layer == [2, 1]
+
+
+def test_delta_variance_estimates_in_the_config_dtype(tmp_path):
+    raw = tiny_config(tmp_path)
+    raw["net"]["dtype"] = "f32"
+    cfg = config_from_dict(raw)
+    problem = cfg.make_problem()
+    params = cfg.init_params()
+    subspaces = make_subspaces(params, cfg)
+    cores = step_cores(cfg.seed, subspaces, 0)
+    deltas = []
+    for k in range(1, 11):
+        drawn = draw_sample(problem, SpatialSample(cfg.seed, k, 4, 2, problem.dim))
+        deltas.append(
+            directional_delta(params, subspaces, cores, problem, drawn, drawn, cfg.eps, dtype="f32")[0]
+        )
+    got = harness.delta_variance(cfg, problem, 4, 2, replicates=10)
+    assert got == float(np.var(np.asarray(deltas), ddof=1))
+    assert got != harness.delta_variance(dataclasses.replace(cfg, dtype="f64"), problem, 4, 2, 10)
 
 
 def test_checkpoint_roundtrip_bitwise(tmp_path):

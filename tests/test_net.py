@@ -16,6 +16,13 @@ from sdze.net import (
     plain_view,
 )
 from sdze.rng import Role, StreamKey, derive_stream
+from sdze.spatial import (
+    SpatialSample,
+    draw_sample,
+    make_problem,
+    sampled_operator,
+    stochastic_loss,
+)
 from sdze.subspace import BLOCK_ELEMS, sample_core, subspace_for_layer
 from sdze.verify import explicit_delta_w, explicit_forward, explicit_jets
 
@@ -66,6 +73,26 @@ def test_perturbed_forward_matches_explicit_materialization(bias, sign):
     got = forward(PerturbView(params, subs, cores, sign, 0.37), X)
     want = explicit_forward(params, X, deltas, sign, 0.37)
     assert np.abs(got - want).max() / np.abs(want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_precision_contract_pins_the_dtype_of_each_stage(dtype):
+    # planes in the step dtype; ansatz assembly, operator and loss in f64
+    params, subs, cores = build([6, 5, 4, 1], bias=True)
+    view = net.sign_views(params, subs, cores, 1e-3, dtype)[0]
+    problem = make_problem("none", 6, "two_body", 3)
+    drawn = draw_sample(problem, SpatialSample(3, 1, 7, 2, 6))
+    pair = view.shared()
+    batch = pair.batch(drawn.X)
+    rows = pair.rows(batch, drawn.dims)
+    planes = net._raw_jets(view, pair, batch, rows, np.array([0, 2]))
+    assert [p.dtype for p in (*planes, batch.G0, batch.P, rows.D, forward(view, drawn.X))] == [
+        np.dtype(dtype)
+    ] * 7
+    u, sums = jet_sums(view, drawn.X, drawn.dims, [2, 2])
+    op = sampled_operator(view, problem, drawn.X, drawn.dims, [2, 2])
+    assert (u.dtype, sums.dtype, op.dtype) == (np.dtype(np.float64),) * 3
+    assert isinstance(stochastic_loss(view, problem, drawn), float)
 
 
 def test_ansatz_boundary_and_center():

@@ -138,6 +138,26 @@ def test_index_set_deterministic():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize(
+    "n, k, index, want",
+    [
+        (7, 7, 0, [0, 5, 4, 1, 3, 6, 2]),
+        (100, 16, 1, [4, 2, 20, 50, 67, 49, 48, 5, 54, 83, 70, 78, 21, 71, 66, 30]),
+        (
+            10**6,
+            16,
+            2,
+            [869147, 587424, 931806, 722705, 819877, 709972, 686601, 542040,
+             751230, 938426, 907191, 236521, 478899, 907999, 786828, 673980],
+        ),
+    ],
+)
+def test_index_set_known_answers(n, k, index, want):
+    # recorded from the dense-pool shuffle; the virtual pool must draw the same
+    got = sample_index_set(derive_stream(StreamKey(11, Role.DIM_SET_1, 3, index)), n, k)
+    assert got.dtype == np.int64 and got.tolist() == want
+
+
 def test_index_set_too_large_without_replacement():
     with pytest.raises(ValueError):
         sample_index_set(derive_stream(key()), 3, 4)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sdze.optimizer import SdzeConfig, make_subspaces
@@ -14,6 +14,7 @@ from sdze.subspace import (
     maybe_refresh,
     perturb_product,
     plan_reshape,
+    rank_r_delta,
     refresh_bases,
     sample_core,
     subspace_for_layer,
@@ -178,33 +179,41 @@ def test_update_shape_mismatch():
         apply_rank_r_update(np.zeros((4, 6)), state, np.zeros((2, 2)), 1.0)
 
 
-def test_perturb_product_and_delta_rows_match_explicit():
-    rng = np.random.default_rng(3)
-    for m, n, r in [(6, 4, 2), (40, 8, 3), (8, 40, 3), (128, 1, 4), (1, 8, 1)]:
-        state = subspace_for_layer(7, 0, m, n, r)
-        Z = rng.standard_normal((state.rank, state.rank))
-        D = explicit_delta_w(state, Z)
-        H = rng.standard_normal((5, m))
-        assert np.abs(perturb_product(H, state, Z) - H @ D).max() <= 1e-12 * max(
-            1.0, np.abs(H @ D).max()
-        )
-        ridx = rng.integers(0, m, size=3)
-        assert np.abs(delta_rows(state, Z, ridx) - D[ridx]).max() <= 1e-12 * max(
-            1.0, np.abs(D).max()
-        )
-
-
-def test_perturb_product_virtual_tail():
-    # [H, 1] @ DW computed without materializing the constant column
-    rng = np.random.default_rng(4)
-    for m, n, r in [(7, 4, 2), (41, 8, 3), (8, 42, 3), (129, 1, 4)]:
-        state = subspace_for_layer(8, 0, m, n, r)
-        Z = rng.standard_normal((state.rank, state.rank))
-        D = explicit_delta_w(state, Z)
-        H = rng.standard_normal((5, m - 1))
-        want = np.hstack([H, np.ones((5, 1))]) @ D
-        got = perturb_product(H, state, Z, tail="one")
-        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+@given(
+    m=st.integers(1, 40),
+    n=st.integers(1, 40),
+    rank=st.integers(1, 6),
+    tail=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(m=6, n=4, rank=2, tail=False, seed=3)
+@example(m=40, n=8, rank=3, tail=False, seed=3)
+@example(m=8, n=40, rank=3, tail=False, seed=3)
+@example(m=128, n=1, rank=4, tail=False, seed=3)
+@example(m=1, n=8, rank=1, tail=False, seed=3)
+@example(m=7, n=4, rank=2, tail=True, seed=4)
+@example(m=41, n=8, rank=3, tail=True, seed=4)
+@example(m=8, n=42, rank=3, tail=True, seed=4)
+@example(m=129, n=1, rank=4, tail=True, seed=4)
+@settings(max_examples=150, deadline=None)
+def test_kernels_match_the_explicit_perturbation(m, n, rank, tail, seed):
+    # every split side, checked against the dense column-major oracle
+    rng = np.random.default_rng(seed)
+    state = subspace_for_layer(7, 0, m, n, rank)
+    Z = rng.standard_normal((state.rank, state.rank))
+    D = explicit_delta_w(state, Z)
+    H = rng.standard_normal((5, m - tail))
+    want = (np.hstack([H, np.ones((5, 1))]) if tail else H) @ D
+    got = perturb_product(H, state, Z, tail="one" if tail else None)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+    ridx = rng.integers(0, m, size=4)
+    assert np.abs(delta_rows(state, Z, ridx) - D[ridx]).max() <= 1e-12 * max(1.0, np.abs(D).max())
+    W = rng.standard_normal((m, n))
+    updated = W.copy()
+    apply_rank_r_update(updated, state, Z, 0.37)
+    assert np.abs(updated - (W + 0.37 * D)).max() <= 1e-12 * max(1.0, np.abs(W).max())
+    assert np.array_equal(W + rank_r_delta(state, Z, 0.37), updated)
 
 
 def test_kronecker_identity_and_global_orthogonality():
