@@ -179,6 +179,35 @@ def test_update_shape_mismatch():
         apply_rank_r_update(np.zeros((4, 6)), state, np.zeros((2, 2)), 1.0)
 
 
+def test_perturb_product_and_delta_rows_match_explicit():
+    rng = np.random.default_rng(3)
+    for m, n, r in [(6, 4, 2), (40, 8, 3), (8, 40, 3), (128, 1, 4), (1, 8, 1)]:
+        state = subspace_for_layer(7, 0, m, n, r)
+        Z = rng.standard_normal((state.rank, state.rank))
+        D = explicit_delta_w(state, Z)
+        H = rng.standard_normal((5, m))
+        assert np.abs(perturb_product(H, state, Z) - H @ D).max() <= 1e-12 * max(
+            1.0, np.abs(H @ D).max()
+        )
+        ridx = rng.integers(0, m, size=3)
+        assert np.abs(delta_rows(state, Z, ridx) - D[ridx]).max() <= 1e-12 * max(
+            1.0, np.abs(D).max()
+        )
+
+
+def test_perturb_product_virtual_tail():
+    # [H, 1] @ DW computed without materializing the constant column
+    rng = np.random.default_rng(4)
+    for m, n, r in [(7, 4, 2), (41, 8, 3), (8, 42, 3), (129, 1, 4)]:
+        state = subspace_for_layer(8, 0, m, n, r)
+        Z = rng.standard_normal((state.rank, state.rank))
+        D = explicit_delta_w(state, Z)
+        H = rng.standard_normal((5, m - 1))
+        want = np.hstack([H, np.ones((5, 1))]) @ D
+        got = perturb_product(H, state, Z, tail="one")
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
 @given(
     m=st.integers(1, 40),
     n=st.integers(1, 40),
