@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .net import MlpParams
+from .net import ACTIVATIONS, MlpParams
 from .optimizer import (
     PDE_KINDS,
     SdzeConfig,
@@ -144,6 +144,8 @@ def config_from_dict(raw: dict) -> SdzeConfig:
             errors.append(f"net.widths must start with pde.dim = {dim}")
     if leaves.get("pde.kind", SdzeConfig.pde_kind) not in (*PDE_KINDS, None):
         errors.append(f"pde.kind must be one of {sorted(PDE_KINDS)}")
+    if leaves.get("net.activation", SdzeConfig.activation) not in (*ACTIVATIONS, None):
+        errors.append(f"net.activation must be one of {list(ACTIVATIONS)}")
     if errors:
         raise ConfigError("; ".join(errors))
     return SdzeConfig(
@@ -316,9 +318,9 @@ def run_train(cfg: SdzeConfig, resume_from: str | Path | None = None) -> TrainRe
     """Full training run with metrics CSV, checkpoints, and config echo.
 
     The index sets must fit the dimension, a checkpoint to resume from must
-    match the config's seed and layer shapes, and an existing
-    ``metrics.csv`` must have this version's columns; all are checked before
-    anything is written.
+    match the config's seed and layer shapes and lie at or before ``steps``,
+    and an existing ``metrics.csv`` must have this version's columns; all are
+    checked before anything is written.
     """
     if cfg.batch_b > cfg.widths[0]:
         raise ConfigError(
@@ -329,6 +331,11 @@ def run_train(cfg: SdzeConfig, resume_from: str | Path | None = None) -> TrainRe
     start_step = 0
     if resume_from is not None:
         params, start_step = _resume_params(cfg, resume_from)
+        if start_step > cfg.steps:
+            raise ConfigError(
+                f"steps = {cfg.steps} is before the checkpoint's step {start_step}; "
+                "resume with steps >= the checkpoint's step"
+            )
     else:
         params = cfg.init_params()
     out = Path(cfg.out_dir)

@@ -21,7 +21,10 @@ Forward modes:
   index set, which is all the sampled operator reads.  The input layer
   seeds directions by row extraction (``delta_rows`` for the implicit
   perturbation) instead of one-hot tangents.  Per-direction second
-  derivatives are the same sweep with singleton sets.
+  derivatives are the same sweep with singleton sets.  Each hidden layer's
+  planes sigma, sigma' and sigma'' come from one activation evaluation
+  (:func:`activation_planes`), bitwise equal to the separate functions of
+  :func:`activation_triple`, which the dense oracles read.
 
 The +eps and -eps views of one estimate (:func:`sign_views`) read one
 :class:`SignPair`, which forms everything that does not depend on the sign
@@ -51,8 +54,10 @@ keeps the residual op - f, whose f is f64, out of f32 arithmetic.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -60,8 +65,21 @@ from .rng import Role, StreamKey, derive_stream
 from .subspace import LayerSubspace, delta_rows, perturb_product, rank_r_delta
 
 
+# the supported activation tags
+ACTIVATIONS = ("sin", "tanh_scaled")
+
+
+def _check_activation(act: str) -> None:
+    if act not in ACTIVATIONS:
+        raise ValueError(f"unknown activation tag: {act!r}; supported: {ACTIVATIONS}")
+
+
 def activation_triple(act: str, scale: float = 1.0):
-    """(sigma, sigma', sigma'') for the supported activation tags."""
+    """(sigma, sigma', sigma'') for the supported activation tags.
+
+    Each function evaluates on its own; the network's passes read the same
+    planes from one evaluation (:func:`activation_planes`).
+    """
     if act == "sin":
         return np.sin, np.cos, lambda u: -np.sin(u)
     if act == "tanh_scaled":
@@ -81,6 +99,24 @@ def activation_triple(act: str, scale: float = 1.0):
     raise ValueError(f"unknown activation tag: {act!r}")
 
 
+def activation_planes(act: str, scale: float, G: np.ndarray, derivs: bool):
+    """sigma(G) and, with ``derivs``, sigma'(G) and sigma''(G) from one evaluation.
+
+    Bitwise equal to :func:`activation_triple`: sin gives sigma'' = -sigma by
+    exact negation, and tanh_scaled forms tanh and 1 - t^2 once, with the same
+    expressions.  Without ``derivs`` the derivative planes are None.
+    """
+    if act == "sin":
+        s = np.sin(G)
+        return (s, np.cos(G), np.negative(s)) if derivs else (s, None, None)
+    _check_activation(act)
+    t = np.tanh(G)
+    if not derivs:
+        return scale * t, None, None
+    q = 1.0 - t * t
+    return scale * t, scale * q, scale * (-2.0 * t * q)
+
+
 @dataclass
 class MlpParams:
     """Weight-only MLP; adjacent layer shapes chain and the output is scalar.
@@ -98,6 +134,7 @@ class MlpParams:
     bias: bool = False
 
     def __post_init__(self):
+        _check_activation(self.activation)
         extra = 1 if self.bias else 0
         for a, b in zip(self.weights, self.weights[1:]):
             if a.shape[1] + extra != b.shape[0]:
@@ -217,7 +254,6 @@ class _Batch:
     X: np.ndarray  # (B, d), as given
     G0: np.ndarray  # X W_0 (+ bias row), step dtype
     P: np.ndarray | None  # X (eps DW_0), contracted implicitly; None unperturbed
-    act: tuple  # (sigma, sigma', sigma'')
 
     @cached_property
     def phi(self) -> np.ndarray:
@@ -253,7 +289,6 @@ class SignPair:
     def __init__(self, params: MlpParams, dtype, subspaces=None, cores=None, eps: float = 0.0):
         self.params = params
         self.dtype = np.dtype(dtype)
-        self.act = activation_triple(params.activation, params.act_scale)
         self.W0 = params.weights[0].astype(self.dtype, copy=False)
         self.perturbed = cores is not None
         if self.perturbed:
@@ -277,7 +312,7 @@ class SignPair:
         P = None
         if self.perturbed:
             P = perturb_product(H, self.sub0, self.core0, tail="one" if params.bias else None)
-        self._batch = _Batch(X, G0, P, self.act)
+        self._batch = _Batch(X, G0, P)
         return self._batch
 
     def rows(self, batch: _Batch, dims: np.ndarray) -> _Rows:
@@ -312,11 +347,12 @@ def _primal(view: PerturbView, X: _Batch, weights: list[np.ndarray], derivs: boo
     (:meth:`SignPair.batch`).  With ``derivs`` also returns the
     activation-derivative planes sigma'(G_l), sigma''(G_l) of every hidden
     layer, which the tangent transport of a jet sweep reuses for all
-    directions.
+    directions.  Each hidden layer evaluates its activation once
+    (:func:`activation_planes`).
     """
     params = view.params
     bias = params.bias
-    f, f1, f2 = X.act
+    act, scale = params.activation, params.act_scale
     s1s: list[np.ndarray] = []
     s2s: list[np.ndarray] = []
     G = _signed(X.G0, X.P, view.sign)
@@ -325,10 +361,10 @@ def _primal(view: PerturbView, X: _Batch, weights: list[np.ndarray], derivs: boo
             W = weights[l]
             G = (H @ W[:-1] + W[-1]) if bias else (H @ W)
         if l < params.depth - 1:
+            H, s1, s2 = activation_planes(act, scale, G, derivs)
             if derivs:
-                s1s.append(f1(G))
-                s2s.append(f2(G))
-            H = f(G)
+                s1s.append(s1)
+                s2s.append(s2)
         else:
             H = G
     return H, s1s, s2s
@@ -349,19 +385,27 @@ def ansatz(view: PerturbView, X: np.ndarray) -> np.ndarray:
     return boundary_factor(X)[:, None] * forward(view, X)
 
 
-def set_starts(sizes, n_dims: int) -> np.ndarray:
-    """Offsets of consecutive index sets of ``sizes`` within ``n_dims`` directions."""
-    sizes = np.asarray(sizes, dtype=np.int64)
-    if sizes.ndim != 1 or sizes.size == 0 or sizes.min() < 1 or sizes.sum() != n_dims:
-        raise ValueError(f"set sizes {sizes.tolist()} must be >= 1 and sum to {n_dims}")
-    return np.cumsum(sizes) - sizes
+def set_starts(sizes, n_dims: int) -> list[int]:
+    """Offsets of consecutive index sets of ``sizes`` within ``n_dims`` directions.
+
+    ``sizes`` is a non-empty 1-D sequence of integers >= 1 summing to
+    ``n_dims``.  Plain ints: a loss pass has two sets, for which numpy's
+    reductions cost more than the sum.
+    """
+    try:
+        counts = [operator.index(k) for k in sizes]
+    except TypeError:  # not 1-D, or not integers
+        counts = []
+    if not counts or min(counts) < 1 or sum(counts) != n_dims:
+        raise ValueError(f"set sizes {sizes!r} must be integers >= 1 that sum to {n_dims}")
+    return list(accumulate(counts[:-1], initial=0))
 
 
 # directions transported per cache-sized block during jet sweeps
 JET_CHUNK = 16
 
 
-def _raw_jets(view: PerturbView, pair: SignPair, batch: _Batch, rows: _Rows, starts: np.ndarray):
+def _raw_jets(view: PerturbView, pair: SignPair, batch: _Batch, rows: _Rows, starts: list[int]):
     """Raw-network jets along coordinate directions, second order summed per set.
 
     ``rows.dims`` is split into consecutive index sets at ``starts``; a
@@ -393,13 +437,13 @@ def _raw_jets(view: PerturbView, pair: SignPair, batch: _Batch, rows: _Rows, sta
     seed_rows = _signed(rows.R0, rows.D, view.sign)
 
     g1 = np.empty((n, B), dtype=view.dtype)
-    g2 = np.zeros((starts.size, B), dtype=view.dtype)
+    g2 = np.zeros((len(starts), B), dtype=view.dtype)
     if depth == 1:
         g1[:] = seed_rows[:, :1]
         return value[:, 0], g1, g2
 
-    bounds = starts.tolist() + [n]
-    for s in range(starts.size):
+    bounds = [*starts, n]
+    for s in range(len(starts)):
         e0, e1 = bounds[s], bounds[s + 1]
         for c0 in range(e0, e1, JET_CHUNK):
             c1 = min(c0 + JET_CHUNK, e1)
@@ -439,7 +483,8 @@ def jet_sums(view: PerturbView, X: np.ndarray, dims, sizes) -> tuple[np.ndarray,
     rows = pair.rows(batch, np.asarray(dims, dtype=np.int64))
     starts = set_starts(sizes, rows.dims.size)
     g, g1, g2 = _raw_jets(view, pair, batch, rows, starts)
-    sizes = np.asarray(sizes, dtype=np.int64)
     xg1 = np.add.reduceat(rows.xi * g1, starts, axis=0)
-    sums = batch.phi * g2 - 4.0 * xg1 - 2.0 * sizes[:, None] * g
+    # 2|I| as an f64 column: an f32 g widens to f64, as the other terms do
+    twice = np.array([2.0 * k for k in sizes])
+    sums = batch.phi * g2 - 4.0 * xg1 - twice[:, None] * g
     return batch.phi * g, sums

@@ -301,7 +301,9 @@ def sampled_operator(view, problem: PdeProblem, X: np.ndarray, dims, sizes) -> n
     """
     u, sums = view.jet_eval(X, dims, sizes)
     scale = np.array([problem.n_terms / k for k in sizes], dtype=sums.dtype)
-    return scale[:, None] * sums + problem.nonlinearity(u)
+    op = scale[:, None] * sums
+    # Poisson has no nonlinearity; adding zeros could only turn -0.0 into +0.0
+    return op if problem.kind == "none" else op + problem.nonlinearity(u)
 
 
 def stochastic_loss(view, problem: PdeProblem, drawn: DrawnSample) -> float:

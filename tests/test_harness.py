@@ -331,6 +331,34 @@ def test_resume_refuses_metrics_with_other_columns(tmp_path):
     assert metrics.read_text() == "".join(lines)
 
 
+def test_resume_past_steps_is_refused_before_writing(tmp_path):
+    # a step-6 checkpoint cannot continue a 3-step run
+    run_train(config_from_dict(tiny_config(tmp_path)))
+    out = tmp_path / "run"
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    for target in (out, tmp_path / "other"):
+        short = config_from_dict(tiny_config(tmp_path, steps=3, out_dir=str(target)))
+        with pytest.raises(ConfigError, match="steps = 3"):
+            run_train(short, resume_from=out / "ckpt_final.sdze")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert not (tmp_path / "other").exists()
+
+
+def test_unknown_activation_is_refused_before_writing(tmp_path):
+    raw = tiny_config(tmp_path, net={"widths": [5, 6, 1], "activation": "relu"})
+    with pytest.raises(ConfigError, match="net.activation must be one of"):
+        config_from_dict(raw)
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(raw))
+    with pytest.raises(ConfigError, match="net.activation"):
+        cli.main(["train", "--config", str(cfg_path)])
+    # a config built in code fails when the network is built, before writing
+    cfg = dataclasses.replace(config_from_dict(tiny_config(tmp_path)), activation="relu")
+    with pytest.raises(ValueError, match="relu"):
+        run_train(cfg)
+    assert not (tmp_path / "run").exists()
+
+
 class _Crash(Exception):
     pass
 

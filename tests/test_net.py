@@ -254,6 +254,52 @@ def test_tanh_scaled_d2_matches_fd_of_first_derivative():
 def test_unknown_activation_rejected():
     with pytest.raises(ValueError):
         activation_triple("relu")
+    # a network refuses the tag when it is built, not at its first pass
+    with pytest.raises(ValueError, match="relu"):
+        MlpParams([np.ones((3, 2)), np.ones((2, 1))], "relu")
+    with pytest.raises(ValueError, match="relu"):
+        init_mlp([3, 2, 1], "relu", 0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("act", net.ACTIVATIONS)
+def test_activation_planes_equal_the_oracle_bitwise(act, dtype):
+    G = np.random.default_rng(4).standard_normal((20, 64)).astype(dtype) * 3
+    G[0, :4] = [0.0, -0.0, np.pi / 2, 40.0]
+    planes = net.activation_planes(act, 0.8, G, derivs=True)
+    oracle = [f(G) for f in activation_triple(act, 0.8)]
+    assert [p.dtype for p in planes] == [np.dtype(dtype)] * 3
+    assert [p.tobytes() for p in planes] == [p.tobytes() for p in oracle]
+    value, none1, none2 = net.activation_planes(act, 0.8, G, derivs=False)
+    assert value.tobytes() == oracle[0].tobytes() and none1 is None and none2 is None
+
+
+@pytest.mark.parametrize(
+    "sizes, n, want",
+    [([5, 5], 10, [0, 5]), ([3], 3, [0]), ((1, 2, 3), 6, [0, 1, 3]), (np.array([2, 1]), 3, [0, 2])],
+)
+def test_set_starts_known_answers(sizes, n, want):
+    starts = net.set_starts(sizes, n)
+    assert starts == want and all(type(s) is int for s in starts)
+
+
+@pytest.mark.parametrize(
+    "sizes, n",
+    [
+        ([], 0),  # empty
+        ([0, 5], 5),  # non-positive
+        ([-1, 6], 5),
+        ([[5, 5]], 10),  # not 1-D
+        (np.array([[5, 5]]), 10),
+        (5, 5),
+        (np.array(5), 5),
+        ([5, 5], 9),  # wrong sum
+        ([2.0, 3.0], 5),  # not integers
+    ],
+)
+def test_set_starts_rejects_invalid_sizes(sizes, n):
+    with pytest.raises(ValueError):
+        net.set_starts(sizes, n)
 
 
 def test_shared_primal_one_evaluation_per_layer(monkeypatch):

@@ -117,6 +117,19 @@ def test_sampled_operator_keeps_the_view_dtype():
     assert np.array_equal(got, np.array([[2.0] * 3, [4.0] * 3], np.float32))
 
 
+@pytest.mark.parametrize("kind", ["none", "allen_cahn", "sine_gordon"])
+def test_sampled_operator_keeps_its_nonlinearity(kind):
+    prob = make_problem(kind, 4, "two_body", 5)
+    view = plain_view(init_mlp([4, 5, 1], "sin", 9, bias=True))
+    X = sample_unit_ball(derive_stream(TEST_KEY), 6, 4)
+    dims, sizes = [0, 2, 3, 1], [3, 1]
+    u, sums = view.jet_eval(X, dims, sizes)
+    scaled = np.array([[4.0 / 3], [4.0]]) * sums
+    want = {"none": scaled, "allen_cahn": scaled + (u - u**3), "sine_gordon": scaled + np.sin(u)}
+    got = sampled_operator(view, prob, X, dims, sizes)
+    assert got.tobytes() == want[kind].tobytes()
+
+
 def test_operator_unbiasedness_by_enumeration():
     prob = make_problem("none", 3, "two_body", 5)
     net = init_mlp([3, 4, 1], "sin", 9)
