@@ -7,7 +7,16 @@ theory-verification harness.
 
 __version__ = "0.1.0"
 
-from .net import MlpParams, PerturbView, ansatz, forward, init_mlp, jet_sums, plain_view
+from .net import (
+    MlpParams,
+    PerturbView,
+    SignPair,
+    ansatz,
+    forward,
+    init_mlp,
+    jet_sums,
+    plain_view,
+)
 from .optimizer import (
     SdzeConfig,
     StepRecord,
@@ -45,6 +54,7 @@ __all__ = [
     "MlpParams",
     "PerturbView",
     "SdzeConfig",
+    "SignPair",
     "StepRecord",
     "TrainResult",
     "Role",

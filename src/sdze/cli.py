@@ -236,6 +236,7 @@ def main(argv: list[str] | None = None) -> int:
             B=cfg.batch_B,
             b=cfg.batch_b,
             master=cfg.seed,
+            dtype=cfg.dtype,
         )
         write_csv(out / "crns_ablation.csv", rows, cfg.seed, config_hash(cfg))
         print(f"slope crns={slope_crns:.3f} naive={slope_naive:.3f}")

@@ -4,7 +4,8 @@ A run is described by one :class:`~sdze.optimizer.SdzeConfig`.  Its JSON
 form is one table, ``_JSON_FIELDS``, from dotted JSON path to config field:
 loading, dumping and the unknown-key report all derive from it, and a key
 the JSON omits takes the field's default.  Loading is strict: every unknown
-key is reported at once, and a scalar of the wrong JSON type is an
+key is reported at once, and a scalar of the wrong JSON type, a tag outside
+its allowed set or a shape the network or the PDE cannot take is an
 offending key.  Each run writes a config echo, a metrics CSV (header line
 ``# sdze-version, seed, config-hash``, then the ``METRIC_COLUMNS`` line and
 one row per step), and periodic + final checkpoints into its output
@@ -36,7 +37,14 @@ from .optimizer import (
     step_cores,
     train,
 )
-from .spatial import PdeProblem, SpatialSample, draw_sample
+from .spatial import (
+    NORMALIZATIONS,
+    SOLUTIONS,
+    PdeProblem,
+    SpatialSample,
+    coefficient_count,
+    draw_sample,
+)
 
 # Dotted JSON path -> SdzeConfig field.  pde.dim has no field of its own: it
 # is widths[0], and an absent net.widths loads as [pde.dim, 128, 128, 1].
@@ -142,10 +150,23 @@ def config_from_dict(raw: dict) -> SdzeConfig:
             leaves["net.widths"] = [dim, 128, 128, 1]
         if leaves["net.widths"][:1] != [dim]:
             errors.append(f"net.widths must start with pde.dim = {dim}")
-    if leaves.get("pde.kind", SdzeConfig.pde_kind) not in (*PDE_KINDS, None):
-        errors.append(f"pde.kind must be one of {sorted(PDE_KINDS)}")
-    if leaves.get("net.activation", SdzeConfig.activation) not in (*ACTIVATIONS, None):
-        errors.append(f"net.activation must be one of {list(ACTIVATIONS)}")
+        solution = leaves.get("pde.solution", SdzeConfig.pde_solution)
+        if solution in SOLUTIONS:
+            try:
+                coefficient_count(solution, dim)
+            except ValueError as err:
+                errors.append(f"pde.dim too small: {err}")
+    widths = leaves.get("net.widths")
+    if widths is not None and (len(widths) < 2 or widths[-1] != 1):
+        errors.append(f"net.widths must have at least 2 entries and end in 1, got {widths}")
+    for path, allowed in (
+        ("pde.kind", sorted(PDE_KINDS)),
+        ("pde.solution", list(SOLUTIONS)),
+        ("pde.normalization", list(NORMALIZATIONS)),
+        ("net.activation", list(ACTIVATIONS)),
+    ):
+        if leaves.get(path, getattr(SdzeConfig, _JSON_FIELDS[path])) not in (*allowed, None):
+            errors.append(f"{path} must be one of {allowed}")
     if errors:
         raise ConfigError("; ".join(errors))
     return SdzeConfig(

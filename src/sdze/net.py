@@ -13,7 +13,7 @@ Forward modes:
   perturbation stays implicit, ``sigma(H W_0 +/- contract(H, U, eps Z, V))``
   with ``contract`` the segmented low-rank product of :mod:`sdze.subspace`,
   so the d-sized perturbation matrix is never formed.  Every later layer is
-  perturbed explicitly: E_l = eps T^-1(U Z V^T) is built once by the bounded
+  perturbed explicitly: E_l = eps T^-1(U Z V^T) is built by the bounded
   streaming blocks of the update, and each sign multiplies W_l +/- E_l,
   cast once to the step dtype,
 * jets along coordinate directions for the loss (:func:`jet_sums`): one
@@ -26,18 +26,22 @@ Forward modes:
   (:func:`activation_planes`), bitwise equal to the separate functions of
   :func:`activation_triple`, which the dense oracles read.
 
-The +eps and -eps views of one estimate (:func:`sign_views`) read one
-:class:`SignPair`, which forms everything that does not depend on the sign
-once: W_0 in the step dtype, the core eps Z_0 and every E_l; for a batch X
-the products X W_0 and X (eps DW_0); for an index set I the seed rows
-W_0[I] and (eps DW_0)[I]; and phi(X) and X[:, I] of the ansatz.  Each sign
-then adds or subtracts the perturbation term and keeps only its own
-activations and tangent blocks.  This changes no bit: every sign-dependent
-term is linear in the sign and IEEE negation is exact, so (-eps) Z =
--(eps Z), a product with one operand negated is the negated product, and
-W + (-E) = W - E.  Batch terms are reused when the -eps pass reads the same
-read-only X, index-set terms when it also reads the same read-only index
-array (a seed-locked sample).  A view built on its own reads a pair of one.
+A view (:class:`PerturbView`) is one sign of one :class:`SignPair`: sign 0
+of a plain pair (:func:`plain_view`), or +1 or -1 of a perturbed pair, whose
+two signs are the +eps and -eps views of one estimate (:func:`sign_views`).
+The pair owns everything the signs share.  When it is built it forms W_0 in
+the step dtype, the core eps Z_0 and each sign's hidden weights: one E_l per
+layer gives W_l + E_l, then W_l - E_l in E_l's own buffer, so no E_l
+outlives its layer.  For a batch X it forms the products X W_0 and
+X (eps DW_0); for an index set I the seed rows W_0[I] and (eps DW_0)[I];
+and phi(X) and X[:, I] of the ansatz.  Each sign then adds or subtracts the
+perturbation term and keeps only its own activations and tangent blocks.
+This changes no bit: every sign-dependent term is linear in the sign and
+IEEE negation is exact, so (-eps) Z = -(eps Z), a product with one operand
+negated is the negated product, and W + (-E) = W - E.  Batch terms are
+reused when the -eps pass reads the same read-only X, index-set terms when
+it also reads the same read-only index array (a seed-locked sample).  A
+pair reads ``params`` when it is built, so build new views after an update.
 
 All jet code lives here, and :func:`jet_sums` is its one entry point.  The
 maximum order is 2, the order of every supported operator.
@@ -55,7 +59,7 @@ keeps the residual op - f, whose f is f64, out of f32 arithmetic.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 
@@ -139,8 +143,8 @@ class MlpParams:
         for a, b in zip(self.weights, self.weights[1:]):
             if a.shape[1] + extra != b.shape[0]:
                 raise ValueError(f"layer shapes do not chain: {a.shape} -> {b.shape}")
-        if self.weights[-1].shape[1] != 1:
-            raise ValueError("output layer must have a single column")
+        if not self.weights or self.weights[-1].shape[1] != 1:
+            raise ValueError("need at least one layer, the output layer with a single column")
 
     @property
     def dim(self) -> int:
@@ -181,37 +185,29 @@ def init_mlp(
     return MlpParams(weights, activation, act_scale, bias)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PerturbView:
-    """A (possibly sign-perturbed) read-only view of the network.
+    """One sign of a :class:`SignPair`: 0 of a plain pair, +1 or -1 of a perturbed one.
 
-    ``sign=0`` skips the perturbation branch entirely and reproduces the
-    unperturbed network bitwise.  ``pair`` is the :class:`SignPair` the view's
-    passes read; :func:`sign_views` sets it, and a view built on its own reads
-    a pair of one built per call.
+    Sign 0 reproduces the unperturbed network bitwise.  A view reads its pair,
+    which read ``params`` when it was built: build new views after an update.
     """
 
-    params: MlpParams
-    subspaces: list[LayerSubspace] | None = None
-    cores: list[np.ndarray] | None = None
+    pair: SignPair
     sign: int = 0
-    eps: float = 0.0
-    dtype: np.dtype = field(default_factory=lambda: np.dtype(np.float64))
-    pair: SignPair | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.sign not in (-1, 0, 1):
-            raise ValueError("sign must be -1, 0 or +1")
-        if self.sign != 0 and (self.subspaces is None or self.cores is None):
-            raise ValueError("perturbed view needs subspaces and cores")
+        if self.sign not in ((1, -1) if self.pair.perturbed else (0,)):
+            kind = "perturbed" if self.pair.perturbed else "plain"
+            raise ValueError(f"sign {self.sign!r} is not a sign of a {kind} pair")
 
-    def shared(self) -> SignPair:
-        """The sign-independent terms this view's passes read."""
-        if self.pair is not None:
-            return self.pair
-        if self.sign == 0:
-            return SignPair(self.params, self.dtype)
-        return SignPair(self.params, self.dtype, self.subspaces, self.cores, self.eps)
+    @property
+    def params(self) -> MlpParams:
+        return self.pair.params
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.pair.dtype
 
     # Loss-pipeline surface shared with the exact-solution stand-in.
     def values(self, X: np.ndarray) -> np.ndarray:
@@ -222,7 +218,7 @@ class PerturbView:
 
 
 def plain_view(params: MlpParams) -> PerturbView:
-    return PerturbView(params)
+    return PerturbView(SignPair(params))
 
 
 def sign_views(
@@ -232,12 +228,9 @@ def sign_views(
     eps: float,
     dtype,
 ) -> tuple[PerturbView, PerturbView]:
-    """The +eps and -eps views of one estimate, reading one :class:`SignPair`."""
-    pair = SignPair(params, dtype, subspaces, cores, eps)
-    views = tuple(PerturbView(params, subspaces, cores, s, eps, pair.dtype) for s in (1, -1))
-    for view in views:
-        view.pair = pair
-    return views
+    """The +eps and -eps views of one estimate, the two signs of one :class:`SignPair`."""
+    pair = SignPair(params, subspaces, cores, eps, dtype)
+    return PerturbView(pair, 1), PerturbView(pair, -1)
 
 
 def _signed(shared: np.ndarray, term: np.ndarray | None, sign: int) -> np.ndarray:
@@ -277,24 +270,35 @@ def _reusable(cached: np.ndarray, new: np.ndarray) -> bool:
 
 
 class SignPair:
-    """The sign-independent half of a +/-eps pair of views (module docstring).
+    """What the views of one estimate share (module docstring).
 
-    Built with ``cores`` for perturbed views and without for plain ones.
-    :meth:`batch` and :meth:`rows` keep their last result and return it again
-    for the same read-only arrays, which is how the -eps pass reuses what the
-    +eps pass formed.  The pair reads ``params`` when it is built and is meant
-    to live for one estimate.
+    Perturbed, with ``subspaces``, ``cores`` and ``eps``, its signs are +1 and
+    -1; plain, from ``params`` alone, its sign is 0.  Each sign's layer weights
+    are formed here, from ``params`` as they are now.  :meth:`batch` and
+    :meth:`rows` return their last result again for the same read-only arrays,
+    which is how the -eps pass reuses what the +eps pass formed.
     """
 
-    def __init__(self, params: MlpParams, dtype, subspaces=None, cores=None, eps: float = 0.0):
+    def __init__(
+        self, params: MlpParams, subspaces=None, cores=None, eps: float = 0.0, dtype=np.float64
+    ):
         self.params = params
+        self.subspaces, self.cores, self.eps = subspaces, cores, eps
         self.dtype = np.dtype(dtype)
         self.W0 = params.weights[0].astype(self.dtype, copy=False)
         self.perturbed = cores is not None
-        if self.perturbed:
+        later = params.weights[1:]
+        if not self.perturbed:
+            self._weights = {0: [self.W0] + [W.astype(self.dtype, copy=False) for W in later]}
+        else:
             self.sub0 = subspaces[0]
             self.core0 = np.asarray(eps * cores[0], dtype=self.dtype)
-            self.E = [rank_r_delta(s, Z, eps) for s, Z in zip(subspaces[1:], cores[1:])]
+            plus, minus = [self.W0], [self.W0]
+            for W, s, Z in zip(later, subspaces[1:], cores[1:]):
+                E = rank_r_delta(s, Z, eps)
+                plus.append((W + E).astype(self.dtype, copy=False))
+                minus.append(np.subtract(W, E, out=E).astype(self.dtype, copy=False))
+            self._weights = {1: plus, -1: minus}
         self._batch: _Batch | None = None
         self._rows: _Rows | None = None
 
@@ -332,12 +336,7 @@ class SignPair:
         Layer 0 is W_0 as is: its perturbation stays implicit (:meth:`batch`,
         :meth:`rows`).  Every later layer is W_l +/- E_l, cast once.
         """
-        out = [self.W0]
-        for l, W in enumerate(self.params.weights[1:]):
-            if sign != 0:
-                W = _signed(W, self.E[l], sign)
-            out.append(W.astype(self.dtype, copy=False))
-        return out
+        return self._weights[sign]
 
 
 def _primal(view: PerturbView, X: _Batch, weights: list[np.ndarray], derivs: bool):
@@ -350,7 +349,7 @@ def _primal(view: PerturbView, X: _Batch, weights: list[np.ndarray], derivs: boo
     directions.  Each hidden layer evaluates its activation once
     (:func:`activation_planes`).
     """
-    params = view.params
+    params = view.pair.params
     bias = params.bias
     act, scale = params.activation, params.act_scale
     s1s: list[np.ndarray] = []
@@ -372,7 +371,7 @@ def _primal(view: PerturbView, X: _Batch, weights: list[np.ndarray], derivs: boo
 
 def forward(view: PerturbView, X: np.ndarray) -> np.ndarray:
     """Raw network values, shape (B, 1)."""
-    pair = view.shared()
+    pair = view.pair
     return _primal(view, pair.batch(X), pair.weights(view.sign), derivs=False)[0]
 
 
@@ -405,7 +404,7 @@ def set_starts(sizes, n_dims: int) -> list[int]:
 JET_CHUNK = 16
 
 
-def _raw_jets(view: PerturbView, pair: SignPair, batch: _Batch, rows: _Rows, starts: list[int]):
+def _raw_jets(view: PerturbView, batch: _Batch, rows: _Rows, starts: list[int]):
     """Raw-network jets along coordinate directions, second order summed per set.
 
     ``rows.dims`` is split into consecutive index sets at ``starts``; a
@@ -420,24 +419,24 @@ def _raw_jets(view: PerturbView, pair: SignPair, batch: _Batch, rows: _Rows, sta
     so each block costs one GEMM per layer.  The input layer maps one-hot
     seeds to (implicitly perturbed) weight rows, so no (b, B, d) tangent
     block is ever formed; later layers multiply explicitly perturbed weights.
-    Everything sign-independent comes from ``pair``, ``batch`` and ``rows``.
+    Everything sign-independent comes from the view's pair, ``batch`` and ``rows``.
 
     Returns g (B,), the first derivatives g1 (b, B) and the per-set sums of
     second derivatives g2 (len(starts), B).
     """
-    params = view.params
-    depth = params.depth
-    bias = params.bias
+    pair, sign = view.pair, view.sign
+    params, dtype = pair.params, pair.dtype
+    depth, bias = params.depth, params.bias
     n = rows.dims.size
 
-    weights = pair.weights(view.sign)
+    weights = pair.weights(sign)
     value, s1s, s2s = _primal(view, batch, weights, derivs=True)
     B = value.shape[0]
     # e_i @ W0 +/- e_i @ (eps DW_0); a constant feature has zero tangent
-    seed_rows = _signed(rows.R0, rows.D, view.sign)
+    seed_rows = _signed(rows.R0, rows.D, sign)
 
-    g1 = np.empty((n, B), dtype=view.dtype)
-    g2 = np.zeros((len(starts), B), dtype=view.dtype)
+    g1 = np.empty((n, B), dtype=dtype)
+    g2 = np.zeros((len(starts), B), dtype=dtype)
     if depth == 1:
         g1[:] = seed_rows[:, :1]
         return value[:, 0], g1, g2
@@ -450,7 +449,7 @@ def _raw_jets(view: PerturbView, pair: SignPair, batch: _Batch, rows: _Rows, sta
             nc = c1 - c0
             rows_c = seed_rows[c0:c1]
             # first activation: d1 = s' * rows, sum d2 = s'' * sum rows^2
-            tg = np.empty((nc + 1, B, rows_c.shape[1]), dtype=view.dtype)
+            tg = np.empty((nc + 1, B, rows_c.shape[1]), dtype=dtype)
             np.multiply(rows_c[:, None, :], s1s[0], out=tg[:nc])
             np.multiply(np.einsum("kh,kh->h", rows_c, rows_c), s2s[0], out=tg[nc])
             for l in range(1, depth):
@@ -478,11 +477,11 @@ def jet_sums(view: PerturbView, X: np.ndarray, dims, sizes) -> tuple[np.ndarray,
     sum_{i in I} d2u/dx_i^2 = phi sum g''_i - 4 sum x_i g'_i - 2 |I| g.
     Returns u (B,) and the sums (len(sizes), B).
     """
-    pair = view.shared()
+    pair = view.pair
     batch = pair.batch(np.atleast_2d(np.asarray(X)))
     rows = pair.rows(batch, np.asarray(dims, dtype=np.int64))
     starts = set_starts(sizes, rows.dims.size)
-    g, g1, g2 = _raw_jets(view, pair, batch, rows, starts)
+    g, g1, g2 = _raw_jets(view, batch, rows, starts)
     xg1 = np.add.reduceat(rows.xi * g1, starts, axis=0)
     # 2|I| as an f64 column: an f32 g widens to f64, as the other terms do
     twice = np.array([2.0 * k for k in sizes])

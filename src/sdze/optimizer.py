@@ -91,6 +91,8 @@ class SdzeConfig:
             problems.append("annealed mode needs p in (1/2, 1]")
         if self.dtype not in DTYPES:
             problems.append("dtype must be f64 or f32")
+        if self.pde_kind not in PDE_KINDS:
+            problems.append(f"pde_kind must be one of {sorted(PDE_KINDS)}")
         if min(self.rank, self.freq_F, self.batch_B, self.batch_b) < 1:
             problems.append("rank, freq_F, batch_B, batch_b must be >= 1")
         if self.rank_per_layer is not None and len(self.rank_per_layer) != len(self.widths) - 1:

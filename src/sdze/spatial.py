@@ -23,6 +23,21 @@ from .rng import Role, RngStream, StreamKey, derive_stream, sample_index_set
 
 NONLINEARITIES = ("none", "allen_cahn", "sine_gordon")
 SOLUTIONS = ("two_body", "three_body")
+NORMALIZATIONS = ("raw", "dim_normalized")
+
+
+def coefficient_count(solution: str, dim: int) -> int:
+    """How many coefficients c_i ``solution`` has in ``dim`` dimensions.
+
+    Raises ``ValueError`` for an unknown solution tag or a ``dim`` too small
+    for one pair (two_body) or triple (three_body) of coordinates.
+    """
+    if solution not in SOLUTIONS:
+        raise ValueError(f"unknown solution tag {solution!r}")
+    low = 2 if solution == "two_body" else 3
+    if dim < low:
+        raise ValueError(f"{solution} needs dim >= {low}")
+    return dim - low + 1
 
 
 @dataclass(frozen=True)
@@ -42,15 +57,9 @@ class PdeProblem:
     def __post_init__(self):
         if self.kind not in NONLINEARITIES:
             raise ValueError(f"unknown pde kind {self.kind!r}")
-        if self.solution not in SOLUTIONS:
-            raise ValueError(f"unknown solution tag {self.solution!r}")
-        if self.normalization not in ("raw", "dim_normalized"):
+        if self.normalization not in NORMALIZATIONS:
             raise ValueError(f"unknown normalization {self.normalization!r}")
-        need = self.dim - 1 if self.solution == "two_body" else self.dim - 2
-        if need < 1:
-            raise ValueError(
-                f"{self.solution} needs dim >= {2 if self.solution == 'two_body' else 3}"
-            )
+        need = coefficient_count(self.solution, self.dim)
         if len(self.coeffs) != need:
             raise ValueError(f"expected {need} coefficients, got {len(self.coeffs)}")
 
@@ -74,9 +83,7 @@ def make_problem(
     kind: str, dim: int, solution: str, master: int, normalization: str = "dim_normalized"
 ) -> PdeProblem:
     """Problem with solution coefficients c_i ~ N(0,1) frozen from the seed."""
-    n = dim - 1 if solution == "two_body" else dim - 2
-    if n < 1:
-        raise ValueError(f"{solution} needs dim >= {2 if solution == 'two_body' else 3}")
+    n = coefficient_count(solution, dim)
     stream = derive_stream(StreamKey(master, Role.SOLUTION_COEFFS, 0, 0))
     return PdeProblem(dim, kind, solution, stream.normals(n), normalization)
 

@@ -43,23 +43,32 @@ BLOCK_ELEMS = 65536
 
 @dataclass(frozen=True)
 class ReshapePlan:
+    """An m x n layer and its near-square view: one side divided by k, the other times k."""
+
     orig: tuple[int, int]
     square: tuple[int, int]
-    split_factor: int
-    split_side: str  # "rows" | "cols" | "none"
 
     def __post_init__(self):
-        m, n = self.orig
-        mp, np_ = self.square
-        if mp * np_ != m * n:
-            raise ValueError("reshape plan must preserve element count")
-        if (self.split_factor == 1) != (self.split_side == "none"):
-            raise ValueError("split_factor is 1 iff split_side is none")
+        (m, n), (kr, kc) = self.orig, self.splits
+        if m % kr or n % kc or self.square != (m // kr * kc, n // kc * kr):
+            raise ValueError(
+                f"{self.square} is not {self.orig} with one side divided by k and the other times k"
+            )
 
     @property
     def splits(self) -> tuple[int, int]:
         """(kr, kc): how many segments the rows and the columns split into."""
         return max(1, self.orig[0] // self.square[0]), max(1, self.orig[1] // self.square[1])
+
+    @property
+    def split_factor(self) -> int:
+        kr, kc = self.splits
+        return kr * kc
+
+    @property
+    def split_side(self) -> str:
+        kr, kc = self.splits
+        return "rows" if kr > 1 else "cols" if kc > 1 else "none"
 
 
 def plan_reshape(m: int, n: int) -> ReshapePlan:
@@ -78,11 +87,8 @@ def plan_reshape(m: int, n: int) -> ReshapePlan:
         gap = abs(larger // k - smaller * k)
         if gap < best_gap:
             best_k, best_gap = k, gap
-    if best_k == 1:
-        return ReshapePlan((m, n), (m, n), 1, "none")
-    if m >= n:
-        return ReshapePlan((m, n), (m // best_k, n * best_k), best_k, "rows")
-    return ReshapePlan((m, n), (m * best_k, n // best_k), best_k, "cols")
+    square = (m // best_k, n * best_k) if m >= n else (m * best_k, n // best_k)
+    return ReshapePlan((m, n), square)
 
 
 @dataclass(frozen=True)

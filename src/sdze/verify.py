@@ -20,12 +20,12 @@ import numpy as np
 from .net import (
     JET_CHUNK,
     MlpParams,
-    PerturbView,
     activation_triple,
     ansatz,
     init_mlp,
     jet_sums,
     plain_view,
+    sign_views,
 )
 from .optimizer import directional_delta, step_cores
 from .rng import Role, StreamKey, derive_stream
@@ -480,6 +480,7 @@ def crns_variance_sweep(
     B: int,
     b: int,
     master: int = 0,
+    dtype: str = "f64",
 ) -> tuple[list[dict], float, float]:
     """Sample variance of the directional estimate over the spatial measure.
 
@@ -504,7 +505,7 @@ def crns_variance_sweep(
 
     The 1/eps^2 coefficient is what locking cancels; the ratio's size depends
     on the problem, the initialization and the scale of the direction, not on
-    locking.
+    locking.  Each estimate runs in ``dtype``, the step dtype of a run.
     """
     if replicates < 2:
         raise ValueError("need at least 2 replicates")
@@ -526,7 +527,7 @@ def crns_variance_sweep(
         for (mode, eps), deltas in acc.items():
             minus = plus if mode == "crns" else naive
             delta, _, _ = directional_delta(
-                params, subs, cores, problem, plus, minus, eps
+                params, subs, cores, problem, plus, minus, eps, dtype=dtype
             )
             deltas.append(delta)
     variances = {key: float(np.var(np.asarray(d), ddof=1)) for key, d in acc.items()}
@@ -633,13 +634,12 @@ def implicit_suite(master: int = 0, n_cases: int = 20) -> list[IdentityReport]:
             np.minimum((derive_stream(StreamKey(master + idx, Role.DIM_SET_1, 0, 0)).uniforms(3) * m).astype(int), m - 1)
         )
         worst = 0.0
-        for sign in (+1, -1):
-            view = PerturbView(params, subs, cores, sign, 0.31)
+        for view in sign_views(params, subs, cores, 0.31, np.float64):
             got = view.values(X)
             phi = 1.0 - (X * X).sum(axis=1)
-            want = phi * explicit_forward(params, X, deltas, sign, 0.31)[:, 0]
+            want = phi * explicit_forward(params, X, deltas, view.sign, 0.31)[:, 0]
             worst = max(worst, float(np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300)))
-            u_o, d2_o = explicit_jets(params, X, dims, deltas, sign, 0.31)
+            u_o, d2_o = explicit_jets(params, X, dims, deltas, view.sign, 0.31)
             # singletons, then (dims, dims[0]) and dims: a repeat, and overlap
             n = dims.size
             set_dims = np.concatenate([dims, dims, dims[:1], dims])

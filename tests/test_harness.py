@@ -18,8 +18,8 @@ from sdze.harness import (
     save_checkpoint,
     write_csv,
 )
-from sdze.net import init_mlp
-from sdze.optimizer import directional_delta, make_subspaces, step_cores
+from sdze.net import MlpParams, init_mlp
+from sdze.optimizer import SdzeConfig, directional_delta, make_subspaces, step_cores
 from sdze.spatial import SpatialSample, draw_sample
 
 
@@ -160,6 +160,39 @@ def test_widths_must_start_with_pde_dim(tmp_path):
     with pytest.raises(ConfigError, match="net.widths"):
         config_from_dict(raw)
     assert not (tmp_path / "run").exists()
+
+
+def _edited(**blocks):
+    """A loader of ``tiny_config`` with the given keys of each block replaced."""
+
+    def load(raw):
+        for block, keys in blocks.items():
+            raw[block].update(keys)
+        return config_from_dict(raw)
+
+    return load
+
+
+@pytest.mark.parametrize(
+    "build, error, key",
+    [
+        (_edited(net={"widths": [5]}), ConfigError, "net.widths"),
+        (_edited(net={"widths": [5, 6, 2]}), ConfigError, "net.widths"),
+        (_edited(pde={"solution": "foo"}), ConfigError, "pde.solution"),
+        (_edited(pde={"normalization": "foo"}), ConfigError, "pde.normalization"),
+        (
+            _edited(pde={"dim": 2, "solution": "three_body"}, net={"widths": [2, 6, 1]}),
+            ConfigError,
+            "pde.dim",
+        ),
+        (lambda raw: SdzeConfig(pde_kind="heat"), ValueError, "pde_kind"),
+        (lambda raw: MlpParams([]), ValueError, "at least one layer"),
+    ],
+    ids=["one_width", "wide_output", "solution", "normalization", "dim", "kind", "no_layers"],
+)
+def test_bad_values_fail_where_they_are_given_naming_the_key(tmp_path, build, error, key):
+    with pytest.raises(error, match=key):
+        build(tiny_config(tmp_path))
 
 
 def test_list_keys_must_be_lists_of_positive_integers(tmp_path):
@@ -481,13 +514,16 @@ def test_cli_ablate_crns_sweeps_the_configured_net(tmp_path, monkeypatch):
 
     def sweep(problem, params, **kwargs):
         seen["params"] = params
+        seen["dtype"] = kwargs["dtype"]
         return [{"eps": 1e-3, "var_crns": 1.0, "var_naive": 2.0}], 0.0, -2.0
 
     monkeypatch.setattr(cli.V, "crns_variance_sweep", sweep)
     raw = tiny_config(tmp_path, out_dir=str(tmp_path / "ab"))
     raw["net"]["bias"] = True
+    raw["net"]["dtype"] = "f32"
     cfg_path = tmp_path / "c.json"
     cfg_path.write_text(json.dumps(raw))
     assert cli.main(["ablate-crns", "--config", str(cfg_path), "--eps", "1e-3"]) == 0
     assert seen["params"].bias is True
     assert seen["params"].widths == [5, 6, 1]
+    assert seen["dtype"] == "f32"

@@ -8,6 +8,7 @@ from sdze.net import (
     JET_CHUNK,
     MlpParams,
     PerturbView,
+    SignPair,
     activation_triple,
     ansatz,
     forward,
@@ -23,7 +24,7 @@ from sdze.spatial import (
     sampled_operator,
     stochastic_loss,
 )
-from sdze.subspace import BLOCK_ELEMS, sample_core, subspace_for_layer
+from sdze.subspace import BLOCK_ELEMS, rank_r_delta, sample_core, subspace_for_layer
 from sdze.verify import explicit_delta_w, explicit_forward, explicit_jets
 
 
@@ -47,20 +48,52 @@ def test_shapes_must_chain():
         MlpParams([np.zeros((3, 2))])  # output width must be 1
 
 
-def test_sign_zero_is_bitwise_plain():
+def test_view_sign_must_be_a_sign_of_its_pair():
     params, subs, cores = build([6, 5, 1])
+    with pytest.raises(ValueError):
+        PerturbView(SignPair(params, subs, cores, 1e-3), 0)
+    for sign in (+1, -1):
+        with pytest.raises(ValueError):
+            PerturbView(SignPair(params), sign)
+
+
+@pytest.mark.parametrize("bias", [False, True])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_each_sign_forms_its_hidden_weights_once(bias, dtype):
+    # each sign's layer l >= 1 is (W_l +/- rank_r_delta(s, Z, eps)) cast once;
+    # layer 0 stays W_0 in the step dtype, its perturbation implicit
+    params, subs, cores = build([6, 5, 4, 1], bias=bias)
+    pair = SignPair(params, subs, cores, 0.37, dtype)
+    for sign in (+1, -1):
+        got = pair.weights(sign)
+        assert got[0].tobytes() == params.weights[0].astype(dtype).tobytes()
+        for W, s, Z, G in zip(params.weights[1:], subs[1:], cores[1:], got[1:]):
+            E = rank_r_delta(s, Z, 0.37)
+            want = (W + E if sign > 0 else W - E).astype(dtype)
+            assert G.dtype == np.dtype(dtype) and G.tobytes() == want.tobytes()
+
+
+def test_a_standalone_view_forms_each_perturbation_once(monkeypatch):
+    params, subs, cores = build([6, 5, 4, 1])
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0].layer)
+        return rank_r_delta(*args)
+
+    monkeypatch.setattr(net, "rank_r_delta", counted)
+    view = PerturbView(SignPair(params, subs, cores, 1e-3), -1)
     X = np.random.default_rng(0).standard_normal((4, 6)) * 0.4
-    assert np.array_equal(
-        forward(plain_view(params), X),
-        forward(PerturbView(params, subs, cores, 0, 1e-3), X),
-    )
+    view.values(X)
+    jet_sums(view, X, [0, 3], [1, 1])
+    assert sorted(calls) == [1, 2]
 
 
 def test_zero_core_perturbation_is_exact_noop():
     params, subs, _ = build([6, 5, 1])
     zero_cores = [np.zeros((s.rank, s.rank)) for s in subs]
     X = np.random.default_rng(1).standard_normal((4, 6)) * 0.4
-    got = forward(PerturbView(params, subs, zero_cores, +1, 1e-3), X)
+    got = forward(PerturbView(SignPair(params, subs, zero_cores, 1e-3), +1), X)
     assert np.array_equal(got, forward(plain_view(params), X))
 
 
@@ -70,7 +103,7 @@ def test_perturbed_forward_matches_explicit_materialization(bias, sign):
     params, subs, cores = build([6, 5, 1], bias=bias)
     deltas = [explicit_delta_w(s, Z) for s, Z in zip(subs, cores)]
     X = np.random.default_rng(2).standard_normal((5, 6)) * 0.4
-    got = forward(PerturbView(params, subs, cores, sign, 0.37), X)
+    got = forward(PerturbView(SignPair(params, subs, cores, 0.37), sign), X)
     want = explicit_forward(params, X, deltas, sign, 0.37)
     assert np.abs(got - want).max() / np.abs(want).max() <= 1e-12
 
@@ -82,10 +115,9 @@ def test_precision_contract_pins_the_dtype_of_each_stage(dtype):
     view = net.sign_views(params, subs, cores, 1e-3, dtype)[0]
     problem = make_problem("none", 6, "two_body", 3)
     drawn = draw_sample(problem, SpatialSample(3, 1, 7, 2, 6))
-    pair = view.shared()
-    batch = pair.batch(drawn.X)
-    rows = pair.rows(batch, drawn.dims)
-    planes = net._raw_jets(view, pair, batch, rows, np.array([0, 2]))
+    batch = view.pair.batch(drawn.X)
+    rows = view.pair.rows(batch, drawn.dims)
+    planes = net._raw_jets(view, batch, rows, [0, 2])
     assert [p.dtype for p in (*planes, batch.G0, batch.P, rows.D, forward(view, drawn.X))] == [
         np.dtype(dtype)
     ] * 7
@@ -143,7 +175,8 @@ def test_perturbed_jets_match_explicit_oracle(sign):
     deltas = [explicit_delta_w(s, Z) for s, Z in zip(subs, cores)]
     X = np.random.default_rng(5).standard_normal((5, 6)) * 0.4
     dims = np.array([1, 4])
-    u, sums = jet_sums(PerturbView(params, subs, cores, sign, 0.21), X, dims, [1, 1])
+    view = PerturbView(SignPair(params, subs, cores, 0.21), sign)
+    u, sums = jet_sums(view, X, dims, [1, 1])
     u_o, d2_o = explicit_jets(params, X, dims, deltas, sign, 0.21)
     for got, want in ((u, u_o), (sums, d2_o)):
         assert np.abs(got - want).max() / np.abs(want).max() <= 1e-10
@@ -159,7 +192,8 @@ def test_set_sums_match_explicit_oracle(bias, sign):
     X = np.random.default_rng(9).standard_normal((6, 7)) * 0.3
     sets = [[1, 4, 4], [4, 0, 6] * 7, [2]]
     dims = np.concatenate(sets)
-    view = PerturbView(params, subs, cores, sign, 0.23)
+    # sign 0 is the plain network, a pair of its own
+    view = PerturbView(SignPair(params, subs, cores, 0.23), sign) if sign else plain_view(params)
     u, sums = jet_sums(view, X, dims, [len(I) for I in sets])
     u_o, d2_o = explicit_jets(params, X, dims, deltas, sign, 0.23)
     ends = np.cumsum([len(I) for I in sets])
@@ -210,7 +244,8 @@ def test_jet_temporaries_respect_single_buffer_bound(peak_spans):
     for widths, b, bias in cases:
         params, subs, cores = build(widths, rank=3, bias=bias)
         X = np.random.default_rng(8).standard_normal((B, widths[0])) * 0.2
-        jet_sums(PerturbView(params, subs, cores, +1, 1e-3), X, np.arange(b), [b])
+        view = PerturbView(SignPair(params, subs, cores, 1e-3), +1)
+        jet_sums(view, X, np.arange(b), [b])
         h = max(widths[1:])
         c = min(JET_CHUNK, b)
         later = [(m + bias) * n for m, n in zip(widths[1:], widths[2:])]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sdze import net, spatial
-from sdze.net import MlpParams, PerturbView, init_mlp
+from sdze.net import MlpParams, PerturbView, SignPair, init_mlp
 from sdze.optimizer import (
     DTYPES,
     SdzeConfig,
@@ -88,8 +88,9 @@ def test_quadratic_surrogate_delta_is_exact_for_any_eps():
         for l, W in enumerate(view.params.weights):
             Wp = W.copy()
             if view.sign != 0:
-                D = explicit_delta_w(view.subspaces[l], view.cores[l])
-                Wp += view.sign * view.eps * D
+                pair = view.pair
+                D = explicit_delta_w(pair.subspaces[l], pair.cores[l])
+                Wp += view.sign * pair.eps * D
             theta.append(Wp.reshape(-1, order="F"))
         th = np.concatenate(theta)
         return float(th @ Hm @ th)
@@ -285,8 +286,12 @@ def per_sign_delta(params, subs, cores, problem, sample, eps, locked, dtype="f64
     """Reference estimate: every pass draws the whole sample itself."""
     np_dtype = np.dtype(DTYPES[dtype])
     minus = sample if locked else dataclasses.replace(sample, set_replicate=1)
-    lp = per_sign_loss(PerturbView(params, subs, cores, +1, eps, np_dtype), problem, sample)
-    lm = per_sign_loss(PerturbView(params, subs, cores, -1, eps, np_dtype), problem, minus)
+
+    def view(sign):
+        return PerturbView(SignPair(params, subs, cores, eps, np_dtype), sign)
+
+    lp = per_sign_loss(view(+1), problem, sample)
+    lm = per_sign_loss(view(-1), problem, minus)
     return (lp - lm) / (2.0 * eps), lp, lm
 
 
@@ -333,13 +338,9 @@ def test_estimate_forms_its_sign_independent_terms_once(monkeypatch, locked, del
     assert calls == {"perturb_product": 1, "delta_rows": delta_rows}
 
 
-def test_crns_variance_sweep_equals_a_full_draw_per_replicate():
-    master, d, rank, B, b, reps, eps_list = 5, 8, 2, 3, 2, 4, [1e-2, 1e-3]
-    prob = make_problem("none", d, "two_body", master)
-    params = init_mlp([d, 6, 1], "sin", master)
-    rows, _, _ = crns_variance_sweep(
-        prob, params, rank=rank, eps_list=eps_list, replicates=reps, B=B, b=b, master=master
-    )
+def per_replicate_sweep_rows(prob, params, rank, eps_list, reps, B, b, master, dtype="f64"):
+    """The sweep's rows from a full draw per replicate and a pair per pass."""
+    d = prob.dim
     subs = [
         subspace_for_layer(master, l, W.shape[0], W.shape[1], rank)
         for l, W in enumerate(params.weights)
@@ -354,12 +355,34 @@ def test_crns_variance_sweep_equals_a_full_draw_per_replicate():
             deltas = [
                 per_sign_delta(
                     params, subs, cores, prob,
-                    SpatialSample(master, k, B, b, d, collocation_step=0), eps, locked,
+                    SpatialSample(master, k, B, b, d, collocation_step=0), eps, locked, dtype,
                 )[0]
                 for k in range(1, reps + 1)
             ]
             want.append({"mode": mode, "eps": eps, "variance": float(np.var(deltas, ddof=1))})
-    assert rows == want
+    return want
+
+
+def test_crns_variance_sweep_equals_a_full_draw_per_replicate():
+    master, d, rank, B, b, reps, eps_list = 5, 8, 2, 3, 2, 4, [1e-2, 1e-3]
+    prob = make_problem("none", d, "two_body", master)
+    params = init_mlp([d, 6, 1], "sin", master)
+    rows, _, _ = crns_variance_sweep(
+        prob, params, rank=rank, eps_list=eps_list, replicates=reps, B=B, b=b, master=master
+    )
+    assert rows == per_replicate_sweep_rows(prob, params, rank, eps_list, reps, B, b, master)
+
+
+def test_crns_variance_sweep_runs_in_the_given_dtype():
+    master, d, rank, B, b, reps, eps_list = 5, 8, 2, 3, 2, 4, [1e-2, 1e-3]
+    prob = make_problem("none", d, "two_body", master)
+    params = init_mlp([d, 6, 1], "sin", master)
+    kw = dict(rank=rank, eps_list=eps_list, replicates=reps, B=B, b=b, master=master)
+    f64, _, _ = crns_variance_sweep(prob, params, **kw)
+    f32, _, _ = crns_variance_sweep(prob, params, **kw, dtype="f32")
+    assert f32 == per_replicate_sweep_rows(prob, params, rank, eps_list, reps, B, b, master, "f32")
+    assert [(r["mode"], r["eps"]) for r in f32] == [(r["mode"], r["eps"]) for r in f64]
+    assert all(r32["variance"] != r64["variance"] for r32, r64 in zip(f32, f64))
 
 
 def counting(calls: Counter, name: str, fn):
