@@ -47,6 +47,15 @@ def _parse_float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok]
 
 
+def _parse_eps_list(text: str) -> list[float]:
+    try:
+        values = _parse_float_list(text)
+        V.check_eps_list(values)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+    return values
+
+
 def _parse_pairs(text: str) -> list[tuple[int, int]]:
     pairs = []
     for tok in text.split(","):
@@ -180,7 +189,7 @@ def main(argv: list[str] | None = None) -> int:
     p_verify.add_argument("--b", type=int, default=5)
     p_verify.add_argument("--reps", type=int, default=500)
     p_verify.add_argument(
-        "--eps", type=_parse_float_list, default=[1e-1, 1e-2, 1e-3, 1e-4]
+        "--eps", type=_parse_eps_list, default=[1e-1, 1e-2, 1e-3, 1e-4]
     )
 
     p_rf = sub.add_parser("sweep-rank-freq", help="rank x refresh-frequency grid")
@@ -198,7 +207,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p_ab = sub.add_parser("ablate-crns", help="seed-locking variance ablation")
     p_ab.add_argument("--config", required=True)
-    p_ab.add_argument("--eps", type=_parse_float_list, required=True)
+    p_ab.add_argument("--eps", type=_parse_eps_list, required=True)
     p_ab.add_argument("--reps", type=int, default=500)
     p_ab.add_argument("--seed", type=int, default=None)
     p_ab.add_argument("--out", default=None)

@@ -26,8 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .net import ACTIVATIONS, MlpParams
+from .net import ACTIVATIONS, MlpParams, SignPair
 from .optimizer import (
+    DTYPES,
     PDE_KINDS,
     SdzeConfig,
     StepRecord,
@@ -421,12 +422,12 @@ def delta_variance(
     params = cfg.init_params()
     subspaces = make_subspaces(params, cfg)
     cores = step_cores(cfg.seed, subspaces, 0)
+    # one perturbation: every replicate reads the same pair's weights
+    pair = SignPair(params, subspaces, cores, cfg.eps, DTYPES[cfg.dtype])
     deltas = []
     for k in range(1, replicates + 1):
         drawn = draw_sample(problem, SpatialSample(cfg.seed, k, B, b, problem.dim))
-        delta, _, _ = directional_delta(
-            params, subspaces, cores, problem, drawn, drawn, cfg.eps, dtype=cfg.dtype
-        )
+        delta, _, _ = directional_delta(pair, problem, drawn, drawn)
         deltas.append(delta)
     return float(np.var(np.asarray(deltas), ddof=1))
 

@@ -40,8 +40,14 @@ This changes no bit: every sign-dependent term is linear in the sign and
 IEEE negation is exact, so (-eps) Z = -(eps Z), a product with one operand
 negated is the negated product, and W + (-E) = W - E.  Batch terms are
 reused when the -eps pass reads the same read-only X, index-set terms when
-it also reads the same read-only index array (a seed-locked sample).  A
-pair reads ``params`` when it is built, so build new views after an update.
+it also reads the same read-only index array (a seed-locked sample).
+
+A pair is one perturbation of ``params`` as they were when it was built.  It
+serves any number of estimates, on any batches and index sets, until
+``params`` change; after an update, build a new pair.  So an estimate reads
+the pair its caller built: a training step builds one per step, and a
+variance sweep one per eps, whose replicates then share its weights and the
+products of their pinned batch.
 
 All jet code lives here, and :func:`jet_sums` is its one entry point.  The
 maximum order is 2, the order of every supported operator.
@@ -190,7 +196,7 @@ class PerturbView:
     """One sign of a :class:`SignPair`: 0 of a plain pair, +1 or -1 of a perturbed one.
 
     Sign 0 reproduces the unperturbed network bitwise.  A view reads its pair,
-    which read ``params`` when it was built: build new views after an update.
+    which lives as the module docstring says: until ``params`` change.
     """
 
     pair: SignPair
@@ -276,7 +282,8 @@ class SignPair:
     -1; plain, from ``params`` alone, its sign is 0.  Each sign's layer weights
     are formed here, from ``params`` as they are now.  :meth:`batch` and
     :meth:`rows` return their last result again for the same read-only arrays,
-    which is how the -eps pass reuses what the +eps pass formed.
+    which is how the -eps pass, and any later estimate of the pair on the same
+    arrays, reuses what an earlier pass formed.
     """
 
     def __init__(

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .net import MlpParams, init_mlp, sign_views
+from .net import MlpParams, PerturbView, SignPair, init_mlp
 from .rng import Role, StreamKey, derive_stream
 from .spatial import (
     DrawnSample,
@@ -174,32 +174,30 @@ def step_cores(master: int, subspaces: list[LayerSubspace], t: int) -> list[np.n
 
 
 def directional_delta(
-    params: MlpParams,
-    subspaces: list[LayerSubspace],
-    cores: list[np.ndarray],
+    pair: SignPair,
     problem: PdeProblem,
     plus: DrawnSample,
     minus: DrawnSample,
-    eps: float,
     *,
-    dtype: str = "f64",
     loss_fn=None,
 ) -> tuple[float, float, float]:
-    """Symmetric-difference estimate (delta, loss+, loss-).
+    """Symmetric-difference estimate (delta, loss+, loss-) of one perturbation.
 
-    The +eps pass reads ``plus`` and the -eps pass ``minus``; seed locking is
+    ``pair`` is the perturbation: its direction, eps and step dtype.  The
+    +eps pass reads ``plus`` and the -eps pass ``minus``; seed locking is
     ``minus is plus``.  The unlocked ablation passes the draw of
-    :meth:`SpatialSample.unlocked` on the same batch.  Both passes read one
-    :class:`~sdze.net.SignPair`, so the terms that do not depend on the sign
-    are formed once: those of the batch whenever ``minus.X is plus.X``, and
-    those of the index sets too when ``minus is plus``.
+    :meth:`SpatialSample.unlocked` on the same batch.  The pair forms the
+    terms that do not depend on the sign once: those of the batch whenever
+    ``minus.X is plus.X``, and those of the index sets too when ``minus is
+    plus``.  A caller that makes several estimates of one perturbation
+    passes one pair to each, which then also shares its weights and, on a
+    pinned batch, its batch products (:mod:`sdze.net`).
     """
     eval_loss = loss_fn if loss_fn is not None else stochastic_loss
-    plus_view, minus_view = sign_views(params, subspaces, cores, eps, DTYPES[dtype])
-    lp = eval_loss(plus_view, problem, plus)
-    lm = eval_loss(minus_view, problem, minus)
+    lp = eval_loss(PerturbView(pair, 1), problem, plus)
+    lm = eval_loss(PerturbView(pair, -1), problem, minus)
     # the difference cancels leading digits; keep it in f64
-    return (float(lp) - float(lm)) / (2.0 * eps), float(lp), float(lm)
+    return (float(lp) - float(lm)) / (2.0 * pair.eps), float(lp), float(lm)
 
 
 def sdze_step(
@@ -225,15 +223,12 @@ def sdze_step(
     drawn = draw_sample(problem, sample)
     minus = drawn if cfg.crns else draw_sample(problem, sample.unlocked(), batch=drawn)
     cores = step_cores(cfg.seed, subspaces, t)
+    # one pair per step, freed before the update below changes params
     delta, lp, lm = directional_delta(
-        params,
-        subspaces,
-        cores,
+        SignPair(params, subspaces, cores, cfg.eps, DTYPES[cfg.dtype]),
         problem,
         drawn,
         minus,
-        cfg.eps,
-        dtype=cfg.dtype,
         loss_fn=loss_fn,
     )
     q = sum(s.rank**2 for s in subspaces)

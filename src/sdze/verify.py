@@ -12,6 +12,7 @@ finite-difference oracle; the artifact has no reverse mode by design.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from itertools import product
 
@@ -20,6 +21,7 @@ import numpy as np
 from .net import (
     JET_CHUNK,
     MlpParams,
+    SignPair,
     activation_triple,
     ansatz,
     init_mlp,
@@ -27,7 +29,7 @@ from .net import (
     plain_view,
     sign_views,
 )
-from .optimizer import directional_delta, step_cores
+from .optimizer import DTYPES, directional_delta, step_cores
 from .rng import Role, StreamKey, derive_stream
 from .spatial import (
     ExactSolutionView,
@@ -471,6 +473,24 @@ def unbiasedness_check(master: int = 0) -> list[IdentityReport]:
 # --- seed-locking variance sweep ---------------------------------------------
 
 
+def check_eps_list(eps_list) -> None:
+    """Refuse eps values a variance sweep cannot fit a slope to.
+
+    The sweep needs at least two values, all distinct, finite and > 0: one
+    value leaves the log-log slope undetermined, a repeat writes a row
+    twice, and log(eps) is not finite for an eps <= 0 or a non-finite eps.
+    """
+    values = list(eps_list)
+    if (
+        len(values) < 2
+        or len(set(values)) < len(values)
+        or not all(math.isfinite(e) and e > 0 for e in values)
+    ):
+        raise ValueError(
+            f"eps_list must hold at least two values, all distinct, finite and > 0; got {values}"
+        )
+
+
 def crns_variance_sweep(
     problem: PdeProblem,
     params: MlpParams,
@@ -506,11 +526,20 @@ def crns_variance_sweep(
     The 1/eps^2 coefficient is what locking cancels; the ratio's size depends
     on the problem, the initialization and the scale of the direction, not on
     locking.  Each estimate runs in ``dtype``, the step dtype of a run.
+
+    The direction is one perturbation per eps: one
+    :class:`~sdze.net.SignPair` per eps serves every replicate and both
+    modes, so each sign's weights are formed once per eps, and so are the
+    pinned batch's products X W_0 and X (eps DW_0).  A naive +eps pass
+    reuses the index-set rows its locked estimate formed.  ``eps_list`` is
+    checked by :func:`check_eps_list` before any draw.
     """
+    check_eps_list(eps_list)
     if replicates < 2:
         raise ValueError("need at least 2 replicates")
     subs = _subspaces_for_shapes([W.shape for W in params.weights], rank, master)
     cores = step_cores(master, subs, 0)
+    pairs = {eps: SignPair(params, subs, cores, eps, DTYPES[dtype]) for eps in eps_list}
 
     def replicate(k: int) -> SpatialSample:
         return SpatialSample(master, k, B, b, problem.dim, collocation_step=0)
@@ -526,9 +555,7 @@ def crns_variance_sweep(
         naive = draw_sample(problem, replicate(k).unlocked(), batch=pinned)
         for (mode, eps), deltas in acc.items():
             minus = plus if mode == "crns" else naive
-            delta, _, _ = directional_delta(
-                params, subs, cores, problem, plus, minus, eps, dtype=dtype
-            )
+            delta, _, _ = directional_delta(pairs[eps], problem, plus, minus)
             deltas.append(delta)
     variances = {key: float(np.var(np.asarray(d), ddof=1)) for key, d in acc.items()}
     rows = [

@@ -18,7 +18,7 @@ from sdze.harness import (
     save_checkpoint,
     write_csv,
 )
-from sdze.net import MlpParams, init_mlp
+from sdze.net import MlpParams, SignPair, init_mlp
 from sdze.optimizer import SdzeConfig, directional_delta, make_subspaces, step_cores
 from sdze.spatial import SpatialSample, draw_sample
 
@@ -224,12 +224,27 @@ def test_delta_variance_estimates_in_the_config_dtype(tmp_path):
     deltas = []
     for k in range(1, 11):
         drawn = draw_sample(problem, SpatialSample(cfg.seed, k, 4, 2, problem.dim))
-        deltas.append(
-            directional_delta(params, subspaces, cores, problem, drawn, drawn, cfg.eps, dtype="f32")[0]
-        )
+        # a fresh pair per estimate: the call's one shared pair must change no bit
+        pair = SignPair(params, subspaces, cores, cfg.eps, np.float32)
+        deltas.append(directional_delta(pair, problem, drawn, drawn)[0])
     got = harness.delta_variance(cfg, problem, 4, 2, replicates=10)
     assert got == float(np.var(np.asarray(deltas), ddof=1))
     assert got != harness.delta_variance(dataclasses.replace(cfg, dtype="f64"), problem, 4, 2, 10)
+
+
+def test_delta_variance_builds_one_pair_per_call(tmp_path, monkeypatch):
+    # the replicates differ in their batches, so they share only the weights
+    cfg = config_from_dict(tiny_config(tmp_path))
+    built = []
+    init = SignPair.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SignPair, "__init__", counted)
+    harness.delta_variance(cfg, cfg.make_problem(), 4, 2, replicates=6)
+    assert len(built) == 1
 
 
 def test_checkpoint_roundtrip_bitwise(tmp_path):
@@ -523,7 +538,23 @@ def test_cli_ablate_crns_sweeps_the_configured_net(tmp_path, monkeypatch):
     raw["net"]["dtype"] = "f32"
     cfg_path = tmp_path / "c.json"
     cfg_path.write_text(json.dumps(raw))
-    assert cli.main(["ablate-crns", "--config", str(cfg_path), "--eps", "1e-3"]) == 0
+    assert cli.main(["ablate-crns", "--config", str(cfg_path), "--eps", "1e-2,1e-3"]) == 0
     assert seen["params"].bias is True
     assert seen["params"].widths == [5, 6, 1]
     assert seen["dtype"] == "f32"
+
+
+@pytest.mark.parametrize("command", ["verify", "ablate-crns"])
+def test_cli_refuses_a_degenerate_eps_list_before_writing(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(tiny_config(tmp_path, out_dir=str(out))))
+    if command == "verify":
+        argv = ["verify", "--suite", "crns", "--dim", "8", "--reps", "2", "--b", "2", "--out", str(out)]
+    else:
+        argv = ["ablate-crns", "--config", str(cfg_path), "--reps", "2"]
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv + ["--eps", "1e-3,1e-3"])
+    assert exit_.value.code == 2
+    assert "argument --eps: eps_list must hold" in capsys.readouterr().err
+    assert not out.exists()

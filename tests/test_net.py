@@ -24,7 +24,7 @@ from sdze.spatial import (
     sampled_operator,
     stochastic_loss,
 )
-from sdze.subspace import BLOCK_ELEMS, rank_r_delta, sample_core, subspace_for_layer
+from sdze.subspace import rank_r_delta, sample_core, subspace_for_layer
 from sdze.verify import explicit_delta_w, explicit_forward, explicit_jets
 
 
@@ -229,9 +229,10 @@ def test_jet_temporaries_respect_single_buffer_bound(peak_spans):
     # that does not grow with d: JET_CHUNK-wide tangent blocks of B x h
     # planes (the block, its GEMM product and as much reduction scratch),
     # sigma' and sigma'' of every hidden layer, two B x h transients, the
-    # explicitly perturbed later layers plus one update block building them,
-    # the seed rows and the outputs, plus 16 KiB of small objects.  With
-    # d >> h, a (b, B, d) one-hot tangent block alone would exceed it.
+    # seed rows and the outputs, plus 16 KiB of small objects.  The later
+    # layers' W_l +/- E_l are not counted: the pair forms them when it is
+    # built, before the sweep starts.  With d >> h, a (b, B, d) one-hot
+    # tangent block alone would exceed it.
     peak_spans.wrap(net, "_raw_jets")
     B = 9
     cases = [
@@ -248,13 +249,10 @@ def test_jet_temporaries_respect_single_buffer_bound(peak_spans):
         jet_sums(view, X, np.arange(b), [b])
         h = max(widths[1:])
         c = min(JET_CHUNK, b)
-        later = [(m + bias) * n for m, n in zip(widths[1:], widths[2:])]
         words = (
             3 * (c + 1) * B * h
             + 2 * B * sum(widths[1:-1])
             + 2 * B * h
-            + sum(later)
-            + 2 * min(BLOCK_ELEMS, max(later, default=0))
             + b * h
             + 2 * b * B
         )

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from sdze import net, spatial
+from sdze import net, spatial, verify
 from sdze.net import MlpParams, PerturbView, SignPair, init_mlp
 from sdze.optimizer import (
     DTYPES,
@@ -114,7 +114,7 @@ def test_zero_core_gives_zero_delta_and_no_update():
     subs = make_subspaces(params, cfg)
     zero = [np.zeros((s.rank, s.rank)) for s in subs]
     drawn = draw_sample(prob, SpatialSample(cfg.seed, 1, cfg.batch_B, cfg.batch_b, 6))
-    delta, lp, lm = directional_delta(params, subs, zero, prob, drawn, drawn, cfg.eps)
+    delta, lp, lm = directional_delta(SignPair(params, subs, zero, cfg.eps), prob, drawn, drawn)
     assert delta == 0.0 and lp == lm
 
 
@@ -198,7 +198,7 @@ def test_richardson_eps_squared_truncation():
     drawn = draw_sample(prob, SpatialSample(cfg.seed, 1, 3, 2, 5))
     deltas = {}
     for eps in (0.08, 0.04, 0.02):
-        deltas[eps], _, _ = directional_delta(params, subs, cores, prob, drawn, drawn, eps)
+        deltas[eps], _, _ = directional_delta(SignPair(params, subs, cores, eps), prob, drawn, drawn)
     top = deltas[0.08] - deltas[0.04]
     bot = deltas[0.04] - deltas[0.02]
     assert abs(bot) > 1e-8 * abs(deltas[0.02])
@@ -311,9 +311,8 @@ def test_directional_delta_equals_per_sign_draws_bitwise(locked, dtype, kind):
             cores = cores_at(cfg, subs, t)
             plus = draw_sample(prob, sample)
             minus = plus if locked else draw_sample(prob, sample.unlocked(), batch=plus)
-            got = directional_delta(
-                params, subs, cores, prob, plus, minus, cfg.eps, dtype=dtype
-            )
+            pair = SignPair(params, subs, cores, cfg.eps, DTYPES[dtype])
+            got = directional_delta(pair, prob, plus, minus)
             want = per_sign_delta(params, subs, cores, prob, sample, cfg.eps, locked, dtype)
             assert got == want, widths
             assert got[1] != got[2]
@@ -334,7 +333,7 @@ def test_estimate_forms_its_sign_independent_terms_once(monkeypatch, locked, del
     calls = Counter()
     for name in ("perturb_product", "delta_rows"):
         monkeypatch.setattr(net, name, counting(calls, name, getattr(net, name)))
-    directional_delta(params, subs, cores_at(cfg, subs, 1), prob, plus, minus, cfg.eps)
+    directional_delta(SignPair(params, subs, cores_at(cfg, subs, 1), cfg.eps), prob, plus, minus)
     assert calls == {"perturb_product": 1, "delta_rows": delta_rows}
 
 
@@ -383,6 +382,47 @@ def test_crns_variance_sweep_runs_in_the_given_dtype():
     assert f32 == per_replicate_sweep_rows(prob, params, rank, eps_list, reps, B, b, master, "f32")
     assert [(r["mode"], r["eps"]) for r in f32] == [(r["mode"], r["eps"]) for r in f64]
     assert all(r32["variance"] != r64["variance"] for r32, r64 in zip(f32, f64))
+
+
+def test_sweep_shares_one_pair_per_eps(monkeypatch):
+    # E eps values and R replicates: every estimate is one call of
+    # verify.directional_delta, each eps forms its weights and its
+    # pinned-batch product once, and the naive +eps pass reuses the
+    # index-set rows of the locked estimate before it
+    E, R, depth = 3, 4, 3
+    prob = make_problem("none", 8, "two_body", 5)
+    params = init_mlp([8, 6, 5, 1], "sin", 5, bias=True)
+    calls = Counter()
+    monkeypatch.setattr(
+        verify, "directional_delta", counting(calls, "estimate", verify.directional_delta)
+    )
+    for name in ("perturb_product", "rank_r_delta", "delta_rows"):
+        monkeypatch.setattr(net, name, counting(calls, name, getattr(net, name)))
+    crns_variance_sweep(
+        prob, params, rank=2, eps_list=[1e-2, 1e-3, 1e-4], replicates=R, B=3, b=2, master=5
+    )
+    assert calls == {
+        "estimate": 2 * R * E,
+        "perturb_product": E,
+        "rank_r_delta": E * (depth - 1),
+        "delta_rows": 2 * R * E,
+    }
+
+
+@pytest.mark.parametrize(
+    "eps_list",
+    [[1e-3], [1e-3, 1e-3], [0.0, 1e-3], [-1e-3, 1e-3], [float("nan"), 1e-3], [1e-3, float("inf")]],
+    ids=["one", "repeat", "zero", "negative", "nan", "inf"],
+)
+def test_sweep_refuses_a_degenerate_eps_list_before_any_draw(monkeypatch, eps_list):
+    prob = make_problem("none", 8, "two_body", 5)
+    params = init_mlp([8, 6, 1], "sin", 5)
+    calls = count_draws(monkeypatch)
+    with pytest.raises(ValueError, match="eps_list"):
+        crns_variance_sweep(
+            prob, params, rank=2, eps_list=eps_list, replicates=4, B=3, b=2, master=5
+        )
+    assert not calls
 
 
 def counting(calls: Counter, name: str, fn):
