@@ -16,15 +16,16 @@ Forward modes:
   perturbed explicitly: E_l = eps T^-1(U Z V^T) is built by the bounded
   streaming blocks of the update, and each sign multiplies W_l +/- E_l,
   cast once to the step dtype,
-* jets along coordinate directions for the loss (:func:`jet_sums`): one
-  first-order plane per direction and one *summed* second-order plane per
-  index set, which is all the sampled operator reads.  The input layer
-  seeds directions by row extraction (``delta_rows`` for the implicit
-  perturbation) instead of one-hot tangents.  Per-direction second
-  derivatives are the same sweep with singleton sets.  Each hidden layer's
-  planes sigma, sigma' and sigma'' come from one activation evaluation
-  (:func:`activation_planes`), bitwise equal to the separate functions of
-  :func:`activation_triple`, which the dense oracles read.
+* jets along coordinate directions for the loss (:func:`jet_sums`): first
+  derivatives and, per index set, the *sum* of pure second derivatives, all
+  the sampled operator reads.  The head is linear with one column, so both
+  come from reverse adjoints of the primal (forward-over-reverse, identity
+  in :func:`_raw_jets`): first-order tangents cross hidden-to-hidden layers
+  only, none for one hidden layer.  The input layer seeds directions by row
+  extraction (``delta_rows`` for the implicit perturbation), not one-hot
+  tangents.  Each hidden layer's planes sigma, sigma' and sigma'' come from
+  one activation evaluation (:func:`activation_planes`), bitwise equal to
+  the functions of :func:`activation_triple`, which the dense oracles read.
 
 A view (:class:`PerturbView`) is one sign of one :class:`SignPair`: sign 0
 of a plain pair (:func:`plain_view`), or +1 or -1 of a perturbed pair, whose
@@ -416,62 +417,61 @@ def _raw_jets(view: PerturbView, batch: _Batch, rows: _Rows, starts: list[int]):
 
     ``rows.dims`` is split into consecutive index sets at ``starts``; a
     repeated index counts with multiplicity.  The primal trajectory is
-    computed once and shared by every direction.  Tangents then travel in
-    blocks of at most ``JET_CHUNK`` directions of one set: one first-order
-    plane per direction plus one plane holding the block's summed second
-    order, which a layer maps as
+    computed once and shared by every direction.  With G_l, s'_l, s''_l the
+    planes of hidden layer l < L - 1, W_l without its bias row and w the
+    output column, reverse adjoints give (forward-over-reverse)
 
-        sum d2' = s' * (sum d2) W + s'' * sum (d1 W)^2,
+        lam_{L-2} = w,   lam_{l-1} = (s'_l * lam_l) W_l^T,   nu_l = s''_l * lam_l,
+        dg/dx_i = <s'_0 * lam_0, r_i>,
+        sum_{i in I} d2g/dx_i^2 = sum_l <nu_l, sum_{i in I} (dG_l/dx_i)^2>,
 
-    so each block costs one GEMM per layer.  The input layer maps one-hot
-    seeds to (implicitly perturbed) weight rows, so no (b, B, d) tangent
-    block is ever formed; later layers multiply explicitly perturbed weights.
-    Everything sign-independent comes from the view's pair, ``batch`` and ``rows``.
+    with dG_0/dx_i = r_i, row i of the (implicitly perturbed) input weights,
+    and dG_l/dx_i = (s'_{l-1} * dG_{l-1}/dx_i) W_l.  So g1 is one GEMM of the
+    seed rows, and first-order tangents cross layers 1 .. L-2 only, in blocks
+    of at most ``JET_CHUNK`` directions of one set, one GEMM per layer and
+    block.  No (b, B, d) tangent block is ever formed.  Everything
+    sign-independent comes from the view's pair, ``batch`` and ``rows``.
 
     Returns g (B,), the first derivatives g1 (b, B) and the per-set sums of
     second derivatives g2 (len(starts), B).
     """
-    pair, sign = view.pair, view.sign
-    params, dtype = pair.params, pair.dtype
+    pair, sign, params = view.pair, view.sign, view.params
     depth, bias = params.depth, params.bias
-    n = rows.dims.size
-
     weights = pair.weights(sign)
     value, s1s, s2s = _primal(view, batch, weights, derivs=True)
     B = value.shape[0]
     # e_i @ W0 +/- e_i @ (eps DW_0); a constant feature has zero tangent
     seed_rows = _signed(rows.R0, rows.D, sign)
 
-    g1 = np.empty((n, B), dtype=dtype)
-    g2 = np.zeros((len(starts), B), dtype=dtype)
     if depth == 1:
-        g1[:] = seed_rows[:, :1]
+        g2 = np.zeros((len(starts), B), dtype=pair.dtype)
+        return value[:, 0], np.repeat(seed_rows[:, :1], B, axis=1), g2
+
+    # lam_l, then s'_l * lam_l, last layer first; nu_l overwrites s''_l (read by
+    # nothing else), s'_{L-2} * lam overwrites s'_{L-2} (read by no tangent)
+    lin = [W[:-1] for W in weights] if bias else weights
+    lam = lin[-1][:, 0]
+    for l in range(depth - 2, -1, -1):
+        s2s[l] *= lam
+        lam = np.multiply(s1s[l], lam, out=s1s[l] if l == depth - 2 else None)
+        if l:
+            lam = lam @ lin[l].T
+    g1 = seed_rows @ lam.T
+    g2 = np.add.reduceat(seed_rows * seed_rows, starts, axis=0) @ s2s[0].T
+    if depth == 2:
         return value[:, 0], g1, g2
 
-    bounds = [*starts, n]
+    bounds = [*starts, seed_rows.shape[0]]
     for s in range(len(starts)):
-        e0, e1 = bounds[s], bounds[s + 1]
-        for c0 in range(e0, e1, JET_CHUNK):
-            c1 = min(c0 + JET_CHUNK, e1)
-            nc = c1 - c0
-            rows_c = seed_rows[c0:c1]
-            # first activation: d1 = s' * rows, sum d2 = s'' * sum rows^2
-            tg = np.empty((nc + 1, B, rows_c.shape[1]), dtype=dtype)
-            np.multiply(rows_c[:, None, :], s1s[0], out=tg[:nc])
-            np.multiply(np.einsum("kh,kh->h", rows_c, rows_c), s2s[0], out=tg[nc])
-            for l in range(1, depth):
-                W = weights[l]
-                flat = tg.reshape(-1, tg.shape[-1])
-                tg = (flat @ (W[:-1] if bias else W)).reshape(nc + 1, B, W.shape[1])
-                if l < depth - 1:
-                    d1, d2 = tg[:nc], tg[nc]
-                    sq = np.einsum("kbh,kbh->bh", d1, d1)
-                    sq *= s2s[l]
-                    d2 *= s1s[l]
-                    d2 += sq
-                    d1 *= s1s[l]
-            g1[c0:c1] = tg[:nc, :, 0]
-            g2[s] += tg[nc, :, 0]
+        for c0 in range(bounds[s], bounds[s + 1], JET_CHUNK):
+            c1 = min(c0 + JET_CHUNK, bounds[s + 1])
+            tg = seed_rows[c0:c1, None, :] * s1s[0]
+            for l in range(1, depth - 1):
+                if l > 1:
+                    tg *= s1s[l - 1]
+                flat = tg.reshape(-1, tg.shape[-1]) @ lin[l]
+                tg = flat.reshape(c1 - c0, B, flat.shape[1])
+                g2[s] += np.einsum("bh,bh->b", np.einsum("kbh,kbh->bh", tg, tg), s2s[l])
     return value[:, 0], g1, g2
 
 

@@ -578,9 +578,10 @@ def jets_suite(master: int = 0) -> list[IdentityReport]:
     """Summed second derivatives vs central differences; manufactured residual.
 
     The jet sweep runs on the loss's set structure: one set longer than
-    ``JET_CHUNK`` with repeated indices, so it spans two blocks, and one
-    singleton.  Each set's sum must match the summed central second
-    differences, repeats counted with multiplicity.
+    ``JET_CHUNK`` with repeated indices, so on the net with two hidden
+    layers it spans two tangent blocks, and one singleton.  Each set's sum
+    must match the summed central second differences, repeats counted with
+    multiplicity.
     """
     reports = []
     rng_key = StreamKey(master, Role.TEST_POINTS, 0, 0)

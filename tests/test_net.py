@@ -110,21 +110,26 @@ def test_perturbed_forward_matches_explicit_materialization(bias, sign):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_precision_contract_pins_the_dtype_of_each_stage(dtype):
-    # planes in the step dtype; ansatz assembly, operator and loss in f64
-    params, subs, cores = build([6, 5, 4, 1], bias=True)
-    view = net.sign_views(params, subs, cores, 1e-3, dtype)[0]
-    problem = make_problem("none", 6, "two_body", 3)
-    drawn = draw_sample(problem, SpatialSample(3, 1, 7, 2, 6))
-    batch = view.pair.batch(drawn.X)
-    rows = view.pair.rows(batch, drawn.dims)
-    planes = net._raw_jets(view, batch, rows, [0, 2])
-    assert [p.dtype for p in (*planes, batch.G0, batch.P, rows.D, forward(view, drawn.X))] == [
-        np.dtype(dtype)
-    ] * 7
-    u, sums = jet_sums(view, drawn.X, drawn.dims, [2, 2])
-    op = sampled_operator(view, problem, drawn.X, drawn.dims, [2, 2])
-    assert (u.dtype, sums.dtype, op.dtype) == (np.dtype(np.float64),) * 3
-    assert isinstance(stochastic_loss(view, problem, drawn), float)
+    # planes in the step dtype; ansatz assembly, operator and loss in f64;
+    # for one, two and three hidden layers, with and without bias, each sign
+    problem = make_problem("none", 7, "two_body", 3)
+    drawn = draw_sample(problem, SpatialSample(3, 1, 7, 2, 7))
+    for widths in ([7, 5, 4, 1], [7, 9, 8, 6, 1], [7, 1]):
+        for bias in (False, True):
+            params, subs, cores = build(widths, bias=bias)
+            plus, minus = net.sign_views(params, subs, cores, 1e-3, dtype)
+            for view in (minus, PerturbView(SignPair(params, dtype=dtype)), plus):
+                batch = view.pair.batch(drawn.X)
+                rows = view.pair.rows(batch, drawn.dims)
+                planes = net._raw_jets(view, batch, rows, [0, 2])
+                stages = [*planes, batch.G0, rows.R0, forward(view, drawn.X)]
+                if view.sign:
+                    stages += [batch.P, rows.D]
+                assert [p.dtype for p in stages] == [np.dtype(dtype)] * len(stages)
+                u, sums = jet_sums(view, drawn.X, drawn.dims, [2, 2])
+                op = sampled_operator(view, problem, drawn.X, drawn.dims, [2, 2])
+                assert (u.dtype, sums.dtype, op.dtype) == (np.dtype(np.float64),) * 3
+                assert isinstance(stochastic_loss(view, problem, drawn), float)
 
 
 def test_ansatz_boundary_and_center():
@@ -186,21 +191,24 @@ def test_perturbed_jets_match_explicit_oracle(sign):
 @pytest.mark.parametrize("sign", [-1, 0, +1])
 def test_set_sums_match_explicit_oracle(bias, sign):
     # three sets over 7 inputs: {1, 4, 4} repeats an index, {4, 0, 6}
-    # overlaps it, and {2} is a singleton; the long set spans two chunks
-    params, subs, cores = build([7, 9, 8, 1], rank=2, bias=bias)
-    deltas = [explicit_delta_w(s, Z) for s, Z in zip(subs, cores)]
+    # overlaps it, and {2} is a singleton; the long set spans two chunks.
+    # Depths 2, 4 and 1: with three hidden layers an adjoint crosses two
+    # hidden-to-hidden layers and a tangent is rescaled between GEMMs
     X = np.random.default_rng(9).standard_normal((6, 7)) * 0.3
     sets = [[1, 4, 4], [4, 0, 6] * 7, [2]]
     dims = np.concatenate(sets)
-    # sign 0 is the plain network, a pair of its own
-    view = PerturbView(SignPair(params, subs, cores, 0.23), sign) if sign else plain_view(params)
-    u, sums = jet_sums(view, X, dims, [len(I) for I in sets])
-    u_o, d2_o = explicit_jets(params, X, dims, deltas, sign, 0.23)
     ends = np.cumsum([len(I) for I in sets])
-    want = np.stack([d2_o[e - len(I) : e].sum(axis=0) for I, e in zip(sets, ends)])
-    assert sums.shape == (3, 6)
-    assert np.abs(u - u_o).max() / np.abs(u_o).max() <= 1e-10
-    assert np.abs(sums - want).max() / np.abs(want).max() <= 1e-10
+    for widths in ([7, 9, 8, 1], [7, 9, 8, 6, 1], [7, 1]):
+        params, subs, cores = build(widths, rank=2, bias=bias)
+        deltas = [explicit_delta_w(s, Z) for s, Z in zip(subs, cores)]
+        # sign 0 is the plain network, a pair of its own
+        pair = SignPair(params, subs, cores, 0.23) if sign else SignPair(params)
+        u, sums = jet_sums(PerturbView(pair, sign), X, dims, [len(I) for I in sets])
+        u_o, d2_o = explicit_jets(params, X, dims, deltas, sign, 0.23)
+        want = np.stack([d2_o[e - len(I) : e].sum(axis=0) for I, e in zip(sets, ends)])
+        assert sums.shape == (3, 6)
+        assert np.abs(u - u_o).max() / np.abs(u_o).max() <= 1e-10, widths
+        assert np.abs(sums - want).max() / np.abs(want).max() <= 1e-10, widths
 
 
 def test_set_sizes_must_cover_the_directions():
@@ -226,13 +234,14 @@ def test_forward_rejects_bad_width():
 
 def test_jet_temporaries_respect_single_buffer_bound(peak_spans):
     # Measured peak bytes of a perturbed jet sweep (f64) stay within a bound
-    # that does not grow with d: JET_CHUNK-wide tangent blocks of B x h
-    # planes (the block, its GEMM product and as much reduction scratch),
-    # sigma' and sigma'' of every hidden layer, two B x h transients, the
-    # seed rows and the outputs, plus 16 KiB of small objects.  The later
-    # layers' W_l +/- E_l are not counted: the pair forms them when it is
-    # built, before the sweep starts.  With d >> h, a (b, B, d) one-hot
-    # tangent block alone would exceed it.
+    # that does not grow with d: with two or more hidden layers, JET_CHUNK-wide
+    # first-order tangent blocks of B x h planes (the block, its GEMM product
+    # and as much reduction scratch), none with one hidden layer; sigma' and
+    # sigma'' of every hidden layer, two B x h transients, the seed rows and
+    # the outputs, plus 16 KiB of small objects.  The later layers'
+    # W_l +/- E_l are not counted: the pair forms them when it is built,
+    # before the sweep starts.  With d >> h, a (b, B, d) one-hot tangent
+    # block alone would exceed it.
     peak_spans.wrap(net, "_raw_jets")
     B = 9
     cases = [
@@ -241,16 +250,17 @@ def test_jet_temporaries_respect_single_buffer_bound(peak_spans):
         ([10, 128, 1], 2, False),
         ([2000, 16, 16, 1], 8, False),
         ([2000, 16, 16, 1], 8, True),
+        ([12, 16, 16, 16, 1], 20, True),
     ]
     for widths, b, bias in cases:
         params, subs, cores = build(widths, rank=3, bias=bias)
         X = np.random.default_rng(8).standard_normal((B, widths[0])) * 0.2
         view = PerturbView(SignPair(params, subs, cores, 1e-3), +1)
-        jet_sums(view, X, np.arange(b), [b])
+        jet_sums(view, X, np.arange(b) % widths[0], [b])
         h = max(widths[1:])
         c = min(JET_CHUNK, b)
         words = (
-            3 * (c + 1) * B * h
+            (3 * c * B * h if len(widths) > 3 else 0)
             + 2 * B * sum(widths[1:-1])
             + 2 * B * h
             + b * h
@@ -374,3 +384,53 @@ def test_jet_linearity_in_the_function(alpha, beta, seed):
     Ja, Jb, Jc = jets(Wa), jets(Wb), jets(alpha * Wa + beta * Wb)
     for a, b, c in zip(Ja, Jb, Jc):
         assert np.allclose(c, alpha * a + beta * b, atol=1e-10)
+
+
+def test_f32_jet_sums_stay_close_to_f64_at_the_training_shape():
+    # the criterion-7 shape: 100-128-128-1 with bias, B = 100, two sets of
+    # b = 16, rank 16, eps 1e-3; f32 and f64 sweeps read the same keys
+    worst = 0.0
+    for key in range(10):
+        params, subs, cores = build([100, 128, 128, 1], master=key, rank=16, bias=True)
+        problem = make_problem("none", 100, "two_body", key)
+        drawn = draw_sample(problem, SpatialSample(key, 1, 100, 16, 100))
+        out = {}
+        for dtype in (np.float32, np.float64):
+            pair = SignPair(params, subs, cores, 1e-3, dtype)
+            for sign in (+1, -1):
+                out[dtype, sign] = jet_sums(PerturbView(pair, sign), drawn.X, drawn.dims, [16, 16])
+        for sign in (+1, -1):
+            for lo, hi in zip(out[np.float32, sign], out[np.float64, sign]):
+                worst = max(worst, np.abs(lo - hi).max() / np.abs(hi).max())
+    assert worst <= 1e-6
+
+
+# jet_sums of one small perturbed f64 bias net at eps 0.3, sign +1 then -1:
+# u (2,) and the sums of two sets of 2 (2, 2), row-major.  A re-association
+# of the sweep's arithmetic changes these bits.
+JET_SUMS_KNOWN_ANSWER = [
+    "-0x1.78b4e1066ec38p-2",
+    "0x1.acb3a8e4792c5p-6",
+    "0x1.be2e2999c1712p+2",
+    "-0x1.0fab4e2e8a7aep+2",
+    "0x1.a5e20de708d89p+1",
+    "-0x1.aef11232510c0p-1",
+    "-0x1.a91220640ae1fp-8",
+    "-0x1.0773aa5433744p-7",
+    "0x1.7d42187106bd5p-2",
+    "0x1.107405e1b3490p-3",
+    "-0x1.3ffaa8398d4cap-3",
+    "0x1.e35b0fafa1553p+0",
+]
+
+
+def test_jet_sums_known_answer():
+    params, subs, cores = build([5, 4, 3, 1], master=11, rank=2, bias=True)
+    problem = make_problem("none", 5, "two_body", 11)
+    drawn = draw_sample(problem, SpatialSample(11, 1, 2, 2, 5))
+    pair = SignPair(params, subs, cores, 0.3)
+    got = []
+    for sign in (+1, -1):
+        u, sums = jet_sums(PerturbView(pair, sign), drawn.X, drawn.dims, [2, 2])
+        got += [float(x).hex() for x in np.concatenate([u, sums.ravel()])]
+    assert got == JET_SUMS_KNOWN_ANSWER
