@@ -2,11 +2,13 @@
 
 A run is described by one :class:`~sdze.optimizer.SdzeConfig`.  Its JSON
 form is one table, ``_JSON_FIELDS``, from dotted JSON path to config field:
-loading, dumping and the unknown-key report all derive from it, and a key
-the JSON omits takes the field's default.  Loading is strict: every unknown
-key is reported at once, and a scalar of the wrong JSON type, a tag outside
-its allowed set or a shape the network or the PDE cannot take is an
-offending key.  Each run writes a config echo, a metrics CSV (header line
+loading, dumping and naming each error's key derive from it, and an omitted
+key takes the field's default.  Loading reports every offending key in one
+:class:`ConfigError`.  Each rule has one owner: the loader checks the JSON
+form (unknown keys, objects, JSON types, ``pde.dim`` and ``net.widths[0]``),
+``SdzeConfig`` every value, and :func:`check_batch_dims` that a run's index
+sets fit the dimension.
+Each run writes a config echo, a metrics CSV (header line
 ``# sdze-version, seed, config-hash``, then the ``METRIC_COLUMNS`` line and
 one row per step), and periodic + final checkpoints into its output
 directory.  Runs are byte-reproducible given the seed; wall-clock timing can
@@ -26,10 +28,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .net import ACTIVATIONS, MlpParams, SignPair
+from .net import MlpParams, SignPair
 from .optimizer import (
     DTYPES,
-    PDE_KINDS,
+    ConfigError,
     SdzeConfig,
     StepRecord,
     TrainResult,
@@ -38,14 +40,7 @@ from .optimizer import (
     step_cores,
     train,
 )
-from .spatial import (
-    NORMALIZATIONS,
-    SOLUTIONS,
-    PdeProblem,
-    SpatialSample,
-    coefficient_count,
-    draw_sample,
-)
+from .spatial import PdeProblem, SpatialSample, draw_sample
 
 # Dotted JSON path -> SdzeConfig field.  pde.dim has no field of its own: it
 # is widths[0], and an absent net.widths loads as [pde.dim, 128, 128, 1].
@@ -79,15 +74,12 @@ _JSON_FIELDS = {
     "out_dir": "out_dir",
     "timing": "timing",
 }
+_JSON_KEYS = {name: path for path, name in _JSON_FIELDS.items()}  # None -> pde.dim
 _BLOCKS = {path.rsplit(".", 1)[0] for path in _JSON_FIELDS if "." in path}
 # JSON type each scalar field accepts; pde.dim, which has no field, is an int
 _SCALARS = {"int": "an integer", "float": "a number", "bool": "true or false", "str": "a string"}
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(SdzeConfig)}
 assert set(_JSON_FIELDS.values()) - {None} == set(_FIELD_TYPES)
-
-
-class ConfigError(ValueError):
-    """Validation failure; the message lists every offending key."""
 
 
 def _flatten(raw: dict, prefix: str, leaves: dict, errors: list[str]) -> None:
@@ -128,7 +120,11 @@ def _int_list(value) -> list[int] | None:
 
 
 def config_from_dict(raw: dict) -> SdzeConfig:
-    """Validate a JSON config and resolve it; raises :class:`ConfigError`."""
+    """Resolve a JSON config; raises one :class:`ConfigError` naming every bad key.
+
+    The config is built from the keys that passed the loader's own checks,
+    so the problems it finds are reported with the loader's, by JSON key.
+    """
     leaves: dict = {}
     errors: list[str] = []
     _flatten(raw, "", leaves, errors)
@@ -151,28 +147,18 @@ def config_from_dict(raw: dict) -> SdzeConfig:
             leaves["net.widths"] = [dim, 128, 128, 1]
         if leaves["net.widths"][:1] != [dim]:
             errors.append(f"net.widths must start with pde.dim = {dim}")
-        solution = leaves.get("pde.solution", SdzeConfig.pde_solution)
-        if solution in SOLUTIONS:
-            try:
-                coefficient_count(solution, dim)
-            except ValueError as err:
-                errors.append(f"pde.dim too small: {err}")
-    widths = leaves.get("net.widths")
-    if widths is not None and (len(widths) < 2 or widths[-1] != 1):
-        errors.append(f"net.widths must have at least 2 entries and end in 1, got {widths}")
-    for path, allowed in (
-        ("pde.kind", sorted(PDE_KINDS)),
-        ("pde.solution", list(SOLUTIONS)),
-        ("pde.normalization", list(NORMALIZATIONS)),
-        ("net.activation", list(ACTIVATIONS)),
-    ):
-        if leaves.get(path, getattr(SdzeConfig, _JSON_FIELDS[path])) not in (*allowed, None):
-            errors.append(f"{path} must be one of {allowed}")
+    fields = {
+        _JSON_FIELDS[path]: value
+        for path, value in leaves.items()
+        if _JSON_FIELDS[path] and value is not None  # pde.dim lives on as widths[0]
+    }
+    try:
+        cfg = SdzeConfig(**fields)
+    except ConfigError as err:
+        errors += [f"{_JSON_KEYS[name]} {why}" for name, why in err.problems]
     if errors:
         raise ConfigError("; ".join(errors))
-    return SdzeConfig(
-        **{_JSON_FIELDS[path]: value for path, value in leaves.items() if _JSON_FIELDS[path]}
-    )
+    return cfg
 
 
 def config_from_json(path: str | Path) -> SdzeConfig:
@@ -336,19 +322,28 @@ def _check_columns(path: Path) -> None:
         )
 
 
-def run_train(cfg: SdzeConfig, resume_from: str | Path | None = None) -> TrainResult:
-    """Full training run with metrics CSV, checkpoints, and config echo.
+def check_batch_dims(cfg: SdzeConfig) -> None:
+    """Refuse index sets larger than the dimension, before a run does any work.
 
-    The index sets must fit the dimension, a checkpoint to resume from must
-    match the config's seed and layer shapes and lie at or before ``steps``,
-    and an existing ``metrics.csv`` must have this version's columns; all are
-    checked before anything is written.
+    Not a config rule: the default b = 16 loads at any dimension, and
+    ``sweep-batch`` replaces b with its own pairs.
     """
     if cfg.batch_b > cfg.widths[0]:
         raise ConfigError(
             f"sdze.batch_dims_b = {cfg.batch_b} exceeds pde.dim = {cfg.widths[0]}; "
             "index sets are drawn without replacement"
         )
+
+
+def run_train(cfg: SdzeConfig, resume_from: str | Path | None = None) -> TrainResult:
+    """Full training run with metrics CSV, checkpoints, and config echo.
+
+    ``cfg`` checked its values when it was built; the run's own rules are
+    checked here before anything is written: :func:`check_batch_dims`, a
+    checkpoint to resume from must match the seed and layer shapes and lie
+    at or before ``steps``, and a ``metrics.csv`` must have these columns.
+    """
+    check_batch_dims(cfg)
     problem = cfg.make_problem()
     start_step = 0
     if resume_from is not None:
@@ -405,6 +400,7 @@ def run_sweep_rank_freq(
     """One short run per (rank, refresh frequency) cell; final relative L2 per row."""
     if not ranks or not freqs:
         raise ValueError("rank and frequency grids must be non-empty")
+    check_batch_dims(cfg)
     problem = cfg.make_problem()
     rows = []
     for r in ranks:

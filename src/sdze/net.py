@@ -165,10 +165,6 @@ class MlpParams:
     def widths(self) -> list[int]:
         return [self.dim] + [W.shape[1] for W in self.weights]
 
-    @property
-    def n_params(self) -> int:
-        return sum(W.size for W in self.weights)
-
 
 def init_mlp(
     widths: list[int],

@@ -20,12 +20,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .net import MlpParams, PerturbView, SignPair, init_mlp
+from .net import ACTIVATIONS, MlpParams, PerturbView, SignPair, init_mlp
 from .rng import Role, StreamKey, derive_stream
 from .spatial import (
+    NORMALIZATIONS,
+    SOLUTIONS,
     DrawnSample,
     PdeProblem,
     SpatialSample,
+    coefficient_count,
     draw_sample,
     make_problem,
     relative_l2,
@@ -43,14 +46,35 @@ LR_MODES = ("constant", "annealed", "sqrt_tq")
 DTYPES = {"f64": np.float64, "f32": np.float32}
 # JSON pde.kind -> the nonlinearity tag of spatial.make_problem
 PDE_KINDS = {"poisson": "none", "allen_cahn": "allen_cahn", "sine_gordon": "sine_gordon"}
+# each tag field of SdzeConfig -> the tags it accepts
+_TAGS = {
+    "pde_kind": PDE_KINDS, "pde_solution": SOLUTIONS, "normalization": NORMALIZATIONS,
+    "activation": ACTIVATIONS, "dtype": DTYPES, "lr_mode": LR_MODES,
+}
+
+
+class ConfigError(ValueError):
+    """An invalid run config; the message names every offending field or key.
+
+    ``problems`` holds the (field, reason) pairs a :class:`SdzeConfig` found,
+    the field None for ``widths[0]``, the dimension, so the JSON loader can
+    name each by its JSON key instead.
+    """
+
+    def __init__(self, message: str, problems=()):
+        super().__init__(message)
+        self.problems = list(problems)
 
 
 @dataclass
 class SdzeConfig:
-    """Full recipe for a run; validated on construction.
+    """Full recipe for a run; every value is checked on construction.
 
     ``widths[0]`` is the PDE dimension.  :mod:`sdze.harness` maps every field
-    to its JSON key; a key the JSON omits takes the default here.
+    to its JSON key; a key the JSON omits takes the default here.  Every value
+    rule lives in ``__post_init__``, which names each offending field in one
+    :class:`ConfigError`; only ``batch_b <= widths[0]`` is a run rule
+    (``harness.check_batch_dims``), since a sweep may replace ``batch_b``.
     """
 
     seed: int = 0
@@ -82,29 +106,31 @@ class SdzeConfig:
     timing: bool = True  # False writes wall_ms as 0, for reproducible CSVs
 
     def __post_init__(self):
-        problems = []
+        problems = []  # (field, reason); field None is widths[0]
+        for name, allowed in _TAGS.items():
+            if getattr(self, name) not in allowed:
+                problems.append((name, f"must be one of {list(allowed)}"))
         if self.eps <= 0:
-            problems.append("eps must be > 0")
-        if self.lr_mode not in LR_MODES:
-            problems.append(f"lr_mode must be one of {LR_MODES}")
+            problems.append(("eps", "must be > 0"))
         if self.lr_mode == "annealed" and not (0.5 < self.p <= 1.0):
-            problems.append("annealed mode needs p in (1/2, 1]")
-        if self.dtype not in DTYPES:
-            problems.append("dtype must be f64 or f32")
-        if self.pde_kind not in PDE_KINDS:
-            problems.append(f"pde_kind must be one of {sorted(PDE_KINDS)}")
-        if min(self.rank, self.freq_F, self.batch_B, self.batch_b) < 1:
-            problems.append("rank, freq_F, batch_B, batch_b must be >= 1")
-        if self.rank_per_layer is not None and len(self.rank_per_layer) != len(self.widths) - 1:
-            problems.append("rank_per_layer must list one rank per layer")
+            problems.append(("p", "must be in (1/2, 1] in annealed mode"))
+        for name in ("rank", "freq_F", "batch_B", "batch_b", "eval_every", "test_points"):
+            if getattr(self, name) < 1:
+                problems.append((name, "must be >= 1"))
         if self.steps < 0:
-            problems.append("steps must be >= 0")
-        if self.eval_every < 1:
-            problems.append("eval_every must be >= 1")
-        if self.test_points < 1:
-            problems.append("test_points must be >= 1")
+            problems.append(("steps", "must be >= 0"))
+        if len(self.widths) < 2 or self.widths[-1] != 1:
+            problems.append(("widths", f"must have >= 2 entries and end in 1, got {self.widths}"))
+        if self.rank_per_layer is not None and len(self.rank_per_layer) != len(self.widths) - 1:
+            problems.append(("rank_per_layer", "must list one rank per layer"))
+        if self.widths and self.pde_solution in SOLUTIONS:
+            try:
+                coefficient_count(self.pde_solution, self.widths[0])
+            except ValueError as err:
+                problems.append((None, f"too small: {err}"))
         if problems:
-            raise ValueError("; ".join(problems))
+            message = "; ".join(f"{name or 'widths[0]'} {why}" for name, why in problems)
+            raise ConfigError(message, problems)
 
     def make_problem(self) -> PdeProblem:
         """The configured PDE in ``widths[0]`` dimensions, keyed by the seed."""

@@ -65,11 +65,6 @@ class ReshapePlan:
         kr, kc = self.splits
         return kr * kc
 
-    @property
-    def split_side(self) -> str:
-        kr, kc = self.splits
-        return "rows" if kr > 1 else "cols" if kc > 1 else "none"
-
 
 def plan_reshape(m: int, n: int) -> ReshapePlan:
     """Pick the divisor split that makes the re-layout closest to square.

@@ -58,6 +58,14 @@ class IdentityReport:
     def row(self) -> dict:
         return asdict(self)
 
+    @classmethod
+    def within(
+        cls, name: str, theoretical: float, empirical: float, n_samples: int, tol: float
+    ) -> IdentityReport:
+        """The report that passes when |empirical - theoretical| <= tol."""
+        dev = abs(empirical - theoretical)
+        return cls(name, theoretical, empirical, n_samples, dev, dev <= tol)
+
 
 # --- explicit oracles -------------------------------------------------------
 
@@ -234,35 +242,20 @@ def quadratic_identity_check(
     scale = target_norm if target_norm > 1e-9 * max(grad_norm, 1.0) else max(grad_norm, 1.0)
     dev_mean = float(np.linalg.norm(ghat.mean(axis=0) - target_mean)) / scale
     reports = [
-        IdentityReport("mean_vs_projected_gradient", 0.0, dev_mean, n_samples, dev_mean, dev_mean <= tol_mean)
+        IdentityReport.within("mean_vs_projected_gradient", 0.0, dev_mean, n_samples, tol_mean)
     ]
 
     if a_norm2 > (1e-9 * max(grad_norm, 1.0)) ** 2:
         second = float(np.mean(np.einsum("np,np->n", ghat, ghat))) / ((q + 2) * a_norm2)
         reports.append(
-            IdentityReport(
-                "second_moment_over_(q+2)",
-                1.0,
-                second,
-                n_samples,
-                abs(second - 1.0),
-                abs(second - 1.0) <= tol_second,
-            )
+            IdentityReport.within("second_moment_over_(q+2)", 1.0, second, n_samples, tol_second)
         )
         inner = ghat @ grad
         g2 = np.einsum("np,np->n", ghat, ghat)
         ok = g2 > 0
         cosine = float(np.mean(inner[ok] ** 2 / (a_norm2 * g2[ok])))
-        reports.append(
-            IdentityReport(
-                "cosine_alignment_times_q",
-                1.0,
-                cosine * q,
-                n_samples,
-                abs(cosine * q - 1.0),
-                abs(cosine * q - 1.0) <= tol_cosine,
-            )
-        )
+        name = "cosine_alignment_times_q"
+        reports.append(IdentityReport.within(name, 1.0, cosine * q, n_samples, tol_cosine))
     return reports
 
 
@@ -406,16 +399,9 @@ def variance_law_check(
     y = np.array([V[(1, 1)], 2.0 * V[(2, 1)], 2.0 * V[(1, 2)]])
     C1, C2, C3 = np.linalg.solve(A, y)
     predicted = (C1 * 2 + C2 * 2 + C3) / 4.0
-    residual = abs(V[(2, 2)] - predicted)
     tol = 1e-10 * max(1.0, abs(V[(2, 2)]))
-    report = IdentityReport(
-        "variance_law_fourth_point",
-        predicted,
-        V[(2, 2)],
-        sum((n_points**nB) * (n_terms**nI) for nB, nI in V),
-        residual,
-        residual <= tol,
-    )
+    n_draws = sum((n_points**nB) * (n_terms**nI) for nB, nI in V)
+    report = IdentityReport.within("variance_law_fourth_point", predicted, V[(2, 2)], n_draws, tol)
     return report, {"C1": C1, "C2": C2, "C3": C3, "variances": V}
 
 
@@ -435,16 +421,8 @@ def unbiasedness_check(master: int = 0) -> list[IdentityReport]:
                 acc += _surrogate_gradient(resid, grads, B_slots, I_slots, n_terms)
                 count += 1
         dev = float(np.max(np.abs(acc / count - g_full))) / scale
-        reports.append(
-            IdentityReport(
-                f"unbiased_single_B{nB}_I{nI}",
-                0.0,
-                dev,
-                count,
-                dev,
-                dev <= 1e-12,
-            )
-        )
+        name = f"unbiased_single_B{nB}_I{nI}"
+        reports.append(IdentityReport.within(name, 0.0, dev, count, 1e-12))
 
     # double-sampled variant: residual factor itself subsampled over J
     for nB, nI, nJ in [(1, 1, 1), (2, 1, 2), (1, 2, 1)]:
@@ -462,11 +440,8 @@ def unbiasedness_check(master: int = 0) -> list[IdentityReport]:
                     acc += gv / (nB * nI * n_terms)
                     count += 1
         dev = float(np.max(np.abs(acc / count - g_full))) / scale
-        reports.append(
-            IdentityReport(
-                f"unbiased_double_B{nB}_I{nI}_J{nJ}", 0.0, dev, count, dev, dev <= 1e-12
-            )
-        )
+        name = f"unbiased_double_B{nB}_I{nI}_J{nJ}"
+        reports.append(IdentityReport.within(name, 0.0, dev, count, 1e-12))
     return reports
 
 
@@ -603,16 +578,8 @@ def jets_suite(master: int = 0) -> list[IdentityReport]:
             float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
             for got, want in ((sums[0], fd2[long_set].sum(axis=0)), (sums[1], fd2[d // 2]))
         )
-        reports.append(
-            IdentityReport(
-                f"jet_vs_fd_{'x'.join(map(str, widths))}_{act}",
-                0.0,
-                worst,
-                X.shape[0] * dims.size,
-                worst,
-                worst <= 1e-6,
-            )
-        )
+        name = f"jet_vs_fd_{'x'.join(map(str, widths))}_{act}"
+        reports.append(IdentityReport.within(name, 0.0, worst, X.shape[0] * dims.size, 1e-6))
 
     for kind, sol, d in [("none", "two_body", 8), ("allen_cahn", "two_body", 6), ("sine_gordon", "three_body", 7)]:
         problem = make_problem(kind, d, sol, master)
@@ -620,11 +587,8 @@ def jets_suite(master: int = 0) -> list[IdentityReport]:
         X = sample_unit_ball(derive_stream(StreamKey(master, Role.TEST_POINTS, 1, 0)), 200, d)
         resid = sampled_operator(ev, problem, X, np.arange(d), [d])[0] - rhs_eval(problem, X)
         dev = float(np.max(np.abs(resid)))
-        reports.append(
-            IdentityReport(
-                f"manufactured_residual_{kind}_{sol}", 0.0, dev, 200, dev, dev <= 1e-10
-            )
-        )
+        name = f"manufactured_residual_{kind}_{sol}"
+        reports.append(IdentityReport.within(name, 0.0, dev, 200, 1e-10))
     return reports
 
 
@@ -678,9 +642,6 @@ def implicit_suite(master: int = 0, n_cases: int = 20) -> list[IdentityReport]:
                 denom = max(float(np.max(np.abs(want_p))), 1e-300)
                 worst = max(worst, float(np.max(np.abs(got_p - want_p))) / denom)
         k = subs[0].plan.split_factor
-        reports.append(
-            IdentityReport(
-                f"implicit_vs_explicit_{m}x{n}_k{k}", 0.0, worst, 2, worst, worst <= 1e-10
-            )
-        )
+        name = f"implicit_vs_explicit_{m}x{n}_k{k}"
+        reports.append(IdentityReport.within(name, 0.0, worst, 2, 1e-10))
     return reports

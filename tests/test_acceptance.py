@@ -1,8 +1,8 @@
 """Acceptance criteria, one test per criterion, one pass/fail line each.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the lines live; the
-full-scale training criterion dominates the runtime (about 11 minutes on a
-2-core box).  It is marked ``slow``: ``pytest -m "not slow"`` runs the rest.
+full-scale training criterion dominates the runtime (106 s on a 2-core box
+with BLAS pinned to one thread).  It is marked ``slow``: ``pytest -m "not slow"`` runs the rest.
 """
 
 import dataclasses

@@ -94,6 +94,29 @@ def test_wrong_typed_scalars_are_reported_with_the_other_errors(tmp_path):
     assert cfg.eps == 1.0 and isinstance(cfg.eps, float)
 
 
+def test_loader_and_config_errors_are_reported_together_by_json_key(tmp_path):
+    raw = tiny_config(tmp_path, steps=2.5, bogus=1)
+    raw["pde"]["kind"] = "heat"
+    raw["net"].update(activation="relu", dtype="f16")
+    raw["sdze"].update(eps=-1, rank_per_layer=[2, 2, 2])
+    raw["sdze"]["lr"]["mode"] = "bogus"
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(raw)
+    problems = str(err.value).split("; ")
+    keys = [
+        "unknown key: bogus",
+        "steps must be an integer",
+        "pde.kind must be one of",
+        "net.activation must be one of",
+        "net.dtype must be one of",
+        "sdze.eps must be > 0",
+        "sdze.lr.mode must be one of",
+        "sdze.rank_per_layer must list one rank per layer",
+    ]
+    assert len(problems) == len(keys)
+    assert all(any(p.startswith(key) for p in problems) for key in keys), problems
+
+
 def test_config_roundtrips_and_hash_is_stable(tmp_path):
     cfg = config_from_dict(tiny_config(tmp_path))
     again = config_from_dict(config_to_dict(cfg))
@@ -150,8 +173,13 @@ def test_index_sets_larger_than_the_dimension_are_refused_before_writing(tmp_pat
     raw = {"pde": {"dim": 3}, "net": {"widths": [3, 8, 1]}, "steps": 2}
     cfg_path = tmp_path / "c.json"
     cfg_path.write_text(json.dumps({**raw, "out_dir": str(tmp_path / "run")}))
-    with pytest.raises(ConfigError, match="sdze.batch_dims_b"):
-        cli.main(["train", "--config", str(cfg_path)])
+    for argv in (
+        ["train"],
+        ["sweep-rank-freq", "--ranks", "1", "--freqs", "1"],
+        ["ablate-crns", "--eps", "1e-2,1e-3", "--reps", "2"],
+    ):
+        with pytest.raises(ConfigError, match="sdze.batch_dims_b = 16 exceeds pde.dim = 3"):
+            cli.main(argv + ["--config", str(cfg_path)])
     assert not (tmp_path / "run").exists()
 
 
@@ -187,8 +215,33 @@ def _edited(**blocks):
         ),
         (lambda raw: SdzeConfig(pde_kind="heat"), ValueError, "pde_kind"),
         (lambda raw: MlpParams([]), ValueError, "at least one layer"),
+        # built in code, each bad value fails in the config, naming its field
+        (lambda raw: SdzeConfig(activation="relu"), ConfigError, "^activation must be one of"),
+        (lambda raw: SdzeConfig(widths=[3]), ConfigError, "^widths must have >= 2 entries"),
+        (lambda raw: SdzeConfig(widths=[5, 6, 2]), ConfigError, "^widths must have >= 2 entries"),
+        (lambda raw: SdzeConfig(pde_solution="x"), ConfigError, "^pde_solution must be one of"),
+        (lambda raw: SdzeConfig(normalization="x"), ConfigError, "^normalization must be one of"),
+        (
+            lambda raw: SdzeConfig(widths=[2, 6, 1], pde_solution="three_body"),
+            ConfigError,
+            r"^widths\[0\] too small: three_body needs dim >= 3",
+        ),
     ],
-    ids=["one_width", "wide_output", "solution", "normalization", "dim", "kind", "no_layers"],
+    ids=[
+        "one_width",
+        "wide_output",
+        "solution",
+        "normalization",
+        "dim",
+        "kind",
+        "no_layers",
+        "code_activation",
+        "code_one_width",
+        "code_wide_output",
+        "code_solution",
+        "code_normalization",
+        "code_dim",
+    ],
 )
 def test_bad_values_fail_where_they_are_given_naming_the_key(tmp_path, build, error, key):
     with pytest.raises(error, match=key):
@@ -400,10 +453,9 @@ def test_unknown_activation_is_refused_before_writing(tmp_path):
     cfg_path.write_text(json.dumps(raw))
     with pytest.raises(ConfigError, match="net.activation"):
         cli.main(["train", "--config", str(cfg_path)])
-    # a config built in code fails when the network is built, before writing
-    cfg = dataclasses.replace(config_from_dict(tiny_config(tmp_path)), activation="relu")
-    with pytest.raises(ValueError, match="relu"):
-        run_train(cfg)
+    # a config built in code fails when it is built, naming the field
+    with pytest.raises(ConfigError, match="^activation must be one of"):
+        dataclasses.replace(config_from_dict(tiny_config(tmp_path)), activation="relu")
     assert not (tmp_path / "run").exists()
 
 
@@ -542,6 +594,25 @@ def test_cli_ablate_crns_sweeps_the_configured_net(tmp_path, monkeypatch):
     assert seen["params"].bias is True
     assert seen["params"].widths == [5, 6, 1]
     assert seen["dtype"] == "f32"
+
+
+@pytest.mark.parametrize(
+    "flags, flag",
+    [
+        (["--dim", "4", "--b", "9"], "--b"),
+        (["--reps", "1"], "--reps"),
+        (["--dim", "1", "--b", "1"], "--dim"),
+    ],
+    ids=["b_above_dim", "one_replicate", "dim_below_two_body"],
+)
+def test_cli_verify_crns_refuses_flags_it_cannot_run_before_writing(tmp_path, capsys, flags, flag):
+    out = tmp_path / "out"
+    argv = ["verify", "--suite", "crns", "--dim", "8", "--reps", "2", "--b", "2", "--out", str(out)]
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv + flags)
+    assert exit_.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["verify", "ablate-crns"])

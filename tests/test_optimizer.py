@@ -79,7 +79,7 @@ def test_quadratic_surrogate_delta_is_exact_for_any_eps():
     params = init_mlp(cfg.widths, "sin", cfg.seed)
     subs = make_subspaces(params, cfg)
     rng = np.random.default_rng(0)
-    P = params.n_params
+    P = flatten_params(params).size
     Hm = rng.standard_normal((P, P))
     Hm = Hm @ Hm.T / P + np.eye(P)
 

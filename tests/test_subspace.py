@@ -30,12 +30,12 @@ def test_plan_tall_skinny():
     plan = plan_reshape(10000, 16)
     assert plan.split_factor == 25
     assert plan.square == (400, 400)
-    assert plan.split_side == "rows"
+    assert plan.splits == (25, 1)
 
 
 def test_plan_square_identity():
     plan = plan_reshape(128, 128)
-    assert plan.split_factor == 1 and plan.split_side == "none"
+    assert plan.split_factor == 1 and plan.splits == (1, 1)
     assert plan.square == (128, 128)
 
 
@@ -46,7 +46,7 @@ def test_plan_no_useful_divisor():
 
 def test_plan_wide_matrix_splits_cols():
     plan = plan_reshape(16, 10000)
-    assert plan.split_side == "cols" and plan.square == (400, 400)
+    assert plan.splits == (1, 25) and plan.square == (400, 400)
 
 
 def test_refresh_orthonormal():
@@ -282,7 +282,7 @@ def test_reshape_bijectivity(m, n, seed):
     plan = plan_reshape(m, n)
     mp, npp = plan.square
     assert mp * npp == m * n
-    assert (plan.split_factor == 1) == (plan.split_side == "none")
+    assert 1 in plan.splits  # one side splits, never both
     W = np.random.default_rng(seed).standard_normal((m, n))
     square = np.reshape(W, (mp, npp), order="F")
     back = np.reshape(square, (m, n), order="F")
