@@ -3,6 +3,19 @@
 Subcommands: ``train`` runs a config; ``verify`` runs a theory-check suite
 and writes one CSV + one JSON report; ``sweep-rank-freq`` and ``sweep-batch``
 drive the ablation grids; ``ablate-crns`` runs the variance sweep over eps.
+
+Each ``verify`` suite is one call into :mod:`sdze.verify`, which owns its
+inputs and pass rules; at the default flags and ``--seed 2026`` the suites
+reproduce these acceptance criteria:
+
+* ``implicit``: criterion 1, implicit vs explicit perturbed forward;
+* ``quadratic``: criterion 3, the quadratic identities;
+* ``unbiasedness``: criterion 4's enumerated unbiasedness;
+* ``variance-law``: criterion 4's variance law (its ``standard`` row), plus
+  an aliased and a single-term operator;
+* ``crns``: criterion 5, the seed-locking ablation;
+* ``jets``: criterion 6, jet correctness;
+* ``mean-bias``: no criterion; the O(eps^2) shrinkage of the mean bias.
 """
 
 from __future__ import annotations
@@ -12,8 +25,6 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import verify as V
 from .harness import (
@@ -25,19 +36,18 @@ from .harness import (
     run_train,
     write_csv,
 )
-from .net import init_mlp
 from .optimizer import SdzeConfig
-from .spatial import make_problem
 
-VERIFY_SUITES = (
-    "quadratic",
-    "mean-bias",
-    "variance-law",
-    "unbiasedness",
-    "crns",
-    "jets",
-    "implicit",
-)
+# suite name -> its one call, from the parsed ``verify`` flags to (reports, detail)
+VERIFY_SUITES = {
+    "quadratic": lambda a: V.quadratic_suite(a.seed, a.samples),
+    "mean-bias": lambda a: V.mean_bias_suite(a.seed, a.samples),
+    "variance-law": lambda a: V.variance_law_suite(a.seed),
+    "unbiasedness": lambda a: (V.unbiasedness_check(a.seed), {}),
+    "crns": lambda a: V.crns_suite(a.seed, a.dim, a.b, a.reps, a.eps),
+    "jets": lambda a: (V.jets_suite(a.seed), {}),
+    "implicit": lambda a: (V.implicit_suite(a.seed), {}),
+}
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -48,13 +58,22 @@ def _parse_float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok]
 
 
-def _parse_eps_list(text: str) -> list[float]:
-    try:
-        values = _parse_float_list(text)
-        V.check_eps_list(values)
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(str(err)) from None
-    return values
+def _checked(parse, check):
+    """An argparse type: ``parse`` the text, then refuse what ``check`` refuses."""
+
+    def parse_checked(text: str):
+        try:
+            value = parse(text)
+            check(value)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
+        return value
+
+    return parse_checked
+
+
+_parse_eps_list = _checked(_parse_float_list, V.check_eps_list)
+_parse_reps = _checked(int, V.check_replicates)
 
 
 def _parse_pairs(text: str) -> list[tuple[int, int]]:
@@ -83,86 +102,19 @@ def _check_crns_flags(parser: argparse.ArgumentParser, args) -> None:
     for bad, message in (
         (args.dim < 2, f"--dim: the two_body solution needs dim >= 2, got {args.dim}"),
         (not 1 <= args.b <= args.dim, f"--b: index sets need 1 <= b <= dim, got {args.b}"),
-        (args.reps < 2, f"--reps: need at least 2 replicates, got {args.reps}"),
     ):
         if bad:
             parser.error(f"argument {message}")
 
 
 def _run_verify(args) -> int:
+    reports, detail = VERIFY_SUITES[args.suite](args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    master = args.seed
-    suite = args.suite
-    detail: dict = {"suite": suite, "seed": master}
-    if suite == "quadratic":
-        rng = np.random.default_rng(master)
-        reports = []
-        for q, r, shapes in ((4, 2, [(2, 4)]), (16, 4, [(8, 8)])):
-            P = sum(m * n for m, n in shapes)
-            H = rng.standard_normal((P, P))
-            H = H @ H.T / P + np.eye(P)
-            theta = rng.standard_normal(P)
-            reports += V.quadratic_identity_check(
-                H, theta, r, shapes, args.samples, master=master + q
-            )
-    elif suite == "mean-bias":
-        rng = np.random.default_rng(master)
-        theta = rng.standard_normal(8) * 0.5
-        report, rows = V.mean_bias_check(
-            theta, 2, [(2, 4)], [1e-2, 5e-3, 1e-3], args.samples, master=master
-        )
-        reports = [report]
-        detail["rows"] = rows
-    elif suite == "variance-law":
-        reports = []
-        for tag, dims in (
-            ("standard", [0, 1, 2, 3]),
-            ("aliased", [0, 0, 0, 0]),
-            ("single_term", [0]),
-        ):
-            rep, info = V.variance_law_check(master, term_dims=dims)
-            rep.name = f"{rep.name}_{tag}"
-            reports.append(rep)
-            detail[tag] = {
-                "C1": info["C1"],
-                "C2": info["C2"],
-                "C3": info["C3"],
-                "variances": {str(k): v for k, v in info["variances"].items()},
-            }
-    elif suite == "unbiasedness":
-        reports = V.unbiasedness_check(master)
-    elif suite == "crns":
-        problem = make_problem("none", args.dim, "two_body", master)
-        params = init_mlp([args.dim, 64, 1], "sin", master)
-        rows, slope_crns, slope_naive = V.crns_variance_sweep(
-            problem,
-            params,
-            rank=8,
-            eps_list=args.eps,
-            replicates=args.reps,
-            B=20,
-            b=args.b,
-            master=master,
-        )
-        detail.update(
-            {"rows": rows, "slope_crns": slope_crns, "slope_naive": slope_naive}
-        )
-        reports = [
-            V.IdentityReport.within("naive_variance_slope", -2.0, slope_naive, args.reps, 0.2),
-            V.IdentityReport.within("crns_variance_slope", 0.0, slope_crns, args.reps, 0.3),
-        ]
-    elif suite == "jets":
-        reports = V.jets_suite(master)
-    elif suite == "implicit":
-        reports = V.implicit_suite(master)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(suite)
-
     rows = [r.row() for r in reports]
-    write_csv(out / f"{suite}.csv", rows, master, "verify")
-    detail["reports"] = rows
-    (out / f"{suite}.json").write_text(json.dumps(detail, indent=2, default=float) + "\n")
+    write_csv(out / f"{args.suite}.csv", rows, args.seed, "verify")
+    detail = {"suite": args.suite, "seed": args.seed, **detail, "reports": rows}
+    (out / f"{args.suite}.json").write_text(json.dumps(detail, indent=2, default=float) + "\n")
     for r in reports:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.empirical:.6g}")
     return 0 if all(r.passed for r in reports) else 1
@@ -182,13 +134,11 @@ def main(argv: list[str] | None = None) -> int:
     p_verify.add_argument("--suite", required=True, choices=VERIFY_SUITES)
     p_verify.add_argument("--out", default="verify_out")
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--samples", type=int, default=100_000)
-    p_verify.add_argument("--dim", type=int, default=100)
-    p_verify.add_argument("--b", type=int, default=5)
-    p_verify.add_argument("--reps", type=int, default=500)
-    p_verify.add_argument(
-        "--eps", type=_parse_eps_list, default=[1e-1, 1e-2, 1e-3, 1e-4]
-    )
+    p_verify.add_argument("--samples", type=int, default=V.SAMPLES)
+    p_verify.add_argument("--dim", type=int, default=V.CRNS_DIM)
+    p_verify.add_argument("--b", type=int, default=V.CRNS_B)
+    p_verify.add_argument("--reps", type=_parse_reps, default=V.CRNS_REPS)
+    p_verify.add_argument("--eps", type=_parse_eps_list, default=V.CRNS_EPS)
 
     p_rf = sub.add_parser("sweep-rank-freq", help="rank x refresh-frequency grid")
     p_rf.add_argument("--config", required=True)
@@ -206,7 +156,7 @@ def main(argv: list[str] | None = None) -> int:
     p_ab = sub.add_parser("ablate-crns", help="seed-locking variance ablation")
     p_ab.add_argument("--config", required=True)
     p_ab.add_argument("--eps", type=_parse_eps_list, required=True)
-    p_ab.add_argument("--reps", type=int, default=500)
+    p_ab.add_argument("--reps", type=_parse_reps, default=V.CRNS_REPS)
     p_ab.add_argument("--seed", type=int, default=None)
     p_ab.add_argument("--out", default=None)
 

@@ -75,6 +75,8 @@ _JSON_FIELDS = {
     "timing": "timing",
 }
 _JSON_KEYS = {name: path for path, name in _JSON_FIELDS.items()}  # None -> pde.dim
+# the config's rules that read widths; field None is widths[0]
+_WIDTH_RULES = {"widths", "rank_per_layer", None}
 _BLOCKS = {path.rsplit(".", 1)[0] for path in _JSON_FIELDS if "." in path}
 # JSON type each scalar field accepts; pde.dim, which has no field, is an int
 _SCALARS = {"int": "an integer", "float": "a number", "bool": "true or false", "str": "a string"}
@@ -124,10 +126,13 @@ def config_from_dict(raw: dict) -> SdzeConfig:
 
     The config is built from the keys that passed the loader's own checks,
     so the problems it finds are reported with the loader's, by JSON key.
+    When the widths cannot be resolved (``net.widths`` bad, or absent with
+    ``pde.dim`` missing or bad), the rules that read them are not reported.
     """
     leaves: dict = {}
     errors: list[str] = []
     _flatten(raw, "", leaves, errors)
+    reported = set()
     for path, value in leaves.items():
         name = _JSON_FIELDS[path]
         kind = "int" if name is None else _FIELD_TYPES[name]
@@ -138,15 +143,16 @@ def config_from_dict(raw: dict) -> SdzeConfig:
         elif value is not None:  # a list field; null takes the default
             leaves[path] = _int_list(value)
             if leaves[path] is None:
+                reported.add(path)
                 errors.append(f"{path} must be a list of integers >= 1, got {value!r}")
     if "pde.dim" not in leaves:
         errors.append("missing key: pde.dim")
-    elif leaves["pde.dim"] is not None:
-        dim = leaves["pde.dim"]
-        if leaves.get("net.widths") is None:  # null loads like an absent key
-            leaves["net.widths"] = [dim, 128, 128, 1]
-        if leaves["net.widths"][:1] != [dim]:
-            errors.append(f"net.widths must start with pde.dim = {dim}")
+    dim = leaves.get("pde.dim")
+    if leaves.get("net.widths") is None and "net.widths" not in reported and dim is not None:
+        leaves["net.widths"] = [dim, 128, 128, 1]  # null loads like an absent key
+    widths = leaves.get("net.widths")  # None: unresolved, its rules are skipped
+    if widths is not None and dim is not None and widths[0] != dim:
+        errors.append(f"net.widths must start with pde.dim = {dim}")
     fields = {
         _JSON_FIELDS[path]: value
         for path, value in leaves.items()
@@ -155,7 +161,11 @@ def config_from_dict(raw: dict) -> SdzeConfig:
     try:
         cfg = SdzeConfig(**fields)
     except ConfigError as err:
-        errors += [f"{_JSON_KEYS[name]} {why}" for name, why in err.problems]
+        errors += [
+            f"{_JSON_KEYS[name]} {why}"
+            for name, why in err.problems
+            if widths is not None or name not in _WIDTH_RULES
+        ]
     if errors:
         raise ConfigError("; ".join(errors))
     return cfg

@@ -1,7 +1,7 @@
 """Acceptance criteria, one test per criterion, one pass/fail line each.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the lines live; the
-full-scale training criterion dominates the runtime (106 s on a 2-core box
+full-scale training criterion dominates the runtime (94 s on a 2-core box
 with BLAS pinned to one thread).  It is marked ``slow``: ``pytest -m "not slow"`` runs the rest.
 """
 
@@ -13,22 +13,17 @@ import pytest
 
 from sdze import net, optimizer
 from sdze.harness import config_from_dict, run_train
-from sdze.net import init_mlp, plain_view
+from sdze.net import init_mlp
 from sdze.optimizer import SdzeConfig, make_subspaces, sdze_step, train
 from sdze.rng import Role, StreamKey, derive_stream
-from sdze.spatial import SpatialSample, draw_sample, make_problem, stochastic_loss
-from sdze.subspace import (
-    BLOCK_ELEMS,
-    BLOCK_ROWS,
-    refresh_bases,
-    plan_reshape,
-    subspace_for_layer,
-)
+from sdze.spatial import make_problem
+from sdze.subspace import BLOCK_ELEMS, BLOCK_ROWS, _qr_orthonormal, plan_reshape, refresh_bases
 from sdze.verify import (
-    crns_variance_sweep,
+    QUADRATIC_CASES,
+    crns_suite,
     implicit_suite,
     jets_suite,
-    quadratic_identity_check,
+    quadratic_suite,
     unbiasedness_check,
     variance_law_check,
 )
@@ -88,28 +83,19 @@ def test_criterion_2_subspace_orthogonality():
 
 def test_criterion_3_quadratic_identities():
     t0 = time.time()
-    rng = np.random.default_rng(MASTER)
-    all_ok = True
+    reports, _ = quadratic_suite(MASTER)
     details = []
-    for q, r, shapes in ((4, 2, [(2, 4)]), (16, 4, [(8, 8)])):
-        P = sum(m * n for m, n in shapes)
-        H = rng.standard_normal((P, P))
-        H = H @ H.T / P + np.eye(P)
-        theta = rng.standard_normal(P)
-        reports = quadratic_identity_check(
-            H, theta, r, shapes, 100_000, master=MASTER + q,
-            tol_mean=0.02, tol_second=0.05, tol_cosine=0.10,
-        )
-        by_name = {rep.name: rep for rep in reports}
-        all_ok &= all(rep.passed for rep in reports)
+    for k, (q, _, _) in enumerate(QUADRATIC_CASES):
+        by_name = {rep.name: rep for rep in reports[3 * k : 3 * k + 3]}
         details.append(
             f"q={q}: mean dev {by_name['mean_vs_projected_gradient'].empirical:.3%}, "
             f"2nd moment ratio {by_name['second_moment_over_(q+2)'].empirical:.4f}, "
             f"cosine*q {by_name['cosine_alignment_times_q'].empirical:.4f}"
         )
+    ok = len(reports) == 3 * len(QUADRATIC_CASES) and all(rep.passed for rep in reports)
     assert report(
         "criterion-3 quadratic identities",
-        all_ok,
+        ok,
         "; ".join(details) + f" (tols 2%/5%/10%), {time.time() - t0:.1f}s",
     )
 
@@ -131,46 +117,25 @@ def test_criterion_4_spatial_unbiasedness_and_variance_law():
 
 
 def test_criterion_5_crns_ablation():
+    # the bounds are the crns suite's report rows (see verify.crns_suite)
     t0 = time.time()
-    problem = make_problem("none", 100, "two_body", MASTER)
-    params = init_mlp([100, 64, 1], "sin", MASTER)
-    eps_list = [1e-1, 1e-2, 1e-3, 1e-4]
-    replicates, B, b = 500, 20, 5
-    rows, slope_crns, slope_naive = crns_variance_sweep(
-        problem, params, rank=8, eps_list=eps_list, replicates=replicates, B=B, b=b,
-        master=MASTER,
-    )
-    v = {(r["mode"], r["eps"]): r["variance"] for r in rows}
-    crns_vars = [v[("crns", e)] for e in eps_list]
-    # the unperturbed loss over the sweep's own spatial draws (same keys)
-    view = plain_view(params)
-    samples = [
-        SpatialSample(MASTER, k, B, b, problem.dim, collocation_step=0)
-        for k in range(1, replicates + 1)
-    ]
-    var_loss = float(
-        np.var([stochastic_loss(view, problem, draw_sample(problem, s)) for s in samples], ddof=1)
-    )
-    # Unlocked, Var_naive = Var_S L / (2 eps^2) + Var_crns / 2 + O(1) (see
-    # crns_variance_sweep): the 1/eps^2 coefficient that locking cancels is 1
-    # on any problem, while the naive/locked ratio depends on the problem.
-    # Over 20 master seeds the value has mean 0.97 and sd 0.054: the lower
-    # edge is about 4 sd below the mean, the upper edge its reciprocal.
+    reports, detail = crns_suite(MASTER)
+    by_name = {rep.name: rep for rep in reports}
     identity = {
-        e: 2.0 * e**2 * (v[("naive", e)] - v[("crns", e)] / 2.0) / var_loss
-        for e in (1e-3, 1e-4)
+        name.rsplit("_", 1)[1]: rep.empirical
+        for name, rep in by_name.items()
+        if name.startswith("cancellation_identity_at_")
     }
+    v = {(r["mode"], r["eps"]): r["variance"] for r in detail["rows"]}
     ratio = v[("naive", 1e-3)] / v[("crns", 1e-3)]
-    ok = -2.2 <= slope_naive <= -1.8
-    ok &= max(crns_vars) / min(crns_vars) <= 2.0
-    ok &= all(0.75 <= x <= 1.33 for x in identity.values())
+    ok = len(identity) == 2 and all(rep.passed for rep in reports)
     assert report(
         "criterion-5 seed-locking ablation",
         ok,
-        f"naive slope {slope_naive:.3f} (in [-2.2,-1.8]), locked spread "
-        f"{max(crns_vars)/min(crns_vars):.4f}x (<= 2x), Var_S L {var_loss:.3e}, "
-        "2eps^2 (Var_naive - Var_crns/2) / Var_S L "
-        + ", ".join(f"{identity[e]:.3f} at {e:g}" for e in identity)
+        f"naive slope {detail['slope_naive']:.3f} (in [-2.2,-1.8]), locked spread "
+        f"{by_name['crns_variance_spread'].empirical:.4f}x (<= 2x), "
+        f"Var_S L {detail['var_loss']:.3e}, 2eps^2 (Var_naive - Var_crns/2) / Var_S L "
+        + ", ".join(f"{x:.3f} at {e}" for e, x in identity.items())
         + f" (in [0.75,1.33]), variance ratio at 1e-3 {ratio:.3g} (info), "
         f"{time.time() - t0:.1f}s",
     )
@@ -246,14 +211,23 @@ def _draw_peak(spans, n: int) -> int:
     return spans.calls["draw"][-1][1]
 
 
+def _qr_peak(spans, rows: int, cols: int) -> int:
+    """Measured peak bytes of the sign-fixed QR of a drawn ``rows x cols`` matrix."""
+    A = derive_stream(StreamKey(3, Role.BASE_U, 0, 0)).normals(rows * cols).reshape(rows, cols)
+    spans.measure(_qr_orthonormal, "qr")(A)
+    return spans.calls["qr"][-1][1]
+
+
 def test_criterion_8_memory_independence(peak_spans):
     # Measured bytes (tracemalloc sees numpy buffers) of one step that
     # includes a base refresh, at d = 100, 1 000 and 10 000:
     # * the jet sweep (net._raw_jets) must stay flat in d, growth <= 1.2x;
     # * each rank-r update may hold one streamed block of R square-view rows
     #   and its R x r factor, 8 (R n' + R r) bytes;
-    # * each refresh may hold its Gaussian draws: GU, then GV with GU held,
-    #   P(n) being the measured peak of drawing n normals;
+    # * each refresh may hold the larger of its Gaussian draws and its QRs:
+    #   GU, then GV with GU held, P(n) being the measured peak of drawing n
+    #   normals; then the QR of GU with both draws held, and that of GV with
+    #   U held too, Q(m, r) being the measured peak of the QR of an m x r draw;
     # * the whole loss call may exceed the sweep only by its d-proportional
     #   allowance: the collocation draw and rhs of the B x d batch, at most
     #   5 B x d f64 words (the draw's normals temporaries reach ~4.5);
@@ -315,7 +289,11 @@ def test_criterion_8_memory_independence(peak_spans):
             draws = max(
                 _draw_peak(peak_spans, mp * r), 8 * mp * r + _draw_peak(peak_spans, npr * r)
             )
-            refresh[d].append((peak, draws + slack))
+            qrs = max(
+                8 * (mp + npr) * r + _qr_peak(peak_spans, mp, r),
+                8 * (2 * mp + npr) * r + _qr_peak(peak_spans, npr, r),
+            )
+            refresh[d].append((peak, max(draws, qrs) + slack))
         # both steps update and may refresh every layer, and draw once
         ok &= len(update[d]) == len(refresh[d]) == 2 * len(subspaces)
         ok &= len(peak_spans.calls["draw_sample"]) == 2

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import os
@@ -52,6 +53,12 @@ def test_missing_dim_names_the_key(tmp_path):
     with pytest.raises(ConfigError) as err:
         config_from_dict(raw)
     assert "pde.dim" in str(err.value)
+    # with no dim and no widths the widths are unknown, so no rule that reads
+    # them (here the rank_per_layer length) is reported next to the real error
+    for pde, message in (({}, "missing key: pde.dim"), ({"dim": "x"}, "pde.dim must be an integer, got 'x'")):
+        with pytest.raises(ConfigError) as err:
+            config_from_dict({"pde": pde, "net": {"widths": None}, "sdze": {"rank_per_layer": [2, 1]}})
+        assert str(err.value) == message
 
 
 def test_unknown_keys_all_reported(tmp_path):
@@ -536,6 +543,28 @@ def test_cli_verify_jet_suites(tmp_path, suite):
     assert json.loads((tmp_path / f"v/{suite}.json").read_text())["suite"] == suite
 
 
+def test_cli_verify_crns_writes_the_criterion_5_rows(tmp_path):
+    # seed 0 reads its identities above 1.33 and seed 2 below it but above
+    # 1.25, so both edges of the asymmetric interval are exercised
+    bounds = {
+        "naive_variance_slope": lambda x: abs(x + 2.0) <= 0.2,
+        "crns_variance_slope": lambda x: abs(x) <= 0.3,
+        "crns_variance_spread": lambda x: x <= 2.0,
+        "cancellation_identity_at_0.001": lambda x: 0.75 <= x <= 1.33,
+        "cancellation_identity_at_0.0001": lambda x: 0.75 <= x <= 1.33,
+    }
+    for seed in ("0", "2"):
+        out = tmp_path / seed
+        argv = ["verify", "--suite", "crns", "--dim", "8", "--b", "2", "--reps", "20"]
+        rc = cli.main(argv + ["--seed", seed, "--out", str(out)])
+        lines = (out / "crns.csv").read_text().splitlines()
+        rows = list(csv.DictReader(lines[1:]))
+        assert [row["name"] for row in rows] == list(bounds)
+        assert all(row["passed"] == str(bounds[row["name"]](float(row["empirical"]))) for row in rows)
+        assert rc == (0 if all(row["passed"] == "True" for row in rows) else 1)
+        assert json.loads((out / "crns.json").read_text())["var_loss"] > 0
+
+
 def test_every_public_name_resolves():
     import sdze
 
@@ -597,17 +626,26 @@ def test_cli_ablate_crns_sweeps_the_configured_net(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "flags, flag",
+    "command, flags, flag",
     [
-        (["--dim", "4", "--b", "9"], "--b"),
-        (["--reps", "1"], "--reps"),
-        (["--dim", "1", "--b", "1"], "--dim"),
+        ("verify", ["--dim", "4", "--b", "9"], "--b"),
+        ("verify", ["--reps", "1"], "--reps"),
+        ("verify", ["--dim", "1", "--b", "1"], "--dim"),
+        ("ablate-crns", ["--reps", "1"], "--reps"),
     ],
-    ids=["b_above_dim", "one_replicate", "dim_below_two_body"],
+    ids=["b_above_dim", "one_replicate", "dim_below_two_body", "ablate_one_replicate"],
 )
-def test_cli_verify_crns_refuses_flags_it_cannot_run_before_writing(tmp_path, capsys, flags, flag):
+def test_cli_verify_crns_refuses_flags_it_cannot_run_before_writing(
+    tmp_path, capsys, command, flags, flag
+):
+    # ablate-crns runs the same sweep, so it refuses the same replicate count
     out = tmp_path / "out"
-    argv = ["verify", "--suite", "crns", "--dim", "8", "--reps", "2", "--b", "2", "--out", str(out)]
+    if command == "verify":
+        argv = ["verify", "--suite", "crns", "--dim", "8", "--reps", "2", "--b", "2", "--out", str(out)]
+    else:
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(tiny_config(tmp_path, out_dir=str(out))))
+        argv = ["ablate-crns", "--config", str(cfg_path), "--eps", "1e-2,1e-3"]
     with pytest.raises(SystemExit) as exit_:
         cli.main(argv + flags)
     assert exit_.value.code == 2
