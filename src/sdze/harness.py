@@ -7,7 +7,9 @@ key takes the field's default.  Loading reports every offending key in one
 :class:`ConfigError`.  Each rule has one owner: the loader checks the JSON
 form (unknown keys, objects, JSON types, ``pde.dim`` and ``net.widths[0]``),
 ``SdzeConfig`` every value, and :func:`check_batch_dims` that a run's index
-sets fit the dimension.
+sets fit the dimension.  Each sweep cell is a config too, the sweep's config
+with the cell's fields replaced, and the same owners check every cell before
+any cell runs.
 Each run writes a config echo, a metrics CSV (header line
 ``# sdze-version, seed, config-hash``, then the ``METRIC_COLUMNS`` line and
 one row per step), and periodic + final checkpoints into its output
@@ -36,11 +38,12 @@ from .optimizer import (
     StepRecord,
     TrainResult,
     directional_delta,
+    draw_signs,
     make_subspaces,
     step_cores,
     train,
 )
-from .spatial import PdeProblem, SpatialSample, draw_sample
+from .spatial import PdeProblem
 
 # Dotted JSON path -> SdzeConfig field.  pde.dim has no field of its own: it
 # is widths[0], and an absent net.widths loads as [pde.dim, 128, 128, 1].
@@ -51,11 +54,9 @@ _JSON_FIELDS = {
     "pde.normalization": "normalization",
     "net.widths": "widths",
     "net.activation": "activation",
-    "net.act_scale": "act_scale",
     "net.bias": "bias",
     "net.dtype": "dtype",
     "sdze.rank": "rank",
-    "sdze.rank_per_layer": "rank_per_layer",
     "sdze.freq_F": "freq_F",
     "sdze.eps": "eps",
     "sdze.lr.mode": "lr_mode",
@@ -75,8 +76,6 @@ _JSON_FIELDS = {
     "timing": "timing",
 }
 _JSON_KEYS = {name: path for path, name in _JSON_FIELDS.items()}  # None -> pde.dim
-# the config's rules that read widths; field None is widths[0]
-_WIDTH_RULES = {"widths", "rank_per_layer", None}
 _BLOCKS = {path.rsplit(".", 1)[0] for path in _JSON_FIELDS if "." in path}
 # JSON type each scalar field accepts; pde.dim, which has no field, is an int
 _SCALARS = {"int": "an integer", "float": "a number", "bool": "true or false", "str": "a string"}
@@ -126,13 +125,10 @@ def config_from_dict(raw: dict) -> SdzeConfig:
 
     The config is built from the keys that passed the loader's own checks,
     so the problems it finds are reported with the loader's, by JSON key.
-    When the widths cannot be resolved (``net.widths`` bad, or absent with
-    ``pde.dim`` missing or bad), the rules that read them are not reported.
     """
     leaves: dict = {}
     errors: list[str] = []
     _flatten(raw, "", leaves, errors)
-    reported = set()
     for path, value in leaves.items():
         name = _JSON_FIELDS[path]
         kind = "int" if name is None else _FIELD_TYPES[name]
@@ -143,14 +139,13 @@ def config_from_dict(raw: dict) -> SdzeConfig:
         elif value is not None:  # a list field; null takes the default
             leaves[path] = _int_list(value)
             if leaves[path] is None:
-                reported.add(path)
                 errors.append(f"{path} must be a list of integers >= 1, got {value!r}")
     if "pde.dim" not in leaves:
         errors.append("missing key: pde.dim")
     dim = leaves.get("pde.dim")
-    if leaves.get("net.widths") is None and "net.widths" not in reported and dim is not None:
+    if leaves.get("net.widths") is None and dim is not None:
         leaves["net.widths"] = [dim, 128, 128, 1]  # null loads like an absent key
-    widths = leaves.get("net.widths")  # None: unresolved, its rules are skipped
+    widths = leaves.get("net.widths")  # None without pde.dim: the config takes the default
     if widths is not None and dim is not None and widths[0] != dim:
         errors.append(f"net.widths must start with pde.dim = {dim}")
     fields = {
@@ -161,11 +156,7 @@ def config_from_dict(raw: dict) -> SdzeConfig:
     try:
         cfg = SdzeConfig(**fields)
     except ConfigError as err:
-        errors += [
-            f"{_JSON_KEYS[name]} {why}"
-            for name, why in err.problems
-            if widths is not None or name not in _WIDTH_RULES
-        ]
+        errors += [f"{_JSON_KEYS[name]} {why}" for name, why in err.problems]
     if errors:
         raise ConfigError("; ".join(errors))
     return cfg
@@ -297,7 +288,7 @@ def _resume_params(cfg: SdzeConfig, path: str | Path) -> tuple[MlpParams, int]:
     if shapes != want:
         key = "net.bias" if shapes == _layer_shapes(cfg.widths, not cfg.bias) else "net.widths"
         raise ConfigError(f"{key}: checkpoint layer shapes {shapes}, config implies {want}")
-    return MlpParams(weights, cfg.activation, cfg.act_scale, cfg.bias), step
+    return MlpParams(weights, cfg.activation, cfg.bias), step
 
 
 # --- run orchestration ----------------------------------------------------------
@@ -336,7 +327,7 @@ def check_batch_dims(cfg: SdzeConfig) -> None:
     """Refuse index sets larger than the dimension, before a run does any work.
 
     Not a config rule: the default b = 16 loads at any dimension, and
-    ``sweep-batch`` replaces b with its own pairs.
+    ``sweep-batch`` checks each cell's own b.
     """
     if cfg.batch_b > cfg.widths[0]:
         raise ConfigError(
@@ -404,37 +395,51 @@ def _final_rel_l2(result: TrainResult) -> float:
     return result.evals[-1][1]
 
 
-def run_sweep_rank_freq(
-    cfg: SdzeConfig, ranks: list[int], freqs: list[int]
-) -> list[dict]:
+def _sweep_cells(cfg: SdzeConfig, grid: list[tuple[str, dict]]) -> list[SdzeConfig]:
+    """One config per (label, replaced fields) cell of ``grid``, all checked
+    before any cell runs; a refused cell's error is its label and the message
+    of the rule's owner, ``SdzeConfig`` or :func:`check_batch_dims`."""
+    if not grid:
+        raise ConfigError("the sweep grid is empty")
+    cells = []
+    for label, fields in grid:
+        try:
+            cell = dataclasses.replace(cfg, **fields)
+            check_batch_dims(cell)
+        except ConfigError as err:
+            raise ConfigError(f"{label}: {err}") from None
+        cells.append(cell)
+    return cells
+
+
+def run_sweep_rank_freq(cfg: SdzeConfig, ranks: list[int], freqs: list[int]) -> list[dict]:
     """One short run per (rank, refresh frequency) cell; final relative L2 per row."""
-    if not ranks or not freqs:
-        raise ValueError("rank and frequency grids must be non-empty")
-    check_batch_dims(cfg)
+    grid = [(f"rank {r}, freq {F}", {"rank": r, "freq_F": F}) for r in ranks for F in freqs]
+    cells = _sweep_cells(cfg, grid)
     problem = cfg.make_problem()
-    rows = []
-    for r in ranks:
-        for F in freqs:
-            result = train(dataclasses.replace(cfg, rank=r, freq_F=F), problem)
-            rows.append({"rank": r, "freq_F": F, "final_rel_l2": _final_rel_l2(result)})
+    rows = [
+        {"rank": c.rank, "freq_F": c.freq_F, "final_rel_l2": _final_rel_l2(train(c, problem))}
+        for c in cells
+    ]
     return sorted(rows, key=lambda row: (row["rank"], row["freq_F"]))
 
 
-def delta_variance(
-    cfg: SdzeConfig, problem: PdeProblem, B: int, b: int, replicates: int = 200
-) -> float:
+def delta_variance(cfg: SdzeConfig, problem: PdeProblem, replicates: int = 200) -> float:
     """Variance of the step estimate over replicated spatial samples at the
-    frozen initial parameters (perturbation direction held fixed)."""
+    frozen initial parameters (perturbation direction held fixed).
+
+    Replicate k draws the samples of step k as a step does, at ``cfg``'s B, b
+    and seed-locking mode (:func:`~sdze.optimizer.draw_signs`).
+    """
     params = cfg.init_params()
     subspaces = make_subspaces(params, cfg)
     cores = step_cores(cfg.seed, subspaces, 0)
     # one perturbation: every replicate reads the same pair's weights
     pair = SignPair(params, subspaces, cores, cfg.eps, DTYPES[cfg.dtype])
-    deltas = []
-    for k in range(1, replicates + 1):
-        drawn = draw_sample(problem, SpatialSample(cfg.seed, k, B, b, problem.dim))
-        delta, _, _ = directional_delta(pair, problem, drawn, drawn)
-        deltas.append(delta)
+    deltas = [
+        directional_delta(pair, problem, *draw_signs(problem, cfg, k))[0]
+        for k in range(1, replicates + 1)
+    ]
     return float(np.var(np.asarray(deltas), ddof=1))
 
 
@@ -443,28 +448,21 @@ def run_sweep_batch(
 ) -> list[dict]:
     """Fixed-budget (B, b) tradeoff: estimator variance + short-run final L2.
 
-    Every pair's b must fit the dimension (index sets are drawn without
-    replacement); that is checked before any work.
+    Each pair is a cell config with ``batch_B`` and ``batch_b`` replaced, and
+    all of them are checked before any work: the pairs share one product
+    B * b, and each cell passes ``SdzeConfig`` and :func:`check_batch_dims`.
     """
-    products = {B * b for B, b in pairs}
+    grid = [(f"pair {B}x{b}", {"batch_B": B, "batch_b": b}) for B, b in pairs]
+    cells = _sweep_cells(cfg, grid)
+    products = {c.batch_B * c.batch_b for c in cells}
     if len(products) != 1:
         raise ValueError(f"all (B, b) pairs must share the same product, got {products}")
-    dim = cfg.widths[0]
-    too_wide = [f"{B}x{b}" for B, b in pairs if b > dim]
-    if too_wide:
-        raise ConfigError(
-            f"pair {', '.join(too_wide)}: b exceeds pde.dim = {dim}; "
-            "index sets are drawn without replacement"
-        )
     problem = cfg.make_problem()
-    rows = []
-    for B, b in pairs:
-        var = delta_variance(cfg, problem, B, b, replicates)
-        result = train(dataclasses.replace(cfg, batch_B=B, batch_b=b), problem)
-        rows.append(
-            {"B": B, "b": b, "delta_variance": var, "final_rel_l2": _final_rel_l2(result)}
-        )
-    return rows
+    return [
+        {"B": c.batch_B, "b": c.batch_b, "delta_variance": delta_variance(c, problem, replicates),
+         "final_rel_l2": _final_rel_l2(train(c, problem))}
+        for c in cells
+    ]
 
 
 def write_csv(path: str | Path, rows: list[dict], seed: int, config_hash: str) -> None:

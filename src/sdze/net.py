@@ -85,32 +85,29 @@ def _check_activation(act: str) -> None:
         raise ValueError(f"unknown activation tag: {act!r}; supported: {ACTIVATIONS}")
 
 
-def activation_triple(act: str, scale: float = 1.0):
+def activation_triple(act: str):
     """(sigma, sigma', sigma'') for the supported activation tags.
 
-    Each function evaluates on its own; the network's passes read the same
-    planes from one evaluation (:func:`activation_planes`).
+    ``tanh_scaled`` is tanh at unit scale, so |sigma^(k)| <= 1 for k <= 2,
+    as it is for sin.  Each function evaluates on its own; the network's
+    passes read the same planes from one evaluation (:func:`activation_planes`).
     """
     if act == "sin":
         return np.sin, np.cos, lambda u: -np.sin(u)
     if act == "tanh_scaled":
-        # scale * tanh; scale <= 1 keeps |sigma^(k)| <= 1 for k <= 2
-        def f(u):
-            return scale * np.tanh(u)
-
         def f1(u):
             t = np.tanh(u)
-            return scale * (1.0 - t * t)
+            return 1.0 - t * t
 
         def f2(u):
             t = np.tanh(u)
-            return scale * (-2.0 * t * (1.0 - t * t))
+            return -2.0 * t * (1.0 - t * t)
 
-        return f, f1, f2
+        return np.tanh, f1, f2
     raise ValueError(f"unknown activation tag: {act!r}")
 
 
-def activation_planes(act: str, scale: float, G: np.ndarray, derivs: bool):
+def activation_planes(act: str, G: np.ndarray, derivs: bool):
     """sigma(G) and, with ``derivs``, sigma'(G) and sigma''(G) from one evaluation.
 
     Bitwise equal to :func:`activation_triple`: sin gives sigma'' = -sigma by
@@ -123,9 +120,9 @@ def activation_planes(act: str, scale: float, G: np.ndarray, derivs: bool):
     _check_activation(act)
     t = np.tanh(G)
     if not derivs:
-        return scale * t, None, None
+        return t, None, None
     q = 1.0 - t * t
-    return scale * t, scale * q, scale * (-2.0 * t * q)
+    return t, q, -2.0 * t * q
 
 
 @dataclass
@@ -141,7 +138,6 @@ class MlpParams:
 
     weights: list[np.ndarray]
     activation: str = "sin"
-    act_scale: float = 1.0
     bias: bool = False
 
     def __post_init__(self):
@@ -166,13 +162,7 @@ class MlpParams:
         return [self.dim] + [W.shape[1] for W in self.weights]
 
 
-def init_mlp(
-    widths: list[int],
-    activation: str,
-    master: int,
-    act_scale: float = 1.0,
-    bias: bool = False,
-) -> MlpParams:
+def init_mlp(widths: list[int], activation: str, master: int, bias: bool = False) -> MlpParams:
     """Layer weights ~ N(0, 1/fan_in) from per-layer weight-init streams.
 
     With the bias extension each matrix carries one extra input row,
@@ -185,7 +175,7 @@ def init_mlp(
         if bias:
             W = np.vstack([W, np.zeros((1, n))])
         weights.append(W)
-    return MlpParams(weights, activation, act_scale, bias)
+    return MlpParams(weights, activation, bias)
 
 
 @dataclass(frozen=True)
@@ -355,7 +345,7 @@ def _primal(view: PerturbView, X: _Batch, weights: list[np.ndarray], derivs: boo
     """
     params = view.pair.params
     bias = params.bias
-    act, scale = params.activation, params.act_scale
+    act = params.activation
     s1s: list[np.ndarray] = []
     s2s: list[np.ndarray] = []
     G = _signed(X.G0, X.P, view.sign)
@@ -364,7 +354,7 @@ def _primal(view: PerturbView, X: _Batch, weights: list[np.ndarray], derivs: boo
             W = weights[l]
             G = (H @ W[:-1] + W[-1]) if bias else (H @ W)
         if l < params.depth - 1:
-            H, s1, s2 = activation_planes(act, scale, G, derivs)
+            H, s1, s2 = activation_planes(act, G, derivs)
             if derivs:
                 s1s.append(s1)
                 s2s.append(s2)

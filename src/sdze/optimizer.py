@@ -73,14 +73,16 @@ class SdzeConfig:
     ``widths[0]`` is the PDE dimension.  :mod:`sdze.harness` maps every field
     to its JSON key; a key the JSON omits takes the default here.  Every value
     rule lives in ``__post_init__``, which names each offending field in one
-    :class:`ConfigError`; only ``batch_b <= widths[0]`` is a run rule
-    (``harness.check_batch_dims``), since a sweep may replace ``batch_b``.
+    :class:`ConfigError`.  Every field changes every run that reads it (the
+    lr fields are read in their own mode).  The run rules, which
+    :mod:`sdze.harness` checks before a run or sweep cell does any work, are
+    ``batch_b <= widths[0]`` (``check_batch_dims``: the default b = 16 loads
+    at any dimension) and a resumed checkpoint's fit.
     """
 
     seed: int = 0
     widths: list[int] = field(default_factory=lambda: [100, 128, 128, 1])
     activation: str = "sin"
-    act_scale: float = 1.0
     bias: bool = False
     dtype: str = "f64"
     eps: float = 1e-3
@@ -92,7 +94,6 @@ class SdzeConfig:
     c: float = 1.0  # sqrt_tq: c / sqrt(t q)
     steps: int = 20000
     rank: int = 16
-    rank_per_layer: list[int] | None = None
     freq_F: int = 1000
     batch_B: int = 100
     batch_b: int = 16
@@ -121,8 +122,6 @@ class SdzeConfig:
             problems.append(("steps", "must be >= 0"))
         if len(self.widths) < 2 or self.widths[-1] != 1:
             problems.append(("widths", f"must have >= 2 entries and end in 1, got {self.widths}"))
-        if self.rank_per_layer is not None and len(self.rank_per_layer) != len(self.widths) - 1:
-            problems.append(("rank_per_layer", "must list one rank per layer"))
         if self.widths and self.pde_solution in SOLUTIONS:
             try:
                 coefficient_count(self.pde_solution, self.widths[0])
@@ -144,7 +143,7 @@ class SdzeConfig:
 
     def init_params(self) -> MlpParams:
         """The initial network; every run, sweep and ablation starts from it."""
-        return init_mlp(self.widths, self.activation, self.seed, self.act_scale, self.bias)
+        return init_mlp(self.widths, self.activation, self.seed, self.bias)
 
 
 def lr_schedule(cfg: SdzeConfig, t: int, q: int | None = None) -> float:
@@ -226,6 +225,17 @@ def directional_delta(
     return (float(lp) - float(lm)) / (2.0 * pair.eps), float(lp), float(lm)
 
 
+def draw_signs(problem: PdeProblem, cfg: SdzeConfig, t: int) -> tuple[DrawnSample, DrawnSample]:
+    """The spatial draws (plus, minus) of step ``t``, keyed by ``cfg``'s seed, B and b.
+
+    Seed locked (``cfg.crns``), both passes read one draw; unlocked, the
+    minus pass reads :meth:`SpatialSample.unlocked` on the same batch.
+    """
+    sample = SpatialSample(cfg.seed, t, cfg.batch_B, cfg.batch_b, problem.dim)
+    drawn = draw_sample(problem, sample)
+    return drawn, drawn if cfg.crns else draw_sample(problem, sample.unlocked(), batch=drawn)
+
+
 def sdze_step(
     params: MlpParams,
     subspaces: list[LayerSubspace],
@@ -245,9 +255,7 @@ def sdze_step(
     t0 = time.perf_counter()
     for l in range(len(subspaces)):
         subspaces[l] = maybe_refresh(t, cfg.freq_F, subspaces[l])
-    sample = SpatialSample(cfg.seed, t, cfg.batch_B, cfg.batch_b, problem.dim)
-    drawn = draw_sample(problem, sample)
-    minus = drawn if cfg.crns else draw_sample(problem, sample.unlocked(), batch=drawn)
+    drawn, minus = draw_signs(problem, cfg, t)
     cores = step_cores(cfg.seed, subspaces, t)
     # one pair per step, freed before the update below changes params
     delta, lp, lm = directional_delta(
@@ -263,7 +271,7 @@ def sdze_step(
         for W, s, Z in zip(params.weights, subspaces, cores):
             apply_rank_r_update(W, s, Z, -alpha * delta)
     elif cfg.crns:
-        raise SdzeDivergenceError(t, lp, lm, sample)
+        raise SdzeDivergenceError(t, lp, lm, drawn.sample)
     # else unlocked divergence: the ablation's data point, recorded without an update
     wall_ms = (time.perf_counter() - t0) * 1e3
     return StepRecord(t, delta, lp, lm, alpha, wall_ms)
@@ -299,11 +307,10 @@ def make_subspaces(
     params: MlpParams, cfg: SdzeConfig, start_step: int = 0
 ) -> list[LayerSubspace]:
     """Each layer's subspace at ``start_step``: bases from the last refresh boundary."""
-    ranks = cfg.rank_per_layer or [cfg.rank] * len(params.weights)
     at = (start_step // cfg.freq_F) * cfg.freq_F
     return [
-        subspace_for_layer(cfg.seed, l, *W.shape, r, at)
-        for l, (W, r) in enumerate(zip(params.weights, ranks))
+        subspace_for_layer(cfg.seed, l, *W.shape, cfg.rank, at)
+        for l, W in enumerate(params.weights)
     ]
 
 

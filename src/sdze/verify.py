@@ -111,7 +111,7 @@ def explicit_forward(
 
     With the bias extension every layer input gets a constant-1 column.
     """
-    f = activation_triple(params.activation, params.act_scale)[0]
+    f = activation_triple(params.activation)[0]
     H = X
     for l, W in enumerate(params.weights):
         Wp = W if sign == 0 else W + sign * eps * deltas[l]
@@ -137,7 +137,7 @@ def explicit_jets(
     in the tangent planes).  Returns u (B,) and the pure second derivatives
     d2u/dx_i^2, shape (len(dims), B).
     """
-    f, f1, f2 = activation_triple(params.activation, params.act_scale)
+    f, f1, f2 = activation_triple(params.activation)
     X = np.atleast_2d(X)
     B = X.shape[0]
     dims = np.asarray(dims, dtype=np.int64)
@@ -177,7 +177,7 @@ def unflatten_params(theta: np.ndarray, like: MlpParams) -> MlpParams:
     for W in like.weights:
         weights.append(theta[at : at + W.size].reshape(W.shape, order="F").copy())
         at += W.size
-    return MlpParams(weights, like.activation, like.act_scale, like.bias)
+    return MlpParams(weights, like.activation, like.bias)
 
 
 def build_projection(subspaces: list[LayerSubspace]) -> np.ndarray:

@@ -53,11 +53,11 @@ def test_missing_dim_names_the_key(tmp_path):
     with pytest.raises(ConfigError) as err:
         config_from_dict(raw)
     assert "pde.dim" in str(err.value)
-    # with no dim and no widths the widths are unknown, so no rule that reads
-    # them (here the rank_per_layer length) is reported next to the real error
+    # with no dim and no widths the config takes the default widths, and no
+    # rule that reads them is reported next to the real error
     for pde, message in (({}, "missing key: pde.dim"), ({"dim": "x"}, "pde.dim must be an integer, got 'x'")):
         with pytest.raises(ConfigError) as err:
-            config_from_dict({"pde": pde, "net": {"widths": None}, "sdze": {"rank_per_layer": [2, 1]}})
+            config_from_dict({"pde": pde, "net": {"widths": None}})
         assert str(err.value) == message
 
 
@@ -104,7 +104,7 @@ def test_wrong_typed_scalars_are_reported_with_the_other_errors(tmp_path):
 def test_loader_and_config_errors_are_reported_together_by_json_key(tmp_path):
     raw = tiny_config(tmp_path, steps=2.5, bogus=1)
     raw["pde"]["kind"] = "heat"
-    raw["net"].update(activation="relu", dtype="f16")
+    raw["net"].update(activation="relu", dtype="f16", act_scale=0.5)
     raw["sdze"].update(eps=-1, rank_per_layer=[2, 2, 2])
     raw["sdze"]["lr"]["mode"] = "bogus"
     with pytest.raises(ConfigError) as err:
@@ -112,13 +112,14 @@ def test_loader_and_config_errors_are_reported_together_by_json_key(tmp_path):
     problems = str(err.value).split("; ")
     keys = [
         "unknown key: bogus",
+        "unknown key: net.act_scale",
+        "unknown key: sdze.rank_per_layer",
         "steps must be an integer",
         "pde.kind must be one of",
         "net.activation must be one of",
         "net.dtype must be one of",
         "sdze.eps must be > 0",
         "sdze.lr.mode must be one of",
-        "sdze.rank_per_layer must list one rank per layer",
     ]
     assert len(problems) == len(keys)
     assert all(any(p.startswith(key) for p in problems) for key in keys), problems
@@ -258,7 +259,6 @@ def test_bad_values_fail_where_they_are_given_naming_the_key(tmp_path, build, er
 def test_list_keys_must_be_lists_of_positive_integers(tmp_path):
     for block, key, value in [
         ("net", "widths", 7),
-        ("sdze", "rank_per_layer", 3),
         ("net", "widths", [5, "a", 1]),
         ("net", "widths", [5, 0, 1]),
     ]:
@@ -266,14 +266,12 @@ def test_list_keys_must_be_lists_of_positive_integers(tmp_path):
         raw[block][key] = value
         with pytest.raises(ConfigError, match=rf"{block}\.{key} must be a list of integers >= 1"):
             config_from_dict(raw)
-    raw = tiny_config(tmp_path, net={"widths": [5, 6.0, 1]})
-    raw["sdze"]["rank_per_layer"] = [2, 1]
-    cfg = config_from_dict(raw)
+    cfg = config_from_dict(tiny_config(tmp_path, net={"widths": [5, 6.0, 1]}))
     assert cfg.widths == [5, 6, 1] and all(isinstance(w, int) for w in cfg.widths)
-    assert cfg.rank_per_layer == [2, 1]
 
 
 def test_delta_variance_estimates_in_the_config_dtype(tmp_path):
+    # and in its locking mode: unlocked, each minus pass reads its own index sets
     raw = tiny_config(tmp_path)
     raw["net"]["dtype"] = "f32"
     cfg = config_from_dict(raw)
@@ -281,15 +279,20 @@ def test_delta_variance_estimates_in_the_config_dtype(tmp_path):
     params = cfg.init_params()
     subspaces = make_subspaces(params, cfg)
     cores = step_cores(cfg.seed, subspaces, 0)
-    deltas = []
+    deltas = {True: [], False: []}
     for k in range(1, 11):
         drawn = draw_sample(problem, SpatialSample(cfg.seed, k, 4, 2, problem.dim))
-        # a fresh pair per estimate: the call's one shared pair must change no bit
-        pair = SignPair(params, subspaces, cores, cfg.eps, np.float32)
-        deltas.append(directional_delta(pair, problem, drawn, drawn)[0])
-    got = harness.delta_variance(cfg, problem, 4, 2, replicates=10)
-    assert got == float(np.var(np.asarray(deltas), ddof=1))
-    assert got != harness.delta_variance(dataclasses.replace(cfg, dtype="f64"), problem, 4, 2, 10)
+        unlocked = draw_sample(problem, drawn.sample.unlocked(), batch=drawn)
+        for crns, minus in ((True, drawn), (False, unlocked)):
+            # a fresh pair per estimate: the call's one shared pair must change no bit
+            pair = SignPair(params, subspaces, cores, cfg.eps, np.float32)
+            deltas[crns].append(directional_delta(pair, problem, drawn, minus)[0])
+    for crns, want in deltas.items():
+        got = harness.delta_variance(dataclasses.replace(cfg, crns=crns), problem, replicates=10)
+        assert got == float(np.var(np.asarray(want), ddof=1))
+    assert np.var(deltas[False]) > 100 * np.var(deltas[True])
+    got = harness.delta_variance(cfg, problem, replicates=10)
+    assert got != harness.delta_variance(dataclasses.replace(cfg, dtype="f64"), problem, 10)
 
 
 def test_delta_variance_builds_one_pair_per_call(tmp_path, monkeypatch):
@@ -303,7 +306,7 @@ def test_delta_variance_builds_one_pair_per_call(tmp_path, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(SignPair, "__init__", counted)
-    harness.delta_variance(cfg, cfg.make_problem(), 4, 2, replicates=6)
+    harness.delta_variance(cfg, cfg.make_problem(), replicates=6)
     assert len(built) == 1
 
 
@@ -493,7 +496,11 @@ def test_crash_resume_writes_no_duplicate_rows(tmp_path, monkeypatch):
         assert (out / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
 
 
-def test_rank_freq_sweep_grid(tmp_path):
+def _no_work(*args, **kwargs):
+    raise AssertionError("a refused sweep grid ran a cell")
+
+
+def test_rank_freq_sweep_grid(tmp_path, monkeypatch):
     cfg = config_from_dict(tiny_config(tmp_path, steps=2))
     rows = run_sweep_rank_freq(cfg, [2, 3], [2, 4])
     assert len(rows) == 4
@@ -504,6 +511,17 @@ def test_rank_freq_sweep_grid(tmp_path):
     assert rows == again  # deterministic per seed
     with pytest.raises(ValueError):
         run_sweep_rank_freq(cfg, [], [2])
+    # a bad grid value is refused, naming its cell, before any cell trains
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(tiny_config(tmp_path, steps=2, out_dir=str(tmp_path / "rf"))))
+    monkeypatch.setattr(harness, "train", _no_work)
+    for ranks, freqs, message in (
+        ("2,0", "2", "rank 0, freq 2: rank must be >= 1"),
+        ("2", "0", "rank 2, freq 0: freq_F must be >= 1"),
+    ):
+        with pytest.raises(ConfigError, match=message):
+            cli.main(["sweep-rank-freq", "--config", str(cfg_path), "--ranks", ranks, "--freqs", freqs])
+    assert not (tmp_path / "rf").exists()
 
 
 def test_batch_sweep_requires_constant_product(tmp_path):
@@ -594,14 +612,21 @@ def test_cli_sweep_batch(tmp_path):
     assert len(lines) == 2 + 3
 
 
-def test_cli_sweep_batch_rejects_b_above_dim_before_any_work(tmp_path):
+def test_cli_sweep_batch_rejects_b_above_dim_before_any_work(tmp_path, monkeypatch):
     raw = tiny_config(tmp_path, steps=2, out_dir=str(tmp_path / "sw"))
     raw["pde"]["dim"] = 3
     raw["net"]["widths"] = [3, 6, 1]
     cfg_path = tmp_path / "c.json"
     cfg_path.write_text(json.dumps(raw))
-    with pytest.raises(ConfigError, match=r"pair 2x4: b exceeds pde.dim = 3"):
-        cli.main(["sweep-batch", "--config", str(cfg_path), "--pairs", "2x4,4x2"])
+    monkeypatch.setattr(harness, "train", _no_work)
+    monkeypatch.setattr(harness, "delta_variance", _no_work)
+    for pairs, message in (
+        ("2x4,4x2", "pair 2x4: sdze.batch_dims_b = 4 exceeds pde.dim = 3"),
+        ("4x0,2x0", "pair 4x0: batch_b must be >= 1"),
+        ("", "the sweep grid is empty"),
+    ):
+        with pytest.raises(ConfigError, match=message):
+            cli.main(["sweep-batch", "--config", str(cfg_path), "--pairs", pairs])
     assert not (tmp_path / "sw").exists()
 
 

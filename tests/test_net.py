@@ -286,7 +286,7 @@ def test_sin_jet_at_half_pi():
 
 def test_tanh_scaled_d2_matches_fd_of_first_derivative():
     # sigma'' against central differences of sigma' with h = 1e-5
-    _, f1, f2 = activation_triple("tanh_scaled", 0.8)
+    _, f1, f2 = activation_triple("tanh_scaled")
     h = 1e-5
     rng = np.random.default_rng(3)
     for u in rng.standard_normal(20):
@@ -309,11 +309,11 @@ def test_unknown_activation_rejected():
 def test_activation_planes_equal_the_oracle_bitwise(act, dtype):
     G = np.random.default_rng(4).standard_normal((20, 64)).astype(dtype) * 3
     G[0, :4] = [0.0, -0.0, np.pi / 2, 40.0]
-    planes = net.activation_planes(act, 0.8, G, derivs=True)
-    oracle = [f(G) for f in activation_triple(act, 0.8)]
+    planes = net.activation_planes(act, G, derivs=True)
+    oracle = [f(G) for f in activation_triple(act)]
     assert [p.dtype for p in planes] == [np.dtype(dtype)] * 3
     assert [p.tobytes() for p in planes] == [p.tobytes() for p in oracle]
-    value, none1, none2 = net.activation_planes(act, 0.8, G, derivs=False)
+    value, none1, none2 = net.activation_planes(act, G, derivs=False)
     assert value.tobytes() == oracle[0].tobytes() and none1 is None and none2 is None
 
 

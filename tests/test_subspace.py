@@ -116,9 +116,10 @@ def test_refresh_rebuilds_the_layer_keyed_at_the_step(m, n, rank):
 
 def test_subspaces_at_a_start_step_equal_stepping_the_refreshes():
     F = 4
-    cfg = SdzeConfig(seed=4, widths=[12, 10, 6, 1], bias=True, rank_per_layer=[3, 2, 2], freq_F=F)
+    cfg = SdzeConfig(seed=4, widths=[12, 10, 6, 1], bias=True, rank=3, freq_F=F)
     params = cfg.init_params()
     stepped = make_subspaces(params, cfg)
+    assert [s.rank for s in stepped] == [3, 3, 1]  # clamped to each layer's square view
     for t in range(1, 2 * F + 2):
         stepped = [maybe_refresh(t, F, s) for s in stepped]
         if t in (F - 1, F, 2 * F + 1):
