@@ -36,19 +36,31 @@ layer gives W_l + E_l, then W_l - E_l in E_l's own buffer, so no E_l
 outlives its layer.  For a batch X it forms the products X W_0 and
 X (eps DW_0); for an index set I the seed rows W_0[I] and (eps DW_0)[I];
 and phi(X) and X[:, I] of the ansatz.  Each sign then adds or subtracts the
-perturbation term and keeps only its own activations and tangent blocks.
+perturbation term and forms its own activations and tangent blocks.
 This changes no bit: every sign-dependent term is linear in the sign and
 IEEE negation is exact, so (-eps) Z = -(eps Z), a product with one operand
 negated is the negated product, and W + (-E) = W - E.  Batch terms are
 reused when the -eps pass reads the same read-only X, index-set terms when
 it also reads the same read-only index array (a seed-locked sample).
 
+The half of a jet sweep that reads no index set also depends only on the
+pair, the sign and the batch: the primal values, the sigma' planes the
+tangent transport reads and the reverse adjoints (:func:`_adjoints`).  So
+the batch keeps them too, per sign and read-only.  A sign forms its planes
+at its first sweep on a batch, and every later sweep of that sign on the
+same read-only X reads them.  They live as long as the batch: until the
+pair is given another X, or until the pair goes.  That is two planes of
+B x h_l words per hidden layer l, and B values, per sign.
+
 A pair is one perturbation of ``params`` as they were when it was built.  It
 serves any number of estimates, on any batches and index sets, until
 ``params`` change; after an update, build a new pair.  So an estimate reads
-the pair its caller built: a training step builds one per step, and a
-variance sweep one per eps, whose replicates then share its weights and the
-products of their pinned batch.
+the pair its caller built: a training step builds one per step and
+evaluates each sign once, so it only keeps the +eps planes alive through
+the -eps pass.  A variance sweep builds one per eps, whose replicates then
+share its weights, the products of their pinned batch and each sign's
+planes on it: one primal and one adjoint pass per sign, whatever the
+number of replicates.
 
 All jet code lives here, and :func:`jet_sums` is its one entry point.  The
 maximum order is 2, the order of every supported operator.
@@ -66,7 +78,7 @@ keeps the residual op - f, whose f is f64, out of f32 arithmetic.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 
@@ -240,6 +252,8 @@ class _Batch:
     X: np.ndarray  # (B, d), as given
     G0: np.ndarray  # X W_0 (+ bias row), step dtype
     P: np.ndarray | None  # X (eps DW_0), contracted implicitly; None unperturbed
+    # sign -> the read-only planes of :func:`_adjoints` at that sign
+    planes: dict = field(default_factory=dict)
 
     @cached_property
     def phi(self) -> np.ndarray:
@@ -262,15 +276,32 @@ def _reusable(cached: np.ndarray, new: np.ndarray) -> bool:
     return cached is new and not new.flags.writeable
 
 
+def _cast(W: np.ndarray, dtype: np.dtype, layer: int) -> np.ndarray:
+    """Layer ``layer``'s weights ``W`` in the step dtype; a value outside its range raises."""
+    with np.errstate(over="raise"):
+        try:
+            return W.astype(dtype, copy=False)
+        except FloatingPointError:
+            raise FloatingPointError(
+                f"layer {layer} weights overflow the step dtype {dtype.name}"
+            ) from None
+
+
 class SignPair:
     """What the views of one estimate share (module docstring).
 
     Perturbed, with ``subspaces``, ``cores`` and ``eps``, its signs are +1 and
     -1; plain, from ``params`` alone, its sign is 0.  Each sign's layer weights
-    are formed here, from ``params`` as they are now.  :meth:`batch` and
-    :meth:`rows` return their last result again for the same read-only arrays,
-    which is how the -eps pass, and any later estimate of the pair on the same
-    arrays, reuses what an earlier pass formed.
+    are formed here, from ``params`` as they are now; a weight outside the
+    range of the step dtype raises ``FloatingPointError`` naming its layer.
+    :meth:`batch` and :meth:`rows` return their last result again for the
+    same read-only arrays, which is how the -eps pass, and any later estimate
+    of the pair on the same arrays, reuses what an earlier pass formed.  The
+    batch carries each sign's primal and adjoint planes too, formed at that
+    sign's first jet sweep on it, so every later estimate of the pair on a
+    pinned read-only batch skips the primal and the adjoint sweep.  Those
+    planes die with the batch: when the pair is given another X, or with the
+    pair.
     """
 
     def __init__(
@@ -279,19 +310,19 @@ class SignPair:
         self.params = params
         self.subspaces, self.cores, self.eps = subspaces, cores, eps
         self.dtype = np.dtype(dtype)
-        self.W0 = params.weights[0].astype(self.dtype, copy=False)
+        self.W0 = _cast(params.weights[0], self.dtype, 0)
         self.perturbed = cores is not None
-        later = params.weights[1:]
+        later = list(enumerate(params.weights[1:], 1))
         if not self.perturbed:
-            self._weights = {0: [self.W0] + [W.astype(self.dtype, copy=False) for W in later]}
+            self._weights = {0: [self.W0] + [_cast(W, self.dtype, l) for l, W in later]}
         else:
             self.sub0 = subspaces[0]
             self.core0 = np.asarray(eps * cores[0], dtype=self.dtype)
             plus, minus = [self.W0], [self.W0]
-            for W, s, Z in zip(later, subspaces[1:], cores[1:]):
+            for (l, W), s, Z in zip(later, subspaces[1:], cores[1:]):
                 E = rank_r_delta(s, Z, eps)
-                plus.append((W + E).astype(self.dtype, copy=False))
-                minus.append(np.subtract(W, E, out=E).astype(self.dtype, copy=False))
+                plus.append(_cast(W + E, self.dtype, l))
+                minus.append(_cast(np.subtract(W, E, out=E), self.dtype, l))
             self._weights = {1: plus, -1: minus}
         self._batch: _Batch | None = None
         self._rows: _Rows | None = None
@@ -398,12 +429,46 @@ def set_starts(sizes, n_dims: int) -> list[int]:
 JET_CHUNK = 16
 
 
+def _adjoints(view: PerturbView, batch: _Batch):
+    """The half of a jet sweep at ``view``'s sign that reads no index set.
+
+    Returns the primal values g (B,), the planes s'_l of hidden layers
+    0 .. L-3 (the ones the tangent transport reads), nu_l = s''_l * lam_l of
+    every hidden layer and s'_0 * lam_0, the operand of g1 (None with no
+    hidden layer); see :func:`_raw_jets`.  They depend only on the pair, the
+    sign and the batch, so they are formed once per sign of ``batch`` and
+    kept on it, read-only: any later sweep on the batch reads them.
+    """
+    sign = view.sign
+    if sign in batch.planes:
+        return batch.planes[sign]
+    params = view.params
+    depth, weights = params.depth, view.pair.weights(sign)
+    value, s1s, s2s = _primal(view, batch, weights, derivs=True)
+    # lam_l, then s'_l * lam_l, last layer first; nu_l overwrites s''_l (read by
+    # nothing else), s'_{L-2} * lam overwrites s'_{L-2} (read by no tangent)
+    lam = None
+    if depth > 1:
+        lin = [W[:-1] for W in weights] if params.bias else weights
+        lam = lin[-1][:, 0]
+        for l in range(depth - 2, -1, -1):
+            s2s[l] *= lam
+            lam = np.multiply(s1s[l], lam, out=s1s[l] if l == depth - 2 else None)
+            if l:
+                lam = lam @ lin[l].T
+    g, s1s = value[:, 0], s1s[: max(depth - 2, 0)]
+    for a in (g, *s1s, *s2s, lam):
+        if a is not None:
+            a.flags.writeable = False
+    batch.planes[sign] = g, s1s, s2s, lam
+    return batch.planes[sign]
+
+
 def _raw_jets(view: PerturbView, batch: _Batch, rows: _Rows, starts: list[int]):
     """Raw-network jets along coordinate directions, second order summed per set.
 
     ``rows.dims`` is split into consecutive index sets at ``starts``; a
-    repeated index counts with multiplicity.  The primal trajectory is
-    computed once and shared by every direction.  With G_l, s'_l, s''_l the
+    repeated index counts with multiplicity.  With G_l, s'_l, s''_l the
     planes of hidden layer l < L - 1, W_l without its bias row and w the
     output column, reverse adjoints give (forward-over-reverse)
 
@@ -412,41 +477,37 @@ def _raw_jets(view: PerturbView, batch: _Batch, rows: _Rows, starts: list[int]):
         sum_{i in I} d2g/dx_i^2 = sum_l <nu_l, sum_{i in I} (dG_l/dx_i)^2>,
 
     with dG_0/dx_i = r_i, row i of the (implicitly perturbed) input weights,
-    and dG_l/dx_i = (s'_{l-1} * dG_{l-1}/dx_i) W_l.  So g1 is one GEMM of the
+    and dG_l/dx_i = (s'_{l-1} * dG_{l-1}/dx_i) W_l.  The primal, the planes
+    and the adjoints read no index set: :func:`_adjoints` forms them once per
+    sign of ``batch``, shared by every direction of this sweep and of every
+    later sweep of the pair on the same read-only batch.  What reads the set
+    is formed per call and only reads those planes: g1 is one GEMM of the
     seed rows, and first-order tangents cross layers 1 .. L-2 only, in blocks
     of at most ``JET_CHUNK`` directions of one set, one GEMM per layer and
     block.  No (b, B, d) tangent block is ever formed.  Everything
     sign-independent comes from the view's pair, ``batch`` and ``rows``.
 
-    Returns g (B,), the first derivatives g1 (b, B) and the per-set sums of
-    second derivatives g2 (len(starts), B).
+    Returns g (B,), read-only, the first derivatives g1 (b, B) and the
+    per-set sums of second derivatives g2 (len(starts), B).
     """
     pair, sign, params = view.pair, view.sign, view.params
-    depth, bias = params.depth, params.bias
-    weights = pair.weights(sign)
-    value, s1s, s2s = _primal(view, batch, weights, derivs=True)
-    B = value.shape[0]
+    depth = params.depth
+    g, s1s, nus, lam0 = _adjoints(view, batch)
+    B = g.shape[0]
     # e_i @ W0 +/- e_i @ (eps DW_0); a constant feature has zero tangent
     seed_rows = _signed(rows.R0, rows.D, sign)
 
     if depth == 1:
         g2 = np.zeros((len(starts), B), dtype=pair.dtype)
-        return value[:, 0], np.repeat(seed_rows[:, :1], B, axis=1), g2
+        return g, np.repeat(seed_rows[:, :1], B, axis=1), g2
 
-    # lam_l, then s'_l * lam_l, last layer first; nu_l overwrites s''_l (read by
-    # nothing else), s'_{L-2} * lam overwrites s'_{L-2} (read by no tangent)
-    lin = [W[:-1] for W in weights] if bias else weights
-    lam = lin[-1][:, 0]
-    for l in range(depth - 2, -1, -1):
-        s2s[l] *= lam
-        lam = np.multiply(s1s[l], lam, out=s1s[l] if l == depth - 2 else None)
-        if l:
-            lam = lam @ lin[l].T
-    g1 = seed_rows @ lam.T
-    g2 = np.add.reduceat(seed_rows * seed_rows, starts, axis=0) @ s2s[0].T
+    g1 = seed_rows @ lam0.T
+    g2 = np.add.reduceat(seed_rows * seed_rows, starts, axis=0) @ nus[0].T
     if depth == 2:
-        return value[:, 0], g1, g2
+        return g, g1, g2
 
+    weights = pair.weights(sign)
+    lin = [W[:-1] for W in weights] if params.bias else weights
     bounds = [*starts, seed_rows.shape[0]]
     for s in range(len(starts)):
         for c0 in range(bounds[s], bounds[s + 1], JET_CHUNK):
@@ -457,8 +518,8 @@ def _raw_jets(view: PerturbView, batch: _Batch, rows: _Rows, starts: list[int]):
                     tg *= s1s[l - 1]
                 flat = tg.reshape(-1, tg.shape[-1]) @ lin[l]
                 tg = flat.reshape(c1 - c0, B, flat.shape[1])
-                g2[s] += np.einsum("bh,bh->b", np.einsum("kbh,kbh->bh", tg, tg), s2s[l])
-    return value[:, 0], g1, g2
+                g2[s] += np.einsum("bh,bh->b", np.einsum("kbh,kbh->bh", tg, tg), nus[l])
+    return g, g1, g2
 
 
 def jet_sums(view: PerturbView, X: np.ndarray, dims, sizes) -> tuple[np.ndarray, np.ndarray]:

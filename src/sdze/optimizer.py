@@ -176,15 +176,20 @@ class StepRecord:
 
 
 class SdzeDivergenceError(RuntimeError):
-    """Non-finite loss under seed locking; carries replay keys."""
+    """Non-finite loss under seed locking; carries replay keys.
 
-    def __init__(self, step, loss_plus, loss_minus, sample: SpatialSample):
+    ``cause`` says why no loss could be formed, e.g. weights past the range
+    of the step dtype.
+    """
+
+    def __init__(self, step, loss_plus, loss_minus, sample: SpatialSample, cause=None):
         self.step = step
         self.loss_plus = loss_plus
         self.loss_minus = loss_minus
         self.sample = sample
+        why = f" ({cause})" if cause else ""
         super().__init__(
-            f"non-finite loss at step {step}: l+={loss_plus}, l-={loss_minus}; "
+            f"non-finite loss at step {step}: l+={loss_plus}, l-={loss_minus}{why}; "
             f"replay keys: master={sample.master} step={sample.step} "
             f"B={sample.B} b={sample.b}"
         )
@@ -250,28 +255,30 @@ def sdze_step(
     ``cfg.crns`` locks the two passes to one spatial sample, and a non-finite
     estimate raises :class:`SdzeDivergenceError`.  Unlocked (the ablation),
     the minus pass draws independent index sets and a non-finite estimate is
-    returned in the record without an update.
+    returned in the record without an update.  Weights past the range of the
+    step dtype leave no loss to form, so their estimate is non-finite: the
+    error names the layer and the dtype.
     """
     t0 = time.perf_counter()
     for l in range(len(subspaces)):
         subspaces[l] = maybe_refresh(t, cfg.freq_F, subspaces[l])
     drawn, minus = draw_signs(problem, cfg, t)
     cores = step_cores(cfg.seed, subspaces, t)
-    # one pair per step, freed before the update below changes params
-    delta, lp, lm = directional_delta(
-        SignPair(params, subspaces, cores, cfg.eps, DTYPES[cfg.dtype]),
-        problem,
-        drawn,
-        minus,
-        loss_fn=loss_fn,
-    )
+    cause = None
+    try:
+        pair = SignPair(params, subspaces, cores, cfg.eps, DTYPES[cfg.dtype])
+    except FloatingPointError as err:
+        cause, delta, lp, lm = str(err), np.nan, np.nan, np.nan
+    else:
+        delta, lp, lm = directional_delta(pair, problem, drawn, minus, loss_fn=loss_fn)
+        del pair  # one pair per step, freed before the update below changes params
     q = sum(s.rank**2 for s in subspaces)
     alpha = lr_schedule(cfg, t, q)
     if np.isfinite(delta):
         for W, s, Z in zip(params.weights, subspaces, cores):
             apply_rank_r_update(W, s, Z, -alpha * delta)
     elif cfg.crns:
-        raise SdzeDivergenceError(t, lp, lm, drawn.sample)
+        raise SdzeDivergenceError(t, lp, lm, drawn.sample, cause)
     # else unlocked divergence: the ablation's data point, recorded without an update
     wall_ms = (time.perf_counter() - t0) * 1e3
     return StepRecord(t, delta, lp, lm, alpha, wall_ms)

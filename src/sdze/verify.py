@@ -536,9 +536,11 @@ def crns_variance_sweep(
     The direction is one perturbation per eps: one
     :class:`~sdze.net.SignPair` per eps serves every replicate and both
     modes, so each sign's weights are formed once per eps, and so are the
-    pinned batch's products X W_0 and X (eps DW_0).  A naive +eps pass
-    reuses the index-set rows its locked estimate formed.  ``eps_list`` is
-    checked by :func:`check_eps_list` and ``replicates`` by
+    pinned batch's products X W_0 and X (eps DW_0) and, per sign, its primal
+    and adjoint planes: a call runs 2 len(eps_list) primal passes, not one
+    per loss evaluation, and the planes live until the call returns.  A
+    naive +eps pass reuses the index-set rows its locked estimate formed.
+    ``eps_list`` is checked by :func:`check_eps_list` and ``replicates`` by
     :func:`check_replicates` before any draw.
     """
     check_eps_list(eps_list)

@@ -363,6 +363,75 @@ def test_shared_primal_one_evaluation_per_layer(monkeypatch):
         assert passes == [True]
 
 
+def _pair(params, subs, cores, sign, dtype):
+    if sign:
+        return SignPair(params, subs, cores, 0.3, dtype)
+    return SignPair(params, dtype=dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bias", [False, True])
+@pytest.mark.parametrize("widths", [[7, 1], [7, 5, 1], [7, 5, 6, 1], [7, 5, 6, 4, 1]])
+def test_a_pair_on_a_pinned_batch_forms_its_planes_once_per_sign(
+    widths, bias, dtype, monkeypatch
+):
+    # one pair serves draws that differ only in their index sets, as the
+    # replicates of a variance sweep do; each result has the bits of a fresh
+    # pair's, and the reused pair runs one primal pass per sign
+    params, subs, cores = build(widths, bias=bias)
+    problem = make_problem("none", 7, "two_body", 3)
+    samples = [SpatialSample(3, k, 6, 3, 7, collocation_step=0) for k in range(1, 7)]
+    pinned = draw_sample(problem, samples[0])
+    reused = {sign: _pair(params, subs, cores, sign, dtype) for sign in (1, 0)}
+    reused[-1] = reused[1]
+    primal, passes = net._primal, []
+
+    def counted(view, X, weights, derivs):
+        passes.append((view.pair, view.sign))
+        return primal(view, X, weights, derivs=derivs)
+
+    monkeypatch.setattr(net, "_primal", counted)
+    for k, sample in enumerate(samples):
+        drawn = draw_sample(problem, sample, batch=pinned)
+        for sign, pair in reused.items():
+            got = jet_sums(PerturbView(pair, sign), drawn.X, drawn.dims, [3, 3])
+            fresh = PerturbView(_pair(params, subs, cores, sign, dtype), sign)
+            want = jet_sums(fresh, drawn.X, drawn.dims, [3, 3])
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want], (k, sign)
+    assert sorted(sign for pair, sign in passes if pair in (reused[1], reused[0])) == [-1, 0, 1]
+
+
+def test_a_writable_batch_changed_in_place_gets_new_planes():
+    params, subs, cores = build([6, 5, 4, 1])
+    rng = np.random.default_rng(6)
+    X, X2 = rng.standard_normal((2, 4, 6)) * 0.4
+    dims = np.array([0, 3, 5])
+    for sign in (1, -1):
+        view = PerturbView(SignPair(params, subs, cores, 0.3), sign)
+        X_live = X.copy()
+        first = jet_sums(view, X_live, dims, [1, 2])
+        X_live[:] = X2
+        got = jet_sums(view, X_live, dims, [1, 2])
+        want = jet_sums(PerturbView(SignPair(params, subs, cores, 0.3), sign), X2, dims, [1, 2])
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert not np.array_equal(got[0], first[0])
+
+
+def test_cached_planes_are_read_only():
+    params, subs, cores = build([6, 5, 4, 1])
+    problem = make_problem("none", 6, "two_body", 3)
+    drawn = draw_sample(problem, SpatialSample(3, 1, 4, 2, 6))
+    for pair, sign in ((SignPair(params, subs, cores, 0.3), 1), (SignPair(params), 0)):
+        view = PerturbView(pair, sign)
+        batch = pair.batch(drawn.X)
+        g = net._raw_jets(view, batch, pair.rows(batch, drawn.dims), [0, 2])[0]
+        value, s1s, nus, lam0 = batch.planes[sign]
+        assert g is value
+        for plane in (value, *s1s, *nus, lam0):
+            with pytest.raises(ValueError, match="read-only"):
+                plane[0] = 0.0
+
+
 @given(
     alpha=st.floats(-3, 3, allow_nan=False),
     beta=st.floats(-3, 3, allow_nan=False),

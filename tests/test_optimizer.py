@@ -225,6 +225,31 @@ def test_divergence_handling_locked_vs_naive():
     assert rec.wall_ms > 0  # and timed like any other step
 
 
+@pytest.mark.parametrize("crns", [True, False])
+@pytest.mark.parametrize("act", ["sin", "tanh_scaled"])
+def test_weights_past_the_step_dtype_range_are_a_divergence(act, crns):
+    # f64 master weights at 1e39 have no f32 value: locked, the step raises
+    # naming the layer and the dtype; unlocked, it records a non-finite
+    # estimate and makes no update.  No cast warning escapes either way.
+    cfg = small_cfg(widths=[6, 5, 4, 1], activation=act, dtype="f32", crns=crns, alpha=1e-3)
+    prob = cfg.make_problem()
+    for layer in (0, 1, 2):
+        params = cfg.init_params()
+        params.weights[layer][0, 0] = 1e39
+        before = [W.copy() for W in params.weights]
+        subs = make_subspaces(params, cfg)
+        if crns:
+            want = f"layer {layer} weights overflow the step dtype float32"
+            with pytest.raises(SdzeDivergenceError, match=want) as err:
+                sdze_step(params, subs, prob, cfg, 1)
+            assert err.value.step == 1 and err.value.sample.step == 1
+        else:
+            rec = sdze_step(params, subs, prob, cfg, 1)
+            assert np.isnan(rec.delta_hat) and np.isnan(rec.loss_plus)
+            assert np.isnan(rec.loss_minus)
+        assert all(np.array_equal(W, V) for W, V in zip(params.weights, before))
+
+
 def test_small_scale_variance_blowup_of_unlocked_mode():
     prob = make_problem("none", 20, "two_body", 3)
     params = init_mlp([20, 10, 1], "sin", 3)

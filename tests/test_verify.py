@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
 
+from sdze import net
 from sdze.net import init_mlp, plain_view
+from sdze.spatial import make_problem
 from sdze.verify import (
+    CRNS_B,
+    CRNS_DIM,
+    CRNS_EPS,
+    CRNS_REPS,
     brute_force_gradient,
     build_projection,
+    crns_suite,
+    crns_variance_sweep,
     explicit_delta_w,
     explicit_forward,
     flatten_params,
@@ -190,3 +198,27 @@ def test_explicit_delta_matches_kron_identity():
     D = explicit_delta_w(state, Z)
     vec = np.kron(state.V, state.U) @ Z.reshape(-1, order="F")
     assert np.abs(D.reshape(-1, order="F") - vec).max() <= 1e-12
+
+
+def test_the_crns_sweep_runs_one_primal_pass_per_sign_of_each_pair(monkeypatch):
+    # at the criterion-5 config every estimate reads one pinned batch, so each
+    # sign of each eps's pair forms its primal and adjoint planes once, not
+    # once per loss evaluation; the suite's Var_S L pass adds one plain view
+    passes = []
+    primal = net._primal
+
+    def counted(view, X, weights, derivs):
+        passes.append(view.sign)
+        return primal(view, X, weights, derivs=derivs)
+
+    monkeypatch.setattr(net, "_primal", counted)
+    master = 1
+    problem = make_problem("none", CRNS_DIM, "two_body", master)
+    params = init_mlp([CRNS_DIM, 64, 1], "sin", master)
+    crns_variance_sweep(
+        problem, params, 8, list(CRNS_EPS), CRNS_REPS, B=20, b=CRNS_B, master=master
+    )
+    assert sorted(passes) == [-1] * len(CRNS_EPS) + [1] * len(CRNS_EPS)
+    passes.clear()
+    crns_suite(master)
+    assert sorted(passes) == [-1] * len(CRNS_EPS) + [0] + [1] * len(CRNS_EPS)
