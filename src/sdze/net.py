@@ -119,18 +119,20 @@ def activation_triple(act: str):
     raise ValueError(f"unknown activation tag: {act!r}")
 
 
-def activation_planes(act: str, G: np.ndarray, derivs: bool):
+def activation_planes(act: str, G: np.ndarray, derivs: bool, out: np.ndarray | None = None):
     """sigma(G) and, with ``derivs``, sigma'(G) and sigma''(G) from one evaluation.
 
     Bitwise equal to :func:`activation_triple`: sin gives sigma'' = -sigma by
     exact negation, and tanh_scaled forms tanh and 1 - t^2 once, with the same
-    expressions.  Without ``derivs`` the derivative planes are None.
+    expressions.  Without ``derivs`` the derivative planes are None.  Sigma
+    is written to ``out`` when one is given; that may be ``G`` itself only
+    without ``derivs``, since the derivative planes read ``G`` after sigma.
     """
     if act == "sin":
-        s = np.sin(G)
+        s = np.sin(G, out=out)
         return (s, np.cos(G), np.negative(s)) if derivs else (s, None, None)
     _check_activation(act)
-    t = np.tanh(G)
+    t = np.tanh(G, out=out)
     if not derivs:
         return t, None, None
     q = 1.0 - t * t
@@ -178,15 +180,18 @@ def init_mlp(widths: list[int], activation: str, master: int, bias: bool = False
     """Layer weights ~ N(0, 1/fan_in) from per-layer weight-init streams.
 
     With the bias extension each matrix carries one extra input row,
-    zero-initialized (the constant feature's row).
+    zero-initialized (the constant feature's row).  Each layer is drawn and
+    scaled in its final array, so init holds the weights and one draw block.
     """
+    extra = 1 if bias else 0
     weights = []
     for l, (m, n) in enumerate(zip(widths, widths[1:])):
         stream = derive_stream(StreamKey(master, Role.WEIGHT_INIT, 0, l))
-        W = stream.normals(m * n).reshape(m, n) / np.sqrt(m)
-        if bias:
-            W = np.vstack([W, np.zeros((1, n))])
-        weights.append(W)
+        flat = np.empty((m + extra) * n)
+        stream.normals(m * n, out=flat[: m * n])
+        flat[: m * n] /= np.sqrt(m)
+        flat[m * n :] = 0.0
+        weights.append(flat.reshape(m + extra, n))
     return MlpParams(weights, activation, bias)
 
 
@@ -250,8 +255,8 @@ class _Batch:
     """Sign-independent terms of one input batch (see :class:`SignPair`)."""
 
     X: np.ndarray  # (B, d), as given
-    G0: np.ndarray  # X W_0 (+ bias row), step dtype
-    P: np.ndarray | None  # X (eps DW_0), contracted implicitly; None unperturbed
+    G0: np.ndarray  # X W_0 (+ bias row), step dtype, read-only
+    P: np.ndarray | None  # X (eps DW_0), contracted implicitly, read-only; None unperturbed
     # sign -> the read-only planes of :func:`_adjoints` at that sign
     planes: dict = field(default_factory=dict)
 
@@ -337,10 +342,16 @@ class SignPair:
             raise ValueError(f"input shape {X.shape} does not match dim {params.dim}")
         H = X.astype(self.dtype, copy=False)
         W = self.W0
-        G0 = (H @ W[:-1] + W[-1]) if params.bias else (H @ W)
+        G0 = H @ (W[:-1] if params.bias else W)
+        if params.bias:
+            G0 += W[-1]
         P = None
         if self.perturbed:
             P = perturb_product(H, self.sub0, self.core0, tail="one" if params.bias else None)
+        # both signs and every later sweep on X read them
+        for a in (G0, P):
+            if a is not None:
+                a.flags.writeable = False
         self._batch = _Batch(X, G0, P)
         return self._batch
 
@@ -372,7 +383,8 @@ def _primal(view: PerturbView, X: _Batch, weights: list[np.ndarray], derivs: boo
     activation-derivative planes sigma'(G_l), sigma''(G_l) of every hidden
     layer, which the tangent transport of a jet sweep reuses for all
     directions.  Each hidden layer evaluates its activation once
-    (:func:`activation_planes`).
+    (:func:`activation_planes`); without ``derivs``, in place on its own
+    pre-activation from layer 1 on (layer 0's may be the batch's ``G0``).
     """
     params = view.pair.params
     bias = params.bias
@@ -383,9 +395,11 @@ def _primal(view: PerturbView, X: _Batch, weights: list[np.ndarray], derivs: boo
     for l in range(params.depth):
         if l > 0:
             W = weights[l]
-            G = (H @ W[:-1] + W[-1]) if bias else (H @ W)
+            G = H @ (W[:-1] if bias else W)
+            if bias:
+                G += W[-1]
         if l < params.depth - 1:
-            H, s1, s2 = activation_planes(act, G, derivs)
+            H, s1, s2 = activation_planes(act, G, derivs, out=G if l and not derivs else None)
             if derivs:
                 s1s.append(s1)
                 s2s.append(s2)

@@ -12,9 +12,22 @@ be regenerated instead of cached.
 
 Gaussian variates use the trigonometric Box-Muller transform, fixed
 bit-exactly: each consecutive pair of uniforms ``(u1, u2)`` with
-``u1 = (bits >> 11 + 1) * 2^-53`` in (0, 1] and ``u2 = (bits >> 11) * 2^-53``
+``u1 = ((bits >> 11) + 1) * 2^-53`` in (0, 1] and ``u2 = (bits >> 11) * 2^-53``
 in [0, 1) yields the pair ``sqrt(-2 ln u1) * (cos(2 pi u2), sin(2 pi u2))``.
-Two uniforms are consumed per pair of normals.
+Two uniforms are consumed per pair of normals.  A draw runs this in
+blocks of :data:`CHUNK_PAIRS` pairs, in place, so beside its output it
+allocates only one block's buffers; since word ``i`` is a function of its
+counter alone, the block size changes no bit.
+
+Key layout of the collocation batch.  A B x d batch, then its B radii, are
+one stream of one key ``(master, COLLOCATION, step, 0)``, read with word
+offsets; it does not take one key per row.  Offsets keep every bit drawn so
+far, and any row block is still addressable: ``normals(n)`` consumes
+``2 ceil(n / 2)`` words, so row block ``[a, a + k)`` of the B x d normals
+starts at word ``2 floor(a d / 2)`` and drops its first value when ``a d`` is
+odd, and the uniforms of those rows start at word ``2 ceil(B d / 2) + a``.
+Per-row keys would admit a generator with a variable word count per normal,
+but they change every trajectory once.
 """
 
 from __future__ import annotations
@@ -31,6 +44,8 @@ _MIX2 = 0x94D049BB133111EB
 # the same constants as uint64 scalars, for array arithmetic
 _GAMMA_U64, _MIX1_U64, _MIX2_U64 = (np.uint64(c) for c in (_GAMMA, _MIX1, _MIX2))
 _TO_UNIT = float(2.0**-53)
+# (x * 2^-53) * 2pi in one product: scaling by a power of two is exact
+_TO_ANGLE = _TO_UNIT * (2.0 * np.pi)
 
 
 class Role(IntEnum):
@@ -59,11 +74,15 @@ class StreamKey:
             raise ValueError("step and index must be non-negative")
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
+def _mix64(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """mix64 of ``z`` in place, with ``tmp`` (uint64, z's shape) as scratch; returns ``z``."""
     # uint64 array arithmetic wraps mod 2^64, without a warning
-    z = (z ^ (z >> np.uint64(30))) * _MIX1_U64
-    z = (z ^ (z >> np.uint64(27))) * _MIX2_U64
-    return z ^ (z >> np.uint64(31))
+    for shift, factor in ((30, _MIX1_U64), (27, _MIX2_U64), (31, None)):
+        np.right_shift(z, np.uint64(shift), out=tmp)
+        z ^= tmp
+        if factor is not None:
+            z *= factor
+    return z
 
 
 def _mix64_int(z: int) -> int:
@@ -81,37 +100,89 @@ def _key_state(key: StreamKey) -> int:
     return h
 
 
+# pairs of normals per block of a draw; bounds its buffers, changes no bit
+CHUNK_PAIRS = 8192
+# the most a draw allocates beside its output: per pair, two words each of
+# counters, mixed words and mixing scratch, and one radius, angle and trig
+CHUNK_BYTES = 8 * 9 * CHUNK_PAIRS
+
+
+def _ramp(n: int) -> np.ndarray:
+    """``(1, 2, .., n) * GAMMA`` mod 2^64, the counter terms of ``n`` consecutive words."""
+    ramp = np.arange(1, n + 1, dtype=np.uint64)
+    ramp *= _GAMMA_U64
+    return ramp
+
+
+def _words(
+    state: int, first: int, ramp: np.ndarray, out: np.ndarray, tmp: np.ndarray
+) -> np.ndarray:
+    """Words ``first + 1 ..`` of the stream at ``state`` into ``out``; returns ``out``.
+
+    Word ``i`` is ``mix64(state + i * GAMMA)`` mod 2^64.  ``ramp`` is a
+    :func:`_ramp` and ``tmp`` uint64 scratch, both at least ``out``'s size;
+    ``out`` may be ``ramp`` itself.
+    """
+    np.add(ramp[: out.size], np.uint64((state + first * _GAMMA) & _M64), out=out)
+    return _mix64(out, tmp[: out.size])
+
+
 class RngStream:
     """Counter-based stream; state is (key hash, draws consumed)."""
 
     __slots__ = ("state", "offset")
 
     def __init__(self, state: int, offset: int = 0):
-        self.state = np.uint64(state)
+        self.state = state
         self.offset = offset
 
     def raw(self, n: int) -> np.ndarray:
         """Next ``n`` raw uint64 words."""
-        idx = np.arange(self.offset + 1, self.offset + n + 1, dtype=np.uint64)
+        ramp = _ramp(n)
+        words = _words(self.state, self.offset, ramp, ramp, np.empty_like(ramp))
         self.offset += n
-        return _mix64(self.state + idx * _GAMMA_U64)
+        return words
 
     def uniforms(self, n: int) -> np.ndarray:
         """i.i.d. uniform float64 in [0, 1)."""
-        return (self.raw(n) >> np.uint64(11)).astype(np.float64) * _TO_UNIT
+        words = self.raw(n)
+        words >>= np.uint64(11)
+        return words * _TO_UNIT
 
-    def normals(self, n: int) -> np.ndarray:
-        """i.i.d. standard normal float64 via Box-Muller (see module docstring)."""
+    def normals(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
+        """i.i.d. standard normal float64 via Box-Muller (see module docstring).
+
+        ``out``, a float64 array of shape ``(n,)``, receives the draw, which
+        is then returned; without it the draw is a new array.  Beside it the
+        draw allocates at most :data:`CHUNK_BYTES`.
+        """
+        if out is None:
+            out = np.empty(n)
+        elif out.dtype != np.float64 or out.shape != (n,):
+            raise ValueError(f"out must be a float64 array of shape ({n},)")
         npairs = (n + 1) // 2
-        bits = self.raw(2 * npairs)
-        u1 = ((bits[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * _TO_UNIT
-        u2 = (bits[1::2] >> np.uint64(11)).astype(np.float64) * _TO_UNIT
-        radius = np.sqrt(-2.0 * np.log(u1))
-        angle = (2.0 * np.pi) * u2
-        out = np.empty(2 * npairs)
-        out[0::2] = radius * np.cos(angle)
-        out[1::2] = radius * np.sin(angle)
-        return out[:n]
+        k = min(CHUNK_PAIRS, npairs)
+        ramp, words, tmp = _ramp(2 * k), np.empty(2 * k, np.uint64), np.empty(2 * k, np.uint64)
+        radius, angle, trig = np.empty(k), np.empty(k), np.empty(k)
+        for p in range(0, npairs, CHUNK_PAIRS):
+            m = min(k, npairs - p)
+            w = _words(self.state, self.offset + 2 * p, ramp, words[: 2 * m], tmp)
+            w >>= np.uint64(11)
+            # a cast without buffering: assign, then operate in place
+            r, a = radius[:m], angle[:m]
+            r[...] = w[0::2]
+            r += 1.0
+            r *= _TO_UNIT
+            np.log(r, out=r)
+            r *= -2.0
+            np.sqrt(r, out=r)
+            a[...] = w[1::2]
+            a *= _TO_ANGLE
+            even, odd = out[2 * p : 2 * (p + m) : 2], out[2 * p + 1 : 2 * (p + m) : 2]
+            np.multiply(r, np.cos(a, out=trig[:m]), out=even)
+            np.multiply(r[: odd.size], np.sin(a, out=trig[:m])[: odd.size], out=odd)
+        self.offset += 2 * npairs
+        return out
 
 
 def derive_stream(key: StreamKey) -> RngStream:

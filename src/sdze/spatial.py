@@ -92,9 +92,9 @@ def sample_unit_ball(stream: RngStream, B: int, d: int) -> np.ndarray:
     """Uniform points in the unit ball: x = U^(1/d) * g / ||g||."""
     if B < 1 or d < 1:
         raise ValueError("B and d must be >= 1")
-    g = stream.normals(B * d).reshape(B, d)
+    X = stream.normals(B * d).reshape(B, d)
     rho = stream.uniforms(B) ** (1.0 / d)
-    X = g * (rho / np.linalg.norm(g, axis=1))[:, None]
+    X *= (rho / np.linalg.norm(X, axis=1))[:, None]
     return X
 
 
@@ -104,10 +104,11 @@ def sample_unit_ball(stream: RngStream, B: int, d: int) -> np.ndarray:
 def _interaction_terms(problem: PdeProblem, X: np.ndarray) -> np.ndarray:
     """exp of the pair/triple coordinate products, shape (B, n_coeffs)."""
     if problem.solution == "two_body":
-        E = np.exp(X[:, :-1] * X[:, 1:])
+        E = X[:, :-1] * X[:, 1:]
     else:
-        E = np.exp(X[:, :-2] * X[:, 1:-1] * X[:, 2:])
-    return E
+        E = X[:, :-2] * X[:, 1:-1]
+        E *= X[:, 2:]
+    return np.exp(E, out=E)
 
 
 def exact_solution(problem: PdeProblem, X: np.ndarray) -> np.ndarray:
@@ -174,20 +175,44 @@ def rhs_eval(problem: PdeProblem, X: np.ndarray) -> np.ndarray:
 
     With u = phi*S, phi = 1 - ||x||^2:
     Lap u = phi*Lap S - 4 x . grad S - 2 d S, all vectorized over the batch.
+    Each term is formed in place, at most two B x n_coeffs buffers at a time,
+    with the operations of the closed form in their order.
     """
     X = np.atleast_2d(X)
     d = problem.dim
     c = problem.coeffs
-    phi = 1.0 - np.sum(X * X, axis=1)
-    E = _interaction_terms(problem, X)
     if problem.solution == "two_body":
         x1, x2 = X[:, :-1], X[:, 1:]
-        lap_S = ((x1 * x1 + x2 * x2) * E) @ c
-        x_grad_S = 2.0 * ((x1 * x2) * E) @ c
+        XX = X * X
+        phi = 1.0 - np.sum(XX, axis=1)
+        T = np.add(XX[:, :-1], XX[:, 1:])  # x1 * x1 + x2 * x2
+        del XX
+        E = _interaction_terms(problem, X)
+        T *= E
+        lap_S = T @ c
+        np.multiply(x1, x2, out=T)  # 2.0 * ((x1 * x2) * E)
+        T *= E
+        T *= 2.0
     else:
         x1, x2, x3 = X[:, :-2], X[:, 1:-1], X[:, 2:]
-        lap_S = (((x2 * x3) ** 2 + (x1 * x3) ** 2 + (x1 * x2) ** 2) * E) @ c
-        x_grad_S = 3.0 * ((x1 * x2 * x3) * E) @ c
+        phi = 1.0 - np.sum(X * X, axis=1)
+        # (x2 * x3) ** 2 + (x1 * x3) ** 2 + (x1 * x2) ** 2
+        T, U = x2 * x3, x1 * x3
+        T *= T
+        U *= U
+        T += U
+        np.multiply(x1, x2, out=U)
+        U *= U
+        T += U
+        del U
+        E = _interaction_terms(problem, X)
+        T *= E
+        lap_S = T @ c
+        np.multiply(x1, x2, out=T)  # 3.0 * ((x1 * x2 * x3) * E)
+        T *= x3
+        T *= E
+        T *= 3.0
+    x_grad_S = T @ c
     S = E @ c
     lap_u = phi * lap_S - 4.0 * x_grad_S - 2.0 * d * S
     return lap_u + problem.nonlinearity(phi * S)

@@ -15,7 +15,7 @@ from sdze import net, optimizer
 from sdze.harness import config_from_dict, run_train
 from sdze.net import init_mlp
 from sdze.optimizer import SdzeConfig, make_subspaces, sdze_step, train
-from sdze.rng import Role, StreamKey, derive_stream
+from sdze.rng import CHUNK_BYTES, Role, StreamKey, derive_stream
 from sdze.spatial import make_problem
 from sdze.subspace import BLOCK_ELEMS, BLOCK_ROWS, _qr_orthonormal, plan_reshape, refresh_bases
 from sdze.verify import (
@@ -228,15 +228,21 @@ def test_criterion_8_memory_independence(peak_spans):
     #   GU, then GV with GU held, P(n) being the measured peak of drawing n
     #   normals; then the QR of GU with both draws held, and that of GV with
     #   U held too, Q(m, r) being the measured peak of the QR of an m x r draw;
-    # * the whole loss call may exceed the sweep only by its d-proportional
-    #   allowance: the collocation draw and rhs of the B x d batch, at most
-    #   5 B x d f64 words (the draw's normals temporaries reach ~4.5);
+    # * the whole loss call may exceed the sweep by what it holds beside it,
+    #   none of it drawn: the pair's products of the batch and the index sets
+    #   (X W0 and X (eps DW0), B x h words each, h the first hidden width;
+    #   W0[I] and (eps DW0)[I], |I| x h each; X[:, I], |I| x B) and the
+    #   boundary factor's X * X, B x d words.  It is capped at 5 B x d words,
+    #   which binds at d = 100, where the products alone come to 4.8 B x d;
     # * the step draws that batch and its rhs before the loss calls, in
-    #   draw_sample, which gets the same 5 B x d word allowance plus the two
-    #   iterator buffers numpy may fill for a product of strided views (the
-    #   rhs's X[:, :-1] * X[:, 1:]), min(B d, np.getbufsize()) words each.
-    # Each bound has 4 KiB for Python objects and small arrays.  The
-    # whole-step peak is info.
+    #   draw_sample, in two phases with X held: the draw, which allocates one
+    #   block of buffers (72 bytes a pair, at most rng.CHUNK_BYTES) and then
+    #   X * X for the row norms, B x d words; and the rhs, two B x d word
+    #   planes plus the two iterator buffers numpy may fill for a product of
+    #   strided views (X[:, :-1] * X[:, 1:]), min(B d, np.getbufsize())
+    #   words each.
+    # Each bound has 4 KiB for Python objects and small arrays, the capped
+    # loss allowance inside its cap.  The whole-step peak is info.
     t0 = time.time()
     slack = 4096
     peak_spans.wrap(net, "_raw_jets")
@@ -273,10 +279,13 @@ def test_criterion_8_memory_independence(peak_spans):
         step(params, subspaces, problem, cfg, 2)
         jets[d] = max(peak_spans.peaks("_raw_jets"))
         loss[d] = max(peak_spans.peaks("stochastic_loss"))
-        loss_bound[d] = jets[d] + 8 * 5 * cfg.batch_B * d
+        B, n_dims = cfg.batch_B, 2 * cfg.batch_b
+        products = 2 * B * cfg.widths[1] + 2 * n_dims * cfg.widths[1] + n_dims * B
+        loss_bound[d] = jets[d] + min(8 * 5 * B * d, 8 * (B * d + products) + slack)
         draw[d] = max(peak_spans.peaks("draw_sample"))
-        bufs = 2 * 8 * min(cfg.batch_B * d, np.getbufsize())
-        draw_bound[d] = 8 * 5 * cfg.batch_B * d + bufs + slack
+        blocks = min(CHUNK_BYTES, 72 * ((B * d + 1) // 2))
+        bufs = 2 * 8 * min(B * d, np.getbufsize())
+        draw_bound[d] = max(8 * B * d + blocks, 8 * 3 * B * d + bufs) + slack
         whole[d] = max(peak_spans.peaks("step"))
         update[d], refresh[d] = [], []
         for s, peak in peak_spans.calls["apply_rank_r_update"]:
@@ -308,8 +317,10 @@ def test_criterion_8_memory_independence(peak_spans):
         f"jet sweep peak {jets} B, growth {growth:.4f}x (<= 1.2x); "
         f"largest update {{d: (peak, bound)}} { {d: max(update[d]) for d in update} }; "
         f"largest refresh { {d: max(refresh[d]) for d in refresh} }; "
-        f"loss call {loss} B (<= sweep + 8 * 5 B d: {loss_bound}); "
-        f"sample draw {draw} B (<= 8 * 5 B d + buffers + 4 KiB: {draw_bound}); "
+        f"loss call {loss} B (<= sweep + min(8 * 5 B d, 8 (B d + products) + 4 KiB): "
+        f"{loss_bound}); "
+        f"sample draw {draw} B (<= max(8 B d + draw blocks, 8 * 3 B d + buffers) + 4 KiB: "
+        f"{draw_bound}); "
         f"whole step {whole} B (info), {time.time() - t0:.1f}s",
     )
 

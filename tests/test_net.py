@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from sdze.net import (
     jet_sums,
     plain_view,
 )
-from sdze.rng import Role, StreamKey, derive_stream
+from sdze.rng import CHUNK_BYTES, Role, StreamKey, derive_stream
 from sdze.spatial import (
     SpatialSample,
     draw_sample,
@@ -315,6 +317,10 @@ def test_activation_planes_equal_the_oracle_bitwise(act, dtype):
     assert [p.tobytes() for p in planes] == [p.tobytes() for p in oracle]
     value, none1, none2 = net.activation_planes(act, G, derivs=False)
     assert value.tobytes() == oracle[0].tobytes() and none1 is None and none2 is None
+    # in place, as a pass without derivatives applies it from layer 1 on
+    inplace = G.copy()
+    assert net.activation_planes(act, inplace, derivs=False, out=inplace)[0] is inplace
+    assert inplace.tobytes() == oracle[0].tobytes()
 
 
 @pytest.mark.parametrize(
@@ -427,7 +433,8 @@ def test_cached_planes_are_read_only():
         g = net._raw_jets(view, batch, pair.rows(batch, drawn.dims), [0, 2])[0]
         value, s1s, nus, lam0 = batch.planes[sign]
         assert g is value
-        for plane in (value, *s1s, *nus, lam0):
+        products = (batch.G0,) if batch.P is None else (batch.G0, batch.P)
+        for plane in (value, *s1s, *nus, lam0, *products):
             with pytest.raises(ValueError, match="read-only"):
                 plane[0] = 0.0
 
@@ -503,3 +510,31 @@ def test_jet_sums_known_answer():
         u, sums = jet_sums(PerturbView(pair, sign), drawn.X, drawn.dims, [2, 2])
         got += [float(x).hex() for x in np.concatenate([u, sums.ravel()])]
     assert got == JET_SUMS_KNOWN_ANSWER
+
+
+# sha256 of init_mlp([301, 65, 33, 1], "sin", 4)'s weight bytes, layer by
+# layer: the first layer's 19 565 normals span two draw blocks and end on
+# half a pair
+INIT_KNOWN_ANSWERS = {
+    False: "ba4d8dd5fef90e202b03a41a747c36df8e26635ebf24ff342d00baab625132e7",
+    True: "267bf7114a6b6bfaef64b8c69172e6556bdf09d57c33c7286b88965c76d8ade5",
+}
+
+
+@pytest.mark.parametrize("bias", [False, True])
+def test_init_known_answers(bias):
+    params = init_mlp([301, 65, 33, 1], "sin", 4, bias)
+    h = hashlib.sha256()
+    for W in params.weights:
+        assert W.flags.c_contiguous
+        h.update(W.tobytes())
+    assert h.hexdigest() == INIT_KNOWN_ANSWERS[bias]
+    if bias:
+        assert all(not W[-1].any() for W in params.weights)
+
+
+def test_init_holds_the_weights_and_one_draw_block(peak_spans):
+    init = peak_spans.measure(init_mlp, "init")
+    params = init([20_000, 128, 128, 1], "sin", 3, True)
+    weights = sum(W.nbytes for W in params.weights)
+    assert peak_spans.peaks("init")[0] <= weights + CHUNK_BYTES + 4096

@@ -4,7 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from sdze.rng import Role, StreamKey, derive_stream, gaussian_matrix, sample_index_set
+from sdze import rng
+from sdze.rng import (
+    CHUNK_BYTES,
+    CHUNK_PAIRS,
+    Role,
+    RngStream,
+    StreamKey,
+    derive_stream,
+    gaussian_matrix,
+    sample_index_set,
+)
+from sdze.spatial import sample_unit_ball
 
 
 def key(master=42, role=Role.COLLOCATION, step=0, index=0):
@@ -181,3 +192,80 @@ def test_streams_are_pure_functions_of_keys(master, role, step, index):
     b = derive_stream(k).uniforms(16)
     assert np.array_equal(a, b)
     assert np.all((a >= 0.0) & (a < 1.0))
+
+
+def _reference_normals(stream, n):
+    """The module docstring's Box-Muller over whole arrays, from ``raw`` words."""
+    npairs = (n + 1) // 2
+    bits = stream.raw(2 * npairs) >> np.uint64(11)
+    u1 = (bits[0::2].astype(np.float64) + 1.0) * 2.0**-53
+    u2 = bits[1::2].astype(np.float64) * 2.0**-53
+    radius = np.sqrt(-2.0 * np.log(u1))
+    angle = (2.0 * np.pi) * u2
+    out = np.empty(2 * npairs)
+    out[0::2] = radius * np.cos(angle)
+    out[1::2] = radius * np.sin(angle)
+    return out[:n]
+
+
+def test_raw_words_are_the_docstring_formula():
+    k = key(role=Role.BASE_V, step=9)
+    stream = derive_stream(k)
+    stream.raw(5)
+    state = rng._key_state(k)
+    want = [rng._mix64_int((state + i * rng._GAMMA) & rng._M64) for i in range(6, 6 + 37)]
+    assert [int(w) for w in stream.raw(37)] == want
+    assert stream.offset == 42
+
+
+@pytest.mark.parametrize(
+    "n", [1, 2, 7, 2 * CHUNK_PAIRS - 1, 2 * CHUNK_PAIRS, 2 * CHUNK_PAIRS + 1, 6 * CHUNK_PAIRS + 5]
+)
+@pytest.mark.parametrize("skip", [0, 3])
+def test_blocked_normals_equal_the_whole_array_transform(n, skip):
+    # the draw runs in blocks of CHUNK_PAIRS pairs; every bit, and the words
+    # it consumes, must be those of one whole-array transform
+    got, ref, into = (derive_stream(key(role=Role.CORE_Z)) for _ in range(3))
+    for stream in (got, ref, into):
+        stream.raw(skip)
+    drawn = got.normals(n)
+    assert drawn.tobytes() == _reference_normals(ref, n).tobytes()
+    assert got.offset == ref.offset == skip + 2 * ((n + 1) // 2)
+    # the next draw starts where this one stopped
+    assert got.normals(5).tobytes() == _reference_normals(ref, 5).tobytes()
+    buf = np.full(n, np.nan)
+    assert into.normals(n, out=buf) is buf
+    assert buf.tobytes() == drawn.tobytes() and into.offset == skip + 2 * ((n + 1) // 2)
+
+
+def test_normals_out_must_fit_the_draw():
+    for bad in (np.empty(5), np.empty(4, np.float32), np.empty((2, 2))):
+        with pytest.raises(ValueError, match="out must be"):
+            derive_stream(key()).normals(4, out=bad)
+
+
+def test_a_draw_allocates_its_output_and_one_block(peak_spans):
+    n = 10**6
+    draw = peak_spans.measure(lambda: derive_stream(key()).normals(n), "draw")
+    draw()
+    assert peak_spans.peaks("draw")[0] <= 8 * n + CHUNK_BYTES + 4096
+
+
+@pytest.mark.parametrize("d", [7, 20, 100])
+def test_row_blocks_of_a_batch_start_at_their_word_offsets(d):
+    # the key layout of the rng docstring: one stream per B x d batch, any
+    # row block [a, a + k) addressable by word offset
+    B = 300
+    stream = derive_stream(key(step=4))
+    whole = RngStream(stream.state)
+    g, rho = whole.normals(B * d), whole.uniforms(B)
+    X = sample_unit_ball(RngStream(stream.state), B, d)
+    for a, k in [(0, 3), (3, 5), (8, 3), (11, 256)]:
+        odd = a * d % 2
+        block = RngStream(stream.state, 2 * (a * d // 2)).normals(k * d + odd)[odd:]
+        assert block.tobytes() == g[a * d : (a + k) * d].tobytes()
+        u = RngStream(stream.state, 2 * ((B * d + 1) // 2) + a).uniforms(k)
+        assert u.tobytes() == rho[a : a + k].tobytes()
+        rows = block.reshape(k, d)
+        rows *= (u ** (1.0 / d) / np.linalg.norm(rows, axis=1))[:, None]
+        assert rows.tobytes() == X[a : a + k].tobytes()

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 from itertools import product
 
 import numpy as np
@@ -255,3 +256,49 @@ def test_relative_l2_trivials_and_hand_value():
     finally:
         sp.exact_solution = orig
     assert np.isclose(got, np.sqrt(0.5), rtol=1e-15)
+
+
+def _sha256(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+# Bytes of the d-sized path's outputs: the 2 000 x 100 test-point draw, then
+# the rhs and exact solution on a 100 x 100 collocation batch.  A change that
+# keeps the same bits (a reused buffer, a blocked draw) keeps these.
+BATCH_KNOWN_ANSWERS = {
+    "ball": "455d6ebe0d1d9976bd90f12e8a18379d946f554191319ea229d48fa10b5a639b",
+    ("rhs", "none", "two_body"): "c978fcd3ad098931e88a0fec2943e28e57dff4a2aab86138dd3b099d2afea1e3",
+    ("rhs", "none", "three_body"): "5a5eed8c613d78c1a00196af06a5e5cb2db2e3a26acc31a33912d41a41148dd7",
+    ("rhs", "allen_cahn", "two_body"): "073d743ae6c3b11d9e67b35cf05b8a67173c39b91c40a8fb9c74e7421664b07c",
+    ("exact", "none", "two_body"): "d267aa2607441712edc8283910bdec0de12cbbeec4418ddaa30038972bc2aa51",
+    ("exact", "none", "three_body"): "1d7f553884e06dcc2f54988143ab7f045c4ac871db44a4ed393c067e5e92b23f",
+}
+
+
+def test_batch_known_answers():
+    got = {"ball": _sha256(sample_unit_ball(derive_stream(TEST_KEY), 2000, 100))}
+    X = sample_unit_ball(derive_stream(StreamKey(5, Role.COLLOCATION, 2, 0)), 100, 100)
+    for what, kind, solution in [k for k in BATCH_KNOWN_ANSWERS if k != "ball"]:
+        problem = make_problem(kind, 100, solution, 5)
+        fn = rhs_eval if what == "rhs" else exact_solution
+        got[what, kind, solution] = _sha256(fn(problem, X))
+    assert got == BATCH_KNOWN_ANSWERS
+
+
+# relative_l2 at init on 2 000 test points of the two-body Poisson problem,
+# seed 3: the crns-sweep net (100-64-1) and the poisson100 net (100-128-128-1
+# with bias) of the benchmark
+@pytest.mark.parametrize(
+    "widths, bias, want",
+    [
+        ([100, 64, 1], False, "0x1.00b9efb58700ap+0"),
+        ([100, 128, 128, 1], True, "0x1.00995123ad3adp+0"),
+    ],
+)
+def test_relative_l2_known_answers(widths, bias, want):
+    problem = make_problem("none", 100, "two_body", 3)
+    params = init_mlp(widths, "sin", 3, bias)
+    assert relative_l2(params, problem, TEST_KEY, 2000).hex() == want
