@@ -56,11 +56,19 @@ A pair is one perturbation of ``params`` as they were when it was built.  It
 serves any number of estimates, on any batches and index sets, until
 ``params`` change; after an update, build a new pair.  So an estimate reads
 the pair its caller built: a training step builds one per step and
-evaluates each sign once, so it only keeps the +eps planes alive through
-the -eps pass.  A variance sweep builds one per eps, whose replicates then
-share its weights, the products of their pinned batch and each sign's
-planes on it: one primal and one adjoint pass per sign, whatever the
-number of replicates.
+evaluates each sign once, and holds both signs' planes until the pair goes
+(both at once when the signs run on two threads).  A variance sweep builds
+one per eps, whose replicates then share its weights, the products of their
+pinned batch and each sign's planes on it: one primal and one adjoint pass
+per sign, whatever the number of replicates.
+
+The two signs of an estimate may run on two threads
+(:func:`sdze.optimizer.directional_delta`).  The caller then forms every
+sign-independent term first (:meth:`SignPair.share`), so a sweep writes
+nothing the other sign reads: only its own sign's entry of the batch's
+planes, and its tangent blocks.  The thread that runs the +eps pass
+transports its tangents in two kept blocks (``PerturbView.blocks``), so it
+neither grows a heap of its own nor allocates them per estimate.
 
 All jet code lives here, and :func:`jet_sums` is its one entry point.  The
 maximum order is 2, the order of every supported operator.
@@ -77,6 +85,7 @@ keeps the residual op - f, whose f is f64, out of f32 arithmetic.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -201,10 +210,14 @@ class PerturbView:
 
     Sign 0 reproduces the unperturbed network bitwise.  A view reads its pair,
     which lives as the module docstring says: until ``params`` change.
+    ``blocks`` are two buffers of at least :meth:`SignPair.tangent_words`
+    words of the step dtype that its jet sweeps transport tangents in;
+    without them each block is allocated.
     """
 
     pair: SignPair
     sign: int = 0
+    blocks: tuple[np.ndarray, np.ndarray] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.sign not in ((1, -1) if self.pair.perturbed else (0,)):
@@ -306,7 +319,10 @@ class SignPair:
     sign's first jet sweep on it, so every later estimate of the pair on a
     pinned read-only batch skips the primal and the adjoint sweep.  Those
     planes die with the batch: when the pair is given another X, or with the
-    pair.
+    pair.  So a training step's pair holds both signs' planes from its
+    second pass until it goes; when its signs run on two threads, both
+    sweeps form theirs at once.  :meth:`share` forms what both signs read
+    before they run concurrently.
     """
 
     def __init__(
@@ -366,6 +382,33 @@ class SignPair:
         self._rows = _Rows(batch, dims, self.W0[dims], D, batch.X[:, dims].T)
         return self._rows
 
+    def share(self, X: np.ndarray, dims: np.ndarray) -> None:
+        """Form every term of the read-only ``X`` and ``dims`` that both signs read.
+
+        That is :meth:`batch`, :meth:`rows` and phi.  A jet sweep of either
+        sign on the same arrays then writes nothing the other sign reads.
+        """
+        self.rows(self.batch(X), dims).batch.phi
+
+    @cached_property
+    def transport_macs(self) -> int:
+        """Multiply-adds per point and direction of one sign's tangent transport.
+
+        sum_{l=1..L-2} h_l h_{l+1} over the hidden widths h; 0 with fewer
+        than two hidden layers, whose sweeps transport no tangent.
+        """
+        h = self.params.widths[1:-1]
+        return sum(a * b for a, b in zip(h, h[1:]))
+
+    def tangent_words(self, B: int) -> int:
+        """Words of the step dtype each tangent block of a sweep on B points takes.
+
+        ``JET_CHUNK`` x B x h_max, h_max the widest hidden layer; 0 when no
+        tangent crosses a layer.
+        """
+        h = self.params.widths[1:-1]
+        return JET_CHUNK * B * max(h) if len(h) > 1 else 0
+
     def weights(self, sign: int) -> list[np.ndarray]:
         """Layer weights in the step dtype, as one sweep at ``sign`` multiplies them.
 
@@ -391,20 +434,24 @@ def _primal(view: PerturbView, X: _Batch, weights: list[np.ndarray], derivs: boo
     act = params.activation
     s1s: list[np.ndarray] = []
     s2s: list[np.ndarray] = []
-    G = _signed(X.G0, X.P, view.sign)
-    for l in range(params.depth):
-        if l > 0:
-            W = weights[l]
-            G = H @ (W[:-1] if bias else W)
-            if bias:
-                G += W[-1]
-        if l < params.depth - 1:
-            H, s1, s2 = activation_planes(act, G, derivs, out=G if l and not derivs else None)
-            if derivs:
-                s1s.append(s1)
-                s2s.append(s2)
-        else:
-            H = G
+    l = 0
+    try:
+        G = _signed(X.G0, X.P, view.sign)
+        for l in range(params.depth):
+            if l > 0:
+                W = weights[l]
+                G = H @ (W[:-1] if bias else W)
+                if bias:
+                    G += W[-1]
+            if l < params.depth - 1:
+                H, s1, s2 = activation_planes(act, G, derivs, out=G if l and not derivs else None)
+                if derivs:
+                    s1s.append(s1)
+                    s2s.append(s2)
+            else:
+                H = G
+    except FloatingPointError:
+        raise _overflow(l, view.dtype) from None
     return H, s1s, s2s
 
 
@@ -443,6 +490,18 @@ def set_starts(sizes, n_dims: int) -> list[int]:
 JET_CHUNK = 16
 
 
+def _overflow(layer: int, dtype: np.dtype) -> FloatingPointError:
+    """The error of a jet sweep whose step-dtype arithmetic overflowed at ``layer``."""
+    return FloatingPointError(f"layer {layer} jet sweep overflows the step dtype {dtype.name}")
+
+
+def _block(view: PerturbView, i: int, shape: tuple[int, ...]) -> np.ndarray | None:
+    """``shape``'s leading words of the view's tangent block ``i``; None without blocks."""
+    if view.blocks is None:
+        return None
+    return view.blocks[i][: math.prod(shape)].reshape(shape)
+
+
 def _adjoints(view: PerturbView, batch: _Batch):
     """The half of a jet sweep at ``view``'s sign that reads no index set.
 
@@ -465,11 +524,15 @@ def _adjoints(view: PerturbView, batch: _Batch):
     if depth > 1:
         lin = [W[:-1] for W in weights] if params.bias else weights
         lam = lin[-1][:, 0]
-        for l in range(depth - 2, -1, -1):
-            s2s[l] *= lam
-            lam = np.multiply(s1s[l], lam, out=s1s[l] if l == depth - 2 else None)
-            if l:
-                lam = lam @ lin[l].T
+        l = depth - 2
+        try:
+            for l in range(depth - 2, -1, -1):
+                s2s[l] *= lam
+                lam = np.multiply(s1s[l], lam, out=s1s[l] if l == depth - 2 else None)
+                if l:
+                    lam = lam @ lin[l].T
+        except FloatingPointError:
+            raise _overflow(l, view.dtype) from None
     g, s1s = value[:, 0], s1s[: max(depth - 2, 0)]
     for a in (g, *s1s, *s2s, lam):
         if a is not None:
@@ -498,8 +561,16 @@ def _raw_jets(view: PerturbView, batch: _Batch, rows: _Rows, starts: list[int]):
     is formed per call and only reads those planes: g1 is one GEMM of the
     seed rows, and first-order tangents cross layers 1 .. L-2 only, in blocks
     of at most ``JET_CHUNK`` directions of one set, one GEMM per layer and
-    block.  No (b, B, d) tangent block is ever formed.  Everything
-    sign-independent comes from the view's pair, ``batch`` and ``rows``.
+    block.  No (b, B, d) tangent block is ever formed; with ``view.blocks``
+    the blocks are written into those buffers, with the same bits, instead of
+    new ones.  Everything sign-independent comes from the view's pair,
+    ``batch`` and ``rows``.
+
+    Under ``np.errstate(over="raise")``, which a training step sets for both
+    its passes (:func:`sdze.optimizer.sdze_step`), a value past the range of
+    the step dtype, in the primal, the adjoints or a tangent layer, raises
+    ``FloatingPointError`` naming the layer.  einsum raises no overflow, so a
+    non-finite tangent term raises it whatever the caller's errstate.
 
     Returns g (B,), read-only, the first derivatives g1 (b, B) and the
     per-set sums of second derivatives g2 (len(starts), B).
@@ -508,31 +579,41 @@ def _raw_jets(view: PerturbView, batch: _Batch, rows: _Rows, starts: list[int]):
     depth = params.depth
     g, s1s, nus, lam0 = _adjoints(view, batch)
     B = g.shape[0]
-    # e_i @ W0 +/- e_i @ (eps DW_0); a constant feature has zero tangent
-    seed_rows = _signed(rows.R0, rows.D, sign)
+    l = 0
+    try:
+        # e_i @ W0 +/- e_i @ (eps DW_0); a constant feature has zero tangent
+        seed_rows = _signed(rows.R0, rows.D, sign)
+        if depth == 1:
+            g2 = np.zeros((len(starts), B), dtype=pair.dtype)
+            return g, np.repeat(seed_rows[:, :1], B, axis=1), g2
 
-    if depth == 1:
-        g2 = np.zeros((len(starts), B), dtype=pair.dtype)
-        return g, np.repeat(seed_rows[:, :1], B, axis=1), g2
+        g1 = seed_rows @ lam0.T
+        g2 = np.add.reduceat(seed_rows * seed_rows, starts, axis=0) @ nus[0].T
+        if depth == 2:
+            return g, g1, g2
 
-    g1 = seed_rows @ lam0.T
-    g2 = np.add.reduceat(seed_rows * seed_rows, starts, axis=0) @ nus[0].T
-    if depth == 2:
-        return g, g1, g2
-
-    weights = pair.weights(sign)
-    lin = [W[:-1] for W in weights] if params.bias else weights
-    bounds = [*starts, seed_rows.shape[0]]
-    for s in range(len(starts)):
-        for c0 in range(bounds[s], bounds[s + 1], JET_CHUNK):
-            c1 = min(c0 + JET_CHUNK, bounds[s + 1])
-            tg = seed_rows[c0:c1, None, :] * s1s[0]
-            for l in range(1, depth - 1):
-                if l > 1:
-                    tg *= s1s[l - 1]
-                flat = tg.reshape(-1, tg.shape[-1]) @ lin[l]
-                tg = flat.reshape(c1 - c0, B, flat.shape[1])
-                g2[s] += np.einsum("bh,bh->b", np.einsum("kbh,kbh->bh", tg, tg), nus[l])
+        weights = pair.weights(sign)
+        lin = [W[:-1] for W in weights] if params.bias else weights
+        bounds = [*starts, seed_rows.shape[0]]
+        for s in range(len(starts)):
+            for c0 in range(bounds[s], bounds[s + 1], JET_CHUNK):
+                k = min(JET_CHUNK, bounds[s + 1] - c0)
+                tg = seed_rows[c0 : c0 + k, None, :]
+                tg = np.multiply(tg, s1s[0], out=_block(view, 0, (k, B, tg.shape[-1])))
+                for l in range(1, depth - 1):
+                    if l > 1:
+                        tg *= s1s[l - 1]
+                    n = lin[l].shape[1]
+                    flat = np.matmul(
+                        tg.reshape(-1, tg.shape[-1]), lin[l], out=_block(view, l % 2, (k * B, n))
+                    )
+                    tg = flat.reshape(k, B, n)
+                    term = np.einsum("bh,bh->b", np.einsum("kbh,kbh->bh", tg, tg), nus[l])
+                    if not np.isfinite(term).all():  # einsum raises no overflow
+                        raise FloatingPointError
+                    g2[s] += term
+    except FloatingPointError:
+        raise _overflow(l, pair.dtype) from None
     return g, g1, g2
 
 

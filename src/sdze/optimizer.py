@@ -11,10 +11,56 @@ algebraically inside the difference; the unlocked variant (independent
 index sets per sign) exists only for the ablation study and is expected to
 blow up as eps shrinks.  :func:`sdze_step` runs both; ``SdzeConfig.crns``
 picks the mode.
+
+The two passes of an estimate on two cores.  Both passes only read the
+drawn sample and share nothing they write, so :func:`directional_delta` may
+run the +eps pass on a worker thread while the calling thread runs the -eps
+pass.  Each pass does the same arithmetic on either path and every BLAS call
+still runs on one thread, so the bits do not change.
+
+* What the caller forms.  Before it hands the +eps pass over, the caller
+  forms every term both passes read (:meth:`SignPair.share`: the batch
+  products, the index-set rows and phi) and takes the worker's two tangent
+  blocks.  The worker then only reads the pair, the sample and the problem;
+  it writes only its own sign's planes on the batch and its own blocks.
+* The gate (:func:`_concurrent`).  Only a seed-locked estimate (``minus is
+  plus``) with the default loss may run concurrently: the unlocked
+  ablation's two index sets would race on the pair's one-entry rows cache,
+  and a custom loss is not known to be thread-safe.  Then
+  ``CONCURRENT_SIGNS`` forces either path; left at None it takes the
+  concurrent one when (a) the process's affinity holds at least 2 CPUs,
+  (b) the environment gives the BLAS one thread, as OpenBLAS reads it
+  (unpinned, OpenBLAS already spreads each GEMM over both cores: forcing the
+  concurrent path there left poisson100's step at 2.24-2.27 ms, against
+  2.16-2.28 serial), and (c) one sign's tangent work, B |dims| times the
+  pair's :attr:`SignPair.transport_macs`, reaches ``CONCURRENT_MIN_MACS``.
+  Below that the worker's round trip and the two threads' turns at the
+  interpreter cost more than the overlap saves.  A sweep of estimates over
+  hidden widths 32..256, B 10..200 and b 2..16 (f32, BLAS pinned, 2 cores,
+  after a 2 000-point evaluation as in ``train``) found the concurrent one
+  no faster up to 5.9 M multiply-adds and faster in every shape from 6.3 M
+  on: 5-17 % at 6.3-12.6 M, 34 % at poisson100's 52.4 M (1.31 against
+  1.97 ms).  f64 crosses lower, between 0.7 and 2.6 M; the one constant
+  keeps f64 shapes below 6 M serial.  Criterion 8's step (5.2 M) and the
+  depth-2 variance sweep (none) stay serial.
+* Errors.  Either way the +eps pass's exception is raised if it has one,
+  else the -eps pass's: the serial order.  The call returns or raises only
+  after both passes have ended, and the worker keeps no finished task.
+  The worker runs in a copy of the caller's context, so numpy's errstate
+  reaches it.  :func:`sdze_step` runs both passes under
+  ``np.errstate(over="raise")``: an overflow of the step dtype in either
+  sweep raises ``FloatingPointError`` naming the layer (:mod:`sdze.net`),
+  which the step turns into its cause.  Read-only estimates (the variance
+  sweeps) keep their caller's errstate: set per estimate, it cost 1.6 us
+  of the variance sweep's 36 us estimate.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
+import re
+import threading
 import time
 from dataclasses import dataclass, field, replace
 
@@ -203,6 +249,117 @@ def step_cores(master: int, subspaces: list[LayerSubspace], t: int) -> list[np.n
     ]
 
 
+# The dispatcher's one switch.  None: :func:`_concurrent` gates each
+# estimate.  True or False forces the concurrent or the serial path wherever
+# the sample is locked and the loss is the default one.
+CONCURRENT_SIGNS: bool | None = None
+# per-sign tangent multiply-adds from which the concurrent path is faster
+# (module docstring)
+CONCURRENT_MIN_MACS = 6_000_000
+
+
+def _blas_threads(environ) -> int:
+    """The BLAS thread count ``environ`` asks for, as OpenBLAS reads it; 0 if none.
+
+    The first of ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` and
+    ``OMP_NUM_THREADS`` whose leading integer (C ``atoi``) is positive.
+    """
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        lead = re.match(r"\s*[+-]?\d+", environ.get(name, ""))
+        if lead and int(lead.group()) > 0:
+            return int(lead.group())
+    return 0
+
+
+# OpenBLAS reads the environment once, when numpy loads it; so does this module
+_BLAS_ONE_THREAD = _blas_threads(os.environ) == 1
+
+
+def _cpu_count() -> int:
+    """CPUs in this process's affinity."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _concurrent(pair: SignPair, plus: DrawnSample, minus: DrawnSample, loss_fn) -> bool:
+    """Whether the two passes of an estimate run on two threads (module docstring)."""
+    if minus is not plus or loss_fn is not None:
+        return False
+    if CONCURRENT_SIGNS is not None:
+        return CONCURRENT_SIGNS
+    work = plus.X.shape[0] * plus.dims.size * pair.transport_macs
+    return work >= CONCURRENT_MIN_MACS and _BLAS_ONE_THREAD and _cpu_count() >= 2
+
+
+class _SignWorker:
+    """A daemon thread that runs the +eps pass of concurrent estimates, one at a time."""
+
+    def __init__(self):
+        import queue  # here, so the serial path imports nothing new
+
+        self._tasks = queue.SimpleQueue()
+        self._reply = queue.SimpleQueue  # one per task
+        self._blocks: tuple[np.ndarray, np.ndarray] | None = None
+        threading.Thread(target=self._serve, name="sdze-sign", daemon=True).start()
+
+    def tangent_blocks(self, words: int, dtype: np.dtype):
+        """Two buffers of at least ``words`` words of ``dtype``, or None for 0 words.
+
+        The worker keeps them for its next tasks, and only its tasks, which
+        run one at a time, write them.  Allocated per estimate instead, at
+        poisson100's shapes they pushed the heap's free top past glibc's trim
+        threshold, and every step faulted its pages back in.
+        """
+        if not words:
+            return None
+        kept = self._blocks
+        if kept is None or kept[0].dtype != dtype or kept[0].size < words:
+            kept = self._blocks = np.empty(words, dtype), np.empty(words, dtype)
+        return kept
+
+    def submit(self, fn, *args):
+        """Queue ``fn(*args)`` in a copy of this context; ``get()`` on the reply
+        waits for its (result, None) or (None, exception)."""
+        reply = self._reply()
+        self._tasks.put((contextvars.copy_context(), fn, args, reply))
+        return reply
+
+    def _serve(self):
+        while True:
+            _run(*self._tasks.get())
+
+
+def _run(ctx, fn, args, reply) -> None:
+    # a frame per task: nothing of a finished task outlives it
+    try:
+        reply.put((ctx.run(fn, *args), None))
+    except BaseException as err:  # raised again by the caller
+        reply.put((None, err))
+
+
+_WORKER: _SignWorker | None = None
+_WORKER_START = threading.Lock()
+
+
+def _sign_worker() -> _SignWorker:
+    """The sign worker, started at the first concurrent estimate."""
+    global _WORKER
+    with _WORKER_START:
+        if _WORKER is None:
+            _WORKER = _SignWorker()
+        return _WORKER
+
+
+def _forget_worker() -> None:
+    global _WORKER
+    _WORKER = None
+
+
+if hasattr(os, "register_at_fork"):  # a forked child has no worker thread
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
 def directional_delta(
     pair: SignPair,
     problem: PdeProblem,
@@ -222,10 +379,28 @@ def directional_delta(
     plus``.  A caller that makes several estimates of one perturbation
     passes one pair to each, which then also shares its weights and, on a
     pinned batch, its batch products (:mod:`sdze.net`).
+
+    When :func:`_concurrent` allows it, the +eps pass runs on the sign
+    worker, in a copy of this thread's context (numpy's errstate included),
+    while this thread runs the -eps pass, with the same bits (module
+    docstring).  Either way an error of the +eps pass is raised before one
+    of the -eps pass, and the call ends after both passes.
     """
     eval_loss = loss_fn if loss_fn is not None else stochastic_loss
-    lp = eval_loss(PerturbView(pair, 1), problem, plus)
-    lm = eval_loss(PerturbView(pair, -1), problem, minus)
+    if not _concurrent(pair, plus, minus, loss_fn):
+        lp = eval_loss(PerturbView(pair, 1), problem, plus)
+        lm = eval_loss(PerturbView(pair, -1), problem, minus)
+    else:
+        pair.share(plus.X, plus.dims)
+        worker = _sign_worker()
+        blocks = worker.tangent_blocks(pair.tangent_words(plus.X.shape[0]), pair.dtype)
+        reply = worker.submit(eval_loss, PerturbView(pair, 1, blocks), problem, plus)
+        try:
+            lm = eval_loss(PerturbView(pair, -1), problem, minus)
+        finally:
+            lp, err = reply.get()  # the +eps pass has ended
+            if err is not None:
+                raise err
     # the difference cancels leading digits; keep it in f64
     return (float(lp) - float(lm)) / (2.0 * pair.eps), float(lp), float(lm)
 
@@ -256,8 +431,9 @@ def sdze_step(
     estimate raises :class:`SdzeDivergenceError`.  Unlocked (the ablation),
     the minus pass draws independent index sets and a non-finite estimate is
     returned in the record without an update.  Weights past the range of the
-    step dtype leave no loss to form, so their estimate is non-finite: the
-    error names the layer and the dtype.
+    step dtype, or a jet sweep whose arithmetic overflows it, leave no loss
+    to form, so their estimate is non-finite: the error names the layer and
+    the dtype.
     """
     t0 = time.perf_counter()
     for l in range(len(subspaces)):
@@ -266,12 +442,12 @@ def sdze_step(
     cores = step_cores(cfg.seed, subspaces, t)
     cause = None
     try:
-        pair = SignPair(params, subspaces, cores, cfg.eps, DTYPES[cfg.dtype])
+        with np.errstate(over="raise"):  # in both passes, on either path
+            pair = SignPair(params, subspaces, cores, cfg.eps, DTYPES[cfg.dtype])
+            delta, lp, lm = directional_delta(pair, problem, drawn, minus, loss_fn=loss_fn)
     except FloatingPointError as err:
         cause, delta, lp, lm = str(err), np.nan, np.nan, np.nan
-    else:
-        delta, lp, lm = directional_delta(pair, problem, drawn, minus, loss_fn=loss_fn)
-        del pair  # one pair per step, freed before the update below changes params
+    pair = None  # one pair per step, freed before the update below changes params
     q = sum(s.rank**2 for s in subspaces)
     alpha = lr_schedule(cfg, t, q)
     if np.isfinite(delta):
