@@ -76,11 +76,23 @@ maximum order is 2, the order of every supported operator.
 Precision contract.  A view's ``dtype`` (the step dtype, f32 or f64) is the
 dtype of the raw network: the input-layer products, the weights each sweep
 multiplies, every activation and tangent plane of :func:`_raw_jets` and the
-values of :func:`forward`.  The ansatz is assembled in f64: phi is formed
-from the f64 batch and promotes what it multiplies, so the values and set
-sums of :func:`jet_sums`, and with them the sampled operator and the loss,
-are f64 computed from step-dtype planes.  That costs B values per set and
-keeps the residual op - f, whose f is f64, out of f32 arithmetic.
+values of :func:`forward`.  A training step draws its collocation batch in
+the step dtype too (:class:`sdze.spatial.SpatialSample`), so an f32 step
+reads an f32 X, which :meth:`SignPair.batch` multiplies with no B x d cast.
+Everything that reads X outside the raw network is f64, computed from X's
+exact values, since widening f32 to f64 is exact:
+
+* the rhs f (:func:`sdze.spatial.rhs_eval`) and phi (:func:`boundary_factor`,
+  whose f32 squares are exact in f64);
+* the coordinates ``_Rows.xi`` = X[:, I] of the ansatz's first-order term;
+* :class:`sdze.spatial.ExactSolutionView`, the network's stand-in.
+
+phi and xi promote what they multiply, so the values and set sums of
+:func:`jet_sums`, and with them the sampled operator, the residual op - f
+and the loss, are f64 computed from step-dtype planes.  That costs B values
+per set and keeps the residual out of f32 arithmetic.  The test points of
+:func:`sdze.spatial.relative_l2` stay f64 in every run, and so do the
+weights, bases and cores the optimizer keeps.
 """
 
 from __future__ import annotations
@@ -286,7 +298,7 @@ class _Rows:
     dims: np.ndarray  # (b,) int64
     R0: np.ndarray  # W_0[dims], step dtype
     D: np.ndarray | None  # (eps DW_0)[dims]; None unperturbed
-    xi: np.ndarray  # X[:, dims].T, (b, B)
+    xi: np.ndarray  # X[:, dims].T in float64, (b, B)
 
 
 def _reusable(cached: np.ndarray, new: np.ndarray) -> bool:
@@ -349,7 +361,10 @@ class SignPair:
         self._rows: _Rows | None = None
 
     def batch(self, X: np.ndarray) -> _Batch:
-        """X W_0 and the implicit X (eps DW_0) of a batch, in the step dtype."""
+        """X W_0 and the implicit X (eps DW_0) of a batch, in the step dtype.
+
+        A batch already in the step dtype is read as is, with no B x d cast.
+        """
         cached = self._batch
         if cached is not None and _reusable(cached.X, X):
             return cached
@@ -379,7 +394,8 @@ class SignPair:
         if dims.size and (dims.min() < 0 or dims.max() >= self.params.dim):
             raise ValueError("direction index out of range")
         D = delta_rows(self.sub0, self.core0, dims) if self.perturbed else None
-        self._rows = _Rows(batch, dims, self.W0[dims], D, batch.X[:, dims].T)
+        xi = batch.X[:, dims].astype(np.float64, copy=False).T
+        self._rows = _Rows(batch, dims, self.W0[dims], D, xi)
         return self._rows
 
     def share(self, X: np.ndarray, dims: np.ndarray) -> None:
@@ -462,7 +478,8 @@ def forward(view: PerturbView, X: np.ndarray) -> np.ndarray:
 
 
 def boundary_factor(X: np.ndarray) -> np.ndarray:
-    return 1.0 - np.sum(X * X, axis=-1)
+    """phi(x) = 1 - ||x||^2 in float64; a float32 x squares exactly in float64."""
+    return 1.0 - np.sum(np.multiply(X, X, dtype=np.float64), axis=-1)
 
 
 def ansatz(view: PerturbView, X: np.ndarray) -> np.ndarray:

@@ -224,6 +224,10 @@ class StepRecord:
 class SdzeDivergenceError(RuntimeError):
     """Non-finite loss under seed locking; carries replay keys.
 
+    The message names the keys of the step's :class:`SpatialSample` beside
+    the problem's dimension: master, step, B, b and the batch dtype, from
+    which :func:`draw_sample` draws the step's batch and index sets again.
+
     ``cause`` says why no loss could be formed, e.g. weights past the range
     of the step dtype.
     """
@@ -237,7 +241,7 @@ class SdzeDivergenceError(RuntimeError):
         super().__init__(
             f"non-finite loss at step {step}: l+={loss_plus}, l-={loss_minus}{why}; "
             f"replay keys: master={sample.master} step={sample.step} "
-            f"B={sample.B} b={sample.b}"
+            f"B={sample.B} b={sample.b} dtype={sample.dtype}"
         )
 
 
@@ -408,10 +412,12 @@ def directional_delta(
 def draw_signs(problem: PdeProblem, cfg: SdzeConfig, t: int) -> tuple[DrawnSample, DrawnSample]:
     """The spatial draws (plus, minus) of step ``t``, keyed by ``cfg``'s seed, B and b.
 
-    Seed locked (``cfg.crns``), both passes read one draw; unlocked, the
-    minus pass reads :meth:`SpatialSample.unlocked` on the same batch.
+    The batch is drawn and held in ``cfg``'s step dtype.  Seed locked
+    (``cfg.crns``), both passes read one draw; unlocked, the minus pass reads
+    :meth:`SpatialSample.unlocked` on the same batch.
     """
-    sample = SpatialSample(cfg.seed, t, cfg.batch_B, cfg.batch_b, problem.dim)
+    dtype = DTYPES[cfg.dtype]
+    sample = SpatialSample(cfg.seed, t, cfg.batch_B, cfg.batch_b, problem.dim, dtype=dtype)
     drawn = draw_sample(problem, sample)
     return drawn, drawn if cfg.crns else draw_sample(problem, sample.unlocked(), batch=drawn)
 

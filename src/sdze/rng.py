@@ -11,23 +11,37 @@ what makes seed locking across the +eps/-eps passes exact, and lets samples
 be regenerated instead of cached.
 
 Gaussian variates use the trigonometric Box-Muller transform, fixed
-bit-exactly: each consecutive pair of uniforms ``(u1, u2)`` with
-``u1 = ((bits >> 11) + 1) * 2^-53`` in (0, 1] and ``u2 = (bits >> 11) * 2^-53``
-in [0, 1) yields the pair ``sqrt(-2 ln u1) * (cos(2 pi u2), sin(2 pi u2))``.
-Two uniforms are consumed per pair of normals.  A draw runs this in
-blocks of :data:`CHUNK_PAIRS` pairs, in place, so beside its output it
-allocates only one block's buffers; since word ``i`` is a function of its
-counter alone, the block size changes no bit.
+bit-exactly, in one of two layouts:
+
+* float64: each consecutive pair of words gives the uniforms
+  ``u1 = ((bits >> 11) + 1) * 2^-53`` in (0, 1] and
+  ``u2 = (bits >> 11) * 2^-53`` in [0, 1), which give the pair
+  ``sqrt(-2 ln u1) * (cos(2 pi u2), sin(2 pi u2))`` in float64.  A pair of
+  normals takes two words.
+* float32: one word gives both uniforms, cut into two 24-bit fields, bits
+  63..40 for ``u1 = ((w >> 40) + 1) * 2^-24`` in (0, 1] and bits 39..16 for
+  ``u2 = ((w >> 16) & (2^24 - 1)) * 2^-24`` in [0, 1); bits 15..0 go unused.
+  ``log``, ``sqrt``, ``cos`` and ``sin`` run in float32, and the angle is
+  ``u2``'s field times ``float32(2 pi 2^-24)``.  A pair of normals takes one
+  word.  Since ``u1 >= 2^-24``, the tails are cut at
+  ``sqrt(-2 ln 2^-24) = sqrt(48 ln 2)``, about 5.8 sigma: a normal is that
+  far out with probability about 8e-9.
+
+A draw runs the transform in blocks of :data:`CHUNK_PAIRS` pairs, in place,
+so beside its output it allocates only one block's buffers; since word
+``i`` is a function of its counter alone, the block size changes no bit.
 
 Key layout of the collocation batch.  A B x d batch, then its B radii, are
 one stream of one key ``(master, COLLOCATION, step, 0)``, read with word
 offsets; it does not take one key per row.  Offsets keep every bit drawn so
-far, and any row block is still addressable: ``normals(n)`` consumes
-``2 ceil(n / 2)`` words, so row block ``[a, a + k)`` of the B x d normals
-starts at word ``2 floor(a d / 2)`` and drops its first value when ``a d`` is
-odd, and the uniforms of those rows start at word ``2 ceil(B d / 2) + a``.
-Per-row keys would admit a generator with a variable word count per normal,
-but they change every trajectory once.
+far, and any row block is still addressable.  With ``w`` the words a pair
+of normals takes (2 in float64, 1 in float32), ``normals(n)`` consumes
+``w ceil(n / 2)`` words, so row block ``[a, a + k)`` of the B x d normals
+starts at word ``w floor(a d / 2)`` and drops its first value when ``a d``
+is odd, and the radii of those rows, float64 uniforms in either layout,
+start at word ``w ceil(B d / 2) + a``.  Per-row keys would admit a generator
+with a variable word count per normal, but they change every trajectory
+once.
 """
 
 from __future__ import annotations
@@ -46,6 +60,10 @@ _GAMMA_U64, _MIX1_U64, _MIX2_U64 = (np.uint64(c) for c in (_GAMMA, _MIX1, _MIX2)
 _TO_UNIT = float(2.0**-53)
 # (x * 2^-53) * 2pi in one product: scaling by a power of two is exact
 _TO_ANGLE = _TO_UNIT * (2.0 * np.pi)
+# the float32 layout's 24-bit fields and their scales, as float32
+_FIELD = np.uint64(2**24 - 1)
+_TO_UNIT24 = np.float32(2.0**-24)
+_TO_ANGLE24 = np.float32(2.0**-24 * (2.0 * np.pi))
 
 
 class Role(IntEnum):
@@ -102,9 +120,10 @@ def _key_state(key: StreamKey) -> int:
 
 # pairs of normals per block of a draw; bounds its buffers, changes no bit
 CHUNK_PAIRS = 8192
-# the most a draw allocates beside its output: per pair, two words each of
-# counters, mixed words and mixing scratch, and one radius, angle and trig
-CHUNK_BYTES = 8 * 9 * CHUNK_PAIRS
+# the most a draw allocates beside its output: per pair, in float64, two
+# words each of counters, mixed words and mixing scratch, whose words then
+# hold the angle and trig planes, and one radius; float32 takes 28 bytes
+CHUNK_BYTES = 8 * 7 * CHUNK_PAIRS
 
 
 def _ramp(n: int) -> np.ndarray:
@@ -149,39 +168,57 @@ class RngStream:
         words >>= np.uint64(11)
         return words * _TO_UNIT
 
-    def normals(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
-        """i.i.d. standard normal float64 via Box-Muller (see module docstring).
+    def normals(self, n: int, out: np.ndarray | None = None, dtype=np.float64) -> np.ndarray:
+        """i.i.d. standard normals via Box-Muller, in the ``dtype`` layout (module docstring).
 
-        ``out``, a float64 array of shape ``(n,)``, receives the draw, which
-        is then returned; without it the draw is a new array.  Beside it the
-        draw allocates at most :data:`CHUNK_BYTES`.
+        ``dtype`` is float64 or float32.  ``out``, an array of that dtype and
+        shape ``(n,)``, receives the draw, which is then returned; without it
+        the draw is a new array.  Beside it the draw allocates at most
+        :data:`CHUNK_BYTES`.
         """
+        dtype = np.dtype(dtype)
+        if dtype not in (np.float64, np.float32):
+            raise ValueError(f"normals are float64 or float32, not {dtype}")
         if out is None:
-            out = np.empty(n)
-        elif out.dtype != np.float64 or out.shape != (n,):
-            raise ValueError(f"out must be a float64 array of shape ({n},)")
+            out = np.empty(n, dtype)
+        elif out.dtype != dtype or out.shape != (n,):
+            raise ValueError(f"out must be a {dtype} array of shape ({n},)")
         npairs = (n + 1) // 2
+        per_pair = 2 if dtype == np.float64 else 1
         k = min(CHUNK_PAIRS, npairs)
-        ramp, words, tmp = _ramp(2 * k), np.empty(2 * k, np.uint64), np.empty(2 * k, np.uint64)
-        radius, angle, trig = np.empty(k), np.empty(k), np.empty(k)
+        ramp, words = _ramp(per_pair * k), np.empty(per_pair * k, np.uint64)
+        # mixing scratch, then the angle and trig planes
+        tmp = np.empty(per_pair * k, np.uint64)
+        planes = tmp.view(dtype)
+        radius = np.empty(k, dtype)
         for p in range(0, npairs, CHUNK_PAIRS):
             m = min(k, npairs - p)
-            w = _words(self.state, self.offset + 2 * p, ramp, words[: 2 * m], tmp)
-            w >>= np.uint64(11)
+            w = _words(self.state, self.offset + per_pair * p, ramp, words[: per_pair * m], tmp)
             # a cast without buffering: assign, then operate in place
-            r, a = radius[:m], angle[:m]
-            r[...] = w[0::2]
-            r += 1.0
-            r *= _TO_UNIT
+            r, a, trig = radius[:m], planes[:m], planes[k : k + m]
+            if per_pair == 2:
+                w >>= np.uint64(11)
+                r[...] = w[0::2]
+                r += 1.0
+                r *= _TO_UNIT
+                a[...] = w[1::2]
+                a *= _TO_ANGLE
+            else:
+                u1 = np.right_shift(w, np.uint64(40), out=tmp[:m])
+                r[...] = u1.view(np.int64)  # < 2^24: exact, and faster than from uint64
+                r += 1.0
+                r *= _TO_UNIT24
+                w >>= np.uint64(16)
+                w &= _FIELD
+                a[...] = w.view(np.int64)
+                a *= _TO_ANGLE24
             np.log(r, out=r)
             r *= -2.0
             np.sqrt(r, out=r)
-            a[...] = w[1::2]
-            a *= _TO_ANGLE
             even, odd = out[2 * p : 2 * (p + m) : 2], out[2 * p + 1 : 2 * (p + m) : 2]
-            np.multiply(r, np.cos(a, out=trig[:m]), out=even)
-            np.multiply(r[: odd.size], np.sin(a, out=trig[:m])[: odd.size], out=odd)
-        self.offset += 2 * npairs
+            np.multiply(r, np.cos(a, out=trig), out=even)
+            np.multiply(r[: odd.size], np.sin(a, out=trig)[: odd.size], out=odd)
+        self.offset += per_pair * npairs
         return out
 
 

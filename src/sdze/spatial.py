@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .net import MlpParams, plain_view, set_starts
-from .rng import Role, RngStream, StreamKey, derive_stream, sample_index_set
+from .rng import CHUNK_PAIRS, Role, RngStream, StreamKey, derive_stream, sample_index_set
 
 NONLINEARITIES = ("none", "allen_cahn", "sine_gordon")
 SOLUTIONS = ("two_body", "three_body")
@@ -88,33 +88,62 @@ def make_problem(
     return PdeProblem(dim, kind, solution, stream.normals(n), normalization)
 
 
-def sample_unit_ball(stream: RngStream, B: int, d: int) -> np.ndarray:
-    """Uniform points in the unit ball: x = U^(1/d) * g / ||g||."""
+# elements per block of whole rows for the ball's row norms: one block of
+# scratch, at most rng.CHUNK_BYTES in float64 until one row alone is larger
+_NORM_BLOCK_ELEMS = 2 * CHUNK_PAIRS
+
+
+def sample_unit_ball(stream: RngStream, B: int, d: int, dtype=np.float64) -> np.ndarray:
+    """Uniform points in the unit ball: x = U^(1/d) * g / ||g||, held in ``dtype``.
+
+    g is drawn in ``dtype``'s layout (:meth:`RngStream.normals`); the radii
+    U^(1/d) are float64 either way.  The row norms are taken per row block,
+    in ``dtype``, with one block of scratch, so beside its output the draw
+    holds the larger of one draw block and one norm block.  In float64 each
+    point is g scaled by the float64 ratio; in float32 by that ratio rounded
+    to float32, so a point may sit outside the unit sphere by float32
+    rounding.
+    """
     if B < 1 or d < 1:
         raise ValueError("B and d must be >= 1")
-    X = stream.normals(B * d).reshape(B, d)
+    X = stream.normals(B * d, dtype=dtype).reshape(B, d)
     rho = stream.uniforms(B) ** (1.0 / d)
-    X *= (rho / np.linalg.norm(X, axis=1))[:, None]
+    k = max(1, _NORM_BLOCK_ELEMS // d)
+    squares = np.empty((min(k, B), d), X.dtype)
+    norms = np.empty(B, X.dtype)
+    for a in range(0, B, k):
+        rows = X[a : a + k]
+        sq = np.multiply(rows, rows, out=squares[: rows.shape[0]])
+        np.add.reduce(sq, axis=1, out=norms[a : a + k])
+    scale = rho / np.sqrt(norms, out=norms)
+    X *= scale[:, None].astype(X.dtype, copy=False)
     return X
 
 
 # --- closed-form solution machinery ----------------------------------------
 
 
+# The closed forms compute in float64 from a batch of either dtype, with the
+# bits of its float64 widening: a product of two coordinates is formed in
+# float64 (dtype=float64), where that of two float32 values is exact, and any
+# other operation widens its float32 operand, which is exact, so no float64
+# copy of X is made.
+
+
 def _interaction_terms(problem: PdeProblem, X: np.ndarray) -> np.ndarray:
-    """exp of the pair/triple coordinate products, shape (B, n_coeffs)."""
+    """exp of the pair/triple coordinate products, shape (B, n_coeffs), float64."""
     if problem.solution == "two_body":
-        E = X[:, :-1] * X[:, 1:]
+        E = np.multiply(X[:, :-1], X[:, 1:], dtype=np.float64)
     else:
-        E = X[:, :-2] * X[:, 1:-1]
+        E = np.multiply(X[:, :-2], X[:, 1:-1], dtype=np.float64)
         E *= X[:, 2:]
     return np.exp(E, out=E)
 
 
 def exact_solution(problem: PdeProblem, X: np.ndarray) -> np.ndarray:
-    """u_exact(x) = (1 - ||x||^2) * sum_i c_i * exp(interaction_i)."""
+    """u_exact(x) = (1 - ||x||^2) * sum_i c_i * exp(interaction_i), in float64."""
     X = np.atleast_2d(X)
-    phi = 1.0 - np.sum(X * X, axis=1)
+    phi = 1.0 - np.sum(np.multiply(X, X, dtype=np.float64), axis=1)
     return phi * (_interaction_terms(problem, X) @ problem.coeffs)
 
 
@@ -148,6 +177,8 @@ class ExactSolutionView:
 
     Substituting it for the network anywhere in the loss pipeline must drive
     the residual to zero; used for manufactured-solution consistency checks.
+    It computes in float64 whatever the batch's dtype, as :func:`rhs_eval`
+    does; its jets widen a float32 batch first, which is exact.
     """
 
     def __init__(self, problem: PdeProblem):
@@ -158,7 +189,7 @@ class ExactSolutionView:
 
     def jet_eval(self, X: np.ndarray, dims, sizes) -> tuple[np.ndarray, np.ndarray]:
         """Values and, per consecutive index set of ``sizes``, sum_i d2u/dx_i^2."""
-        X = np.atleast_2d(X)
+        X = np.atleast_2d(X).astype(np.float64, copy=False)
         dims = np.asarray(dims, dtype=np.int64)
         starts = set_starts(sizes, dims.size)
         phi = 1.0 - np.sum(X * X, axis=1)
@@ -176,39 +207,42 @@ def rhs_eval(problem: PdeProblem, X: np.ndarray) -> np.ndarray:
     With u = phi*S, phi = 1 - ||x||^2:
     Lap u = phi*Lap S - 4 x . grad S - 2 d S, all vectorized over the batch.
     Each term is formed in place, at most two B x n_coeffs buffers at a time,
-    with the operations of the closed form in their order.
+    with the operations of the closed form in their order.  It computes in
+    float64 from a batch of either dtype, with no float64 copy of a float32
+    batch: f is the rhs at the batch's exact points, bitwise that of its
+    float64 widening.
     """
     X = np.atleast_2d(X)
     d = problem.dim
     c = problem.coeffs
     if problem.solution == "two_body":
         x1, x2 = X[:, :-1], X[:, 1:]
-        XX = X * X
+        XX = np.multiply(X, X, dtype=np.float64)
         phi = 1.0 - np.sum(XX, axis=1)
         T = np.add(XX[:, :-1], XX[:, 1:])  # x1 * x1 + x2 * x2
         del XX
         E = _interaction_terms(problem, X)
         T *= E
         lap_S = T @ c
-        np.multiply(x1, x2, out=T)  # 2.0 * ((x1 * x2) * E)
+        np.multiply(x1, x2, out=T, dtype=np.float64)  # 2.0 * ((x1 * x2) * E)
         T *= E
         T *= 2.0
     else:
         x1, x2, x3 = X[:, :-2], X[:, 1:-1], X[:, 2:]
-        phi = 1.0 - np.sum(X * X, axis=1)
+        phi = 1.0 - np.sum(np.multiply(X, X, dtype=np.float64), axis=1)
         # (x2 * x3) ** 2 + (x1 * x3) ** 2 + (x1 * x2) ** 2
-        T, U = x2 * x3, x1 * x3
+        T, U = np.multiply(x2, x3, dtype=np.float64), np.multiply(x1, x3, dtype=np.float64)
         T *= T
         U *= U
         T += U
-        np.multiply(x1, x2, out=U)
+        np.multiply(x1, x2, out=U, dtype=np.float64)
         U *= U
         T += U
         del U
         E = _interaction_terms(problem, X)
         T *= E
         lap_S = T @ c
-        np.multiply(x1, x2, out=T)  # 3.0 * ((x1 * x2 * x3) * E)
+        np.multiply(x1, x2, out=T, dtype=np.float64)  # 3.0 * ((x1 * x2 * x3) * E)
         T *= x3
         T *= E
         T *= 3.0
@@ -231,6 +265,11 @@ class SpatialSample:
     +eps and -eps evaluations.  ``set_replicate`` only enters the index-set
     keys: the unlocked ablation's minus pass reads :meth:`unlocked`, whose
     sets come from replicate 1, and shares the collocation batch.
+
+    ``dtype``, float64 or float32, is the dtype the batch is drawn and held
+    in: a run's step dtype.  It picks the draw's layout
+    (:meth:`RngStream.normals`), so it is part of :attr:`batch_key`: the two
+    dtypes' batches of one key are different points, not roundings of one.
     """
 
     master: int
@@ -240,21 +279,29 @@ class SpatialSample:
     d: int
     set_replicate: int = 0
     collocation_step: int | None = None  # defaults to step; lets studies pin the batch
+    dtype: np.dtype = np.dtype(np.float64)
+
+    def __post_init__(self):
+        dtype = np.dtype(self.dtype)
+        if dtype not in (np.float64, np.float32):
+            raise ValueError(f"a batch is float64 or float32, not {dtype}")
+        object.__setattr__(self, "dtype", dtype)
 
     @property
-    def batch_key(self) -> tuple[int, int, int, int]:
-        """(master, step, B, d) of the collocation batch; equal keys, equal batch."""
+    def batch_key(self) -> tuple[int, int, int, int, np.dtype]:
+        """(master, step, B, d, dtype) of the collocation batch; equal keys, equal batch."""
         at = self.step if self.collocation_step is None else self.collocation_step
-        return self.master, at, self.B, self.d
+        return self.master, at, self.B, self.d, self.dtype
 
     def unlocked(self) -> SpatialSample:
         """The unlocked minus pass's sample: this batch, index sets of replicate 1."""
         return replace(self, set_replicate=1)
 
     def points(self) -> np.ndarray:
-        master, at, B, d = self.batch_key
+        """The B x d collocation batch, drawn in :attr:`dtype`."""
+        master, at, B, d, dtype = self.batch_key
         stream = derive_stream(StreamKey(master, Role.COLLOCATION, at, 0))
-        return sample_unit_ball(stream, B, d)
+        return sample_unit_ball(stream, B, d, dtype)
 
     def _set(self, role: Role, size: int) -> np.ndarray:
         stream = derive_stream(
@@ -275,9 +322,11 @@ class SpatialSample:
 class DrawnSample:
     """A :class:`SpatialSample` drawn: the batch X, f(X) and both index sets.
 
-    Made by :func:`draw_sample`.  The arrays are read-only, so every loss
-    evaluation that shares the draw reads the same bits, and a network pass
-    may reuse what it formed from them.  ``dims`` holds I1 then I2, the
+    X is in the sample's dtype; f is float64 whatever that is, the rhs at
+    X's exact values (:func:`rhs_eval`).  Made by :func:`draw_sample`.  The
+    arrays are read-only, so every loss evaluation that shares the draw
+    reads the same bits, and a network pass may reuse what it formed from
+    them.  ``dims`` holds I1 then I2, the
     direction list of the loss's one jet sweep.
     """
 
@@ -305,9 +354,11 @@ def draw_sample(
 ) -> DrawnSample:
     """Draw ``sample`` once: its batch, the closed-form rhs on it, and its index sets.
 
-    ``batch``, a draw with the same :attr:`SpatialSample.batch_key`, lends its
-    X and f, so only the index sets are drawn: the unlocked minus pass and
-    the replicates of a pinned batch share one batch this way.
+    The batch is drawn and held in ``sample.dtype``, and the rhs is float64,
+    formed from the batch's exact values.  ``batch``, a draw with the same
+    :attr:`SpatialSample.batch_key`, lends its X and f, so only the index
+    sets are drawn: the unlocked minus pass and the replicates of a pinned
+    batch share one batch this way.
     """
     if batch is None:
         X = _read_only(sample.points())

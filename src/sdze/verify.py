@@ -518,13 +518,14 @@ def crns_variance_sweep(
     follow eps^-2.
 
     Replicate k (1..replicates) is ``SpatialSample(master, k, B, b, d,
-    collocation_step=0)``: step k keys the index sets, the batch is pinned at
-    step 0, and the unlocked minus pass reads its ``.unlocked()`` sample.
-    The pinned batch and its rhs are drawn once per call; each replicate
-    draws its sets and its unlocked sets once, reads that batch and serves
-    every eps.  ``stochastic_loss`` over these samples
-    gives the unperturbed loss variance Var_S L of this measure.  Unlocked,
-    the two passes see independent sets, so
+    collocation_step=0, dtype)``: step k keys the index sets, the batch is
+    pinned at step 0 and drawn in the step dtype, as a run's is, and the
+    unlocked minus pass reads its ``.unlocked()`` sample.  The pinned batch
+    and its rhs are drawn once per call; each replicate draws its sets and
+    its unlocked sets once, reads that batch and serves every eps.
+    ``stochastic_loss`` over these samples gives the unperturbed loss
+    variance Var_S L of this measure.  Unlocked, the two passes see
+    independent sets, so
 
         Var_naive = Var_S L / (2 eps^2) + Var_crns / 2 + O(1),
         naive / locked ~ 1/2 + Var_S L / (2 eps^2 Var_S d_v L).
@@ -547,10 +548,13 @@ def crns_variance_sweep(
     check_replicates(replicates)
     subs = _subspaces_for_shapes([W.shape for W in params.weights], rank, master)
     cores = step_cores(master, subs, 0)
-    pairs = {eps: SignPair(params, subs, cores, eps, DTYPES[dtype]) for eps in eps_list}
+    step_dtype = DTYPES[dtype]
+    pairs = {eps: SignPair(params, subs, cores, eps, step_dtype) for eps in eps_list}
 
     def replicate(k: int) -> SpatialSample:
-        return SpatialSample(master, k, B, b, problem.dim, collocation_step=0)
+        return SpatialSample(
+            master, k, B, b, problem.dim, collocation_step=0, dtype=step_dtype
+        )
 
     pinned = draw_sample(problem, replicate(1))
     modes = ("crns", "naive")

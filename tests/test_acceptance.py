@@ -242,8 +242,8 @@ def test_criterion_8_memory_independence(monkeypatch, peak_spans):
     #   which binds at d = 100, where the products alone come to 4.8 B x d;
     # * the step draws that batch and its rhs before the loss calls, in
     #   draw_sample, in two phases with X held: the draw, which allocates one
-    #   block of buffers (72 bytes a pair, at most rng.CHUNK_BYTES) and then
-    #   X * X for the row norms, B x d words; and the rhs, two B x d word
+    #   block of buffers (56 bytes a pair, at most rng.CHUNK_BYTES) and then
+    #   one smaller block of rows for the row norms; and the rhs, two B x d word
     #   planes plus the two iterator buffers numpy may fill for a product of
     #   strided views (X[:, :-1] * X[:, 1:]), min(B d, np.getbufsize())
     #   words each.
@@ -290,7 +290,7 @@ def test_criterion_8_memory_independence(monkeypatch, peak_spans):
         products = 2 * B * cfg.widths[1] + 2 * n_dims * cfg.widths[1] + n_dims * B
         loss_bound[d] = jets[d] + min(8 * 5 * B * d, 8 * (B * d + products) + slack)
         draw[d] = max(peak_spans.peaks("draw_sample"))
-        blocks = min(CHUNK_BYTES, 72 * ((B * d + 1) // 2))
+        blocks = min(CHUNK_BYTES, 56 * ((B * d + 1) // 2))
         bufs = 2 * 8 * min(B * d, np.getbufsize())
         draw_bound[d] = max(8 * B * d + blocks, 8 * 3 * B * d + bufs) + slack
         whole[d] = max(peak_spans.peaks("step"))

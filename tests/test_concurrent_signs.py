@@ -191,7 +191,7 @@ def test_the_worker_drops_each_finished_task(monkeypatch):
 
 def overflow_cfg(**over):
     # the d = 20 allen_cahn f32 config whose step 6 overflows the f32 sweep
-    # after step 5's estimate of 7.6e18 (unlocked), with criterion 7's lr block
+    # after step 5's estimate of -2.1e30 (unlocked), with criterion 7's lr block
     base = dict(
         seed=7, widths=[20, 16, 16, 1], activation="sin", dtype="f32", pde_kind="allen_cahn",
         crns=False, lr_mode="annealed", gamma=0.0424, m=400.0, p=0.51, steps=12, freq_F=5,
@@ -209,13 +209,13 @@ def test_an_overflow_in_the_sweep_is_a_divergence_naming_its_layer(monkeypatch, 
     prob = cfg.make_problem()
     result = train(cfg, prob)
     deltas = [r.delta_hat for r in result.records]
-    assert deltas[4] == pytest.approx(7.567e18, rel=1e-3)
+    assert deltas[4] == pytest.approx(-2.077e30, rel=1e-3)
     assert np.isfinite(deltas[:5]).all() and np.isnan(deltas[5:]).all()
     # unlocked: nan is recorded and no update is made
     part = train(dataclasses.replace(cfg, steps=5), prob)
     assert all(np.array_equal(W, V) for W, V in zip(part.params.weights, result.params.weights))
     locked = dataclasses.replace(cfg, crns=True)
-    want = "layer 0 jet sweep overflows the step dtype float32"
+    want = "layer 1 jet sweep overflows the step dtype float32"
     with pytest.raises(SdzeDivergenceError, match=want) as err:
         sdze_step(part.params, part.subspaces, prob, locked, 6)
     assert err.value.step == 6

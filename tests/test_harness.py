@@ -281,7 +281,8 @@ def test_delta_variance_estimates_in_the_config_dtype(tmp_path):
     cores = step_cores(cfg.seed, subspaces, 0)
     deltas = {True: [], False: []}
     for k in range(1, 11):
-        drawn = draw_sample(problem, SpatialSample(cfg.seed, k, 4, 2, problem.dim))
+        sample = SpatialSample(cfg.seed, k, 4, 2, problem.dim, dtype=np.float32)
+        drawn = draw_sample(problem, sample)
         unlocked = draw_sample(problem, drawn.sample.unlocked(), batch=drawn)
         for crns, minus in ((True, drawn), (False, unlocked)):
             # a fresh pair per estimate: the call's one shared pair must change no bit

@@ -1,10 +1,11 @@
 import dataclasses
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from sdze import net, spatial, verify
+from sdze import net, optimizer, spatial, verify
 from sdze.net import MlpParams, PerturbView, SignPair, init_mlp
 from sdze.optimizer import (
     DTYPES,
@@ -250,6 +251,35 @@ def test_weights_past_the_step_dtype_range_are_a_divergence(act, crns):
         assert all(np.array_equal(W, V) for W, V in zip(params.weights, before))
 
 
+def test_a_failing_float32_step_replays_from_its_printed_keys(monkeypatch):
+    # the message names every key of the step's sample, the batch dtype
+    # included: the sample drawn from them is the step's, bit for bit
+    cfg = small_cfg(widths=[6, 5, 4, 1], dtype="f32", batch_B=7)
+    prob = cfg.make_problem()
+    params = cfg.init_params()
+    params.weights[1][0, 0] = 1e39
+    seen = []
+
+    def recording(problem, sample, batch=None):
+        seen.append(spatial.draw_sample(problem, sample, batch))
+        return seen[-1]
+
+    monkeypatch.setattr(optimizer, "draw_sample", recording)
+    with pytest.raises(SdzeDivergenceError) as err:
+        sdze_step(params, make_subspaces(params, cfg), prob, cfg, 4)
+    keys = dict(re.findall(r"(\w+)=(\w+)", str(err.value).split("replay keys:")[1]))
+    assert keys == {"master": "9", "step": "4", "B": "7", "b": "3", "dtype": "float32"}
+    sample = SpatialSample(
+        int(keys["master"]), int(keys["step"]), int(keys["B"]), int(keys["b"]), prob.dim,
+        dtype=keys["dtype"],
+    )
+    (step_draw,) = seen
+    replay = spatial.draw_sample(prob, sample)
+    assert replay.sample == step_draw.sample and replay.X.dtype == np.float32
+    for name in ("X", "f", "dims"):
+        assert getattr(replay, name).tobytes() == getattr(step_draw, name).tobytes(), name
+
+
 def test_small_scale_variance_blowup_of_unlocked_mode():
     prob = make_problem("none", 20, "two_body", 3)
     params = init_mlp([20, 10, 1], "sin", 3)
@@ -332,7 +362,7 @@ def test_directional_delta_equals_per_sign_draws_bitwise(locked, dtype, kind):
         params = cfg.init_params()
         subs = make_subspaces(params, cfg)
         for t in (1, 2):
-            sample = SpatialSample(cfg.seed, t, cfg.batch_B, cfg.batch_b, 6)
+            sample = SpatialSample(cfg.seed, t, cfg.batch_B, cfg.batch_b, 6, dtype=DTYPES[dtype])
             cores = cores_at(cfg, subs, t)
             plus = draw_sample(prob, sample)
             minus = plus if locked else draw_sample(prob, sample.unlocked(), batch=plus)
@@ -379,7 +409,8 @@ def per_replicate_sweep_rows(prob, params, rank, eps_list, reps, B, b, master, d
             deltas = [
                 per_sign_delta(
                     params, subs, cores, prob,
-                    SpatialSample(master, k, B, b, d, collocation_step=0), eps, locked, dtype,
+                    SpatialSample(master, k, B, b, d, collocation_step=0, dtype=DTYPES[dtype]),
+                    eps, locked, dtype,
                 )[0]
                 for k in range(1, reps + 1)
             ]

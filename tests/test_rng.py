@@ -56,6 +56,17 @@ NORMALS_KNOWN_ANSWER = [
     "-0x1.ba0a217fbc4b9p-1",
 ]
 UNIFORMS_KNOWN_ANSWER = ["0x1.1f4eb1b5ccbb8p-4", "0x1.ee90fcb79f513p-1", "0x1.81e81443578c4p-1"]
+# the same reads with the float32 draw, which takes one word a pair
+NORMALS_F32_KNOWN_ANSWER = [
+    "-0x1.4ad4b00000000p+0",
+    "0x1.e0c1320000000p-1",
+    "-0x1.d233c80000000p+0",
+    "0x1.2761ac0000000p+0",
+    "-0x1.03a9260000000p-2",
+    "0x1.a91f200000000p+0",
+    "-0x1.1ac3420000000p-1",
+]
+UNIFORMS_F32_KNOWN_ANSWER = ["0x1.57b9f819344c5p-1", "0x1.2cff6169275d3p-1", "0x1.0c6a5d2b4770ap-1"]
 
 
 def test_stream_keys_match_known_answers():
@@ -68,6 +79,15 @@ def test_stream_keys_match_known_answers():
     stream.raw(3)
     assert [float(x).hex() for x in stream.normals(7)] == NORMALS_KNOWN_ANSWER
     assert [float(x).hex() for x in stream.uniforms(3)] == UNIFORMS_KNOWN_ANSWER
+
+
+def test_float32_normals_match_known_answers():
+    stream = derive_stream(StreamKey(7, Role.CORE_Z, 3, 1))
+    stream.raw(3)
+    got = stream.normals(7, dtype=np.float32)
+    assert got.dtype == np.float32 and stream.offset == 3 + 4
+    assert [float(x).hex() for x in got] == NORMALS_F32_KNOWN_ANSWER
+    assert [float(x).hex() for x in stream.uniforms(3)] == UNIFORMS_F32_KNOWN_ANSWER
 
 
 def test_step_change_decorrelates():
@@ -92,6 +112,22 @@ def test_gaussian_moments():
     g = derive_stream(key(role=Role.CORE_Z)).normals(10**6)
     assert -0.005 <= g.mean() <= 0.005
     assert 0.99 <= g.var() <= 1.01
+
+
+def test_float32_normals_have_tails_cut_at_the_smallest_u1():
+    # u1 >= 2^-24, so |z| <= sqrt(-2 ln 2^-24) = sqrt(48 ln 2); no u1 is 0
+    n = 2 * 10**6
+    stream = derive_stream(key(role=Role.CORE_Z, step=1))
+    u1 = ((RngStream(stream.state).raw(n // 2) >> np.uint64(40)) + np.uint64(1)) * 2.0**-24
+    assert u1.min() > 0.0
+    z = stream.normals(n, dtype=np.float32)
+    assert np.isfinite(z).all()
+    assert np.abs(z).max() <= np.sqrt(48.0 * np.log(2.0))
+    g = z.astype(np.float64)
+    assert -0.005 <= g.mean() <= 0.005
+    assert 0.99 <= g.var() <= 1.01
+    # the tail past 4 sigma is there, at about its normal share (6.3e-5)
+    assert 0.5 < (np.abs(z) > 4.0).mean() / (2.0 * stats.norm.sf(4.0)) < 1.5
 
 
 def test_gaussian_matrix_deterministic():
@@ -238,34 +274,103 @@ def test_blocked_normals_equal_the_whole_array_transform(n, skip):
     assert buf.tobytes() == drawn.tobytes() and into.offset == skip + 2 * ((n + 1) // 2)
 
 
+def _reference_normals_f32(stream, n):
+    """The docstring's float32 Box-Muller over whole arrays: two 24-bit fields a word."""
+    words = stream.raw((n + 1) // 2)
+    u1 = ((words >> np.uint64(40)) + np.uint64(1)).astype(np.float32) * np.float32(2.0**-24)
+    field = (words >> np.uint64(16)) & np.uint64(2**24 - 1)
+    angle = field.astype(np.float32) * np.float32(2.0**-24 * (2.0 * np.pi))
+    radius = np.sqrt(np.float32(-2.0) * np.log(u1))
+    out = np.empty(2 * words.size, np.float32)
+    out[0::2] = radius * np.cos(angle)
+    out[1::2] = radius * np.sin(angle)
+    return out[:n]
+
+
+@pytest.mark.parametrize(
+    "n", [1, 2, 7, 2 * CHUNK_PAIRS + 1, 4 * CHUNK_PAIRS - 1, 4 * CHUNK_PAIRS, 4 * CHUNK_PAIRS + 1]
+)
+@pytest.mark.parametrize("skip", [0, 3])
+def test_blocked_float32_normals_equal_the_whole_array_transform(n, skip):
+    # a float32 block is CHUNK_PAIRS words, 2 CHUNK_PAIRS normals
+    got, ref, into = (derive_stream(key(role=Role.CORE_Z)) for _ in range(3))
+    for stream in (got, ref, into):
+        stream.raw(skip)
+    drawn = got.normals(n, dtype=np.float32)
+    assert drawn.dtype == np.float32
+    assert drawn.tobytes() == _reference_normals_f32(ref, n).tobytes()
+    assert got.offset == ref.offset == skip + (n + 1) // 2
+    assert got.normals(5, dtype=np.float32).tobytes() == _reference_normals_f32(ref, 5).tobytes()
+    buf = np.full(n, np.nan, np.float32)
+    assert into.normals(n, out=buf, dtype=np.float32) is buf
+    assert buf.tobytes() == drawn.tobytes() and into.offset == skip + (n + 1) // 2
+
+
 def test_normals_out_must_fit_the_draw():
     for bad in (np.empty(5), np.empty(4, np.float32), np.empty((2, 2))):
         with pytest.raises(ValueError, match="out must be"):
             derive_stream(key()).normals(4, out=bad)
+    with pytest.raises(ValueError, match="out must be"):
+        derive_stream(key()).normals(4, out=np.empty(4), dtype=np.float32)
+    with pytest.raises(ValueError, match="float64 or float32"):
+        derive_stream(key()).normals(4, dtype=np.float16)
+
+
+# bytes a draw's block takes per pair of normals: in float64 two words each
+# of counters, mixed words and mixing scratch (which then holds the angle
+# and trig planes) and a float64 radius; in float32 one word each and a
+# float32 radius
+BLOCK_BYTES_PER_PAIR = {np.float64: 56, np.float32: 28}
+
+
+def _draw_peak(peak_spans, n: int, dtype) -> int:
+    draw = peak_spans.measure(lambda: derive_stream(key()).normals(n, dtype=dtype), "draw")
+    draw()
+    return peak_spans.peaks("draw")[-1]
 
 
 def test_a_draw_allocates_its_output_and_one_block(peak_spans):
     n = 10**6
-    draw = peak_spans.measure(lambda: derive_stream(key()).normals(n), "draw")
-    draw()
-    assert peak_spans.peaks("draw")[0] <= 8 * n + CHUNK_BYTES + 4096
+    assert BLOCK_BYTES_PER_PAIR[np.float64] * CHUNK_PAIRS == CHUNK_BYTES
+    assert _draw_peak(peak_spans, n, np.float64) <= 8 * n + CHUNK_BYTES + 4096
 
 
-@pytest.mark.parametrize("d", [7, 20, 100])
+def test_a_float32_draw_allocates_its_output_and_one_block(peak_spans):
+    n = 10**6
+    block = BLOCK_BYTES_PER_PAIR[np.float32] * CHUNK_PAIRS
+    assert _draw_peak(peak_spans, n, np.float32) <= 4 * n + block + 4096
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_a_ball_draw_allocates_its_output_and_one_block(peak_spans, dtype):
+    # the row norms take one block of scratch rows, not a B x d plane
+    B, d = 50, 10**4
+    ball = peak_spans.measure(lambda: sample_unit_ball(derive_stream(key()), B, d, dtype), "ball")
+    X = ball()
+    assert X.dtype == dtype and X.shape == (B, d)
+    assert peak_spans.peaks("ball")[0] <= X.nbytes + CHUNK_BYTES + 4096
+
+
+@pytest.mark.parametrize("d", [7, 20, 100, 333])
 def test_row_blocks_of_a_batch_start_at_their_word_offsets(d):
     # the key layout of the rng docstring: one stream per B x d batch, any
-    # row block [a, a + k) addressable by word offset
+    # row block [a, a + k) addressable by word offset, in either layout (w
+    # words a pair); a block's own row norms give the ball's bits (d = 333
+    # takes several norm blocks of rows)
     B = 300
     stream = derive_stream(key(step=4))
-    whole = RngStream(stream.state)
-    g, rho = whole.normals(B * d), whole.uniforms(B)
-    X = sample_unit_ball(RngStream(stream.state), B, d)
-    for a, k in [(0, 3), (3, 5), (8, 3), (11, 256)]:
-        odd = a * d % 2
-        block = RngStream(stream.state, 2 * (a * d // 2)).normals(k * d + odd)[odd:]
-        assert block.tobytes() == g[a * d : (a + k) * d].tobytes()
-        u = RngStream(stream.state, 2 * ((B * d + 1) // 2) + a).uniforms(k)
-        assert u.tobytes() == rho[a : a + k].tobytes()
-        rows = block.reshape(k, d)
-        rows *= (u ** (1.0 / d) / np.linalg.norm(rows, axis=1))[:, None]
-        assert rows.tobytes() == X[a : a + k].tobytes()
+    for dtype, w in ((np.float64, 2), (np.float32, 1)):
+        whole = RngStream(stream.state)
+        g, rho = whole.normals(B * d, dtype=dtype), whole.uniforms(B)
+        X = sample_unit_ball(RngStream(stream.state), B, d, dtype)
+        for a, k in [(0, 3), (3, 5), (8, 3), (11, 256)]:
+            odd = a * d % 2
+            block = RngStream(stream.state, w * (a * d // 2)).normals(k * d + odd, dtype=dtype)
+            block = block[odd:]
+            assert block.tobytes() == g[a * d : (a + k) * d].tobytes()
+            u = RngStream(stream.state, w * ((B * d + 1) // 2) + a).uniforms(k)
+            assert u.tobytes() == rho[a : a + k].tobytes()
+            rows = block.reshape(k, d)
+            scale = u ** (1.0 / d) / np.linalg.norm(rows, axis=1)
+            rows *= scale[:, None].astype(dtype)
+            assert rows.tobytes() == X[a : a + k].tobytes()

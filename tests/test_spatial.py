@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from sdze.net import init_mlp, plain_view
+from sdze.net import PerturbView, SignPair, init_mlp, plain_view
+from sdze.optimizer import SdzeConfig, make_subspaces, step_cores
 from sdze.rng import Role, StreamKey, derive_stream
 from sdze.spatial import (
     ExactSolutionView,
@@ -28,6 +29,9 @@ TEST_KEY = StreamKey(3, Role.TEST_POINTS, 0, 0)
 def test_ball_points_inside():
     X = sample_unit_ball(derive_stream(TEST_KEY), 5000, 7)
     assert np.all(np.linalg.norm(X, axis=1) <= 1.0 + 1e-12)
+    # float32 points are inside up to float32 rounding
+    X = sample_unit_ball(derive_stream(TEST_KEY), 5000, 7, np.float32)
+    assert np.all(np.linalg.norm(X.astype(np.float64), axis=1) <= 1.0 + 1e-6)
 
 
 def test_ball_d1_is_uniform_on_segment():
@@ -40,6 +44,22 @@ def test_ball_second_moment_d2():
     X = sample_unit_ball(derive_stream(TEST_KEY), 10**6, 2)
     m = (X * X).sum(axis=1).mean()  # E||x||^2 = d/(d+2) = 1/2
     assert abs(m - 0.5) < 0.005
+
+
+def test_float32_ball_d1_is_uniform_on_segment():
+    x = sample_unit_ball(derive_stream(TEST_KEY), 10**5, 1, np.float32)[:, 0]
+    assert x.dtype == np.float32
+    p = stats.kstest(x.astype(np.float64), stats.uniform(loc=-1, scale=2).cdf).pvalue
+    assert p > 0.001
+
+
+def test_float32_ball_second_moment_d2():
+    X = sample_unit_ball(derive_stream(TEST_KEY), 10**6, 2, np.float32).astype(np.float64)
+    m = (X * X).sum(axis=1).mean()  # E||x||^2 = d/(d+2) = 1/2
+    assert abs(m - 0.5) < 0.005
+    # isotropic: the angle is uniform on the circle
+    angle = np.arctan2(X[:, 1], X[:, 0])
+    assert stats.kstest(angle, stats.uniform(loc=-np.pi, scale=2 * np.pi).cdf).pvalue > 0.001
 
 
 def test_exact_solution_values():
@@ -191,6 +211,53 @@ def test_crns_sample_regeneration_is_bitwise():
     # replicate index reroutes only the index sets, not the batch
     s2 = SpatialSample(master=3, step=5, B=4, b=2, d=6, set_replicate=1)
     assert np.array_equal(s.points(), s2.points())
+
+
+@pytest.mark.parametrize("solution, d, B", [("two_body", 7, 9), ("three_body", 100, 90)])
+def test_a_float32_batch_has_float64_rhs_phi_coordinates_and_residual(solution, d, B):
+    # f, phi and X[:, I] are float64, computed from the batch's exact values,
+    # and so are the operator and the residual of a float32 network; a
+    # 90 x 100 batch passes numpy's cast buffer of np.getbufsize() elements
+    prob = make_problem("allen_cahn", d, solution, 3)
+    sample = SpatialSample(master=3, step=5, B=B, b=3, d=d, dtype=np.float32)
+    drawn = draw_sample(prob, sample)
+    X64 = drawn.X.astype(np.float64)
+    assert drawn.X.dtype == np.float32 and drawn.f.dtype == np.float64
+    assert drawn.f.tobytes() == rhs_eval(prob, X64).tobytes()
+    widths = [d, 6, 5, 1]
+    params = init_mlp(widths, "sin", 3, bias=True)
+    subs = make_subspaces(params, SdzeConfig(widths=widths, bias=True, rank=2))
+    cores = step_cores(3, subs, 1)
+    pair = SignPair(params, subs, cores, 1e-3, np.float32)
+    pair.share(drawn.X, drawn.dims)
+    batch = pair.batch(drawn.X)
+    rows = pair.rows(batch, drawn.dims)
+    assert batch.G0.dtype == np.float32 and batch.X is drawn.X
+    assert batch.phi.dtype == rows.xi.dtype == np.float64
+    assert batch.phi.tobytes() == (1.0 - np.sum(X64 * X64, axis=1)).tobytes()
+    assert rows.xi.tobytes() == X64[:, drawn.dims].T.tobytes()
+    sizes = [drawn.I1.size, drawn.I2.size]
+    op = sampled_operator(PerturbView(pair, 1), prob, drawn.X, drawn.dims, sizes)
+    assert op.dtype == np.float64 and (op - drawn.f).dtype == np.float64
+    # the exact solution's stand-in computes in float64 too
+    ev = ExactSolutionView(prob)
+    u32, sums32 = ev.jet_eval(drawn.X, drawn.dims, sizes)
+    u64, sums64 = ev.jet_eval(X64, drawn.dims, sizes)
+    assert u32.tobytes() == u64.tobytes() and sums32.tobytes() == sums64.tobytes()
+    assert ev.values(drawn.X).tobytes() == exact_solution(prob, X64).tobytes()
+
+
+def test_the_batch_dtype_is_part_of_the_batch_key():
+    prob = make_problem("none", 6, "two_body", 3)
+    s64 = SpatialSample(master=3, step=5, B=4, b=2, d=6)
+    s32 = dataclasses.replace(s64, dtype="float32")
+    assert s64.dtype == np.float64 and s32.dtype == np.float32
+    assert s64.batch_key[:4] == s32.batch_key[:4] and s64.batch_key != s32.batch_key
+    assert s32.points().dtype == np.float32 and s32.unlocked().batch_key == s32.batch_key
+    with pytest.raises(ValueError, match="batch"):
+        draw_sample(prob, s32, batch=draw_sample(prob, s64))
+    with pytest.raises(ValueError, match="float64 or float32"):
+        SpatialSample(master=3, step=5, B=4, b=2, d=6, dtype=np.float16)
 
 
 def test_drawn_sample_is_read_only_and_lends_only_its_own_batch():
