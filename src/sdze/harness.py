@@ -113,11 +113,11 @@ def _typed(kind: str, value):
 
 
 def _int_list(value) -> list[int] | None:
-    """``value`` as a list of integers >= 1, or None if it is not one."""
+    """``value`` as a list of integers, or None if it is not one."""
     if not isinstance(value, list):
         return None
     items = [_typed("int", v) for v in value]
-    return items if all(v is not None and v >= 1 for v in items) else None
+    return items if all(v is not None for v in items) else None
 
 
 def config_from_dict(raw: dict) -> SdzeConfig:
@@ -126,6 +126,8 @@ def config_from_dict(raw: dict) -> SdzeConfig:
     The config is built from the keys that passed the loader's own checks,
     so the problems it finds are reported with the loader's, by JSON key.
     """
+    if not isinstance(raw, dict):
+        raise ConfigError(f"a config must be a JSON object, got {raw!r}")
     leaves: dict = {}
     errors: list[str] = []
     _flatten(raw, "", leaves, errors)
@@ -258,6 +260,7 @@ def load_checkpoint(path: str | Path) -> tuple[list[np.ndarray], int, int]:
     """Returns (weights, step, seed); raises ``ValueError`` on bad magic or
     version, truncation, or bytes after the last layer."""
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = fh.read(4)
         if magic != _MAGIC:
             raise ValueError(f"bad checkpoint magic {magic!r}")
@@ -267,6 +270,8 @@ def load_checkpoint(path: str | Path) -> tuple[list[np.ndarray], int, int]:
         weights = []
         for _ in range(n_layers):
             rows, cols = struct.unpack("<II", _read_exact(fh, 8))
+            if rows * cols * 8 > size - fh.tell():  # read no more than the file holds
+                raise ValueError("truncated checkpoint")
             buf = _read_exact(fh, rows * cols * 8)
             weights.append(np.frombuffer(buf, dtype="<f8").reshape(rows, cols).copy())
         if fh.read(1):

@@ -23,26 +23,27 @@ still runs on one thread, so the bits do not change.
   products, the index-set rows and phi) and takes the worker's two tangent
   blocks.  The worker then only reads the pair, the sample and the problem;
   it writes only its own sign's planes on the batch and its own blocks.
-* The gate (:func:`_concurrent`).  Only a seed-locked estimate (``minus is
-  plus``) with the default loss may run concurrently: the unlocked
-  ablation's two index sets would race on the pair's one-entry rows cache,
-  and a custom loss is not known to be thread-safe.  Then
-  ``CONCURRENT_SIGNS`` forces either path; left at None it takes the
-  concurrent one when (a) the process's affinity holds at least 2 CPUs,
-  (b) the environment gives the BLAS one thread, as OpenBLAS reads it
-  (unpinned, OpenBLAS already spreads each GEMM over both cores: forcing the
-  concurrent path there left poisson100's step at 2.24-2.27 ms, against
-  2.16-2.28 serial), and (c) one sign's tangent work, B |dims| times the
-  pair's :attr:`SignPair.transport_macs`, reaches ``CONCURRENT_MIN_MACS``.
-  Below that the worker's round trip and the two threads' turns at the
-  interpreter cost more than the overlap saves.  A sweep of estimates over
-  hidden widths 32..256, B 10..200 and b 2..16 (f32, BLAS pinned, 2 cores,
-  after a 2 000-point evaluation as in ``train``) found the concurrent one
-  no faster up to 5.9 M multiply-adds and faster in every shape from 6.3 M
+* The gate (:func:`_concurrent`).  It reads only what it can observe of
+  the estimate and the process, and takes the concurrent path when all four
+  hold: (a) the sample is seed locked (``minus is plus``; the unlocked
+  ablation's two index sets would race on the pair's one-entry rows cache),
+  (b) one sign's tangent work, B |dims| times the pair's
+  :attr:`SignPair.transport_macs`, reaches ``CONCURRENT_MIN_MACS``, (c) the
+  environment gives the BLAS one thread, as OpenBLAS reads it (unpinned,
+  OpenBLAS already spreads each GEMM over both cores: the concurrent path
+  there left poisson100's step at 2.24-2.27 ms, against 2.16-2.28 serial),
+  and (d) the process's affinity holds at least 2 CPUs.  Below (b) the
+  worker's round trip and the two threads' turns at the interpreter cost
+  more than the overlap saves.  A sweep of estimates over hidden widths
+  32..256, B 10..200 and b 2..16 (f32, BLAS pinned, 2 cores, after a
+  2 000-point evaluation as in ``train``) found the concurrent one no
+  faster up to 5.9 M multiply-adds and faster in every shape from 6.3 M
   on: 5-17 % at 6.3-12.6 M, 34 % at poisson100's 52.4 M (1.31 against
   1.97 ms).  f64 crosses lower, between 0.7 and 2.6 M; the one constant
   keeps f64 shapes below 6 M serial.  Criterion 8's step (5.2 M) and the
-  depth-2 variance sweep (none) stay serial.
+  depth-2 variance sweep (none) stay serial.  Both passes call this
+  module's ``stochastic_loss``, looked up at each call, so a wrapper set on
+  the module sees every pass on either path.
 * Errors.  Either way the +eps pass's exception is raised if it has one,
   else the -eps pass's: the serial order.  The call returns or raises only
   after both passes have ended, and the worker keeps no finished task.
@@ -157,6 +158,11 @@ class SdzeConfig:
         for name, allowed in _TAGS.items():
             if getattr(self, name) not in allowed:
                 problems.append((name, f"must be one of {list(allowed)}"))
+        if not 0 <= self.seed < 2**64:  # checkpoints and stream keys hold it in 64 bits
+            problems.append(("seed", "must be in [0, 2**64)"))
+        for name in ("eps", "alpha", "gamma", "m", "c"):
+            if not np.isfinite(getattr(self, name)):
+                problems.append((name, "must be finite"))
         if self.eps <= 0:
             problems.append(("eps", "must be > 0"))
         if self.lr_mode == "annealed" and not (0.5 < self.p <= 1.0):
@@ -168,6 +174,8 @@ class SdzeConfig:
             problems.append(("steps", "must be >= 0"))
         if len(self.widths) < 2 or self.widths[-1] != 1:
             problems.append(("widths", f"must have >= 2 entries and end in 1, got {self.widths}"))
+        if any(w < 1 for w in self.widths[1:]):  # widths[0]'s minimum is the solution's
+            problems.append(("widths", f"must be a list of integers >= 1, got {self.widths}"))
         if self.widths and self.pde_solution in SOLUTIONS:
             try:
                 coefficient_count(self.pde_solution, self.widths[0])
@@ -253,10 +261,6 @@ def step_cores(master: int, subspaces: list[LayerSubspace], t: int) -> list[np.n
     ]
 
 
-# The dispatcher's one switch.  None: :func:`_concurrent` gates each
-# estimate.  True or False forces the concurrent or the serial path wherever
-# the sample is locked and the loss is the default one.
-CONCURRENT_SIGNS: bool | None = None
 # per-sign tangent multiply-adds from which the concurrent path is faster
 # (module docstring)
 CONCURRENT_MIN_MACS = 6_000_000
@@ -286,12 +290,10 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _concurrent(pair: SignPair, plus: DrawnSample, minus: DrawnSample, loss_fn) -> bool:
-    """Whether the two passes of an estimate run on two threads (module docstring)."""
-    if minus is not plus or loss_fn is not None:
+def _concurrent(pair: SignPair, plus: DrawnSample, minus: DrawnSample) -> bool:
+    """Whether an estimate's passes run on two threads: from its sample, work and the process."""
+    if minus is not plus:
         return False
-    if CONCURRENT_SIGNS is not None:
-        return CONCURRENT_SIGNS
     work = plus.X.shape[0] * plus.dims.size * pair.transport_macs
     return work >= CONCURRENT_MIN_MACS and _BLAS_ONE_THREAD and _cpu_count() >= 2
 
@@ -369,8 +371,6 @@ def directional_delta(
     problem: PdeProblem,
     plus: DrawnSample,
     minus: DrawnSample,
-    *,
-    loss_fn=None,
 ) -> tuple[float, float, float]:
     """Symmetric-difference estimate (delta, loss+, loss-) of one perturbation.
 
@@ -384,23 +384,23 @@ def directional_delta(
     passes one pair to each, which then also shares its weights and, on a
     pinned batch, its batch products (:mod:`sdze.net`).
 
-    When :func:`_concurrent` allows it, the +eps pass runs on the sign
-    worker, in a copy of this thread's context (numpy's errstate included),
-    while this thread runs the -eps pass, with the same bits (module
-    docstring).  Either way an error of the +eps pass is raised before one
-    of the -eps pass, and the call ends after both passes.
+    Each pass is a call of this module's ``stochastic_loss``.  When
+    :func:`_concurrent` allows it, the +eps pass runs on the sign worker, in a
+    copy of this thread's context (numpy's errstate included), while this
+    thread runs the -eps pass, with the same bits (module docstring).  Either
+    way an error of the +eps pass is raised before one of the -eps pass, and
+    the call ends after both passes.
     """
-    eval_loss = loss_fn if loss_fn is not None else stochastic_loss
-    if not _concurrent(pair, plus, minus, loss_fn):
-        lp = eval_loss(PerturbView(pair, 1), problem, plus)
-        lm = eval_loss(PerturbView(pair, -1), problem, minus)
+    if not _concurrent(pair, plus, minus):
+        lp = stochastic_loss(PerturbView(pair, 1), problem, plus)
+        lm = stochastic_loss(PerturbView(pair, -1), problem, minus)
     else:
         pair.share(plus.X, plus.dims)
         worker = _sign_worker()
         blocks = worker.tangent_blocks(pair.tangent_words(plus.X.shape[0]), pair.dtype)
-        reply = worker.submit(eval_loss, PerturbView(pair, 1, blocks), problem, plus)
+        reply = worker.submit(stochastic_loss, PerturbView(pair, 1, blocks), problem, plus)
         try:
-            lm = eval_loss(PerturbView(pair, -1), problem, minus)
+            lm = stochastic_loss(PerturbView(pair, -1), problem, minus)
         finally:
             lp, err = reply.get()  # the +eps pass has ended
             if err is not None:
@@ -428,8 +428,6 @@ def sdze_step(
     problem: PdeProblem,
     cfg: SdzeConfig,
     t: int,
-    *,
-    loss_fn=None,
 ) -> StepRecord:
     """One step; mutates ``params`` and refreshes ``subspaces``.
 
@@ -439,7 +437,8 @@ def sdze_step(
     returned in the record without an update.  Weights past the range of the
     step dtype, or a jet sweep whose arithmetic overflows it, leave no loss
     to form, so their estimate is non-finite: the error names the layer and
-    the dtype.
+    the dtype.  The two passes run in :func:`directional_delta`, on one
+    thread or two as its gate picks, with the same bits either way.
     """
     t0 = time.perf_counter()
     for l in range(len(subspaces)):
@@ -450,7 +449,7 @@ def sdze_step(
     try:
         with np.errstate(over="raise"):  # in both passes, on either path
             pair = SignPair(params, subspaces, cores, cfg.eps, DTYPES[cfg.dtype])
-            delta, lp, lm = directional_delta(pair, problem, drawn, minus, loss_fn=loss_fn)
+            delta, lp, lm = directional_delta(pair, problem, drawn, minus)
     except FloatingPointError as err:
         cause, delta, lp, lm = str(err), np.nan, np.nan, np.nan
     pair = None  # one pair per step, freed before the update below changes params
@@ -472,8 +471,6 @@ def sdze_step_naive(
     problem: PdeProblem,
     cfg: SdzeConfig,
     t: int,
-    *,
-    loss_fn=None,
 ) -> StepRecord:
     """:func:`sdze_step` unlocked, whatever ``cfg.crns`` says.
 
@@ -481,7 +478,7 @@ def sdze_step_naive(
     it, and goes when the benchmark drops that target.
     """
     unlocked = replace(cfg, crns=False)
-    return sdze_step(params, subspaces, problem, unlocked, t, loss_fn=loss_fn)
+    return sdze_step(params, subspaces, problem, unlocked, t)
 
 
 @dataclass

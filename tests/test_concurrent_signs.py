@@ -1,8 +1,9 @@
 """The two passes of an estimate on two threads: same bits, same errors, same memory.
 
-Every test picks its path through ``optimizer.CONCURRENT_SIGNS``, the
-dispatcher's switch, not through the work-size gate: most shapes here are
-below the gate.
+Every test that needs one path forces it through the gate's own inputs
+(:func:`force_path`), so the real gate picks it; the helper moves the work
+threshold, which most shapes here are below.  A test that injects a loss
+sets ``optimizer.stochastic_loss``, which both passes call.
 """
 
 import dataclasses
@@ -47,10 +48,17 @@ def estimate_cfg(**over):
     return SdzeConfig(**base)
 
 
-def estimate(cfg, t=1, concurrent=None, monkeypatch=None):
+def force_path(monkeypatch, concurrent):
+    """Make the gate pick the concurrent path, or the serial one, for every
+    locked estimate: a pinned BLAS, 2 CPUs, and a work threshold of 0 or
+    above any work."""
+    monkeypatch.setattr(optimizer, "_BLAS_ONE_THREAD", True)
+    monkeypatch.setattr(optimizer, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(optimizer, "CONCURRENT_MIN_MACS", 0 if concurrent else float("inf"))
+
+
+def estimate(cfg, t=1):
     """``directional_delta`` of step ``t``'s perturbation on a fresh pair."""
-    if monkeypatch is not None:
-        monkeypatch.setattr(optimizer, "CONCURRENT_SIGNS", concurrent)
     prob = cfg.make_problem()
     params = cfg.init_params()
     subs = make_subspaces(params, cfg)
@@ -82,8 +90,10 @@ def test_both_paths_give_the_same_bits(monkeypatch, depth, bias, act, dtype):
     cfg = estimate_cfg(widths=HIDDEN[depth], bias=bias, activation=act, dtype=dtype)
     seen = record_passes(monkeypatch)
     for t in (1, 2):
-        serial = estimate(cfg, t, False, monkeypatch)
-        concurrent = estimate(cfg, t, True, monkeypatch)
+        force_path(monkeypatch, False)
+        serial = estimate(cfg, t)
+        force_path(monkeypatch, True)
+        concurrent = estimate(cfg, t)
         assert concurrent == serial
         assert serial[1] != serial[2]
     # serial: both passes here; concurrent: the +eps pass on the worker
@@ -99,7 +109,7 @@ def test_a_pinned_batch_sweep_gives_the_same_rows_on_both_paths(monkeypatch):
     params = estimate_cfg(dtype="f32").init_params()
     rows = {}
     for concurrent in (False, True):
-        monkeypatch.setattr(optimizer, "CONCURRENT_SIGNS", concurrent)
+        force_path(monkeypatch, concurrent)
         rows[concurrent] = crns_variance_sweep(
             prob, params, rank=3, eps_list=[1e-2, 1e-3], replicates=6, B=7, b=4, master=4,
             dtype="f32",
@@ -111,10 +121,10 @@ def test_callers_on_many_threads_share_the_worker(monkeypatch):
     # four callers, each with its own batch size (so the worker's kept
     # blocks grow and are replaced while tasks hold the old ones), race for
     # the one worker with thread switches forced every microsecond
-    monkeypatch.setattr(optimizer, "CONCURRENT_SIGNS", False)
+    force_path(monkeypatch, False)
     cfgs = [estimate_cfg(widths=[20, 12, 10, 8, 1], batch_B=B, dtype="f32") for B in (3, 9, 5, 12)]
     want = [[estimate(cfg, t) for t in (1, 2, 3)] for cfg in cfgs]
-    monkeypatch.setattr(optimizer, "CONCURRENT_SIGNS", True)
+    force_path(monkeypatch, True)
     got = [None] * len(cfgs)
 
     def caller(k):
@@ -154,12 +164,13 @@ def test_errors_come_in_the_serial_order_after_both_passes(monkeypatch, concurre
             ended.append(view.sign)
 
     monkeypatch.setattr(optimizer, "stochastic_loss", failing_loss)
+    force_path(monkeypatch, concurrent)
     if failing:
         with pytest.raises(PassError) as err:
-            estimate(estimate_cfg(), 1, concurrent, monkeypatch)
+            estimate(estimate_cfg())
         assert err.value.args == (failing[0],)
     else:
-        estimate(estimate_cfg(), 1, concurrent, monkeypatch)
+        estimate(estimate_cfg())
     # no pass is still running once the call has returned or raised
     ran_minus = concurrent or 1 not in failing
     assert sorted(ended) == ([-1, 1] if ran_minus else [1])
@@ -167,9 +178,10 @@ def test_errors_come_in_the_serial_order_after_both_passes(monkeypatch, concurre
 
 def test_a_callers_errstate_reaches_the_worker(monkeypatch):
     seen = record_passes(monkeypatch)
+    force_path(monkeypatch, True)
     with np.errstate(under="raise", divide="ignore", invalid="print", over="raise"):
         want = np.geterr()
-        estimate(estimate_cfg(), 1, True, monkeypatch)
+        estimate(estimate_cfg())
     assert want != np.geterr()
     assert {sign: err for sign, _, err in seen} == {1: want, -1: want}
     assert len({thread for _, thread, _ in seen}) == 2
@@ -177,7 +189,7 @@ def test_a_callers_errstate_reaches_the_worker(monkeypatch):
 
 def test_the_worker_drops_each_finished_task(monkeypatch):
     cfg = estimate_cfg()
-    monkeypatch.setattr(optimizer, "CONCURRENT_SIGNS", True)
+    force_path(monkeypatch, True)
     prob = cfg.make_problem()
     params = cfg.init_params()
     subs = make_subspaces(params, cfg)
@@ -204,7 +216,7 @@ def overflow_cfg(**over):
 @pytest.mark.parametrize("concurrent", [False, True])
 def test_an_overflow_in_the_sweep_is_a_divergence_naming_its_layer(monkeypatch, concurrent):
     # tier-1 runs with warnings as errors: no overflow warning may escape
-    monkeypatch.setattr(optimizer, "CONCURRENT_SIGNS", concurrent)
+    force_path(monkeypatch, concurrent)
     cfg = overflow_cfg()
     prob = cfg.make_problem()
     result = train(cfg, prob)
@@ -222,24 +234,23 @@ def test_an_overflow_in_the_sweep_is_a_divergence_naming_its_layer(monkeypatch, 
     assert all(np.array_equal(W, V) for W, V in zip(part.params.weights, result.params.weights))
 
 
-def test_the_gate_needs_pinned_blas_two_cpus_enough_work_and_a_locked_default_loss(monkeypatch):
+def test_the_gate_needs_a_locked_sample_enough_work_pinned_blas_two_cpus(monkeypatch):
     monkeypatch.setattr(optimizer, "_BLAS_ONE_THREAD", True)
     monkeypatch.setattr(optimizer, "_cpu_count", lambda: 2)
 
-    def gate(cfg, locked=True, loss_fn=None):
+    def gate(cfg, locked=True):
         prob = cfg.make_problem()
         params = cfg.init_params()
         subs = make_subspaces(params, cfg)
         plus, minus = draw_signs(prob, dataclasses.replace(cfg, crns=locked), 1)
         pair = SignPair(params, subs, step_cores(cfg.seed, subs, 1), cfg.eps)
-        return optimizer._concurrent(pair, plus, minus, loss_fn)
+        return optimizer._concurrent(pair, plus, minus)
 
     # poisson100's step: 100 points x 32 directions x 128 x 128 = 52.4 M
     big = SdzeConfig(widths=[100, 128, 128, 1], bias=True, dtype="f32")
     assert 100 * 32 * 128 * 128 >= optimizer.CONCURRENT_MIN_MACS
     assert gate(big)
     assert not gate(big, locked=False)
-    assert not gate(big, loss_fn=optimizer.stochastic_loss)
     # crns-sweep's net has one hidden layer: no tangent work
     assert not gate(SdzeConfig(widths=[100, 64, 1], batch_B=20))
     # criterion 8's shapes: 20 x 16 x 128 x 128 = 5.2 M; 24 points reach 6.3 M
@@ -249,14 +260,6 @@ def test_the_gate_needs_pinned_blas_two_cpus_enough_work_and_a_locked_default_lo
     assert not gate(big)
     monkeypatch.setattr(optimizer, "_cpu_count", lambda: 2)
     monkeypatch.setattr(optimizer, "_BLAS_ONE_THREAD", False)
-    assert not gate(big)
-    # the switch forces either path, but never an unlocked or a custom loss
-    monkeypatch.setattr(optimizer, "CONCURRENT_SIGNS", True)
-    assert gate(SdzeConfig(widths=[100, 64, 1], batch_B=20))
-    assert not gate(big, locked=False)
-    assert not gate(big, loss_fn=optimizer.stochastic_loss)
-    monkeypatch.setattr(optimizer, "CONCURRENT_SIGNS", False)
-    monkeypatch.setattr(optimizer, "_BLAS_ONE_THREAD", True)
     assert not gate(big)
 
 
@@ -377,7 +380,7 @@ def test_concurrent_estimate_memory(monkeypatch, peak_spans):
             return SignPair(params, subs, cores, cfg.eps)
 
         peak_spans.calls.clear()
-        monkeypatch.setattr(optimizer, "CONCURRENT_SIGNS", True)
+        force_path(monkeypatch, True)
         monkeypatch.setattr(optimizer, "stochastic_loss", loss)
         want = estimate_span(pair(), prob, plus, plus)
         whole[d] = peak_spans.peaks("estimate")[-1]
@@ -388,7 +391,7 @@ def test_concurrent_estimate_memory(monkeypatch, peak_spans):
         assert estimate_span(shared, prob, plus, plus) == want
         sweeps[d] = peak_spans.peaks("estimate")[-1]
 
-        monkeypatch.setattr(optimizer, "CONCURRENT_SIGNS", False)
+        force_path(monkeypatch, False)
         monkeypatch.setattr(optimizer, "stochastic_loss", loss)
         peak_spans.wrap(optimizer, "stochastic_loss", key=lambda view, problem, drawn: view.sign)
         assert directional_delta(pair(), prob, plus, plus) == want

@@ -227,6 +227,16 @@ def _edited(**blocks):
         (lambda raw: SdzeConfig(activation="relu"), ConfigError, "^activation must be one of"),
         (lambda raw: SdzeConfig(widths=[3]), ConfigError, "^widths must have >= 2 entries"),
         (lambda raw: SdzeConfig(widths=[5, 6, 2]), ConfigError, "^widths must have >= 2 entries"),
+        (
+            lambda raw: SdzeConfig(widths=[10, 0, 1]),
+            ConfigError,
+            r"^widths must be a list of integers >= 1, got \[10, 0, 1\]",
+        ),
+        (
+            lambda raw: SdzeConfig(widths=[10, -3, 1]),
+            ConfigError,
+            r"^widths must be a list of integers >= 1, got \[10, -3, 1\]",
+        ),
         (lambda raw: SdzeConfig(pde_solution="x"), ConfigError, "^pde_solution must be one of"),
         (lambda raw: SdzeConfig(normalization="x"), ConfigError, "^normalization must be one of"),
         (
@@ -246,6 +256,8 @@ def _edited(**blocks):
         "code_activation",
         "code_one_width",
         "code_wide_output",
+        "code_zero_width",
+        "code_negative_width",
         "code_solution",
         "code_normalization",
         "code_dim",
@@ -268,6 +280,34 @@ def test_list_keys_must_be_lists_of_positive_integers(tmp_path):
             config_from_dict(raw)
     cfg = config_from_dict(tiny_config(tmp_path, net={"widths": [5, 6.0, 1]}))
     assert cfg.widths == [5, 6, 1] and all(isinstance(w, int) for w in cfg.widths)
+
+
+@pytest.mark.parametrize("name", ["eps", "alpha", "gamma", "m", "c"])
+def test_real_fields_must_be_finite(tmp_path, name):
+    key = "sdze.eps" if name == "eps" else f"sdze.lr.{name}"
+    for value in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ConfigError, match=f"^{name} must be finite"):
+            SdzeConfig(**{name: value})
+        raw = tiny_config(tmp_path)
+        (raw["sdze"] if name == "eps" else raw["sdze"]["lr"])[name] = value
+        # the JSON text spells it NaN, Infinity or -Infinity
+        with pytest.raises(ConfigError, match=f"^{key} must be finite"):
+            config_from_dict(json.loads(json.dumps(raw)))
+
+
+def test_the_seed_must_fit_in_64_bits(tmp_path):
+    for seed in (-1, 2**64):
+        with pytest.raises(ConfigError, match=r"^seed must be in \[0, 2\*\*64\)"):
+            SdzeConfig(seed=seed)
+        with pytest.raises(ConfigError, match=r"^seed must be in"):
+            config_from_dict(tiny_config(tmp_path, seed=seed))
+    assert config_from_dict(tiny_config(tmp_path, seed=2**64 - 1)).seed == 2**64 - 1
+
+
+@pytest.mark.parametrize("raw", [[1], "x", 3, None])
+def test_a_config_that_is_not_an_object_is_a_config_error(raw):
+    with pytest.raises(ConfigError, match="a config must be a JSON object"):
+        config_from_dict(raw)
 
 
 def test_delta_variance_estimates_in_the_config_dtype(tmp_path):
@@ -336,6 +376,11 @@ def test_checkpoint_bad_magic_and_truncation(tmp_path):
     (tmp_path / "vers.sdze").write_bytes(bad_version)
     with pytest.raises(ValueError, match="version"):
         load_checkpoint(tmp_path / "vers.sdze")
+    # a layer header of 0xFFFFFFFF x 0xFFFFFFFF is refused from the file's
+    # size, before a read asks for its values
+    (tmp_path / "huge.sdze").write_bytes(data[:28] + b"\xff" * 8 + data[36:])
+    with pytest.raises(ValueError, match="^truncated checkpoint$"):
+        load_checkpoint(tmp_path / "huge.sdze")
 
 
 def test_checkpoint_io_is_atomic_and_rejects_extra_or_missing_bytes(tmp_path):

@@ -73,7 +73,7 @@ def test_config_collects_all_errors():
     assert "eval_every must be >= 1" in msg and "test_points must be >= 1" in msg
 
 
-def test_quadratic_surrogate_delta_is_exact_for_any_eps():
+def test_quadratic_surrogate_delta_is_exact_for_any_eps(monkeypatch):
     # central differences are exact on quadratics: delta = grad^T (P z)
     cfg = small_cfg(eps=0.5, batch_b=2)
     prob = make_problem("none", 6, "two_body", cfg.seed)
@@ -96,7 +96,8 @@ def test_quadratic_surrogate_delta_is_exact_for_any_eps():
         th = np.concatenate(theta)
         return float(th @ Hm @ th)
 
-    rec = sdze_step(params, subs, prob, cfg, 1, loss_fn=quad_loss)
+    monkeypatch.setattr(optimizer, "stochastic_loss", quad_loss)
+    rec = sdze_step(params, subs, prob, cfg, 1)
     grad = 2 * Hm @ flatten_params(params)
     pz = np.concatenate(
         [
@@ -206,7 +207,7 @@ def test_richardson_eps_squared_truncation():
     assert 3.5 <= top / bot <= 4.5
 
 
-def test_divergence_handling_locked_vs_naive():
+def test_divergence_handling_locked_vs_naive(monkeypatch):
     cfg = small_cfg()
     prob = make_problem("none", 6, "two_body", cfg.seed)
     params = init_mlp(cfg.widths, "sin", cfg.seed)
@@ -215,13 +216,12 @@ def test_divergence_handling_locked_vs_naive():
     def bad_loss(view, problem, drawn):
         return np.inf if view.sign > 0 else 1.0
 
+    monkeypatch.setattr(optimizer, "stochastic_loss", bad_loss)
     with pytest.raises(SdzeDivergenceError) as err:
-        sdze_step(params, subs, prob, cfg, 3, loss_fn=bad_loss)
+        sdze_step(params, subs, prob, cfg, 3)
     assert err.value.step == 3 and err.value.sample.step == 3
 
-    rec = sdze_step(
-        params, subs, prob, dataclasses.replace(cfg, crns=False), 3, loss_fn=bad_loss
-    )
+    rec = sdze_step(params, subs, prob, dataclasses.replace(cfg, crns=False), 3)
     assert not np.isfinite(rec.delta_hat)  # recorded, not raised
     assert rec.wall_ms > 0  # and timed like any other step
 
