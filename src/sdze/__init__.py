@@ -49,6 +49,7 @@ from .subspace import (
     refresh_bases,
     sample_core,
 )
+from .workspace import Workspace
 
 __all__ = [
     "MlpParams",
@@ -57,6 +58,7 @@ __all__ = [
     "SignPair",
     "StepRecord",
     "TrainResult",
+    "Workspace",
     "Role",
     "RngStream",
     "StreamKey",

@@ -44,6 +44,7 @@ from .optimizer import (
     train,
 )
 from .spatial import PdeProblem
+from .workspace import Workspace
 
 # Dotted JSON path -> SdzeConfig field.  pde.dim has no field of its own: it
 # is widths[0], and an absent net.widths loads as [pde.dim, 128, 128, 1].
@@ -439,10 +440,12 @@ def delta_variance(cfg: SdzeConfig, problem: PdeProblem, replicates: int = 200) 
     params = cfg.init_params()
     subspaces = make_subspaces(params, cfg)
     cores = step_cores(cfg.seed, subspaces, 0)
-    # one perturbation: every replicate reads the same pair's weights
-    pair = SignPair(params, subspaces, cores, cfg.eps, DTYPES[cfg.dtype])
+    # one perturbation: every replicate reads the same pair's weights, and
+    # each replicate's draw and planes replace the last one's in the workspace
+    work = Workspace()
+    pair = SignPair(params, subspaces, cores, cfg.eps, DTYPES[cfg.dtype], work)
     deltas = [
-        directional_delta(pair, problem, *draw_signs(problem, cfg, k))[0]
+        directional_delta(pair, problem, *draw_signs(problem, cfg, k, work))[0]
         for k in range(1, replicates + 1)
     ]
     return float(np.var(np.asarray(deltas), ddof=1))

@@ -32,8 +32,8 @@ of a plain pair (:func:`plain_view`), or +1 or -1 of a perturbed pair, whose
 two signs are the +eps and -eps views of one estimate (:func:`sign_views`).
 The pair owns everything the signs share.  When it is built it forms W_0 in
 the step dtype, the core eps Z_0 and each sign's hidden weights: one E_l per
-layer gives W_l + E_l, then W_l - E_l in E_l's own buffer, so no E_l
-outlives its layer.  For a batch X it forms the products X W_0 and
+layer gives W_l + E_l and W_l - E_l, each formed in float64 and rounded
+once to the step dtype, so no E_l outlives its layer.  For a batch X it forms the products X W_0 and
 X (eps DW_0); for an index set I the seed rows W_0[I] and (eps DW_0)[I];
 and phi(X) and X[:, I] of the ansatz.  Each sign then adds or subtracts the
 perturbation term and forms its own activations and tangent blocks.
@@ -66,9 +66,22 @@ The two signs of an estimate may run on two threads
 (:func:`sdze.optimizer.directional_delta`).  The caller then forms every
 sign-independent term first (:meth:`SignPair.share`), so a sweep writes
 nothing the other sign reads: only its own sign's entry of the batch's
-planes, and its tangent blocks.  The thread that runs the +eps pass
-transports its tangents in two kept blocks (``PerturbView.blocks``), so it
-neither grows a heap of its own nor allocates them per estimate.
+planes, and its tangent blocks.
+
+A pair built with a workspace (:mod:`sdze.workspace`), as each training
+step builds one, writes the arrays it forms into the workspace's buffers,
+with the same bits: its weights and batch products under names of their
+own; each sign's values, sigma' and sigma'' planes and adjoint under names
+of that sign; and what dies within a call (the pre-activations and sigma of
+a layer, the adjoint's products, the tangent blocks and their squares) in
+scratch of the thread that runs it.  So every thread that runs a jet sweep,
+the sign worker, the caller's -eps pass or the serial path, transports its
+tangents in kept blocks, and a run's steps allocate none of these arrays.
+Without a workspace each is allocated as it is formed.  The arrays of one
+index set (the seed rows, X[:, I] and g1: |I| h and |I| B words) are
+allocated either way: at poisson100's shapes they are 13-26 KB, which the
+heap serves with no page faults, while taking them from a workspace cost
+the variance sweep's read-only estimates 3 %.
 
 All jet code lives here, and :func:`jet_sums` is its one entry point.  The
 maximum order is 2, the order of every supported operator.
@@ -97,7 +110,6 @@ weights, bases and cores the optimizer keeps.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -107,6 +119,7 @@ import numpy as np
 
 from .rng import Role, StreamKey, derive_stream
 from .subspace import LayerSubspace, delta_rows, perturb_product, rank_r_delta
+from .workspace import Workspace, buffer
 
 
 # the supported activation tags
@@ -140,24 +153,30 @@ def activation_triple(act: str):
     raise ValueError(f"unknown activation tag: {act!r}")
 
 
-def activation_planes(act: str, G: np.ndarray, derivs: bool, out: np.ndarray | None = None):
+def activation_planes(act: str, G: np.ndarray, derivs: bool, out=None, deriv_out=(None, None)):
     """sigma(G) and, with ``derivs``, sigma'(G) and sigma''(G) from one evaluation.
 
     Bitwise equal to :func:`activation_triple`: sin gives sigma'' = -sigma by
     exact negation, and tanh_scaled forms tanh and 1 - t^2 once, with the same
     expressions.  Without ``derivs`` the derivative planes are None.  Sigma
-    is written to ``out`` when one is given; that may be ``G`` itself only
-    without ``derivs``, since the derivative planes read ``G`` after sigma.
+    is written to ``out`` and the derivative planes to ``deriv_out`` where
+    they are given; ``out`` may be ``G`` itself only without ``derivs``,
+    since the derivative planes read ``G`` after sigma.
     """
     if act == "sin":
         s = np.sin(G, out=out)
-        return (s, np.cos(G), np.negative(s)) if derivs else (s, None, None)
+        if not derivs:
+            return s, None, None
+        return s, np.cos(G, out=deriv_out[0]), np.negative(s, out=deriv_out[1])
     _check_activation(act)
     t = np.tanh(G, out=out)
     if not derivs:
         return t, None, None
-    q = 1.0 - t * t
-    return t, q, -2.0 * t * q
+    q = np.multiply(t, t, out=deriv_out[0])  # 1 - t * t
+    np.subtract(1.0, q, out=q)
+    t2 = np.multiply(-2.0, t, out=deriv_out[1])  # -2 t * q
+    t2 *= q
+    return t, q, t2
 
 
 @dataclass
@@ -222,14 +241,10 @@ class PerturbView:
 
     Sign 0 reproduces the unperturbed network bitwise.  A view reads its pair,
     which lives as the module docstring says: until ``params`` change.
-    ``blocks`` are two buffers of at least :meth:`SignPair.tangent_words`
-    words of the step dtype that its jet sweeps transport tangents in;
-    without them each block is allocated.
     """
 
     pair: SignPair
     sign: int = 0
-    blocks: tuple[np.ndarray, np.ndarray] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.sign not in ((1, -1) if self.pair.perturbed else (0,)):
@@ -268,11 +283,13 @@ def sign_views(
     return PerturbView(pair, 1), PerturbView(pair, -1)
 
 
-def _signed(shared: np.ndarray, term: np.ndarray | None, sign: int) -> np.ndarray:
-    """``shared + sign * term``; the sign is applied exactly, by adding or subtracting."""
+def _signed(shared: np.ndarray, term: np.ndarray | None, sign: int, work=None, name=None):
+    """``shared + sign * term``, in ``work``'s buffer ``name`` if given; the sign is
+    applied exactly, by adding or subtracting.  Sign 0 returns ``shared`` itself."""
     if sign == 0:
         return shared
-    return shared + term if sign > 0 else shared - term
+    out = work and work.take(name, shared.shape, shared.dtype)
+    return (np.add if sign > 0 else np.subtract)(shared, term, out=out)
 
 
 @dataclass(eq=False)
@@ -306,15 +323,23 @@ def _reusable(cached: np.ndarray, new: np.ndarray) -> bool:
     return cached is new and not new.flags.writeable
 
 
-def _cast(W: np.ndarray, dtype: np.dtype, layer: int) -> np.ndarray:
-    """Layer ``layer``'s weights ``W`` in the step dtype; a value outside its range raises."""
-    with np.errstate(over="raise"):
-        try:
-            return W.astype(dtype, copy=False)
-        except FloatingPointError:
-            raise FloatingPointError(
-                f"layer {layer} weights overflow the step dtype {dtype.name}"
-            ) from None
+def _cast_into(W: np.ndarray, out: np.ndarray) -> None:
+    np.copyto(out, W, casting="same_kind")
+
+
+def _layer_weights(layer: int, dtype: np.dtype, work, name, op, *operands) -> np.ndarray:
+    """Layer ``layer``'s weights ``op(*operands, out=...)``, formed in float64 and
+    rounded to the step dtype in ``work``'s buffer ``name``.  Under
+    ``np.errstate(over="raise")`` a value outside the dtype's range raises
+    ``FloatingPointError`` naming the layer."""
+    out = buffer(work, name, operands[0].shape, dtype)
+    try:
+        op(*operands, out=out)
+    except FloatingPointError:
+        raise FloatingPointError(
+            f"layer {layer} weights overflow the step dtype {dtype.name}"
+        ) from None
+    return out
 
 
 class SignPair:
@@ -324,6 +349,9 @@ class SignPair:
     -1; plain, from ``params`` alone, its sign is 0.  Each sign's layer weights
     are formed here, from ``params`` as they are now; a weight outside the
     range of the step dtype raises ``FloatingPointError`` naming its layer.
+    ``work``, a :class:`~sdze.workspace.Workspace`, holds the arrays the pair
+    and its sweeps form but those of an index set (module docstring); its
+    owner builds one pair at a time, and drops it before the next.
     :meth:`batch` and :meth:`rows` return their last result again for the
     same read-only arrays, which is how the -eps pass, and any later estimate
     of the pair on the same arrays, reuses what an earlier pass formed.  The
@@ -338,25 +366,41 @@ class SignPair:
     """
 
     def __init__(
-        self, params: MlpParams, subspaces=None, cores=None, eps: float = 0.0, dtype=np.float64
+        self,
+        params: MlpParams,
+        subspaces=None,
+        cores=None,
+        eps: float = 0.0,
+        dtype=np.float64,
+        work: Workspace | None = None,
     ):
         self.params = params
         self.subspaces, self.cores, self.eps = subspaces, cores, eps
         self.dtype = np.dtype(dtype)
-        self.W0 = _cast(params.weights[0], self.dtype, 0)
+        self.work = work
         self.perturbed = cores is not None
+
+        def cast(l, W):  # the master weights as they are, in the step dtype
+            if W.dtype == self.dtype:
+                return W
+            return _layer_weights(l, self.dtype, work, ("W", 0, l), _cast_into, W)
+
         later = list(enumerate(params.weights[1:], 1))
-        if not self.perturbed:
-            self._weights = {0: [self.W0] + [_cast(W, self.dtype, l) for l, W in later]}
-        else:
-            self.sub0 = subspaces[0]
-            self.core0 = np.asarray(eps * cores[0], dtype=self.dtype)
-            plus, minus = [self.W0], [self.W0]
-            for (l, W), s, Z in zip(later, subspaces[1:], cores[1:]):
-                E = rank_r_delta(s, Z, eps)
-                plus.append(_cast(W + E, self.dtype, l))
-                minus.append(_cast(np.subtract(W, E, out=E), self.dtype, l))
-            self._weights = {1: plus, -1: minus}
+        with np.errstate(over="raise"):
+            self.W0 = cast(0, params.weights[0])
+            if not self.perturbed:
+                self._weights = {0: [self.W0] + [cast(l, W) for l, W in later]}
+            else:
+                self.sub0 = subspaces[0]
+                self.core0 = np.asarray(eps * cores[0], dtype=self.dtype)
+                plus, minus = [self.W0], [self.W0]
+                for (l, W), s, Z in zip(later, subspaces[1:], cores[1:]):
+                    E = rank_r_delta(s, Z, eps, work and work.take(0, W.shape, np.float64), work)
+                    plus.append(_layer_weights(l, self.dtype, work, ("W", 1, l), np.add, W, E))
+                    minus.append(
+                        _layer_weights(l, self.dtype, work, ("W", -1, l), np.subtract, W, E)
+                    )
+                self._weights = {1: plus, -1: minus}
         self._batch: _Batch | None = None
         self._rows: _Rows | None = None
 
@@ -364,27 +408,35 @@ class SignPair:
         """X W_0 and the implicit X (eps DW_0) of a batch, in the step dtype.
 
         A batch already in the step dtype is read as is, with no B x d cast.
+        Only a read-only X is kept for the passes after this one: a writable
+        one is never read again (``_reusable``), so its products stay
+        writable and a pass without derivatives may overwrite them.
         """
         cached = self._batch
         if cached is not None and _reusable(cached.X, X):
             return cached
-        params = self.params
+        params, work = self.params, self.work
         if X.ndim != 2 or X.shape[1] != params.dim:
             raise ValueError(f"input shape {X.shape} does not match dim {params.dim}")
         H = X.astype(self.dtype, copy=False)
         W = self.W0
-        G0 = H @ (W[:-1] if params.bias else W)
+        shape = (X.shape[0], W.shape[1])
+        out = work and work.take("G0", shape, self.dtype)
+        G0 = np.matmul(H, W[:-1] if params.bias else W, out=out)
         if params.bias:
             G0 += W[-1]
         P = None
         if self.perturbed:
-            P = perturb_product(H, self.sub0, self.core0, tail="one" if params.bias else None)
-        # both signs and every later sweep on X read them
-        for a in (G0, P):
-            if a is not None:
-                a.flags.writeable = False
-        self._batch = _Batch(X, G0, P)
-        return self._batch
+            tail = "one" if params.bias else None
+            out = work and work.take("P", shape, self.dtype)
+            P = perturb_product(H, self.sub0, self.core0, tail, out)
+        batch = _Batch(X, G0, P)
+        if not X.flags.writeable:  # both signs and every later sweep on X read them
+            for a in (G0, P):
+                if a is not None:
+                    a.flags.writeable = False
+            self._batch = batch
+        return batch
 
     def rows(self, batch: _Batch, dims: np.ndarray) -> _Rows:
         """Input-layer seed rows and coordinates of ``batch`` along ``dims``."""
@@ -416,15 +468,6 @@ class SignPair:
         h = self.params.widths[1:-1]
         return sum(a * b for a, b in zip(h, h[1:]))
 
-    def tangent_words(self, B: int) -> int:
-        """Words of the step dtype each tangent block of a sweep on B points takes.
-
-        ``JET_CHUNK`` x B x h_max, h_max the widest hidden layer; 0 when no
-        tangent crosses a layer.
-        """
-        h = self.params.widths[1:-1]
-        return JET_CHUNK * B * max(h) if len(h) > 1 else 0
-
     def weights(self, sign: int) -> list[np.ndarray]:
         """Layer weights in the step dtype, as one sweep at ``sign`` multiplies them.
 
@@ -443,29 +486,43 @@ def _primal(view: PerturbView, X: _Batch, weights: list[np.ndarray], derivs: boo
     layer, which the tangent transport of a jet sweep reuses for all
     directions.  Each hidden layer evaluates its activation once
     (:func:`activation_planes`); without ``derivs``, in place on its own
-    pre-activation from layer 1 on (layer 0's may be the batch's ``G0``).
+    pre-activation, unless that is a batch product that later passes read.
+    With ``derivs`` every plane is a buffer of the pair's workspace, if it
+    has one (:mod:`sdze.workspace`): each pre-activation in scratch 0, each
+    sigma in scratch 1, which the next pre-activation reads, and the values
+    and derivative planes, which outlive the pass, under names of their own.
     """
-    params = view.pair.params
+    pair, sign = view.pair, view.sign
+    params = pair.params
+    work = pair.work if derivs else None  # a pass without derivatives allocates
     bias = params.bias
     act = params.activation
+    depth = params.depth
+    names = [0] * (depth - 1) + [("g", sign)]
     s1s: list[np.ndarray] = []
     s2s: list[np.ndarray] = []
     l = 0
     try:
-        G = _signed(X.G0, X.P, view.sign)
-        for l in range(params.depth):
+        G = _signed(X.G0, X.P, sign, work, names[0])
+        for l in range(depth):
             if l > 0:
                 W = weights[l]
-                G = H @ (W[:-1] if bias else W)
+                out = work and work.take(names[l], (H.shape[0], W.shape[1]), H.dtype)
+                G = np.matmul(H, W[:-1] if bias else W, out=out)
                 if bias:
                     G += W[-1]
-            if l < params.depth - 1:
-                H, s1, s2 = activation_planes(act, G, derivs, out=G if l and not derivs else None)
-                if derivs:
-                    s1s.append(s1)
-                    s2s.append(s2)
-            else:
+            if l == depth - 1:
                 H = G
+            elif not derivs:
+                H = activation_planes(act, G, False, out=G if G.flags.writeable else None)[0]
+            else:
+                # s'_{L-2} is only read by the adjoint, which overwrites it (_adjoints)
+                s1 = ("lam", sign) if l == depth - 2 else ("s'", sign, l)
+                planes = [work and work.take(n, G.shape, G.dtype) for n in (s1, ("s''", sign, l))]
+                sigma = work and work.take(1, G.shape, G.dtype)
+                H, s1, s2 = activation_planes(act, G, True, sigma, planes)
+                s1s.append(s1)
+                s2s.append(s2)
     except FloatingPointError:
         raise _overflow(l, view.dtype) from None
     return H, s1s, s2s
@@ -512,13 +569,6 @@ def _overflow(layer: int, dtype: np.dtype) -> FloatingPointError:
     return FloatingPointError(f"layer {layer} jet sweep overflows the step dtype {dtype.name}")
 
 
-def _block(view: PerturbView, i: int, shape: tuple[int, ...]) -> np.ndarray | None:
-    """``shape``'s leading words of the view's tangent block ``i``; None without blocks."""
-    if view.blocks is None:
-        return None
-    return view.blocks[i][: math.prod(shape)].reshape(shape)
-
-
 def _adjoints(view: PerturbView, batch: _Batch):
     """The half of a jet sweep at ``view``'s sign that reads no index set.
 
@@ -532,7 +582,7 @@ def _adjoints(view: PerturbView, batch: _Batch):
     sign = view.sign
     if sign in batch.planes:
         return batch.planes[sign]
-    params = view.params
+    params, work = view.params, view.pair.work
     depth, weights = params.depth, view.pair.weights(sign)
     value, s1s, s2s = _primal(view, batch, weights, derivs=True)
     # lam_l, then s'_l * lam_l, last layer first; nu_l overwrites s''_l (read by
@@ -545,9 +595,14 @@ def _adjoints(view: PerturbView, batch: _Batch):
         try:
             for l in range(depth - 2, -1, -1):
                 s2s[l] *= lam
-                lam = np.multiply(s1s[l], lam, out=s1s[l] if l == depth - 2 else None)
+                s1 = s1s[l]
+                out = s1 if l == depth - 2 else (
+                    work and work.take(("lam", sign), s1.shape, s1.dtype)
+                )
+                lam = np.multiply(s1, lam, out=out)
                 if l:
-                    lam = lam @ lin[l].T
+                    shape = (lam.shape[0], lin[l].shape[0])
+                    lam = np.matmul(lam, lin[l].T, out=work and work.take(1, shape, s1.dtype))
         except FloatingPointError:
             raise _overflow(l, view.dtype) from None
     g, s1s = value[:, 0], s1s[: max(depth - 2, 0)]
@@ -578,9 +633,9 @@ def _raw_jets(view: PerturbView, batch: _Batch, rows: _Rows, starts: list[int]):
     is formed per call and only reads those planes: g1 is one GEMM of the
     seed rows, and first-order tangents cross layers 1 .. L-2 only, in blocks
     of at most ``JET_CHUNK`` directions of one set, one GEMM per layer and
-    block.  No (b, B, d) tangent block is ever formed; with ``view.blocks``
-    the blocks are written into those buffers, with the same bits, instead of
-    new ones.  Everything sign-independent comes from the view's pair,
+    block.  No (b, B, d) tangent block is ever formed; with the pair's
+    workspace the blocks are its calling thread's scratch 0 and 1, with the
+    same bits.  Everything sign-independent comes from the view's pair,
     ``batch`` and ``rows``.
 
     Under ``np.errstate(over="raise")``, which a training step sets for both
@@ -593,7 +648,7 @@ def _raw_jets(view: PerturbView, batch: _Batch, rows: _Rows, starts: list[int]):
     per-set sums of second derivatives g2 (len(starts), B).
     """
     pair, sign, params = view.pair, view.sign, view.params
-    depth = params.depth
+    depth, work = params.depth, pair.work
     g, s1s, nus, lam0 = _adjoints(view, batch)
     B = g.shape[0]
     l = 0
@@ -616,16 +671,19 @@ def _raw_jets(view: PerturbView, batch: _Batch, rows: _Rows, starts: list[int]):
             for c0 in range(bounds[s], bounds[s + 1], JET_CHUNK):
                 k = min(JET_CHUNK, bounds[s + 1] - c0)
                 tg = seed_rows[c0 : c0 + k, None, :]
-                tg = np.multiply(tg, s1s[0], out=_block(view, 0, (k, B, tg.shape[-1])))
+                block = work and work.take(0, (k, B, tg.shape[-1]), pair.dtype)
+                tg = np.multiply(tg, s1s[0], out=block)
                 for l in range(1, depth - 1):
                     if l > 1:
                         tg *= s1s[l - 1]
                     n = lin[l].shape[1]
-                    flat = np.matmul(
-                        tg.reshape(-1, tg.shape[-1]), lin[l], out=_block(view, l % 2, (k * B, n))
-                    )
+                    block = work and work.take(l % 2, (k * B, n), pair.dtype)
+                    flat = np.matmul(tg.reshape(-1, tg.shape[-1]), lin[l], out=block)
                     tg = flat.reshape(k, B, n)
-                    term = np.einsum("bh,bh->b", np.einsum("kbh,kbh->bh", tg, tg), nus[l])
+                    # the squares in the block the GEMM has read
+                    squares = work and work.take((l + 1) % 2, (B, n), pair.dtype)
+                    squares = np.einsum("kbh,kbh->bh", tg, tg, out=squares)
+                    term = np.einsum("bh,bh->b", squares, nus[l])
                     if not np.isfinite(term).all():  # einsum raises no overflow
                         raise FloatingPointError
                     g2[s] += term

@@ -20,13 +20,16 @@ still runs on one thread, so the bits do not change.
 
 * What the caller forms.  Before it hands the +eps pass over, the caller
   forms every term both passes read (:meth:`SignPair.share`: the batch
-  products, the index-set rows and phi) and takes the worker's two tangent
-  blocks.  The worker then only reads the pair, the sample and the problem;
-  it writes only its own sign's planes on the batch and its own blocks.
+  products, the index-set rows and phi).  The worker then only reads the
+  pair, the sample and the problem; it writes only its own sign's planes on
+  the batch and its own tangent blocks, which with the pair's workspace are
+  the worker thread's scratch (:mod:`sdze.workspace`).
 * The gate (:func:`_concurrent`).  It reads only what it can observe of
   the estimate and the process, and takes the concurrent path when all four
   hold: (a) the sample is seed locked (``minus is plus``; the unlocked
-  ablation's two index sets would race on the pair's one-entry rows cache),
+  ablation's two index sets would race on the pair's one-entry rows cache)
+  and read-only, as :func:`draw_sample` makes it (each pass forms the terms
+  of a writable batch again, in the same buffers of the pair's workspace),
   (b) one sign's tangent work, B |dims| times the pair's
   :attr:`SignPair.transport_macs`, reaches ``CONCURRENT_MIN_MACS``, (c) the
   environment gives the BLAS one thread, as OpenBLAS reads it (unpinned,
@@ -88,6 +91,7 @@ from .subspace import (
     sample_core,
     subspace_for_layer,
 )
+from .workspace import Workspace
 
 LR_MODES = ("constant", "annealed", "sqrt_tq")
 DTYPES = {"f64": np.float64, "f32": np.float32}
@@ -174,9 +178,12 @@ class SdzeConfig:
             problems.append(("steps", "must be >= 0"))
         if len(self.widths) < 2 or self.widths[-1] != 1:
             problems.append(("widths", f"must have >= 2 entries and end in 1, got {self.widths}"))
-        if any(w < 1 for w in self.widths[1:]):  # widths[0]'s minimum is the solution's
+        integral = all(
+            isinstance(w, (int, np.integer)) and not isinstance(w, bool) for w in self.widths
+        )
+        if not integral or any(w < 1 for w in self.widths[1:]):  # widths[0]: the solution's
             problems.append(("widths", f"must be a list of integers >= 1, got {self.widths}"))
-        if self.widths and self.pde_solution in SOLUTIONS:
+        if self.widths and integral and self.pde_solution in SOLUTIONS:
             try:
                 coefficient_count(self.pde_solution, self.widths[0])
             except ValueError as err:
@@ -295,7 +302,9 @@ def _concurrent(pair: SignPair, plus: DrawnSample, minus: DrawnSample) -> bool:
     if minus is not plus:
         return False
     work = plus.X.shape[0] * plus.dims.size * pair.transport_macs
-    return work >= CONCURRENT_MIN_MACS and _BLAS_ONE_THREAD and _cpu_count() >= 2
+    if work < CONCURRENT_MIN_MACS or not _BLAS_ONE_THREAD or _cpu_count() < 2:
+        return False
+    return not (plus.X.flags.writeable or plus.dims.flags.writeable)
 
 
 class _SignWorker:
@@ -306,23 +315,7 @@ class _SignWorker:
 
         self._tasks = queue.SimpleQueue()
         self._reply = queue.SimpleQueue  # one per task
-        self._blocks: tuple[np.ndarray, np.ndarray] | None = None
         threading.Thread(target=self._serve, name="sdze-sign", daemon=True).start()
-
-    def tangent_blocks(self, words: int, dtype: np.dtype):
-        """Two buffers of at least ``words`` words of ``dtype``, or None for 0 words.
-
-        The worker keeps them for its next tasks, and only its tasks, which
-        run one at a time, write them.  Allocated per estimate instead, at
-        poisson100's shapes they pushed the heap's free top past glibc's trim
-        threshold, and every step faulted its pages back in.
-        """
-        if not words:
-            return None
-        kept = self._blocks
-        if kept is None or kept[0].dtype != dtype or kept[0].size < words:
-            kept = self._blocks = np.empty(words, dtype), np.empty(words, dtype)
-        return kept
 
     def submit(self, fn, *args):
         """Queue ``fn(*args)`` in a copy of this context; ``get()`` on the reply
@@ -396,9 +389,7 @@ def directional_delta(
         lm = stochastic_loss(PerturbView(pair, -1), problem, minus)
     else:
         pair.share(plus.X, plus.dims)
-        worker = _sign_worker()
-        blocks = worker.tangent_blocks(pair.tangent_words(plus.X.shape[0]), pair.dtype)
-        reply = worker.submit(stochastic_loss, PerturbView(pair, 1, blocks), problem, plus)
+        reply = _sign_worker().submit(stochastic_loss, PerturbView(pair, 1), problem, plus)
         try:
             lm = stochastic_loss(PerturbView(pair, -1), problem, minus)
         finally:
@@ -409,16 +400,19 @@ def directional_delta(
     return (float(lp) - float(lm)) / (2.0 * pair.eps), float(lp), float(lm)
 
 
-def draw_signs(problem: PdeProblem, cfg: SdzeConfig, t: int) -> tuple[DrawnSample, DrawnSample]:
+def draw_signs(
+    problem: PdeProblem, cfg: SdzeConfig, t: int, work: Workspace | None = None
+) -> tuple[DrawnSample, DrawnSample]:
     """The spatial draws (plus, minus) of step ``t``, keyed by ``cfg``'s seed, B and b.
 
-    The batch is drawn and held in ``cfg``'s step dtype.  Seed locked
-    (``cfg.crns``), both passes read one draw; unlocked, the minus pass reads
-    :meth:`SpatialSample.unlocked` on the same batch.
+    The batch is drawn and held in ``cfg``'s step dtype, in ``work``'s
+    buffers when one is given.  Seed locked (``cfg.crns``), both passes read
+    one draw; unlocked, the minus pass reads :meth:`SpatialSample.unlocked`
+    on the same batch.
     """
     dtype = DTYPES[cfg.dtype]
     sample = SpatialSample(cfg.seed, t, cfg.batch_B, cfg.batch_b, problem.dim, dtype=dtype)
-    drawn = draw_sample(problem, sample)
+    drawn = draw_sample(problem, sample, work=work)
     return drawn, drawn if cfg.crns else draw_sample(problem, sample.unlocked(), batch=drawn)
 
 
@@ -428,6 +422,7 @@ def sdze_step(
     problem: PdeProblem,
     cfg: SdzeConfig,
     t: int,
+    work: Workspace | None = None,
 ) -> StepRecord:
     """One step; mutates ``params`` and refreshes ``subspaces``.
 
@@ -439,16 +434,22 @@ def sdze_step(
     to form, so their estimate is non-finite: the error names the layer and
     the dtype.  The two passes run in :func:`directional_delta`, on one
     thread or two as its gate picks, with the same bits either way.
+
+    ``work``, when given, holds the step's large temporaries (the draw, the
+    rhs, the pair's weights, products and planes, the tangent blocks and the
+    update's blocks) for the next step to rewrite: a loop of steps passes one
+    :class:`Workspace`, as :func:`train` does, and allocates none of them
+    after its first step.  The bits are the same either way.
     """
     t0 = time.perf_counter()
     for l in range(len(subspaces)):
         subspaces[l] = maybe_refresh(t, cfg.freq_F, subspaces[l])
-    drawn, minus = draw_signs(problem, cfg, t)
+    drawn, minus = draw_signs(problem, cfg, t, work)
     cores = step_cores(cfg.seed, subspaces, t)
     cause = None
     try:
         with np.errstate(over="raise"):  # in both passes, on either path
-            pair = SignPair(params, subspaces, cores, cfg.eps, DTYPES[cfg.dtype])
+            pair = SignPair(params, subspaces, cores, cfg.eps, DTYPES[cfg.dtype], work)
             delta, lp, lm = directional_delta(pair, problem, drawn, minus)
     except FloatingPointError as err:
         cause, delta, lp, lm = str(err), np.nan, np.nan, np.nan
@@ -457,7 +458,7 @@ def sdze_step(
     alpha = lr_schedule(cfg, t, q)
     if np.isfinite(delta):
         for W, s, Z in zip(params.weights, subspaces, cores):
-            apply_rank_r_update(W, s, Z, -alpha * delta)
+            apply_rank_r_update(W, s, Z, -alpha * delta, work=work)
     elif cfg.crns:
         raise SdzeDivergenceError(t, lp, lm, drawn.sample, cause)
     # else unlocked divergence: the ablation's data point, recorded without an update
@@ -514,12 +515,15 @@ def train(
     metric is evaluated at the configured cadence and at the final step.
     Resuming from a checkpoint (``init_params`` + ``start_step``) follows the
     identical trajectory because every draw is keyed by (seed, role, step).
+    The steps share one :class:`Workspace`, so after the first they allocate
+    none of their large temporaries (:func:`sdze_step`).
     """
     params = init_params if init_params is not None else cfg.init_params()
     if params.dim != problem.dim:
         raise ValueError("network input width must equal the problem dimension")
     subspaces = make_subspaces(params, cfg, start_step)
     test_key = StreamKey(cfg.seed, Role.TEST_POINTS, 0, 0)
+    work = Workspace()  # every step's temporaries, for the run
 
     records: list[StepRecord] = []
     evals: list[tuple[int, float]] = []
@@ -527,7 +531,7 @@ def train(
         evals.append((0, relative_l2(params, problem, test_key, cfg.test_points)))
     for t in range(start_step + 1, cfg.steps + 1):
         try:
-            rec = sdze_step(params, subspaces, problem, cfg, t)
+            rec = sdze_step(params, subspaces, problem, cfg, t, work)
         except SdzeDivergenceError as err:
             err.args = (f"step {t}/{cfg.steps}: {err.args[0]}",)
             raise

@@ -51,6 +51,8 @@ from enum import IntEnum
 
 import numpy as np
 
+from .workspace import buffer
+
 _M64 = 0xFFFFFFFFFFFFFFFF
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -168,13 +170,17 @@ class RngStream:
         words >>= np.uint64(11)
         return words * _TO_UNIT
 
-    def normals(self, n: int, out: np.ndarray | None = None, dtype=np.float64) -> np.ndarray:
+    def normals(
+        self, n: int, out: np.ndarray | None = None, dtype=np.float64, work=None
+    ) -> np.ndarray:
         """i.i.d. standard normals via Box-Muller, in the ``dtype`` layout (module docstring).
 
         ``dtype`` is float64 or float32.  ``out``, an array of that dtype and
         shape ``(n,)``, receives the draw, which is then returned; without it
         the draw is a new array.  Beside it the draw allocates at most
-        :data:`CHUNK_BYTES`.
+        :data:`CHUNK_BYTES`; with ``work`` (:mod:`sdze.workspace`), whose
+        scratch holds the block's mixed words, mixing scratch and radii, only
+        its counter terms.
         """
         dtype = np.dtype(dtype)
         if dtype not in (np.float64, np.float32):
@@ -186,11 +192,12 @@ class RngStream:
         npairs = (n + 1) // 2
         per_pair = 2 if dtype == np.float64 else 1
         k = min(CHUNK_PAIRS, npairs)
-        ramp, words = _ramp(per_pair * k), np.empty(per_pair * k, np.uint64)
+        size = (per_pair * k,)
+        ramp, words = _ramp(size[0]), buffer(work, 0, size, np.uint64)
         # mixing scratch, then the angle and trig planes
-        tmp = np.empty(per_pair * k, np.uint64)
+        tmp = buffer(work, 1, size, np.uint64)
         planes = tmp.view(dtype)
-        radius = np.empty(k, dtype)
+        radius = buffer(work, 2, (k,), dtype)
         for p in range(0, npairs, CHUNK_PAIRS):
             m = min(k, npairs - p)
             w = _words(self.state, self.offset + per_pair * p, ramp, words[: per_pair * m], tmp)

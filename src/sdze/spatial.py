@@ -20,6 +20,7 @@ import numpy as np
 
 from .net import MlpParams, plain_view, set_starts
 from .rng import CHUNK_PAIRS, Role, RngStream, StreamKey, derive_stream, sample_index_set
+from .workspace import buffer
 
 NONLINEARITIES = ("none", "allen_cahn", "sine_gordon")
 SOLUTIONS = ("two_body", "three_body")
@@ -93,7 +94,9 @@ def make_problem(
 _NORM_BLOCK_ELEMS = 2 * CHUNK_PAIRS
 
 
-def sample_unit_ball(stream: RngStream, B: int, d: int, dtype=np.float64) -> np.ndarray:
+def sample_unit_ball(
+    stream: RngStream, B: int, d: int, dtype=np.float64, work=None
+) -> np.ndarray:
     """Uniform points in the unit ball: x = U^(1/d) * g / ||g||, held in ``dtype``.
 
     g is drawn in ``dtype``'s layout (:meth:`RngStream.normals`); the radii
@@ -102,19 +105,42 @@ def sample_unit_ball(stream: RngStream, B: int, d: int, dtype=np.float64) -> np.
     holds the larger of one draw block and one norm block.  In float64 each
     point is g scaled by the float64 ratio; in float32 by that ratio rounded
     to float32, so a point may sit outside the unit sphere by float32
-    rounding.
+    rounding.  The draw consumes the batch's words of ``stream``;
+    :func:`ball_rows` draws any row block of it alone.  With ``work``
+    (:mod:`sdze.workspace`) the batch and the draw's scratch are its buffers.
+    """
+    X = ball_rows(stream, B, d, 0, B, dtype, work)
+    stream.offset += (2 if np.dtype(dtype) == np.float64 else 1) * ((B * d + 1) // 2) + B
+    return X
+
+
+def ball_rows(
+    stream: RngStream, B: int, d: int, a: int, k: int, dtype=np.float64, work=None
+) -> np.ndarray:
+    """Rows [a, a + k) of the B x d batch :func:`sample_unit_ball` draws from ``stream``.
+
+    The rows are read at the word offsets of the key layout in the :mod:`sdze.rng`
+    docstring, counted from ``stream``'s offset, which is not advanced; their
+    bits are those of the same rows of the whole batch.
     """
     if B < 1 or d < 1:
         raise ValueError("B and d must be >= 1")
-    X = stream.normals(B * d, dtype=dtype).reshape(B, d)
-    rho = stream.uniforms(B) ** (1.0 / d)
-    k = max(1, _NORM_BLOCK_ELEMS // d)
-    squares = np.empty((min(k, B), d), X.dtype)
-    norms = np.empty(B, X.dtype)
-    for a in range(0, B, k):
-        rows = X[a : a + k]
+    if not 0 <= a < a + k <= B:
+        raise ValueError(f"rows [{a}, {a + k}) are not a row block of {B} rows")
+    w = 2 if np.dtype(dtype) == np.float64 else 1  # words a pair of normals takes
+    odd = a * d % 2
+    g = buffer(work, "ball", (k * d + odd,), dtype)
+    RngStream(stream.state, stream.offset + w * (a * d // 2)).normals(g.size, g, dtype, work)
+    X = g[odd:].reshape(k, d)
+    radii = RngStream(stream.state, stream.offset + w * ((B * d + 1) // 2) + a).uniforms(k)
+    rho = radii ** (1.0 / d)
+    n = max(1, _NORM_BLOCK_ELEMS // d)
+    squares = buffer(work, 0, (min(n, k), d), X.dtype)
+    norms = np.empty(k, X.dtype)
+    for r in range(0, k, n):
+        rows = X[r : r + n]
         sq = np.multiply(rows, rows, out=squares[: rows.shape[0]])
-        np.add.reduce(sq, axis=1, out=norms[a : a + k])
+        np.add.reduce(sq, axis=1, out=norms[r : r + n])
     scale = rho / np.sqrt(norms, out=norms)
     X *= scale[:, None].astype(X.dtype, copy=False)
     return X
@@ -130,12 +156,13 @@ def sample_unit_ball(stream: RngStream, B: int, d: int, dtype=np.float64) -> np.
 # copy of X is made.
 
 
-def _interaction_terms(problem: PdeProblem, X: np.ndarray) -> np.ndarray:
-    """exp of the pair/triple coordinate products, shape (B, n_coeffs), float64."""
+def _interaction_terms(problem: PdeProblem, X: np.ndarray, out=None) -> np.ndarray:
+    """exp of the pair/triple coordinate products, shape (B, n_coeffs), float64;
+    in ``out`` when one is given."""
     if problem.solution == "two_body":
-        E = np.multiply(X[:, :-1], X[:, 1:], dtype=np.float64)
+        E = np.multiply(X[:, :-1], X[:, 1:], out=out, dtype=np.float64)
     else:
-        E = np.multiply(X[:, :-2], X[:, 1:-1], dtype=np.float64)
+        E = np.multiply(X[:, :-2], X[:, 1:-1], out=out, dtype=np.float64)
         E *= X[:, 2:]
     return np.exp(E, out=E)
 
@@ -201,7 +228,7 @@ class ExactSolutionView:
         return phi * S, np.add.reduceat(d2, starts, axis=0)
 
 
-def rhs_eval(problem: PdeProblem, X: np.ndarray) -> np.ndarray:
+def rhs_eval(problem: PdeProblem, X: np.ndarray, work=None) -> np.ndarray:
     """f(x) = Laplacian of u_exact plus the pointwise nonlinearity, closed form.
 
     With u = phi*S, phi = 1 - ||x||^2:
@@ -210,28 +237,35 @@ def rhs_eval(problem: PdeProblem, X: np.ndarray) -> np.ndarray:
     with the operations of the closed form in their order.  It computes in
     float64 from a batch of either dtype, with no float64 copy of a float32
     batch: f is the rhs at the batch's exact points, bitwise that of its
-    float64 widening.
+    float64 widening.  With ``work`` (:mod:`sdze.workspace`) the planes are
+    its buffers.
     """
     X = np.atleast_2d(X)
     d = problem.dim
     c = problem.coeffs
+    B, n = X.shape[0], coefficient_count(problem.solution, d)
+
+    def plane(i, cols=n):  # XX, then U, die before E takes their buffer
+        return work and work.take(i, (B, cols), np.float64)
+
+    XX = np.multiply(X, X, out=plane(0, d), dtype=np.float64)
+    phi = 1.0 - np.sum(XX, axis=1)
     if problem.solution == "two_body":
         x1, x2 = X[:, :-1], X[:, 1:]
-        XX = np.multiply(X, X, dtype=np.float64)
-        phi = 1.0 - np.sum(XX, axis=1)
-        T = np.add(XX[:, :-1], XX[:, 1:])  # x1 * x1 + x2 * x2
+        T = np.add(XX[:, :-1], XX[:, 1:], out=plane(1))  # x1 * x1 + x2 * x2
         del XX
-        E = _interaction_terms(problem, X)
+        E = _interaction_terms(problem, X, plane(0))
         T *= E
         lap_S = T @ c
         np.multiply(x1, x2, out=T, dtype=np.float64)  # 2.0 * ((x1 * x2) * E)
         T *= E
         T *= 2.0
     else:
+        del XX
         x1, x2, x3 = X[:, :-2], X[:, 1:-1], X[:, 2:]
-        phi = 1.0 - np.sum(np.multiply(X, X, dtype=np.float64), axis=1)
         # (x2 * x3) ** 2 + (x1 * x3) ** 2 + (x1 * x2) ** 2
-        T, U = np.multiply(x2, x3, dtype=np.float64), np.multiply(x1, x3, dtype=np.float64)
+        T = np.multiply(x2, x3, out=plane(1), dtype=np.float64)
+        U = np.multiply(x1, x3, out=plane(0), dtype=np.float64)
         T *= T
         U *= U
         T += U
@@ -239,7 +273,7 @@ def rhs_eval(problem: PdeProblem, X: np.ndarray) -> np.ndarray:
         U *= U
         T += U
         del U
-        E = _interaction_terms(problem, X)
+        E = _interaction_terms(problem, X, plane(0))
         T *= E
         lap_S = T @ c
         np.multiply(x1, x2, out=T, dtype=np.float64)  # 3.0 * ((x1 * x2 * x3) * E)
@@ -297,11 +331,12 @@ class SpatialSample:
         """The unlocked minus pass's sample: this batch, index sets of replicate 1."""
         return replace(self, set_replicate=1)
 
-    def points(self) -> np.ndarray:
-        """The B x d collocation batch, drawn in :attr:`dtype`."""
+    def points(self, work=None) -> np.ndarray:
+        """The B x d collocation batch, drawn in :attr:`dtype`; in ``work``'s buffer,
+        and with its scratch, when one is given (:mod:`sdze.workspace`)."""
         master, at, B, d, dtype = self.batch_key
         stream = derive_stream(StreamKey(master, Role.COLLOCATION, at, 0))
-        return sample_unit_ball(stream, B, d, dtype)
+        return sample_unit_ball(stream, B, d, dtype, work)
 
     def _set(self, role: Role, size: int) -> np.ndarray:
         stream = derive_stream(
@@ -350,7 +385,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def draw_sample(
-    problem: PdeProblem, sample: SpatialSample, batch: DrawnSample | None = None
+    problem: PdeProblem, sample: SpatialSample, batch: DrawnSample | None = None, work=None
 ) -> DrawnSample:
     """Draw ``sample`` once: its batch, the closed-form rhs on it, and its index sets.
 
@@ -358,11 +393,13 @@ def draw_sample(
     formed from the batch's exact values.  ``batch``, a draw with the same
     :attr:`SpatialSample.batch_key`, lends its X and f, so only the index
     sets are drawn: the unlocked minus pass and the replicates of a pinned
-    batch share one batch this way.
+    batch share one batch this way.  With ``work`` (:mod:`sdze.workspace`)
+    the batch and the draw's and the rhs's scratch are its buffers, so the
+    draw lives until the workspace's next draw.
     """
     if batch is None:
-        X = _read_only(sample.points())
-        f = _read_only(rhs_eval(problem, X))
+        X = _read_only(sample.points(work))
+        f = _read_only(rhs_eval(problem, X, work))
     elif batch.sample.batch_key != sample.batch_key:
         raise ValueError(
             f"batch {batch.sample.batch_key} is not the batch {sample.batch_key} of the sample"
@@ -403,8 +440,28 @@ def stochastic_loss(view, problem: PdeProblem, drawn: DrawnSample) -> float:
     return float(np.dot(r1, r2) / (2.0 * drawn.sample.B * problem.kappa))
 
 
+# test points per row block of relative_l2.  Blocks must start at multiples
+# of it and hold no fewer rows: blocks of 1, 3 or 5 rows, and blocks of ~286
+# rows at d = 333, round the network or the exact solution differently from
+# the whole batch (BLAS small-M and edge paths)
+EVAL_ROWS = 256
+
+
 def relative_l2(view_or_params, problem: PdeProblem, test_key: StreamKey, n_test: int) -> float:
-    """Relative L2 error against the exact solution on regenerated test points."""
+    """Relative L2 error against the exact solution on regenerated test points.
+
+    The n_test x d test batch of ``test_key``'s stream (:func:`sample_unit_ball`)
+    is drawn, evaluated and scored in row blocks that start at multiples of
+    ``EVAL_ROWS``: each holds ``EVAL_ROWS`` points but the last, which takes
+    the rest, so it holds ``EVAL_ROWS`` to 2 ``EVAL_ROWS`` - 1 of them, or
+    all n_test when there are fewer than 2 ``EVAL_ROWS``.  Block [a, a + k)
+    is read from the stream at the word offsets of the :mod:`sdze.rng`
+    docstring (:func:`ball_rows`): its normals from word 2 floor(a d / 2),
+    dropping the first when a d is odd, and its radii from word
+    2 ceil(n_test d / 2) + a.  Only the network's and the exact solution's
+    n_test values are held whole, so the evaluation holds them and one
+    block.  The result has the bits of scoring the whole batch at once.
+    """
     if n_test < 1:
         raise ValueError("n_test must be >= 1")
     view = (
@@ -412,12 +469,16 @@ def relative_l2(view_or_params, problem: PdeProblem, test_key: StreamKey, n_test
         if isinstance(view_or_params, MlpParams)
         else view_or_params
     )
-    X = sample_unit_ball(derive_stream(test_key), n_test, problem.dim)
-    u_hat = view.values(X)
-    u_ex = exact_solution(problem, X)
+    stream = derive_stream(test_key)
+    u_hat, u_ex = np.empty(n_test), np.empty(n_test)
+    starts = range(0, max(n_test - EVAL_ROWS, 0) + 1, EVAL_ROWS)
+    for a, b in zip(starts, [*starts[1:], n_test]):
+        X = ball_rows(stream, n_test, problem.dim, a, b - a)
+        u_hat[a:b] = view.values(X)
+        u_ex[a:b] = exact_solution(problem, X)
     denom = float(np.dot(u_ex, u_ex))
     if denom == 0.0:
         raise ValueError("degenerate metric: exact solution vanishes on the test set")
-    diff = u_hat - u_ex
+    diff = np.subtract(u_hat, u_ex, out=u_hat)
     return float(np.sqrt(np.dot(diff, diff) / denom))
 

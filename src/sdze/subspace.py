@@ -183,7 +183,11 @@ def sample_core(stream: RngStream, r: int) -> np.ndarray:
 
 
 def perturb_product(
-    H: np.ndarray, state: LayerSubspace, Z: np.ndarray, tail: str | None = None
+    H: np.ndarray,
+    state: LayerSubspace,
+    Z: np.ndarray,
+    tail: str | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """``H @ T^-1(U Z V^T)`` without forming the perturbation matrix.
 
@@ -194,6 +198,7 @@ def perturb_product(
     perturbation stays implicit, while later layers multiply explicitly
     perturbed weights.  One GEMM over (t, r) forms every column segment s:
     the rows of (H's row segments @ U3[s]) @ Z against V3 as (nv, kr*r).
+    The result is written to ``out`` when one is given.
     """
     if tail not in (None, "one"):
         raise ValueError(f"unknown tail {tail!r}; expected None or 'one'")
@@ -215,9 +220,16 @@ def perturb_product(
         if kr > 1:
             head = H[:, : (kr - 1) * mu].reshape(B, kr - 1, mu) @ U3[:, None]
             P = np.concatenate([head, P[:, :, None]], axis=2).reshape(kc, B * kr, r)
-    out = (P.reshape(-1, r) @ Z).reshape(kc * B, kr * r) @ Vt
-    # row s*B + b, column q of out is row b, column q*kc + s of the result
-    return out.reshape(kc, B * nv).T.reshape(*lead, n)
+    PZ = (P.reshape(-1, r) @ Z).reshape(kc * B, kr * r)
+    if kc == 1:  # one column segment: the product is the result, written to out
+        flat = None if out is None else out.reshape(B, nv)
+        return np.matmul(PZ, Vt, out=flat).reshape(*lead, n)
+    # row s*B + b, column q of PZ Vt is row b, column q*kc + s of the result
+    result = (PZ @ Vt).reshape(kc, B * nv).T.reshape(*lead, n)
+    if out is None:
+        return result
+    np.copyto(out, result)
+    return out
 
 
 def delta_rows(state: LayerSubspace, Z: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -242,7 +254,7 @@ def delta_rows(state: LayerSubspace, Z: np.ndarray, rows: np.ndarray) -> np.ndar
 
 
 def apply_rank_r_update(
-    W: np.ndarray, state: LayerSubspace, Z: np.ndarray, scale: float
+    W: np.ndarray, state: LayerSubspace, Z: np.ndarray, scale: float, work=None
 ) -> None:
     """In-place ``W += scale * T^-1(U Z V^T)``, streamed in bounded blocks.
 
@@ -250,25 +262,31 @@ def apply_rank_r_update(
     place, added into W through the re-layout map and freed, so the live
     temporaries are one R x n' block and its R x r factor; no full m x n
     temporary is created.  R is capped by ``BLOCK_ROWS``, by
-    ``BLOCK_ELEMS`` / n' and by the row segment length mu.
+    ``BLOCK_ELEMS`` / n' and by the row segment length mu.  With ``work``
+    the block and its factor are that workspace's buffers.
     """
     if W.shape != state.plan.orig:
         raise ValueError(f"W shape {W.shape} does not match plan {state.plan.orig}")
     if scale == 0.0:
         return
-    _stream_blocks(W, state, Z, scale, _add_into)
+    _stream_blocks(W, state, Z, scale, _add_into, work)
 
 
-def rank_r_delta(state: LayerSubspace, Z: np.ndarray, scale: float) -> np.ndarray:
+def rank_r_delta(
+    state: LayerSubspace, Z: np.ndarray, scale: float, out: np.ndarray | None = None, work=None
+) -> np.ndarray:
     """``scale * T^-1(U Z V^T)`` as an m x n array, from the blocks of
     :func:`apply_rank_r_update`.
 
     Each cell is assigned the value that the update would add, so
     ``W + rank_r_delta(s, Z, c)`` equals ``W`` updated in place by ``c``
     bitwise, and ``W - rank_r_delta(s, Z, c)`` equals it updated by ``-c``.
+    The array is ``out`` when one is given, and the blocks are formed in
+    ``work``'s buffers (:mod:`sdze.workspace`).
     """
-    out = np.empty(state.plan.orig)
-    _stream_blocks(out, state, Z, scale, np.copyto)
+    if out is None:
+        out = np.empty(state.plan.orig)
+    _stream_blocks(out, state, Z, scale, np.copyto, work)
     return out
 
 
@@ -276,22 +294,27 @@ def _add_into(dst: np.ndarray, src: np.ndarray) -> None:
     np.add(dst, src, out=dst)
 
 
-def _stream_blocks(W: np.ndarray, state: LayerSubspace, Z: np.ndarray, scale: float, put):
+def _stream_blocks(
+    W: np.ndarray, state: LayerSubspace, Z: np.ndarray, scale: float, put, work=None
+):
     """``put(W cells, block cells)`` for every bounded block of ``scale * U Z V^T``.
 
     A block holds rows [a0, a1) of one column segment U3[s]; its columns are
     the square view's, (q, t) in C order.  Every cell of W receives exactly
-    one block cell: T is a bijection.
+    one block cell: T is a bijection.  The block and its R x r factor are
+    ``work``'s buffers.
     """
     U3, V3, _ = state.factors(state.V.dtype)
-    kc, mu, _ = U3.shape
+    kc, mu, r = U3.shape
     nv, kr, _ = V3.shape
     rows_per_block = max(1, min(BLOCK_ROWS, mu, BLOCK_ELEMS // (nv * kr)))
     for s in range(kc):
         Ws = W[:, s::kc].reshape(kr, mu, nv)  # Ws[t, a, q] = W[t*mu + a, q*kc + s]
         for a0 in range(0, mu, rows_per_block):
             a1 = min(a0 + rows_per_block, mu)
-            block = (U3[s, a0:a1] @ Z) @ state.V.T  # (R, n')
+            R = a1 - a0
+            UZ = np.matmul(U3[s, a0:a1], Z, out=work and work.take(3, (R, r), np.float64))
+            block = np.matmul(UZ, state.V.T, out=work and work.take(1, (R, nv * kr), np.float64))
             block *= scale
-            put(Ws[:, a0:a1], block.reshape(a1 - a0, nv, kr).transpose(2, 0, 1))
-            del block  # freed before the next block is formed: one block live
+            put(Ws[:, a0:a1], block.reshape(R, nv, kr).transpose(2, 0, 1))
+            del block  # freed, or given back, before the next block: one block live

@@ -237,6 +237,16 @@ def _edited(**blocks):
             ConfigError,
             r"^widths must be a list of integers >= 1, got \[10, -3, 1\]",
         ),
+        (
+            lambda raw: SdzeConfig(widths=[5, 2.5, 1]),
+            ConfigError,
+            r"^widths must be a list of integers >= 1, got \[5, 2.5, 1\]",
+        ),
+        (
+            lambda raw: SdzeConfig(widths=[5.0, 3, 1]),
+            ConfigError,
+            r"^widths must be a list of integers >= 1, got \[5.0, 3, 1\]",
+        ),
         (lambda raw: SdzeConfig(pde_solution="x"), ConfigError, "^pde_solution must be one of"),
         (lambda raw: SdzeConfig(normalization="x"), ConfigError, "^normalization must be one of"),
         (
@@ -258,6 +268,8 @@ def _edited(**blocks):
         "code_wide_output",
         "code_zero_width",
         "code_negative_width",
+        "code_fractional_width",
+        "code_float_dim",
         "code_solution",
         "code_normalization",
         "code_dim",
@@ -273,6 +285,7 @@ def test_list_keys_must_be_lists_of_positive_integers(tmp_path):
         ("net", "widths", 7),
         ("net", "widths", [5, "a", 1]),
         ("net", "widths", [5, 0, 1]),
+        ("net", "widths", [5, 2.5, 1]),
     ]:
         raw = tiny_config(tmp_path)
         raw[block][key] = value

@@ -260,8 +260,8 @@ def test_a_failing_float32_step_replays_from_its_printed_keys(monkeypatch):
     params.weights[1][0, 0] = 1e39
     seen = []
 
-    def recording(problem, sample, batch=None):
-        seen.append(spatial.draw_sample(problem, sample, batch))
+    def recording(problem, sample, batch=None, work=None):
+        seen.append(spatial.draw_sample(problem, sample, batch, work))
         return seen[-1]
 
     monkeypatch.setattr(optimizer, "draw_sample", recording)

@@ -15,7 +15,7 @@ from sdze.rng import (
     gaussian_matrix,
     sample_index_set,
 )
-from sdze.spatial import sample_unit_ball
+from sdze.spatial import ball_rows, sample_unit_ball
 
 
 def key(master=42, role=Role.COLLOCATION, step=0, index=0):
@@ -374,3 +374,5 @@ def test_row_blocks_of_a_batch_start_at_their_word_offsets(d):
             scale = u ** (1.0 / d) / np.linalg.norm(rows, axis=1)
             rows *= scale[:, None].astype(dtype)
             assert rows.tobytes() == X[a : a + k].tobytes()
+            # which is how relative_l2 draws its blocks
+            assert ball_rows(stream, B, d, a, k, dtype).tobytes() == rows.tobytes()

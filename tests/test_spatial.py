@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from sdze import spatial
 from sdze.net import PerturbView, SignPair, init_mlp, plain_view
 from sdze.optimizer import SdzeConfig, make_subspaces, step_cores
-from sdze.rng import Role, StreamKey, derive_stream
+from sdze.rng import CHUNK_BYTES, Role, StreamKey, derive_stream
 from sdze.spatial import (
     ExactSolutionView,
     PdeProblem,
@@ -369,3 +370,48 @@ def test_relative_l2_known_answers(widths, bias, want):
     problem = make_problem("none", 100, "two_body", 3)
     params = init_mlp(widths, "sin", 3, bias)
     assert relative_l2(params, problem, TEST_KEY, 2000).hex() == want
+
+
+def _whole_batch_relative_l2(params, problem, n_test):
+    """relative_l2 as one batch: every test point drawn, evaluated and scored at once."""
+    X = sample_unit_ball(derive_stream(TEST_KEY), n_test, problem.dim)
+    u_hat, u_ex = plain_view(params).values(X), exact_solution(problem, X)
+    diff = u_hat - u_ex
+    return float(np.sqrt(np.dot(diff, diff) / float(np.dot(u_ex, u_ex))))
+
+
+@pytest.mark.parametrize("solution", ["two_body", "three_body"])
+@pytest.mark.parametrize("d", [3, 100, 333])
+@pytest.mark.parametrize("n_test", [1, 255, 256, 257, 2000])
+def test_relative_l2_in_row_blocks_has_the_bits_of_the_whole_batch(n_test, d, solution):
+    # one block up to 511 points, then blocks of EVAL_ROWS with the rest in
+    # the last; the poisson100 network with its bias row
+    problem = make_problem("none", d, solution, 3)
+    params = init_mlp([d, 128, 128, 1], "sin", 3, bias=True)
+    got = relative_l2(params, problem, TEST_KEY, n_test)
+    assert got.hex() == _whole_batch_relative_l2(params, problem, n_test).hex()
+
+
+def test_relative_l2_holds_its_values_and_one_block(peak_spans):
+    # Measured bytes at the poisson100 network (d = 100, widths 100-128-128-1
+    # with bias).  The evaluation holds the n_test network and exact values
+    # (16 bytes a point) and one block of at most 2 EVAL_ROWS - 1 points: per
+    # point its d coordinates and at most 2 d + 3 h words of planes (the
+    # exact solution's d-wide planes, or the network's h-wide ones), beside
+    # one draw block of the rng (CHUNK_BYTES), plus 16 KiB.  2 000 points
+    # end in a 464-point block and 20 000 in a 288-point one: the smaller
+    # block more than pays for the larger values, so 20 000 points may hold
+    # no more than 2 000 do, plus 4 KiB.
+    d, h = 100, 128
+    problem = make_problem("none", d, "two_body", 3)
+    params = init_mlp([d, h, h, 1], "sin", 3, bias=True)
+    evaluate = peak_spans.measure(relative_l2, "eval", key=lambda p, prob, key, n: n)
+    for n_test in (2000, 20_000):
+        evaluate(params, problem, TEST_KEY, n_test)
+    peaks = dict(peak_spans.calls["eval"])
+    rows = 2 * spatial.EVAL_ROWS - 1
+    for n_test, peak in peaks.items():
+        assert peak <= 16 * n_test + 8 * rows * (3 * d + 3 * h) + CHUNK_BYTES + 16384, peaks
+    assert peaks[20_000] <= peaks[2000] + 4096, peaks
+    # the whole batch held several 2 000 x 128 planes at once
+    assert peaks[2000] < 3 * 2000 * h * 8

@@ -1,0 +1,159 @@
+"""Buffers that live for a run: same bits as allocating, no page faults per step."""
+
+import dataclasses
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from sdze import optimizer
+from sdze.optimizer import SdzeConfig, make_subspaces, sdze_step, train
+from sdze.workspace import Workspace, buffer
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_a_name_keeps_its_memory_in_any_dtype():
+    work = Workspace()
+    a = work.take("x", (4, 8), np.float64)
+    b = work.take("x", (8, 4), np.float32)  # smaller, another dtype: the same bytes
+    assert b.ctypes.data == a.ctypes.data and b.dtype == np.float32 and b.shape == (8, 4)
+    c = work.take("x", (10, 8), np.float64)  # larger: a new buffer, kept from now on
+    assert work.take("x", (3,), np.int64).ctypes.data == c.ctypes.data
+    assert work.take("y", (4, 8), np.float64).ctypes.data != c.ctypes.data
+    assert buffer(None, "x", (2, 3), np.float32).ctypes.data != c.ctypes.data
+    # an integer name is scratch of the thread that takes it
+    here = work.take(0, (4,), np.float64).ctypes.data
+    assert work.take(0, (2,), np.float32).ctypes.data == here
+    there = []
+    worker = threading.Thread(target=lambda: there.append(work.take(0, (4,), np.float64)))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive() and there[0].ctypes.data != here
+
+
+def force_path(monkeypatch, concurrent):
+    monkeypatch.setattr(optimizer, "_BLAS_ONE_THREAD", True)
+    monkeypatch.setattr(optimizer, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(optimizer, "CONCURRENT_MIN_MACS", 0 if concurrent else float("inf"))
+
+
+# depth 1 to 4; b = 20 > JET_CHUNK transports each set in a full and a partial block
+NETS = {1: [20, 1], 2: [20, 12, 1], 3: [20, 12, 10, 1], 4: [20, 12, 10, 8, 1]}
+
+
+@pytest.mark.parametrize("concurrent", [False, True])
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+@pytest.mark.parametrize("bias, act, kind, crns", [
+    (True, "sin", "poisson", True),
+    (False, "tanh_scaled", "allen_cahn", True),
+    (True, "tanh_scaled", "sine_gordon", False),
+])
+@pytest.mark.parametrize("depth", sorted(NETS))
+def test_a_run_with_a_workspace_has_the_bits_of_one_without(
+    monkeypatch, depth, bias, act, kind, crns, dtype, concurrent
+):
+    # train keeps one workspace for its steps; a loop of sdze_step with no
+    # workspace allocates every array.  Each step's record and the weights
+    # after it agree bitwise, across a base refresh (freq_F = 3), so no
+    # buffer that a step still reads is taken again while it does
+    force_path(monkeypatch, concurrent)
+    cfg = SdzeConfig(
+        seed=6, widths=NETS[depth], activation=act, bias=bias, dtype=dtype, pde_kind=kind,
+        crns=crns, eps=1e-2, lr_mode="constant", alpha=1e-3, steps=7, rank=3, freq_F=3,
+        batch_B=9, batch_b=20, eval_every=100, test_points=40,
+    )
+    problem = cfg.make_problem()
+    kept = []
+    result = train(cfg, problem, on_record=lambda rec, rel: kept.append(rec))
+    params = cfg.init_params()
+    subspaces = make_subspaces(params, cfg)
+    for t, rec in enumerate(kept, 1):
+        want = sdze_step(params, subspaces, problem, cfg, t)
+        got = dataclasses.replace(rec, wall_ms=0.0)
+        assert got == dataclasses.replace(want, wall_ms=0.0) or (
+            np.isnan(want.delta_hat) and np.isnan(rec.delta_hat)
+        ), t
+    for W, V in zip(result.params.weights, params.weights):
+        assert W.tobytes() == V.tobytes()
+
+
+def test_a_variance_sweep_cell_has_the_bits_of_fresh_pairs(monkeypatch):
+    # delta_variance keeps one pair and a workspace; each replicate's draw
+    # and planes replace the last one's.  Fresh pairs, with no workspace,
+    # give the same estimates
+    from sdze import harness
+    from sdze.net import SignPair
+
+    force_path(monkeypatch, True)
+    cfg = SdzeConfig(seed=2, widths=[20, 12, 10, 1], dtype="f32", rank=3, batch_B=9, batch_b=20)
+    problem = cfg.make_problem()
+    deltas = []
+    estimate = optimizer.directional_delta
+
+    def recording(pair, *args):
+        deltas.append(estimate(pair, *args))
+        return deltas[-1]
+
+    monkeypatch.setattr(harness, "directional_delta", recording)
+    harness.delta_variance(cfg, problem, replicates=4)
+    params = cfg.init_params()
+    subs = make_subspaces(params, cfg)
+    cores = optimizer.step_cores(cfg.seed, subs, 0)
+    for k, got in enumerate(deltas, 1):
+        pair = SignPair(params, subs, cores, cfg.eps, np.float32)
+        assert got == estimate(pair, problem, *optimizer.draw_signs(problem, cfg, k)), k
+
+
+# Two train calls, then a loop of sdze_step that passes one workspace, at the
+# poisson100 shapes of the benchmark with the BLAS pinned (the sign worker
+# runs the +eps pass where 2 CPUs are free), in a fresh process, so that no
+# earlier test's heap history decides the count.  Prints the minor page
+# faults per step over steps 100-400 of each.
+FAULTS = """
+import resource, sdze
+from sdze import optimizer
+cfg = sdze.SdzeConfig(
+    seed=3, widths=[100, 128, 128, 1], bias=True, dtype="f32", eps=1e-3, gamma=0.0424,
+    m=400.0, p=0.51, steps=500, rank=16, batch_B=100, batch_b=16, eval_every=500,
+)
+problem = sdze.make_problem("none", 100, "two_body", 3)
+faults = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for call in range(2):
+    marks = {}
+    def on_record(rec, rel):
+        if rec.step in (100, 400):
+            marks[rec.step] = faults()
+    sdze.train(cfg, problem, on_record=on_record)
+    print((marks[400] - marks[100]) / 300)
+params = cfg.init_params()
+subspaces = optimizer.make_subspaces(params, cfg)
+work = sdze.Workspace()
+for t in range(1, 401):
+    if t == 100:
+        start = faults()
+    optimizer.sdze_step(params, subspaces, problem, cfg, t, work)
+print((faults() - start) / 301)
+"""
+
+
+def test_steady_state_steps_fault_no_pages():
+    # at most 1 minor fault a step on average (0.01-0.09 measured, against
+    # 568 a step with the row-blocked evaluation and every temporary
+    # allocated per step, and 80 with only the tangent blocks kept)
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "getrusage"):
+        pytest.skip("no getrusage")
+    env = {k: v for k, v in os.environ.items() if k not in ("GOTO_NUM_THREADS",)}
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-c", FAULTS], env=env, capture_output=True, text=True, check=True,
+        timeout=300,
+    )
+    per_step = [float(line) for line in done.stdout.split()]
+    assert len(per_step) == 3
+    assert max(per_step) <= 1.0, per_step
