@@ -8,11 +8,13 @@ theory-verification harness.
 __version__ = "0.1.0"
 
 from .net import (
+    IndexSets,
     MlpParams,
     PerturbView,
     SignPair,
     ansatz,
     forward,
+    index_sets,
     init_mlp,
     jet_sums,
     plain_view,
@@ -52,6 +54,7 @@ from .subspace import (
 from .workspace import Workspace
 
 __all__ = [
+    "IndexSets",
     "MlpParams",
     "PerturbView",
     "SdzeConfig",
@@ -75,6 +78,7 @@ __all__ = [
     "exact_solution",
     "forward",
     "gaussian_matrix",
+    "index_sets",
     "init_mlp",
     "jet_sums",
     "lr_schedule",

@@ -30,18 +30,26 @@ Forward modes:
 A view (:class:`PerturbView`) is one sign of one :class:`SignPair`: sign 0
 of a plain pair (:func:`plain_view`), or +1 or -1 of a perturbed pair, whose
 two signs are the +eps and -eps views of one estimate (:func:`sign_views`).
-The pair owns everything the signs share.  When it is built it forms W_0 in
-the step dtype, the core eps Z_0 and each sign's hidden weights: one E_l per
-layer gives W_l + E_l and W_l - E_l, each formed in float64 and rounded
-once to the step dtype, so no E_l outlives its layer.  For a batch X it forms the products X W_0 and
-X (eps DW_0); for an index set I the seed rows W_0[I] and (eps DW_0)[I];
-and phi(X) and X[:, I] of the ansatz.  Each sign then adds or subtracts the
+The pair owns everything the signs share that depends on the
+perturbation.  When it is built it forms W_0 in the step dtype, the core
+eps Z_0 and each sign's hidden weights: one E_l per layer gives W_l + E_l
+and W_l - E_l, each formed in float64 and rounded once to the step dtype,
+so no E_l outlives its layer.  For a batch X it forms the products X W_0
+and X (eps DW_0) and phi(X) of the ansatz; for an index set I only the
+seed rows W_0[I] and (eps DW_0)[I].  Each sign then adds or subtracts the
 perturbation term and forms its own activations and tangent blocks.
 This changes no bit: every sign-dependent term is linear in the sign and
 IEEE negation is exact, so (-eps) Z = -(eps Z), a product with one operand
 negated is the negated product, and W + (-E) = W - E.  Batch terms are
-reused when the -eps pass reads the same read-only X, index-set terms when
-it also reads the same read-only index array (a seed-locked sample).
+reused when the -eps pass reads the same read-only X, seed rows when it
+also reads the same read-only index array (a seed-locked sample).
+
+What an index set forms whatever the pair and the sign is not the pair's:
+the split of the direction list into sets, their offsets, 2|I| and
+X[:, I] are one :class:`IndexSets`, formed by :func:`index_sets` with the
+one range check of the directions.  A drawn sample forms it once
+(:class:`sdze.spatial.DrawnSample`) and every pass and pair on the draw
+reads it; a call on raw arrays (:func:`jet_sums`) forms it once per call.
 
 The half of a jet sweep that reads no index set also depends only on the
 pair, the sign and the batch: the primal values, the sigma' planes the
@@ -78,10 +86,10 @@ scratch of the thread that runs it.  So every thread that runs a jet sweep,
 the sign worker, the caller's -eps pass or the serial path, transports its
 tangents in kept blocks, and a run's steps allocate none of these arrays.
 Without a workspace each is allocated as it is formed.  The arrays of one
-index set (the seed rows, X[:, I] and g1: |I| h and |I| B words) are
-allocated either way: at poisson100's shapes they are 13-26 KB, which the
-heap serves with no page faults, while taking them from a workspace cost
-the variance sweep's read-only estimates 3 %.
+index set (the seed rows and g1: |I| h and |I| B words, and the draw's
+X[:, I]) are allocated either way: at poisson100's shapes they are
+13-26 KB, which the heap serves with no page faults, while taking them
+from a workspace cost the variance sweep's read-only estimates 3 %.
 
 All jet code lives here, and :func:`jet_sums` is its one entry point.  The
 maximum order is 2, the order of every supported operator.
@@ -97,7 +105,7 @@ exact values, since widening f32 to f64 is exact:
 
 * the rhs f (:func:`sdze.spatial.rhs_eval`) and phi (:func:`boundary_factor`,
   whose f32 squares are exact in f64);
-* the coordinates ``_Rows.xi`` = X[:, I] of the ansatz's first-order term;
+* the coordinates ``IndexSets.xi`` = X[:, I] of the ansatz's first-order term;
 * :class:`sdze.spatial.ExactSolutionView`, the network's stand-in.
 
 phi and xi promote what they multiply, so the values and set sums of
@@ -264,6 +272,7 @@ class PerturbView:
         return ansatz(self, X)[:, 0]
 
     def jet_eval(self, X: np.ndarray, dims: np.ndarray, sizes) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`jet_sums` at this view; ``sizes`` may be the :class:`IndexSets` of X and dims."""
         return jet_sums(self, X, dims, sizes)
 
 
@@ -309,13 +318,11 @@ class _Batch:
 
 @dataclass(eq=False)
 class _Rows:
-    """Sign-independent terms of one index set on one batch (see :class:`SignPair`)."""
+    """The seed rows of one direction list (:meth:`SignPair.rows`)."""
 
-    batch: _Batch
     dims: np.ndarray  # (b,) int64
     R0: np.ndarray  # W_0[dims], step dtype
     D: np.ndarray | None  # (eps DW_0)[dims]; None unperturbed
-    xi: np.ndarray  # X[:, dims].T in float64, (b, B)
 
 
 def _reusable(cached: np.ndarray, new: np.ndarray) -> bool:
@@ -438,25 +445,32 @@ class SignPair:
             self._batch = batch
         return batch
 
-    def rows(self, batch: _Batch, dims: np.ndarray) -> _Rows:
-        """Input-layer seed rows and coordinates of ``batch`` along ``dims``."""
+    def rows(self, sets: IndexSets) -> _Rows:
+        """The seed rows W_0[I] and (eps DW_0)[I] of ``sets``' directions, in the step dtype.
+
+        ``sets`` range-checked its directions against its batch's width
+        (:func:`index_sets`), so a batch as wide as the network's input
+        gives rows in range.  Only a read-only direction array is kept for
+        the passes after this one.
+        """
         cached = self._rows
-        if cached is not None and cached.batch is batch and _reusable(cached.dims, dims):
+        if cached is not None and _reusable(cached.dims, sets.dims):
             return cached
-        if dims.size and (dims.min() < 0 or dims.max() >= self.params.dim):
-            raise ValueError("direction index out of range")
+        if sets.X.shape[1] != self.params.dim:
+            raise ValueError(f"input shape {sets.X.shape} does not match dim {self.params.dim}")
+        dims = sets.dims
         D = delta_rows(self.sub0, self.core0, dims) if self.perturbed else None
-        xi = batch.X[:, dims].astype(np.float64, copy=False).T
-        self._rows = _Rows(batch, dims, self.W0[dims], D, xi)
+        self._rows = _Rows(dims, self.W0[dims], D)
         return self._rows
 
-    def share(self, X: np.ndarray, dims: np.ndarray) -> None:
-        """Form every term of the read-only ``X`` and ``dims`` that both signs read.
+    def share(self, sets: IndexSets) -> None:
+        """Form every term of the read-only ``sets`` that both signs read.
 
-        That is :meth:`batch`, :meth:`rows` and phi.  A jet sweep of either
-        sign on the same arrays then writes nothing the other sign reads.
+        That is :meth:`batch` of its X, phi and :meth:`rows`.  A jet sweep of
+        either sign on the same sets then writes nothing the other sign reads.
         """
-        self.rows(self.batch(X), dims).batch.phi
+        self.batch(sets.X).phi
+        self.rows(sets)
 
     @cached_property
     def transport_macs(self) -> int:
@@ -544,20 +558,69 @@ def ansatz(view: PerturbView, X: np.ndarray) -> np.ndarray:
     return boundary_factor(X)[:, None] * forward(view, X)
 
 
+def _set_size(k) -> int:
+    if isinstance(k, bool):  # operator.index takes it as 0 or 1
+        raise TypeError("a bool is not a set size")
+    return operator.index(k)
+
+
 def set_starts(sizes, n_dims: int) -> list[int]:
     """Offsets of consecutive index sets of ``sizes`` within ``n_dims`` directions.
 
     ``sizes`` is a non-empty 1-D sequence of integers >= 1 summing to
-    ``n_dims``.  Plain ints: a loss pass has two sets, for which numpy's
-    reductions cost more than the sum.
+    ``n_dims``; a bool is not a size.  Plain ints: a loss has two sets, for
+    which numpy's reductions cost more than the sum.
     """
     try:
-        counts = [operator.index(k) for k in sizes]
+        counts = [_set_size(k) for k in sizes]
     except TypeError:  # not 1-D, or not integers
         counts = []
     if not counts or min(counts) < 1 or sum(counts) != n_dims:
         raise ValueError(f"set sizes {sizes!r} must be integers >= 1 that sum to {n_dims}")
     return list(accumulate(counts[:-1], initial=0))
+
+
+@dataclass(frozen=True, eq=False)
+class IndexSets:
+    """The terms of consecutive index sets on a batch that no pair or sign changes.
+
+    Made by :func:`index_sets`, which checks the directions' range once.  A
+    drawn sample holds one (:class:`sdze.spatial.DrawnSample`), so every
+    pass and pair on the draw reads these arrays, read-only, and forms none
+    of them.
+    """
+
+    X: np.ndarray  # (B, d) batch, as given
+    dims: np.ndarray  # (n,) int64, each in [0, d)
+    sizes: tuple[int, ...]  # of the consecutive sets
+    starts: tuple[int, ...]  # their offsets in dims (:func:`set_starts`)
+    twice: np.ndarray  # (len(sizes), 1) float64: 2 |I| of each set
+    xi: np.ndarray  # (n, B) float64: X[:, dims].T, exact for a float32 X
+
+
+def index_sets(X, dims, sizes) -> IndexSets:
+    """The :class:`IndexSets` of batch ``X`` along ``dims``, split into sets of ``sizes``.
+
+    A direction index outside [0, d), d the batch's width, raises
+    ``ValueError``.  ``sizes`` may instead be the IndexSets of these very
+    ``X`` and ``dims``, as a pass over a drawn sample passes them; it is
+    returned as is, so a pass forms nothing of its index sets.
+    """
+    if isinstance(sizes, IndexSets):
+        if sizes.X is not X or sizes.dims is not dims:
+            raise ValueError("the index sets are not those of this batch and direction list")
+        return sizes
+    X = np.atleast_2d(np.asarray(X))
+    dims = np.asarray(dims, dtype=np.int64)
+    if dims.size and (dims.min() < 0 or dims.max() >= X.shape[1]):
+        raise ValueError("direction index out of range")
+    starts = tuple(set_starts(sizes, dims.size))
+    counts = tuple(hi - lo for lo, hi in zip(starts, [*starts[1:], dims.size]))
+    # 2|I| as an f64 column: an f32 g widens to f64, as the other terms do
+    twice = np.array([2.0 * k for k in counts])[:, None]
+    xi = X[:, dims].astype(np.float64, copy=False).T
+    twice.flags.writeable = xi.flags.writeable = False
+    return IndexSets(X, dims, counts, starts, twice, xi)
 
 
 # directions transported per cache-sized block during jet sweeps
@@ -695,19 +758,17 @@ def _raw_jets(view: PerturbView, batch: _Batch, rows: _Rows, starts: list[int]):
 def jet_sums(view: PerturbView, X: np.ndarray, dims, sizes) -> tuple[np.ndarray, np.ndarray]:
     """Ansatz values and, per index set, the sum of pure second derivatives.
 
-    ``dims`` is split into consecutive index sets of ``sizes``.  With g the
-    raw network and phi = 1 - ||x||^2, over a set I (repeated indices
-    counted with multiplicity):
+    ``dims`` is split into consecutive index sets of ``sizes``, or read from
+    the :class:`IndexSets` of ``X`` and ``dims`` passed as ``sizes``
+    (:func:`index_sets`).  With g the raw network and phi = 1 - ||x||^2,
+    over a set I (repeated indices counted with multiplicity):
     sum_{i in I} d2u/dx_i^2 = phi sum g''_i - 4 sum x_i g'_i - 2 |I| g.
     Returns u (B,) and the sums (len(sizes), B).
     """
+    sets = index_sets(X, dims, sizes)
     pair = view.pair
-    batch = pair.batch(np.atleast_2d(np.asarray(X)))
-    rows = pair.rows(batch, np.asarray(dims, dtype=np.int64))
-    starts = set_starts(sizes, rows.dims.size)
-    g, g1, g2 = _raw_jets(view, batch, rows, starts)
-    xg1 = np.add.reduceat(rows.xi * g1, starts, axis=0)
-    # 2|I| as an f64 column: an f32 g widens to f64, as the other terms do
-    twice = np.array([2.0 * k for k in sizes])
-    sums = batch.phi * g2 - 4.0 * xg1 - twice[:, None] * g
+    batch = pair.batch(sets.X)
+    g, g1, g2 = _raw_jets(view, batch, pair.rows(sets), sets.starts)
+    xg1 = np.add.reduceat(sets.xi * g1, sets.starts, axis=0)
+    sums = batch.phi * g2 - 4.0 * xg1 - sets.twice * g
     return batch.phi * g, sums

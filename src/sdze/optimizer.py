@@ -19,11 +19,12 @@ pass.  Each pass does the same arithmetic on either path and every BLAS call
 still runs on one thread, so the bits do not change.
 
 * What the caller forms.  Before it hands the +eps pass over, the caller
-  forms every term both passes read (:meth:`SignPair.share`: the batch
-  products, the index-set rows and phi).  The worker then only reads the
-  pair, the sample and the problem; it writes only its own sign's planes on
-  the batch and its own tangent blocks, which with the pair's workspace are
-  the worker thread's scratch (:mod:`sdze.workspace`).
+  forms every term of the pair both passes read (:meth:`SignPair.share`:
+  the batch products, phi and the seed rows); the draw holds the rest.
+  The worker then only reads the pair, the sample and the problem; it
+  writes only its own sign's planes on the batch and its own tangent
+  blocks, which with the pair's workspace are the worker thread's scratch
+  (:mod:`sdze.workspace`).
 * The gate (:func:`_concurrent`).  It reads only what it can observe of
   the estimate and the process, and takes the concurrent path when all four
   hold: (a) the sample is seed locked (``minus is plus``; the unlocked
@@ -370,12 +371,14 @@ def directional_delta(
     ``pair`` is the perturbation: its direction, eps and step dtype.  The
     +eps pass reads ``plus`` and the -eps pass ``minus``; seed locking is
     ``minus is plus``.  The unlocked ablation passes the draw of
-    :meth:`SpatialSample.unlocked` on the same batch.  The pair forms the
-    terms that do not depend on the sign once: those of the batch whenever
-    ``minus.X is plus.X``, and those of the index sets too when ``minus is
-    plus``.  A caller that makes several estimates of one perturbation
-    passes one pair to each, which then also shares its weights and, on a
-    pinned batch, its batch products (:mod:`sdze.net`).
+    :meth:`SpatialSample.unlocked` on the same batch.  Each draw holds the
+    terms of its index sets that no pair changes (:class:`DrawnSample`); the
+    pair forms those of the perturbation that do not depend on the sign
+    once: those of the batch whenever ``minus.X is plus.X``, and the seed
+    rows of the index sets too when ``minus is plus``.  A caller that makes
+    several estimates of one perturbation passes one pair to each, which
+    then also shares its weights and, on a pinned batch, its batch products
+    (:mod:`sdze.net`).
 
     Each pass is a call of this module's ``stochastic_loss``.  When
     :func:`_concurrent` allows it, the +eps pass runs on the sign worker, in a
@@ -388,7 +391,7 @@ def directional_delta(
         lp = stochastic_loss(PerturbView(pair, 1), problem, plus)
         lm = stochastic_loss(PerturbView(pair, -1), problem, minus)
     else:
-        pair.share(plus.X, plus.dims)
+        pair.share(plus.sets)
         reply = _sign_worker().submit(stochastic_loss, PerturbView(pair, 1), problem, plus)
         try:
             lm = stochastic_loss(PerturbView(pair, -1), problem, minus)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .net import MlpParams, plain_view, set_starts
+from .net import IndexSets, MlpParams, index_sets, plain_view
 from .rng import CHUNK_PAIRS, Role, RngStream, StreamKey, derive_stream, sample_index_set
 from .workspace import buffer
 
@@ -215,17 +215,21 @@ class ExactSolutionView:
         return exact_solution(self.problem, X)
 
     def jet_eval(self, X: np.ndarray, dims, sizes) -> tuple[np.ndarray, np.ndarray]:
-        """Values and, per consecutive index set of ``sizes``, sum_i d2u/dx_i^2."""
-        X = np.atleast_2d(X).astype(np.float64, copy=False)
-        dims = np.asarray(dims, dtype=np.int64)
-        starts = set_starts(sizes, dims.size)
+        """Values and, per consecutive index set of ``sizes``, sum_i d2u/dx_i^2.
+
+        ``sizes`` may be the :class:`~sdze.net.IndexSets` of ``X`` and
+        ``dims``, and a direction index outside [0, d) raises ``ValueError``,
+        as for the network's views (:func:`sdze.net.index_sets`).
+        """
+        sets = index_sets(X, dims, sizes)
+        X = sets.X.astype(np.float64, copy=False)
         phi = 1.0 - np.sum(X * X, axis=1)
         S = _interaction_terms(self.problem, X) @ self.problem.coeffs
-        d2 = np.empty((dims.size, X.shape[0]))
-        for j, i in enumerate(dims):
+        d2 = np.empty((sets.dims.size, X.shape[0]))
+        for j, i in enumerate(sets.dims):
             s1, s2 = _core_jets_at_dim(self.problem, X, int(i))
             d2[j] = phi * s2 - 4.0 * X[:, i] * s1 - 2.0 * S
-        return phi * S, np.add.reduceat(d2, starts, axis=0)
+        return phi * S, np.add.reduceat(d2, sets.starts, axis=0)
 
 
 def rhs_eval(problem: PdeProblem, X: np.ndarray, work=None) -> np.ndarray:
@@ -355,20 +359,33 @@ class SpatialSample:
 
 @dataclass(frozen=True)
 class DrawnSample:
-    """A :class:`SpatialSample` drawn: the batch X, f(X) and both index sets.
+    """A :class:`SpatialSample` drawn for a problem: its batch, f(X) and both index sets.
 
     X is in the sample's dtype; f is float64 whatever that is, the rhs at
-    X's exact values (:func:`rhs_eval`).  Made by :func:`draw_sample`.  The
-    arrays are read-only, so every loss evaluation that shares the draw
-    reads the same bits, and a network pass may reuse what it formed from
-    them.  ``dims`` holds I1 then I2, the
-    direction list of the loss's one jet sweep.
+    X's exact values (:func:`rhs_eval`).  Made by :func:`draw_sample`, which
+    also forms every term of the draw that no pair or sign changes: the
+    index sets' terms (``sets``, :class:`~sdze.net.IndexSets`: the split of
+    ``dims`` into I1 then I2, its offsets, 2|I| and X[:, I] in float64),
+    each set's operator scale N_L/|I| and the loss denominator 2 B kappa.
+    The arrays are read-only, so every loss evaluation that shares the draw
+    reads the same bits, and a pass forms none of them: it only does the
+    arithmetic of its sign.  ``dims``, I1 then I2, is the direction list of
+    the loss's one jet sweep.
     """
 
     sample: SpatialSample
-    X: np.ndarray
     f: np.ndarray
-    dims: np.ndarray
+    sets: IndexSets
+    scale: np.ndarray  # (2, 1) float64: N_L/|I| of each set
+    denom: float  # 2 B kappa
+
+    @property
+    def X(self) -> np.ndarray:
+        return self.sets.X
+
+    @property
+    def dims(self) -> np.ndarray:
+        return self.sets.dims
 
     @property
     def I1(self) -> np.ndarray:
@@ -384,6 +401,11 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _set_scale(problem: PdeProblem, sets: IndexSets) -> np.ndarray:
+    """N_L/|I| of each set of ``sets``, a read-only float64 column."""
+    return _read_only(np.array([problem.n_terms / k for k in sets.sizes])[:, None])
+
+
 def draw_sample(
     problem: PdeProblem, sample: SpatialSample, batch: DrawnSample | None = None, work=None
 ) -> DrawnSample:
@@ -392,10 +414,10 @@ def draw_sample(
     The batch is drawn and held in ``sample.dtype``, and the rhs is float64,
     formed from the batch's exact values.  ``batch``, a draw with the same
     :attr:`SpatialSample.batch_key`, lends its X and f, so only the index
-    sets are drawn: the unlocked minus pass and the replicates of a pinned
-    batch share one batch this way.  With ``work`` (:mod:`sdze.workspace`)
-    the batch and the draw's and the rhs's scratch are its buffers, so the
-    draw lives until the workspace's next draw.
+    sets and their terms are formed: the unlocked minus pass and the
+    replicates of a pinned batch share one batch this way.  With ``work``
+    (:mod:`sdze.workspace`) the batch and the draw's and the rhs's scratch
+    are its buffers, so the draw lives until the workspace's next draw.
     """
     if batch is None:
         X = _read_only(sample.points(work))
@@ -406,8 +428,19 @@ def draw_sample(
         )
     else:
         X, f = batch.X, batch.f
-    dims = np.concatenate([sample.set1(), sample.set2()])
-    return DrawnSample(sample, X, f, _read_only(dims))
+    dims = _read_only(np.concatenate([sample.set1(), sample.set2()]))
+    sets = index_sets(X, dims, (sample.b, sample.b))
+    denom = 2.0 * sample.B * problem.kappa
+    return DrawnSample(sample, f, sets, _set_scale(problem, sets), denom)
+
+
+def _operator(view, problem: PdeProblem, sets: IndexSets, scale: np.ndarray) -> np.ndarray:
+    """:func:`sampled_operator` over formed ``sets``, with their ``scale`` column."""
+    u, sums = view.jet_eval(sets.X, sets.dims, sets)
+    # the scale is rounded to the sums' dtype, as a Python float would be
+    op = scale.astype(sums.dtype, copy=False) * sums
+    # Poisson has no nonlinearity; adding zeros could only turn -0.0 into +0.0
+    return op if problem.kind == "none" else op + problem.nonlinearity(u)
 
 
 def sampled_operator(view, problem: PdeProblem, X: np.ndarray, dims, sizes) -> np.ndarray:
@@ -416,28 +449,27 @@ def sampled_operator(view, problem: PdeProblem, X: np.ndarray, dims, sizes) -> n
     ``dims`` is split into consecutive index sets of ``sizes``, and every set
     is read off one jet sweep (one primal pass).  Only the differential part
     is subsampled; a repeated index counts with multiplicity.  Returns shape
-    (len(sizes), B).  Each set's scale N_L/|I| is rounded to the dtype of the
-    view's sums, as a Python float would be, so it never widens them.
+    (len(sizes), B).  The call forms the sets' terms once
+    (:func:`sdze.net.index_sets`) and hands them to the view, as
+    :func:`stochastic_loss` hands those of its draw.  Each set's scale
+    N_L/|I| is rounded to the dtype of the view's sums, as a Python float
+    would be, so it never widens them.
     """
-    u, sums = view.jet_eval(X, dims, sizes)
-    scale = np.array([problem.n_terms / k for k in sizes], dtype=sums.dtype)
-    op = scale[:, None] * sums
-    # Poisson has no nonlinearity; adding zeros could only turn -0.0 into +0.0
-    return op if problem.kind == "none" else op + problem.nonlinearity(u)
+    sets = index_sets(X, dims, sizes)
+    return _operator(view, problem, sets, _set_scale(problem, sets))
 
 
 def stochastic_loss(view, problem: PdeProblem, drawn: DrawnSample) -> float:
-    """Doubly-sampled scalar residual loss over a drawn batch; only reads ``drawn``.
+    """Doubly-sampled scalar residual loss over a draw of ``problem``; only reads ``drawn``.
 
     (1 / (2 B kappa)) * sum_n (op_{I1}(x_n) - f(x_n)) (op_{I2}(x_n) - f(x_n)),
     with f evaluated in full closed form when the sample was drawn.  Both
-    operators come from one :func:`sampled_operator` sweep over
-    ``drawn.dims``, passed as is so a pass may reuse what another formed
-    from the same read-only array.
+    operators come from one jet sweep over ``drawn.dims``; the index sets'
+    terms, the scales and 2 B kappa are the draw's (:class:`DrawnSample`),
+    so the pass forms nothing that its sign does not change.
     """
-    sizes = [drawn.I1.size, drawn.I2.size]
-    r1, r2 = sampled_operator(view, problem, drawn.X, drawn.dims, sizes) - drawn.f
-    return float(np.dot(r1, r2) / (2.0 * drawn.sample.B * problem.kappa))
+    r1, r2 = _operator(view, problem, drawn.sets, drawn.scale) - drawn.f
+    return float(np.dot(r1, r2) / drawn.denom)
 
 
 # test points per row block of relative_l2.  Blocks must start at multiples

@@ -521,8 +521,11 @@ def crns_variance_sweep(
     collocation_step=0, dtype)``: step k keys the index sets, the batch is
     pinned at step 0 and drawn in the step dtype, as a run's is, and the
     unlocked minus pass reads its ``.unlocked()`` sample.  The pinned batch
-    and its rhs are drawn once per call; each replicate draws its sets and
-    its unlocked sets once, reads that batch and serves every eps.
+    and its rhs are drawn once per call.  Each replicate draws its sets and
+    its unlocked sets once, with every term of theirs that no pair or sign
+    changes (:class:`~sdze.spatial.DrawnSample`: the split into I1 and I2,
+    2|I|, X[:, I], the scales N_L/|I| and 2 B kappa), reads that batch and
+    serves every eps.
     ``stochastic_loss`` over these samples gives the unperturbed loss
     variance Var_S L of this measure.  Unlocked, the two passes see
     independent sets, so
@@ -539,8 +542,10 @@ def crns_variance_sweep(
     modes, so each sign's weights are formed once per eps, and so are the
     pinned batch's products X W_0 and X (eps DW_0) and, per sign, its primal
     and adjoint planes: a call runs 2 len(eps_list) primal passes, not one
-    per loss evaluation, and the planes live until the call returns.  A
-    naive +eps pass reuses the index-set rows its locked estimate formed.
+    per loss evaluation, and the planes live until the call returns.  So
+    an estimate forms only its pair's seed rows W_0[I] and (eps DW_0)[I] of
+    one new index array, the naive +eps pass reusing those its locked
+    estimate formed, and its passes' sign-dependent arithmetic.
     ``eps_list`` is checked by :func:`check_eps_list` and ``replicates`` by
     :func:`check_replicates` before any draw.
     """

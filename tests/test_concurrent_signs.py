@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sdze import optimizer
+from sdze import net, optimizer
 from sdze.net import JET_CHUNK, SignPair
 from sdze.optimizer import (
     DTYPES,
@@ -256,7 +256,7 @@ def test_the_gate_needs_a_locked_sample_enough_work_pinned_blas_two_cpus(monkeyp
     subs = make_subspaces(params, big)
     plus, _ = draw_signs(prob, big, 1)
     pair = SignPair(params, subs, step_cores(big.seed, subs, 1), big.eps)
-    writable = dataclasses.replace(plus, X=plus.X.copy())
+    writable = dataclasses.replace(plus, sets=net.index_sets(plus.X.copy(), plus.dims, [16, 16]))
     assert optimizer._concurrent(pair, plus, plus)
     assert not optimizer._concurrent(pair, writable, writable)
     # crns-sweep's net has one hidden layer: no tangent work
@@ -399,7 +399,7 @@ def test_concurrent_estimate_memory(monkeypatch, peak_spans):
         monkeypatch.setattr(optimizer, "stochastic_loss", in_turn)
         plus_done.clear()
         shared = pair()
-        shared.share(plus.X, plus.dims)
+        shared.share(plus.sets)
         assert estimate_span(shared, prob, plus, plus) == want
         sweeps[d] = peak_spans.peaks("estimate")[-1]
 

@@ -122,7 +122,7 @@ def test_precision_contract_pins_the_dtype_of_each_stage(dtype):
             plus, minus = net.sign_views(params, subs, cores, 1e-3, dtype)
             for view in (minus, PerturbView(SignPair(params, dtype=dtype)), plus):
                 batch = view.pair.batch(drawn.X)
-                rows = view.pair.rows(batch, drawn.dims)
+                rows = view.pair.rows(drawn.sets)
                 planes = net._raw_jets(view, batch, rows, [0, 2])
                 stages = [*planes, batch.G0, rows.R0, forward(view, drawn.X)]
                 if view.sign:
@@ -344,6 +344,9 @@ def test_set_starts_known_answers(sizes, n, want):
         (np.array(5), 5),
         ([5, 5], 9),  # wrong sum
         ([2.0, 3.0], 5),  # not integers
+        ([True, True], 2),  # bools
+        ([True, 1], 2),
+        (np.array([True, True]), 2),
     ],
 )
 def test_set_starts_rejects_invalid_sizes(sizes, n):
@@ -430,7 +433,7 @@ def test_cached_planes_are_read_only():
     for pair, sign in ((SignPair(params, subs, cores, 0.3), 1), (SignPair(params), 0)):
         view = PerturbView(pair, sign)
         batch = pair.batch(drawn.X)
-        g = net._raw_jets(view, batch, pair.rows(batch, drawn.dims), [0, 2])[0]
+        g = net._raw_jets(view, batch, pair.rows(drawn.sets), [0, 2])[0]
         value, s1s, nus, lam0 = batch.planes[sign]
         assert g is value
         products = (batch.G0,) if batch.P is None else (batch.G0, batch.P)

@@ -428,6 +428,37 @@ def test_crns_variance_sweep_equals_a_full_draw_per_replicate():
     assert rows == per_replicate_sweep_rows(prob, params, rank, eps_list, reps, B, b, master)
 
 
+# crns_variance_sweep's variances at the config above, float.hex, in row
+# order (crns, naive per eps).  The reference sweep above calls the same
+# stochastic_loss, so only these pins see a change of the loss pass's bits.
+SWEEP_KNOWN_ANSWERS = {
+    "f64": [
+        "0x1.2e02be6140de6p+1",
+        "0x1.f860cde2027adp+7",
+        "0x1.2e002bdbcc767p+1",
+        "0x1.7cb8ae832c8f8p+14",
+    ],
+    "f32": [
+        "0x1.3ce7c2139f9f6p-3",
+        "0x1.72721a9f6efc9p+5",
+        "0x1.3cf0d99c59b88p-3",
+        "0x1.0ffe0c6727cfdp+12",
+    ],
+}
+
+
+@pytest.mark.parametrize("dtype", ["f64", "f32"])
+def test_crns_variance_sweep_known_answers(dtype):
+    master, d, rank, B, b, reps, eps_list = 5, 8, 2, 3, 2, 4, [1e-2, 1e-3]
+    prob = make_problem("none", d, "two_body", master)
+    params = init_mlp([d, 6, 1], "sin", master)
+    rows, _, _ = crns_variance_sweep(
+        prob, params, rank=rank, eps_list=eps_list, replicates=reps, B=B, b=b, master=master,
+        dtype=dtype,
+    )
+    assert [r["variance"].hex() for r in rows] == SWEEP_KNOWN_ANSWERS[dtype]
+
+
 def test_crns_variance_sweep_runs_in_the_given_dtype():
     master, d, rank, B, b, reps, eps_list = 5, 8, 2, 3, 2, 4, [1e-2, 1e-3]
     prob = make_problem("none", d, "two_body", master)
@@ -463,6 +494,39 @@ def test_sweep_shares_one_pair_per_eps(monkeypatch):
         "rank_r_delta": E * (depth - 1),
         "delta_rows": 2 * R * E,
     }
+
+
+def test_sweep_forms_the_index_set_terms_once_per_draw(monkeypatch):
+    # R replicates and E eps values: set_starts runs once per draw (the
+    # pinned batch's, then each replicate's locked and unlocked sets), not
+    # once per pass (4 R E), and every pass is handed its draw's IndexSets,
+    # whose X[:, I] the draw formed
+    E, R = 3, 4
+    prob = make_problem("none", 8, "two_body", 5)
+    params = init_mlp([8, 6, 5, 1], "sin", 5, bias=True)
+    calls = Counter()
+    monkeypatch.setattr(net, "set_starts", counting(calls, "set_starts", net.set_starts))
+    draws, handed = [], []
+    draw = verify.draw_sample
+
+    def recording_draw(*args, **kwargs):
+        draws.append(draw(*args, **kwargs))
+        return draws[-1]
+
+    jet_eval = net.PerturbView.jet_eval
+
+    def recording_jets(view, X, dims, sizes):
+        handed.append(sizes)
+        return jet_eval(view, X, dims, sizes)
+
+    monkeypatch.setattr(verify, "draw_sample", recording_draw)
+    monkeypatch.setattr(net.PerturbView, "jet_eval", recording_jets)
+    crns_variance_sweep(
+        prob, params, rank=2, eps_list=[1e-2, 1e-3, 1e-4], replicates=R, B=3, b=2, master=5
+    )
+    assert len(draws) == calls["set_starts"] == 2 * R + 1
+    assert len(handed) == 4 * R * E
+    assert {id(sets) for sets in handed} == {id(d.sets) for d in draws[1:]}
 
 
 @pytest.mark.parametrize(

@@ -129,8 +129,8 @@ def test_sampled_operator_scaling_single_dim():
 def test_sampled_operator_keeps_the_view_dtype():
     # numpy set sizes must not widen an f32 operator through the scale
     class F32View:
-        def jet_eval(self, X, dims, sizes):
-            return np.ones(len(X), np.float32), np.ones((len(sizes), len(X)), np.float32)
+        def jet_eval(self, X, dims, sets):  # handed the call's IndexSets
+            return np.ones(len(X), np.float32), np.ones((len(sets.sizes), len(X)), np.float32)
 
     prob = make_problem("none", 4, "two_body", 5)
     X = np.zeros((3, 4))
@@ -230,13 +230,13 @@ def test_a_float32_batch_has_float64_rhs_phi_coordinates_and_residual(solution, 
     subs = make_subspaces(params, SdzeConfig(widths=widths, bias=True, rank=2))
     cores = step_cores(3, subs, 1)
     pair = SignPair(params, subs, cores, 1e-3, np.float32)
-    pair.share(drawn.X, drawn.dims)
+    pair.share(drawn.sets)
     batch = pair.batch(drawn.X)
-    rows = pair.rows(batch, drawn.dims)
+    xi = drawn.sets.xi  # X[:, I], formed once by the draw
     assert batch.G0.dtype == np.float32 and batch.X is drawn.X
-    assert batch.phi.dtype == rows.xi.dtype == np.float64
+    assert batch.phi.dtype == xi.dtype == np.float64
     assert batch.phi.tobytes() == (1.0 - np.sum(X64 * X64, axis=1)).tobytes()
-    assert rows.xi.tobytes() == X64[:, drawn.dims].T.tobytes()
+    assert xi.tobytes() == X64[:, drawn.dims].T.tobytes()
     sizes = [drawn.I1.size, drawn.I2.size]
     op = sampled_operator(PerturbView(pair, 1), prob, drawn.X, drawn.dims, sizes)
     assert op.dtype == np.float64 and (op - drawn.f).dtype == np.float64
@@ -246,6 +246,43 @@ def test_a_float32_batch_has_float64_rhs_phi_coordinates_and_residual(solution, 
     u64, sums64 = ev.jet_eval(X64, drawn.dims, sizes)
     assert u32.tobytes() == u64.tobytes() and sums32.tobytes() == sums64.tobytes()
     assert ev.values(drawn.X).tobytes() == exact_solution(prob, X64).tobytes()
+
+
+@pytest.mark.parametrize("dims", [[-1], [5]], ids=["negative", "d"])
+def test_every_view_refuses_a_direction_outside_the_batch(dims):
+    # the one range check of the index sets: the exact solution's view would
+    # read X[:, -1] for -1 and raise IndexError for d without it
+    prob = make_problem("allen_cahn", 5, "two_body", 3)
+    widths = [5, 6, 4, 1]
+    params = init_mlp(widths, "sin", 3, bias=True)
+    subs = make_subspaces(params, SdzeConfig(widths=widths, bias=True, rank=2))
+    pair = SignPair(params, subs, step_cores(3, subs, 1), 1e-3)
+    views = [
+        ExactSolutionView(prob), plain_view(params), PerturbView(pair, 1), PerturbView(pair, -1)
+    ]
+    X = sample_unit_ball(derive_stream(TEST_KEY), 4, 5)
+    for view in views:
+        with pytest.raises(ValueError, match="direction index out of range"):
+            view.jet_eval(X, dims, [1])
+        with pytest.raises(ValueError, match="direction index out of range"):
+            sampled_operator(view, prob, X, [0, *dims], [1, 1])
+
+
+# stochastic_loss at +eps then -eps of one float32 draw at poisson100's
+# shapes (100-128-128-1 with bias, B = 100, b = 16, rank 16, eps 1e-3,
+# seed 3, step 1), float.hex: a change of the loss pass's arithmetic
+# changes these bits.
+LOSS_KNOWN_ANSWERS = ["0x1.329045fc7465bp+4", "0x1.324673e1478b3p+4"]
+
+
+def test_stochastic_loss_known_answers():
+    cfg = SdzeConfig(seed=3, widths=[100, 128, 128, 1], bias=True, dtype="f32", rank=16)
+    problem, params = cfg.make_problem(), cfg.init_params()
+    subs = make_subspaces(params, cfg)
+    pair = SignPair(params, subs, step_cores(3, subs, 1), 1e-3, np.float32)
+    drawn = draw_sample(problem, SpatialSample(3, 1, 100, 16, 100, dtype=np.float32))
+    got = [stochastic_loss(PerturbView(pair, sign), problem, drawn).hex() for sign in (1, -1)]
+    assert got == LOSS_KNOWN_ANSWERS
 
 
 def test_the_batch_dtype_is_part_of_the_batch_key():
