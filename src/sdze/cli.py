@@ -4,8 +4,9 @@ Subcommands: ``train`` runs a config; ``verify`` runs a theory-check suite
 and writes one CSV + one JSON report; ``sweep-rank-freq`` and ``sweep-batch``
 drive the ablation grids; ``ablate-crns`` runs the variance sweep over eps.
 
-Each ``verify`` suite is one call into :mod:`sdze.verify`, which owns its
-inputs and pass rules; at the default flags and ``--seed 2026`` the suites
+``verify`` takes a suite, an output directory and a seed, nothing else:
+each suite is one call into :mod:`sdze.verify`, a function of the seed that
+owns its inputs, sizes and pass rules.  With ``--seed 2026`` the suites
 reproduce these acceptance criteria:
 
 * ``implicit``: criterion 1, implicit vs explicit perturbed forward;
@@ -16,6 +17,10 @@ reproduce these acceptance criteria:
 * ``crns``: criterion 5, the seed-locking ablation;
 * ``jets``: criterion 6, jet correctness;
 * ``mean-bias``: no criterion; the O(eps^2) shrinkage of the mean bias.
+
+A suite's pass bounds hold at its own sizes only, so none is settable here.
+The variance sweep at other sizes, with no verdict, is ``ablate-crns``: any
+config's net, at its own ``--eps`` and ``--reps``.
 """
 
 from __future__ import annotations
@@ -38,15 +43,15 @@ from .harness import (
 )
 from .optimizer import SdzeConfig
 
-# suite name -> its one call, from the parsed ``verify`` flags to (reports, detail)
+# suite name -> its one call, from the seed to (reports, detail)
 VERIFY_SUITES = {
-    "quadratic": lambda a: V.quadratic_suite(a.seed, a.samples),
-    "mean-bias": lambda a: V.mean_bias_suite(a.seed, a.samples),
-    "variance-law": lambda a: V.variance_law_suite(a.seed),
-    "unbiasedness": lambda a: (V.unbiasedness_check(a.seed), {}),
-    "crns": lambda a: V.crns_suite(a.seed, a.dim, a.b, a.reps, a.eps),
-    "jets": lambda a: (V.jets_suite(a.seed), {}),
-    "implicit": lambda a: (V.implicit_suite(a.seed), {}),
+    "quadratic": V.quadratic_suite,
+    "mean-bias": V.mean_bias_suite,
+    "variance-law": V.variance_law_suite,
+    "unbiasedness": lambda seed: (V.unbiasedness_check(seed), {}),
+    "crns": V.crns_suite,
+    "jets": lambda seed: (V.jets_suite(seed), {}),
+    "implicit": lambda seed: (V.implicit_suite(seed), {}),
 }
 
 
@@ -74,6 +79,8 @@ def _checked(parse, check):
 
 _parse_eps_list = _checked(_parse_float_list, V.check_eps_list)
 _parse_reps = _checked(int, V.check_replicates)
+# a verify seed obeys a run config's seed rule: stream keys hold it in 64 bits
+_parse_seed = _checked(int, lambda seed: SdzeConfig(seed=seed))
 
 
 def _parse_pairs(text: str) -> list[tuple[int, int]]:
@@ -97,18 +104,8 @@ def _load_config(args) -> SdzeConfig:
     return cfg
 
 
-def _check_crns_flags(parser: argparse.ArgumentParser, args) -> None:
-    """Refuse the flags the crns suite cannot run with, before ``--out`` is created."""
-    for bad, message in (
-        (args.dim < 2, f"--dim: the two_body solution needs dim >= 2, got {args.dim}"),
-        (not 1 <= args.b <= args.dim, f"--b: index sets need 1 <= b <= dim, got {args.b}"),
-    ):
-        if bad:
-            parser.error(f"argument {message}")
-
-
 def _run_verify(args) -> int:
-    reports, detail = VERIFY_SUITES[args.suite](args)
+    reports, detail = VERIFY_SUITES[args.suite](args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = [r.row() for r in reports]
@@ -133,12 +130,7 @@ def main(argv: list[str] | None = None) -> int:
     p_verify = sub.add_parser("verify", help="run a theory-verification suite")
     p_verify.add_argument("--suite", required=True, choices=VERIFY_SUITES)
     p_verify.add_argument("--out", default="verify_out")
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--samples", type=int, default=V.SAMPLES)
-    p_verify.add_argument("--dim", type=int, default=V.CRNS_DIM)
-    p_verify.add_argument("--b", type=int, default=V.CRNS_B)
-    p_verify.add_argument("--reps", type=_parse_reps, default=V.CRNS_REPS)
-    p_verify.add_argument("--eps", type=_parse_eps_list, default=V.CRNS_EPS)
+    p_verify.add_argument("--seed", type=_parse_seed, default=0)
 
     p_rf = sub.add_parser("sweep-rank-freq", help="rank x refresh-frequency grid")
     p_rf.add_argument("--config", required=True)
@@ -163,8 +155,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "verify":
-        if args.suite == "crns":
-            _check_crns_flags(p_verify, args)
         return _run_verify(args)
 
     cfg = _load_config(args)

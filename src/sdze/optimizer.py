@@ -165,13 +165,22 @@ class SdzeConfig:
                 problems.append((name, f"must be one of {list(allowed)}"))
         if not 0 <= self.seed < 2**64:  # checkpoints and stream keys hold it in 64 bits
             problems.append(("seed", "must be in [0, 2**64)"))
-        for name in ("eps", "alpha", "gamma", "m", "c"):
-            if not np.isfinite(getattr(self, name)):
-                problems.append((name, "must be finite"))
+        reals = ("eps", "alpha", "gamma", "m", "c")
+        infinite = [name for name in reals if not np.isfinite(getattr(self, name))]
+        problems += [(name, "must be finite") for name in infinite]
         if self.eps <= 0:
             problems.append(("eps", "must be > 0"))
-        if self.lr_mode == "annealed" and not (0.5 < self.p <= 1.0):
-            problems.append(("p", "must be in (1/2, 1] in annealed mode"))
+        # a mode reads only its own fields, and its step (lr_schedule) must be
+        # real and >= 0 at every t >= 1: so t + m > 0, which m > -1 makes hold
+        for name, mode, ok, rule in (
+            ("alpha", "constant", self.alpha >= 0, ">= 0"),
+            ("gamma", "annealed", self.gamma >= 0, ">= 0"),
+            ("m", "annealed", self.m > -1, "> -1"),
+            ("p", "annealed", 0.5 < self.p <= 1.0, "in (1/2, 1]"),
+            ("c", "sqrt_tq", self.c >= 0, ">= 0"),
+        ):
+            if self.lr_mode == mode and name not in infinite and not ok:
+                problems.append((name, f"must be {rule} in {mode} mode"))
         for name in ("rank", "freq_F", "batch_B", "batch_b", "eval_every", "test_points"):
             if getattr(self, name) < 1:
                 problems.append((name, "must be >= 1"))

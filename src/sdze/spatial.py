@@ -9,7 +9,8 @@ nonlinearities ride along unsampled (they cost O(1)).
 
 Ground truth is manufactured: the right-hand side is the full operator
 applied to a closed-form solution, evaluated analytically (never through the
-network), so solution error is measurable exactly.
+network), so solution error is measurable exactly.  Each closed form sums
+over the windows of k consecutive coordinates (``SOLUTIONS``).
 """
 
 from __future__ import annotations
@@ -18,27 +19,29 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .net import IndexSets, MlpParams, index_sets, plain_view
+from .net import IndexSets, MlpParams, boundary_factor, index_sets, plain_view
 from .rng import CHUNK_PAIRS, Role, RngStream, StreamKey, derive_stream, sample_index_set
 from .workspace import buffer
 
 NONLINEARITIES = ("none", "allen_cahn", "sine_gordon")
-SOLUTIONS = ("two_body", "three_body")
+# solution tag -> k, its interaction sum being S = sum_j c_j exp(x_j ... x_{j+k-1})
+# over the d - k + 1 windows of k consecutive coordinates
+SOLUTIONS = {"two_body": 2, "three_body": 3}
 NORMALIZATIONS = ("raw", "dim_normalized")
 
 
 def coefficient_count(solution: str, dim: int) -> int:
-    """How many coefficients c_i ``solution`` has in ``dim`` dimensions.
+    """How many coefficients c_j ``solution`` has in ``dim`` dimensions: one per window.
 
     Raises ``ValueError`` for an unknown solution tag or a ``dim`` too small
-    for one pair (two_body) or triple (three_body) of coordinates.
+    for one window (a pair for two_body, a triple for three_body).
     """
     if solution not in SOLUTIONS:
         raise ValueError(f"unknown solution tag {solution!r}")
-    low = 2 if solution == "two_body" else 3
-    if dim < low:
-        raise ValueError(f"{solution} needs dim >= {low}")
-    return dim - low + 1
+    k = SOLUTIONS[solution]
+    if dim < k:
+        raise ValueError(f"{solution} needs dim >= {k}")
+    return dim - k + 1
 
 
 @dataclass(frozen=True)
@@ -156,44 +159,47 @@ def ball_rows(
 # copy of X is made.
 
 
+def _windows(X: np.ndarray, k: int) -> list[np.ndarray]:
+    """Coordinate s of every window of k, for s = 0 .. k-1: k views of shape (B, d - k + 1)."""
+    n = X.shape[1] - k + 1
+    return [X[:, s : s + n] for s in range(k)]
+
+
+def _window_products(x: list[np.ndarray], out=None) -> np.ndarray:
+    """x_j ... x_{j+k-1} of each window of :func:`_windows`, in float64, formed
+    left to right; in ``out`` when one is given."""
+    P = np.multiply(x[0], x[1], out=out, dtype=np.float64)
+    for xs in x[2:]:
+        P *= xs
+    return P
+
+
 def _interaction_terms(problem: PdeProblem, X: np.ndarray, out=None) -> np.ndarray:
-    """exp of the pair/triple coordinate products, shape (B, n_coeffs), float64;
+    """exp of each window's coordinate product, shape (B, n_coeffs), float64;
     in ``out`` when one is given."""
-    if problem.solution == "two_body":
-        E = np.multiply(X[:, :-1], X[:, 1:], out=out, dtype=np.float64)
-    else:
-        E = np.multiply(X[:, :-2], X[:, 1:-1], out=out, dtype=np.float64)
-        E *= X[:, 2:]
+    E = _window_products(_windows(X, SOLUTIONS[problem.solution]), out)
     return np.exp(E, out=E)
 
 
 def exact_solution(problem: PdeProblem, X: np.ndarray) -> np.ndarray:
-    """u_exact(x) = (1 - ||x||^2) * sum_i c_i * exp(interaction_i), in float64."""
+    """u_exact(x) = (1 - ||x||^2) * sum_j c_j * exp(x_j ... x_{j+k-1}), in float64."""
     X = np.atleast_2d(X)
-    phi = 1.0 - np.sum(np.multiply(X, X, dtype=np.float64), axis=1)
-    return phi * (_interaction_terms(problem, X) @ problem.coeffs)
+    return boundary_factor(X) * (_interaction_terms(problem, X) @ problem.coeffs)
 
 
 def _core_jets_at_dim(problem: PdeProblem, X: np.ndarray, i: int):
-    """(dS/dx_i, d2S/dx_i^2) of the interaction sum S, shape (B,) each."""
+    """(dS/dx_i, d2S/dx_i^2) of the interaction sum S, shape (B,) each.
+
+    Each window j that holds x_i adds c_j p e and c_j p^2 e, with e its
+    term exp(x_j ... x_{j+k-1}) and p the product of its other coordinates.
+    """
     c, d = problem.coeffs, problem.dim
-    B = X.shape[0]
-    d1 = np.zeros(B)
-    d2 = np.zeros(B)
-    if problem.solution == "two_body":
-        if i <= d - 2:
-            e = np.exp(X[:, i] * X[:, i + 1])
-            d1 += c[i] * X[:, i + 1] * e
-            d2 += c[i] * X[:, i + 1] ** 2 * e
-        if i >= 1:
-            e = np.exp(X[:, i - 1] * X[:, i])
-            d1 += c[i - 1] * X[:, i - 1] * e
-            d2 += c[i - 1] * X[:, i - 1] ** 2 * e
-        return d1, d2
-    for j in range(max(0, i - 2), min(d - 3, i) + 1):
-        trip = [X[:, j], X[:, j + 1], X[:, j + 2]]
-        e = np.exp(trip[0] * trip[1] * trip[2])
-        partner = np.prod([trip[t] for t in range(3) if j + t != i], axis=0)
+    k = SOLUTIONS[problem.solution]
+    d1, d2 = np.zeros((2, X.shape[0]))
+    for j in range(max(0, i - k + 1), min(d - k, i) + 1):
+        window = [X[:, j + t] for t in range(k)]
+        e = np.exp(np.prod(window, axis=0))
+        partner = np.prod([x for t, x in enumerate(window) if j + t != i], axis=0)
         d1 += c[j] * partner * e
         d2 += c[j] * partner**2 * e
     return d1, d2
@@ -223,7 +229,7 @@ class ExactSolutionView:
         """
         sets = index_sets(X, dims, sizes)
         X = sets.X.astype(np.float64, copy=False)
-        phi = 1.0 - np.sum(X * X, axis=1)
+        phi = boundary_factor(X)
         S = _interaction_terms(self.problem, X) @ self.problem.coeffs
         d2 = np.empty((sets.dims.size, X.shape[0]))
         for j, i in enumerate(sets.dims):
@@ -237,6 +243,8 @@ def rhs_eval(problem: PdeProblem, X: np.ndarray, work=None) -> np.ndarray:
 
     With u = phi*S, phi = 1 - ||x||^2:
     Lap u = phi*Lap S - 4 x . grad S - 2 d S, all vectorized over the batch.
+    Over the windows, Lap S = sum_j c_j E_j sum_t (prod_{s != t} x_s)^2, the
+    one plane formed per k, and x . grad S = sum_j c_j k (x_j ... x_{j+k-1}) E_j.
     Each term is formed in place, at most two B x n_coeffs buffers at a time,
     with the operations of the closed form in their order.  It computes in
     float64 from a batch of either dtype, with no float64 copy of a float32
@@ -247,43 +255,34 @@ def rhs_eval(problem: PdeProblem, X: np.ndarray, work=None) -> np.ndarray:
     X = np.atleast_2d(X)
     d = problem.dim
     c = problem.coeffs
-    B, n = X.shape[0], coefficient_count(problem.solution, d)
+    B, n, k = X.shape[0], coefficient_count(problem.solution, d), SOLUTIONS[problem.solution]
+    x = _windows(X, k)
 
     def plane(i, cols=n):  # XX, then U, die before E takes their buffer
         return work and work.take(i, (B, cols), np.float64)
 
     XX = np.multiply(X, X, out=plane(0, d), dtype=np.float64)
     phi = 1.0 - np.sum(XX, axis=1)
-    if problem.solution == "two_body":
-        x1, x2 = X[:, :-1], X[:, 1:]
-        T = np.add(XX[:, :-1], XX[:, 1:], out=plane(1))  # x1 * x1 + x2 * x2
+    if k == 2:  # x1 * x1 + x2 * x2
+        T = np.add(XX[:, :-1], XX[:, 1:], out=plane(1))
         del XX
-        E = _interaction_terms(problem, X, plane(0))
-        T *= E
-        lap_S = T @ c
-        np.multiply(x1, x2, out=T, dtype=np.float64)  # 2.0 * ((x1 * x2) * E)
-        T *= E
-        T *= 2.0
-    else:
+    else:  # (x2 * x3) ** 2 + (x1 * x3) ** 2 + (x1 * x2) ** 2
         del XX
-        x1, x2, x3 = X[:, :-2], X[:, 1:-1], X[:, 2:]
-        # (x2 * x3) ** 2 + (x1 * x3) ** 2 + (x1 * x2) ** 2
-        T = np.multiply(x2, x3, out=plane(1), dtype=np.float64)
-        U = np.multiply(x1, x3, out=plane(0), dtype=np.float64)
+        T = np.multiply(x[1], x[2], out=plane(1), dtype=np.float64)
+        U = np.multiply(x[0], x[2], out=plane(0), dtype=np.float64)
         T *= T
         U *= U
         T += U
-        np.multiply(x1, x2, out=U, dtype=np.float64)
+        np.multiply(x[0], x[1], out=U, dtype=np.float64)
         U *= U
         T += U
         del U
-        E = _interaction_terms(problem, X, plane(0))
-        T *= E
-        lap_S = T @ c
-        np.multiply(x1, x2, out=T, dtype=np.float64)  # 3.0 * ((x1 * x2 * x3) * E)
-        T *= x3
-        T *= E
-        T *= 3.0
+    E = _interaction_terms(problem, X, plane(0))
+    T *= E
+    lap_S = T @ c
+    _window_products(x, T)  # k * ((x1 ... xk) * E)
+    T *= E
+    T *= float(k)
     x_grad_S = T @ c
     S = E @ c
     lap_u = phi * lap_S - 4.0 * x_grad_S - 2.0 * d * S

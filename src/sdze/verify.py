@@ -16,11 +16,14 @@ over the spatial measure.  It lives here because the crns suite and
 ``sdze ablate-crns`` call it, and the benchmark in ``perfbench/`` binds it,
 ``directional_delta`` and ``sample_core`` under this module.
 
-Each ``sdze verify --suite`` is one function here that builds its own inputs
-and pass rules: :func:`quadratic_suite`, :func:`mean_bias_suite`,
-:func:`variance_law_suite`, :func:`unbiasedness_check`, :func:`crns_suite`,
-:func:`jets_suite` and :func:`implicit_suite`.  The acceptance criteria call
-the same functions; :mod:`sdze.cli` names the criterion each suite reproduces.
+Each ``sdze verify --suite`` is one function here of the seed alone, which
+builds its own inputs and pass rules: :func:`quadratic_suite`,
+:func:`mean_bias_suite`, :func:`variance_law_suite`, :func:`unbiasedness_check`,
+:func:`crns_suite`, :func:`jets_suite` and :func:`implicit_suite`.  Their sizes,
+which their pass bounds were set for, are this module's constants, read at
+the call, so the CLI and the acceptance criteria run the same check on the
+same inputs; :mod:`sdze.cli` names the criterion each suite reproduces.  The
+checks the suites call take every size as a parameter.
 
 The "backprop gradient" referenced by the identities is realized by the
 finite-difference oracle; the artifact has no reverse mode by design.
@@ -588,17 +591,16 @@ def crns_variance_sweep(
     return rows, slope_crns, slope_naive
 
 
-# --- verify suites: each builds its inputs and returns (reports, detail) -----
+# --- verify suites: each builds its inputs from the seed; (reports, detail) ---
 
 
-def quadratic_suite(
-    master: int, samples: int = SAMPLES
-) -> tuple[list[IdentityReport], dict]:
+def quadratic_suite(master: int) -> tuple[list[IdentityReport], dict]:
     """Criterion 3: the quadratic identities on each of ``QUADRATIC_CASES``.
 
     One generator seeded ``master`` draws each case's positive definite H
     and theta in turn; a case's directions are keyed at ``master + q``.  Each
-    case adds its :func:`quadratic_identity_check` reports in order.
+    case adds its :func:`quadratic_identity_check` reports, over ``SAMPLES``
+    draws, in order.  ``QUADRATIC_CASES`` and ``SAMPLES`` are read at the call.
     """
     rng = np.random.default_rng(master)
     reports = []
@@ -607,18 +609,14 @@ def quadratic_suite(
         H = rng.standard_normal((P, P))
         H = H @ H.T / P + np.eye(P)
         theta = rng.standard_normal(P)
-        reports += quadratic_identity_check(H, theta, r, shapes, samples, master=master + q)
+        reports += quadratic_identity_check(H, theta, r, shapes, SAMPLES, master=master + q)
     return reports, {}
 
 
-def mean_bias_suite(
-    master: int, samples: int = SAMPLES
-) -> tuple[list[IdentityReport], dict]:
-    """The O(eps^2) mean bias on a quartic in 8 parameters, at three eps."""
+def mean_bias_suite(master: int) -> tuple[list[IdentityReport], dict]:
+    """The O(eps^2) mean bias on a quartic in 8 parameters, at three eps, over ``SAMPLES``."""
     theta = np.random.default_rng(master).standard_normal(8) * 0.5
-    report, rows = mean_bias_check(
-        theta, 2, [(2, 4)], [1e-2, 5e-3, 1e-3], samples, master=master
-    )
+    report, rows = mean_bias_check(theta, 2, [(2, 4)], [1e-2, 5e-3, 1e-3], SAMPLES, master=master)
     return [report], {"rows": rows}
 
 
@@ -646,22 +644,18 @@ def variance_law_suite(master: int) -> tuple[list[IdentityReport], dict]:
     return reports, detail
 
 
-def crns_suite(
-    master: int,
-    dim: int = CRNS_DIM,
-    b: int = CRNS_B,
-    reps: int = CRNS_REPS,
-    eps_list=CRNS_EPS,
-) -> tuple[list[IdentityReport], dict]:
+def crns_suite(master: int) -> tuple[list[IdentityReport], dict]:
     """Criterion 5: seed locking cancels the O(1/eps^2) variance of the estimate.
 
     :func:`crns_variance_sweep` runs on the two_body Poisson problem in
-    ``dim`` dimensions, a dim-64-1 sin net at rank 8 and B = 20 points with
-    ``b`` dimensions per index set.  The reports pass when
+    ``CRNS_DIM`` dimensions, a CRNS_DIM-64-1 sin net at rank 8 and B = 20
+    points with ``CRNS_B`` dimensions per index set, over ``CRNS_REPS``
+    replicates at each of ``CRNS_EPS``; the four are read at the call.  The
+    reports pass when
 
     * the unlocked log-log slope of variance against eps is -2 +- 0.2;
     * the locked slope is 0 +- 0.3;
-    * the locked variances spread by at most 2x over ``eps_list``, which
+    * the locked variances spread by at most 2x over ``CRNS_EPS``, which
       over three decades forces |locked slope| <= 0.12;
     * at each eps <= 1e-3, 2 eps^2 (Var_naive - Var_crns / 2) / Var_S L lies
       in [0.75, 1.33].  That is the 1/eps^2 coefficient locking cancels (see
@@ -675,7 +669,7 @@ def crns_suite(
     replicate samples; ``detail`` holds it as ``var_loss`` with the sweep's
     rows and slopes.
     """
-    B = 20
+    B, dim, b, reps, eps_list = 20, CRNS_DIM, CRNS_B, CRNS_REPS, CRNS_EPS
     problem = make_problem("none", dim, "two_body", master)
     params = init_mlp([dim, 64, 1], "sin", master)
     rows, slope_crns, slope_naive = crns_variance_sweep(

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -306,6 +307,30 @@ def test_real_fields_must_be_finite(tmp_path, name):
         # the JSON text spells it NaN, Infinity or -Infinity
         with pytest.raises(ConfigError, match=f"^{key} must be finite"):
             config_from_dict(json.loads(json.dumps(raw)))
+
+
+@pytest.mark.parametrize(
+    "mode, name, bad, rule",
+    [
+        ("annealed", "m", -200.0, "> -1"),  # a complex step for t < 200
+        ("annealed", "m", -1.0, "> -1"),  # a division by zero at t = 1
+        ("annealed", "gamma", -0.5, ">= 0"),
+        ("constant", "alpha", -1e-3, ">= 0"),
+        ("sqrt_tq", "c", -1.0, ">= 0"),
+    ],
+)
+def test_a_mode_refuses_a_step_size_it_cannot_form(tmp_path, mode, name, bad, rule):
+    # t + m > 0 for every t >= 1, and no step goes uphill; each rule holds in
+    # its own mode only, where the field is read
+    message = f"{name} must be {rule} in {mode} mode"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        SdzeConfig(lr_mode=mode, **{name: bad})
+    raw = tiny_config(tmp_path)
+    raw["sdze"]["lr"] = {"mode": mode, name: bad}
+    with pytest.raises(ConfigError, match=f"^{re.escape('sdze.lr.' + message)}$"):
+        config_from_dict(raw)
+    other = "constant" if mode != "constant" else "annealed"
+    assert getattr(SdzeConfig(lr_mode=other, **{name: bad}), name) == bad
 
 
 def test_the_seed_must_fit_in_64_bits(tmp_path):
@@ -620,9 +645,12 @@ def test_cli_verify_jet_suites(tmp_path, suite):
     assert json.loads((tmp_path / f"v/{suite}.json").read_text())["suite"] == suite
 
 
-def test_cli_verify_crns_writes_the_criterion_5_rows(tmp_path):
-    # seed 0 reads its identities above 1.33 and seed 2 below it but above
-    # 1.25, so both edges of the asymmetric interval are exercised
+def test_cli_verify_crns_writes_the_criterion_5_rows(tmp_path, monkeypatch):
+    # the suite reads its sweep sizes at the call; at dim 8, b 2 and 20
+    # replicates seed 0 reads its identities above 1.33 and seed 2 below it
+    # but above 1.25, so both edges of the asymmetric interval are exercised
+    for name, value in (("CRNS_DIM", 8), ("CRNS_B", 2), ("CRNS_REPS", 20)):
+        monkeypatch.setattr(cli.V, name, value)
     bounds = {
         "naive_variance_slope": lambda x: abs(x + 2.0) <= 0.2,
         "crns_variance_slope": lambda x: abs(x) <= 0.3,
@@ -632,8 +660,7 @@ def test_cli_verify_crns_writes_the_criterion_5_rows(tmp_path):
     }
     for seed in ("0", "2"):
         out = tmp_path / seed
-        argv = ["verify", "--suite", "crns", "--dim", "8", "--b", "2", "--reps", "20"]
-        rc = cli.main(argv + ["--seed", seed, "--out", str(out)])
+        rc = cli.main(["verify", "--suite", "crns", "--seed", seed, "--out", str(out)])
         lines = (out / "crns.csv").read_text().splitlines()
         rows = list(csv.DictReader(lines[1:]))
         assert [row["name"] for row in rows] == list(bounds)
@@ -710,22 +737,28 @@ def test_cli_ablate_crns_sweeps_the_configured_net(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "command, flags, flag",
+    "command, flags, message",
     [
-        ("verify", ["--dim", "4", "--b", "9"], "--b"),
-        ("verify", ["--reps", "1"], "--reps"),
-        ("verify", ["--dim", "1", "--b", "1"], "--dim"),
-        ("ablate-crns", ["--reps", "1"], "--reps"),
+        ("verify", ["--suite", "crns", "--seed", "-1"], "argument --seed:"),
+        ("verify", ["--suite", "crns", "--seed", str(2**64)], "argument --seed:"),
+        ("verify", ["--suite", "crns", "--dim", "8"], "unrecognized arguments: --dim 8"),
+        ("verify", ["--suite", "quadratic", "--samples", "1000"], "unrecognized arguments"),
+        ("ablate-crns", ["--reps", "1"], "argument --reps:"),
     ],
-    ids=["b_above_dim", "one_replicate", "dim_below_two_body", "ablate_one_replicate"],
+    ids=[
+        "negative_seed", "seed_past_64_bits", "sizing_flag_dim", "sizing_flag_samples",
+        "ablate_one_replicate",
+    ],
 )
 def test_cli_verify_crns_refuses_flags_it_cannot_run_before_writing(
-    tmp_path, capsys, command, flags, flag
+    tmp_path, capsys, command, flags, message
 ):
-    # ablate-crns runs the same sweep, so it refuses the same replicate count
+    # a verify seed obeys SdzeConfig's rule, and a suite runs at its own sizes
+    # only, where its pass bounds hold; ablate-crns runs the crns sweep, so it
+    # refuses the replicate count the sweep cannot form a variance from
     out = tmp_path / "out"
     if command == "verify":
-        argv = ["verify", "--suite", "crns", "--dim", "8", "--reps", "2", "--b", "2", "--out", str(out)]
+        argv = ["verify", "--out", str(out)]
     else:
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(json.dumps(tiny_config(tmp_path, out_dir=str(out))))
@@ -733,19 +766,16 @@ def test_cli_verify_crns_refuses_flags_it_cannot_run_before_writing(
     with pytest.raises(SystemExit) as exit_:
         cli.main(argv + flags)
     assert exit_.value.code == 2
-    assert f"argument {flag}:" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["verify", "ablate-crns"])
+@pytest.mark.parametrize("command", ["ablate-crns"])
 def test_cli_refuses_a_degenerate_eps_list_before_writing(tmp_path, capsys, command):
     out = tmp_path / "out"
     cfg_path = tmp_path / "c.json"
     cfg_path.write_text(json.dumps(tiny_config(tmp_path, out_dir=str(out))))
-    if command == "verify":
-        argv = ["verify", "--suite", "crns", "--dim", "8", "--reps", "2", "--b", "2", "--out", str(out)]
-    else:
-        argv = ["ablate-crns", "--config", str(cfg_path), "--reps", "2"]
+    argv = [command, "--config", str(cfg_path), "--reps", "2"]
     with pytest.raises(SystemExit) as exit_:
         cli.main(argv + ["--eps", "1e-3,1e-3"])
     assert exit_.value.code == 2

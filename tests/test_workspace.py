@@ -5,13 +5,15 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sdze import optimizer
-from sdze.optimizer import SdzeConfig, make_subspaces, sdze_step, train
+from sdze.optimizer import DTYPES, SdzeConfig, make_subspaces, sdze_step, train
+from sdze.subspace import BLOCK_ELEMS
 from sdze.workspace import Workspace, buffer
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -107,6 +109,86 @@ def test_a_variance_sweep_cell_has_the_bits_of_fresh_pairs(monkeypatch):
     for k, got in enumerate(deltas, 1):
         pair = SignPair(params, subs, cores, cfg.eps, np.float32)
         assert got == estimate(pair, problem, *optimizer.draw_signs(problem, cfg, k)), k
+
+
+def _measured_run(monkeypatch, cfg):
+    """``train(cfg)`` traced: its result, its workspace and each step's peak bytes.
+
+    A step's peak is tracemalloc's over the ``sdze_step`` call, everything
+    the process holds included; the evaluations between steps are outside it.
+    """
+    works, peaks = [], {}
+
+    class Captured(Workspace):
+        def __init__(self):
+            super().__init__()
+            works.append(self)
+
+    step = optimizer.sdze_step
+
+    def measured(*args):
+        tracemalloc.reset_peak()
+        rec = step(*args)
+        peaks[rec.step] = tracemalloc.get_traced_memory()[1]
+        return rec
+
+    monkeypatch.setattr(optimizer, "Workspace", Captured)
+    monkeypatch.setattr(optimizer, "sdze_step", measured)
+    tracemalloc.start()
+    try:
+        result = train(cfg, cfg.make_problem())
+    finally:
+        tracemalloc.stop()
+    (work,) = works
+    return result, work, peaks
+
+
+# Every name a run keeps that does not grow with d, and the d-free uses of
+# those that do (the draw's blocks, the tangent blocks, the update's block),
+# keeps at most the rank-r update's streamed block, 8 BLOCK_ELEMS bytes: at
+# d = 10^4 a new buffer of B x d words, even float32 ones, exceeds it
+FREE_NAME = 8 * BLOCK_ELEMS
+# A steady step may allocate, beside what the run holds, the float64 square
+# of the batch that phi reads (net.boundary_factor, 8 B d bytes) and 256 KiB
+# of d-free arrays (at most 190 KB measured, at d = 100 in float64)
+FREE_STEP = 256 * 1024
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+def test_a_train_run_keeps_bounded_bytes_by_name_and_per_step(monkeypatch, dtype):
+    # criterion 8's shapes, on the path train runs: one workspace for the run.
+    # Measured at d = 10^4 it keeps 9.40 MB in float32 (W0's cast, the two
+    # rhs planes and the batch) and 5.35 MB in float64; the bounds hold what
+    # the run keeps today, d-sized terms included, and fail any new one
+    assert 20 * 16 * 128 * 128 < optimizer.CONCURRENT_MIN_MACS  # one thread's scratch
+    word = np.dtype(DTYPES[dtype]).itemsize
+    cast = word if dtype == "f32" else 0  # bytes per weight cast to the step dtype
+    # the d-sized names and their bytes per B d: the batch, in the step dtype,
+    # and the rhs's two float64 planes, scratch 0 and 1; W0's cast ("W", 0, 0)
+    # keeps cast bytes per d h (a float64 step reads W0 itself)
+    per_bd = {"ball": word, 0: 8, 1: 8}
+    for d in (100, 1000, 10_000):
+        cfg = SdzeConfig(
+            seed=3, widths=[d, 128, 128, 1], dtype=dtype, eps=1e-3, lr_mode="constant",
+            alpha=1e-4, steps=4, rank=16, freq_F=2, batch_B=20, batch_b=8, eval_every=100,
+            test_points=16,
+        )
+        B, h = cfg.batch_B, cfg.widths[1]
+        result, work, peaks = _measured_run(monkeypatch, cfg)
+        over = {}
+        for name, kept in work._kept.items():
+            scratch = type(name) is tuple and type(name[0]) is int  # (thread, i)
+            label = name[1] if scratch else name
+            d_sized = cast * d * h if name == ("W", 0, 0) else per_bd.get(label, 0) * B * d
+            if kept.nbytes > max(d_sized, FREE_NAME):
+                over[name] = kept.nbytes
+        assert over == {}, (d, over)
+        params = sum(W.nbytes for W in result.params.weights)
+        bases = sum(s.U.nbytes + s.V.nbytes for s in result.subspaces)
+        # the run holds its workspace, the bases and their cast to the step dtype
+        held = sum(kept.nbytes for kept in work._kept.values()) + bases + bases * cast // 8
+        steady = max(peaks[3], peaks[4]) - params  # step 4 refreshes the bases
+        assert steady <= held + 8 * B * d + FREE_STEP, (d, steady, held)
 
 
 # Two train calls, then a loop of sdze_step that passes one workspace, at the
