@@ -35,20 +35,21 @@ perturbation.  When it is built it forms W_0 in the step dtype, the core
 eps Z_0 and each sign's hidden weights: one E_l per layer gives W_l + E_l
 and W_l - E_l, each formed in float64 and rounded once to the step dtype,
 so no E_l outlives its layer.  For a batch X it forms the products X W_0
-and X (eps DW_0) and phi(X) of the ansatz; for an index set I only the
-seed rows W_0[I] and (eps DW_0)[I].  Each sign then adds or subtracts the
-perturbation term and forms its own activations and tangent blocks.
-This changes no bit: every sign-dependent term is linear in the sign and
-IEEE negation is exact, so (-eps) Z = -(eps Z), a product with one operand
-negated is the negated product, and W + (-E) = W - E.  Batch terms are
-reused when the -eps pass reads the same read-only X, seed rows when it
-also reads the same read-only index array (a seed-locked sample).
+and X (eps DW_0); for an index set I only the seed rows W_0[I] and
+(eps DW_0)[I].  Each sign then adds or subtracts the perturbation term and
+forms its own activations and tangent blocks.  This changes no bit: every
+sign-dependent term is linear in the sign and IEEE negation is exact, so
+(-eps) Z = -(eps Z), a product with one operand negated is the negated
+product, and W + (-E) = W - E.  Batch terms are reused when the -eps pass
+reads the same read-only X, seed rows when it also reads the same
+read-only index array (a seed-locked sample).
 
 What an index set forms whatever the pair and the sign is not the pair's:
-the split of the direction list into sets, their offsets, 2|I| and
-X[:, I] are one :class:`IndexSets`, formed by :func:`index_sets` with the
-one range check of the directions.  A drawn sample forms it once
-(:class:`sdze.spatial.DrawnSample`) and every pass and pair on the draw
+the split of the direction list into sets, their offsets, 2|I|, X[:, I]
+and the ansatz's phi(X) are one :class:`IndexSets`, formed by
+:func:`index_sets` with the one range check of the directions.  A drawn
+sample forms it once, with the phi its rhs formed
+(:class:`sdze.spatial.DrawnSample`), and every pass and pair on the draw
 reads it; a call on raw arrays (:func:`jet_sums`) forms it once per call.
 
 The half of a jet sweep that reads no index set also depends only on the
@@ -83,7 +84,7 @@ own; each sign's values, sigma' and sigma'' planes and adjoint under names
 of that sign; and what dies within a call (the pre-activations and sigma of
 a layer, the adjoint's products, the tangent blocks and their squares) in
 scratch of the thread that runs it.  So every thread that runs a jet sweep,
-the sign worker, the caller's -eps pass or the serial path, transports its
+the worker, the caller's -eps pass or the serial path, transports its
 tangents in kept blocks, and a run's steps allocate none of these arrays.
 Without a workspace each is allocated as it is formed.  The arrays of one
 index set (the seed rows and g1: |I| h and |I| B words, and the draw's
@@ -311,10 +312,6 @@ class _Batch:
     # sign -> the read-only planes of :func:`_adjoints` at that sign
     planes: dict = field(default_factory=dict)
 
-    @cached_property
-    def phi(self) -> np.ndarray:
-        return boundary_factor(self.X)
-
 
 @dataclass(eq=False)
 class _Rows:
@@ -466,10 +463,10 @@ class SignPair:
     def share(self, sets: IndexSets) -> None:
         """Form every term of the read-only ``sets`` that both signs read.
 
-        That is :meth:`batch` of its X, phi and :meth:`rows`.  A jet sweep of
+        That is :meth:`batch` of its X and :meth:`rows`.  A jet sweep of
         either sign on the same sets then writes nothing the other sign reads.
         """
-        self.batch(sets.X).phi
+        self.batch(sets.X)
         self.rows(sets)
 
     @cached_property
@@ -596,15 +593,18 @@ class IndexSets:
     starts: tuple[int, ...]  # their offsets in dims (:func:`set_starts`)
     twice: np.ndarray  # (len(sizes), 1) float64: 2 |I| of each set
     xi: np.ndarray  # (n, B) float64: X[:, dims].T, exact for a float32 X
+    phi: np.ndarray  # (B,) float64: 1 - ||x||^2 (boundary_factor)
 
 
-def index_sets(X, dims, sizes) -> IndexSets:
+def index_sets(X, dims, sizes, phi=None) -> IndexSets:
     """The :class:`IndexSets` of batch ``X`` along ``dims``, split into sets of ``sizes``.
 
     A direction index outside [0, d), d the batch's width, raises
     ``ValueError``.  ``sizes`` may instead be the IndexSets of these very
     ``X`` and ``dims``, as a pass over a drawn sample passes them; it is
-    returned as is, so a pass forms nothing of its index sets.
+    returned as is, so a pass forms nothing of its index sets.  ``phi``,
+    X's :func:`boundary_factor` where the caller has formed it (a drawn
+    sample, from its rhs), is held as given; otherwise it is formed here.
     """
     if isinstance(sizes, IndexSets):
         if sizes.X is not X or sizes.dims is not dims:
@@ -619,8 +619,9 @@ def index_sets(X, dims, sizes) -> IndexSets:
     # 2|I| as an f64 column: an f32 g widens to f64, as the other terms do
     twice = np.array([2.0 * k for k in counts])[:, None]
     xi = X[:, dims].astype(np.float64, copy=False).T
-    twice.flags.writeable = xi.flags.writeable = False
-    return IndexSets(X, dims, counts, starts, twice, xi)
+    phi = boundary_factor(X) if phi is None else phi
+    twice.flags.writeable = xi.flags.writeable = phi.flags.writeable = False
+    return IndexSets(X, dims, counts, starts, twice, xi, phi)
 
 
 # directions transported per cache-sized block during jet sweeps
@@ -770,5 +771,5 @@ def jet_sums(view: PerturbView, X: np.ndarray, dims, sizes) -> tuple[np.ndarray,
     batch = pair.batch(sets.X)
     g, g1, g2 = _raw_jets(view, batch, pair.rows(sets), sets.starts)
     xg1 = np.add.reduceat(sets.xi * g1, sets.starts, axis=0)
-    sums = batch.phi * g2 - 4.0 * xg1 - sets.twice * g
-    return batch.phi * g, sums
+    sums = sets.phi * g2 - 4.0 * xg1 - sets.twice * g
+    return sets.phi * g, sums

@@ -14,45 +14,48 @@ picks the mode.
 
 The two passes of an estimate on two cores.  Both passes only read the
 drawn sample and share nothing they write, so :func:`directional_delta` may
-run the +eps pass on a worker thread while the calling thread runs the -eps
-pass.  Each pass does the same arithmetic on either path and every BLAS call
-still runs on one thread, so the bits do not change.
+run the +eps pass on the process's one worker thread (:mod:`sdze.worker`,
+which also evaluates row blocks of :func:`relative_l2`) while the calling
+thread runs the -eps pass.  Each pass does the same arithmetic on either
+path and every BLAS call still runs on one thread, so the bits do not
+change.
 
 * What the caller forms.  Before it hands the +eps pass over, the caller
   forms every term of the pair both passes read (:meth:`SignPair.share`:
-  the batch products, phi and the seed rows); the draw holds the rest.
+  the batch products and the seed rows); the draw holds the rest, phi
+  among them.
   The worker then only reads the pair, the sample and the problem; it
   writes only its own sign's planes on the batch and its own tangent
   blocks, which with the pair's workspace are the worker thread's scratch
   (:mod:`sdze.workspace`).
 * The gate (:func:`_concurrent`).  It reads only what it can observe of
-  the estimate and the process, and takes the concurrent path when all four
+  the estimate and the process, and takes the concurrent path when all three
   hold: (a) the sample is seed locked (``minus is plus``; the unlocked
   ablation's two index sets would race on the pair's one-entry rows cache)
   and read-only, as :func:`draw_sample` makes it (each pass forms the terms
   of a writable batch again, in the same buffers of the pair's workspace),
   (b) one sign's tangent work, B |dims| times the pair's
-  :attr:`SignPair.transport_macs`, reaches ``CONCURRENT_MIN_MACS``, (c) the
-  environment gives the BLAS one thread, as OpenBLAS reads it (unpinned,
-  OpenBLAS already spreads each GEMM over both cores: the concurrent path
-  there left poisson100's step at 2.24-2.27 ms, against 2.16-2.28 serial),
-  and (d) the process's affinity holds at least 2 CPUs.  Below (b) the
-  worker's round trip and the two threads' turns at the interpreter cost
-  more than the overlap saves.  A sweep of estimates over hidden widths
-  32..256, B 10..200 and b 2..16 (f32, BLAS pinned, 2 cores, after a
-  2 000-point evaluation as in ``train``) found the concurrent one no
-  faster up to 5.9 M multiply-adds and faster in every shape from 6.3 M
-  on: 5-17 % at 6.3-12.6 M, 34 % at poisson100's 52.4 M (1.31 against
-  1.97 ms).  f64 crosses lower, between 0.7 and 2.6 M; the one constant
-  keeps f64 shapes below 6 M serial.  Criterion 8's step (5.2 M) and the
-  depth-2 variance sweep (none) stay serial.  Both passes call this
-  module's ``stochastic_loss``, looked up at each call, so a wrapper set on
-  the module sees every pass on either path.
+  :attr:`SignPair.transport_macs`, reaches ``CONCURRENT_MIN_MACS``, and
+  (c) :func:`sdze.worker.may_share` holds: the BLAS is pinned to one thread
+  (unpinned, OpenBLAS already spreads each GEMM over both cores: the
+  concurrent path there left poisson100's step at 2.24-2.27 ms, against
+  2.16-2.28 serial), the process's affinity holds at least 2 CPUs and the
+  caller is not the worker.  Below (b) the worker's round trip and the two
+  threads' turns at the interpreter cost more than the overlap saves.  A
+  sweep of estimates over hidden widths 32..256, B 10..200 and b 2..16
+  (f32, BLAS pinned, 2 cores, after a 2 000-point evaluation as in
+  ``train``) found the concurrent one no faster up to 5.9 M multiply-adds
+  and faster in every shape from 6.3 M on: 5-17 % at 6.3-12.6 M, 34 % at
+  poisson100's 52.4 M (1.31 against 1.97 ms).  f64 crosses lower, between
+  0.7 and 2.6 M; the one constant keeps f64 shapes below 6 M serial.
+  Criterion 8's step (5.2 M) and the depth-2 variance sweep (none) stay
+  serial.  Both passes call this module's ``stochastic_loss``, looked up at
+  each call, so a wrapper set on the module sees every pass on either path.
 * Errors.  Either way the +eps pass's exception is raised if it has one,
   else the -eps pass's: the serial order.  The call returns or raises only
-  after both passes have ended, and the worker keeps no finished task.
-  The worker runs in a copy of the caller's context, so numpy's errstate
-  reaches it.  :func:`sdze_step` runs both passes under
+  after both passes have ended (:mod:`sdze.worker`: the worker keeps no
+  finished task and runs in a copy of the caller's context, so numpy's
+  errstate reaches it).  :func:`sdze_step` runs both passes under
   ``np.errstate(over="raise")``: an overflow of the step dtype in either
   sweep raises ``FloatingPointError`` naming the layer (:mod:`sdze.net`),
   which the step turns into its cause.  Read-only estimates (the variance
@@ -62,10 +65,6 @@ still runs on one thread, so the bits do not change.
 
 from __future__ import annotations
 
-import contextvars
-import os
-import re
-import threading
 import time
 from dataclasses import dataclass, field, replace
 
@@ -92,6 +91,7 @@ from .subspace import (
     sample_core,
     subspace_for_layer,
 )
+from . import worker
 from .workspace import Workspace
 
 LR_MODES = ("constant", "annealed", "sqrt_tq")
@@ -103,6 +103,11 @@ _TAGS = {
     "pde_kind": PDE_KINDS, "pde_solution": SOLUTIONS, "normalization": NORMALIZATIONS,
     "activation": ACTIVATIONS, "dtype": DTYPES, "lr_mode": LR_MODES,
 }
+
+
+def _integer(value) -> bool:
+    """Whether ``value`` is an integer: a Python or numpy int, never a bool or a float."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 class ConfigError(ValueError):
@@ -163,7 +168,11 @@ class SdzeConfig:
         for name, allowed in _TAGS.items():
             if getattr(self, name) not in allowed:
                 problems.append((name, f"must be one of {list(allowed)}"))
-        if not 0 <= self.seed < 2**64:  # checkpoints and stream keys hold it in 64 bits
+        counts = ("rank", "freq_F", "batch_B", "batch_b", "eval_every", "test_points")
+        not_int = [n for n in ("seed", "steps", *counts) if not _integer(getattr(self, n))]
+        problems += [(n, f"must be an integer, got {getattr(self, n)!r}") for n in not_int]
+        # checkpoints and stream keys hold the seed in 64 bits
+        if "seed" not in not_int and not 0 <= self.seed < 2**64:
             problems.append(("seed", "must be in [0, 2**64)"))
         reals = ("eps", "alpha", "gamma", "m", "c")
         infinite = [name for name in reals if not np.isfinite(getattr(self, name))]
@@ -181,16 +190,14 @@ class SdzeConfig:
         ):
             if self.lr_mode == mode and name not in infinite and not ok:
                 problems.append((name, f"must be {rule} in {mode} mode"))
-        for name in ("rank", "freq_F", "batch_B", "batch_b", "eval_every", "test_points"):
-            if getattr(self, name) < 1:
+        for name in counts:
+            if name not in not_int and getattr(self, name) < 1:
                 problems.append((name, "must be >= 1"))
-        if self.steps < 0:
+        if "steps" not in not_int and self.steps < 0:
             problems.append(("steps", "must be >= 0"))
         if len(self.widths) < 2 or self.widths[-1] != 1:
             problems.append(("widths", f"must have >= 2 entries and end in 1, got {self.widths}"))
-        integral = all(
-            isinstance(w, (int, np.integer)) and not isinstance(w, bool) for w in self.widths
-        )
+        integral = all(_integer(w) for w in self.widths)
         if not integral or any(w < 1 for w in self.widths[1:]):  # widths[0]: the solution's
             problems.append(("widths", f"must be a list of integers >= 1, got {self.widths}"))
         if self.widths and integral and self.pde_solution in SOLUTIONS:
@@ -283,90 +290,14 @@ def step_cores(master: int, subspaces: list[LayerSubspace], t: int) -> list[np.n
 CONCURRENT_MIN_MACS = 6_000_000
 
 
-def _blas_threads(environ) -> int:
-    """The BLAS thread count ``environ`` asks for, as OpenBLAS reads it; 0 if none.
-
-    The first of ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` and
-    ``OMP_NUM_THREADS`` whose leading integer (C ``atoi``) is positive.
-    """
-    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        lead = re.match(r"\s*[+-]?\d+", environ.get(name, ""))
-        if lead and int(lead.group()) > 0:
-            return int(lead.group())
-    return 0
-
-
-# OpenBLAS reads the environment once, when numpy loads it; so does this module
-_BLAS_ONE_THREAD = _blas_threads(os.environ) == 1
-
-
-def _cpu_count() -> int:
-    """CPUs in this process's affinity."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _concurrent(pair: SignPair, plus: DrawnSample, minus: DrawnSample) -> bool:
     """Whether an estimate's passes run on two threads: from its sample, work and the process."""
     if minus is not plus:
         return False
     work = plus.X.shape[0] * plus.dims.size * pair.transport_macs
-    if work < CONCURRENT_MIN_MACS or not _BLAS_ONE_THREAD or _cpu_count() < 2:
+    if work < CONCURRENT_MIN_MACS or not worker.may_share():
         return False
     return not (plus.X.flags.writeable or plus.dims.flags.writeable)
-
-
-class _SignWorker:
-    """A daemon thread that runs the +eps pass of concurrent estimates, one at a time."""
-
-    def __init__(self):
-        import queue  # here, so the serial path imports nothing new
-
-        self._tasks = queue.SimpleQueue()
-        self._reply = queue.SimpleQueue  # one per task
-        threading.Thread(target=self._serve, name="sdze-sign", daemon=True).start()
-
-    def submit(self, fn, *args):
-        """Queue ``fn(*args)`` in a copy of this context; ``get()`` on the reply
-        waits for its (result, None) or (None, exception)."""
-        reply = self._reply()
-        self._tasks.put((contextvars.copy_context(), fn, args, reply))
-        return reply
-
-    def _serve(self):
-        while True:
-            _run(*self._tasks.get())
-
-
-def _run(ctx, fn, args, reply) -> None:
-    # a frame per task: nothing of a finished task outlives it
-    try:
-        reply.put((ctx.run(fn, *args), None))
-    except BaseException as err:  # raised again by the caller
-        reply.put((None, err))
-
-
-_WORKER: _SignWorker | None = None
-_WORKER_START = threading.Lock()
-
-
-def _sign_worker() -> _SignWorker:
-    """The sign worker, started at the first concurrent estimate."""
-    global _WORKER
-    with _WORKER_START:
-        if _WORKER is None:
-            _WORKER = _SignWorker()
-        return _WORKER
-
-
-def _forget_worker() -> None:
-    global _WORKER
-    _WORKER = None
-
-
-if hasattr(os, "register_at_fork"):  # a forked child has no worker thread
-    os.register_at_fork(after_in_child=_forget_worker)
 
 
 def directional_delta(
@@ -390,9 +321,10 @@ def directional_delta(
     (:mod:`sdze.net`).
 
     Each pass is a call of this module's ``stochastic_loss``.  When
-    :func:`_concurrent` allows it, the +eps pass runs on the sign worker, in a
-    copy of this thread's context (numpy's errstate included), while this
-    thread runs the -eps pass, with the same bits (module docstring).  Either
+    :func:`_concurrent` allows it, the +eps pass runs on the process's worker
+    (:mod:`sdze.worker`), in a copy of this thread's context (numpy's
+    errstate included), while this thread runs the -eps pass, with the same
+    bits (module docstring).  Either
     way an error of the +eps pass is raised before one of the -eps pass, and
     the call ends after both passes.
     """
@@ -401,7 +333,7 @@ def directional_delta(
         lm = stochastic_loss(PerturbView(pair, -1), problem, minus)
     else:
         pair.share(plus.sets)
-        reply = _sign_worker().submit(stochastic_loss, PerturbView(pair, 1), problem, plus)
+        reply = worker.submit(stochastic_loss, PerturbView(pair, 1), problem, plus)
         try:
             lm = stochastic_loss(PerturbView(pair, -1), problem, minus)
         finally:

@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import worker
 from .net import IndexSets, MlpParams, boundary_factor, index_sets, plain_view
 from .rng import CHUNK_PAIRS, Role, RngStream, StreamKey, derive_stream, sample_index_set
 from .workspace import buffer
@@ -228,8 +229,7 @@ class ExactSolutionView:
         as for the network's views (:func:`sdze.net.index_sets`).
         """
         sets = index_sets(X, dims, sizes)
-        X = sets.X.astype(np.float64, copy=False)
-        phi = boundary_factor(X)
+        X, phi = sets.X.astype(np.float64, copy=False), sets.phi
         S = _interaction_terms(self.problem, X) @ self.problem.coeffs
         d2 = np.empty((sets.dims.size, X.shape[0]))
         for j, i in enumerate(sets.dims):
@@ -238,7 +238,7 @@ class ExactSolutionView:
         return phi * S, np.add.reduceat(d2, sets.starts, axis=0)
 
 
-def rhs_eval(problem: PdeProblem, X: np.ndarray, work=None) -> np.ndarray:
+def rhs_eval(problem: PdeProblem, X: np.ndarray, work=None, phi=None) -> np.ndarray:
     """f(x) = Laplacian of u_exact plus the pointwise nonlinearity, closed form.
 
     With u = phi*S, phi = 1 - ||x||^2:
@@ -250,7 +250,8 @@ def rhs_eval(problem: PdeProblem, X: np.ndarray, work=None) -> np.ndarray:
     float64 from a batch of either dtype, with no float64 copy of a float32
     batch: f is the rhs at the batch's exact points, bitwise that of its
     float64 widening.  With ``work`` (:mod:`sdze.workspace`) the planes are
-    its buffers.
+    its buffers.  ``phi``, a float64 array of B values, when given receives
+    phi, bitwise :func:`sdze.net.boundary_factor` of X.
     """
     X = np.atleast_2d(X)
     d = problem.dim
@@ -262,7 +263,7 @@ def rhs_eval(problem: PdeProblem, X: np.ndarray, work=None) -> np.ndarray:
         return work and work.take(i, (B, cols), np.float64)
 
     XX = np.multiply(X, X, out=plane(0, d), dtype=np.float64)
-    phi = 1.0 - np.sum(XX, axis=1)
+    phi = np.subtract(1.0, np.sum(XX, axis=1), out=phi)
     if k == 2:  # x1 * x1 + x2 * x2
         T = np.add(XX[:, :-1], XX[:, 1:], out=plane(1))
         del XX
@@ -364,7 +365,8 @@ class DrawnSample:
     X's exact values (:func:`rhs_eval`).  Made by :func:`draw_sample`, which
     also forms every term of the draw that no pair or sign changes: the
     index sets' terms (``sets``, :class:`~sdze.net.IndexSets`: the split of
-    ``dims`` into I1 then I2, its offsets, 2|I| and X[:, I] in float64),
+    ``dims`` into I1 then I2, its offsets, 2|I|, X[:, I] in float64 and
+    phi, from the rhs's squares of X),
     each set's operator scale N_L/|I| and the loss denominator 2 B kappa.
     The arrays are read-only, so every loss evaluation that shares the draw
     reads the same bits, and a pass forms none of them: it only does the
@@ -411,24 +413,26 @@ def draw_sample(
     """Draw ``sample`` once: its batch, the closed-form rhs on it, and its index sets.
 
     The batch is drawn and held in ``sample.dtype``, and the rhs is float64,
-    formed from the batch's exact values.  ``batch``, a draw with the same
-    :attr:`SpatialSample.batch_key`, lends its X and f, so only the index
-    sets and their terms are formed: the unlocked minus pass and the
-    replicates of a pinned batch share one batch this way.  With ``work``
+    formed from the batch's exact values; the rhs's squares of X give phi
+    too.  ``batch``, a draw with the same :attr:`SpatialSample.batch_key`,
+    lends its X, f and phi, so only the index sets and their terms are
+    formed: the unlocked minus pass and the replicates of a pinned batch
+    share one batch this way.  With ``work``
     (:mod:`sdze.workspace`) the batch and the draw's and the rhs's scratch
     are its buffers, so the draw lives until the workspace's next draw.
     """
     if batch is None:
         X = _read_only(sample.points(work))
-        f = _read_only(rhs_eval(problem, X, work))
+        phi = np.empty(sample.B)
+        f = _read_only(rhs_eval(problem, X, work, phi))
     elif batch.sample.batch_key != sample.batch_key:
         raise ValueError(
             f"batch {batch.sample.batch_key} is not the batch {sample.batch_key} of the sample"
         )
     else:
-        X, f = batch.X, batch.f
+        X, f, phi = batch.X, batch.f, batch.sets.phi
     dims = _read_only(np.concatenate([sample.set1(), sample.set2()]))
-    sets = index_sets(X, dims, (sample.b, sample.b))
+    sets = index_sets(X, dims, (sample.b, sample.b), phi)
     denom = 2.0 * sample.B * problem.kappa
     return DrawnSample(sample, f, sets, _set_scale(problem, sets), denom)
 
@@ -474,7 +478,8 @@ def stochastic_loss(view, problem: PdeProblem, drawn: DrawnSample) -> float:
 # test points per row block of relative_l2.  Blocks must start at multiples
 # of it and hold no fewer rows: blocks of 1, 3 or 5 rows, and blocks of ~286
 # rows at d = 333, round the network or the exact solution differently from
-# the whole batch (BLAS small-M and edge paths)
+# the whole batch (BLAS small-M and edge paths).  Each thread that evaluates
+# holds at most one block at a time
 EVAL_ROWS = 256
 
 
@@ -490,26 +495,40 @@ def relative_l2(view_or_params, problem: PdeProblem, test_key: StreamKey, n_test
     docstring (:func:`ball_rows`): its normals from word 2 floor(a d / 2),
     dropping the first when a d is odd, and its radii from word
     2 ceil(n_test d / 2) + a.  Only the network's and the exact solution's
-    n_test values are held whole, so the evaluation holds them and one
-    block.  The result has the bits of scoring the whole batch at once.
+    n_test values are held whole, so the evaluation holds them and at most
+    one block per thread.  The result has the bits of scoring the whole
+    batch at once.
+
+    Given ``MlpParams``, the evaluation builds its own plain view, which
+    holds no workspace and caches nothing of a block's writable X; then,
+    when there are two blocks or more and :func:`sdze.worker.may_share`
+    holds, this thread and the worker take the blocks from one queue, the
+    largest (the last) first, each writing only its own rows of the values.
+    Every block does the same arithmetic on either thread, so the bits do
+    not change; an error is raised once both threads have stopped.
     """
-    if n_test < 1:
-        raise ValueError("n_test must be >= 1")
-    view = (
-        plain_view(view_or_params)
-        if isinstance(view_or_params, MlpParams)
-        else view_or_params
-    )
+    if isinstance(n_test, bool) or not isinstance(n_test, (int, np.integer)) or n_test < 1:
+        raise ValueError(f"n_test must be an integer >= 1, got {n_test!r}")
+    plain = isinstance(view_or_params, MlpParams)
+    view = plain_view(view_or_params) if plain else view_or_params
     stream = derive_stream(test_key)
     u_hat, u_ex = np.empty(n_test), np.empty(n_test)
     starts = range(0, max(n_test - EVAL_ROWS, 0) + 1, EVAL_ROWS)
-    for a, b in zip(starts, [*starts[1:], n_test]):
+    blocks = list(zip(starts, [*starts[1:], n_test]))
+
+    def evaluate(block):
+        a, b = block
         X = ball_rows(stream, n_test, problem.dim, a, b - a)
         u_hat[a:b] = view.values(X)
         u_ex[a:b] = exact_solution(problem, X)
+
+    if plain and len(blocks) > 1 and worker.may_share():
+        worker.share(evaluate, blocks[-1:] + blocks[:-1])
+    else:
+        for block in blocks:
+            evaluate(block)
     denom = float(np.dot(u_ex, u_ex))
     if denom == 0.0:
         raise ValueError("degenerate metric: exact solution vanishes on the test set")
     diff = np.subtract(u_hat, u_ex, out=u_hat)
     return float(np.sqrt(np.dot(diff, diff) / denom))
-

@@ -19,9 +19,9 @@ A buffer is named for what it holds.  Two kinds of name share the memory:
   in buffers of the thread that runs the call.  The phases of a step that run
   one after another on one thread (the draw, the rhs, the pair's weights,
   the passes, the update) take the same scratch buffers in turn; the +eps
-  pass, when it runs on the sign worker beside the -eps pass, takes the
-  worker's.  A call that takes scratch buffer i calls nothing that takes
-  buffer i while it still reads it.
+  pass, when it runs on the worker thread (:mod:`sdze.worker`) beside the
+  -eps pass, takes the worker's.  A call that takes scratch buffer i calls
+  nothing that takes buffer i while it still reads it.
 
 So a training step at poisson100's shapes keeps about 4 MB, most of it two
 pairs of 0.8 MB tangent blocks, one pair per thread.  The two threads take

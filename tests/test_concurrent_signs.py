@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sdze import net, optimizer
+from sdze import net, optimizer, worker
 from sdze.net import JET_CHUNK, SignPair
 from sdze.optimizer import (
     DTYPES,
@@ -52,8 +52,8 @@ def force_path(monkeypatch, concurrent):
     """Make the gate pick the concurrent path, or the serial one, for every
     locked estimate: a pinned BLAS, 2 CPUs, and a work threshold of 0 or
     above any work."""
-    monkeypatch.setattr(optimizer, "_BLAS_ONE_THREAD", True)
-    monkeypatch.setattr(optimizer, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(worker, "_BLAS_ONE_THREAD", True)
+    monkeypatch.setattr(worker, "_cpu_count", lambda: 2)
     monkeypatch.setattr(optimizer, "CONCURRENT_MIN_MACS", 0 if concurrent else float("inf"))
 
 
@@ -235,8 +235,8 @@ def test_an_overflow_in_the_sweep_is_a_divergence_naming_its_layer(monkeypatch, 
 
 
 def test_the_gate_needs_a_locked_sample_enough_work_pinned_blas_two_cpus(monkeypatch):
-    monkeypatch.setattr(optimizer, "_BLAS_ONE_THREAD", True)
-    monkeypatch.setattr(optimizer, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(worker, "_BLAS_ONE_THREAD", True)
+    monkeypatch.setattr(worker, "_cpu_count", lambda: 2)
 
     def gate(cfg, locked=True):
         prob = cfg.make_problem()
@@ -264,10 +264,10 @@ def test_the_gate_needs_a_locked_sample_enough_work_pinned_blas_two_cpus(monkeyp
     # criterion 8's shapes: 20 x 16 x 128 x 128 = 5.2 M; 24 points reach 6.3 M
     assert not gate(SdzeConfig(widths=[100, 128, 128, 1], batch_B=20, batch_b=8))
     assert gate(SdzeConfig(widths=[100, 128, 128, 1], batch_B=24, batch_b=8))
-    monkeypatch.setattr(optimizer, "_cpu_count", lambda: 1)
+    monkeypatch.setattr(worker, "_cpu_count", lambda: 1)
     assert not gate(big)
-    monkeypatch.setattr(optimizer, "_cpu_count", lambda: 2)
-    monkeypatch.setattr(optimizer, "_BLAS_ONE_THREAD", False)
+    monkeypatch.setattr(worker, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(worker, "_BLAS_ONE_THREAD", False)
     assert not gate(big)
 
 
@@ -284,13 +284,13 @@ def run_python(code: str, env_over: dict, *args, cwd=None) -> str:
 # the library's own count, where numpy's wheel ships OpenBLAS as scipy-openblas
 LIBRARY_COUNT = """
 import ctypes, glob, os, numpy
-from sdze import optimizer
+from sdze import worker
 libs = glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs",
                               "libscipy_openblas*.so"))
 getter = [getattr(ctypes.CDLL(lib), name, None) for lib in libs
           for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads")]
 getter = [g for g in getter if g is not None]
-print(optimizer._BLAS_ONE_THREAD, getter[0]() if getter else None)
+print(worker._BLAS_ONE_THREAD, getter[0]() if getter else None)
 """
 
 
@@ -315,15 +315,17 @@ def test_the_gate_reads_the_blas_threads_as_openblas_does(env, one_thread):
 
 TRAIN = """
 import sys
-from sdze import cli, optimizer
+from sdze import cli, worker
 code = cli.main(sys.argv[1:])
-print(optimizer._WORKER is not None)
+print(worker._WORKER is not None)
 sys.exit(code)
 """
 
 
 def test_a_pinned_and_an_unpinned_train_write_the_same_bytes(tmp_path):
-    # criterion 7's shapes: 100-128-128-1 with bias, f32, B = 100, b = 16, r = 16
+    # criterion 7's shapes: 100-128-128-1 with bias, f32, B = 100, b = 16, r = 16;
+    # 600 test points are two row blocks, which the pinned run evaluates on
+    # two threads
     raw = {
         "pde": {"kind": "poisson", "dim": 100, "solution": "two_body"},
         "net": {"widths": [100, 128, 128, 1], "activation": "sin", "bias": True, "dtype": "f32"},
@@ -332,15 +334,15 @@ def test_a_pinned_and_an_unpinned_train_write_the_same_bytes(tmp_path):
             "lr": {"mode": "annealed", "gamma": 0.0424, "m": 400.0, "p": 0.51},
             "batch_points_B": 100, "batch_dims_b": 16,
         },
-        "steps": 50, "eval_every": 25, "test_points": 200, "seed": 0,
+        "steps": 50, "eval_every": 25, "test_points": 600, "seed": 0,
     }
     (tmp_path / "cfg.json").write_text(json.dumps(raw))
-    worker = {}
+    started = {}
     for name, env in (("pinned", {"OPENBLAS_NUM_THREADS": "1"}), ("unpinned", {})):
         argv = ["train", "--config", "cfg.json", "--no-timing", "--out", name]
-        worker[name] = run_python(TRAIN, env, *argv, cwd=tmp_path).split()[-1]
-    assert worker["unpinned"] == "False"
-    assert worker["pinned"] == str(optimizer._cpu_count() >= 2)
+        started[name] = run_python(TRAIN, env, *argv, cwd=tmp_path).split()[-1]
+    assert started["unpinned"] == "False"
+    assert started["pinned"] == str(worker._cpu_count() >= 2)
     files = sorted(p.name for p in (tmp_path / "pinned").iterdir())
     assert "ckpt_final.sdze" in files and "metrics.csv" in files
     for name in files:
@@ -364,7 +366,7 @@ def test_concurrent_estimate_memory(monkeypatch, peak_spans):
     # has ended.
     slack = 4096
     whole, bound, sweeps = {}, {}, {}
-    optimizer._sign_worker()
+    worker._sign_worker()
     estimate_span = peak_spans.measure(directional_delta, "estimate")
     loss, plus_done = optimizer.stochastic_loss, threading.Event()
 

@@ -333,6 +333,33 @@ def test_a_mode_refuses_a_step_size_it_cannot_form(tmp_path, mode, name, bad, ru
     assert getattr(SdzeConfig(lr_mode=other, **{name: bad}), name) == bad
 
 
+@pytest.mark.parametrize(
+    "name, bad",
+    [
+        ("rank", True),  # ran as rank 1
+        ("batch_B", True),
+        ("steps", 3.0),  # range(..., 4.0) inside train
+        ("test_points", 2.5),  # np.empty(2.5) inside train
+        ("eval_every", 1.5),  # evaluated at every step t with t % 1.5 == 0
+        ("freq_F", 2.0),
+        ("batch_b", 4.0),
+        ("seed", False),
+        ("seed", 3.0),
+    ],
+)
+def test_integer_fields_take_integers(name, bad):
+    with pytest.raises(ConfigError, match=f"^{name} must be an integer, got {bad!r}$") as err:
+        SdzeConfig(**{name: bad})
+    assert err.value.problems == [(name, f"must be an integer, got {bad!r}")]
+    assert getattr(SdzeConfig(**{name: np.int64(3)}), name) == 3
+
+
+def test_every_field_that_is_not_an_integer_is_named_in_one_error():
+    with pytest.raises(ConfigError) as err:
+        SdzeConfig(seed=1.0, steps=True, rank=2.5, eval_every=0)
+    assert [name for name, _ in err.value.problems] == ["seed", "steps", "rank", "eval_every"]
+
+
 def test_the_seed_must_fit_in_64_bits(tmp_path):
     for seed in (-1, 2**64):
         with pytest.raises(ConfigError, match=r"^seed must be in \[0, 2\*\*64\)"):

@@ -1,12 +1,15 @@
 import dataclasses
 import hashlib
+import sys
+import threading
+import time
 from itertools import product
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from sdze import spatial
+from sdze import net, spatial, worker
 from sdze.net import PerturbView, SignPair, init_mlp, plain_view
 from sdze.optimizer import SdzeConfig, make_subspaces, step_cores
 from sdze.rng import CHUNK_BYTES, Role, StreamKey, derive_stream
@@ -234,8 +237,10 @@ def test_a_float32_batch_has_float64_rhs_phi_coordinates_and_residual(solution, 
     batch = pair.batch(drawn.X)
     xi = drawn.sets.xi  # X[:, I], formed once by the draw
     assert batch.G0.dtype == np.float32 and batch.X is drawn.X
-    assert batch.phi.dtype == xi.dtype == np.float64
-    assert batch.phi.tobytes() == (1.0 - np.sum(X64 * X64, axis=1)).tobytes()
+    phi = drawn.sets.phi  # phi, from the rhs's squares of the batch
+    assert phi.dtype == xi.dtype == np.float64
+    assert phi.tobytes() == (1.0 - np.sum(X64 * X64, axis=1)).tobytes()
+    assert phi.tobytes() == net.boundary_factor(drawn.X).tobytes()
     assert xi.tobytes() == X64[:, drawn.dims].T.tobytes()
     sizes = [drawn.I1.size, drawn.I2.size]
     op = sampled_operator(PerturbView(pair, 1), prob, drawn.X, drawn.dims, sizes)
@@ -304,7 +309,7 @@ def test_drawn_sample_is_read_only_and_lends_only_its_own_batch():
     drawn = draw_sample(prob, s)
     assert np.array_equal(drawn.X, s.points())
     assert np.array_equal(drawn.f, rhs_eval(prob, s.points()))
-    for a in (drawn.X, drawn.f, drawn.I1, drawn.I2):
+    for a in (drawn.X, drawn.f, drawn.I1, drawn.I2, drawn.sets.phi):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.5
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -313,7 +318,7 @@ def test_drawn_sample_is_read_only_and_lends_only_its_own_batch():
     assert s.unlocked().batch_key == s.batch_key
     assert not np.array_equal(s.unlocked().set1(), s.set1())
     other = draw_sample(prob, s.unlocked(), batch=drawn)
-    assert other.X is drawn.X and other.f is drawn.f
+    assert other.X is drawn.X and other.f is drawn.f and other.sets.phi is drawn.sets.phi
     assert np.array_equal(other.I1, SpatialSample(3, 5, 4, 2, 6, set_replicate=1).set1())
     with pytest.raises(ValueError, match="batch"):
         draw_sample(prob, dataclasses.replace(s, step=6), batch=drawn)
@@ -396,17 +401,25 @@ def test_batch_known_answers():
 # relative_l2 at init on 2 000 test points of the two-body Poisson problem,
 # seed 3: the crns-sweep net (100-64-1) and the poisson100 net (100-128-128-1
 # with bias) of the benchmark
-@pytest.mark.parametrize(
-    "widths, bias, want",
-    [
-        ([100, 64, 1], False, "0x1.00b9efb58700ap+0"),
-        ([100, 128, 128, 1], True, "0x1.00995123ad3adp+0"),
-    ],
-)
+REL_L2_KNOWN_ANSWERS = [
+    ([100, 64, 1], False, "0x1.00b9efb58700ap+0"),
+    ([100, 128, 128, 1], True, "0x1.00995123ad3adp+0"),
+]
+
+
+@pytest.mark.parametrize("widths, bias, want", REL_L2_KNOWN_ANSWERS)
 def test_relative_l2_known_answers(widths, bias, want):
     problem = make_problem("none", 100, "two_body", 3)
     params = init_mlp(widths, "sin", 3, bias)
     assert relative_l2(params, problem, TEST_KEY, 2000).hex() == want
+
+
+@pytest.mark.parametrize("n_test", [True, 2.0, 2.5, 0])
+def test_relative_l2_takes_an_integer_count_of_test_points(n_test):
+    problem = make_problem("none", 3, "two_body", 3)
+    params = init_mlp([3, 4, 1], "sin", 3)
+    with pytest.raises(ValueError, match=r"^n_test must be an integer >= 1"):
+        relative_l2(params, problem, TEST_KEY, n_test)
 
 
 def _whole_batch_relative_l2(params, problem, n_test):
@@ -429,7 +442,7 @@ def test_relative_l2_in_row_blocks_has_the_bits_of_the_whole_batch(n_test, d, so
     assert got.hex() == _whole_batch_relative_l2(params, problem, n_test).hex()
 
 
-def test_relative_l2_holds_its_values_and_one_block(peak_spans):
+def test_relative_l2_holds_its_values_and_one_block(monkeypatch, peak_spans):
     # Measured bytes at the poisson100 network (d = 100, widths 100-128-128-1
     # with bias).  The evaluation holds the n_test network and exact values
     # (16 bytes a point) and one block of at most 2 EVAL_ROWS - 1 points: per
@@ -439,6 +452,7 @@ def test_relative_l2_holds_its_values_and_one_block(peak_spans):
     # end in a 464-point block and 20 000 in a 288-point one: the smaller
     # block more than pays for the larger values, so 20 000 points may hold
     # no more than 2 000 do, plus 4 KiB.
+    two_threads(monkeypatch, False)  # the serial path
     d, h = 100, 128
     problem = make_problem("none", d, "two_body", 3)
     params = init_mlp([d, h, h, 1], "sin", 3, bias=True)
@@ -452,3 +466,189 @@ def test_relative_l2_holds_its_values_and_one_block(peak_spans):
     assert peaks[20_000] <= peaks[2000] + 4096, peaks
     # the whole batch held several 2 000 x 128 planes at once
     assert peaks[2000] < 3 * 2000 * h * 8
+
+
+# --- the evaluation on two threads --------------------------------------------
+
+
+def two_threads(monkeypatch, gate_open=True):
+    """Open the evaluation's gate (a pinned BLAS, 2 CPUs), or close it."""
+    monkeypatch.setattr(worker, "_BLAS_ONE_THREAD", gate_open)
+    monkeypatch.setattr(worker, "_cpu_count", lambda: 2)
+
+
+def block_starts(n_test):
+    starts = list(range(0, max(n_test - spatial.EVAL_ROWS, 0) + 1, spatial.EVAL_ROWS))
+    return list(zip(starts, [*starts[1:], n_test]))
+
+
+def on_each_block(monkeypatch, fn):
+    """Call ``fn(a, k, thread ident)`` as each block [a, a + k) is drawn; then draw it.
+
+    The caller's first block waits until the worker has taken one, so both
+    threads take blocks."""
+    caller, taken, rows = threading.get_ident(), threading.Event(), spatial.ball_rows
+
+    def drawing(stream, B, d, a, k, *args):
+        here = threading.get_ident()
+        if here != caller:
+            taken.set()
+        else:
+            assert taken.wait(timeout=60)
+        fn(a, k, here)
+        return rows(stream, B, d, a, k, *args)
+
+    monkeypatch.setattr(spatial, "ball_rows", drawing)
+
+
+@pytest.mark.parametrize("solution", ["two_body", "three_body"])
+@pytest.mark.parametrize("d", [3, 100, 333])
+@pytest.mark.parametrize("n_test", [255, 256, 257, 2000])
+def test_relative_l2_on_two_threads_has_the_bits_of_one(monkeypatch, n_test, d, solution):
+    problem = make_problem("none", d, solution, 3)
+    params = init_mlp([d, 128, 128, 1], "sin", 3, bias=True)
+    two_threads(monkeypatch, False)
+    serial = relative_l2(params, problem, TEST_KEY, n_test)
+    two_threads(monkeypatch)
+    shared, share = [], worker.share
+    monkeypatch.setattr(worker, "share", lambda *args: shared.append(share(*args)))
+    got = relative_l2(params, problem, TEST_KEY, n_test)
+    assert got.hex() == serial.hex() == _whole_batch_relative_l2(params, problem, n_test).hex()
+    assert len(shared) == (len(block_starts(n_test)) > 1)  # one block runs serially
+
+
+@pytest.mark.parametrize("widths, bias, want", REL_L2_KNOWN_ANSWERS)
+def test_relative_l2_known_answers_on_two_threads(monkeypatch, widths, bias, want):
+    two_threads(monkeypatch)
+    problem = make_problem("none", 100, "two_body", 3)
+    params = init_mlp(widths, "sin", 3, bias)
+    assert relative_l2(params, problem, TEST_KEY, 2000).hex() == want
+
+
+def test_each_block_is_evaluated_once_and_both_threads_take_blocks(monkeypatch):
+    two_threads(monkeypatch)
+    problem = make_problem("none", 100, "two_body", 3)
+    params = init_mlp([100, 128, 128, 1], "sin", 3, bias=True)
+    want = relative_l2(params, problem, TEST_KEY, 2000)
+    seen = []
+    on_each_block(monkeypatch, lambda a, k, thread: seen.append((a, a + k, thread)))
+    assert relative_l2(params, problem, TEST_KEY, 2000) == want
+    assert sorted((a, b) for a, b, _ in seen) == block_starts(2000)
+    assert len({thread for *_, thread in seen}) == 2
+
+
+class BlockError(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failing", [("worker",), ("caller",), ("caller", "worker")])
+def test_an_error_in_a_block_is_raised_after_both_threads_stop(monkeypatch, failing):
+    # each thread takes one block; the one that does not fail is still in
+    # its block when the other raises.  The caller's error comes first
+    two_threads(monkeypatch)
+    caller = threading.get_ident()
+    running, started = [], []
+
+    def block(a, k, thread):
+        who = "caller" if thread == caller else "worker"
+        running.append(who)
+        started.append(a)
+        try:
+            if who in failing:
+                raise BlockError(who)
+            time.sleep(0.05)
+        finally:
+            running.remove(who)
+
+    on_each_block(monkeypatch, block)
+    problem = make_problem("none", 100, "two_body", 3)
+    params = init_mlp([100, 64, 1], "sin", 3)
+    with pytest.raises(BlockError) as err:
+        relative_l2(params, problem, TEST_KEY, 2000)
+    assert running == [] and err.value.args == (failing[0],)
+    assert len(started) == 2  # no thread takes a block once one has raised
+
+
+def test_the_callers_errstate_reaches_the_worker(monkeypatch):
+    two_threads(monkeypatch)
+    seen = {}
+    on_each_block(monkeypatch, lambda a, k, th: seen.setdefault(th, []).append(np.geterr()))
+    problem = make_problem("none", 100, "two_body", 3)
+    params = init_mlp([100, 64, 1], "sin", 3)
+    with np.errstate(under="raise", divide="ignore", invalid="print", over="raise"):
+        want = np.geterr()
+        relative_l2(params, problem, TEST_KEY, 2000)
+    assert want != np.geterr()
+    assert len(seen) == 2 and all(err == want for errs in seen.values() for err in errs)
+
+
+def test_a_call_on_the_worker_runs_serially(monkeypatch):
+    # it cannot hand blocks to itself: it evaluates all of them
+    two_threads(monkeypatch)
+    problem = make_problem("none", 100, "two_body", 3)
+    params = init_mlp([100, 64, 1], "sin", 3)
+    want = relative_l2(params, problem, TEST_KEY, 2000)
+    seen, rows = [], spatial.ball_rows
+
+    def drawing(*args):
+        seen.append(threading.get_ident())
+        return rows(*args)
+
+    monkeypatch.setattr(spatial, "ball_rows", drawing)
+    got, err = worker.submit(relative_l2, params, problem, TEST_KEY, 2000).get(timeout=60)
+    assert err is None and got == want
+    assert len(seen) == len(block_starts(2000))
+    assert set(seen) == {worker._sign_worker().thread.ident} != {threading.get_ident()}
+
+
+def test_callers_on_many_threads_share_the_worker_with_the_same_bits(monkeypatch):
+    # four callers, each with its own point count, hand their blocks to the
+    # one worker with thread switches forced every microsecond
+    problem = make_problem("none", 100, "two_body", 3)
+    params = init_mlp([100, 64, 1], "sin", 3)
+    counts = (600, 777, 1000, 2000)
+    two_threads(monkeypatch, False)
+    want = [relative_l2(params, problem, TEST_KEY, n) for n in counts]
+    two_threads(monkeypatch)
+    got = [None] * len(counts)
+
+    def caller(k):
+        got[k] = [relative_l2(params, problem, TEST_KEY, counts[k]) for _ in range(3)]
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(k,)) for k in range(len(counts))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == [[w] * 3 for w in want]
+
+
+def test_relative_l2_on_two_threads_holds_its_values_and_two_blocks(monkeypatch, peak_spans):
+    # Measured bytes (tracemalloc sees every thread) at the poisson100
+    # network.  The two threads may each hold a block at once: the peak is
+    # at most the n_test values and the serial peaks of the two largest
+    # blocks, each read as a one-block evaluation's peak less its values,
+    # plus 16 KiB.  The worker is started first: its thread is not the call's
+    d, h = 100, 128
+    problem = make_problem("none", d, "two_body", 3)
+    params = init_mlp([d, h, h, 1], "sin", 3, bias=True)
+    worker._sign_worker()
+    evaluate = peak_spans.measure(relative_l2, "eval", key=lambda p, prob, key, n: n)
+    two_threads(monkeypatch, False)
+    for k in {b - a for n_test in (2000, 20_000) for a, b in block_starts(n_test)}:
+        evaluate(params, problem, TEST_KEY, k)
+    block = {k: peak - 16 * k for k, peak in peak_spans.calls["eval"]}
+    peak_spans.calls.clear()
+    two_threads(monkeypatch)
+    for n_test in (2000, 20_000):
+        evaluate(params, problem, TEST_KEY, n_test)
+    for n_test, peak in peak_spans.calls["eval"]:
+        largest = sorted((b - a for a, b in block_starts(n_test)), reverse=True)[:2]
+        bound = 16 * n_test + sum(block[k] for k in largest) + 16384
+        assert peak <= bound, (n_test, peak, bound, block)
