@@ -33,7 +33,6 @@ from pathlib import Path
 
 from . import verify as V
 from .harness import (
-    check_batch_dims,
     config_from_json,
     config_hash,
     run_sweep_batch,
@@ -41,7 +40,7 @@ from .harness import (
     run_train,
     write_csv,
 )
-from .optimizer import SdzeConfig
+from .optimizer import SdzeConfig, check_batch_dims
 
 # suite name -> its one call, from the seed to (reports, detail)
 VERIFY_SUITES = {

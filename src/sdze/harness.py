@@ -5,9 +5,10 @@ form is one table, ``_JSON_FIELDS``, from dotted JSON path to config field:
 loading, dumping and naming each error's key derive from it, and an omitted
 key takes the field's default.  Loading reports every offending key in one
 :class:`ConfigError`.  Each rule has one owner: the loader checks the JSON
-form (unknown keys, objects, JSON types, ``pde.dim`` and ``net.widths[0]``),
-``SdzeConfig`` every value, and :func:`check_batch_dims` that a run's index
-sets fit the dimension.  Each sweep cell is a config too, the sweep's config
+form (unknown keys, objects, ``pde.dim`` and ``net.widths[0]``) and reads a
+JSON number as its field's kind, ``SdzeConfig`` every field's type and
+value, and :func:`~sdze.optimizer.check_batch_dims` that a run's index sets
+fit the dimension.  Each sweep cell is a config too, the sweep's config
 with the cell's fields replaced, and the same owners check every cell before
 any cell runs.
 Each run writes a config echo, a metrics CSV (header line
@@ -37,6 +38,7 @@ from .optimizer import (
     SdzeConfig,
     StepRecord,
     TrainResult,
+    check_batch_dims,
     directional_delta,
     draw_signs,
     make_subspaces,
@@ -78,8 +80,6 @@ _JSON_FIELDS = {
 }
 _JSON_KEYS = {name: path for path, name in _JSON_FIELDS.items()}  # None -> pde.dim
 _BLOCKS = {path.rsplit(".", 1)[0] for path in _JSON_FIELDS if "." in path}
-# JSON type each scalar field accepts; pde.dim, which has no field, is an int
-_SCALARS = {"int": "an integer", "float": "a number", "bool": "true or false", "str": "a string"}
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(SdzeConfig)}
 assert set(_JSON_FIELDS.values()) - {None} == set(_FIELD_TYPES)
 
@@ -97,67 +97,47 @@ def _flatten(raw: dict, prefix: str, leaves: dict, errors: list[str]) -> None:
             errors.append(f"unknown key: {path}")
 
 
-def _typed(kind: str, value):
-    """``value`` as a scalar of type ``kind``, or None if JSON gave another type.
-
-    Ints take integral floats (200.0 is 200), floats take ints; a boolean is
-    never a number and a string is never a boolean.
-    """
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if kind == "bool" and isinstance(value, bool) or kind == "str" and isinstance(value, str):
-        return value
-    if kind == "float" and number:
-        return float(value)
-    if kind == "int" and number and (isinstance(value, int) or value.is_integer()):
+def _number(kind: str, value):
+    """A JSON number read as a field of type ``kind``, any other value as is:
+    an int takes an integral float (200.0 is 200), a float takes an int."""
+    if kind == "int" and isinstance(value, float) and value.is_integer():
         return int(value)
-    return None
-
-
-def _int_list(value) -> list[int] | None:
-    """``value`` as a list of integers, or None if it is not one."""
-    if not isinstance(value, list):
-        return None
-    items = [_typed("int", v) for v in value]
-    return items if all(v is not None for v in items) else None
+    if kind == "float" and isinstance(value, int) and not isinstance(value, bool):
+        return float(value)
+    if kind == "list[int]" and isinstance(value, list):
+        return [_number("int", item) for item in value]
+    return value
 
 
 def config_from_dict(raw: dict) -> SdzeConfig:
     """Resolve a JSON config; raises one :class:`ConfigError` naming every bad key.
 
-    The config is built from the keys that passed the loader's own checks,
-    so the problems it finds are reported with the loader's, by JSON key.
+    The loader checks the JSON form; ``SdzeConfig`` checks every field's
+    type and value, and its problems are reported with the loader's, by key.
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"a config must be a JSON object, got {raw!r}")
     leaves: dict = {}
     errors: list[str] = []
     _flatten(raw, "", leaves, errors)
-    for path, value in leaves.items():
-        name = _JSON_FIELDS[path]
-        kind = "int" if name is None else _FIELD_TYPES[name]
-        if kind in _SCALARS:
-            leaves[path] = _typed(kind, value)  # None marks a reported key
-            if leaves[path] is None:
-                errors.append(f"{path} must be {_SCALARS[kind]}, got {value!r}")
-        elif value is not None:  # a list field; null takes the default
-            leaves[path] = _int_list(value)
-            if leaves[path] is None:
-                errors.append(f"{path} must be a list of integers >= 1, got {value!r}")
+    for path, value in leaves.items():  # pde.dim, which has no field, is an int
+        leaves[path] = _number(_FIELD_TYPES.get(_JSON_FIELDS[path], "int"), value)
+    dim = leaves.get("pde.dim")
     if "pde.dim" not in leaves:
         errors.append("missing key: pde.dim")
-    dim = leaves.get("pde.dim")
-    if leaves.get("net.widths") is None and dim is not None:
-        leaves["net.widths"] = [dim, 128, 128, 1]  # null loads like an absent key
-    widths = leaves.get("net.widths")  # None without pde.dim: the config takes the default
-    if widths is not None and dim is not None and widths[0] != dim:
+    elif isinstance(dim, bool) or not isinstance(dim, int):
+        errors.append(f"pde.dim must be an integer, got {dim!r}")
+        dim = None
+    leaves.pop("pde.dim", None)  # it lives on as widths[0]
+    if leaves.get("net.widths") is None:  # null loads like an absent key
+        leaves.pop("net.widths", None)
+        if dim is not None:
+            leaves["net.widths"] = [dim, 128, 128, 1]
+    widths = leaves.get("net.widths")  # absent without pde.dim: the config takes the default
+    if dim is not None and isinstance(widths, list) and widths[:1] != [dim]:
         errors.append(f"net.widths must start with pde.dim = {dim}")
-    fields = {
-        _JSON_FIELDS[path]: value
-        for path, value in leaves.items()
-        if _JSON_FIELDS[path] and value is not None  # pde.dim lives on as widths[0]
-    }
     try:
-        cfg = SdzeConfig(**fields)
+        cfg = SdzeConfig(**{_JSON_FIELDS[path]: value for path, value in leaves.items()})
     except ConfigError as err:
         errors += [f"{_JSON_KEYS[name]} {why}" for name, why in err.problems]
     if errors:
@@ -329,23 +309,10 @@ def _check_columns(path: Path) -> None:
         )
 
 
-def check_batch_dims(cfg: SdzeConfig) -> None:
-    """Refuse index sets larger than the dimension, before a run does any work.
-
-    Not a config rule: the default b = 16 loads at any dimension, and
-    ``sweep-batch`` checks each cell's own b.
-    """
-    if cfg.batch_b > cfg.widths[0]:
-        raise ConfigError(
-            f"sdze.batch_dims_b = {cfg.batch_b} exceeds pde.dim = {cfg.widths[0]}; "
-            "index sets are drawn without replacement"
-        )
-
-
 def run_train(cfg: SdzeConfig, resume_from: str | Path | None = None) -> TrainResult:
     """Full training run with metrics CSV, checkpoints, and config echo.
 
-    ``cfg`` checked its values when it was built; the run's own rules are
+    ``cfg`` checked its fields when it was built; the run's own rules are
     checked here before anything is written: :func:`check_batch_dims`, a
     checkpoint to resume from must match the seed and layer shapes and lie
     at or before ``steps``, and a ``metrics.csv`` must have these columns.

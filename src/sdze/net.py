@@ -431,9 +431,8 @@ class SignPair:
             G0 += W[-1]
         P = None
         if self.perturbed:
-            tail = "one" if params.bias else None
             out = work and work.take("P", shape, self.dtype)
-            P = perturb_product(H, self.sub0, self.core0, tail, out)
+            P = perturb_product(H, self.sub0, self.core0, out=out)
         batch = _Batch(X, G0, P)
         if not X.flags.writeable:  # both signs and every later sweep on X read them
             for a in (G0, P):

@@ -66,7 +66,7 @@ change.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -110,6 +110,19 @@ def _integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+# each field annotation of SdzeConfig -> (its type rule, what the field must be)
+_TYPE_RULES = {
+    "int": (_integer, "an integer"),
+    "float": (lambda value: isinstance(value, (float, np.floating)) or _integer(value), "a number"),
+    "bool": (lambda value: isinstance(value, bool), "true or false"),
+    "str": (lambda value: isinstance(value, str), "a string"),
+    "list[int]": (
+        lambda value: isinstance(value, (list, tuple)) and all(map(_integer, value)),
+        "a list of integers >= 1",
+    ),
+}
+
+
 class ConfigError(ValueError):
     """An invalid run config; the message names every offending field or key.
 
@@ -125,16 +138,17 @@ class ConfigError(ValueError):
 
 @dataclass
 class SdzeConfig:
-    """Full recipe for a run; every value is checked on construction.
+    """Full recipe for a run; every field is checked on construction.
 
     ``widths[0]`` is the PDE dimension.  :mod:`sdze.harness` maps every field
-    to its JSON key; a key the JSON omits takes the default here.  Every value
-    rule lives in ``__post_init__``, which names each offending field in one
-    :class:`ConfigError`.  Every field changes every run that reads it (the
-    lr fields are read in their own mode).  The run rules, which
-    :mod:`sdze.harness` checks before a run or sweep cell does any work, are
-    ``batch_b <= widths[0]`` (``check_batch_dims``: the default b = 16 loads
-    at any dimension) and a resumed checkpoint's fit.
+    to its JSON key; a key the JSON omits takes the default here.  Every type
+    and value rule lives in ``__post_init__``, which names each offending
+    field in one :class:`ConfigError`.  Each field has its annotation's type
+    (``_TYPE_RULES``; a number is never a bool, ``widths`` may be a tuple), a
+    tag is found in its table, and a value rule reads only well-typed fields.
+    Every field changes every run that reads it (the lr fields are read in
+    their own mode).  The run rules, checked before a run does any work, are
+    :func:`check_batch_dims` and a resumed checkpoint's fit.
     """
 
     seed: int = 0
@@ -165,46 +179,48 @@ class SdzeConfig:
 
     def __post_init__(self):
         problems = []  # (field, reason); field None is widths[0]
-        for name, allowed in _TAGS.items():
-            if getattr(self, name) not in allowed:
-                problems.append((name, f"must be one of {list(allowed)}"))
-        counts = ("rank", "freq_F", "batch_B", "batch_b", "eval_every", "test_points")
-        not_int = [n for n in ("seed", "steps", *counts) if not _integer(getattr(self, n))]
-        problems += [(n, f"must be an integer, got {getattr(self, n)!r}") for n in not_int]
+        for f in fields(self):
+            value = getattr(self, f.name)
+            holds, kind = _TYPE_RULES[f.type]
+            if not holds(value):
+                problems.append((f.name, f"must be {kind}, got {value!r}"))
+            elif f.name in _TAGS and value not in _TAGS[f.name]:
+                problems.append((f.name, f"must be one of {list(_TAGS[f.name])}"))
+        bad = {name for name, _ in problems}  # no value rule reads these
         # checkpoints and stream keys hold the seed in 64 bits
-        if "seed" not in not_int and not 0 <= self.seed < 2**64:
+        if "seed" not in bad and not 0 <= self.seed < 2**64:
             problems.append(("seed", "must be in [0, 2**64)"))
         reals = ("eps", "alpha", "gamma", "m", "c")
-        infinite = [name for name in reals if not np.isfinite(getattr(self, name))]
+        infinite = [n for n in reals if n not in bad and not np.isfinite(getattr(self, n))]
         problems += [(name, "must be finite") for name in infinite]
-        if self.eps <= 0:
+        if "eps" not in bad and self.eps <= 0:
             problems.append(("eps", "must be > 0"))
+        bad.update(infinite)
         # a mode reads only its own fields, and its step (lr_schedule) must be
         # real and >= 0 at every t >= 1: so t + m > 0, which m > -1 makes hold
         for name, mode, ok, rule in (
-            ("alpha", "constant", self.alpha >= 0, ">= 0"),
-            ("gamma", "annealed", self.gamma >= 0, ">= 0"),
-            ("m", "annealed", self.m > -1, "> -1"),
-            ("p", "annealed", 0.5 < self.p <= 1.0, "in (1/2, 1]"),
-            ("c", "sqrt_tq", self.c >= 0, ">= 0"),
+            ("alpha", "constant", lambda v: v >= 0, ">= 0"),
+            ("gamma", "annealed", lambda v: v >= 0, ">= 0"),
+            ("m", "annealed", lambda v: v > -1, "> -1"),
+            ("p", "annealed", lambda v: 0.5 < v <= 1.0, "in (1/2, 1]"),
+            ("c", "sqrt_tq", lambda v: v >= 0, ">= 0"),
         ):
-            if self.lr_mode == mode and name not in infinite and not ok:
+            if self.lr_mode == mode and name not in bad and not ok(getattr(self, name)):
                 problems.append((name, f"must be {rule} in {mode} mode"))
-        for name in counts:
-            if name not in not_int and getattr(self, name) < 1:
-                problems.append((name, "must be >= 1"))
-        if "steps" not in not_int and self.steps < 0:
+        counts = ("rank", "freq_F", "batch_B", "batch_b", "eval_every", "test_points")
+        problems += [(n, "must be >= 1") for n in counts if n not in bad and getattr(self, n) < 1]
+        if "steps" not in bad and self.steps < 0:
             problems.append(("steps", "must be >= 0"))
-        if len(self.widths) < 2 or self.widths[-1] != 1:
-            problems.append(("widths", f"must have >= 2 entries and end in 1, got {self.widths}"))
-        integral = all(_integer(w) for w in self.widths)
-        if not integral or any(w < 1 for w in self.widths[1:]):  # widths[0]: the solution's
-            problems.append(("widths", f"must be a list of integers >= 1, got {self.widths}"))
-        if self.widths and integral and self.pde_solution in SOLUTIONS:
-            try:
-                coefficient_count(self.pde_solution, self.widths[0])
-            except ValueError as err:
-                problems.append((None, f"too small: {err}"))
+        if "widths" not in bad:
+            if len(self.widths) < 2 or self.widths[-1] != 1:
+                problems.append(("widths", f"must have >= 2 entries and end in 1, got {self.widths}"))
+            if any(w < 1 for w in self.widths[1:]):  # widths[0]: the solution's
+                problems.append(("widths", f"must be a list of integers >= 1, got {self.widths}"))
+            if self.widths and "pde_solution" not in bad:
+                try:
+                    coefficient_count(self.pde_solution, self.widths[0])
+                except ValueError as err:
+                    problems.append((None, f"too small: {err}"))
         if problems:
             message = "; ".join(f"{name or 'widths[0]'} {why}" for name, why in problems)
             raise ConfigError(message, problems)
@@ -222,6 +238,20 @@ class SdzeConfig:
     def init_params(self) -> MlpParams:
         """The initial network; every run, sweep and ablation starts from it."""
         return init_mlp(self.widths, self.activation, self.seed, self.bias)
+
+
+def check_batch_dims(cfg: SdzeConfig) -> None:
+    """Refuse index sets larger than the dimension, before a run does any work.
+
+    A run rule, not a config rule, since the default b = 16 loads at any
+    dimension: :func:`train` checks it first, :mod:`sdze.harness` before a
+    run or sweep cell writes anything.
+    """
+    if cfg.batch_b > cfg.widths[0]:
+        raise ConfigError(
+            f"sdze.batch_dims_b = {cfg.batch_b} exceeds pde.dim = {cfg.widths[0]}; "
+            "index sets are drawn without replacement"
+        )
 
 
 def lr_schedule(cfg: SdzeConfig, t: int, q: int | None = None) -> float:
@@ -460,8 +490,10 @@ def train(
     Resuming from a checkpoint (``init_params`` + ``start_step``) follows the
     identical trajectory because every draw is keyed by (seed, role, step).
     The steps share one :class:`Workspace`, so after the first they allocate
-    none of their large temporaries (:func:`sdze_step`).
+    none of their large temporaries (:func:`sdze_step`).  Nothing runs
+    before :func:`check_batch_dims`.
     """
+    check_batch_dims(cfg)
     params = init_params if init_params is not None else cfg.init_params()
     if params.dim != problem.dim:
         raise ValueError("network input width must equal the problem dimension")

@@ -186,36 +186,34 @@ def perturb_product(
     H: np.ndarray,
     state: LayerSubspace,
     Z: np.ndarray,
-    tail: str | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """``H @ T^-1(U Z V^T)`` without forming the perturbation matrix.
 
-    ``H`` has shape (..., m) and the result (..., n).  ``tail="one"`` appends
-    one virtual constant-1 column, the bias feature of a value plane, without
-    materializing it; the plan's row count is then m + 1.  The network uses
-    it on the input layer's primal only: that layer is d-sized, so its
-    perturbation stays implicit, while later layers multiply explicitly
-    perturbed weights.  One GEMM over (t, r) forms every column segment s:
-    the rows of (H's row segments @ U3[s]) @ Z against V3 as (nv, kr*r).
-    The result is written to ``out`` when one is given.
+    ``H`` has shape (..., m) or (..., m - 1) for a layer of m rows, and the
+    result (..., n).  One column short, ``H`` is a value plane without its
+    bias feature: one virtual constant-1 column is appended without
+    materializing it.  The network uses that on the input layer's primal
+    only: that layer is d-sized, so its perturbation stays implicit, while
+    later layers multiply explicitly perturbed weights.  One GEMM over (t, r)
+    forms every column segment s: the rows of (H's row segments @ U3[s]) @ Z
+    against V3 as (nv, kr*r).  The result is written to ``out`` when one is
+    given.
     """
-    if tail not in (None, "one"):
-        raise ValueError(f"unknown tail {tail!r}; expected None or 'one'")
     m, n = state.plan.orig
-    expected = m - (1 if tail else 0)
-    if H.shape[-1] != expected:
-        raise ValueError(f"H width {H.shape[-1]} does not match layer rows {expected}")
+    width = H.shape[-1]
+    if width not in (m, m - 1):
+        raise ValueError(f"H width {width} is neither the layer's rows {m} nor {m - 1}")
     U3, V3, Vt = state.factors(H.dtype)
     Z = np.asarray(Z, dtype=H.dtype)
     kc, mu, r = U3.shape
     nv, kr, _ = V3.shape
     lead = H.shape[:-1]
     B = math.prod(lead)
-    if tail is None:
+    if width == m:
         P = H.reshape(B * kr, mu) @ U3
     else:  # the virtual constant 1 closes the last row segment: it adds U3[s, -1]
-        H = H.reshape(B, expected)
+        H = H.reshape(B, width)
         P = H[:, (kr - 1) * mu :] @ U3[:, :-1] + U3[:, -1:]
         if kr > 1:
             head = H[:, : (kr - 1) * mu].reshape(B, kr - 1, mu) @ U3[:, None]

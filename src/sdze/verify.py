@@ -72,6 +72,8 @@ QUADRATIC_CASES = ((4, 2, [(2, 4)]), (16, 4, [(8, 8)]))
 # the crns suite's sweep: dimension, index-set size, replicates and eps values
 CRNS_DIM, CRNS_B, CRNS_REPS = 100, 5, 500
 CRNS_EPS = (1e-1, 1e-2, 1e-3, 1e-4)
+# the implicit suite's layer shapes: six fixed, the rest drawn from the seed
+IMPLICIT_CASES = 20
 
 
 @dataclass
@@ -754,7 +756,7 @@ def jets_suite(master: int = 0) -> list[IdentityReport]:
     return reports
 
 
-def implicit_suite(master: int = 0, n_cases: int = 20) -> list[IdentityReport]:
+def implicit_suite(master: int = 0) -> list[IdentityReport]:
     """Implicit perturbed forward and jet sums vs the dense explicit oracle.
 
     Random layer shapes (k > 1 splits on both sides included), random ranks,
@@ -766,7 +768,7 @@ def implicit_suite(master: int = 0, n_cases: int = 20) -> list[IdentityReport]:
     fixed = [(6, 5), (40, 8), (8, 40), (128, 1), (7, 3), (12, 12)]
     stream = derive_stream(StreamKey(master, Role.CORE_Z, 0, 99))
     cases = list(fixed)
-    while len(cases) < n_cases:
+    while len(cases) < IMPLICIT_CASES:
         m = 1 + int(stream.uniforms(1)[0] * 48)
         n = 1 + int(stream.uniforms(1)[0] * 48)
         cases.append((m, n))

@@ -1,9 +1,11 @@
-"""Shared fixture: measured allocation peaks of wrapped calls."""
+"""Shared fixtures: measured allocation peaks of wrapped calls, and a forced sign path."""
 
 from collections import defaultdict
 from tracemalloc import get_traced_memory, reset_peak, start, stop
 
 import pytest
+
+from sdze import optimizer, worker
 
 
 class PeakSpans:
@@ -56,3 +58,17 @@ def peak_spans(monkeypatch):
         yield PeakSpans(monkeypatch)
     finally:
         stop()
+
+
+@pytest.fixture
+def force_path(monkeypatch):
+    """``force_path(concurrent)`` makes the gate pick the concurrent path, or
+    the serial one, for every locked estimate: a pinned BLAS, 2 CPUs, and a
+    work threshold of 0 or above any work."""
+
+    def force(concurrent: bool) -> None:
+        monkeypatch.setattr(worker, "_BLAS_ONE_THREAD", True)
+        monkeypatch.setattr(worker, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(optimizer, "CONCURRENT_MIN_MACS", 0 if concurrent else float("inf"))
+
+    return force

@@ -1,8 +1,8 @@
 """The two passes of an estimate on two threads: same bits, same errors, same memory.
 
 Every test that needs one path forces it through the gate's own inputs
-(:func:`force_path`), so the real gate picks it; the helper moves the work
-threshold, which most shapes here are below.  A test that injects a loss
+(the ``force_path`` fixture), so the real gate picks it; the fixture moves
+the work threshold, which most shapes here are below.  A test that injects a loss
 sets ``optimizer.stochastic_loss``, which both passes call.
 """
 
@@ -48,15 +48,6 @@ def estimate_cfg(**over):
     return SdzeConfig(**base)
 
 
-def force_path(monkeypatch, concurrent):
-    """Make the gate pick the concurrent path, or the serial one, for every
-    locked estimate: a pinned BLAS, 2 CPUs, and a work threshold of 0 or
-    above any work."""
-    monkeypatch.setattr(worker, "_BLAS_ONE_THREAD", True)
-    monkeypatch.setattr(worker, "_cpu_count", lambda: 2)
-    monkeypatch.setattr(optimizer, "CONCURRENT_MIN_MACS", 0 if concurrent else float("inf"))
-
-
 def estimate(cfg, t=1):
     """``directional_delta`` of step ``t``'s perturbation on a fresh pair."""
     prob = cfg.make_problem()
@@ -86,13 +77,13 @@ HIDDEN = {2: [20, 12, 1], 3: [20, 12, 10, 1], 4: [20, 12, 10, 8, 1]}
 @pytest.mark.parametrize("act", ["sin", "tanh_scaled"])
 @pytest.mark.parametrize("bias", [False, True])
 @pytest.mark.parametrize("depth", sorted(HIDDEN))
-def test_both_paths_give_the_same_bits(monkeypatch, depth, bias, act, dtype):
+def test_both_paths_give_the_same_bits(monkeypatch, force_path, depth, bias, act, dtype):
     cfg = estimate_cfg(widths=HIDDEN[depth], bias=bias, activation=act, dtype=dtype)
     seen = record_passes(monkeypatch)
     for t in (1, 2):
-        force_path(monkeypatch, False)
+        force_path(False)
         serial = estimate(cfg, t)
-        force_path(monkeypatch, True)
+        force_path(True)
         concurrent = estimate(cfg, t)
         assert concurrent == serial
         assert serial[1] != serial[2]
@@ -102,14 +93,14 @@ def test_both_paths_give_the_same_bits(monkeypatch, depth, bias, act, dtype):
     assert here == [[(-1, True), (1, True)], [(-1, True), (1, False)]]
 
 
-def test_a_pinned_batch_sweep_gives_the_same_rows_on_both_paths(monkeypatch):
+def test_a_pinned_batch_sweep_gives_the_same_rows_on_both_paths(force_path):
     # one pair serves every replicate of an eps: the first concurrent
     # estimate forms both signs' planes at once, the later ones read them
     prob = estimate_cfg().make_problem()
     params = estimate_cfg(dtype="f32").init_params()
     rows = {}
     for concurrent in (False, True):
-        force_path(monkeypatch, concurrent)
+        force_path(concurrent)
         rows[concurrent] = crns_variance_sweep(
             prob, params, rank=3, eps_list=[1e-2, 1e-3], replicates=6, B=7, b=4, master=4,
             dtype="f32",
@@ -117,14 +108,14 @@ def test_a_pinned_batch_sweep_gives_the_same_rows_on_both_paths(monkeypatch):
     assert rows[True] == rows[False]
 
 
-def test_callers_on_many_threads_share_the_worker(monkeypatch):
+def test_callers_on_many_threads_share_the_worker(force_path):
     # four callers, each with its own batch size (so the worker's kept
     # blocks grow and are replaced while tasks hold the old ones), race for
     # the one worker with thread switches forced every microsecond
-    force_path(monkeypatch, False)
+    force_path(False)
     cfgs = [estimate_cfg(widths=[20, 12, 10, 8, 1], batch_B=B, dtype="f32") for B in (3, 9, 5, 12)]
     want = [[estimate(cfg, t) for t in (1, 2, 3)] for cfg in cfgs]
-    force_path(monkeypatch, True)
+    force_path(True)
     got = [None] * len(cfgs)
 
     def caller(k):
@@ -150,7 +141,9 @@ class PassError(Exception):
 
 @pytest.mark.parametrize("concurrent", [False, True])
 @pytest.mark.parametrize("failing", [(), (1,), (-1,), (1, -1)])
-def test_errors_come_in_the_serial_order_after_both_passes(monkeypatch, concurrent, failing):
+def test_errors_come_in_the_serial_order_after_both_passes(
+    monkeypatch, force_path, concurrent, failing
+):
     ended, loss = [], optimizer.stochastic_loss
 
     def failing_loss(view, problem, drawn):
@@ -164,7 +157,7 @@ def test_errors_come_in_the_serial_order_after_both_passes(monkeypatch, concurre
             ended.append(view.sign)
 
     monkeypatch.setattr(optimizer, "stochastic_loss", failing_loss)
-    force_path(monkeypatch, concurrent)
+    force_path(concurrent)
     if failing:
         with pytest.raises(PassError) as err:
             estimate(estimate_cfg())
@@ -176,9 +169,9 @@ def test_errors_come_in_the_serial_order_after_both_passes(monkeypatch, concurre
     assert sorted(ended) == ([-1, 1] if ran_minus else [1])
 
 
-def test_a_callers_errstate_reaches_the_worker(monkeypatch):
+def test_a_callers_errstate_reaches_the_worker(monkeypatch, force_path):
     seen = record_passes(monkeypatch)
-    force_path(monkeypatch, True)
+    force_path(True)
     with np.errstate(under="raise", divide="ignore", invalid="print", over="raise"):
         want = np.geterr()
         estimate(estimate_cfg())
@@ -187,9 +180,9 @@ def test_a_callers_errstate_reaches_the_worker(monkeypatch):
     assert len({thread for _, thread, _ in seen}) == 2
 
 
-def test_the_worker_drops_each_finished_task(monkeypatch):
+def test_the_worker_drops_each_finished_task(force_path):
     cfg = estimate_cfg()
-    force_path(monkeypatch, True)
+    force_path(True)
     prob = cfg.make_problem()
     params = cfg.init_params()
     subs = make_subspaces(params, cfg)
@@ -214,9 +207,9 @@ def overflow_cfg(**over):
 
 
 @pytest.mark.parametrize("concurrent", [False, True])
-def test_an_overflow_in_the_sweep_is_a_divergence_naming_its_layer(monkeypatch, concurrent):
+def test_an_overflow_in_the_sweep_is_a_divergence_naming_its_layer(force_path, concurrent):
     # tier-1 runs with warnings as errors: no overflow warning may escape
-    force_path(monkeypatch, concurrent)
+    force_path(concurrent)
     cfg = overflow_cfg()
     prob = cfg.make_problem()
     result = train(cfg, prob)
@@ -352,7 +345,7 @@ def test_a_pinned_and_an_unpinned_train_write_the_same_bytes(tmp_path):
             ).read_bytes(), name
 
 
-def test_concurrent_estimate_memory(monkeypatch, peak_spans):
+def test_concurrent_estimate_memory(monkeypatch, force_path, peak_spans):
     # Measured bytes (tracemalloc sees every thread) at criterion 8's shapes.
     # The concurrent estimate's whole peak may hold both signs' serial
     # loss-call peaks at once, plus 4 KiB: a pair without a workspace keeps
@@ -394,7 +387,7 @@ def test_concurrent_estimate_memory(monkeypatch, peak_spans):
             return SignPair(params, subs, cores, cfg.eps)
 
         peak_spans.calls.clear()
-        force_path(monkeypatch, True)
+        force_path(True)
         monkeypatch.setattr(optimizer, "stochastic_loss", loss)
         want = estimate_span(pair(), prob, plus, plus)
         whole[d] = peak_spans.peaks("estimate")[-1]
@@ -405,7 +398,7 @@ def test_concurrent_estimate_memory(monkeypatch, peak_spans):
         assert estimate_span(shared, prob, plus, plus) == want
         sweeps[d] = peak_spans.peaks("estimate")[-1]
 
-        force_path(monkeypatch, False)
+        force_path(False)
         monkeypatch.setattr(optimizer, "stochastic_loss", loss)
         peak_spans.wrap(optimizer, "stochastic_loss", key=lambda view, problem, drawn: view.sign)
         assert directional_delta(pair(), prob, plus, plus) == want

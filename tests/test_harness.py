@@ -196,6 +196,8 @@ def test_widths_must_start_with_pde_dim(tmp_path):
     raw = tiny_config(tmp_path, net={"widths": [4, 6, 1]})
     with pytest.raises(ConfigError, match="net.widths"):
         config_from_dict(raw)
+    with pytest.raises(ConfigError, match=r"^net\.widths must start with pde\.dim = 5; "):
+        config_from_dict(tiny_config(tmp_path, net={"widths": []}))
     assert not (tmp_path / "run").exists()
 
 
@@ -358,6 +360,68 @@ def test_every_field_that_is_not_an_integer_is_named_in_one_error():
     with pytest.raises(ConfigError) as err:
         SdzeConfig(seed=1.0, steps=True, rank=2.5, eval_every=0)
     assert [name for name, _ in err.value.problems] == ["seed", "steps", "rank", "eval_every"]
+
+
+@pytest.mark.parametrize(
+    "name, bad, kind",
+    [
+        ("bias", "no", "true or false"),  # trained with a bias
+        ("crns", 0, "true or false"),
+        ("timing", "false", "true or false"),
+        ("eps", True, "a number"),
+        ("gamma", True, "a number"),
+        ("out_dir", 3, "a string"),
+        ("eps", "x", "a number"),  # here and below a TypeError that named no field
+        ("m", None, "a number"),
+        ("p", "0.6", "a number"),
+        ("widths", 3, "a list of integers >= 1"),
+        ("widths", None, "a list of integers >= 1"),
+        ("dtype", ["f32"], "a string"),
+    ],
+)
+def test_every_field_takes_its_type(name, bad, kind):
+    why = f"must be {kind}, got {bad!r}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(f'{name} {why}')}$") as err:
+        SdzeConfig(**{name: bad})
+    assert err.value.problems == [(name, why)]
+
+
+def test_every_wrongly_typed_field_is_named_in_one_error():
+    with pytest.raises(ConfigError) as err:
+        SdzeConfig(bias="no", eps="x", widths=None, dtype=["f32"], out_dir=3, rank=2.5)
+    names = [name for name, _ in err.value.problems]
+    assert sorted(names) == sorted(["bias", "eps", "widths", "dtype", "out_dir", "rank"])
+    assert SdzeConfig(widths=(5, 6, 1), eps=1, m=np.float32(2.0)).widths == (5, 6, 1)
+
+
+def _leaves(node: dict, prefix: str = ""):
+    for key, value in node.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, prefix + key + ".")
+        else:
+            yield prefix + key, value
+
+
+# every JSON key but net.widths, whose null takes the default, and its type
+_KINDS = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
+SCALAR_KEYS = [
+    (key, _KINDS[type(value)])
+    for key, value in _leaves(config_to_dict(SdzeConfig()))
+    if not isinstance(value, list)
+]
+
+
+@pytest.mark.parametrize("key, kind", SCALAR_KEYS, ids=[key for key, _ in SCALAR_KEYS])
+def test_a_null_scalar_is_reported_under_its_key(tmp_path, key, kind):
+    raw = tiny_config(tmp_path)
+    *blocks, leaf = key.split(".")
+    node = raw
+    for block in blocks:
+        node = node.setdefault(block, {})
+    node[leaf] = None
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(raw)
+    assert str(err.value) == f"{key} must be {kind}, got None"
 
 
 def test_the_seed_must_fit_in_64_bits(tmp_path):

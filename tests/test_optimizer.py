@@ -9,6 +9,7 @@ from sdze import net, optimizer, spatial, verify
 from sdze.net import MlpParams, PerturbView, SignPair, init_mlp
 from sdze.optimizer import (
     DTYPES,
+    ConfigError,
     SdzeConfig,
     SdzeDivergenceError,
     directional_delta,
@@ -299,6 +300,15 @@ def test_train_zero_steps_and_initial_eval():
     result = train(cfg, prob)
     assert result.records == []
     assert len(result.evals) == 1 and result.evals[0][0] == 0
+
+
+def test_train_refuses_index_sets_larger_than_the_dimension_before_any_work(monkeypatch):
+    calls = []
+    monkeypatch.setattr(optimizer, "relative_l2", lambda *args: calls.append(args))
+    cfg = SdzeConfig(widths=[3, 8, 1], steps=2, test_points=16)  # the default b = 16
+    with pytest.raises(ConfigError, match=r"^sdze\.batch_dims_b = 16 exceeds pde\.dim = 3"):
+        train(cfg, cfg.make_problem())
+    assert calls == []
 
 
 def test_train_is_deterministic():

@@ -205,8 +205,11 @@ def test_perturb_product_virtual_tail():
         D = explicit_delta_w(state, Z)
         H = rng.standard_normal((5, m - 1))
         want = np.hstack([H, np.ones((5, 1))]) @ D
-        got = perturb_product(H, state, Z, tail="one")
+        got = perturb_product(H, state, Z)
         assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+        # any other width is refused, naming both that it takes
+        with pytest.raises(ValueError, match=f"neither the layer's rows {m} nor {m - 1}"):
+            perturb_product(np.ones((5, m - 2)), state, Z)
 
 
 @given(
@@ -234,7 +237,7 @@ def test_kernels_match_the_explicit_perturbation(m, n, rank, tail, seed):
     D = explicit_delta_w(state, Z)
     H = rng.standard_normal((5, m - tail))
     want = (np.hstack([H, np.ones((5, 1))]) if tail else H) @ D
-    got = perturb_product(H, state, Z, tail="one" if tail else None)
+    got = perturb_product(H, state, Z)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
     ridx = rng.integers(0, m, size=4)

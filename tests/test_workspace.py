@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sdze import optimizer, worker
+from sdze import optimizer
 from sdze.optimizer import DTYPES, SdzeConfig, make_subspaces, sdze_step, train
 from sdze.subspace import BLOCK_ELEMS
 from sdze.workspace import Workspace, buffer
@@ -38,12 +38,6 @@ def test_a_name_keeps_its_memory_in_any_dtype():
     assert not other.is_alive() and there[0].ctypes.data != here
 
 
-def force_path(monkeypatch, concurrent):
-    monkeypatch.setattr(worker, "_BLAS_ONE_THREAD", True)
-    monkeypatch.setattr(worker, "_cpu_count", lambda: 2)
-    monkeypatch.setattr(optimizer, "CONCURRENT_MIN_MACS", 0 if concurrent else float("inf"))
-
-
 # depth 1 to 4; b = 20 > JET_CHUNK transports each set in a full and a partial block
 NETS = {1: [20, 1], 2: [20, 12, 1], 3: [20, 12, 10, 1], 4: [20, 12, 10, 8, 1]}
 
@@ -57,13 +51,13 @@ NETS = {1: [20, 1], 2: [20, 12, 1], 3: [20, 12, 10, 1], 4: [20, 12, 10, 8, 1]}
 ])
 @pytest.mark.parametrize("depth", sorted(NETS))
 def test_a_run_with_a_workspace_has_the_bits_of_one_without(
-    monkeypatch, depth, bias, act, kind, crns, dtype, concurrent
+    force_path, depth, bias, act, kind, crns, dtype, concurrent
 ):
     # train keeps one workspace for its steps; a loop of sdze_step with no
     # workspace allocates every array.  Each step's record and the weights
     # after it agree bitwise, across a base refresh (freq_F = 3), so no
     # buffer that a step still reads is taken again while it does
-    force_path(monkeypatch, concurrent)
+    force_path(concurrent)
     cfg = SdzeConfig(
         seed=6, widths=NETS[depth], activation=act, bias=bias, dtype=dtype, pde_kind=kind,
         crns=crns, eps=1e-2, lr_mode="constant", alpha=1e-3, steps=7, rank=3, freq_F=3,
@@ -84,14 +78,14 @@ def test_a_run_with_a_workspace_has_the_bits_of_one_without(
         assert W.tobytes() == V.tobytes()
 
 
-def test_a_variance_sweep_cell_has_the_bits_of_fresh_pairs(monkeypatch):
+def test_a_variance_sweep_cell_has_the_bits_of_fresh_pairs(monkeypatch, force_path):
     # delta_variance keeps one pair and a workspace; each replicate's draw
     # and planes replace the last one's.  Fresh pairs, with no workspace,
     # give the same estimates
     from sdze import harness
     from sdze.net import SignPair
 
-    force_path(monkeypatch, True)
+    force_path(True)
     cfg = SdzeConfig(seed=2, widths=[20, 12, 10, 1], dtype="f32", rank=3, batch_B=9, batch_b=20)
     problem = cfg.make_problem()
     deltas = []
