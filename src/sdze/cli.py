@@ -78,7 +78,7 @@ def _checked(parse, check):
 
 _parse_eps_list = _checked(_parse_float_list, V.check_eps_list)
 _parse_reps = _checked(int, V.check_replicates)
-# a verify seed obeys a run config's seed rule: stream keys hold it in 64 bits
+# every --seed obeys a run config's seed rule: stream keys hold it in 64 bits
 _parse_seed = _checked(int, lambda seed: SdzeConfig(seed=seed))
 
 
@@ -122,7 +122,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p_train = sub.add_parser("train", help="run a training config")
     p_train.add_argument("--config", required=True)
-    p_train.add_argument("--seed", type=int, default=None)
+    p_train.add_argument("--seed", type=_parse_seed, default=None)
     p_train.add_argument("--out", default=None)
     p_train.add_argument("--no-timing", action="store_true", help="write wall_ms as 0 for reproducible CSVs")
 
@@ -135,20 +135,20 @@ def main(argv: list[str] | None = None) -> int:
     p_rf.add_argument("--config", required=True)
     p_rf.add_argument("--ranks", type=_parse_int_list, required=True)
     p_rf.add_argument("--freqs", type=_parse_int_list, required=True)
-    p_rf.add_argument("--seed", type=int, default=None)
+    p_rf.add_argument("--seed", type=_parse_seed, default=None)
     p_rf.add_argument("--out", default=None)
 
     p_sb = sub.add_parser("sweep-batch", help="fixed-budget (B, b) tradeoff")
     p_sb.add_argument("--config", required=True)
     p_sb.add_argument("--pairs", type=_parse_pairs, required=True)
-    p_sb.add_argument("--seed", type=int, default=None)
+    p_sb.add_argument("--seed", type=_parse_seed, default=None)
     p_sb.add_argument("--out", default=None)
 
     p_ab = sub.add_parser("ablate-crns", help="seed-locking variance ablation")
     p_ab.add_argument("--config", required=True)
     p_ab.add_argument("--eps", type=_parse_eps_list, required=True)
     p_ab.add_argument("--reps", type=_parse_reps, default=V.CRNS_REPS)
-    p_ab.add_argument("--seed", type=int, default=None)
+    p_ab.add_argument("--seed", type=_parse_seed, default=None)
     p_ab.add_argument("--out", default=None)
 
     args = parser.parse_args(argv)

@@ -29,20 +29,23 @@ Forward modes:
 
 A view (:class:`PerturbView`) is one sign of one :class:`SignPair`: sign 0
 of a plain pair (:func:`plain_view`), or +1 or -1 of a perturbed pair, whose
-two signs are the +eps and -eps views of one estimate (:func:`sign_views`).
-The pair owns everything the signs share that depends on the
-perturbation.  When it is built it forms W_0 in the step dtype, the core
-eps Z_0 and each sign's hidden weights: one E_l per layer gives W_l + E_l
-and W_l - E_l, each formed in float64 and rounded once to the step dtype,
-so no E_l outlives its layer.  For a batch X it forms the products X W_0
-and X (eps DW_0); for an index set I only the seed rows W_0[I] and
-(eps DW_0)[I].  Each sign then adds or subtracts the perturbation term and
-forms its own activations and tangent blocks.  This changes no bit: every
-sign-dependent term is linear in the sign and IEEE negation is exact, so
-(-eps) Z = -(eps Z), a product with one operand negated is the negated
-product, and W + (-E) = W - E.  Batch terms are reused when the -eps pass
-reads the same read-only X, seed rows when it also reads the same
-read-only index array (a seed-locked sample).
+two signs, ``PerturbView(pair, 1)`` and ``PerturbView(pair, -1)``, are the
++eps and -eps views of one estimate.  The loss reads a view through its one
+surface, ``jet_eval`` (:func:`jet_sums`), which the closed-form stand-in
+:class:`sdze.spatial.ExactSolutionView` has too; values alone are
+:func:`ansatz` of the view.  The pair owns everything the signs share that
+depends on the perturbation.  When it is built it forms W_0 in the step
+dtype, the core eps Z_0 and each sign's hidden weights: one E_l per layer
+gives W_l + E_l and W_l - E_l, each formed in float64 and rounded once to
+the step dtype, so no E_l outlives its layer.  For a batch X it forms the
+products X W_0 and X (eps DW_0); for an index set I only the seed rows
+W_0[I] and (eps DW_0)[I].  Each sign then adds or subtracts the
+perturbation term and forms its own activations and tangent blocks.  This
+changes no bit: every sign-dependent term is linear in the sign and IEEE
+negation is exact, so (-eps) Z = -(eps Z), a product with one operand
+negated is the negated product, and W + (-E) = W - E.  Batch terms are
+reused when the -eps pass reads the same read-only X, seed rows when it
+also reads the same read-only index array (a seed-locked sample).
 
 What an index set forms whatever the pair and the sign is not the pair's:
 the split of the direction list into sets, their offsets, 2|I|, X[:, I]
@@ -127,7 +130,7 @@ from itertools import accumulate
 import numpy as np
 
 from .rng import Role, StreamKey, derive_stream
-from .subspace import LayerSubspace, delta_rows, perturb_product, rank_r_delta
+from .subspace import delta_rows, perturb_product, rank_r_delta
 from .workspace import Workspace, buffer
 
 
@@ -269,9 +272,6 @@ class PerturbView:
         return self.pair.dtype
 
     # Loss-pipeline surface shared with the exact-solution stand-in.
-    def values(self, X: np.ndarray) -> np.ndarray:
-        return ansatz(self, X)[:, 0]
-
     def jet_eval(self, X: np.ndarray, dims: np.ndarray, sizes) -> tuple[np.ndarray, np.ndarray]:
         """:func:`jet_sums` at this view; ``sizes`` may be the :class:`IndexSets` of X and dims."""
         return jet_sums(self, X, dims, sizes)
@@ -279,18 +279,6 @@ class PerturbView:
 
 def plain_view(params: MlpParams) -> PerturbView:
     return PerturbView(SignPair(params))
-
-
-def sign_views(
-    params: MlpParams,
-    subspaces: list[LayerSubspace],
-    cores: list[np.ndarray],
-    eps: float,
-    dtype,
-) -> tuple[PerturbView, PerturbView]:
-    """The +eps and -eps views of one estimate, the two signs of one :class:`SignPair`."""
-    pair = SignPair(params, subspaces, cores, eps, dtype)
-    return PerturbView(pair, 1), PerturbView(pair, -1)
 
 
 def _signed(shared: np.ndarray, term: np.ndarray | None, sign: int, work=None, name=None):

@@ -90,8 +90,10 @@ class StreamKey:
     index: int = 0
 
     def __post_init__(self):
-        if self.step < 0 or self.index < 0:
-            raise ValueError("step and index must be non-negative")
+        # the key hash reads each field's 64 bits: a wider one would alias
+        for name in ("master", "step", "index"):
+            if not 0 <= getattr(self, name) <= _M64:
+                raise ValueError(f"stream key {name} must be in [0, 2**64)")
 
 
 def _mix64(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -114,9 +116,9 @@ def _mix64_int(z: int) -> int:
 
 def _key_state(key: StreamKey) -> int:
     # Python ints: a key costs a few microseconds, not numpy scalar arithmetic
-    h = _mix64_int((key.master & _M64) ^ _GAMMA)
+    h = _mix64_int(key.master ^ _GAMMA)
     for field_value in (int(key.role), key.step, key.index):
-        h = _mix64_int((h + _GAMMA * ((field_value & _M64) + 1)) & _M64)
+        h = _mix64_int((h + _GAMMA * (field_value + 1)) & _M64)
     return h
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import worker
-from .net import IndexSets, MlpParams, boundary_factor, index_sets, plain_view
+from .net import IndexSets, MlpParams, ansatz, boundary_factor, index_sets, plain_view
 from .rng import CHUNK_PAIRS, Role, RngStream, StreamKey, derive_stream, sample_index_set
 from .workspace import buffer
 
@@ -207,19 +207,18 @@ def _core_jets_at_dim(problem: PdeProblem, X: np.ndarray, i: int):
 
 
 class ExactSolutionView:
-    """Closed-form solution behind the same surface as the network views.
+    """The closed-form solution as the network's stand-in in the loss pipeline.
 
-    Substituting it for the network anywhere in the loss pipeline must drive
-    the residual to zero; used for manufactured-solution consistency checks.
-    It computes in float64 whatever the batch's dtype, as :func:`rhs_eval`
-    does; its jets widen a float32 batch first, which is exact.
+    The loss reads a view only through ``jet_eval``, so this view can take a
+    network view's place in :func:`sampled_operator` and
+    :func:`stochastic_loss`, where it must drive the residual to zero: the
+    manufactured-solution consistency checks.  It computes in float64
+    whatever the batch's dtype, as :func:`rhs_eval` does; its jets widen a
+    float32 batch first, which is exact.
     """
 
     def __init__(self, problem: PdeProblem):
         self.problem = problem
-
-    def values(self, X: np.ndarray) -> np.ndarray:
-        return exact_solution(self.problem, X)
 
     def jet_eval(self, X: np.ndarray, dims, sizes) -> tuple[np.ndarray, np.ndarray]:
         """Values and, per consecutive index set of ``sizes``, sum_i d2u/dx_i^2.
@@ -367,11 +366,13 @@ class DrawnSample:
     index sets' terms (``sets``, :class:`~sdze.net.IndexSets`: the split of
     ``dims`` into I1 then I2, its offsets, 2|I|, X[:, I] in float64 and
     phi, from the rhs's squares of X),
-    each set's operator scale N_L/|I| and the loss denominator 2 B kappa.
-    The arrays are read-only, so every loss evaluation that shares the draw
-    reads the same bits, and a pass forms none of them: it only does the
-    arithmetic of its sign.  ``dims``, I1 then I2, is the direction list of
-    the loss's one jet sweep.
+    each set's operator scale N_L/|I| as a float64 column, which multiplies
+    the float64 set sums of every view as it is, and the loss denominator
+    2 B kappa.  The arrays are read-only, so every loss evaluation that
+    shares the draw reads the same bits, and a pass forms none of them: it
+    only does the arithmetic of its sign.  ``dims``, I1 then I2, is the
+    direction list of the loss's one jet sweep; I1 is its first ``b``
+    entries.
     """
 
     sample: SpatialSample
@@ -387,14 +388,6 @@ class DrawnSample:
     @property
     def dims(self) -> np.ndarray:
         return self.sets.dims
-
-    @property
-    def I1(self) -> np.ndarray:
-        return self.dims[: self.sample.b]
-
-    @property
-    def I2(self) -> np.ndarray:
-        return self.dims[self.sample.b :]
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -440,8 +433,7 @@ def draw_sample(
 def _operator(view, problem: PdeProblem, sets: IndexSets, scale: np.ndarray) -> np.ndarray:
     """:func:`sampled_operator` over formed ``sets``, with their ``scale`` column."""
     u, sums = view.jet_eval(sets.X, sets.dims, sets)
-    # the scale is rounded to the sums' dtype, as a Python float would be
-    op = scale.astype(sums.dtype, copy=False) * sums
+    op = scale * sums
     # Poisson has no nonlinearity; adding zeros could only turn -0.0 into +0.0
     return op if problem.kind == "none" else op + problem.nonlinearity(u)
 
@@ -455,8 +447,9 @@ def sampled_operator(view, problem: PdeProblem, X: np.ndarray, dims, sizes) -> n
     (len(sizes), B).  The call forms the sets' terms once
     (:func:`sdze.net.index_sets`) and hands them to the view, as
     :func:`stochastic_loss` hands those of its draw.  Each set's scale
-    N_L/|I| is rounded to the dtype of the view's sums, as a Python float
-    would be, so it never widens them.
+    N_L/|I| is a float64 column, and every view's sums are float64 (the
+    precision contract of :mod:`sdze.net`), so the scale multiplies them as
+    it is.
     """
     sets = index_sets(X, dims, sizes)
     return _operator(view, problem, sets, _set_scale(problem, sets))
@@ -483,8 +476,11 @@ def stochastic_loss(view, problem: PdeProblem, drawn: DrawnSample) -> float:
 EVAL_ROWS = 256
 
 
-def relative_l2(view_or_params, problem: PdeProblem, test_key: StreamKey, n_test: int) -> float:
-    """Relative L2 error against the exact solution on regenerated test points.
+def relative_l2(params: MlpParams, problem: PdeProblem, test_key: StreamKey, n_test: int) -> float:
+    """Relative L2 error of the network ``params`` against the exact solution.
+
+    ``params`` is a :class:`~sdze.net.MlpParams`; anything else raises
+    ``TypeError``.  The error is taken on regenerated test points.
 
     The n_test x d test batch of ``test_key``'s stream (:func:`sample_unit_ball`)
     is drawn, evaluated and scored in row blocks that start at multiples of
@@ -499,18 +495,20 @@ def relative_l2(view_or_params, problem: PdeProblem, test_key: StreamKey, n_test
     one block per thread.  The result has the bits of scoring the whole
     batch at once.
 
-    Given ``MlpParams``, the evaluation builds its own plain view, which
-    holds no workspace and caches nothing of a block's writable X; then,
-    when there are two blocks or more and :func:`sdze.worker.may_share`
-    holds, this thread and the worker take the blocks from one queue, the
-    largest (the last) first, each writing only its own rows of the values.
-    Every block does the same arithmetic on either thread, so the bits do
-    not change; an error is raised once both threads have stopped.
+    The evaluation builds one plain view of ``params``, which holds no
+    workspace and caches nothing of a block's writable X, and scores each
+    block's ansatz values on it (:func:`sdze.net.ansatz`).  When there are
+    two blocks or more and :func:`sdze.worker.may_share` holds, this thread
+    and the worker take the blocks from one queue, the largest (the last)
+    first, each writing only its own rows of the values.  Every block does
+    the same arithmetic on either thread, so the bits do not change; an
+    error is raised once both threads have stopped.
     """
+    if not isinstance(params, MlpParams):
+        raise TypeError(f"params must be MlpParams, got {type(params).__name__}")
     if isinstance(n_test, bool) or not isinstance(n_test, (int, np.integer)) or n_test < 1:
         raise ValueError(f"n_test must be an integer >= 1, got {n_test!r}")
-    plain = isinstance(view_or_params, MlpParams)
-    view = plain_view(view_or_params) if plain else view_or_params
+    view = plain_view(params)
     stream = derive_stream(test_key)
     u_hat, u_ex = np.empty(n_test), np.empty(n_test)
     starts = range(0, max(n_test - EVAL_ROWS, 0) + 1, EVAL_ROWS)
@@ -519,10 +517,10 @@ def relative_l2(view_or_params, problem: PdeProblem, test_key: StreamKey, n_test
     def evaluate(block):
         a, b = block
         X = ball_rows(stream, n_test, problem.dim, a, b - a)
-        u_hat[a:b] = view.values(X)
+        u_hat[a:b] = ansatz(view, X)[:, 0]
         u_ex[a:b] = exact_solution(problem, X)
 
-    if plain and len(blocks) > 1 and worker.may_share():
+    if len(blocks) > 1 and worker.may_share():
         worker.share(evaluate, blocks[-1:] + blocks[:-1])
     else:
         for block in blocks:

@@ -40,13 +40,13 @@ import numpy as np
 from .net import (
     JET_CHUNK,
     MlpParams,
+    PerturbView,
     SignPair,
     activation_triple,
     ansatz,
     init_mlp,
     jet_sums,
     plain_view,
-    sign_views,
 )
 from .optimizer import DTYPES, directional_delta, step_cores
 from .rng import Role, StreamKey, derive_stream
@@ -399,6 +399,24 @@ def _full_batch_gradient(resid, grads, n_points, n_terms):
     return g / (n_points * n_terms**2)
 
 
+def _draw_mean(term, n_points: int, n_terms: int, nB: int, *set_sizes: int):
+    """Mean of ``term(B_slots, *set_slots)`` over every with-replacement draw, and their count.
+
+    A draw is nB point slots and one tuple of term slots per entry of
+    ``set_sizes``, all equally likely.  The draws run in lexicographic order,
+    the point slots first, and ``term``'s values are summed in that order.
+    """
+    draws = product(
+        product(range(n_points), repeat=nB),
+        *(product(range(n_terms), repeat=k) for k in set_sizes),
+    )
+    total, count = 0.0, 0
+    for draw in draws:
+        total += term(*draw)
+        count += 1
+    return total / count, count
+
+
 def variance_law_check(
     master: int = 0, term_dims: list[int] | None = None
 ) -> tuple[IdentityReport, dict]:
@@ -412,18 +430,14 @@ def variance_law_check(
     resid, _, grads, _, n_points, n_terms = _tiny_setup(master, term_dims)
     g_full = _full_batch_gradient(resid, grads, n_points, n_terms)
 
-    def enumerate_var(nB: int, nI: int) -> float:
-        total = 0.0
-        count = 0
-        for B_slots in product(range(n_points), repeat=nB):
-            for I_slots in product(range(n_terms), repeat=nI):
-                gv = _surrogate_gradient(resid, grads, B_slots, I_slots, n_terms)
-                diff = gv - g_full
-                total += diff @ diff
-                count += 1
-        return total / count
+    def squared_error(B_slots, I_slots) -> float:
+        diff = _surrogate_gradient(resid, grads, B_slots, I_slots, n_terms) - g_full
+        return diff @ diff
 
-    V = {(nB, nI): enumerate_var(nB, nI) for nB, nI in product((1, 2), repeat=2)}
+    V = {
+        (nB, nI): _draw_mean(squared_error, n_points, n_terms, nB, nI)[0]
+        for nB, nI in product((1, 2), repeat=2)
+    }
     # Var * |B||I| = C1|I| + C2|B| + C3, solved from three configs
     A = np.array([[1.0, 1.0, 1.0], [1.0, 2.0, 1.0], [2.0, 1.0, 1.0]])
     y = np.array([V[(1, 1)], 2.0 * V[(2, 1)], 2.0 * V[(1, 2)]])
@@ -443,33 +457,26 @@ def unbiasedness_check(master: int = 0) -> list[IdentityReport]:
     scale = max(1.0, float(np.max(np.abs(g_full))))
     reports = []
 
+    def single(B_slots, I_slots) -> np.ndarray:
+        return _surrogate_gradient(resid, grads, B_slots, I_slots, n_terms)
+
     for nB, nI in [(1, 1), (2, 1), (1, 2), (2, 2)]:
-        acc = np.zeros_like(g_full)
-        count = 0
-        for B_slots in product(range(n_points), repeat=nB):
-            for I_slots in product(range(n_terms), repeat=nI):
-                acc += _surrogate_gradient(resid, grads, B_slots, I_slots, n_terms)
-                count += 1
-        dev = float(np.max(np.abs(acc / count - g_full))) / scale
+        mean, count = _draw_mean(single, n_points, n_terms, nB, nI)
+        dev = float(np.max(np.abs(mean - g_full))) / scale
         name = f"unbiased_single_B{nB}_I{nI}"
         reports.append(IdentityReport.within(name, 0.0, dev, count, 1e-12))
 
     # double-sampled variant: residual factor itself subsampled over J
+    def double(B_slots, I_slots, J_slots) -> np.ndarray:
+        gv = np.zeros_like(g_full)
+        for n in B_slots:
+            r_hat = (n_terms / len(J_slots)) * sum(term_vals[n][j] for j in J_slots) - R_vals[n]
+            gv += r_hat * grads[n][list(I_slots)].sum(axis=0)
+        return gv / (len(B_slots) * len(I_slots) * n_terms)
+
     for nB, nI, nJ in [(1, 1, 1), (2, 1, 2), (1, 2, 1)]:
-        acc = np.zeros_like(g_full)
-        count = 0
-        for B_slots in product(range(n_points), repeat=nB):
-            for I_slots in product(range(n_terms), repeat=nI):
-                for J_slots in product(range(n_terms), repeat=nJ):
-                    gv = np.zeros_like(g_full)
-                    for n in B_slots:
-                        r_hat = (n_terms / nJ) * sum(
-                            term_vals[n][j] for j in J_slots
-                        ) - R_vals[n]
-                        gv += r_hat * grads[n][list(I_slots)].sum(axis=0)
-                    acc += gv / (nB * nI * n_terms)
-                    count += 1
-        dev = float(np.max(np.abs(acc / count - g_full))) / scale
+        mean, count = _draw_mean(double, n_points, n_terms, nB, nI, nJ)
+        dev = float(np.max(np.abs(mean - g_full))) / scale
         name = f"unbiased_double_B{nB}_I{nI}_J{nJ}"
         reports.append(IdentityReport.within(name, 0.0, dev, count, 1e-12))
     return reports
@@ -502,6 +509,11 @@ def check_replicates(replicates: int) -> None:
         raise ValueError(f"need at least 2 replicates, got {replicates}")
 
 
+def _replicate(master: int, k: int, B: int, b: int, d: int, dtype=np.float64) -> SpatialSample:
+    """Replicate k of the variance sweep: index sets keyed at step k, the batch pinned at step 0."""
+    return SpatialSample(master, k, B, b, d, collocation_step=0, dtype=dtype)
+
+
 def crns_variance_sweep(
     problem: PdeProblem,
     params: MlpParams,
@@ -522,17 +534,17 @@ def crns_variance_sweep(
     estimates of variance against eps: locked should be flat, unlocked should
     follow eps^-2.
 
-    Replicate k (1..replicates) is ``SpatialSample(master, k, B, b, d,
-    collocation_step=0, dtype)``: step k keys the index sets, the batch is
-    pinned at step 0 and drawn in the step dtype, as a run's is, and the
-    unlocked minus pass reads its ``.unlocked()`` sample.  The pinned batch
-    and its rhs are drawn once per call.  Each replicate draws its sets and
-    its unlocked sets once, with every term of theirs that no pair or sign
-    changes (:class:`~sdze.spatial.DrawnSample`: the split into I1 and I2,
-    2|I|, X[:, I], the scales N_L/|I| and 2 B kappa), reads that batch and
-    serves every eps.
-    ``stochastic_loss`` over these samples gives the unperturbed loss
-    variance Var_S L of this measure.  Unlocked, the two passes see
+    Replicate k (1..replicates) is :func:`_replicate`, ``SpatialSample(
+    master, k, B, b, d, collocation_step=0, dtype)``, which the crns suite's
+    Var_S L reads too: step k keys the index sets, the batch is pinned at
+    step 0 and drawn in the step dtype, as a run's is, and the unlocked minus
+    pass reads its ``.unlocked()`` sample.  The pinned batch and its rhs are
+    drawn once per call.  Each replicate draws its sets and its unlocked sets
+    once, with every term of theirs that no pair or sign changes
+    (:class:`~sdze.spatial.DrawnSample`: the split into I1 and I2, 2|I|,
+    X[:, I], the scales N_L/|I| and 2 B kappa), reads that batch and serves
+    every eps.  ``stochastic_loss`` over these samples gives the unperturbed
+    loss variance Var_S L of this measure.  Unlocked, the two passes see
     independent sets, so
 
         Var_naive = Var_S L / (2 eps^2) + Var_crns / 2 + O(1),
@@ -562,9 +574,7 @@ def crns_variance_sweep(
     pairs = {eps: SignPair(params, subs, cores, eps, step_dtype) for eps in eps_list}
 
     def replicate(k: int) -> SpatialSample:
-        return SpatialSample(
-            master, k, B, b, problem.dim, collocation_step=0, dtype=step_dtype
-        )
+        return _replicate(master, k, B, b, problem.dim, step_dtype)
 
     pinned = draw_sample(problem, replicate(1))
     modes = ("crns", "naive")
@@ -600,7 +610,8 @@ def quadratic_suite(master: int) -> tuple[list[IdentityReport], dict]:
     """Criterion 3: the quadratic identities on each of ``QUADRATIC_CASES``.
 
     One generator seeded ``master`` draws each case's positive definite H
-    and theta in turn; a case's directions are keyed at ``master + q``.  Each
+    and theta in turn; a case's directions are keyed at ``master + q`` mod
+    2**64, a stream key's range.  Each
     case adds its :func:`quadratic_identity_check` reports, over ``SAMPLES``
     draws, in order.  ``QUADRATIC_CASES`` and ``SAMPLES`` are read at the call.
     """
@@ -611,7 +622,8 @@ def quadratic_suite(master: int) -> tuple[list[IdentityReport], dict]:
         H = rng.standard_normal((P, P))
         H = H @ H.T / P + np.eye(P)
         theta = rng.standard_normal(P)
-        reports += quadratic_identity_check(H, theta, r, shapes, SAMPLES, master=master + q)
+        key = (master + q) % 2**64
+        reports += quadratic_identity_check(H, theta, r, shapes, SAMPLES, master=key)
     return reports, {}
 
 
@@ -677,9 +689,7 @@ def crns_suite(master: int) -> tuple[list[IdentityReport], dict]:
     rows, slope_crns, slope_naive = crns_variance_sweep(
         problem, params, rank=8, eps_list=eps_list, replicates=reps, B=B, b=b, master=master
     )
-    samples = [
-        SpatialSample(master, k, B, b, dim, collocation_step=0) for k in range(1, reps + 1)
-    ]
+    samples = [_replicate(master, k, B, b, dim) for k in range(1, reps + 1)]
     pinned = draw_sample(problem, samples[0])
     view = plain_view(params)
     var_loss = float(
@@ -775,23 +785,23 @@ def implicit_suite(master: int = 0) -> list[IdentityReport]:
 
     reports = []
     for idx, (m, n) in enumerate(cases):
+        seed = (master + idx) % 2**64  # case idx's master, in a stream key's range
         widths = [m, n] if n == 1 else [m, n, 1]
-        params = init_mlp(widths, "sin", master + idx)
-        subs = _subspaces_for_shapes([W.shape for W in params.weights], 4, master + idx)
+        params = init_mlp(widths, "sin", seed)
+        subs = _subspaces_for_shapes([W.shape for W in params.weights], 4, seed)
         cores = [
-            sample_core(derive_stream(StreamKey(master + idx, Role.CORE_Z, 1, l)), s.rank)
+            sample_core(derive_stream(StreamKey(seed, Role.CORE_Z, 1, l)), s.rank)
             for l, s in enumerate(subs)
         ]
         deltas = [explicit_delta_w(s, Z) for s, Z in zip(subs, cores)]
-        X = sample_unit_ball(
-            derive_stream(StreamKey(master + idx, Role.TEST_POINTS, 0, 0)), 5, m
-        )
+        X = sample_unit_ball(derive_stream(StreamKey(seed, Role.TEST_POINTS, 0, 0)), 5, m)
         dims = np.unique(
-            np.minimum((derive_stream(StreamKey(master + idx, Role.DIM_SET_1, 0, 0)).uniforms(3) * m).astype(int), m - 1)
+            np.minimum((derive_stream(StreamKey(seed, Role.DIM_SET_1, 0, 0)).uniforms(3) * m).astype(int), m - 1)
         )
         worst = 0.0
-        for view in sign_views(params, subs, cores, 0.31, np.float64):
-            got = view.values(X)
+        pair = SignPair(params, subs, cores, 0.31)
+        for view in (PerturbView(pair, 1), PerturbView(pair, -1)):
+            got = ansatz(view, X)[:, 0]
             phi = 1.0 - (X * X).sum(axis=1)
             want = phi * explicit_forward(params, X, deltas, view.sign, 0.31)[:, 0]
             worst = max(worst, float(np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300)))

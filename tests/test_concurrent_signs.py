@@ -227,6 +227,18 @@ def test_an_overflow_in_the_sweep_is_a_divergence_naming_its_layer(force_path, c
     assert all(np.array_equal(W, V) for W, V in zip(part.params.weights, result.params.weights))
 
 
+def test_train_names_the_step_of_a_divergence():
+    # a locked run resumed from the unlocked run's step 5 diverges at step 6 of 12
+    cfg = overflow_cfg()
+    prob = cfg.make_problem()
+    part = train(dataclasses.replace(cfg, steps=5), prob)
+    locked = dataclasses.replace(cfg, crns=True)
+    want = r"^step 6/12: non-finite loss at step 6: .*\(layer 1 jet sweep overflows"
+    with pytest.raises(SdzeDivergenceError, match=want) as err:
+        train(locked, prob, init_params=part.params, start_step=5)
+    assert err.value.step == 6
+
+
 def test_the_gate_needs_a_locked_sample_enough_work_pinned_blas_two_cpus(monkeypatch):
     monkeypatch.setattr(worker, "_BLAS_ONE_THREAD", True)
     monkeypatch.setattr(worker, "_cpu_count", lambda: 2)

@@ -603,6 +603,14 @@ def test_resume_rejects_checkpoint_that_does_not_fit_the_config(tmp_path, net, k
     assert not (tmp_path / "other").exists()
 
 
+def test_resume_refuses_a_checkpoint_of_another_seed(tmp_path):
+    run_train(config_from_dict(tiny_config(tmp_path, steps=3, out_dir=str(tmp_path / "part"))))
+    other = config_from_dict(tiny_config(tmp_path, seed=12, out_dir=str(tmp_path / "other")))
+    with pytest.raises(ValueError, match="^checkpoint seed 11 != config seed 12$"):
+        run_train(other, resume_from=tmp_path / "part/ckpt_final.sdze")
+    assert not (tmp_path / "other").exists()
+
+
 def test_resume_refuses_metrics_with_other_columns(tmp_path):
     run_train(config_from_dict(tiny_config(tmp_path, steps=3)))
     out = tmp_path / "run"
@@ -728,12 +736,27 @@ def test_cli_train_and_verify(tmp_path):
     assert (tmp_path / "v/unbiasedness.json").exists()
 
 
-@pytest.mark.parametrize("suite", ["jets", "implicit"])
-def test_cli_verify_jet_suites(tmp_path, suite):
+@pytest.mark.parametrize("suite", ["jets", "implicit", "quadratic", "mean-bias", "variance-law"])
+def test_cli_verify_jet_suites(tmp_path, capsys, suite):
     rc = cli.main(["verify", "--suite", suite, "--out", str(tmp_path / "v")])
     assert rc == 0
-    assert (tmp_path / f"v/{suite}.csv").exists()
-    assert json.loads((tmp_path / f"v/{suite}.json").read_text())["suite"] == suite
+    lines = capsys.readouterr().out.splitlines()
+    assert lines and all(line.startswith("PASS ") for line in lines)
+    rows = list(csv.DictReader((tmp_path / f"v/{suite}.csv").read_text().splitlines()[1:]))
+    assert len(rows) == len(lines) and all(row["passed"] == "True" for row in rows)
+    detail = json.loads((tmp_path / f"v/{suite}.json").read_text())
+    assert detail["suite"] == suite and len(detail["reports"]) == len(lines)
+
+
+def test_cli_sweep_rank_freq(tmp_path):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(tiny_config(tmp_path, steps=2, out_dir=str(tmp_path / "rf"))))
+    rc = cli.main(["sweep-rank-freq", "--config", str(cfg_path), "--ranks", "2,3", "--freqs", "2"])
+    assert rc == 0
+    lines = (tmp_path / "rf/rank_freq.csv").read_text().splitlines()
+    assert len(lines) == 2 + 2  # the version line, the column line and one row per cell
+    rows = list(csv.DictReader(lines[1:]))
+    assert [(row["rank"], row["freq_F"]) for row in rows] == [("2", "2"), ("3", "2")]
 
 
 def test_cli_verify_crns_writes_the_criterion_5_rows(tmp_path, monkeypatch):
@@ -827,6 +850,16 @@ def test_cli_ablate_crns_sweeps_the_configured_net(tmp_path, monkeypatch):
     assert seen["dtype"] == "f32"
 
 
+SEED_RULE = "argument --seed: seed must be in [0, 2**64)"
+# the flags each command that reads a config needs besides --config
+CONFIG_COMMAND_FLAGS = {
+    "train": [],
+    "sweep-rank-freq": ["--ranks", "2", "--freqs", "2"],
+    "sweep-batch": ["--pairs", "4x1"],
+    "ablate-crns": ["--eps", "1e-2,1e-3"],
+}
+
+
 @pytest.mark.parametrize(
     "command, flags, message",
     [
@@ -835,16 +868,21 @@ def test_cli_ablate_crns_sweeps_the_configured_net(tmp_path, monkeypatch):
         ("verify", ["--suite", "crns", "--dim", "8"], "unrecognized arguments: --dim 8"),
         ("verify", ["--suite", "quadratic", "--samples", "1000"], "unrecognized arguments"),
         ("ablate-crns", ["--reps", "1"], "argument --reps:"),
+        ("train", ["--seed", "-1"], SEED_RULE),
+        ("sweep-rank-freq", ["--seed", str(2**64)], SEED_RULE),
+        ("sweep-batch", ["--seed", "-1"], SEED_RULE),
+        ("ablate-crns", ["--seed", str(2**64)], SEED_RULE),
     ],
     ids=[
         "negative_seed", "seed_past_64_bits", "sizing_flag_dim", "sizing_flag_samples",
-        "ablate_one_replicate",
+        "ablate_one_replicate", "train_negative_seed", "rank_freq_seed_past_64_bits",
+        "sweep_batch_negative_seed", "ablate_seed_past_64_bits",
     ],
 )
 def test_cli_verify_crns_refuses_flags_it_cannot_run_before_writing(
     tmp_path, capsys, command, flags, message
 ):
-    # a verify seed obeys SdzeConfig's rule, and a suite runs at its own sizes
+    # every --seed obeys SdzeConfig's rule, and a suite runs at its own sizes
     # only, where its pass bounds hold; ablate-crns runs the crns sweep, so it
     # refuses the replicate count the sweep cannot form a variance from
     out = tmp_path / "out"
@@ -853,7 +891,7 @@ def test_cli_verify_crns_refuses_flags_it_cannot_run_before_writing(
     else:
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(json.dumps(tiny_config(tmp_path, out_dir=str(out))))
-        argv = ["ablate-crns", "--config", str(cfg_path), "--eps", "1e-2,1e-3"]
+        argv = [command, "--config", str(cfg_path), *CONFIG_COMMAND_FLAGS[command]]
     with pytest.raises(SystemExit) as exit_:
         cli.main(argv + flags)
     assert exit_.value.code == 2

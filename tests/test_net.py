@@ -86,7 +86,7 @@ def test_a_standalone_view_forms_each_perturbation_once(monkeypatch):
     monkeypatch.setattr(net, "rank_r_delta", counted)
     view = PerturbView(SignPair(params, subs, cores, 1e-3), -1)
     X = np.random.default_rng(0).standard_normal((4, 6)) * 0.4
-    view.values(X)
+    ansatz(view, X)
     jet_sums(view, X, [0, 3], [1, 1])
     assert sorted(calls) == [1, 2]
 
@@ -119,7 +119,8 @@ def test_precision_contract_pins_the_dtype_of_each_stage(dtype):
     for widths in ([7, 5, 4, 1], [7, 9, 8, 6, 1], [7, 1]):
         for bias in (False, True):
             params, subs, cores = build(widths, bias=bias)
-            plus, minus = net.sign_views(params, subs, cores, 1e-3, dtype)
+            pair = SignPair(params, subs, cores, 1e-3, dtype)
+            plus, minus = PerturbView(pair, 1), PerturbView(pair, -1)
             for view in (minus, PerturbView(SignPair(params, dtype=dtype)), plus):
                 batch = view.pair.batch(drawn.X)
                 rows = view.pair.rows(drawn.sets)
@@ -132,6 +133,30 @@ def test_precision_contract_pins_the_dtype_of_each_stage(dtype):
                 op = sampled_operator(view, problem, drawn.X, drawn.dims, [2, 2])
                 assert (u.dtype, sums.dtype, op.dtype) == (np.dtype(np.float64),) * 3
                 assert isinstance(stochastic_loss(view, problem, drawn), float)
+
+
+def test_an_overflow_in_the_primal_names_its_layer():
+    # sin(1) * 3e38 + 3e38 is past float32's range at the output layer's bias
+    W0 = np.zeros((4, 3))
+    W0[-1] = 1.0  # bias row: every pre-activation is 1
+    W1 = np.zeros((4, 1))
+    W1[0, 0] = W1[-1, 0] = 3e38
+    view = PerturbView(SignPair(MlpParams([W0, W1], bias=True), dtype=np.float32))
+    X = np.zeros((2, 3), np.float32)
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError, match="^layer 1 jet sweep overflows .* float32$"):
+            jet_sums(view, X, [0, 2], [1, 1])
+
+
+def test_a_non_finite_tangent_term_names_its_layer_whatever_the_errstate():
+    # layer-1 weights of 1e25 keep the primal and the adjoints finite in
+    # float32, but the tangents' squares pass 1e38; einsum raises nothing
+    params = init_mlp([5, 6, 4, 1], "sin", 3)
+    params.weights[1] *= 1e25
+    view = PerturbView(SignPair(params, dtype=np.float32))
+    X = (np.random.default_rng(4).standard_normal((3, 5)) * 0.3).astype(np.float32)
+    with pytest.raises(FloatingPointError, match="^layer 1 jet sweep overflows .* float32$"):
+        jet_sums(view, X, [0, 3], [2])
 
 
 def test_ansatz_boundary_and_center():

@@ -210,9 +210,20 @@ def test_index_set_too_large_without_replacement():
         sample_index_set(derive_stream(key()), 3, 4)
 
 
-def test_negative_key_fields_rejected():
-    with pytest.raises(ValueError):
-        StreamKey(1, Role.CORE_Z, -1, 0)
+@pytest.mark.parametrize(
+    "fields, name",
+    [((-1, 0, 0), "master"), ((2**64, 0, 0), "master"), ((1, -1, 0), "step"),
+     ((0, 2**64, 0), "step"), ((0, 0, 2**64), "index")],
+    ids=["negative_master", "master_past_64_bits", "negative_step", "step_past_64_bits",
+         "index_past_64_bits"],
+)
+def test_key_fields_past_64_bits_are_refused_not_aliased(fields, name):
+    # the key hash reads 64 bits of each field: step 2**64 would draw step
+    # 0's stream, and master -1 master 2**64 - 1's
+    master, step, index = fields
+    with pytest.raises(ValueError, match=rf"^stream key {name} must be in \[0, 2\*\*64\)$"):
+        StreamKey(master, Role.CORE_Z, step, index)
+    StreamKey(2**64 - 1, Role.CORE_Z, 2**64 - 1, 2**64 - 1)  # the largest key is a key
 
 
 @given(

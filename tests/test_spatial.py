@@ -10,7 +10,7 @@ import pytest
 from scipy import stats
 
 from sdze import net, spatial, worker
-from sdze.net import PerturbView, SignPair, init_mlp, plain_view
+from sdze.net import MlpParams, PerturbView, SignPair, init_mlp, plain_view
 from sdze.optimizer import SdzeConfig, make_subspaces, step_cores
 from sdze.rng import CHUNK_BYTES, Role, StreamKey, derive_stream
 from sdze.spatial import (
@@ -129,19 +129,6 @@ def test_sampled_operator_scaling_single_dim():
         sampled_operator(view, prob, X, [], [0])
 
 
-def test_sampled_operator_keeps_the_view_dtype():
-    # numpy set sizes must not widen an f32 operator through the scale
-    class F32View:
-        def jet_eval(self, X, dims, sets):  # handed the call's IndexSets
-            return np.ones(len(X), np.float32), np.ones((len(sets.sizes), len(X)), np.float32)
-
-    prob = make_problem("none", 4, "two_body", 5)
-    X = np.zeros((3, 4))
-    got = sampled_operator(F32View(), prob, X, [0, 1, 3], np.array([2, 1]))
-    assert got.dtype == np.float32
-    assert np.array_equal(got, np.array([[2.0] * 3, [4.0] * 3], np.float32))
-
-
 @pytest.mark.parametrize("kind", ["none", "allen_cahn", "sine_gordon"])
 def test_sampled_operator_keeps_its_nonlinearity(kind):
     prob = make_problem(kind, 4, "two_body", 5)
@@ -242,7 +229,7 @@ def test_a_float32_batch_has_float64_rhs_phi_coordinates_and_residual(solution, 
     assert phi.tobytes() == (1.0 - np.sum(X64 * X64, axis=1)).tobytes()
     assert phi.tobytes() == net.boundary_factor(drawn.X).tobytes()
     assert xi.tobytes() == X64[:, drawn.dims].T.tobytes()
-    sizes = [drawn.I1.size, drawn.I2.size]
+    sizes = [sample.b, drawn.dims.size - sample.b]
     op = sampled_operator(PerturbView(pair, 1), prob, drawn.X, drawn.dims, sizes)
     assert op.dtype == np.float64 and (op - drawn.f).dtype == np.float64
     # the exact solution's stand-in computes in float64 too
@@ -250,7 +237,7 @@ def test_a_float32_batch_has_float64_rhs_phi_coordinates_and_residual(solution, 
     u32, sums32 = ev.jet_eval(drawn.X, drawn.dims, sizes)
     u64, sums64 = ev.jet_eval(X64, drawn.dims, sizes)
     assert u32.tobytes() == u64.tobytes() and sums32.tobytes() == sums64.tobytes()
-    assert ev.values(drawn.X).tobytes() == exact_solution(prob, X64).tobytes()
+    assert exact_solution(prob, drawn.X).tobytes() == exact_solution(prob, X64).tobytes()
 
 
 @pytest.mark.parametrize("dims", [[-1], [5]], ids=["negative", "d"])
@@ -309,7 +296,7 @@ def test_drawn_sample_is_read_only_and_lends_only_its_own_batch():
     drawn = draw_sample(prob, s)
     assert np.array_equal(drawn.X, s.points())
     assert np.array_equal(drawn.f, rhs_eval(prob, s.points()))
-    for a in (drawn.X, drawn.f, drawn.I1, drawn.I2, drawn.sets.phi):
+    for a in (drawn.X, drawn.f, drawn.dims, drawn.sets.phi):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.5
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -319,7 +306,7 @@ def test_drawn_sample_is_read_only_and_lends_only_its_own_batch():
     assert not np.array_equal(s.unlocked().set1(), s.set1())
     other = draw_sample(prob, s.unlocked(), batch=drawn)
     assert other.X is drawn.X and other.f is drawn.f and other.sets.phi is drawn.sets.phi
-    assert np.array_equal(other.I1, SpatialSample(3, 5, 4, 2, 6, set_replicate=1).set1())
+    assert np.array_equal(other.dims[: s.b], SpatialSample(3, 5, 4, 2, 6, set_replicate=1).set1())
     with pytest.raises(ValueError, match="batch"):
         draw_sample(prob, dataclasses.replace(s, step=6), batch=drawn)
 
@@ -335,37 +322,33 @@ def test_independent_dim_set_streams():
     assert diff >= 45
 
 
-def test_relative_l2_trivials_and_hand_value():
+def test_relative_l2_trivials_and_hand_value(monkeypatch):
     prob = make_problem("none", 2, "two_body", 6)
-    assert relative_l2(ExactSolutionView(prob), prob, TEST_KEY, 64) <= 1e-15
+    params = init_mlp([2, 3, 1], "sin", 6)
+    # an all-zero output layer scores 0, so the error is the exact solution's norm
+    zero = MlpParams([params.weights[0], np.zeros((3, 1))])
+    assert relative_l2(zero, prob, TEST_KEY, 64) == 1.0
+    # u_theta - u_exact = (1, 0) on a 2-point test set with u_exact = (1, 1)
+    monkeypatch.setattr(spatial, "ansatz", lambda view, X: np.array([[2.0], [1.0]]))
+    monkeypatch.setattr(spatial, "exact_solution", lambda problem, X: np.array([1.0, 1.0]))
+    assert np.isclose(relative_l2(params, prob, TEST_KEY, 2), np.sqrt(0.5), rtol=1e-15)
 
-    class Zero:
-        def values(self, X):
-            return np.zeros(len(X))
 
-    assert np.isclose(relative_l2(Zero(), prob, TEST_KEY, 64), 1.0, rtol=1e-15)
+@pytest.mark.parametrize("view", ["exact", "plain"])
+def test_relative_l2_scores_parameters_only(view):
+    prob = make_problem("none", 2, "two_body", 6)
+    params = init_mlp([2, 3, 1], "sin", 6)
+    given = ExactSolutionView(prob) if view == "exact" else plain_view(params)
+    with pytest.raises(TypeError, match="^params must be MlpParams"):
+        relative_l2(given, prob, TEST_KEY, 64)
 
-    class Shifted:
-        # u_theta - u_exact = (1, 0) on a 2-point test set with u_exact = (1, 1)
-        def values(self, X):
-            return np.array([2.0, 1.0])
 
-    class Exact2:
-        def values(self, X):
-            return np.array([1.0, 1.0])
-
-    class FakeProblem:
-        dim = 2
-
-    import sdze.spatial as sp
-
-    orig = sp.exact_solution
-    sp.exact_solution = lambda p, X: np.array([1.0, 1.0])
-    try:
-        got = sp.relative_l2(Shifted(), prob, TEST_KEY, 2)
-    finally:
-        sp.exact_solution = orig
-    assert np.isclose(got, np.sqrt(0.5), rtol=1e-15)
+def test_relative_l2_refuses_a_problem_whose_exact_solution_vanishes():
+    prob = make_problem("none", 2, "two_body", 6)
+    zero = dataclasses.replace(prob, coeffs=np.zeros_like(prob.coeffs))
+    params = init_mlp([2, 3, 1], "sin", 6)
+    with pytest.raises(ValueError, match="^degenerate metric"):
+        relative_l2(params, zero, TEST_KEY, 64)
 
 
 def _sha256(*arrays) -> str:
@@ -425,7 +408,7 @@ def test_relative_l2_takes_an_integer_count_of_test_points(n_test):
 def _whole_batch_relative_l2(params, problem, n_test):
     """relative_l2 as one batch: every test point drawn, evaluated and scored at once."""
     X = sample_unit_ball(derive_stream(TEST_KEY), n_test, problem.dim)
-    u_hat, u_ex = plain_view(params).values(X), exact_solution(problem, X)
+    u_hat, u_ex = net.ansatz(plain_view(params), X)[:, 0], exact_solution(problem, X)
     diff = u_hat - u_ex
     return float(np.sqrt(np.dot(diff, diff) / float(np.dot(u_ex, u_ex))))
 

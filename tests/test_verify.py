@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sdze import net
-from sdze.net import init_mlp, plain_view
+from sdze.net import ansatz, init_mlp, plain_view
 from sdze.spatial import make_problem
 from sdze.verify import (
     CRNS_B,
@@ -40,7 +40,7 @@ def test_brute_force_gradient_self_consistency_on_tiny_loss():
     def loss(th):
         p = unflatten_params(th, params)
         X = np.array([[0.1, -0.2, 0.3]])
-        return float(plain_view(p).values(X)[0] ** 2)
+        return float(ansatz(plain_view(p), X)[0, 0] ** 2)
 
     g = brute_force_gradient(loss, theta0)
     h = 1e-5
@@ -188,6 +188,12 @@ def test_implicit_suite_passes_and_covers_splits():
     assert all(r.passed for r in reports)
     ks = {r.name.rsplit("_k", 1)[-1] for r in reports}
     assert not ks.issubset({"1"})  # k > 1 splits included
+
+
+def test_implicit_suite_at_the_largest_seed_keys_its_cases_mod_2_64():
+    # case idx is keyed at (master + idx) mod 2**64; a key past 64 bits is refused
+    top = implicit_suite(2**64 - 1)
+    assert len(top) == 20 and all(r.passed for r in top)
 
 
 def test_explicit_delta_matches_kron_identity():
