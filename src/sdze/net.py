@@ -8,7 +8,7 @@ output with (1 - ||x||^2), so no boundary loss term is needed.
 
 Forward modes:
 
-* plain values (``sign=0``),
+* plain values (sign 0),
 * perturbed values.  Only the input layer (d x width) is d-sized; its
   perturbation stays implicit, ``sigma(H W_0 +/- contract(H, U, eps Z, V))``
   with ``contract`` the segmented low-rank product of :mod:`sdze.subspace`,
@@ -27,25 +27,35 @@ Forward modes:
   one activation evaluation (:func:`activation_planes`), bitwise equal to
   the functions of :func:`activation_triple`, which the dense oracles read.
 
-A view (:class:`PerturbView`) is one sign of one :class:`SignPair`: sign 0
-of a plain pair (:func:`plain_view`), or +1 or -1 of a perturbed pair, whose
-two signs, ``PerturbView(pair, 1)`` and ``PerturbView(pair, -1)``, are the
-+eps and -eps views of one estimate.  The loss reads a view through its one
-surface, ``jet_eval`` (:func:`jet_sums`), which the closed-form stand-in
+A view (:class:`PerturbView`) evaluates signs of one :class:`SignPair`:
+sign 0 of a plain pair (:func:`plain_view`), or +1 or -1 of a perturbed
+pair, the +eps and -eps views of one estimate, or the stack (+1, -1) of
+both.  The loss reads a view through its one surface, ``jet_eval``
+(:func:`jet_sums`), which the closed-form stand-in
 :class:`sdze.spatial.ExactSolutionView` has too; values alone are
 :func:`ansatz` of the view.  The pair owns everything the signs share that
 depends on the perturbation.  When it is built it forms W_0 in the step
-dtype, the core eps Z_0 and each sign's hidden weights: one E_l per layer
-gives W_l + E_l and W_l - E_l, each formed in float64 and rounded once to
-the step dtype, so no E_l outlives its layer.  For a batch X it forms the
-products X W_0 and X (eps DW_0); for an index set I only the seed rows
-W_0[I] and (eps DW_0)[I].  Each sign then adds or subtracts the
-perturbation term and forms its own activations and tangent blocks.  This
-changes no bit: every sign-dependent term is linear in the sign and IEEE
-negation is exact, so (-eps) Z = -(eps Z), a product with one operand
-negated is the negated product, and W + (-E) = W - E.  Batch terms are
-reused when the -eps pass reads the same read-only X, seed rows when it
-also reads the same read-only index array (a seed-locked sample).
+dtype, the core eps Z_0 and the hidden weights of both signs: one E_l per
+layer gives the stack (W_l + E_l, W_l - E_l), each formed in float64 and
+rounded once to the step dtype, so no E_l outlives its layer.  For a batch
+X it forms the products X W_0 and X (eps DW_0); for an index set I only the
+seed rows W_0[I] and (eps DW_0)[I].
+
+One jet sweep.  A sweep evaluates a stack of S signs: every plane it forms
+carries a leading axis of the signs.  The signs' input-layer terms are one
+broadcast product of the perturbation term by the signs, added to the
+shared term; each later layer is one stacked GEMM, a GEMM per sign of the
+same shapes, against the pair's stack of weights; the activation planes,
+the tangent blocks, their einsum reductions and the set sums are elementwise
+or reduce per sign.  So a stack of both signs is one sweep whose every slice
+has the bits of that sign swept alone, and a one-sign sweep is a stack of
+one: there is no other.  This changes no bit against forming each sign on
+its own: every sign-dependent term is linear in the sign and IEEE negation
+is exact, so (-eps) Z = -(eps Z), a product with one operand negated is the
+negated product, and W + (-E) = W - E.  A seed-locked estimate on one
+thread is one sweep over (+1, -1) (:func:`sdze.optimizer.directional_delta`);
+the unlocked ablation, whose signs read different index sets, and the
+concurrent path, one sign a thread, sweep one sign each.
 
 What an index set forms whatever the pair and the sign is not the pair's:
 the split of the direction list into sets, their offsets, 2|I|, X[:, I]
@@ -56,44 +66,47 @@ sample forms it once, with the phi its rhs formed
 reads it; a call on raw arrays (:func:`jet_sums`) forms it once per call.
 
 The half of a jet sweep that reads no index set also depends only on the
-pair, the sign and the batch: the primal values, the sigma' planes the
+pair, the signs and the batch: the primal values, the sigma' planes the
 tangent transport reads and the reverse adjoints (:func:`_adjoints`).  So
-the batch keeps them too, per sign and read-only.  A sign forms its planes
-at its first sweep on a batch, and every later sweep of that sign on the
-same read-only X reads them.  They live as long as the batch: until the
-pair is given another X, or until the pair goes.  That is two planes of
-B x h_l words per hidden layer l, and B values, per sign.
+the batch keeps them too, per stack of signs and read-only.  A stack forms
+its planes at its first sweep on a batch, and every later sweep of it on
+the same read-only X reads them; a one-sign sweep reads its slice of the
+pair's stack of both signs where the batch holds one.  They live as long as
+the batch: until the pair is given another X, or until the pair goes.  That
+is two planes of B x h_l words per hidden layer l, and B values, per sign.
 
 A pair is one perturbation of ``params`` as they were when it was built.  It
 serves any number of estimates, on any batches and index sets, until
 ``params`` change; after an update, build a new pair.  So an estimate reads
 the pair its caller built: a training step builds one per step and
-evaluates each sign once, and holds both signs' planes until the pair goes
-(both at once when the signs run on two threads).  A variance sweep builds
-one per eps, whose replicates then share its weights, the products of their
-pinned batch and each sign's planes on it: one primal and one adjoint pass
-per sign, whatever the number of replicates.
+evaluates each sign once, and holds both signs' planes until the pair goes.
+A variance sweep builds one per eps, whose replicates then share its
+weights, the products of their pinned batch and both signs' planes on it:
+one primal and one adjoint pass per pair, at its first locked estimate,
+whatever the number of replicates; the unlocked passes read their sign's
+slice.
 
 The two signs of an estimate may run on two threads
 (:func:`sdze.optimizer.directional_delta`).  The caller then forms every
 sign-independent term first (:meth:`SignPair.share`), so a sweep writes
-nothing the other sign reads: only its own sign's entry of the batch's
+nothing the other sign reads: only its own stack's entry of the batch's
 planes, and its tangent blocks.
 
 A pair built with a workspace (:mod:`sdze.workspace`), as each training
 step builds one, writes the arrays it forms into the workspace's buffers,
 with the same bits: its weights and batch products under names of their
-own; each sign's values, sigma' and sigma'' planes and adjoint under names
-of that sign; and what dies within a call (the pre-activations and sigma of
-a layer, the adjoint's products, the tangent blocks and their squares) in
-scratch of the thread that runs it.  So every thread that runs a jet sweep,
-the worker, the caller's -eps pass or the serial path, transports its
-tangents in kept blocks, and a run's steps allocate none of these arrays.
-Without a workspace each is allocated as it is formed.  The arrays of one
-index set (the seed rows and g1: |I| h and |I| B words, and the draw's
-X[:, I]) are allocated either way: at poisson100's shapes they are
-13-26 KB, which the heap serves with no page faults, while taking them
-from a workspace cost the variance sweep's read-only estimates 3 %.
+own; each stack's values, sigma' and sigma'' planes and adjoint under names
+of that stack of signs; and what dies within a call (the pre-activations
+and sigma of a layer, the adjoint's products, the tangent blocks and their
+squares) in scratch of the thread that runs it.  So every thread that runs
+a jet sweep, the worker, the caller's -eps pass or the serial path's stack
+of both signs, transports its tangents in kept blocks, and a run's steps
+allocate none of these arrays.  Without a workspace each is allocated as it
+is formed.  The arrays of one index set (the seed rows and g1: S |I| h and
+S |I| B words, and the draw's X[:, I]) are allocated either way: at
+poisson100's shapes they are 13-52 KB, which the heap serves with no page
+faults, while taking them from a workspace cost the variance sweep's
+read-only estimates 3 %.
 
 All jet code lives here, and :func:`jet_sums` is its one entry point.  The
 maximum order is 2, the order of every supported operator.
@@ -249,17 +262,22 @@ def init_mlp(widths: list[int], activation: str, master: int, bias: bool = False
 
 @dataclass(frozen=True)
 class PerturbView:
-    """One sign of a :class:`SignPair`: 0 of a plain pair, +1 or -1 of a perturbed one.
+    """Signs of a :class:`SignPair`: 0 of a plain pair, +1 or -1 of a perturbed one.
 
-    Sign 0 reproduces the unperturbed network bitwise.  A view reads its pair,
-    which lives as the module docstring says: until ``params`` change.
+    ``sign`` is one sign, or a stack of them: the pair's :attr:`SignPair.signs`,
+    (+1, -1) for a perturbed pair, or a stack of one.  A one-sign view gives
+    one result; a stack gives one per sign, stacked on a leading axis in its
+    order, as an int index of a numpy array drops an axis that a tuple of
+    one keeps.  Sign 0 reproduces the unperturbed network bitwise.  A view
+    reads its pair, which lives as the module docstring says: until
+    ``params`` change.
     """
 
     pair: SignPair
-    sign: int = 0
+    sign: int | tuple[int, ...] = 0
 
     def __post_init__(self):
-        if self.sign not in ((1, -1) if self.pair.perturbed else (0,)):
+        if self.sign not in self.pair._weights:
             kind = "perturbed" if self.pair.perturbed else "plain"
             raise ValueError(f"sign {self.sign!r} is not a sign of a {kind} pair")
 
@@ -271,6 +289,16 @@ class PerturbView:
     def dtype(self) -> np.dtype:
         return self.pair.dtype
 
+    @property
+    def signs(self) -> tuple[int, ...]:
+        """The stack of signs the view evaluates: ``sign``, or a stack of it alone."""
+        return self.sign if type(self.sign) is tuple else (self.sign,)
+
+    def unstack(self, stacked: np.ndarray) -> np.ndarray:
+        """A result with a leading sign axis, as this view gives it: whole for a
+        stack, its one slice for a single sign."""
+        return stacked if type(self.sign) is tuple else stacked[0]
+
     # Loss-pipeline surface shared with the exact-solution stand-in.
     def jet_eval(self, X: np.ndarray, dims: np.ndarray, sizes) -> tuple[np.ndarray, np.ndarray]:
         """:func:`jet_sums` at this view; ``sizes`` may be the :class:`IndexSets` of X and dims."""
@@ -281,13 +309,20 @@ def plain_view(params: MlpParams) -> PerturbView:
     return PerturbView(SignPair(params))
 
 
-def _signed(shared: np.ndarray, term: np.ndarray | None, sign: int, work=None, name=None):
-    """``shared + sign * term``, in ``work``'s buffer ``name`` if given; the sign is
-    applied exactly, by adding or subtracting.  Sign 0 returns ``shared`` itself."""
-    if sign == 0:
-        return shared
-    out = work and work.take(name, shared.shape, shared.dtype)
-    return (np.add if sign > 0 else np.subtract)(shared, term, out=out)
+def _signed(shared: np.ndarray, term: np.ndarray | None, column, out=None) -> np.ndarray:
+    """``shared + s * term`` for each sign s of ``column``, stacked: (S, ...).
+
+    ``column`` holds the signs as an (S, 1, 1) array in ``term``'s dtype.  The
+    product with +1 or -1 is exact and ``a + (-b)`` is ``a - b``, so each
+    slice has the bits of ``shared +/- term``.  Unperturbed (no ``term``), the
+    one sign 0 gives ``shared`` itself, as a stack of one.  Written to ``out``
+    when one is given.
+    """
+    if term is None:
+        return shared[None]
+    out = np.multiply(column, term, out=out)
+    out += shared
+    return out
 
 
 @dataclass(eq=False)
@@ -297,7 +332,7 @@ class _Batch:
     X: np.ndarray  # (B, d), as given
     G0: np.ndarray  # X W_0 (+ bias row), step dtype, read-only
     P: np.ndarray | None  # X (eps DW_0), contracted implicitly, read-only; None unperturbed
-    # sign -> the read-only planes of :func:`_adjoints` at that sign
+    # stack of signs -> the read-only planes of :func:`_adjoints` at those signs
     planes: dict = field(default_factory=dict)
 
 
@@ -319,17 +354,16 @@ def _cast_into(W: np.ndarray, out: np.ndarray) -> None:
     np.copyto(out, W, casting="same_kind")
 
 
-def _layer_weights(layer: int, dtype: np.dtype, work, name, op, *operands) -> np.ndarray:
-    """Layer ``layer``'s weights ``op(*operands, out=...)``, formed in float64 and
-    rounded to the step dtype in ``work``'s buffer ``name``.  Under
-    ``np.errstate(over="raise")`` a value outside the dtype's range raises
-    ``FloatingPointError`` naming the layer."""
-    out = buffer(work, name, operands[0].shape, dtype)
+def _layer_weights(layer: int, out: np.ndarray, op, *operands) -> np.ndarray:
+    """Layer ``layer``'s weights ``op(*operands, out=out)``, formed in float64 and
+    rounded to the step dtype of ``out``.  Under ``np.errstate(over="raise")``
+    a value outside the dtype's range raises ``FloatingPointError`` naming
+    the layer."""
     try:
         op(*operands, out=out)
     except FloatingPointError:
         raise FloatingPointError(
-            f"layer {layer} weights overflow the step dtype {dtype.name}"
+            f"layer {layer} weights overflow the step dtype {out.dtype.name}"
         ) from None
     return out
 
@@ -338,23 +372,22 @@ class SignPair:
     """What the views of one estimate share (module docstring).
 
     Perturbed, with ``subspaces``, ``cores`` and ``eps``, its signs are +1 and
-    -1; plain, from ``params`` alone, its sign is 0.  Each sign's layer weights
-    are formed here, from ``params`` as they are now; a weight outside the
-    range of the step dtype raises ``FloatingPointError`` naming its layer.
-    ``work``, a :class:`~sdze.workspace.Workspace`, holds the arrays the pair
-    and its sweeps form but those of an index set (module docstring); its
-    owner builds one pair at a time, and drops it before the next.
-    :meth:`batch` and :meth:`rows` return their last result again for the
-    same read-only arrays, which is how the -eps pass, and any later estimate
-    of the pair on the same arrays, reuses what an earlier pass formed.  The
-    batch carries each sign's primal and adjoint planes too, formed at that
-    sign's first jet sweep on it, so every later estimate of the pair on a
-    pinned read-only batch skips the primal and the adjoint sweep.  Those
-    planes die with the batch: when the pair is given another X, or with the
-    pair.  So a training step's pair holds both signs' planes from its
-    second pass until it goes; when its signs run on two threads, both
-    sweeps form theirs at once.  :meth:`share` forms what both signs read
-    before they run concurrently.
+    -1; plain, from ``params`` alone, its sign is 0.  Each hidden layer's
+    weights at every sign are formed here as one stack, from ``params`` as
+    they are now; a weight outside the range of the step dtype raises
+    ``FloatingPointError`` naming its layer.  ``work``, a
+    :class:`~sdze.workspace.Workspace`, holds the arrays the pair and its
+    sweeps form but those of an index set (module docstring); its owner
+    builds one pair at a time, and drops it before the next.  :meth:`batch`
+    and :meth:`rows` return their last result again for the same read-only
+    arrays, which is how a later sweep of the pair on the same arrays reuses
+    what an earlier one formed.  The batch carries the primal and adjoint
+    planes of each stack of signs too, formed at that stack's first jet
+    sweep on it, so every later estimate of the pair on a pinned read-only
+    batch skips the primal and the adjoint sweep; a one-sign sweep reads its
+    slice of a stack of both signs.  Those planes die with the batch: when
+    the pair is given another X, or with the pair.  :meth:`share` forms what
+    both signs read before they run concurrently, one sign a thread.
     """
 
     def __init__(
@@ -371,28 +404,36 @@ class SignPair:
         self.dtype = np.dtype(dtype)
         self.work = work
         self.perturbed = cores is not None
+        self.signs = (1, -1) if self.perturbed else (0,)
 
         def cast(l, W):  # the master weights as they are, in the step dtype
             if W.dtype == self.dtype:
                 return W
-            return _layer_weights(l, self.dtype, work, ("W", 0, l), _cast_into, W)
+            return _layer_weights(l, buffer(work, ("W", 0, l), W.shape, self.dtype), _cast_into, W)
 
         later = list(enumerate(params.weights[1:], 1))
         with np.errstate(over="raise"):
             self.W0 = cast(0, params.weights[0])
             if not self.perturbed:
-                self._weights = {0: [self.W0] + [cast(l, W) for l, W in later]}
+                stacks = [cast(l, W)[None] for l, W in later]
             else:
                 self.sub0 = subspaces[0]
                 self.core0 = np.asarray(eps * cores[0], dtype=self.dtype)
-                plus, minus = [self.W0], [self.W0]
+                stacks = []
                 for (l, W), s, Z in zip(later, subspaces[1:], cores[1:]):
                     E = rank_r_delta(s, Z, eps, work and work.take(0, W.shape, np.float64), work)
-                    plus.append(_layer_weights(l, self.dtype, work, ("W", 1, l), np.add, W, E))
-                    minus.append(
-                        _layer_weights(l, self.dtype, work, ("W", -1, l), np.subtract, W, E)
-                    )
-                self._weights = {1: plus, -1: minus}
+                    stack = buffer(work, ("W", self.signs, l), (2, *W.shape), self.dtype)
+                    _layer_weights(l, stack[0], np.add, W, E)
+                    _layer_weights(l, stack[1], np.subtract, W, E)
+                    stacks.append(stack)
+        # each sign, and each stack of them, -> its layer weights (weights());
+        # each stack of a perturbed pair -> its signs as an (S, 1, 1) column
+        self._weights = {self.signs: [self.W0, *stacks]}
+        self._columns = {self.signs: np.array(self.signs, self.dtype)[:, None, None]}
+        for i, sign in enumerate(self.signs):
+            self._weights[sign] = [self.W0, *(W[i] for W in stacks)]
+            self._weights[sign,] = [self.W0, *(W[i : i + 1] for W in stacks)]
+            self._columns[sign,] = self._columns[self.signs][i : i + 1]
         self._batch: _Batch | None = None
         self._rows: _Rows | None = None
 
@@ -466,20 +507,24 @@ class SignPair:
         h = self.params.widths[1:-1]
         return sum(a * b for a, b in zip(h, h[1:]))
 
-    def weights(self, sign: int) -> list[np.ndarray]:
+    def weights(self, sign) -> list[np.ndarray]:
         """Layer weights in the step dtype, as one sweep at ``sign`` multiplies them.
 
         Layer 0 is W_0 as is: its perturbation stays implicit (:meth:`batch`,
-        :meth:`rows`).  Every later layer is W_l +/- E_l, cast once.
+        :meth:`rows`).  Every later layer is W_l +/- E_l, cast once: an
+        (m, n) array at one sign, an (S, m, n) stack at a stack of S signs,
+        a view of the one stack the pair formed.
         """
         return self._weights[sign]
 
 
-def _primal(view: PerturbView, X: _Batch, weights: list[np.ndarray], derivs: bool):
-    """Values of the raw network, shape (B, 1).
+def _primal(pair: SignPair, signs: tuple[int, ...], X: _Batch, derivs: bool):
+    """Values of the raw network at each of ``signs``, shape (S, B, 1).
 
     ``X`` is the batch with its shared input-layer products
-    (:meth:`SignPair.batch`).  With ``derivs`` also returns the
+    (:meth:`SignPair.batch`).  Every plane carries a leading axis of the S
+    signs, and each layer is one (S, B, n) product of per-sign GEMMs, with the
+    bits of one sign alone.  With ``derivs`` also returns the
     activation-derivative planes sigma'(G_l), sigma''(G_l) of every hidden
     layer, which the tangent transport of a jet sweep reuses for all
     directions.  Each hidden layer evaluates its activation once
@@ -490,46 +535,48 @@ def _primal(view: PerturbView, X: _Batch, weights: list[np.ndarray], derivs: boo
     sigma in scratch 1, which the next pre-activation reads, and the values
     and derivative planes, which outlive the pass, under names of their own.
     """
-    pair, sign = view.pair, view.sign
     params = pair.params
     work = pair.work if derivs else None  # a pass without derivatives allocates
     bias = params.bias
     act = params.activation
     depth = params.depth
-    names = [0] * (depth - 1) + [("g", sign)]
+    weights = pair.weights(signs)
+    shape = (len(signs), *X.G0.shape)
+    names = [0] * (depth - 1) + [("g", signs)]
     s1s: list[np.ndarray] = []
     s2s: list[np.ndarray] = []
     l = 0
     try:
-        G = _signed(X.G0, X.P, sign, work, names[0])
+        out = work and work.take(names[0], shape, X.G0.dtype) if X.P is not None else None
+        G = _signed(X.G0, X.P, pair._columns[signs], out)
         for l in range(depth):
             if l > 0:
                 W = weights[l]
-                out = work and work.take(names[l], (H.shape[0], W.shape[1]), H.dtype)
-                G = np.matmul(H, W[:-1] if bias else W, out=out)
+                out = work and work.take(names[l], (*shape[:2], W.shape[2]), H.dtype)
+                G = np.matmul(H, W[:, :-1] if bias else W, out=out)
                 if bias:
-                    G += W[-1]
+                    G += W[:, -1:]
             if l == depth - 1:
                 H = G
             elif not derivs:
                 H = activation_planes(act, G, False, out=G if G.flags.writeable else None)[0]
             else:
                 # s'_{L-2} is only read by the adjoint, which overwrites it (_adjoints)
-                s1 = ("lam", sign) if l == depth - 2 else ("s'", sign, l)
-                planes = [work and work.take(n, G.shape, G.dtype) for n in (s1, ("s''", sign, l))]
+                s1 = ("lam", signs) if l == depth - 2 else ("s'", signs, l)
+                planes = [work and work.take(n, G.shape, G.dtype) for n in (s1, ("s''", signs, l))]
                 sigma = work and work.take(1, G.shape, G.dtype)
                 H, s1, s2 = activation_planes(act, G, True, sigma, planes)
                 s1s.append(s1)
                 s2s.append(s2)
     except FloatingPointError:
-        raise _overflow(l, view.dtype) from None
+        raise _overflow(l, pair.dtype, "jet sweep" if derivs else "forward pass") from None
     return H, s1s, s2s
 
 
 def forward(view: PerturbView, X: np.ndarray) -> np.ndarray:
-    """Raw network values, shape (B, 1)."""
+    """Raw network values, shape (B, 1), or (S, B, 1) for a stack of S signs."""
     pair = view.pair
-    return _primal(view, pair.batch(X), pair.weights(view.sign), derivs=False)[0]
+    return view.unstack(_primal(pair, view.signs, pair.batch(X), derivs=False)[0])
 
 
 def boundary_factor(X: np.ndarray) -> np.ndarray:
@@ -615,57 +662,71 @@ def index_sets(X, dims, sizes, phi=None) -> IndexSets:
 JET_CHUNK = 16
 
 
-def _overflow(layer: int, dtype: np.dtype) -> FloatingPointError:
-    """The error of a jet sweep whose step-dtype arithmetic overflowed at ``layer``."""
-    return FloatingPointError(f"layer {layer} jet sweep overflows the step dtype {dtype.name}")
+def _overflow(layer: int, dtype: np.dtype, what: str = "jet sweep") -> FloatingPointError:
+    """The error of a pass (``what``) whose step-dtype arithmetic overflowed at ``layer``."""
+    return FloatingPointError(f"layer {layer} {what} overflows the step dtype {dtype.name}")
 
 
-def _adjoints(view: PerturbView, batch: _Batch):
-    """The half of a jet sweep at ``view``'s sign that reads no index set.
+def _adjoints(pair: SignPair, signs: tuple[int, ...], batch: _Batch):
+    """The half of a jet sweep at each of ``signs`` that reads no index set.
 
-    Returns the primal values g (B,), the planes s'_l of hidden layers
+    Returns the primal values g (S, B), the planes s'_l of hidden layers
     0 .. L-3 (the ones the tangent transport reads), nu_l = s''_l * lam_l of
     every hidden layer and s'_0 * lam_0, the operand of g1 (None with no
-    hidden layer); see :func:`_raw_jets`.  They depend only on the pair, the
-    sign and the batch, so they are formed once per sign of ``batch`` and
-    kept on it, read-only: any later sweep on the batch reads them.
+    hidden layer); see :func:`_raw_jets`.  Each carries the leading sign
+    axis.  They depend only on the pair, the signs and the batch, so they are
+    formed once per stack of signs of ``batch`` and kept on it, read-only:
+    any later sweep on the batch reads them, and a one-sign sweep reads its
+    slice of a stack of all the pair's signs.
     """
-    sign = view.sign
-    if sign in batch.planes:
-        return batch.planes[sign]
-    params, work = view.params, view.pair.work
-    depth, weights = params.depth, view.pair.weights(sign)
-    value, s1s, s2s = _primal(view, batch, weights, derivs=True)
+    planes = batch.planes.get(signs)
+    if planes is not None:
+        return planes
+    both = batch.planes.get(pair.signs)
+    if both is not None:  # one sign of the pair's stack: its slice
+        i = pair.signs.index(signs[0])
+        g, s1s, nus, lam0 = both
+        cut = [a[i : i + 1] for a in (g, *s1s, *nus)]
+        n = len(s1s)
+        lam0 = None if lam0 is None else lam0[i : i + 1]
+        batch.planes[signs] = cut[0], cut[1 : 1 + n], cut[1 + n :], lam0
+        return batch.planes[signs]
+    params, work = pair.params, pair.work
+    depth, weights = params.depth, pair.weights(signs)
+    value, s1s, s2s = _primal(pair, signs, batch, derivs=True)
     # lam_l, then s'_l * lam_l, last layer first; nu_l overwrites s''_l (read by
     # nothing else), s'_{L-2} * lam overwrites s'_{L-2} (read by no tangent)
     lam = None
     if depth > 1:
-        lin = [W[:-1] for W in weights] if params.bias else weights
-        lam = lin[-1][:, 0]
+        lin = [W[..., :-1, :] for W in weights] if params.bias else weights
+        lam = lin[-1][:, None, :, 0]
         l = depth - 2
         try:
             for l in range(depth - 2, -1, -1):
                 s2s[l] *= lam
                 s1 = s1s[l]
                 out = s1 if l == depth - 2 else (
-                    work and work.take(("lam", sign), s1.shape, s1.dtype)
+                    work and work.take(("lam", signs), s1.shape, s1.dtype)
                 )
                 lam = np.multiply(s1, lam, out=out)
                 if l:
-                    shape = (lam.shape[0], lin[l].shape[0])
-                    lam = np.matmul(lam, lin[l].T, out=work and work.take(1, shape, s1.dtype))
+                    shape = (*lam.shape[:2], lin[l].shape[1])
+                    lam = np.matmul(lam, lin[l].mT, out=work and work.take(1, shape, s1.dtype))
         except FloatingPointError:
-            raise _overflow(l, view.dtype) from None
-    g, s1s = value[:, 0], s1s[: max(depth - 2, 0)]
+            raise _overflow(l, pair.dtype) from None
+    g, s1s = value[..., 0], s1s[: max(depth - 2, 0)]
     for a in (g, *s1s, *s2s, lam):
         if a is not None:
             a.flags.writeable = False
-    batch.planes[sign] = g, s1s, s2s, lam
-    return batch.planes[sign]
+    batch.planes[signs] = g, s1s, s2s, lam
+    return batch.planes[signs]
 
 
-def _raw_jets(view: PerturbView, batch: _Batch, rows: _Rows, starts: list[int]):
-    """Raw-network jets along coordinate directions, second order summed per set.
+def _raw_jets(
+    pair: SignPair, signs: tuple[int, ...], batch: _Batch, rows: _Rows, starts: list[int]
+):
+    """Raw-network jets along coordinate directions at each of ``signs``, second
+    order summed per set.
 
     ``rows.dims`` is split into consecutive index sets at ``starts``; a
     repeated index counts with multiplicity.  With G_l, s'_l, s''_l the
@@ -679,67 +740,74 @@ def _raw_jets(view: PerturbView, batch: _Batch, rows: _Rows, starts: list[int]):
     with dG_0/dx_i = r_i, row i of the (implicitly perturbed) input weights,
     and dG_l/dx_i = (s'_{l-1} * dG_{l-1}/dx_i) W_l.  The primal, the planes
     and the adjoints read no index set: :func:`_adjoints` forms them once per
-    sign of ``batch``, shared by every direction of this sweep and of every
-    later sweep of the pair on the same read-only batch.  What reads the set
-    is formed per call and only reads those planes: g1 is one GEMM of the
-    seed rows, and first-order tangents cross layers 1 .. L-2 only, in blocks
-    of at most ``JET_CHUNK`` directions of one set, one GEMM per layer and
-    block.  No (b, B, d) tangent block is ever formed; with the pair's
-    workspace the blocks are its calling thread's scratch 0 and 1, with the
-    same bits.  Everything sign-independent comes from the view's pair,
+    stack of signs of ``batch``, shared by every direction of this sweep and
+    of every later sweep of the pair on the same read-only batch.  What reads
+    the set is formed per call and only reads those planes: g1 is one GEMM
+    of the seed rows, and first-order tangents cross layers 1 .. L-2 only,
+    in blocks of at most ``JET_CHUNK`` directions of one set, one GEMM per
+    layer and block.  No (b, B, d) tangent block is ever formed; with the
+    pair's workspace the blocks are its calling thread's scratch 0 and 1,
+    with the same bits.  Everything sign-independent comes from the pair,
     ``batch`` and ``rows``.
 
-    Under ``np.errstate(over="raise")``, which a training step sets for both
-    its passes (:func:`sdze.optimizer.sdze_step`), a value past the range of
-    the step dtype, in the primal, the adjoints or a tangent layer, raises
-    ``FloatingPointError`` naming the layer.  einsum raises no overflow, so a
-    non-finite tangent term raises it whatever the caller's errstate.
+    Every array carries a leading axis of the S signs, and every operation
+    on it is the one-sign operation per slice: a broadcast multiply by the
+    signs, per-sign GEMMs and per-sign einsum and reduceat, each with the
+    bits of that sign alone.  So a stack of both signs is one sweep with the
+    bits of two.
 
-    Returns g (B,), read-only, the first derivatives g1 (b, B) and the
-    per-set sums of second derivatives g2 (len(starts), B).
+    Under ``np.errstate(over="raise")``, which a training step sets for its
+    estimate (:func:`sdze.optimizer.sdze_step`), a value past the range of
+    the step dtype at any sign, in the primal, the adjoints or a tangent
+    layer, raises ``FloatingPointError`` naming the layer.  einsum raises no
+    overflow, so a non-finite tangent term raises it whatever the caller's
+    errstate.
+
+    Returns g (S, B), read-only, the first derivatives g1 (S, b, B) and the
+    per-set sums of second derivatives g2 (S, len(starts), B).
     """
-    pair, sign, params = view.pair, view.sign, view.params
+    params, dtype = pair.params, pair.dtype
     depth, work = params.depth, pair.work
-    g, s1s, nus, lam0 = _adjoints(view, batch)
-    B = g.shape[0]
+    g, s1s, nus, lam0 = _adjoints(pair, signs, batch)
+    S, B = g.shape
     l = 0
     try:
         # e_i @ W0 +/- e_i @ (eps DW_0); a constant feature has zero tangent
-        seed_rows = _signed(rows.R0, rows.D, sign)
+        seed_rows = _signed(rows.R0, rows.D, pair._columns[signs])
         if depth == 1:
-            g2 = np.zeros((len(starts), B), dtype=pair.dtype)
-            return g, np.repeat(seed_rows[:, :1], B, axis=1), g2
+            g2 = np.zeros((S, len(starts), B), dtype=dtype)
+            return g, np.repeat(seed_rows[..., :1], B, axis=2), g2
 
-        g1 = seed_rows @ lam0.T
-        g2 = np.add.reduceat(seed_rows * seed_rows, starts, axis=0) @ nus[0].T
+        g1 = seed_rows @ lam0.mT
+        g2 = np.add.reduceat(seed_rows * seed_rows, starts, axis=1) @ nus[0].mT
         if depth == 2:
             return g, g1, g2
 
-        weights = pair.weights(sign)
-        lin = [W[:-1] for W in weights] if params.bias else weights
-        bounds = [*starts, seed_rows.shape[0]]
+        weights = pair.weights(signs)
+        lin = [W[..., :-1, :] for W in weights] if params.bias else weights
+        bounds = [*starts, seed_rows.shape[1]]
         for s in range(len(starts)):
             for c0 in range(bounds[s], bounds[s + 1], JET_CHUNK):
                 k = min(JET_CHUNK, bounds[s + 1] - c0)
-                tg = seed_rows[c0 : c0 + k, None, :]
-                block = work and work.take(0, (k, B, tg.shape[-1]), pair.dtype)
-                tg = np.multiply(tg, s1s[0], out=block)
+                tg = seed_rows[:, c0 : c0 + k, None, :]
+                block = work and work.take(0, (S, k, B, tg.shape[-1]), dtype)
+                tg = np.multiply(tg, s1s[0][:, None], out=block)
                 for l in range(1, depth - 1):
                     if l > 1:
-                        tg *= s1s[l - 1]
-                    n = lin[l].shape[1]
-                    block = work and work.take(l % 2, (k * B, n), pair.dtype)
-                    flat = np.matmul(tg.reshape(-1, tg.shape[-1]), lin[l], out=block)
-                    tg = flat.reshape(k, B, n)
+                        tg *= s1s[l - 1][:, None]
+                    n = lin[l].shape[-1]
+                    block = work and work.take(l % 2, (S, k * B, n), dtype)
+                    flat = np.matmul(tg.reshape(S, k * B, -1), lin[l], out=block)
+                    tg = flat.reshape(S, k, B, n)
                     # the squares in the block the GEMM has read
-                    squares = work and work.take((l + 1) % 2, (B, n), pair.dtype)
-                    squares = np.einsum("kbh,kbh->bh", tg, tg, out=squares)
-                    term = np.einsum("bh,bh->b", squares, nus[l])
+                    squares = work and work.take((l + 1) % 2, (S, B, n), dtype)
+                    squares = np.einsum("skbh,skbh->sbh", tg, tg, out=squares)
+                    term = np.einsum("sbh,sbh->sb", squares, nus[l])
                     if not np.isfinite(term).all():  # einsum raises no overflow
                         raise FloatingPointError
-                    g2[s] += term
+                    g2[:, s] += term
     except FloatingPointError:
-        raise _overflow(l, pair.dtype) from None
+        raise _overflow(l, dtype) from None
     return g, g1, g2
 
 
@@ -751,12 +819,12 @@ def jet_sums(view: PerturbView, X: np.ndarray, dims, sizes) -> tuple[np.ndarray,
     (:func:`index_sets`).  With g the raw network and phi = 1 - ||x||^2,
     over a set I (repeated indices counted with multiplicity):
     sum_{i in I} d2u/dx_i^2 = phi sum g''_i - 4 sum x_i g'_i - 2 |I| g.
-    Returns u (B,) and the sums (len(sizes), B).
+    Returns u (B,) and the sums (len(sizes), B); a view of a stack of S signs
+    returns them at every sign, (S, B) and (S, len(sizes), B), from one sweep.
     """
     sets = index_sets(X, dims, sizes)
     pair = view.pair
-    batch = pair.batch(sets.X)
-    g, g1, g2 = _raw_jets(view, batch, pair.rows(sets), sets.starts)
-    xg1 = np.add.reduceat(sets.xi * g1, sets.starts, axis=0)
-    sums = sets.phi * g2 - 4.0 * xg1 - sets.twice * g
-    return sets.phi * g, sums
+    g, g1, g2 = _raw_jets(pair, view.signs, pair.batch(sets.X), pair.rows(sets), sets.starts)
+    xg1 = np.add.reduceat(sets.xi * g1, sets.starts, axis=1)
+    sums = sets.phi * g2 - 4.0 * xg1 - sets.twice * g[:, None]
+    return view.unstack(sets.phi * g), view.unstack(sums)

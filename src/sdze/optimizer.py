@@ -3,7 +3,7 @@
 One step: (1) lazily refresh the per-layer bases, (2) draw one spatial
 sample keyed by the step, (3) draw per-layer cores, (4) evaluate the
 stochastic loss at +eps and -eps on the *same* drawn spatial sample (the
-batch, its rhs and the index sets are drawn once; both passes only read
+batch, its rhs and the index sets are drawn once; both signs only read
 them), (5) form the scalar directional estimate from the symmetric
 difference, and (6) apply the rank-r update scaled by -lr * estimate to
 every layer.  Seed locking makes the spatial sampling noise cancel
@@ -12,13 +12,18 @@ index sets per sign) exists only for the ablation study and is expected to
 blow up as eps shrinks.  :func:`sdze_step` runs both; ``SdzeConfig.crns``
 picks the mode.
 
-The two passes of an estimate on two cores.  Both passes only read the
-drawn sample and share nothing they write, so :func:`directional_delta` may
-run the +eps pass on the process's one worker thread (:mod:`sdze.worker`,
-which also evaluates row blocks of :func:`relative_l2`) while the calling
-thread runs the -eps pass.  Each pass does the same arithmetic on either
-path and every BLAS call still runs on one thread, so the bits do not
-change.
+The two signs of an estimate: one stacked sweep, or two cores.  Both signs
+only read the drawn sample, and a locked sample gives both the same index
+sets, so :func:`directional_delta` evaluates them in one of two ways, with
+the same bits (:mod:`sdze.net`).  On one thread, it makes one
+``stochastic_loss`` call at the stack (+1, -1): one jet sweep whose every
+plane carries both signs, which pays each step of the sweep's set-up once,
+not once per sign.  On two cores, it runs the +eps pass on the process's
+one worker thread (:mod:`sdze.worker`, which also evaluates row blocks of
+:func:`relative_l2`) while the calling thread runs the -eps pass.  The
+unlocked ablation, whose signs read different index sets, runs one call
+per sign on one thread.  Each sign does the same arithmetic on every path
+and every BLAS call still runs on one thread, so the bits do not change.
 
 * What the caller forms.  Before it hands the +eps pass over, the caller
   forms every term of the pair both passes read (:meth:`SignPair.share`:
@@ -43,24 +48,39 @@ change.
   caller is not the worker.  Below (b) the worker's round trip and the two
   threads' turns at the interpreter cost more than the overlap saves.  A
   sweep of estimates over hidden widths 32..256, B 10..200 and b 2..16
-  (f32, BLAS pinned, 2 cores, after a 2 000-point evaluation as in
-  ``train``) found the concurrent one no faster up to 5.9 M multiply-adds
-  and faster in every shape from 6.3 M on: 5-17 % at 6.3-12.6 M, 34 % at
-  poisson100's 52.4 M (1.31 against 1.97 ms).  f64 crosses lower, between
-  0.7 and 2.6 M; the one constant keeps f64 shapes below 6 M serial.
-  Criterion 8's step (5.2 M) and the depth-2 variance sweep (none) stay
-  serial.  Both passes call this module's ``stochastic_loss``, looked up at
-  each call, so a wrapper set on the module sees every pass on either path.
-* Errors.  Either way the +eps pass's exception is raised if it has one,
-  else the -eps pass's: the serial order.  The call returns or raises only
-  after both passes have ended (:mod:`sdze.worker`: the worker keeps no
-  finished task and runs in a copy of the caller's context, so numpy's
-  errstate reaches it).  :func:`sdze_step` runs both passes under
-  ``np.errstate(over="raise")``: an overflow of the step dtype in either
-  sweep raises ``FloatingPointError`` naming the layer (:mod:`sdze.net`),
-  which the step turns into its cause.  Read-only estimates (the variance
-  sweeps) keep their caller's errstate: set per estimate, it cost 1.6 us
-  of the variance sweep's 36 us estimate.
+  (depth 3 with bias, BLAS pinned, 2 cores, after a 2 000-point evaluation
+  as in ``train``, each shape's min of 60 estimates of each path in turn)
+  against the stacked serial sweep gave the concurrent path's gain:
+
+  ====================  ========================  ========================
+  multiply-adds          f32                       f64
+  ====================  ========================  ========================
+  2.6-3.3 M              -78 to -5 %               -32 to +23 %
+  5.2-6.6 M              -46 to +3 %               -18 to +26 %
+  10.5 M                 -31 to +13 %              +3 to +17 %
+  13.1 M                 -24 to +17 % (4 of 6 >0)  +31 to +37 %
+  21.0-26.2 M            +15 to +29 %              +28 to +39 %
+  ====================  ========================  ========================
+
+  The serial path got cheaper, so f32 now crosses between 10.5 and 13.1 M
+  (against two one-sign passes it crossed at 6 M; poisson100's 52.4 M
+  gains 28 % in the first sweep of this table's shapes).  f64 crosses
+  lower, between 2.6 and 6.6 M; the one constant keeps f64 shapes below
+  12 M serial.  Criterion 8's step (5.2 M) and the depth-2 variance sweep
+  (none) stay serial.  Every path calls this module's ``stochastic_loss``,
+  looked up at each call, so a wrapper set on the module sees every call on
+  either path.
+* Errors.  The stacked sweep raises the first error of its arithmetic, at
+  the first layer where either sign fails; on two threads the +eps pass's
+  exception is raised if it has one, else the -eps pass's: the serial
+  order.  The call returns or raises only after both passes have ended
+  (:mod:`sdze.worker`: the worker keeps no finished task and runs in a copy
+  of the caller's context, so numpy's errstate reaches it).
+  :func:`sdze_step` runs the estimate under ``np.errstate(over="raise")``:
+  an overflow of the step dtype at either sign raises ``FloatingPointError``
+  naming the layer (:mod:`sdze.net`), which the step turns into its cause.
+  Read-only estimates (the variance sweeps) keep their caller's errstate:
+  set per estimate, it cost 1.6 us of the variance sweep's 36 us estimate.
 """
 
 from __future__ import annotations
@@ -289,20 +309,24 @@ class SdzeDivergenceError(RuntimeError):
     The message names the keys of the step's :class:`SpatialSample` beside
     the problem's dimension: master, step, B, b and the batch dtype, from
     which :func:`draw_sample` draws the step's batch and index sets again.
+    The step is named once, with the run's step count ``steps`` when given.
 
     ``cause`` says why no loss could be formed, e.g. weights past the range
     of the step dtype.
     """
 
-    def __init__(self, step, loss_plus, loss_minus, sample: SpatialSample, cause=None):
+    def __init__(
+        self, step, loss_plus, loss_minus, sample: SpatialSample, cause=None, steps=None
+    ):
         self.step = step
         self.loss_plus = loss_plus
         self.loss_minus = loss_minus
         self.sample = sample
         why = f" ({cause})" if cause else ""
+        of = f" (of {steps})" if steps is not None else ""
         super().__init__(
-            f"non-finite loss at step {step}: l+={loss_plus}, l-={loss_minus}{why}; "
-            f"replay keys: master={sample.master} step={sample.step} "
+            f"non-finite loss: l+={loss_plus}, l-={loss_minus}{why}; "
+            f"replay keys: master={sample.master} step={sample.step}{of} "
             f"B={sample.B} b={sample.b} dtype={sample.dtype}"
         )
 
@@ -316,8 +340,8 @@ def step_cores(master: int, subspaces: list[LayerSubspace], t: int) -> list[np.n
 
 
 # per-sign tangent multiply-adds from which the concurrent path is faster
-# (module docstring)
-CONCURRENT_MIN_MACS = 6_000_000
+# than the stacked serial sweep (module docstring)
+CONCURRENT_MIN_MACS = 12_000_000
 
 
 def _concurrent(pair: SignPair, plus: DrawnSample, minus: DrawnSample) -> bool:
@@ -350,18 +374,16 @@ def directional_delta(
     then also shares its weights and, on a pinned batch, its batch products
     (:mod:`sdze.net`).
 
-    Each pass is a call of this module's ``stochastic_loss``.  When
+    The losses come from this module's ``stochastic_loss``.  When
     :func:`_concurrent` allows it, the +eps pass runs on the process's worker
     (:mod:`sdze.worker`), in a copy of this thread's context (numpy's
-    errstate included), while this thread runs the -eps pass, with the same
-    bits (module docstring).  Either
-    way an error of the +eps pass is raised before one of the -eps pass, and
-    the call ends after both passes.
+    errstate included), while this thread runs the -eps pass; an error of
+    the +eps pass is raised before one of the -eps pass, and the call ends
+    after both passes.  Otherwise a locked estimate is one call at the stack
+    of both signs, one jet sweep, and an unlocked one a call per sign.  The
+    bits are the same on every path (module docstring).
     """
-    if not _concurrent(pair, plus, minus):
-        lp = stochastic_loss(PerturbView(pair, 1), problem, plus)
-        lm = stochastic_loss(PerturbView(pair, -1), problem, minus)
-    else:
+    if _concurrent(pair, plus, minus):
         pair.share(plus.sets)
         reply = worker.submit(stochastic_loss, PerturbView(pair, 1), problem, plus)
         try:
@@ -370,6 +392,11 @@ def directional_delta(
             lp, err = reply.get()  # the +eps pass has ended
             if err is not None:
                 raise err
+    elif minus is plus:
+        lp, lm = stochastic_loss(PerturbView(pair, pair.signs), problem, plus)
+    else:
+        lp = stochastic_loss(PerturbView(pair, 1), problem, plus)
+        lm = stochastic_loss(PerturbView(pair, -1), problem, minus)
     # the difference cancels leading digits; keep it in f64
     return (float(lp) - float(lm)) / (2.0 * pair.eps), float(lp), float(lm)
 
@@ -434,7 +461,7 @@ def sdze_step(
         for W, s, Z in zip(params.weights, subspaces, cores):
             apply_rank_r_update(W, s, Z, -alpha * delta, work=work)
     elif cfg.crns:
-        raise SdzeDivergenceError(t, lp, lm, drawn.sample, cause)
+        raise SdzeDivergenceError(t, lp, lm, drawn.sample, cause, cfg.steps)
     # else unlocked divergence: the ablation's data point, recorded without an update
     wall_ms = (time.perf_counter() - t0) * 1e3
     return StepRecord(t, delta, lp, lm, alpha, wall_ms)
@@ -506,11 +533,7 @@ def train(
     if start_step == 0:
         evals.append((0, relative_l2(params, problem, test_key, cfg.test_points)))
     for t in range(start_step + 1, cfg.steps + 1):
-        try:
-            rec = sdze_step(params, subspaces, problem, cfg, t, work)
-        except SdzeDivergenceError as err:
-            err.args = (f"step {t}/{cfg.steps}: {err.args[0]}",)
-            raise
+        rec = sdze_step(params, subspaces, problem, cfg, t, work)
         rel = None
         if t % cfg.eval_every == 0 or t == cfg.steps:
             rel = relative_l2(params, problem, test_key, cfg.test_points)

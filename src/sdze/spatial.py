@@ -435,7 +435,7 @@ def _operator(view, problem: PdeProblem, sets: IndexSets, scale: np.ndarray) -> 
     u, sums = view.jet_eval(sets.X, sets.dims, sets)
     op = scale * sums
     # Poisson has no nonlinearity; adding zeros could only turn -0.0 into +0.0
-    return op if problem.kind == "none" else op + problem.nonlinearity(u)
+    return op if problem.kind == "none" else op + problem.nonlinearity(u)[..., None, :]
 
 
 def sampled_operator(view, problem: PdeProblem, X: np.ndarray, dims, sizes) -> np.ndarray:
@@ -444,7 +444,8 @@ def sampled_operator(view, problem: PdeProblem, X: np.ndarray, dims, sizes) -> n
     ``dims`` is split into consecutive index sets of ``sizes``, and every set
     is read off one jet sweep (one primal pass).  Only the differential part
     is subsampled; a repeated index counts with multiplicity.  Returns shape
-    (len(sizes), B).  The call forms the sets' terms once
+    (len(sizes), B), or (S, len(sizes), B) for a view of a stack of S signs.
+    The call forms the sets' terms once
     (:func:`sdze.net.index_sets`) and hands them to the view, as
     :func:`stochastic_loss` hands those of its draw.  Each set's scale
     N_L/|I| is a float64 column, and every view's sums are float64 (the
@@ -455,17 +456,22 @@ def sampled_operator(view, problem: PdeProblem, X: np.ndarray, dims, sizes) -> n
     return _operator(view, problem, sets, _set_scale(problem, sets))
 
 
-def stochastic_loss(view, problem: PdeProblem, drawn: DrawnSample) -> float:
+def stochastic_loss(view, problem: PdeProblem, drawn: DrawnSample):
     """Doubly-sampled scalar residual loss over a draw of ``problem``; only reads ``drawn``.
 
     (1 / (2 B kappa)) * sum_n (op_{I1}(x_n) - f(x_n)) (op_{I2}(x_n) - f(x_n)),
     with f evaluated in full closed form when the sample was drawn.  Both
     operators come from one jet sweep over ``drawn.dims``; the index sets'
     terms, the scales and 2 B kappa are the draw's (:class:`DrawnSample`),
-    so the pass forms nothing that its sign does not change.
+    so the pass forms nothing that its sign does not change.  Returns a
+    float; a view of a stack of signs (:class:`sdze.net.PerturbView`) gives
+    a tuple of them, one per sign in the stack's order, from its one sweep,
+    each with the bits its sign alone gives (one ``np.dot`` per sign).
     """
-    r1, r2 = _operator(view, problem, drawn.sets, drawn.scale) - drawn.f
-    return float(np.dot(r1, r2) / drawn.denom)
+    r = _operator(view, problem, drawn.sets, drawn.scale) - drawn.f
+    if r.ndim == 2:
+        return float(np.dot(r[0], r[1]) / drawn.denom)
+    return tuple([float(np.dot(r[s, 0], r[s, 1]) / drawn.denom) for s in range(len(r))])
 
 
 # test points per row block of relative_l2.  Blocks must start at multiples

@@ -234,11 +234,16 @@ def delta_rows(state: LayerSubspace, Z: np.ndarray, rows: np.ndarray) -> np.ndar
     """Selected rows of the implied perturbation ``T^-1(U Z V^T)``.
 
     Returns an array of shape (len(rows), n); equivalent to one-hot inputs
-    through ``perturb_product`` but without materializing them.
+    through ``perturb_product`` but without materializing them.  Beside the
+    result it allocates the rows' (kc, len(rows), r) factor products and at
+    most one result-sized block: a split of the rows contracts each row
+    segment t the rows meet with V3[:, t] as it is, never a per-row copy of
+    V3's (nv, r) slices, which is r/kc times the result.
     """
     m, n = state.plan.orig
     rows = np.asarray(rows, dtype=np.int64)
-    if rows.size and (rows.min() < 0 or rows.max() >= m):
+    # as unsigned, a negative index is past every row: one reduction checks both ends
+    if rows.size and rows.view(np.uint64).max() >= m:
         raise ValueError("row index out of range")
     U3, V3, Vt = state.factors(Z.dtype)
     kc, mu, r = U3.shape
@@ -247,7 +252,11 @@ def delta_rows(state: LayerSubspace, Z: np.ndarray, rows: np.ndarray) -> np.ndar
         out = (U3[:, rows].reshape(-1, r) @ Z) @ Vt
     else:  # row t*mu + a meets the rows t of V3
         t, a = np.divmod(rows, mu)
-        out = np.einsum("sxr,qxr->sxq", U3[:, a] @ Z, V3[:, t])
+        UZ = U3[:, a] @ Z
+        out = np.empty((kc, rows.size, nv), Z.dtype)
+        for segment in set(t.tolist()):  # the segments met; each writes its own rows
+            at = np.flatnonzero(t == segment)
+            out[:, at] = np.einsum("sxr,qr->sxq", UZ[:, at], V3[:, segment])
     return out.reshape(kc, rows.size * nv).T.reshape(rows.size, n)
 
 

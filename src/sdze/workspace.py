@@ -1,8 +1,9 @@
 """Buffers that live for a run.
 
 A training step's temporaries (the draw and its scratch, the rhs planes, the
-perturbed weights, the batch products, each sign's activation, adjoint and
-tangent planes, the update's blocks) are written into buffers that a
+perturbed weights, the batch products, the activation, adjoint and tangent
+planes of each sweep's stack of signs, the update's blocks) are written into
+buffers that a
 :class:`Workspace` keeps, so a run's steps allocate and free none of them.
 Freed every step, they made glibc trim the heap top and fault its pages back
 in at the next step.  Every function that takes a workspace takes ``None``
@@ -14,17 +15,18 @@ allocates the result as it would with no ``out`` (and no call is made), and
 A buffer is named for what it holds.  Two kinds of name share the memory:
 
 * a step's arrays, read until the step ends, each under a name of its own
-  (a sign's arrays under names of that sign);
+  (a sweep's arrays under names of its stack of signs);
 * scratch, under an integer name: what dies within the call that takes it,
   in buffers of the thread that runs the call.  The phases of a step that run
   one after another on one thread (the draw, the rhs, the pair's weights,
-  the passes, the update) take the same scratch buffers in turn; the +eps
+  the sweep, the update) take the same scratch buffers in turn; the +eps
   pass, when it runs on the worker thread (:mod:`sdze.worker`) beside the
   -eps pass, takes the worker's.  A call that takes scratch buffer i calls
   nothing that takes buffer i while it still reads it.
 
 So a training step at poisson100's shapes keeps about 4 MB, most of it two
-pairs of 0.8 MB tangent blocks, one pair per thread.  The two threads take
+pairs of 0.8 MB tangent blocks: one pair per thread on two threads, or one
+pair of 1.6 MB blocks, both signs stacked, on one.  The two threads take
 their names from one dict, each only its own: a take is one lookup and at
 most one insert, and names never collide.
 """

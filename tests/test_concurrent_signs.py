@@ -1,14 +1,17 @@
-"""The two passes of an estimate on two threads: same bits, same errors, same memory.
+"""The two signs of an estimate on two threads, or stacked in one sweep: same
+bits, same errors, same memory.
 
 Every test that needs one path forces it through the gate's own inputs
 (the ``force_path`` fixture), so the real gate picks it; the fixture moves
-the work threshold, which most shapes here are below.  A test that injects a loss
-sets ``optimizer.stochastic_loss``, which both passes call.
+the work threshold, which most shapes here are below.  A test that injects a
+loss sets ``optimizer.stochastic_loss``, which the serial path calls once, at
+the stack of both signs, and the concurrent path once per sign.
 """
 
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -20,7 +23,7 @@ import numpy as np
 import pytest
 
 from sdze import net, optimizer, worker
-from sdze.net import JET_CHUNK, SignPair
+from sdze.net import JET_CHUNK, PerturbView, SignPair
 from sdze.optimizer import (
     DTYPES,
     SdzeConfig,
@@ -59,7 +62,8 @@ def estimate(cfg, t=1):
 
 
 def record_passes(monkeypatch):
-    """Wrap the default loss: each pass appends (sign, thread, np.geterr()) to the list."""
+    """Wrap the default loss: each call appends (sign, thread, np.geterr()) to the
+    list, the sign being the view's: one sign, or the stack (1, -1)."""
     seen, loss = [], optimizer.stochastic_loss
 
     def wrapped(view, problem, drawn):
@@ -87,10 +91,33 @@ def test_both_paths_give_the_same_bits(monkeypatch, force_path, depth, bias, act
         concurrent = estimate(cfg, t)
         assert concurrent == serial
         assert serial[1] != serial[2]
-    # serial: both passes here; concurrent: the +eps pass on the worker
+    # serial: one call here at both signs; concurrent: the +eps pass on the worker
     caller = threading.get_ident()
-    here = [sorted((sign, thread == caller) for sign, thread, _ in seen[k : k + 2]) for k in (0, 2)]
-    assert here == [[(-1, True), (1, True)], [(-1, True), (1, False)]]
+    here = [(sign, thread == caller) for sign, thread, _ in seen[:3]]
+    assert here[0] == ((1, -1), True)
+    assert sorted(here[1:]) == [(-1, True), (1, False)]
+    assert len(seen) == 6
+
+
+@pytest.mark.parametrize(
+    "concurrent, locked, sweeps",
+    [(False, True, [(1, -1)]), (True, True, [(-1,), (1,)]), (False, False, [(-1,), (1,)])],
+)
+def test_a_locked_serial_estimate_is_one_jet_sweep(
+    monkeypatch, force_path, concurrent, locked, sweeps
+):
+    # the serial path sweeps both signs of a locked sample at once; the
+    # concurrent path and the unlocked ablation sweep each sign on its own
+    seen, raw_jets = [], net._raw_jets
+
+    def counted(pair, signs, *args):
+        seen.append(signs)
+        return raw_jets(pair, signs, *args)
+
+    monkeypatch.setattr(net, "_raw_jets", counted)
+    force_path(concurrent)
+    estimate(estimate_cfg(crns=locked))
+    assert sorted(seen) == sweeps
 
 
 def test_a_pinned_batch_sweep_gives_the_same_rows_on_both_paths(force_path):
@@ -144,14 +171,16 @@ class PassError(Exception):
 def test_errors_come_in_the_serial_order_after_both_passes(
     monkeypatch, force_path, concurrent, failing
 ):
+    # a stacked call fails at its first failing sign, in the stack's order
     ended, loss = [], optimizer.stochastic_loss
 
     def failing_loss(view, problem, drawn):
         try:
-            if view.sign > 0:
+            if 1 in view.signs:
                 time.sleep(0.05)  # the +eps pass ends last
-            if view.sign in failing:
-                raise PassError(view.sign)
+            for sign in view.signs:
+                if sign in failing:
+                    raise PassError(sign)
             return loss(view, problem, drawn)
         finally:
             ended.append(view.sign)
@@ -164,9 +193,9 @@ def test_errors_come_in_the_serial_order_after_both_passes(
         assert err.value.args == (failing[0],)
     else:
         estimate(estimate_cfg())
-    # no pass is still running once the call has returned or raised
-    ran_minus = concurrent or 1 not in failing
-    assert sorted(ended) == ([-1, 1] if ran_minus else [1])
+    # no pass is still running once the call has returned or raised; the
+    # serial path is one call at both signs
+    assert sorted(ended, key=str) == ([-1, 1] if concurrent else [(1, -1)])
 
 
 def test_a_callers_errstate_reaches_the_worker(monkeypatch, force_path):
@@ -233,10 +262,12 @@ def test_train_names_the_step_of_a_divergence():
     prob = cfg.make_problem()
     part = train(dataclasses.replace(cfg, steps=5), prob)
     locked = dataclasses.replace(cfg, crns=True)
-    want = r"^step 6/12: non-finite loss at step 6: .*\(layer 1 jet sweep overflows"
+    want = r"^non-finite loss: .*\(layer 1 jet sweep overflows.* step=6 \(of 12\) B=10 "
     with pytest.raises(SdzeDivergenceError, match=want) as err:
         train(locked, prob, init_params=part.params, start_step=5)
     assert err.value.step == 6
+    # the step is named once
+    assert re.findall(r"step\W+\d", str(err.value)) == ["step=6"]
 
 
 def test_the_gate_needs_a_locked_sample_enough_work_pinned_blas_two_cpus(monkeypatch):
@@ -266,9 +297,10 @@ def test_the_gate_needs_a_locked_sample_enough_work_pinned_blas_two_cpus(monkeyp
     assert not optimizer._concurrent(pair, writable, writable)
     # crns-sweep's net has one hidden layer: no tangent work
     assert not gate(SdzeConfig(widths=[100, 64, 1], batch_B=20))
-    # criterion 8's shapes: 20 x 16 x 128 x 128 = 5.2 M; 24 points reach 6.3 M
+    # criterion 8's shapes: 20 x 16 x 128 x 128 = 5.2 M; 46 points reach 12.1 M
     assert not gate(SdzeConfig(widths=[100, 128, 128, 1], batch_B=20, batch_b=8))
-    assert gate(SdzeConfig(widths=[100, 128, 128, 1], batch_B=24, batch_b=8))
+    assert not gate(SdzeConfig(widths=[100, 128, 128, 1], batch_B=45, batch_b=8))
+    assert gate(SdzeConfig(widths=[100, 128, 128, 1], batch_B=46, batch_b=8))
     monkeypatch.setattr(worker, "_cpu_count", lambda: 1)
     assert not gate(big)
     monkeypatch.setattr(worker, "_cpu_count", lambda: 2)
@@ -359,18 +391,18 @@ def test_a_pinned_and_an_unpinned_train_write_the_same_bytes(tmp_path):
 
 def test_concurrent_estimate_memory(monkeypatch, force_path, peak_spans):
     # Measured bytes (tracemalloc sees every thread) at criterion 8's shapes.
-    # The concurrent estimate's whole peak may hold both signs' serial
+    # The concurrent estimate's whole peak may hold both signs' one-sign
     # loss-call peaks at once, plus 4 KiB: a pair without a workspace keeps
-    # no tangent blocks on either thread, so each sign's serial peak holds
-    # its own.  The worker is started first, as any earlier concurrent
-    # estimate leaves it: its thread is not the estimate's.  With the
-    # shared terms formed first, what is left is the two
-    # sweeps, which must stay flat in d: growth <= 1.2x from d = 10^2 to
-    # 10^4.  How much of the two passes' transients overlap varies with the
-    # timing, so for that figure the -eps pass starts when the +eps pass
-    # has ended.
+    # no tangent blocks on either thread, so each sign's peak holds its own.
+    # So may the serial path's one loss call at the stack of both signs.
+    # The worker is started first, as any earlier concurrent estimate leaves
+    # it: its thread is not the estimate's.  With the shared terms formed
+    # first, what is left is the two sweeps, which must stay flat in d:
+    # growth <= 1.2x from d = 10^2 to 10^4.  How much of the two passes'
+    # transients overlap varies with the timing, so for that figure the -eps
+    # pass starts when the +eps pass has ended.
     slack = 4096
-    whole, bound, sweeps = {}, {}, {}
+    whole, stacked, bound, sweeps = {}, {}, {}, {}
     worker._sign_worker()
     estimate_span = peak_spans.measure(directional_delta, "estimate")
     loss, plus_done = optimizer.stochastic_loss, threading.Event()
@@ -414,8 +446,12 @@ def test_concurrent_estimate_memory(monkeypatch, force_path, peak_spans):
         monkeypatch.setattr(optimizer, "stochastic_loss", loss)
         peak_spans.wrap(optimizer, "stochastic_loss", key=lambda view, problem, drawn: view.sign)
         assert directional_delta(pair(), prob, plus, plus) == want
+        for sign in (1, -1):
+            optimizer.stochastic_loss(PerturbView(pair(), sign), prob, plus)
         signs = dict(peak_spans.calls["stochastic_loss"])
+        stacked[d] = signs[1, -1]
         bound[d] = signs[1] + signs[-1] + slack
     growth = max(sweeps.values()) / min(sweeps.values())
     assert all(whole[d] <= bound[d] for d in whole), (whole, bound)
+    assert all(stacked[d] <= bound[d] for d in stacked), (stacked, bound)
     assert growth <= 1.2, sweeps

@@ -27,6 +27,7 @@ from sdze.spatial import (
     stochastic_loss,
 )
 from sdze.subspace import rank_r_delta, sample_core, subspace_for_layer
+from sdze.workspace import Workspace
 from sdze.verify import explicit_delta_w, explicit_forward, explicit_jets
 
 
@@ -124,7 +125,7 @@ def test_precision_contract_pins_the_dtype_of_each_stage(dtype):
             for view in (minus, PerturbView(SignPair(params, dtype=dtype)), plus):
                 batch = view.pair.batch(drawn.X)
                 rows = view.pair.rows(drawn.sets)
-                planes = net._raw_jets(view, batch, rows, [0, 2])
+                planes = net._raw_jets(view.pair, view.signs, batch, rows, [0, 2])
                 stages = [*planes, batch.G0, rows.R0, forward(view, drawn.X)]
                 if view.sign:
                     stages += [batch.P, rows.D]
@@ -146,6 +147,50 @@ def test_an_overflow_in_the_primal_names_its_layer():
     with np.errstate(over="raise"):
         with pytest.raises(FloatingPointError, match="^layer 1 jet sweep overflows .* float32$"):
             jet_sums(view, X, [0, 2], [1, 1])
+        # values alone run no jet sweep: the error names the forward pass
+        for values in (forward, ansatz):
+            with pytest.raises(
+                FloatingPointError, match="^layer 1 forward pass overflows .* float32$"
+            ):
+                values(view, X)
+
+
+def _one_sign_overflows(core_sign):
+    """A float32 pair whose output layer passes float32's range at one sign only.
+
+    The input layer's perturbation moves each sign's sin planes; the output
+    weights (1e35 each) and a bias between the two signs' largest outputs,
+    measured in float64, put one sign past the range.  Negating the core
+    swaps the signs exactly.  Returns (pair, batch, the overflowing sign).
+    """
+    params = init_mlp([3, 8, 1], "sin", 5, bias=True)
+    subs = [subspace_for_layer(5, l, *W.shape, 2) for l, W in enumerate(params.weights)]
+    cores = [core_sign * 10.0 * np.array([[1.0, -0.5], [0.3, 0.8]]), np.zeros((subs[1].rank,) * 2)]
+    X = np.array([[0.3, -0.2, 0.5], [0.1, 0.4, -0.6], [-0.5, 0.2, 0.1]], np.float32)
+    W1 = params.weights[1]
+    W1[:-1] = 1e35 * np.array([[1.0, -0.7, 0.9, 0.4, -1.0, 0.8, 0.6, -0.3]]).T
+    W1[-1] = 0.0
+    top = {
+        sign: forward(PerturbView(SignPair(params, subs, cores, 0.5), sign), X).max()
+        for sign in (1, -1)
+    }
+    over = max(top, key=top.get)
+    W1[-1] = float(np.finfo(np.float32).max) - (top[1] + top[-1]) / 2
+    assert abs(top[1] - top[-1]) > 1e-5 * W1[-1, 0]  # far past float32's rounding
+    return SignPair(params, subs, cores, 0.5, np.float32), X, over
+
+
+def test_an_overflow_at_either_sign_of_a_stack_names_its_layer():
+    overflowing = []
+    for core_sign in (1.0, -1.0):
+        pair, X, over = _one_sign_overflows(core_sign)
+        overflowing.append(over)
+        with np.errstate(over="raise"):
+            jet_sums(PerturbView(pair, -over), X, [0, 2], [1, 1])  # the other sign is finite
+            for view in (PerturbView(pair, over), PerturbView(pair, (1, -1))):
+                with pytest.raises(FloatingPointError, match="^layer 1 jet sweep overflows"):
+                    jet_sums(view, X, [0, 2], [1, 1])
+    assert sorted(overflowing) == [-1, 1]
 
 
 def test_a_non_finite_tangent_term_names_its_layer_whatever_the_errstate():
@@ -386,15 +431,83 @@ def test_shared_primal_one_evaluation_per_layer(monkeypatch):
     primal = net._primal
     passes = []
 
-    def counted(view, X, weights, derivs):
+    def counted(pair, signs, X, derivs):
         passes.append(derivs)
-        return primal(view, X, weights, derivs=derivs)
+        return primal(pair, signs, X, derivs=derivs)
 
     monkeypatch.setattr(net, "_primal", counted)
     for n_dirs in (1, 4, 6, 40):
         passes.clear()
         jet_sums(plain_view(params), x, np.arange(n_dirs) % 6, [n_dirs])
         assert passes == [True]
+
+
+STACK_WIDTHS = {1: [40, 1], 2: [40, 7, 1], 3: [40, 7, 6, 1], 4: [40, 7, 6, 5, 1]}
+
+
+@pytest.mark.parametrize("work", [False, True])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("act", net.ACTIVATIONS)
+@pytest.mark.parametrize("bias", [False, True])
+@pytest.mark.parametrize("depth", sorted(STACK_WIDTHS))
+def test_a_stacked_sweep_equals_one_sweep_per_sign_bytewise(depth, bias, act, dtype, work):
+    # b = 2 x 19 > JET_CHUNK: each set has a full and a partial tangent block
+    widths = STACK_WIDTHS[depth]
+    params = init_mlp(widths, act, 4, bias=bias)
+    subs = [subspace_for_layer(4, l, *W.shape, 3) for l, W in enumerate(params.weights)]
+    cores = [
+        sample_core(derive_stream(StreamKey(4, Role.CORE_Z, 1, l)), s.rank)
+        for l, s in enumerate(subs)
+    ]
+    problem = make_problem("none", 40, "two_body", 4)
+    drawn = draw_sample(problem, SpatialSample(4, 1, 6, 19, 40, dtype=dtype))
+    assert drawn.dims.size > 2 * JET_CHUNK
+
+    def pair():
+        return SignPair(params, subs, cores, 0.3, dtype, Workspace() if work else None)
+
+    stacked = PerturbView(pair(), (1, -1))
+    got = jet_sums(stacked, drawn.X, drawn.dims, drawn.sets)
+    values = forward(stacked, drawn.X)
+    loss = stochastic_loss(stacked, problem, drawn)
+    for k, sign in enumerate((1, -1)):
+        alone = PerturbView(pair(), sign)
+        want = jet_sums(alone, drawn.X, drawn.dims, drawn.sets)
+        assert [a[k].tobytes() for a in got] == [a.tobytes() for a in want], sign
+        assert values[k].tobytes() == forward(alone, drawn.X).tobytes()
+        assert loss[k] == stochastic_loss(alone, problem, drawn)
+    # a stack of one is the one sign with its sign axis kept
+    one = jet_sums(PerturbView(pair(), (-1,)), drawn.X, drawn.dims, drawn.sets)
+    assert [a.shape[0] for a in one] == [1, 1]
+    assert [a[0].tobytes() for a in one] == [a[1].tobytes() for a in got]
+
+
+@pytest.mark.parametrize("widths", [[7, 1], [7, 5, 1], [7, 5, 6, 1]])
+def test_one_sign_sweeps_read_their_slice_of_a_stacked_sweeps_planes(widths, monkeypatch):
+    # a pinned-batch sweep forms each pair's planes once: the stack's first
+    # sweep forms both signs', and every later sweep at one sign, or at both,
+    # reads them, with the bits of a fresh pair's sweep at that sign
+    params, subs, cores = build(widths, bias=True)
+    problem = make_problem("none", 7, "two_body", 3)
+    samples = [SpatialSample(3, k, 6, 3, 7, collocation_step=0) for k in range(1, 4)]
+    pinned = draw_sample(problem, samples[0])
+    reused = SignPair(params, subs, cores, 0.3)
+    primal, passes = net._primal, []
+
+    def counted(pair, signs, X, derivs):
+        passes.append((pair, signs))
+        return primal(pair, signs, X, derivs=derivs)
+
+    monkeypatch.setattr(net, "_primal", counted)
+    for sample in samples:
+        drawn = draw_sample(problem, sample, batch=pinned)
+        for sign in ((1, -1), 1, -1, (1,), (-1,)):
+            got = jet_sums(PerturbView(reused, sign), drawn.X, drawn.dims, [3, 3])
+            want = jet_sums(
+                PerturbView(SignPair(params, subs, cores, 0.3), sign), drawn.X, drawn.dims, [3, 3]
+            )
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want], sign
+    assert [signs for pair, signs in passes if pair is reused] == [(1, -1)]
 
 
 def _pair(params, subs, cores, sign, dtype):
@@ -420,9 +533,9 @@ def test_a_pair_on_a_pinned_batch_forms_its_planes_once_per_sign(
     reused[-1] = reused[1]
     primal, passes = net._primal, []
 
-    def counted(view, X, weights, derivs):
-        passes.append((view.pair, view.sign))
-        return primal(view, X, weights, derivs=derivs)
+    def counted(pair, signs, X, derivs):
+        passes.append((pair, signs))
+        return primal(pair, signs, X, derivs=derivs)
 
     monkeypatch.setattr(net, "_primal", counted)
     for k, sample in enumerate(samples):
@@ -432,7 +545,9 @@ def test_a_pair_on_a_pinned_batch_forms_its_planes_once_per_sign(
             fresh = PerturbView(_pair(params, subs, cores, sign, dtype), sign)
             want = jet_sums(fresh, drawn.X, drawn.dims, [3, 3])
             assert [a.tobytes() for a in got] == [a.tobytes() for a in want], (k, sign)
-    assert sorted(sign for pair, sign in passes if pair in (reused[1], reused[0])) == [-1, 0, 1]
+    assert sorted(signs for pair, signs in passes if pair in (reused[1], reused[0])) == [
+        (-1,), (0,), (1,)
+    ]
 
 
 def test_a_writable_batch_changed_in_place_gets_new_planes():
@@ -456,10 +571,9 @@ def test_cached_planes_are_read_only():
     problem = make_problem("none", 6, "two_body", 3)
     drawn = draw_sample(problem, SpatialSample(3, 1, 4, 2, 6))
     for pair, sign in ((SignPair(params, subs, cores, 0.3), 1), (SignPair(params), 0)):
-        view = PerturbView(pair, sign)
         batch = pair.batch(drawn.X)
-        g = net._raw_jets(view, batch, pair.rows(drawn.sets), [0, 2])[0]
-        value, s1s, nus, lam0 = batch.planes[sign]
+        g = net._raw_jets(pair, (sign,), batch, pair.rows(drawn.sets), [0, 2])[0]
+        value, s1s, nus, lam0 = batch.planes[sign,]
         assert g is value
         products = (batch.G0,) if batch.P is None else (batch.G0, batch.P)
         for plane in (value, *s1s, *nus, lam0, *products):

@@ -85,17 +85,21 @@ def test_quadratic_surrogate_delta_is_exact_for_any_eps(monkeypatch):
     Hm = rng.standard_normal((P, P))
     Hm = Hm @ Hm.T / P + np.eye(P)
 
-    def quad_loss(view, problem, sample):
+    def quad(view, sign):
         theta = []
         for l, W in enumerate(view.params.weights):
             Wp = W.copy()
-            if view.sign != 0:
+            if sign != 0:
                 pair = view.pair
                 D = explicit_delta_w(pair.subspaces[l], pair.cores[l])
-                Wp += view.sign * pair.eps * D
+                Wp += sign * pair.eps * D
             theta.append(Wp.reshape(-1, order="F"))
         th = np.concatenate(theta)
         return float(th @ Hm @ th)
+
+    def quad_loss(view, problem, sample):  # one loss per sign of a stack
+        losses = tuple(quad(view, sign) for sign in view.signs)
+        return losses if type(view.sign) is tuple else losses[0]
 
     monkeypatch.setattr(optimizer, "stochastic_loss", quad_loss)
     rec = sdze_step(params, subs, prob, cfg, 1)
@@ -215,7 +219,8 @@ def test_divergence_handling_locked_vs_naive(monkeypatch):
     subs = make_subspaces(params, cfg)
 
     def bad_loss(view, problem, drawn):
-        return np.inf if view.sign > 0 else 1.0
+        losses = tuple(np.inf if sign > 0 else 1.0 for sign in view.signs)
+        return losses if type(view.sign) is tuple else losses[0]
 
     monkeypatch.setattr(optimizer, "stochastic_loss", bad_loss)
     with pytest.raises(SdzeDivergenceError) as err:
@@ -509,8 +514,9 @@ def test_sweep_shares_one_pair_per_eps(monkeypatch):
 def test_sweep_forms_the_index_set_terms_once_per_draw(monkeypatch):
     # R replicates and E eps values: set_starts runs once per draw (the
     # pinned batch's, then each replicate's locked and unlocked sets), not
-    # once per pass (4 R E), and every pass is handed its draw's IndexSets,
-    # whose X[:, I] the draw formed
+    # once per pass (3 R E: a locked estimate is one sweep at both signs, an
+    # unlocked one a sweep per sign), and every pass is handed its draw's
+    # IndexSets, whose X[:, I] the draw formed
     E, R = 3, 4
     prob = make_problem("none", 8, "two_body", 5)
     params = init_mlp([8, 6, 5, 1], "sin", 5, bias=True)
@@ -535,7 +541,7 @@ def test_sweep_forms_the_index_set_terms_once_per_draw(monkeypatch):
         prob, params, rank=2, eps_list=[1e-2, 1e-3, 1e-4], replicates=R, B=3, b=2, master=5
     )
     assert len(draws) == calls["set_starts"] == 2 * R + 1
-    assert len(handed) == 4 * R * E
+    assert len(handed) == 3 * R * E
     assert {id(sets) for sets in handed} == {id(d.sets) for d in draws[1:]}
 
 

@@ -280,6 +280,31 @@ def test_streaming_update_memory_bound(peak_spans):
         assert peak_spans.peaks("update")[-1] <= 8 * (R * npp + R * state.rank) + 4096, (m, n)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("m, n", [(1000, 128), (10_000, 128), (1001, 128), (100, 128), (40, 120)])
+def test_delta_rows_allocates_what_its_output_needs(peak_spans, m, n, dtype):
+    # Measured peak bytes of the seed-row perturbation of 16 directions at
+    # rank 16 (d = 10^3 and 10^4 split their rows, 40 x 120 its columns):
+    # the result, the rows' kc x 16 x r factor products and one result-sized
+    # block, plus 4 KiB; a per-row copy of V3's (nv, r) slices, r / kc times
+    # the result (262 KB at d = 10^3), is never formed.  The bits are those
+    # of that per-row contraction where the rows split.
+    rows = np.random.default_rng(m).integers(0, m, 16)
+    state = subspace_for_layer(12, 0, m, n, 16)
+    Z = sample_core(stream(Role.CORE_Z), state.rank).astype(dtype)
+    U3, V3, _ = state.factors(Z.dtype)
+    kc, mu, r = U3.shape
+    measured = peak_spans.measure(delta_rows, "rows")
+    got = measured(state, Z, rows)
+    word = np.dtype(dtype).itemsize
+    assert peak_spans.peaks("rows")[-1] <= word * (2 * got.size + 2 * kc * rows.size * r) + 4096
+    assert got.dtype == np.dtype(dtype)
+    if V3.shape[1] > 1:  # rows split
+        t, a = np.divmod(rows, mu)
+        want = np.einsum("sxr,qxr->sxq", U3[:, a] @ Z, V3[:, t])
+        assert got.tobytes() == want.reshape(kc, -1).T.reshape(rows.size, n).tobytes()
+
+
 @given(m=st.integers(1, 40), n=st.integers(1, 40), seed=st.integers(0, 10**6))
 @settings(max_examples=60, deadline=None)
 def test_reshape_bijectivity(m, n, seed):

@@ -206,16 +206,18 @@ def test_explicit_delta_matches_kron_identity():
     assert np.abs(D.reshape(-1, order="F") - vec).max() <= 1e-12
 
 
-def test_the_crns_sweep_runs_one_primal_pass_per_sign_of_each_pair(monkeypatch):
+def test_the_crns_sweep_forms_each_pairs_planes_once(monkeypatch):
     # at the criterion-5 config every estimate reads one pinned batch, so each
-    # sign of each eps's pair forms its primal and adjoint planes once, not
-    # once per loss evaluation; the suite's Var_S L pass adds one plain view
+    # eps's pair forms its primal and adjoint planes once, at both signs in
+    # its first locked estimate, not once per loss evaluation: the unlocked
+    # passes read their sign's slice.  The suite's Var_S L pass adds one
+    # plain view
     passes = []
     primal = net._primal
 
-    def counted(view, X, weights, derivs):
-        passes.append(view.sign)
-        return primal(view, X, weights, derivs=derivs)
+    def counted(pair, signs, X, derivs):
+        passes.append(signs)
+        return primal(pair, signs, X, derivs=derivs)
 
     monkeypatch.setattr(net, "_primal", counted)
     master = 1
@@ -224,7 +226,7 @@ def test_the_crns_sweep_runs_one_primal_pass_per_sign_of_each_pair(monkeypatch):
     crns_variance_sweep(
         problem, params, 8, list(CRNS_EPS), CRNS_REPS, B=20, b=CRNS_B, master=master
     )
-    assert sorted(passes) == [-1] * len(CRNS_EPS) + [1] * len(CRNS_EPS)
+    assert passes == [(1, -1)] * len(CRNS_EPS)
     passes.clear()
     crns_suite(master)
-    assert sorted(passes) == [-1] * len(CRNS_EPS) + [0] + [1] * len(CRNS_EPS)
+    assert sorted(passes) == [(0,)] + [(1, -1)] * len(CRNS_EPS)

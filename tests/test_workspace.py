@@ -143,9 +143,9 @@ def _measured_run(monkeypatch, cfg):
 # d = 10^4 a new buffer of B x d words, even float32 ones, exceeds it
 FREE_NAME = 8 * BLOCK_ELEMS
 # A steady step may allocate, beside what the run holds, 320 KiB of d-free
-# arrays (at most 310 KB measured, at d = 10^3 and 10^4 in float64, 284 KB of
-# it in the loss pass); phi is the draw's, from the rhs's squares of the
-# batch.  A step that refreshes the bases may instead hold, in the refresh,
+# arrays (at most 227 KB measured, in float64 at every d, most of it the
+# stacked sweep's index-set arrays); phi is the draw's, from the rhs's
+# squares of the batch.  A step that refreshes the bases may instead hold, in the refresh,
 # a layer's two Gaussian draws and their QR factors: at most 4 (m' + n') r
 # words of its m' x n' square view (at d = 10^4, 783 KB measured against
 # 1.16 MB)
