@@ -44,10 +44,10 @@ seed rows W_0[I] and (eps DW_0)[I].
 One jet sweep.  A sweep evaluates a stack of S signs: every plane it forms
 carries a leading axis of the signs.  The signs' input-layer terms are one
 broadcast product of the perturbation term by the signs, added to the
-shared term; each later layer is one stacked GEMM, a GEMM per sign of the
-same shapes, against the pair's stack of weights; the activation planes,
-the tangent blocks, their einsum reductions and the set sums are elementwise
-or reduce per sign.  So a stack of both signs is one sweep whose every slice
+shared term (one sign alone adds or subtracts it); each later layer is one
+stacked GEMM, a GEMM per sign of the same shapes, against the pair's stack
+of weights; the activation planes, the tangent blocks, their einsum
+reductions and the set sums are elementwise or reduce per sign.  So a stack of both signs is one sweep whose every slice
 has the bits of that sign swept alone, and a one-sign sweep is a stack of
 one: there is no other.  This changes no bit against forming each sign on
 its own: every sign-dependent term is linear in the sign and IEEE negation
@@ -277,7 +277,7 @@ class PerturbView:
     sign: int | tuple[int, ...] = 0
 
     def __post_init__(self):
-        if self.sign not in self.pair._weights:
+        if self.signs not in self.pair._weights:
             kind = "perturbed" if self.pair.perturbed else "plain"
             raise ValueError(f"sign {self.sign!r} is not a sign of a {kind} pair")
 
@@ -294,11 +294,6 @@ class PerturbView:
         """The stack of signs the view evaluates: ``sign``, or a stack of it alone."""
         return self.sign if type(self.sign) is tuple else (self.sign,)
 
-    def unstack(self, stacked: np.ndarray) -> np.ndarray:
-        """A result with a leading sign axis, as this view gives it: whole for a
-        stack, its one slice for a single sign."""
-        return stacked if type(self.sign) is tuple else stacked[0]
-
     # Loss-pipeline surface shared with the exact-solution stand-in.
     def jet_eval(self, X: np.ndarray, dims: np.ndarray, sizes) -> tuple[np.ndarray, np.ndarray]:
         """:func:`jet_sums` at this view; ``sizes`` may be the :class:`IndexSets` of X and dims."""
@@ -309,17 +304,20 @@ def plain_view(params: MlpParams) -> PerturbView:
     return PerturbView(SignPair(params))
 
 
-def _signed(shared: np.ndarray, term: np.ndarray | None, column, out=None) -> np.ndarray:
-    """``shared + s * term`` for each sign s of ``column``, stacked: (S, ...).
+def _signed(shared: np.ndarray, term: np.ndarray | None, signs, column, out=None) -> np.ndarray:
+    """``shared + s * term`` for each sign s of ``signs``, stacked: (S, ...).
 
-    ``column`` holds the signs as an (S, 1, 1) array in ``term``'s dtype.  The
-    product with +1 or -1 is exact and ``a + (-b)`` is ``a - b``, so each
-    slice has the bits of ``shared +/- term``.  Unperturbed (no ``term``), the
-    one sign 0 gives ``shared`` itself, as a stack of one.  Written to ``out``
-    when one is given.
+    ``column`` holds a stack of several signs as an (S, 1, 1) array in
+    ``term``'s dtype.  The product with +1 or -1 is exact and ``a + (-b)`` is
+    ``a - b``, so each slice has the bits of ``shared +/- term``, which a
+    stack of one sign forms directly, by adding or subtracting.  Unperturbed
+    (no ``term``), the one sign 0 gives ``shared`` itself, as a stack of one.
+    Written to ``out`` when one is given.
     """
     if term is None:
         return shared[None]
+    if len(signs) == 1:
+        return (np.add if signs[0] > 0 else np.subtract)(shared[None], term, out=out)
     out = np.multiply(column, term, out=out)
     out += shared
     return out
@@ -426,14 +424,12 @@ class SignPair:
                     _layer_weights(l, stack[0], np.add, W, E)
                     _layer_weights(l, stack[1], np.subtract, W, E)
                     stacks.append(stack)
-        # each sign, and each stack of them, -> its layer weights (weights());
-        # each stack of a perturbed pair -> its signs as an (S, 1, 1) column
-        self._weights = {self.signs: [self.W0, *stacks]}
-        self._columns = {self.signs: np.array(self.signs, self.dtype)[:, None, None]}
-        for i, sign in enumerate(self.signs):
-            self._weights[sign] = [self.W0, *(W[i] for W in stacks)]
-            self._weights[sign,] = [self.W0, *(W[i : i + 1] for W in stacks)]
-            self._columns[sign,] = self._columns[self.signs][i : i + 1]
+        # each stack a view may evaluate, the pair's signs or one of them alone,
+        # -> its layer weights (weights()); the signs as a column (_signed)
+        self._weights = {(sign,): [self.W0, *(W[i : i + 1] for W in stacks)]
+                         for i, sign in enumerate(self.signs)}
+        self._weights[self.signs] = [self.W0, *stacks]
+        self._column = np.array(self.signs, self.dtype)[:, None, None]
         self._batch: _Batch | None = None
         self._rows: _Rows | None = None
 
@@ -507,15 +503,16 @@ class SignPair:
         h = self.params.widths[1:-1]
         return sum(a * b for a, b in zip(h, h[1:]))
 
-    def weights(self, sign) -> list[np.ndarray]:
-        """Layer weights in the step dtype, as one sweep at ``sign`` multiplies them.
+    def weights(self, signs: tuple[int, ...]) -> list[np.ndarray]:
+        """Layer weights in the step dtype, as one sweep at the stack ``signs``
+        multiplies them.
 
         Layer 0 is W_0 as is: its perturbation stays implicit (:meth:`batch`,
-        :meth:`rows`).  Every later layer is W_l +/- E_l, cast once: an
-        (m, n) array at one sign, an (S, m, n) stack at a stack of S signs,
-        a view of the one stack the pair formed.
+        :meth:`rows`).  Every later layer is W_l +/- E_l, cast once, as an
+        (S, m, n) stack for the S signs: a view of the one stack the pair
+        formed.
         """
-        return self._weights[sign]
+        return self._weights[signs]
 
 
 def _primal(pair: SignPair, signs: tuple[int, ...], X: _Batch, derivs: bool):
@@ -548,7 +545,7 @@ def _primal(pair: SignPair, signs: tuple[int, ...], X: _Batch, derivs: bool):
     l = 0
     try:
         out = work and work.take(names[0], shape, X.G0.dtype) if X.P is not None else None
-        G = _signed(X.G0, X.P, pair._columns[signs], out)
+        G = _signed(X.G0, X.P, signs, pair._column, out)
         for l in range(depth):
             if l > 0:
                 W = weights[l]
@@ -576,7 +573,8 @@ def _primal(pair: SignPair, signs: tuple[int, ...], X: _Batch, derivs: bool):
 def forward(view: PerturbView, X: np.ndarray) -> np.ndarray:
     """Raw network values, shape (B, 1), or (S, B, 1) for a stack of S signs."""
     pair = view.pair
-    return view.unstack(_primal(pair, view.signs, pair.batch(X), derivs=False)[0])
+    values = _primal(pair, view.signs, pair.batch(X), derivs=False)[0]
+    return values if type(view.sign) is tuple else values[0]
 
 
 def boundary_factor(X: np.ndarray) -> np.ndarray:
@@ -773,7 +771,7 @@ def _raw_jets(
     l = 0
     try:
         # e_i @ W0 +/- e_i @ (eps DW_0); a constant feature has zero tangent
-        seed_rows = _signed(rows.R0, rows.D, pair._columns[signs])
+        seed_rows = _signed(rows.R0, rows.D, signs, pair._column)
         if depth == 1:
             g2 = np.zeros((S, len(starts), B), dtype=dtype)
             return g, np.repeat(seed_rows[..., :1], B, axis=2), g2
@@ -825,6 +823,8 @@ def jet_sums(view: PerturbView, X: np.ndarray, dims, sizes) -> tuple[np.ndarray,
     sets = index_sets(X, dims, sizes)
     pair = view.pair
     g, g1, g2 = _raw_jets(pair, view.signs, pair.batch(sets.X), pair.rows(sets), sets.starts)
-    xg1 = np.add.reduceat(sets.xi * g1, sets.starts, axis=1)
-    sums = sets.phi * g2 - 4.0 * xg1 - sets.twice * g[:, None]
-    return view.unstack(sets.phi * g), view.unstack(sums)
+    if type(view.sign) is not tuple:  # one sign: its slices, as the view gives them
+        g, g1, g2 = g[0], g1[0], g2[0]
+    xg1 = np.add.reduceat(sets.xi * g1, sets.starts, axis=-2)
+    sums = sets.phi * g2 - 4.0 * xg1 - sets.twice * g[..., None, :]
+    return sets.phi * g, sums

@@ -40,7 +40,8 @@ and every BLAS call still runs on one thread, so the bits do not change.
   and read-only, as :func:`draw_sample` makes it (each pass forms the terms
   of a writable batch again, in the same buffers of the pair's workspace),
   (b) one sign's tangent work, B |dims| times the pair's
-  :attr:`SignPair.transport_macs`, reaches ``CONCURRENT_MIN_MACS``, and
+  :attr:`SignPair.transport_macs` in words of 4 bytes (an f64
+  multiply-add counts twice), reaches ``CONCURRENT_MIN_MACS``, and
   (c) :func:`sdze.worker.may_share` holds: the BLAS is pinned to one thread
   (unpinned, OpenBLAS already spreads each GEMM over both cores: the
   concurrent path there left poisson100's step at 2.24-2.27 ms, against
@@ -64,10 +65,13 @@ and every BLAS call still runs on one thread, so the bits do not change.
 
   The serial path got cheaper, so f32 now crosses between 10.5 and 13.1 M
   (against two one-sign passes it crossed at 6 M; poisson100's 52.4 M
-  gains 28 % in the first sweep of this table's shapes).  f64 crosses
-  lower, between 2.6 and 6.6 M; the one constant keeps f64 shapes below
-  12 M serial.  Criterion 8's step (5.2 M) and the depth-2 variance sweep
-  (none) stay serial.  Every path calls this module's ``stochastic_loss``,
+  gains 28 % in the first sweep of this table's shapes).  f64 crosses at
+  about half that, between 5.2 and 6.6 M in a second sweep of the shapes
+  near it (-18 to 0 % at 5.2 M, +12 to +26 % at 6.6 M), so counting an f64
+  multiply-add twice puts both dtypes' crossover at the one constant:
+  12 M f32, 6 M f64, where f64 stood before the sweep was stacked.
+  Criterion 8's step (5.2 M, 10.5 M counted in f64) and the depth-2
+  variance sweep (none) stay serial.  Every path calls this module's ``stochastic_loss``,
   looked up at each call, so a wrapper set on the module sees every call on
   either path.
 * Errors.  The stacked sweep raises the first error of its arithmetic, at
@@ -339,8 +343,8 @@ def step_cores(master: int, subspaces: list[LayerSubspace], t: int) -> list[np.n
     ]
 
 
-# per-sign tangent multiply-adds from which the concurrent path is faster
-# than the stacked serial sweep (module docstring)
+# per-sign tangent multiply-adds, an f64 one counted twice, from which the
+# concurrent path is faster than the stacked serial sweep (module docstring)
 CONCURRENT_MIN_MACS = 12_000_000
 
 
@@ -348,7 +352,7 @@ def _concurrent(pair: SignPair, plus: DrawnSample, minus: DrawnSample) -> bool:
     """Whether an estimate's passes run on two threads: from its sample, work and the process."""
     if minus is not plus:
         return False
-    work = plus.X.shape[0] * plus.dims.size * pair.transport_macs
+    work = plus.X.shape[0] * plus.dims.size * pair.transport_macs * (pair.dtype.itemsize // 4)
     if work < CONCURRENT_MIN_MACS or not worker.may_share():
         return False
     return not (plus.X.flags.writeable or plus.dims.flags.writeable)

@@ -39,6 +39,9 @@ from .rng import Role, RngStream, StreamKey, derive_stream, gaussian_matrix
 # stay bounded regardless of layer size.
 BLOCK_ROWS = 4096
 BLOCK_ELEMS = 65536
+# bytes of V3's row slices that delta_rows gathers at once: under glibc's
+# 128 KiB mmap threshold, so the heap serves them with no page faults
+GATHER_BYTES = 64 * 1024
 
 
 @dataclass(frozen=True)
@@ -235,10 +238,11 @@ def delta_rows(state: LayerSubspace, Z: np.ndarray, rows: np.ndarray) -> np.ndar
 
     Returns an array of shape (len(rows), n); equivalent to one-hot inputs
     through ``perturb_product`` but without materializing them.  Beside the
-    result it allocates the rows' (kc, len(rows), r) factor products and at
-    most one result-sized block: a split of the rows contracts each row
-    segment t the rows meet with V3[:, t] as it is, never a per-row copy of
-    V3's (nv, r) slices, which is r/kc times the result.
+    result it allocates the rows' (kc, len(rows), r) factor products and,
+    when the rows split, V3's (nv, r) slice of each row's segment, gathered
+    for as many rows at a time as fit in ``GATHER_BYTES``: gathered for all
+    rows at once, the slices are r/kc times the result (262 KB for 16 rows
+    at d = 10^3 and 10^4 in f64), and one row a time costs a call per row.
     """
     m, n = state.plan.orig
     rows = np.asarray(rows, dtype=np.int64)
@@ -254,9 +258,10 @@ def delta_rows(state: LayerSubspace, Z: np.ndarray, rows: np.ndarray) -> np.ndar
         t, a = np.divmod(rows, mu)
         UZ = U3[:, a] @ Z
         out = np.empty((kc, rows.size, nv), Z.dtype)
-        for segment in set(t.tolist()):  # the segments met; each writes its own rows
-            at = np.flatnonzero(t == segment)
-            out[:, at] = np.einsum("sxr,qr->sxq", UZ[:, at], V3[:, segment])
+        k = max(1, GATHER_BYTES // V3[:, 0].nbytes)
+        for c in range(0, rows.size, k):
+            x = slice(c, c + k)
+            np.einsum("sxr,qxr->sxq", UZ[:, x], V3[:, t[x]], out=out[:, x])
     return out.reshape(kc, rows.size * nv).T.reshape(rows.size, n)
 
 

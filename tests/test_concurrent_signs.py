@@ -279,7 +279,7 @@ def test_the_gate_needs_a_locked_sample_enough_work_pinned_blas_two_cpus(monkeyp
         params = cfg.init_params()
         subs = make_subspaces(params, cfg)
         plus, minus = draw_signs(prob, dataclasses.replace(cfg, crns=locked), 1)
-        pair = SignPair(params, subs, step_cores(cfg.seed, subs, 1), cfg.eps)
+        pair = SignPair(params, subs, step_cores(cfg.seed, subs, 1), cfg.eps, DTYPES[cfg.dtype])
         return optimizer._concurrent(pair, plus, minus)
 
     # poisson100's step: 100 points x 32 directions x 128 x 128 = 52.4 M
@@ -297,10 +297,12 @@ def test_the_gate_needs_a_locked_sample_enough_work_pinned_blas_two_cpus(monkeyp
     assert not optimizer._concurrent(pair, writable, writable)
     # crns-sweep's net has one hidden layer: no tangent work
     assert not gate(SdzeConfig(widths=[100, 64, 1], batch_B=20))
-    # criterion 8's shapes: 20 x 16 x 128 x 128 = 5.2 M; 46 points reach 12.1 M
-    assert not gate(SdzeConfig(widths=[100, 128, 128, 1], batch_B=20, batch_b=8))
-    assert not gate(SdzeConfig(widths=[100, 128, 128, 1], batch_B=45, batch_b=8))
-    assert gate(SdzeConfig(widths=[100, 128, 128, 1], batch_B=46, batch_b=8))
+    # criterion 8's shapes: 20 x 16 x 128 x 128 = 5.2 M; in f32, 46 points
+    # reach 12.1 M; in f64, whose multiply-adds count twice, 23 points 6.0 M
+    for dtype, edge in (("f32", 46), ("f64", 23)):
+        for B in (20, edge - 1):
+            assert not gate(SdzeConfig(widths=[100, 128, 128, 1], dtype=dtype, batch_B=B, batch_b=8))
+        assert gate(SdzeConfig(widths=[100, 128, 128, 1], dtype=dtype, batch_B=edge, batch_b=8))
     monkeypatch.setattr(worker, "_cpu_count", lambda: 1)
     assert not gate(big)
     monkeypatch.setattr(worker, "_cpu_count", lambda: 2)

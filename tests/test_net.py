@@ -68,9 +68,11 @@ def test_each_sign_forms_its_hidden_weights_once(bias, dtype):
     params, subs, cores = build([6, 5, 4, 1], bias=bias)
     pair = SignPair(params, subs, cores, 0.37, dtype)
     for sign in (+1, -1):
-        got = pair.weights(sign)
+        got = pair.weights((sign,))
         assert got[0].tobytes() == params.weights[0].astype(dtype).tobytes()
-        for W, s, Z, G in zip(params.weights[1:], subs[1:], cores[1:], got[1:]):
+        stacks = pair.weights((1, -1))[1:]
+        for W, s, Z, G, both in zip(params.weights[1:], subs[1:], cores[1:], got[1:], stacks):
+            assert G.shape == (1, *W.shape) and np.shares_memory(G, both)  # its slice
             E = rank_r_delta(s, Z, 0.37)
             want = (W + E if sign > 0 else W - E).astype(dtype)
             assert G.dtype == np.dtype(dtype) and G.tobytes() == want.tobytes()
